@@ -70,10 +70,9 @@ def cmd_simulate(args) -> int:
 _WORKER_STATE: dict = {}
 
 
-def _detect_worker_init(data_dir: str, cfg_dict: dict) -> None:
-    cfg = RunConfig.from_dict(cfg_dict)
-    manifest, _grid, roles = load_suite(data_dir)
-    _WORKER_STATE["inputs"] = pipeline.fold_inputs_from_suite(manifest, roles, cfg)
+def _detect_worker_init(fold_inputs: list, cfg: RunConfig) -> None:
+    """Hand a worker the fold inputs the parent already built from the suite."""
+    _WORKER_STATE["inputs"] = fold_inputs
     _WORKER_STATE["cfg"] = cfg
 
 
@@ -95,7 +94,7 @@ def cmd_detect(args) -> int:
         with ProcessPoolExecutor(
             max_workers=args.jobs,
             initializer=_detect_worker_init,
-            initargs=(str(data_dir), cfg.to_dict()),
+            initargs=(fold_inputs, cfg),
         ) as pool:
             outputs = list(pool.map(_detect_worker_run, range(len(fold_inputs))))
     else:

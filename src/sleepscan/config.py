@@ -89,6 +89,8 @@ class RunConfig:
             raise ConfigError('symmetry_mode must be "handover" or "location"')
         if len(self.weights) != 4 or any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
             raise ConfigError("weights must be 4 non-negative values with a positive sum")
+        if self.cell_id_base < 0:
+            raise ConfigError("cell_id_base must be >= 0")  # -1 marks a record without a target
         n_cells = self.n_sites * self.sectors_per_site
         if not self.cell_id_base <= self.faulty_cell < self.cell_id_base + n_cells:
             raise ConfigError(f"faulty_cell {self.faulty_cell} not in layout")

@@ -2,8 +2,18 @@
 
 Calls of variable length become fixed-vocabulary count vectors: each
 call is cut into overlapping sub-calls (window m, step n), and each
-sub-call is represented by its 2-gram counts over a vocabulary frozen
-from the union of pairs seen in the fold's training and testing data.
+sub-call is represented by its N-gram counts over a vocabulary frozen
+from the union of the N-grams seen in the fold's training and testing
+chunks.
+
+A sub-call is a (start, stop) range of record indices into its chunk.
+An N-gram is held as one integer code, its events read as base-9 digits
+(first event most significant), so sorting codes sorts N-grams by their
+event codes.  Everything that depends only on a chunk -- its windows,
+their N-gram counts over the codes present in the chunk, their ground
+truth -- is computed once per chunk (`featurize_chunk`) and shared by
+every fold that uses the chunk; a fold only merges two chunks' codes
+into its vocabulary and scatters each chunk's counts into its columns.
 """
 
 from __future__ import annotations
@@ -12,65 +22,62 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdtlog import Call, MdtRecord
+from .mdtlog import Chunk, EventId
+
+N_EVENTS = len(EventId)
 
 
-@dataclass(frozen=True)
-class SubCall:
-    """A consecutive slice of one call; the unit of anomaly classification."""
+def windows_for_calls(call_bounds, m: int = 15, n: int = 10) -> np.ndarray:
+    """Sub-call ranges of consecutive calls, as a (windows, 2) array of [start, stop).
 
-    ue: int
-    call_index: int
-    offset: int
-    records: tuple[MdtRecord, ...]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def events(self) -> tuple[int, ...]:
-        return tuple(int(r.event) for r in self.records)
-
-
-def sliding_window(call: Call, call_index: int = 0, m: int = 15, n: int = 10) -> list[SubCall]:
-    """Cut a call into sub-calls of length <= m starting every n events.
-
-    Offsets run 0, n, 2n, ... while they fall inside the call; a window
-    that exactly fits the tail (offset + m == length) ends the scan.
-    Windows shorter than 2 events cannot form a 2-gram and are dropped.
+    Call c spans records call_bounds[c]:call_bounds[c + 1].  Within a call
+    of length L, offsets run 0, n, 2n, ... while they fall inside the call;
+    a window that exactly fits the tail (offset + m == L) ends the scan.
+    Windows are clipped at the call end, and those shorter than 2 events
+    cannot form a 2-gram and are dropped.  Windows are ordered by call,
+    then by offset.
     """
     if m < 2:
         raise ValueError("window size m must be >= 2")
     if not 1 <= n <= m:
         raise ValueError("step n must satisfy 1 <= n <= m")
-    length = len(call)
-    windows = []
-    offset = 0
-    while offset < length:
-        end = min(offset + m, length)
-        if end - offset >= 2:
-            windows.append(
-                SubCall(
-                    ue=call.ue,
-                    call_index=call_index,
-                    offset=offset,
-                    records=call.records[offset:end],
-                )
-            )
-        if offset + m == length:
-            break
-        offset += n
-    return windows
+    bounds = np.asarray(call_bounds, dtype=np.int64)
+    starts, lengths = bounds[:-1], np.diff(bounds)
+    # Offsets that fall inside the call, cut after the one fitting the tail.
+    per_call = -(-lengths // n)
+    exact = (lengths >= m) & ((lengths - m) % n == 0)
+    per_call = np.where(exact, (lengths - m) // n + 1, per_call)
+    call = np.repeat(np.arange(len(lengths)), per_call)
+    first = np.cumsum(per_call) - per_call
+    offset = (np.arange(len(call)) - first[call]) * n
+    end = np.minimum(offset + m, lengths[call])
+    keep = end - offset >= 2
+    ranges = np.stack([starts[call] + offset, starts[call] + end], axis=1)[keep]
+    return ranges.reshape(-1, 2)
 
 
-def windows_for_calls(calls, m: int = 15, n: int = 10) -> list[SubCall]:
-    out = []
-    for idx, call in enumerate(calls):
-        out.extend(sliding_window(call, call_index=idx, m=m, n=n))
-    return out
+def gram_positions(windows, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(window row, first record index) of every N-gram inside each window."""
+    windows = np.asarray(windows, dtype=np.int64).reshape(-1, 2)
+    per_window = np.maximum(windows[:, 1] - windows[:, 0] - n + 1, 0)
+    row = np.repeat(np.arange(len(windows)), per_window)
+    first = np.cumsum(per_window) - per_window
+    return row, windows[row, 0] + np.arange(len(row)) - first[row]
+
+
+def gram_codes(events, positions, n: int) -> np.ndarray:
+    """Integer code of the N-gram starting at each position."""
+    codes = np.zeros(len(positions), dtype=np.int64)
+    for j in range(n):
+        codes = codes * N_EVENTS + events[positions + j]
+    return codes
 
 
 def ngram_counts(sequence, n: int = 2) -> dict[tuple, int]:
-    """Count all overlapping length-n sub-sequences of a sequence."""
+    """Count all overlapping length-n sub-sequences of a sequence.
+
+    The definition the columnar counts follow; tests check them against it.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     items = tuple(sequence)
@@ -81,62 +88,101 @@ def ngram_counts(sequence, n: int = 2) -> dict[tuple, int]:
     return counts
 
 
-@dataclass(frozen=True)
-class NGramVocabulary:
-    """Ordered set of n-gram keys defining the feature columns."""
+@dataclass(frozen=True, eq=False)
+class ChunkFeatures:
+    """A chunk's sub-calls and their N-gram counts, shared by every fold using it."""
 
-    pairs: tuple[tuple, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.pairs)})
+    chunk: Chunk
+    n: int                       # N-gram length
+    windows: np.ndarray          # (W, 2) record ranges [start, stop)
+    rows: list[tuple[int, int]]  # (ue, offset in the call) per window
+    codes: np.ndarray            # (K,) sorted codes of the N-grams present
+    counts: np.ndarray           # (W, K) int64
+    ue_count: int                # distinct UEs with at least one window
+    affected: np.ndarray         # (W,) any record of the window fault-affected
 
     def __len__(self) -> int:
-        return len(self.pairs)
-
-    def column(self, pair) -> int:
-        return self._index[pair]
-
-    @classmethod
-    def from_subcalls(cls, *groups, n: int = 2) -> "NGramVocabulary":
-        """Union of n-grams over all groups, sorted by event codes."""
-        seen = set()
-        for group in groups:
-            for sub in group:
-                seen.update(ngram_counts(sub.events(), n=n))
-        return cls(pairs=tuple(sorted(seen)))
+        return len(self.windows)
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Sub-calls x n-gram count matrix over a frozen vocabulary."""
+def featurize_chunk(chunk: Chunk, m: int = 15, n: int = 10, ngram_n: int = 2) -> ChunkFeatures:
+    """Window a chunk and count each window's N-grams over the codes it holds."""
+    bounds = chunk.call_bounds
+    windows = windows_for_calls(bounds, m=m, n=n)
+    starts = windows[:, 0]
+    call = np.searchsorted(bounds, starts, side="right") - 1
+    ues = chunk.log.ue[starts]
+    rows = list(zip(ues.tolist(), (starts - bounds[call]).tolist()))
 
-    sub_calls: tuple[SubCall, ...]
-    vocabulary: NGramVocabulary
-    counts: np.ndarray  # (rows, columns) int64
+    row, pos = gram_positions(windows, ngram_n)
+    codes, column = np.unique(gram_codes(chunk.log.event, pos, ngram_n), return_inverse=True)
+    flat = np.bincount(row * len(codes) + column, minlength=len(windows) * len(codes))
+    counts = flat.reshape(len(windows), len(codes))
+
+    hits = np.concatenate(([0], np.cumsum(chunk.affected)))
+    affected = hits[windows[:, 1]] > hits[starts]
+    return ChunkFeatures(
+        chunk=chunk,
+        n=ngram_n,
+        windows=windows,
+        rows=rows,
+        codes=codes,
+        counts=counts,
+        ue_count=len(np.unique(ues)),
+        affected=affected,
+    )
+
+
+def decode_gram(code: int, n: int) -> tuple[int, ...]:
+    """Event codes of an N-gram code, first event first."""
+    events = []
+    for _ in range(n):
+        code, digit = divmod(int(code), N_EVENTS)
+        events.append(digit)
+    return tuple(reversed(events))
+
+
+@dataclass(frozen=True, eq=False)
+class NGramVocabulary:
+    """Sorted N-gram codes defining the feature columns."""
+
+    codes: np.ndarray
+    n: int = 2
+
+    def __len__(self) -> int:
+        return len(self.codes)
 
     @property
-    def shape(self):
-        return self.counts.shape
+    def pairs(self) -> tuple[tuple[int, ...], ...]:
+        """The N-grams as event-code tuples, in column order."""
+        return tuple(decode_gram(c, self.n) for c in self.codes)
+
+    @classmethod
+    def from_subcalls(cls, *groups: ChunkFeatures) -> "NGramVocabulary":
+        """Union of the N-grams of every group's sub-calls, sorted by event codes."""
+        codes = np.unique(np.concatenate([g.codes for g in groups]))
+        return cls(codes=codes, n=groups[0].n)
 
 
-def build_feature_matrix(sub_calls, vocabulary: NGramVocabulary, n: int = 2) -> FeatureMatrix:
-    matrix = np.zeros((len(sub_calls), len(vocabulary)), dtype=np.int64)
-    for row, sub in enumerate(sub_calls):
-        for pair, count in ngram_counts(sub.events(), n=n).items():
-            matrix[row, vocabulary.column(pair)] = count
-    return FeatureMatrix(sub_calls=tuple(sub_calls), vocabulary=vocabulary, counts=matrix)
+def build_feature_matrix(features: ChunkFeatures, vocabulary: NGramVocabulary) -> np.ndarray:
+    """(windows, vocabulary) int64 count matrix of one chunk's sub-calls."""
+    matrix = np.zeros((len(features.windows), len(vocabulary)), dtype=np.int64)
+    matrix[:, np.searchsorted(vocabulary.codes, features.codes)] = features.counts
+    return matrix
 
 
-def write_matrix_csv(matrix: FeatureMatrix, path, event_names=None) -> None:
-    """Debug dump with "EVENT1|EVENT2" column headers."""
-    from .mdtlog import EventId
+def write_matrix_csv(features: ChunkFeatures, vocabulary: NGramVocabulary, path, event_names=None) -> None:
+    """Debug dump of a chunk's feature matrix with "EVENT1|EVENT2" column headers."""
 
     def name(code):
         return EventId(code).name if event_names is None else event_names[code]
 
-    headers = ["|".join(name(c) for c in pair) for pair in matrix.vocabulary.pairs]
+    headers = ["|".join(name(c) for c in gram) for gram in vocabulary.pairs]
+    bounds = features.chunk.call_bounds
+    calls = np.searchsorted(bounds, features.windows[:, 0], side="right") - 1
+    matrix = build_feature_matrix(features, vocabulary)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(["ue", "call_index", "offset"] + headers) + "\n")
-        for sub, row in zip(matrix.sub_calls, matrix.counts):
-            prefix = [str(sub.ue), str(sub.call_index), str(sub.offset)]
+        for (ue, offset), call, row in zip(features.rows, calls, matrix):
+            prefix = [str(ue), str(int(call)), str(offset)]
             fh.write(",".join(prefix + [str(int(v)) for v in row]) + "\n")

@@ -25,18 +25,22 @@ but pure mobility keeps those counts nearly symmetric.
 Amplification divides each cell's score by the summed score of its
 non-neighbors, normalization rescales to a sum of 100, and labeling
 flags cells more than three pooled standard deviations above the mean.
+
+The methods read columnar chunks (`mdtlog.Chunk`), whose records carry
+their dominance-cell index, and sub-calls given as (start, stop) record
+ranges into them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .featurize import SubCall
-from .mdtlog import EventId
-from .simgen.dominance import DominanceMap
+from .featurize import decode_gram, gram_codes, gram_positions
+from .mdtlog import NO_TARGET, Chunk, EventId, lookup_index
 
 AMPLIFY_EPSILON = 1e-9
 
@@ -79,68 +83,61 @@ def _index(cell_ids) -> dict[int, int]:
     return {c: i for i, c in enumerate(cell_ids)}
 
 
-def _dominant_cells(sub: SubCall, dmap: DominanceMap) -> np.ndarray:
-    xs = np.array([r.x for r in sub.records])
-    ys = np.array([r.y for r in sub.records])
-    return np.atleast_1d(dmap.cell_at(xs, ys))
-
-
-def distinct_ue_count(items) -> int:
-    return len({getattr(item, "ue") for item in items})
+def _windows_per_cell(rows, cells, n_cells: int) -> np.ndarray:
+    """Per cell, the number of distinct window rows paired with it."""
+    pairs = np.unique(rows * n_cells + cells)
+    return np.bincount(pairs % n_cells, minlength=n_cells).astype(np.float64)
 
 
 def sc_dominance_subcall_deviation(
     cell_ids,
-    train_anom_subcalls,
+    train: Chunk,
+    train_anom_windows,
     train_ue_count: int,
-    test_anom_subcalls,
+    test: Chunk,
+    test_anom_windows,
     test_ue_count: int,
-    train_dmap: DominanceMap,
-    test_dmap: DominanceMap,
 ) -> SleepingCellHistogram:
-    """Rate of anomalous sub-calls touching each cell, testing minus training."""
-    idx = _index(cell_ids)
+    """Rate of anomalous sub-calls touching each cell, testing minus training.
 
-    def rates(subcalls, dmap, ue_count):
-        f = _empty(cell_ids)
-        for sub in subcalls:
-            for cell in np.unique(_dominant_cells(sub, dmap)):
-                f[idx[int(cell)]] += 1.0
-        return f / max(ue_count, 1)
+    A sub-call touches the dominance cells of its records' locations; the
+    windows are (start, stop) record ranges into their chunk.
+    """
 
-    f_train = rates(train_anom_subcalls, train_dmap, train_ue_count)
-    f_test = rates(test_anom_subcalls, test_dmap, test_ue_count)
+    def rates(chunk, windows, ue_count):
+        rows, pos = gram_positions(windows, 1)
+        return _windows_per_cell(rows, chunk.cell[pos], len(cell_ids)) / max(ue_count, 1)
+
+    f_train = rates(train, train_anom_windows, train_ue_count)
+    f_test = rates(test, test_anom_windows, test_ue_count)
     return SleepingCellHistogram(tuple(cell_ids), np.maximum(f_test - f_train, 0.0), "raw")
 
 
-def _gram_cell_rates(subcalls, dmap: DominanceMap, ue_count: int, idx) -> dict[tuple, np.ndarray]:
+def _gram_cell_rates(chunk: Chunk, windows, ue_count: int, n_cells: int) -> dict[tuple, np.ndarray]:
     """Per 2-gram, per cell: attributed instance count / distinct UEs.
 
     Each instance credits 0.5 to the dominance cell of each of its two
-    event locations.
+    event locations.  Keys are (event, event) tuples in order of first
+    occurrence, so that iterating a set of them is reproducible.
     """
-    rates: dict[tuple, np.ndarray] = {}
-    for sub in subcalls:
-        cells = _dominant_cells(sub, dmap)
-        events = sub.events()
-        for i in range(len(events) - 1):
-            key = (events[i], events[i + 1])
-            if key not in rates:
-                rates[key] = np.zeros(len(idx))
-            rates[key][idx[int(cells[i])]] += 0.5
-            rates[key][idx[int(cells[i + 1])]] += 0.5
-    div = max(ue_count, 1)
-    return {k: v / div for k, v in rates.items()}
+    _, pos = gram_positions(windows, 2)
+    keys, first, column = np.unique(
+        gram_codes(chunk.log.event, pos, 2), return_index=True, return_inverse=True
+    )
+    slots = np.concatenate([column * n_cells + chunk.cell[pos], column * n_cells + chunk.cell[pos + 1]])
+    credits = np.bincount(slots, minlength=len(keys) * n_cells).reshape(len(keys), n_cells)
+    rates = credits * 0.5 / max(ue_count, 1)
+    return {decode_gram(keys[k], 2): rates[k] for k in np.argsort(first)}
 
 
 def sc_dominance_2gram_deviation(
     cell_ids,
-    train_subcalls,
+    train: Chunk,
+    train_windows,
     train_ue_count: int,
-    test_anom_subcalls,
+    test: Chunk,
+    test_anom_windows,
     test_ue_count: int,
-    train_dmap: DominanceMap,
-    test_dmap: DominanceMap,
 ) -> SleepingCellHistogram:
     """Sum over 2-grams of |testing rate - training rate| per cell.
 
@@ -148,10 +145,10 @@ def sc_dominance_2gram_deviation(
     anomalous testing sub-calls (configurable upstream by passing all of
     them instead).
     """
-    idx = _index(cell_ids)
-    f_train = _gram_cell_rates(train_subcalls, train_dmap, train_ue_count, idx)
-    f_test = _gram_cell_rates(test_anom_subcalls, test_dmap, test_ue_count, idx)
+    f_train = _gram_cell_rates(train, train_windows, train_ue_count, len(cell_ids))
+    f_test = _gram_cell_rates(test, test_anom_windows, test_ue_count, len(cell_ids))
     scores = _empty(cell_ids)
+    # Summed in set order, one key at a time: the float sum depends on it.
     for key in set(f_train) | set(f_test):
         a = f_test.get(key)
         b = f_train.get(key)
@@ -164,36 +161,24 @@ def sc_dominance_2gram_deviation(
     return SleepingCellHistogram(tuple(cell_ids), scores, "raw")
 
 
-def _directed_crossings(calls, dmap: DominanceMap) -> dict[tuple[int, int], int]:
-    """Counts of consecutive event pairs whose dominance cells differ."""
-    counts: dict[tuple[int, int], int] = {}
-    for call in calls:
-        if len(call.records) < 2:
-            continue
-        xs = np.array([r.x for r in call.records])
-        ys = np.array([r.y for r in call.records])
-        cells = np.atleast_1d(dmap.cell_at(xs, ys))
-        for i in range(len(cells) - 1):
-            a, b = int(cells[i]), int(cells[i + 1])
-            if a != b:
-                counts[(a, b)] = counts.get((a, b), 0) + 1
-    return counts
+def _directed_crossings(chunk: Chunk, cell_ids) -> dict[tuple[int, int], int]:
+    """Counts of consecutive events of a call whose dominance cells differ."""
+    if len(chunk.log) < 2:
+        return {}
+    same_call = np.ones(len(chunk.log) - 1, dtype=bool)
+    same_call[chunk.call_bounds[1:-1] - 1] = False
+    a, b = chunk.cell[:-1], chunk.cell[1:]
+    keep = same_call & (a != b)
+    ids = np.asarray(cell_ids)
+    return Counter(zip(ids[a[keep]].tolist(), ids[b[keep]].tolist()))
 
 
-def _directed_handovers(calls) -> dict[tuple[int, int], int]:
+def _directed_handovers(chunk: Chunk) -> dict[tuple[int, int], int]:
     """Counts of 2-grams ending in HO COMMAND, directed serving -> target."""
-    counts: dict[tuple[int, int], int] = {}
-    for call in calls:
-        records = call.records
-        for i in range(1, len(records)):
-            rec = records[i]
-            if rec.event is not EventId.HO_COMMAND or rec.target is None:
-                continue
-            if rec.serving == rec.target:
-                continue
-            key = (rec.serving, rec.target)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+    log = chunk.log
+    keep = (log.event == int(EventId.HO_COMMAND)) & (log.target != NO_TARGET) & (log.serving != log.target)
+    keep[chunk.call_bounds[:-1]] = False  # a call's first event ends no 2-gram
+    return Counter(zip(log.serving[keep].tolist(), log.target[keep].tolist()))
 
 
 def _imbalance(counts, a: int, b: int) -> float:
@@ -207,10 +192,8 @@ def _imbalance(counts, a: int, b: int) -> float:
 
 def sc_2gram_symmetry_deviation(
     cell_ids,
-    train_calls,
-    test_calls,
-    train_dmap: DominanceMap,
-    test_dmap: DominanceMap,
+    train: Chunk,
+    test: Chunk,
     adjacency: dict[int, frozenset[int]],
     mode: str = "handover",
 ) -> SleepingCellHistogram:
@@ -221,11 +204,11 @@ def sc_2gram_symmetry_deviation(
     mode selects the direction semantics (see module docstring).
     """
     if mode == "handover":
-        train_counts = _directed_handovers(train_calls)
-        test_counts = _directed_handovers(test_calls)
+        train_counts = _directed_handovers(train)
+        test_counts = _directed_handovers(test)
     elif mode == "location":
-        train_counts = _directed_crossings(train_calls, train_dmap)
-        test_counts = _directed_crossings(test_calls, test_dmap)
+        train_counts = _directed_crossings(train, cell_ids)
+        test_counts = _directed_crossings(test, cell_ids)
     else:
         raise DataError(f"unknown symmetry mode {mode!r}")
     scores = _empty(cell_ids)
@@ -242,17 +225,15 @@ def sc_2gram_symmetry_deviation(
 
 def sc_target_cell_subcalls(
     cell_ids,
-    test_anom_subcalls,
+    test: Chunk,
+    test_anom_windows,
     test_ue_count: int,
 ) -> SleepingCellHistogram:
     """Distinct target cells per anomalous sub-call; no location data needed."""
-    idx = _index(cell_ids)
-    scores = _empty(cell_ids)
-    for sub in test_anom_subcalls:
-        targets = {r.target for r in sub.records if r.target is not None}
-        for cell in targets:
-            if cell in idx:
-                scores[idx[cell]] += 1.0
+    rows, pos = gram_positions(test_anom_windows, 1)
+    target = lookup_index(test.log.target[pos], cell_ids)
+    known = target >= 0
+    scores = _windows_per_cell(rows[known], target[known], len(cell_ids))
     return SleepingCellHistogram(tuple(cell_ids), scores / max(test_ue_count, 1), "raw")
 
 

@@ -1,18 +1,24 @@
-"""MDT data model: events, records, calls, JSONL I/O and K-fold pairing.
+"""MDT data model: events, records, columnar logs and chunks, JSONL I/O, K-fold pairing.
 
 One JSONL record per line:
     {"ue": int, "t": int, "event": str, "x": float, "y": float,
      "serving": int, "target": int|null}
 Event names on the wire use the human-readable spellings
 ("HO COMMAND", "RLF REESTAB.", ...).
+
+The simulator produces `MdtRecord` objects; detection reads a log as an
+`EventLog` (one numpy array per field) and a dataset chunk as a `Chunk`,
+whose records are ordered into calls once, at load.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import IntEnum
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DataError, ParseError
 
@@ -50,6 +56,9 @@ TARGETED_EVENTS = frozenset(
     {EventId.A3_RSRP, EventId.HO_COMMAND, EventId.HO_COMPLETE, EventId.RLF_REESTAB}
 )
 
+# Target column value of a record without a target cell.
+NO_TARGET = -1
+
 
 @dataclass(frozen=True, slots=True)
 class MdtRecord:
@@ -77,20 +86,6 @@ class MdtRecord:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Call:
-    """All reports of one UE, ordered by time (the UE's full call)."""
-
-    ue: int
-    records: tuple[MdtRecord, ...]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def events(self) -> list[EventId]:
-        return [r.event for r in self.records]
-
-
 @dataclass(frozen=True)
 class FoldPair:
     """One (training chunk, testing chunk) combination of the K-fold cross."""
@@ -101,39 +96,137 @@ class FoldPair:
     test_index: int
 
 
-def _record_from_obj(obj: dict, path, lineno: int) -> MdtRecord:
+
+
+@dataclass(frozen=True, eq=False)
+class EventLog:
+    """Records as columns, one numpy array per field, all of one length."""
+
+    event: np.ndarray    # int64 EventId codes
+    ue: np.ndarray       # int64
+    t: np.ndarray        # int64
+    x: np.ndarray        # float64
+    y: np.ndarray        # float64
+    serving: np.ndarray  # int64
+    target: np.ndarray   # int64 cell id, NO_TARGET where the record has none
+
+    def __len__(self) -> int:
+        return len(self.event)
+
+    @classmethod
+    def from_rows(cls, rows) -> "EventLog":
+        """Columns from (event, ue, t, x, y, serving, target) tuples."""
+        columns = list(zip(*rows)) or [()] * 7
+        dtypes = (np.int64, np.int64, np.int64, np.float64, np.float64, np.int64, np.int64)
+        return cls(*(np.array(col, dtype=dt) for col, dt in zip(columns, dtypes)))
+
+    @classmethod
+    def from_records(cls, records) -> "EventLog":
+        return cls.from_rows(
+            (int(r.event), r.ue, r.t, r.x, r.y, r.serving, NO_TARGET if r.target is None else r.target)
+            for r in records
+        )
+
+
+def group_calls(log: EventLog) -> tuple[EventLog, np.ndarray]:
+    """A log's records ordered into calls, and the call bounds.
+
+    Calls are per UE in ue order; within a call records are ordered by t,
+    ties keeping input order so that event sequences are reproducible.
+    Call c spans records bounds[c]:bounds[c + 1].
+    """
+    order = np.argsort(log.t, kind="stable")
+    order = order[np.argsort(log.ue[order], kind="stable")]
+    log = EventLog(*(getattr(log, f.name)[order] for f in fields(log)))
+    starts = np.flatnonzero(log.ue[1:] != log.ue[:-1]) + 1
+    bounds = np.concatenate(([0], starts, [len(log)])) if len(log) else [0]
+    return log, np.asarray(bounds, dtype=np.int64)
+
+
+def lookup_index(values, keys) -> np.ndarray:
+    """Position in keys of each value, -1 where keys does not hold it."""
+    values = np.asarray(values)
+    keys = np.asarray(keys)
+    if not len(keys):
+        return np.full(values.shape, -1, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    pos = np.minimum(np.searchsorted(sorted_keys, values), len(keys) - 1)
+    return np.where(sorted_keys[pos] == values, order[pos], -1)
+
+
+@dataclass(frozen=True, eq=False)
+class Chunk:
+    """One dataset chunk, parsed once into what every fold reads.
+
+    Records are ordered into calls (`group_calls`).  `cell` holds the
+    index, into the suite's cell ids, of the dominance cell at each
+    record's location under the chunk's role map; `affected` holds the
+    ground-truth fault flag of each record, looked up by (ue, position in
+    the call).
+    """
+
+    log: EventLog
+    call_bounds: np.ndarray  # call c spans records call_bounds[c]:call_bounds[c + 1]
+    cell: np.ndarray         # int64 per record
+    affected: np.ndarray     # bool per record
+
+    @classmethod
+    def from_log(cls, log: EventLog, dominance, cell_ids, truth=None) -> "Chunk":
+        """Order a log into calls and attach cells and truth.
+
+        dominance is the role's `DominanceMap`; truth maps (ue, position in
+        the call) to the fault flag, absent keys reading as unaffected.
+        """
+        log, bounds = group_calls(log)
+        cell = lookup_index(dominance.cell_at(log.x, log.y), cell_ids)
+        if (cell < 0).any():
+            raise DataError("dominance map places records in cells missing from the suite's cell ids")
+        affected = np.zeros(len(log), dtype=bool)
+        if truth:
+            position = np.arange(len(log)) - np.repeat(bounds[:-1], np.diff(bounds))
+            keys = zip(log.ue.tolist(), position.tolist())
+            affected = np.fromiter((truth.get(k, False) for k in keys), dtype=bool, count=len(log))
+        return cls(log=log, call_bounds=bounds, cell=cell, affected=affected)
+
+
+_CODES_BY_NAME = {name: int(ev) for name, ev in EVENTS_BY_NAME.items()}
+_TARGETED_CODES = frozenset(int(ev) for ev in TARGETED_EVENTS)
+
+
+def _row_from_obj(obj: dict, path, lineno: int) -> tuple:
     for field in ("ue", "t", "event", "x", "y", "serving"):
         if field not in obj:
             raise ParseError(path, lineno, f"missing required field {field!r}")
     name = obj["event"]
-    if name not in EVENTS_BY_NAME:
+    if name not in _CODES_BY_NAME:
         raise ParseError(path, lineno, f"unknown event name {name!r}")
-    event = EVENTS_BY_NAME[name]
+    code = _CODES_BY_NAME[name]
     try:
         x = float(obj["x"])
         y = float(obj["y"])
     except (TypeError, ValueError):
         raise ParseError(path, lineno, "non-numeric coordinate") from None
     target = obj.get("target")
-    if event in TARGETED_EVENTS and target is None:
+    if target is None and code in _TARGETED_CODES:
         raise ParseError(path, lineno, f"event {name!r} requires a target cell")
     try:
-        return MdtRecord(
-            event=event,
-            ue=int(obj["ue"]),
-            t=int(obj["t"]),
-            x=x,
-            y=y,
-            serving=int(obj["serving"]),
-            target=None if target is None else int(target),
+        return (
+            code,
+            int(obj["ue"]),
+            int(obj["t"]),
+            x,
+            y,
+            int(obj["serving"]),
+            NO_TARGET if target is None else int(target),
         )
     except (TypeError, ValueError):
         raise ParseError(path, lineno, "malformed field value") from None
 
 
-def read_records(path) -> list[MdtRecord]:
-    """Read a JSONL log as a flat record list, in file order."""
-    records = []
+def read_records(path) -> EventLog:
+    """Read a JSONL log into columns, in file order."""
+    rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -145,8 +238,11 @@ def read_records(path) -> list[MdtRecord]:
                 raise ParseError(path, lineno, "invalid JSON") from None
             if not isinstance(obj, dict):
                 raise ParseError(path, lineno, "record is not an object")
-            records.append(_record_from_obj(obj, path, lineno))
-    return records
+            rows.append(_row_from_obj(obj, path, lineno))
+    try:
+        return EventLog.from_rows(rows)
+    except OverflowError:
+        raise DataError(f"{path}: integer field outside the 64-bit range") from None
 
 
 def write_records(records, path) -> None:
@@ -156,27 +252,6 @@ def write_records(records, path) -> None:
         for rec in records:
             fh.write(rec.to_json())
             fh.write("\n")
-
-
-def group_calls(records) -> list[Call]:
-    """Group records into per-UE calls, stable-sorted by t within a UE.
-
-    Ties in t keep input order so that event sequences are reproducible.
-    Calls are returned sorted by ue id.
-    """
-    by_ue: dict[int, list[MdtRecord]] = {}
-    for rec in records:
-        by_ue.setdefault(rec.ue, []).append(rec)
-    calls = []
-    for ue in sorted(by_ue):
-        recs = sorted(by_ue[ue], key=lambda r: r.t)  # sorted() is stable
-        calls.append(Call(ue=ue, records=tuple(recs)))
-    return calls
-
-
-def parse_log(path) -> list[Call]:
-    """Parse a JSONL log into calls; malformed lines raise ParseError."""
-    return group_calls(read_records(path))
 
 
 def make_fold_pairs(train_role, train_chunks, test_role, test_chunks) -> list[FoldPair]:
@@ -193,6 +268,6 @@ def make_fold_pairs(train_role, train_chunks, test_role, test_chunks) -> list[Fo
     ]
 
 
-def strip_locations(records) -> list[MdtRecord]:
-    """Copy records with location zeroed; target-cell analysis must not need it."""
-    return [replace(r, x=0.0, y=0.0) for r in records]
+def strip_locations(log: EventLog) -> EventLog:
+    """Copy a log with location zeroed; target-cell analysis must not need it."""
+    return replace(log, x=np.zeros_like(log.x), y=np.zeros_like(log.y))

@@ -1,7 +1,8 @@
 """Fold-level detection pipeline and cross-fold aggregation.
 
 One fold pairs a normal training chunk with a problematic or reference
-testing chunk: featurize both, fit the minor-component basis on the
+testing chunk (each featurized once, shared by the folds that use it):
+build the fold's feature matrices, fit the minor-component basis on the
 training rows, score everything with k-NN, threshold on the training
 95th percentile, and run the four localization methods plus their
 combination.  Aggregation pools the 72 fold histograms into 3-sigma
@@ -18,7 +19,7 @@ from . import detect, embed, featurize, localize
 from .config import RunConfig
 from .errors import DataError
 from .localize import METHOD_NAMES
-from .mdtlog import Call, FoldPair, group_calls
+from .mdtlog import FoldPair, make_fold_pairs
 
 ALL_METHODS = METHOD_NAMES + ("combined",)
 STAGES = ("raw", "amplified", "normalized_raw", "normalized")
@@ -27,13 +28,10 @@ STAGES = ("raw", "amplified", "normalized_raw", "normalized")
 @dataclass
 class FoldInput:
     pair: FoldPair
-    train_calls: list[Call]
-    test_calls: list[Call]
-    train_dmap: "DominanceMap"
-    test_dmap: "DominanceMap"
+    train: featurize.ChunkFeatures
+    test: featurize.ChunkFeatures
     adjacency: dict[int, frozenset[int]]
     cell_ids: list[int]
-    test_truth: dict[tuple[int, int], bool] | None = None
 
 
 @dataclass
@@ -52,38 +50,29 @@ class FoldOutput:
     cell_ids: tuple[int, ...] = ()
 
 
-def _subcall_affected(sub: featurize.SubCall, truth) -> bool:
-    if truth is None:
-        return False
-    return any(
-        truth.get((sub.ue, sub.offset + i), False) for i in range(len(sub.records))
-    )
-
-
 def run_fold(fold: FoldInput, cfg: RunConfig) -> FoldOutput:
-    train_subs = featurize.windows_for_calls(fold.train_calls, m=cfg.window_m, n=cfg.window_n)
-    test_subs = featurize.windows_for_calls(fold.test_calls, m=cfg.window_m, n=cfg.window_n)
-    if not train_subs or not test_subs:
+    train, test = fold.train, fold.test
+    if not len(train) or not len(test):
         raise DataError(
             f"fold {fold.pair}: empty sub-call set "
-            f"(train {len(train_subs)}, test {len(test_subs)})"
+            f"(train {len(train)}, test {len(test)})"
         )
-    vocab = featurize.NGramVocabulary.from_subcalls(train_subs, test_subs, n=cfg.ngram_n)
-    train_matrix = featurize.build_feature_matrix(train_subs, vocab, n=cfg.ngram_n)
-    test_matrix = featurize.build_feature_matrix(test_subs, vocab, n=cfg.ngram_n)
+    vocab = featurize.NGramVocabulary.from_subcalls(train, test)
+    train_counts = featurize.build_feature_matrix(train, vocab)
+    test_counts = featurize.build_feature_matrix(test, vocab)
 
-    basis = embed.fit_basis(train_matrix.counts)
+    basis = embed.fit_basis(train_counts)
     if cfg.minor_components == "auto":
         d = embed.sorte_select(basis.eigenvalues, fallback=min(6, basis.dim))
     else:
         d = int(cfg.minor_components)
     d = min(d, basis.dim)
-    train_emb = embed.project_minor(basis, train_matrix.counts, d)
-    test_emb = embed.project_minor(basis, test_matrix.counts, d)
+    train_emb = embed.project_minor(basis, train_counts, d)
+    test_emb = embed.project_minor(basis, test_counts, d)
 
-    if len(train_subs) <= cfg.knn_k:
+    if len(train) <= cfg.knn_k:
         raise DataError(
-            f"fold {fold.pair}: {len(train_subs)} training sub-calls cannot "
+            f"fold {fold.pair}: {len(train)} training sub-calls cannot "
             f"support k={cfg.knn_k} neighbors"
         )
     train_scores = detect.knn_scores(train_emb, train_emb, k=cfg.knn_k, exclude_self=True)
@@ -92,28 +81,26 @@ def run_fold(fold: FoldInput, cfg: RunConfig) -> FoldOutput:
     train_anom = detect.classify(train_scores, threshold)
     test_anom = detect.classify(test_scores, threshold)
 
-    train_ues = localize.distinct_ue_count(train_subs)
-    test_ues = localize.distinct_ue_count(test_subs)
-    train_anom_subs = [s for s, a in zip(train_subs, train_anom) if a]
-    test_anom_subs = [s for s, a in zip(test_subs, test_anom) if a]
-    gram_test_subs = test_anom_subs if cfg.gram_scope == "anomalous" else test_subs
+    train_anom_windows = train.windows[train_anom]
+    test_anom_windows = test.windows[test_anom]
+    gram_test_windows = test_anom_windows if cfg.gram_scope == "anomalous" else test.windows
 
     cell_ids = list(fold.cell_ids)
     raw = {
         "subcall": localize.sc_dominance_subcall_deviation(
-            cell_ids, train_anom_subs, train_ues, test_anom_subs, test_ues,
-            fold.train_dmap, fold.test_dmap,
+            cell_ids, train.chunk, train_anom_windows, train.ue_count,
+            test.chunk, test_anom_windows, test.ue_count,
         ),
         "gram": localize.sc_dominance_2gram_deviation(
-            cell_ids, train_subs, train_ues, gram_test_subs, test_ues,
-            fold.train_dmap, fold.test_dmap,
+            cell_ids, train.chunk, train.windows, train.ue_count,
+            test.chunk, gram_test_windows, test.ue_count,
         ),
         "symmetry": localize.sc_2gram_symmetry_deviation(
-            cell_ids, fold.train_calls, fold.test_calls,
-            fold.train_dmap, fold.test_dmap, fold.adjacency,
-            mode=cfg.symmetry_mode,
+            cell_ids, train.chunk, test.chunk, fold.adjacency, mode=cfg.symmetry_mode,
         ),
-        "target": localize.sc_target_cell_subcalls(cell_ids, test_anom_subs, test_ues),
+        "target": localize.sc_target_cell_subcalls(
+            cell_ids, test.chunk, test_anom_windows, test.ue_count,
+        ),
     }
 
     histograms: dict[str, dict[str, np.ndarray]] = {}
@@ -140,52 +127,58 @@ def run_fold(fold: FoldInput, cfg: RunConfig) -> FoldOutput:
         "normalized": combined_amp.scores,
     }
 
-    affected = np.array([_subcall_affected(s, fold.test_truth) for s in test_subs], dtype=bool)
     return FoldOutput(
         pair=fold.pair,
         threshold=threshold.value,
         selected_components=d,
-        train_rows=[(s.ue, s.offset) for s in train_subs],
-        test_rows=[(s.ue, s.offset) for s in test_subs],
+        train_rows=train.rows,
+        test_rows=test.rows,
         train_scores=train_scores,
         test_scores=test_scores,
         train_anomalous=train_anom,
         test_anomalous=test_anom,
-        test_affected=affected,
+        test_affected=test.affected,
         histograms=histograms,
         cell_ids=tuple(cell_ids),
     )
 
 
 def fold_inputs_from_suite(manifest, roles, cfg: RunConfig, limit: int | None = None):
-    """Fold inputs for normal x problematic and normal x reference pairings."""
-    from .mdtlog import make_fold_pairs
+    """Fold inputs for normal x problematic and normal x reference pairings.
 
+    roles maps a role name to its chunks (`simgen.suite.LoadedRole`).  Each
+    chunk a fold uses is featurized once, and its features are shared by
+    every fold that uses it.
+    """
     adjacency = {int(c): frozenset(v) for c, v in manifest["adjacency"].items()}
     cell_ids = [int(c) for c in manifest["cell_ids"]]
     normal = roles["normal"]
-    inputs = []
+    pairs = []
     for test_role in ("problematic", "reference"):
-        if test_role not in roles:
-            continue
-        test = roles[test_role]
-        pairs = make_fold_pairs("normal", normal.chunks, test_role, test.chunks)
-        for pair in pairs:
-            inputs.append(
-                FoldInput(
-                    pair=pair,
-                    train_calls=group_calls(normal.chunks[pair.train_index]),
-                    test_calls=group_calls(test.chunks[pair.test_index]),
-                    train_dmap=normal.dominance,
-                    test_dmap=test.dominance,
-                    adjacency=adjacency,
-                    cell_ids=cell_ids,
-                    test_truth=test.truth,
-                )
-            )
+        if test_role in roles:
+            pairs += make_fold_pairs("normal", normal.chunks, test_role, roles[test_role].chunks)
     if limit is not None:
-        inputs = inputs[:limit]
-    return inputs
+        pairs = pairs[:limit]
+
+    features: dict[tuple[str, int], featurize.ChunkFeatures] = {}
+
+    def chunk_features(role: str, index: int) -> featurize.ChunkFeatures:
+        if (role, index) not in features:
+            features[role, index] = featurize.featurize_chunk(
+                roles[role].chunks[index], m=cfg.window_m, n=cfg.window_n, ngram_n=cfg.ngram_n
+            )
+        return features[role, index]
+
+    return [
+        FoldInput(
+            pair=pair,
+            train=chunk_features(pair.train_role, pair.train_index),
+            test=chunk_features(pair.test_role, pair.test_index),
+            adjacency=adjacency,
+            cell_ids=cell_ids,
+        )
+        for pair in pairs
+    ]
 
 
 @dataclass

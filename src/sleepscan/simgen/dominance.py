@@ -10,6 +10,7 @@ the simulator's radio model and event-location attribution.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,22 +113,43 @@ def layout_adjacency(layout: NetworkLayout, grid: GridSpec) -> dict[int, frozens
 def write_dominance_csv(dmap: DominanceMap, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["x_index", "y_index", "cell_id"])
+        writer.writerow(DOMINANCE_HEADER.split(","))
         ny, nx = dmap.grid.shape
         for iy in range(ny):
             for ix in range(nx):
                 writer.writerow([ix, iy, int(dmap.grid[iy, ix])])
 
 
+DOMINANCE_HEADER = "x_index,y_index,cell_id"
+
+
 def load_dominance_csv(path, grid_spec: GridSpec) -> DominanceMap:
-    grid = np.zeros((grid_spec.ny, grid_spec.nx), dtype=np.int64)
-    seen = np.zeros((grid_spec.ny, grid_spec.nx), dtype=bool)
+    """Read a dominance map written by `write_dominance_csv`; every pixel once."""
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            ix, iy = int(row["x_index"]), int(row["y_index"])
-            grid[iy, ix] = int(row["cell_id"])
-            seen[iy, ix] = True
-    if not seen.all():
+        header = fh.readline().strip()
+        if header != DOMINANCE_HEADER:
+            raise DataError(f"{path}: dominance map header must be {DOMINANCE_HEADER!r}, got {header!r}")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows: fails the coverage check
+                rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
+        except ValueError as exc:
+            raise DataError(f"{path}: malformed dominance map row ({exc})") from None
+    if not rows.size:
+        rows = rows.reshape(0, 3)
+    if rows.shape[1] != 3:
+        raise DataError(f"{path}: dominance map rows must hold 3 columns")
+    ny, nx = grid_spec.ny, grid_spec.nx
+    ix, iy = rows[:, 0], rows[:, 1]
+    inside = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
+    if not inside.all():
+        raise DataError(f"{path}: dominance map pixel outside the {nx}x{ny} grid")
+    grid = np.zeros((ny, nx), dtype=np.int64)
+    seen = np.zeros((ny, nx), dtype=np.int64)
+    grid[iy, ix] = rows[:, 2]
+    np.add.at(seen, (iy, ix), 1)
+    if not (seen >= 1).all():
         raise DataError(f"{path}: dominance map does not cover the grid")
+    if (seen > 1).any():
+        raise DataError(f"{path}: dominance map lists a pixel more than once")
     return DominanceMap(grid_spec=grid_spec, grid=grid)

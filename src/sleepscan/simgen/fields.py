@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .layout import GridSpec, NetworkLayout
 
@@ -34,6 +33,9 @@ def make_shadowing(
     correlation_m: float = 40.0,
     seed: int = 0,
 ) -> ShadowingField:
+    # Imported here: scipy takes longer to import than detect takes to run.
+    from scipy.ndimage import gaussian_filter
+
     n_cells = len(layout.cells)
     if sigma_db == 0.0:
         return ShadowingField.zeros(grid, n_cells, seed=seed)

@@ -10,7 +10,7 @@ the dominance map and the simulator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,7 +81,6 @@ class NetworkLayout:
     cells: list[Cell]
     inter_site_distance: float
     wrap_around: bool = True
-    neighbors: dict[int, frozenset[int]] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.cells:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DataError
-from ..mdtlog import MdtRecord, read_records, write_records
+from ..mdtlog import Chunk, EventLog, MdtRecord, read_records, write_records
 from .dominance import (
     RadioMap,
     build_radio_map,
@@ -84,7 +84,6 @@ def generate_dataset_suite(
         grid = layout.default_grid()
     seeds = derive_seeds(master_seed)
     adjacency = layout_adjacency(layout, grid)
-    layout.neighbors = adjacency
     radio_cache: dict[int, RadioMap] = {}
     roles: dict[str, RoleData] = {}
     for role in ROLES:
@@ -115,14 +114,20 @@ def generate_dataset_suite(
     )
 
 
+def truth_rows(records, affected):
+    """(ue, event_index within the UE's call, affected) per record, in record order."""
+    counters: dict[int, int] = {}
+    for rec, flag in zip(records, affected):
+        idx = counters.get(rec.ue, 0)
+        counters[rec.ue] = idx + 1
+        yield rec.ue, idx, bool(flag)
+
+
 def write_truth(records, affected, path) -> None:
     """Ground truth JSONL keyed by (ue, event_index within the UE's call)."""
-    counters: dict[int, int] = {}
     with open(path, "w", encoding="utf-8") as fh:
-        for rec, flag in zip(records, affected):
-            idx = counters.get(rec.ue, 0)
-            counters[rec.ue] = idx + 1
-            fh.write(json.dumps({"ue": rec.ue, "event_index": idx, "affected": bool(flag)}) + "\n")
+        for ue, idx, flag in truth_rows(records, affected):
+            fh.write(json.dumps({"ue": ue, "event_index": idx, "affected": flag}) + "\n")
 
 
 def load_truth(path) -> dict[tuple[int, int], bool]:
@@ -154,8 +159,19 @@ def write_suite(suite: DatasetSuite, out_dir, manifest_extra: dict | None = None
         dom_name = f"dominance_{role}.csv"
         write_dominance_csv(data.radio.dominance, out_dir / dom_name)
         files[role] = {"chunks": chunk_names, "truth": truth_name, "dominance": dom_name}
+    manifest = {**suite_manifest(suite), "files": files}
+    if manifest_extra:
+        manifest.update(manifest_extra)
+    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return out_dir / "manifest.json"
+
+
+def suite_manifest(suite: DatasetSuite) -> dict:
+    """The manifest of a suite, less its file names and any extra keys."""
     grid = suite.grid
-    manifest = {
+    return {
         "seeds": suite.seeds,
         "n_chunks": suite.n_chunks,
         "faulty_cell": suite.faulty_cell,
@@ -168,26 +184,21 @@ def write_suite(suite: DatasetSuite, out_dir, manifest_extra: dict | None = None
             "nx": grid.nx,
             "ny": grid.ny,
         },
-        "files": files,
     }
-    if manifest_extra:
-        manifest.update(manifest_extra)
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return out_dir / "manifest.json"
 
 
 @dataclass
 class LoadedRole:
     role: str
-    chunks: list[list[MdtRecord]]
-    truth: dict[tuple[int, int], bool]
-    dominance: "DominanceMap"
+    chunks: list[Chunk]
 
 
 def load_suite(data_dir):
-    """Read back a written suite: manifest, chunks, truth, dominance maps."""
+    """Read back a written suite: manifest, grid, and each role's chunks.
+
+    Every chunk is parsed once into columns, with each record's dominance
+    cell and ground-truth flag attached (`mdtlog.Chunk`).
+    """
     data_dir = Path(data_dir)
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.exists():
@@ -202,10 +213,27 @@ def load_suite(data_dir):
         nx=g["nx"],
         ny=g["ny"],
     )
+    cell_ids = manifest["cell_ids"]
     roles = {}
     for role, entry in manifest["files"].items():
-        chunks = [read_records(data_dir / name) for name in entry["chunks"]]
         truth = load_truth(data_dir / entry["truth"])
         dominance = load_dominance_csv(data_dir / entry["dominance"], grid)
-        roles[role] = LoadedRole(role=role, chunks=chunks, truth=truth, dominance=dominance)
+        chunks = [
+            Chunk.from_log(read_records(data_dir / name), dominance, cell_ids, truth)
+            for name in entry["chunks"]
+        ]
+        roles[role] = LoadedRole(role=role, chunks=chunks)
     return manifest, grid, roles
+
+
+def suite_roles(suite: DatasetSuite) -> dict[str, LoadedRole]:
+    """The roles of an in-memory suite, as `load_suite` reads them back once written."""
+    roles = {}
+    for role, data in suite.roles.items():
+        truth = {(ue, idx): flag for ue, idx, flag in truth_rows(data.records, data.affected)}
+        chunks = [
+            Chunk.from_log(EventLog.from_records(chunk), data.radio.dominance, suite.cell_ids, truth)
+            for chunk in data.chunks
+        ]
+        roles[role] = LoadedRole(role=role, chunks=chunks)
+    return roles

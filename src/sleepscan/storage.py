@@ -10,6 +10,8 @@ Aggregates (out_dir/aggregate/):
     labels_<method>.json
     histogram_<method>_<pairing>.csv  cell_id,raw,amplified,normalized,label
     heatmap_<method>_<pairing>.svg
+The normalized column and the heat map show the normalized stage the
+labels were computed on: amplified by default, raw under --no-amplify.
 
 All floats are written with repr() so reruns are byte-identical.
 """
@@ -159,9 +161,7 @@ def write_method_aggregate(
         stages = agg.mean_stages[pairing]
         raw = stages.get("raw")
         amped = stages.get("amplified")
-        norm = stages[
-            "normalized" if "normalized" in stages else "normalized_raw"
-        ]
+        norm = agg.mean_scores[pairing]  # the stage the labels were computed on
         path = out_dir / f"histogram_{agg.method}_{pairing}.csv"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("cell_id,raw,amplified,normalized,label\n")

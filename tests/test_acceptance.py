@@ -17,12 +17,12 @@ from sleepscan.detect import fit_threshold, knn_scores
 from sleepscan.embed import fit_basis, sorte_select
 from sleepscan.errors import DataError
 from sleepscan.evaluate import confusion_metrics, count_confusion, heuristic_distance, roc
-from sleepscan.featurize import ngram_counts, sliding_window
+from sleepscan.featurize import featurize_chunk, ngram_counts
 from sleepscan.kernels import _knn_py
 from sleepscan.localize import SleepingCellHistogram, normalize
-from sleepscan.mdtlog import group_calls, make_fold_pairs
-from sleepscan.pipeline import FoldInput, aggregate_folds, run_fold
+from sleepscan.pipeline import aggregate_folds, fold_inputs_from_suite, run_fold
 from sleepscan.simgen import FaultConfig, SimConfig, generate_dataset_suite, macro21_layout, simulate
+from sleepscan.simgen.suite import suite_manifest, suite_roles
 
 N_REPS = 20
 REP_SEEDS = [42] + [1000 + i for i in range(N_REPS - 1)]
@@ -30,16 +30,6 @@ REP_SEEDS = [42] + [1000 + i for i in range(N_REPS - 1)]
 
 def _announce(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {criterion}: {detail}")
-
-
-def _truth_lookup(records, affected):
-    counters: dict[int, int] = {}
-    truth = {}
-    for rec, flag in zip(records, affected):
-        idx = counters.get(rec.ue, 0)
-        counters[rec.ue] = idx + 1
-        truth[(rec.ue, idx)] = flag
-    return truth
 
 
 def _run_suite_rep(seed: int) -> dict:
@@ -55,22 +45,8 @@ def _run_suite_rep(seed: int) -> dict:
         sigma_db=cfg.shadowing_sigma_db,
         correlation_m=cfg.shadowing_correlation_m,
     )
-    outputs = []
-    for test_role in ("problematic", "reference"):
-        test = suite.roles[test_role]
-        truth = _truth_lookup(test.records, test.affected)
-        for pair in make_fold_pairs("normal", suite.roles["normal"].chunks, test_role, test.chunks):
-            fold = FoldInput(
-                pair=pair,
-                train_calls=group_calls(suite.roles["normal"].chunks[pair.train_index]),
-                test_calls=group_calls(test.chunks[pair.test_index]),
-                train_dmap=suite.roles["normal"].radio.dominance,
-                test_dmap=test.radio.dominance,
-                adjacency=suite.adjacency,
-                cell_ids=suite.cell_ids,
-                test_truth=truth,
-            )
-            outputs.append(run_fold(fold, cfg))
+    folds = fold_inputs_from_suite(suite_manifest(suite), suite_roles(suite), cfg)
+    outputs = [run_fold(fold, cfg) for fold in folds]
     aggregates = aggregate_folds(outputs, cfg)
 
     aucs = [
@@ -262,20 +238,19 @@ def test_a7_invariant_suites(tmp_path):
 
     # every sub-call's bigram total is its length minus one
     window_ok = True
-    from sleepscan.mdtlog import Call, EventId, MdtRecord
+    from sleepscan.mdtlog import Chunk, EventId, EventLog
 
     for _ in range(30):
         n_events = int(rng.integers(2, 80))
-        call = Call(
-            ue=0,
-            records=tuple(
-                MdtRecord(event=EventId.RLF, ue=0, t=i, x=0.0, y=0.0, serving=1)
-                for i in range(n_events)
-            ),
+        chunk = Chunk(
+            log=EventLog.from_rows([(int(EventId.RLF), 0, i, 0.0, 0.0, 1, -1) for i in range(n_events)]),
+            call_bounds=np.array([0, n_events]),
+            cell=np.zeros(n_events, dtype=np.int64),
+            affected=np.zeros(n_events, dtype=bool),
         )
-        for sub in sliding_window(call, m=15, n=10):
-            counts = ngram_counts(sub.events())
-            window_ok &= sum(counts.values()) == len(sub) - 1
+        feats = featurize_chunk(chunk, m=15, n=10)
+        lengths = feats.windows[:, 1] - feats.windows[:, 0]
+        window_ok &= bool(np.array_equal(feats.counts.sum(axis=1), lengths - 1))
 
     # test projection must use the training basis (mutation check)
     train = rng.normal(size=(60, 5))

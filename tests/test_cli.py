@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -173,6 +174,33 @@ def test_no_amplify_flag(tmp_path, tiny_config_path, dataset_dir):
     ]) == 0
     manifest = json.loads((out / "detect_manifest.json").read_text())
     assert manifest["config"]["amplify"] is False
+    # the histogram CSV shows the stage the labels were computed on
+    for method in ("subcall", "gram", "symmetry", "target", "combined"):
+        labels = json.loads((out / "aggregate" / f"labels_{method}.json").read_text())
+        for pairing, entry in labels["pairings"].items():
+            with open(out / "aggregate" / f"histogram_{method}_{pairing}.csv", newline="") as fh:
+                column = {r["cell_id"]: float(r["normalized"]) for r in csv.DictReader(fh)}
+            assert column == entry["mean_scores"]
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda lines: lines[:5] + lines[6:], "does not cover the grid"),    # a pixel missing
+        (lambda lines: lines[:5] + ["4,0,1.5"] + lines[6:], "malformed"),    # a non-integer row
+    ],
+    ids=["missing_pixel", "non_integer_row"],
+)
+def test_bad_dominance_map_is_data_error(tmp_path, tiny_config_path, dataset_dir, capsys, edit, message):
+    data = tmp_path / "suite"
+    shutil.copytree(dataset_dir, data)
+    path = data / "dominance_normal.csv"
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    assert main([
+        "detect", "--config", str(tiny_config_path), "--data", str(data), "--out", str(tmp_path / "out"),
+    ]) == 3
+    err = capsys.readouterr().err
+    assert "dominance_normal.csv" in err and message in err
 
 
 def test_method_choice_2gram_maps_to_gram(tmp_path, tiny_config_path, dataset_dir):

@@ -1,23 +1,33 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sleepscan.featurize import (
     NGramVocabulary,
     build_feature_matrix,
+    decode_gram,
+    featurize_chunk,
     ngram_counts,
-    sliding_window,
     windows_for_calls,
 )
-from sleepscan.mdtlog import Call, EventId, MdtRecord
+from sleepscan.mdtlog import Chunk, EventId, EventLog
 
 
-def make_call(n_events, ue=0):
-    recs = tuple(
-        MdtRecord(event=EventId.RLF, ue=ue, t=i, x=0.0, y=0.0, serving=1) for i in range(n_events)
+def make_chunk(calls, affected=None):
+    """A chunk of consecutive calls (lists of event codes), UE i holding call i."""
+    events = [int(e) for call in calls for e in call]
+    ues = [u for u, call in enumerate(calls) for _ in call]
+    n = len(events)
+    rows = [(e, u, i, 0.0, 0.0, 1, 2) for i, (e, u) in enumerate(zip(events, ues))]
+    bounds = np.concatenate(([0], np.cumsum([len(c) for c in calls], dtype=np.int64)))
+    flags = np.zeros(n, dtype=bool) if affected is None else np.asarray(affected, dtype=bool)
+    return Chunk(
+        log=EventLog.from_rows(rows),
+        call_bounds=bounds.astype(np.int64),
+        cell=np.zeros(n, dtype=np.int64),
+        affected=flags,
     )
-    return Call(ue=ue, records=recs)
 
 
 def window_oracle(length, m, n):
@@ -34,6 +44,10 @@ def window_oracle(length, m, n):
     return spans
 
 
+def single_call_windows(length, m, n):
+    return [tuple(w) for w in windows_for_calls([0, length], m=m, n=n).tolist()]
+
+
 @pytest.mark.parametrize(
     "length,expected",
     [
@@ -48,18 +62,18 @@ def window_oracle(length, m, n):
     ],
 )
 def test_sliding_window_lengths(length, expected):
-    windows = sliding_window(make_call(length), m=15, n=10)
-    assert [len(w) for w in windows] == expected
-    assert [(w.offset, w.offset + len(w)) for w in windows] == window_oracle(length, 15, 10)
+    windows = single_call_windows(length, 15, 10)
+    assert [stop - start for start, stop in windows] == expected
+    assert windows == window_oracle(length, 15, 10)
 
 
 def test_sliding_window_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        sliding_window(make_call(5), m=1, n=1)
+        windows_for_calls([0, 5], m=1, n=1)
     with pytest.raises(ValueError):
-        sliding_window(make_call(5), m=5, n=6)
+        windows_for_calls([0, 5], m=5, n=6)
     with pytest.raises(ValueError):
-        sliding_window(make_call(5), m=5, n=0)
+        windows_for_calls([0, 5], m=5, n=0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -71,11 +85,11 @@ def test_sliding_window_rejects_bad_parameters():
 def test_sliding_window_matches_oracle(length, m, n):
     if n > m:
         return
-    windows = sliding_window(make_call(length), m=m, n=n)
-    assert [(w.offset, w.offset + len(w)) for w in windows] == window_oracle(length, m, n)
-    for w in windows:
-        assert 2 <= len(w) <= m
-        assert w.offset + len(w) <= length  # never past the call end
+    windows = single_call_windows(length, m, n)
+    assert windows == window_oracle(length, m, n)
+    for start, stop in windows:
+        assert 2 <= stop - start <= m
+        assert stop <= length  # never past the call end
 
 
 @settings(max_examples=100, deadline=None)
@@ -84,11 +98,58 @@ def test_sliding_window_covers_overlapping_configs(length, m, n):
     # coverage holds whenever windows overlap (n < m)
     if n >= m:
         return
-    windows = sliding_window(make_call(length), m=m, n=n)
     covered = set()
-    for w in windows:
-        covered.update(range(w.offset, w.offset + len(w)))
+    for start, stop in single_call_windows(length, m, n):
+        covered.update(range(start, stop))
     assert covered == set(range(length))
+
+
+@st.composite
+def chunk_cases(draw):
+    """(calls, affected flags, m, n, N): lengths 0-80, with short calls and
+    calls whose tail a window fits exactly drawn on purpose."""
+    m = draw(st.integers(2, 30))
+    n = draw(st.integers(1, m))
+    ngram = draw(st.integers(1, 4))
+    length = st.one_of(
+        st.integers(0, 80),
+        st.integers(0, 1),
+        st.integers(0, (80 - m) // n).map(lambda k: m + k * n),
+    )
+    lengths = draw(st.lists(length, max_size=6))
+    calls = [draw(st.lists(st.integers(0, 8), min_size=k, max_size=k)) for k in lengths]
+    affected = draw(st.lists(st.booleans(), min_size=sum(lengths), max_size=sum(lengths)))
+    return calls, affected, m, n, ngram
+
+
+@settings(max_examples=300, deadline=None)
+@given(chunk_cases())
+@example(([[1] * 15, [2], [], [3, 4]], [False] * 18, 15, 10, 2))
+@example(([[0, 1] * 10], [False] * 19 + [True], 5, 5, 2))
+def test_chunk_features_match_per_call_oracle(case):
+    calls, affected, m, n, ngram = case
+    chunk = make_chunk(calls, affected)
+    feats = featurize_chunk(chunk, m=m, n=n, ngram_n=ngram)
+
+    expected_windows, expected_rows, expected_flags, expected_counts = [], [], [], []
+    start = 0
+    for ue, call in enumerate(calls):
+        for offset, end in window_oracle(len(call), m, n):
+            expected_windows.append((start + offset, start + end))
+            expected_rows.append((ue, offset))
+            expected_flags.append(any(affected[start + offset : start + end]))
+            expected_counts.append(ngram_counts(call[offset:end], n=ngram))
+        start += len(call)
+
+    assert [tuple(w) for w in feats.windows.tolist()] == expected_windows
+    assert feats.rows == expected_rows
+    assert feats.affected.tolist() == expected_flags
+    assert feats.ue_count == len({ue for ue, _ in expected_rows})
+    present = sorted({gram for counts in expected_counts for gram in counts})
+    assert [decode_gram(c, ngram) for c in feats.codes] == present
+    for row, counts in zip(feats.counts, expected_counts):
+        got = {decode_gram(c, ngram): int(v) for c, v in zip(feats.codes, row) if v}
+        assert got == counts
 
 
 def test_character_bigrams_of_known_words():
@@ -128,44 +189,44 @@ def test_featurization_is_order_sensitive():
     assert fwd != rev
 
 
-def _subcall_events(events, ue=0):
-    recs = tuple(
-        MdtRecord(event=e, ue=ue, t=i, x=0.0, y=0.0, serving=1,
-                  target=2 if e in (EventId.A3_RSRP, EventId.HO_COMMAND, EventId.HO_COMPLETE, EventId.RLF_REESTAB) else None)
-        for i, e in enumerate(events)
-    )
-    call = Call(ue=ue, records=recs)
-    return sliding_window(call, m=len(events), n=len(events))[0]
+def whole_call_features(*calls):
+    """Features of calls each cut as one sub-call spanning the whole call."""
+    m = max(2, *(len(c) for c in calls))
+    return featurize_chunk(make_chunk(calls), m=m, n=m)
 
 
 def test_feature_matrix_counts_and_row_sum():
-    sub = _subcall_events([EventId.HO_COMMAND, EventId.HO_COMPLETE, EventId.A2_RSRP_ENTER])
-    vocab = NGramVocabulary.from_subcalls([sub])
-    fm = build_feature_matrix([sub], vocab)
-    assert fm.counts.sum() == 2
-    row = fm.counts[0]
-    assert row[vocab.column((int(EventId.HO_COMMAND), int(EventId.HO_COMPLETE)))] == 1
-    assert row[vocab.column((int(EventId.HO_COMPLETE), int(EventId.A2_RSRP_ENTER)))] == 1
-    assert row.sum() == len(sub) - 1
+    events = [EventId.HO_COMMAND, EventId.HO_COMPLETE, EventId.A2_RSRP_ENTER]
+    feats = whole_call_features(events)
+    vocab = NGramVocabulary.from_subcalls(feats)
+    counts = build_feature_matrix(feats, vocab)
+    assert counts.sum() == 2
+    row = counts[0]
+    assert row[vocab.pairs.index((int(EventId.HO_COMMAND), int(EventId.HO_COMPLETE)))] == 1
+    assert row[vocab.pairs.index((int(EventId.HO_COMPLETE), int(EventId.A2_RSRP_ENTER)))] == 1
+    assert row.sum() == len(events) - 1
 
 
 def test_vocabulary_is_union_of_groups():
-    a = _subcall_events([EventId.RLF, EventId.RLF_REESTAB])
-    b = _subcall_events([EventId.RLF_REESTAB, EventId.PL_PROBLEM])
-    vocab = NGramVocabulary.from_subcalls([a], [b])
+    a = whole_call_features([EventId.RLF, EventId.RLF_REESTAB])
+    b = whole_call_features([EventId.RLF_REESTAB, EventId.PL_PROBLEM])
+    vocab = NGramVocabulary.from_subcalls(a, b)
     assert len(vocab) == 2
     # deterministic ordering by event codes
     assert vocab.pairs == tuple(sorted(vocab.pairs))
+    # each chunk's counts land in the union's columns
+    assert vocab.pairs == ((EventId.RLF, EventId.RLF_REESTAB), (EventId.RLF_REESTAB, EventId.PL_PROBLEM))
+    assert build_feature_matrix(a, vocab).tolist() == [[1, 0]]
+    assert build_feature_matrix(b, vocab).tolist() == [[0, 1]]
 
 
 def test_matrix_csv_dump(tmp_path):
     from sleepscan.featurize import write_matrix_csv
 
-    sub = _subcall_events([EventId.HO_COMMAND, EventId.HO_COMPLETE, EventId.HO_COMMAND])
-    vocab = NGramVocabulary.from_subcalls([sub])
-    fm = build_feature_matrix([sub], vocab)
+    feats = whole_call_features([EventId.HO_COMMAND, EventId.HO_COMPLETE, EventId.HO_COMMAND])
+    vocab = NGramVocabulary.from_subcalls(feats)
     path = tmp_path / "matrix.csv"
-    write_matrix_csv(fm, path)
+    write_matrix_csv(feats, vocab, path)
     header, row = path.read_text().splitlines()
     assert "HO_COMMAND|HO_COMPLETE" in header
     assert "HO_COMPLETE|HO_COMMAND" in header
@@ -174,20 +235,9 @@ def test_matrix_csv_dump(tmp_path):
 
 def test_all_rows_sum_to_length_minus_one():
     rng = np.random.default_rng(5)
-    calls = [
-        Call(
-            ue=u,
-            records=tuple(
-                MdtRecord(event=EventId(int(e)), ue=u, t=i, x=0.0, y=0.0, serving=1,
-                          target=1 if EventId(int(e)) in (EventId.A3_RSRP, EventId.HO_COMMAND,
-                                                          EventId.HO_COMPLETE, EventId.RLF_REESTAB) else None)
-                for i, e in enumerate(rng.integers(0, 9, size=rng.integers(2, 60)))
-            ),
-        )
-        for u in range(8)
-    ]
-    subs = windows_for_calls(calls, m=15, n=10)
-    vocab = NGramVocabulary.from_subcalls(subs)
-    fm = build_feature_matrix(subs, vocab)
-    lengths = np.array([len(s) for s in subs])
-    assert np.array_equal(fm.counts.sum(axis=1), lengths - 1)
+    calls = [rng.integers(0, 9, size=rng.integers(2, 60)).tolist() for _ in range(8)]
+    feats = featurize_chunk(make_chunk(calls), m=15, n=10)
+    vocab = NGramVocabulary.from_subcalls(feats)
+    counts = build_feature_matrix(feats, vocab)
+    lengths = feats.windows[:, 1] - feats.windows[:, 0]
+    assert np.array_equal(counts.sum(axis=1), lengths - 1)

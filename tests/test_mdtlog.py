@@ -1,5 +1,7 @@
 import json
+from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,17 +9,21 @@ from hypothesis import strategies as st
 from sleepscan.errors import DataError, ParseError
 from sleepscan.mdtlog import (
     EVENTS_BY_NAME,
+    NO_TARGET,
     TARGETED_EVENTS,
     WIRE_NAMES,
-    Call,
+    Chunk,
     EventId,
+    EventLog,
     MdtRecord,
     group_calls,
+    lookup_index,
     make_fold_pairs,
-    parse_log,
     read_records,
     write_records,
 )
+from sleepscan.simgen.dominance import DominanceMap
+from sleepscan.simgen.layout import GridSpec
 
 GOLDEN_CODES = {
     "PL PROBLEM": 0,
@@ -45,10 +51,25 @@ def _rec(event=EventId.RLF, ue=1, t=0, x=0.0, y=0.0, serving=1, target=None):
     return MdtRecord(event=event, ue=ue, t=t, x=x, y=y, serving=serving, target=target)
 
 
+def _columns(log):
+    return {f.name: getattr(log, f.name).tolist() for f in fields(log)}
+
+
+def _group_oracle(records):
+    """Calls as the record-object pipeline built them: per ue in ue order, stable by t."""
+    by_ue = {}
+    for rec in records:
+        by_ue.setdefault(rec.ue, []).append(rec)
+    return [sorted(by_ue[ue], key=lambda r: r.t) for ue in sorted(by_ue)]
+
+
 def test_parse_empty_file(tmp_path):
     path = tmp_path / "log.jsonl"
     path.write_text("")
-    assert parse_log(path) == []
+    log = read_records(path)
+    assert len(log) == 0
+    grouped, bounds = group_calls(log)
+    assert len(grouped) == 0 and bounds.tolist() == [0]
 
 
 def test_grouping_and_lengths(tmp_path):
@@ -61,9 +82,9 @@ def test_grouping_and_lengths(tmp_path):
     ]
     path = tmp_path / "log.jsonl"
     write_records(records, path)
-    calls = parse_log(path)
-    assert [c.ue for c in calls] == [7, 9]
-    assert [len(c) for c in calls] == [3, 2]
+    grouped, bounds = group_calls(read_records(path))
+    assert grouped.ue[bounds[:-1]].tolist() == [7, 9]
+    assert np.diff(bounds).tolist() == [3, 2]
 
 
 def test_missing_target_is_an_error_with_line(tmp_path):
@@ -74,7 +95,7 @@ def test_missing_target_is_an_error_with_line(tmp_path):
     )
     path.write_text(good + "\n" + bad + "\n")
     with pytest.raises(ParseError) as err:
-        parse_log(path)
+        read_records(path)
     assert err.value.lineno == 2
     assert "HO COMMAND" in str(err.value)
 
@@ -83,15 +104,15 @@ def test_unknown_event_and_bad_coordinate(tmp_path):
     path = tmp_path / "log.jsonl"
     path.write_text(json.dumps({"ue": 1, "t": 0, "event": "NOPE", "x": 0, "y": 0, "serving": 1}) + "\n")
     with pytest.raises(ParseError, match="unknown event"):
-        parse_log(path)
+        read_records(path)
     path.write_text(
         json.dumps({"ue": 1, "t": 0, "event": "RLF", "x": "wat", "y": 0, "serving": 1}) + "\n"
     )
     with pytest.raises(ParseError, match="non-numeric"):
-        parse_log(path)
+        read_records(path)
     path.write_text(json.dumps({"ue": 1, "event": "RLF", "x": 0, "y": 0, "serving": 1}) + "\n")
     with pytest.raises(ParseError, match="missing required field"):
-        parse_log(path)
+        read_records(path)
 
 
 def test_tie_in_t_keeps_file_order(tmp_path):
@@ -102,8 +123,9 @@ def test_tie_in_t_keeps_file_order(tmp_path):
     ]
     path = tmp_path / "log.jsonl"
     write_records(records, path)
-    (call,) = parse_log(path)
-    assert call.events() == [EventId.RLF, EventId.RLF_REESTAB, EventId.A2_RSRQ_ENTER]
+    grouped, bounds = group_calls(read_records(path))
+    assert bounds.tolist() == [0, 3]
+    assert grouped.event.tolist() == [EventId.RLF, EventId.RLF_REESTAB, EventId.A2_RSRQ_ENTER]
 
 
 events_st = st.sampled_from(list(EventId))
@@ -127,9 +149,15 @@ records_st = st.lists(
 def test_roundtrip_is_field_exact(tmp_path_factory, records):
     path = tmp_path_factory.mktemp("rt") / "log.jsonl"
     write_records(records, path)
-    assert read_records(path) == records
+    log = read_records(path)
+    assert _columns(log) == _columns(EventLog.from_records(records))
+    assert all(t != NO_TARGET for t in log.target.tolist())
     # grouped calls match direct grouping of the in-memory records
-    assert parse_log(path) == group_calls(records)
+    grouped, bounds = group_calls(log)
+    calls = _group_oracle(records)
+    assert np.diff(bounds).tolist() == [len(c) for c in calls]
+    flat = [rec for call in calls for rec in call]
+    assert _columns(grouped) == _columns(EventLog.from_records(flat))
 
 
 def test_fold_pairs_cross_product():
@@ -140,3 +168,30 @@ def test_fold_pairs_cross_product():
     assert len(make_fold_pairs("normal", [0], "reference", [0])) == 1
     with pytest.raises(DataError):
         make_fold_pairs("normal", list(range(6)), "problematic", [])
+
+
+def test_chunk_attaches_cells_and_truth_by_call_position():
+    spec = GridSpec(origin_x=0.0, origin_y=0.0, resolution_m=10.0, nx=4, ny=4)
+    grid = np.full((4, 4), 5, dtype=np.int64)
+    grid[:, 2:] = 3
+    dmap = DominanceMap(grid_spec=spec, grid=grid)
+    records = [
+        _rec(ue=2, t=1, x=35.0),
+        _rec(ue=1, t=0, x=5.0),
+        _rec(ue=2, t=0, x=5.0),
+        _rec(ue=1, t=1, x=35.0),
+    ]
+    truth = {(2, 1): True, (1, 0): False}
+    chunk = Chunk.from_log(EventLog.from_records(records), dmap, [3, 5], truth)
+    assert chunk.log.ue.tolist() == [1, 1, 2, 2]
+    assert chunk.log.t.tolist() == [0, 1, 0, 1]
+    assert chunk.call_bounds.tolist() == [0, 2, 4]
+    assert chunk.cell.tolist() == [1, 0, 1, 0]  # indices into [3, 5]
+    assert chunk.affected.tolist() == [False, False, False, True]
+    with pytest.raises(DataError):
+        Chunk.from_log(EventLog.from_records(records), dmap, [3], truth)
+
+
+def test_lookup_index():
+    assert lookup_index([4, 9, 2, -1], [2, 4, 8]).tolist() == [1, -1, 0, -1]
+    assert lookup_index([1], []).tolist() == [-1]
