@@ -18,7 +18,7 @@ from . import evaluate as ev
 from . import pipeline, storage
 from .config import RunConfig
 from .errors import ConfigError, DataError
-from .simgen import generate_dataset_suite, load_suite, write_suite
+from .simgen import load_suite, write_suite
 
 METHOD_CHOICES = ("subcall", "2gram", "symmetry", "target", "combined", "all")
 
@@ -46,17 +46,7 @@ def _load_config(args) -> RunConfig:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     out_dir = Path(args.out)
-    layout = cfg.layout()
-    suite = generate_dataset_suite(
-        layout,
-        cfg.sim_config(),
-        faulty_cell=cfg.faulty_cell,
-        master_seed=cfg.master_seed,
-        n_chunks=cfg.n_chunks,
-        grid=cfg.grid(),
-        sigma_db=cfg.shadowing_sigma_db,
-        correlation_m=cfg.shadowing_correlation_m,
-    )
+    suite = pipeline.suite_from_config(cfg)
     manifest_path = write_suite(
         suite, out_dir, manifest_extra={"config": cfg.to_dict(), "config_hash": cfg.config_hash()}
     )
@@ -88,7 +78,7 @@ def cmd_detect(args) -> int:
     fold_inputs = pipeline.fold_inputs_from_suite(manifest, roles, cfg, limit=args.folds)
     if not fold_inputs:
         raise DataError(f"no fold pairs available in {data_dir}")
-    print(f"running {len(fold_inputs)} folds (jobs={args.jobs}, backend={_backend_name()})")
+    print(f"running {len(fold_inputs)} folds (jobs={args.jobs})")
 
     if args.jobs and args.jobs > 1:
         with ProcessPoolExecutor(
@@ -135,10 +125,7 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _backend_name() -> str:
-    from .kernels import backend
-
-    return backend()
+_MANIFEST_KEYS = ("config", "config_hash", "faulty_cell", "methods", "n_folds")
 
 
 def _read_detect_manifest(out_dir: Path) -> dict:
@@ -146,14 +133,24 @@ def _read_detect_manifest(out_dir: Path) -> dict:
     if not path.exists():
         raise DataError(f"no detect_manifest.json in {out_dir}; run detect first")
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path} does not hold a JSON object")
+    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise DataError(f"{path} lacks {', '.join(missing)}")
+    if not isinstance(manifest["faulty_cell"], int):
+        raise DataError(f"{path}: faulty_cell must be an integer")
+    return manifest
 
 
 def cmd_evaluate(args) -> int:
     out_dir = Path(args.out)
     manifest = _read_detect_manifest(out_dir)
     cfg = RunConfig.from_dict(manifest["config"])
-    faulty_cell = int(manifest["faulty_cell"])
     outputs = [storage.read_fold_output(d) for d in storage.list_fold_dirs(out_dir)]
     aggregates = pipeline.aggregate_folds(outputs, cfg)
     methods = [m for m in _selected_methods(args.method) if m in manifest["methods"]]
@@ -162,17 +159,10 @@ def cmd_evaluate(args) -> int:
 
     eval_dir = out_dir / "eval"
     eval_dir.mkdir(exist_ok=True)
-    n_cells = len(outputs[0].cell_ids)
 
     summary_rows = []
     for method in methods:
-        agg = aggregates[method]
-        labels, truths = [], []
-        for pairing, run_labels in sorted(agg.run_labels.items()):
-            truth = {faulty_cell} if pairing == "problematic" else set()
-            labels.extend(run_labels)
-            truths.extend([truth] * len(run_labels))
-        metrics = ev.confusion_metrics(ev.count_confusion(labels, truths))
+        metrics = ev.method_metrics(aggregates[method], manifest["faulty_cell"])
         with open(eval_dir / f"metrics_{method}.json", "w", encoding="utf-8") as fh:
             json.dump({"method": method, **metrics}, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -185,56 +175,33 @@ def cmd_evaluate(args) -> int:
         for row in summary_rows:
             fh.write(",".join(row) + "\n")
 
-    # sub-call ROC over problematic folds
-    problematic = [o for o in outputs if o.pair.test_role == "problematic"]
-    aucs = []
-    pooled_scores, pooled_truth = [], []
-    for out in problematic:
-        if out.test_affected.any() and not out.test_affected.all():
-            aucs.append((storage.fold_dir_name(out.pair), ev.roc(out.test_scores, out.test_affected).auc))
-        pooled_scores.append(out.test_scores)
-        pooled_truth.append(out.test_affected)
+    aucs = ev.fold_aucs(outputs)
+    mean_auc = ev.mean_auc(aucs) if aucs else None
     with open(eval_dir / "roc_auc.csv", "w", encoding="utf-8") as fh:
         fh.write("fold,auc\n")
-        for name, auc in aucs:
-            fh.write(f"{name},{auc!r}\n")
-        if aucs:
-            mean_auc = float(np.mean([a for _, a in aucs]))
+        for pair, auc in aucs:
+            fh.write(f"{storage.fold_dir_name(pair)},{auc!r}\n")
+        if mean_auc is not None:
             fh.write(f"mean,{mean_auc!r}\n")
-    if pooled_scores:
-        curve = ev.roc(np.concatenate(pooled_scores), np.concatenate(pooled_truth))
+    curve = ev.pooled_roc(outputs)
+    if curve is not None:
         with open(eval_dir / "roc_points.csv", "w", encoding="utf-8") as fh:
             fh.write("fpr,tpr\n")
             for x, y in zip(curve.fpr, curve.tpr):
                 fh.write(f"{float(x)!r},{float(y)!r}\n")
             fh.write(f"# auc,{curve.auc!r}\n")
 
-    # heuristic ideal-point distances, amplified and non-amplified variants
-    from .localize import SleepingCellHistogram
-
     with open(eval_dir / "heuristic_distances.csv", "w", encoding="utf-8") as fh:
         fh.write("method,variant,scenario,distance_sum,runs\n")
         for method in methods:
-            for variant, stage in (("amplified", "normalized"), ("original", "normalized_raw")):
-                totals = {"problematic": [0.0, 0], "reference": [0.0, 0]}
-                for out in outputs:
-                    stage_scores = out.histograms[method].get(stage)
-                    if stage_scores is None:
-                        continue
-                    h = SleepingCellHistogram(out.cell_ids, np.asarray(stage_scores), "normalized")
-                    scenario = "faulty" if out.pair.test_role == "problematic" else "clean"
-                    d = ev.heuristic_distance(h, scenario, n_cells)
-                    totals[out.pair.test_role][0] += d
-                    totals[out.pair.test_role][1] += 1
-                grand = sum(v[0] for v in totals.values())
-                for pairing, (dist, runs) in sorted(totals.items()):
-                    fh.write(f"{method},{variant},{pairing},{dist!r},{runs}\n")
-                fh.write(f"{method},{variant},total,{grand!r},{sum(v[1] for v in totals.values())}\n")
+            for variant, stage in ev.HEURISTIC_VARIANTS:
+                for scenario, (dist, runs) in ev.heuristic_totals(outputs, method, stage).items():
+                    fh.write(f"{method},{variant},{scenario},{dist!r},{runs}\n")
 
     print(f"metrics written to {eval_dir}")
     for row in summary_rows:
         print(f"  {row[0]:9s} F={float(row[4]):.3f} precision={float(row[2]):.3f} recall={float(row[3]):.3f}")
-    if aucs:
+    if mean_auc is not None:
         print(f"  mean sub-call ROC AUC over problematic folds: {mean_auc:.4f}")
     return 0
 

@@ -5,6 +5,11 @@ the sub-call anomaly score against per-sub-call ground truth; the
 heuristic point is (spread of the non-argmax scores, maximum score)
 measured against the ideal (0, 100) for a faulty scenario and
 (0, 100/N) for a clean one.
+
+The run-level functions at the end (`method_metrics`, `fold_aucs`,
+`mean_auc`, `pooled_roc`, `heuristic_totals`) take fold outputs and
+method aggregates as detect produces them; `sleepscan evaluate` writes
+their results, and the acceptance tests check the same values.
 """
 
 from __future__ import annotations
@@ -15,6 +20,10 @@ import numpy as np
 
 from .errors import DataError
 from .localize import SleepingCellHistogram
+from .mdtlog import FoldPair
+
+# (variant name, histogram stage) pairs scored by heuristic_totals
+HEURISTIC_VARIANTS = (("amplified", "normalized"), ("original", "normalized_raw"))
 
 
 @dataclass(frozen=True)
@@ -117,3 +126,66 @@ def heuristic_distance(h: SleepingCellHistogram, scenario: str, n_cells: int) ->
     else:
         raise DataError(f"unknown scenario {scenario!r}")
     return float(np.hypot(x - ideal[0], y - ideal[1]))
+
+
+def method_metrics(agg, faulty_cell: int) -> dict[str, float]:
+    """Confusion metrics of one method's per-run labels, pooled over pairings.
+
+    agg is a `pipeline.MethodAggregate`.  A problematic run's truth is
+    the faulty cell; a reference run has no faulty cell.
+    """
+    labels, truths = [], []
+    for pairing, run_labels in sorted(agg.run_labels.items()):
+        truth = {faulty_cell} if pairing == "problematic" else set()
+        labels.extend(run_labels)
+        truths.extend([truth] * len(run_labels))
+    return confusion_metrics(count_confusion(labels, truths))
+
+
+def fold_aucs(fold_outputs) -> list[tuple[FoldPair, float]]:
+    """Sub-call ROC AUC of each problematic fold whose test sub-calls hold both classes."""
+    return [
+        (out.pair, roc(out.test_scores, out.test_affected).auc)
+        for out in fold_outputs
+        if out.pair.test_role == "problematic"
+        and out.test_affected.any()
+        and not out.test_affected.all()
+    ]
+
+
+def mean_auc(aucs: list[tuple[FoldPair, float]]) -> float:
+    """Mean of the per-fold AUCs that `fold_aucs` returns."""
+    if not aucs:
+        raise DataError("no problematic fold holds both affected and unaffected sub-calls")
+    return float(np.mean([auc for _, auc in aucs]))
+
+
+def pooled_roc(fold_outputs) -> RocCurve | None:
+    """ROC of the test sub-calls of all problematic folds together; None without such folds."""
+    problematic = [out for out in fold_outputs if out.pair.test_role == "problematic"]
+    if not problematic:
+        return None
+    return roc(
+        np.concatenate([out.test_scores for out in problematic]),
+        np.concatenate([out.test_affected for out in problematic]),
+    )
+
+
+def heuristic_totals(fold_outputs, method: str, stage: str) -> dict[str, tuple[float, int]]:
+    """Summed ideal-point distance and run count per test pairing, then "total".
+
+    Each fold's `stage` histogram of `method` is measured against the
+    faulty ideal when the fold tests a problematic chunk and against the
+    clean ideal otherwise; folds without that stage are skipped.
+    """
+    totals = {"problematic": [0.0, 0], "reference": [0.0, 0]}
+    for out in fold_outputs:
+        scores = out.histograms[method].get(stage)
+        if scores is None:
+            continue
+        h = SleepingCellHistogram(out.cell_ids, np.asarray(scores), "normalized")
+        scenario = "faulty" if out.pair.test_role == "problematic" else "clean"
+        totals[out.pair.test_role][0] += heuristic_distance(h, scenario, len(out.cell_ids))
+        totals[out.pair.test_role][1] += 1
+    totals["total"] = [sum(v[0] for v in totals.values()), sum(v[1] for v in totals.values())]
+    return {scenario: (dist, runs) for scenario, (dist, runs) in totals.items()}

@@ -6,7 +6,8 @@ build the fold's feature matrices, fit the minor-component basis on the
 training rows, score everything with k-NN, threshold on the training
 95th percentile, and run the four localization methods plus their
 combination.  Aggregation pools the 72 fold histograms into 3-sigma
-labels per pairing.
+labels per pairing.  `suite_from_config` generates the dataset suite a
+configuration describes.
 """
 
 from __future__ import annotations
@@ -20,9 +21,24 @@ from .config import RunConfig
 from .errors import DataError
 from .localize import METHOD_NAMES
 from .mdtlog import FoldPair, make_fold_pairs
+from .simgen import DatasetSuite, generate_dataset_suite
 
 ALL_METHODS = METHOD_NAMES + ("combined",)
 STAGES = ("raw", "amplified", "normalized_raw", "normalized")
+
+
+def suite_from_config(cfg: RunConfig) -> DatasetSuite:
+    """The normal, problematic and reference datasets of one configuration."""
+    return generate_dataset_suite(
+        cfg.layout(),
+        cfg.sim_config(),
+        faulty_cell=cfg.faulty_cell,
+        master_seed=cfg.master_seed,
+        n_chunks=cfg.n_chunks,
+        grid=cfg.grid(),
+        sigma_db=cfg.shadowing_sigma_db,
+        correlation_m=cfg.shadowing_correlation_m,
+    )
 
 
 @dataclass

@@ -18,6 +18,7 @@ All floats are written with repr() so reruns are byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 from pathlib import Path
@@ -72,24 +73,35 @@ def write_fold_output(out: FoldOutput, fold_dir) -> None:
                     fh.write(f"{method},{stage},{cell},{float(value)!r}\n")
 
 
+@contextlib.contextmanager
+def _parsing(path: Path):
+    """Turn a missing or malformed output file into a DataError naming it."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise DataError(f"missing {path}") from None
+    except (KeyError, ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise DataError(f"malformed {path}: {exc!r}") from None
+
+
 def read_fold_output(fold_dir) -> FoldOutput:
     fold_dir = Path(fold_dir)
-    try:
+    with _parsing(fold_dir / "fold.json"):
         with open(fold_dir / "fold.json", encoding="utf-8") as fh:
             meta = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"missing fold.json in {fold_dir}") from None
-    pair = FoldPair(
-        train_role=meta["train_role"],
-        train_index=meta["train_index"],
-        test_role=meta["test_role"],
-        test_index=meta["test_index"],
-    )
-    cell_ids = tuple(int(c) for c in meta["cell_ids"])
+        pair = FoldPair(
+            train_role=meta["train_role"],
+            train_index=meta["train_index"],
+            test_role=meta["test_role"],
+            test_index=meta["test_index"],
+        )
+        cell_ids = tuple(int(c) for c in meta["cell_ids"])
+        threshold = float(meta["threshold"])
+        selected_components = int(meta["selected_components"])
 
     def read_scores(name, with_affected):
         rows, scores, anoms, affs = [], [], [], []
-        with open(fold_dir / name, encoding="utf-8", newline="") as fh:
+        with _parsing(fold_dir / name), open(fold_dir / name, encoding="utf-8", newline="") as fh:
             for rec in csv.DictReader(fh):
                 rows.append((int(rec["ue"]), int(rec["offset"])))
                 scores.append(float(rec["score"]))
@@ -103,16 +115,20 @@ def read_fold_output(fold_dir) -> FoldOutput:
 
     histograms: dict[str, dict[str, list]] = {}
     index = {c: i for i, c in enumerate(cell_ids)}
-    with open(fold_dir / "histograms.csv", encoding="utf-8", newline="") as fh:
+    path = fold_dir / "histograms.csv"
+    with _parsing(path), open(path, encoding="utf-8", newline="") as fh:
         for rec in csv.DictReader(fh):
             stages = histograms.setdefault(rec["method"], {})
             arr = stages.setdefault(rec["stage"], np.zeros(len(cell_ids)))
             arr[index[int(rec["cell_id"])]] = float(rec["value"])
+    missing = [m for m in ALL_METHODS if m not in histograms]
+    if missing:
+        raise DataError(f"{path} has no rows for {', '.join(missing)}")
 
     return FoldOutput(
         pair=pair,
-        threshold=float(meta["threshold"]),
-        selected_components=int(meta["selected_components"]),
+        threshold=threshold,
+        selected_components=selected_components,
         train_rows=train_rows,
         test_rows=test_rows,
         train_scores=train_scores,

@@ -11,17 +11,16 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from sleepscan import kernels
+from sleepscan import evaluate
 from sleepscan.config import RunConfig
 from sleepscan.detect import fit_threshold, knn_scores
 from sleepscan.embed import fit_basis, sorte_select
 from sleepscan.errors import DataError
-from sleepscan.evaluate import confusion_metrics, count_confusion, heuristic_distance, roc
+from sleepscan.evaluate import heuristic_distance
 from sleepscan.featurize import featurize_chunk, ngram_counts
-from sleepscan.kernels import _knn_py
 from sleepscan.localize import SleepingCellHistogram, normalize
-from sleepscan.pipeline import aggregate_folds, fold_inputs_from_suite, run_fold
-from sleepscan.simgen import FaultConfig, SimConfig, generate_dataset_suite, macro21_layout, simulate
+from sleepscan.pipeline import aggregate_folds, fold_inputs_from_suite, run_fold, suite_from_config
+from sleepscan.simgen import FaultConfig, SimConfig, macro21_layout, simulate
 from sleepscan.simgen.suite import suite_manifest, suite_roles
 
 N_REPS = 20
@@ -35,35 +34,10 @@ def _announce(criterion: str, ok: bool, detail: str) -> None:
 def _run_suite_rep(seed: int) -> dict:
     """One full repetition: dataset suite, 72 folds, aggregation."""
     cfg = RunConfig().with_overrides(master_seed=seed)
-    suite = generate_dataset_suite(
-        cfg.layout(),
-        cfg.sim_config(),
-        faulty_cell=cfg.faulty_cell,
-        master_seed=cfg.master_seed,
-        n_chunks=cfg.n_chunks,
-        grid=cfg.grid(),
-        sigma_db=cfg.shadowing_sigma_db,
-        correlation_m=cfg.shadowing_correlation_m,
-    )
+    suite = suite_from_config(cfg)
     folds = fold_inputs_from_suite(suite_manifest(suite), suite_roles(suite), cfg)
     outputs = [run_fold(fold, cfg) for fold in folds]
     aggregates = aggregate_folds(outputs, cfg)
-
-    aucs = [
-        roc(out.test_scores, out.test_affected).auc
-        for out in outputs
-        if out.pair.test_role == "problematic"
-        and out.test_affected.any()
-        and not out.test_affected.all()
-    ]
-    f_scores = {}
-    for method, agg in aggregates.items():
-        labels, truths = [], []
-        for pairing, run_labels in sorted(agg.run_labels.items()):
-            cell_truth = {cfg.faulty_cell} if pairing == "problematic" else set()
-            labels.extend(run_labels)
-            truths.extend([cell_truth] * len(run_labels))
-        f_scores[method] = confusion_metrics(count_confusion(labels, truths))["f_score"]
 
     combined = aggregates["combined"]
     prob_scores = combined.mean_scores["problematic"]
@@ -73,8 +47,11 @@ def _run_suite_rep(seed: int) -> dict:
         "argmax_is_faulty": argmax_cell == cfg.faulty_cell,
         "faulty_above_threshold": cfg.faulty_cell in combined.labels["problematic"].abnormal_cells(),
         "reference_clean": combined.labels["reference"].abnormal_cells() == [],
-        "mean_auc": float(np.mean(aucs)),
-        "f_scores": f_scores,
+        "mean_auc": evaluate.mean_auc(evaluate.fold_aucs(outputs)),
+        "f_scores": {
+            method: evaluate.method_metrics(agg, cfg.faulty_cell)["f_score"]
+            for method, agg in aggregates.items()
+        },
     }
 
 
@@ -221,7 +198,7 @@ def test_a6_oracle_equivalence():
     _announce(
         "A6 oracle equivalence",
         ok,
-        f"k-NN exact for k in (1,5,35) [{kernels.backend()} backend], "
+        f"k-NN exact for k in (1,5,35), "
         f"covariance rebuilt to {eig_err:.1e} Frobenius, rank recovery {hits}/100",
     )
     assert ok

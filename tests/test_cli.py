@@ -166,6 +166,45 @@ def test_evaluate_without_detect_is_data_error(tmp_path):
     assert main(["evaluate", "--out", str(tmp_path / "empty")]) == 3
 
 
+def _drop_key(path, key):
+    doc = json.loads(path.read_text())
+    del doc[key]
+    path.write_text(json.dumps(doc))
+
+
+def _bad_score_row(path):
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].replace(",", ",x", 1)  # a non-integer ue
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _drop_target_rows(path):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(line for line in lines if not line.startswith("target,")) + "\n")
+
+
+@pytest.mark.parametrize(
+    "command,name,damage",
+    [
+        ("evaluate", "detect_manifest.json", lambda p: p.write_text("{not json")),
+        ("report", "detect_manifest.json", lambda p: p.write_text("{not json")),
+        ("evaluate", "detect_manifest.json", lambda p: _drop_key(p, "faulty_cell")),
+        ("evaluate", "folds/problematic_0x0/fold.json", lambda p: p.write_text('{"train_role": ')),
+        ("evaluate", "folds/problematic_0x0/scores_test.csv", _bad_score_row),
+        ("evaluate", "folds/problematic_0x0/histograms.csv", _drop_target_rows),
+    ],
+    ids=["manifest_not_json", "report_manifest_not_json", "manifest_without_faulty_cell",
+         "fold_json_not_json", "scores_test_bad_row", "histograms_without_a_method"],
+)
+def test_damaged_run_directory_is_data_error(tmp_path, detect_dir, capsys, command, name, damage):
+    run = tmp_path / "run"
+    shutil.copytree(detect_dir, run)
+    damage(run / name)
+    capsys.readouterr()
+    assert main([command, "--out", str(run)]) == 3
+    assert str(run / name) in capsys.readouterr().err
+
+
 def test_no_amplify_flag(tmp_path, tiny_config_path, dataset_dir):
     out = tmp_path / "noamp"
     assert main([

@@ -3,9 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sleepscan import kernels
 from sleepscan.detect import Threshold, classify, fit_threshold, knn_scores
-from sleepscan.kernels import _knn_py
 
 
 def brute_force_scores(train, query, k, exclude_self=False):
@@ -48,24 +46,32 @@ def test_matches_brute_force_oracle_exactly():
         knn_scores(train, train, k=5, exclude_self=True),
         brute_force_scores(train, train, 5, exclude_self=True),
     )
-
-
-def test_backends_agree_bit_for_bit():
-    rng = np.random.default_rng(1)
-    for n, q, d, k in [(64, 64, 6, 5), (120, 37, 12, 11), (40, 40, 2, 39)]:
-        train = np.ascontiguousarray(rng.normal(size=(n, d)))
-        query = np.ascontiguousarray(rng.normal(size=(q, d)))
-        via_dispatch = kernels.knn_sum_distances(train, query, k)
-        via_python = _knn_py.knn_sum_distances(train, query, k, False)
-        assert np.array_equal(via_dispatch, via_python)
-    if kernels.backend() == "cython":
-        from sleepscan.kernels import _knn_c
-
-        train = np.ascontiguousarray(rng.normal(size=(80, 6)))
+    # more queries than one 512-row block, with the self-distance skipped in every block
+    big = rng.normal(size=(520, 2))
+    assert np.array_equal(
+        knn_scores(big, big, k=7, exclude_self=True),
+        brute_force_scores(big, big, 7, exclude_self=True),
+    )
+    # tied, duplicated training rows, with k ending inside and across tie groups
+    tied = np.repeat(np.arange(5.0), 4)[:, None]
+    points = np.array([[0.0], [2.0], [4.5]])
+    for k in (1, 4, 7, 20):
+        assert np.array_equal(knn_scores(tied, points, k=k), brute_force_scores(tied, points, k))
+    for k in (3, 5, 19):
         assert np.array_equal(
-            _knn_c.knn_sum_distances(train, train, 7, True),
-            _knn_py.knn_sum_distances(train, train, 7, True),
+            knn_scores(tied, tied, k=k, exclude_self=True),
+            brute_force_scores(tied, tied, k, exclude_self=True),
         )
+
+
+def test_accepts_non_contiguous_and_casts():
+    rng = np.random.default_rng(0)
+    wide = rng.normal(size=(30, 12))
+    train = wide[:, ::2]  # non-contiguous view
+    query = wide[:10, ::2].astype(np.float32)
+    scores = knn_scores(train, query, k=3)
+    assert scores.dtype == np.float64
+    assert np.array_equal(scores, brute_force_scores(train, query.astype(np.float64), 3))
 
 
 def test_k_bounds_and_shape_validation():
