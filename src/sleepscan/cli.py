@@ -74,6 +74,8 @@ def cmd_detect(args) -> int:
     cfg = _load_config(args)
     data_dir = Path(args.data)
     out_dir = Path(args.out)
+    if args.folds is not None and args.folds < 0:
+        raise ConfigError(f"--folds must be >= 0, got {args.folds}")
     manifest, _grid, roles = load_suite(data_dir)
     fold_inputs = pipeline.fold_inputs_from_suite(manifest, roles, cfg, limit=args.folds)
     if not fold_inputs:
@@ -128,20 +130,26 @@ def cmd_detect(args) -> int:
 _MANIFEST_KEYS = ("config", "config_hash", "faulty_cell", "methods", "n_folds")
 
 
+def _read_json_object(path: Path, keys) -> dict:
+    """A JSON object holding keys, or a DataError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path} does not hold a JSON object")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise DataError(f"{path} lacks {', '.join(missing)}")
+    return doc
+
+
 def _read_detect_manifest(out_dir: Path) -> dict:
     path = out_dir / "detect_manifest.json"
     if not path.exists():
         raise DataError(f"no detect_manifest.json in {out_dir}; run detect first")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise DataError(f"{path} does not hold a JSON object")
-    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
-    if missing:
-        raise DataError(f"{path} lacks {', '.join(missing)}")
+    manifest = _read_json_object(path, _MANIFEST_KEYS)
     if not isinstance(manifest["faulty_cell"], int):
         raise DataError(f"{path}: faulty_cell must be an integer")
     return manifest
@@ -216,8 +224,14 @@ def cmd_report(args) -> int:
         path = agg_dir / f"labels_{method}.json"
         if not path.exists():
             continue
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _read_json_object(path, ("threshold", "pairings"))
+        entries = doc["pairings"]
+        if not (
+            isinstance(doc["threshold"], (int, float))
+            and isinstance(entries, dict)
+            and all(isinstance(e, dict) and {"argmax_cell", "abnormal_cells"} <= e.keys() for e in entries.values())
+        ):
+            raise DataError(f"{path}: threshold must be a number and pairings map to argmax_cell, abnormal_cells")
         line = [f"{method:9s} thr={doc['threshold']:.2f}"]
         for pairing, entry in sorted(doc["pairings"].items()):
             line.append(

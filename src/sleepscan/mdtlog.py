@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields, replace
 from enum import IntEnum
-from pathlib import Path
 
 import numpy as np
 
@@ -71,19 +70,6 @@ class MdtRecord:
     y: float
     serving: int
     target: int | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "ue": self.ue,
-                "t": self.t,
-                "event": WIRE_NAMES[self.event],
-                "x": self.x,
-                "y": self.y,
-                "serving": self.serving,
-                "target": self.target,
-            }
-        )
 
 
 @dataclass(frozen=True)
@@ -246,12 +232,19 @@ def read_records(path) -> EventLog:
 
 
 def write_records(records, path) -> None:
-    """Write records as JSONL, one record per line, in given order."""
-    path = Path(path)
+    """Write records as JSONL, one record per line, in given order.
+
+    Each line is what `json.dumps` writes for the record's dict: x and y
+    as the `repr` of a float, a missing target as null.
+    """
+    lines = [
+        f'{{"ue": {r.ue}, "t": {r.t}, "event": "{WIRE_NAMES[r.event]}", '
+        f'"x": {float(r.x)!r}, "y": {float(r.y)!r}, "serving": {r.serving}, '
+        f'"target": {"null" if r.target is None else r.target}}}\n'
+        for r in records
+    ]
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(rec.to_json())
-            fh.write("\n")
+        fh.write("".join(lines))
 
 
 def make_fold_pairs(train_role, train_chunks, test_role, test_chunks) -> list[FoldPair]:

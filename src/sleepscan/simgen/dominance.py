@@ -9,7 +9,6 @@ the simulator's radio model and event-location attribution.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -44,41 +43,57 @@ class RadioMap:
     dominance: DominanceMap
 
 
-def _rsrp_grid(layout: NetworkLayout, shadowing: ShadowingField) -> np.ndarray:
-    grid = shadowing.grid
-    if shadowing.fields.shape[0] != len(layout.cells):
-        raise ConfigError("shadowing field count does not match layout cells")
+def path_gain(layout: NetworkLayout, grid: GridSpec) -> np.ndarray:
+    """(n_cells, ny, nx) tx power minus path loss plus sector gain, max over site images.
+
+    Distance, path loss and bearing depend only on the site, so each site
+    image computes them once for all of the site's sectors.
+    """
     xs, ys = grid.pixel_centers()
     px = xs[None, :]  # (1, nx)
     py = ys[:, None]  # (ny, 1)
     offsets = layout.wrap_image_offsets()
-    rsrp = np.empty((len(layout.cells), grid.ny, grid.nx))
+    sites: dict[tuple[float, float], list[int]] = {}
     for idx, cell in enumerate(layout.cells):
-        best = np.full((grid.ny, grid.nx), -np.inf)
+        sites.setdefault((cell.site_x, cell.site_y), []).append(idx)
+    gain = np.full((len(layout.cells), grid.ny, grid.nx), -np.inf)
+    for (site_x, site_y), members in sites.items():
         for ox, oy in offsets:
-            dx = px - (cell.site_x + ox)
-            dy = py - (cell.site_y + oy)
-            dist = np.hypot(dx, dy)
-            level = cell.tx_power_dbm - pathloss_db(dist)
-            if cell.azimuth_deg is not None:
-                angle = np.degrees(np.arctan2(dy, dx)) - cell.azimuth_deg
-                level = level + sector_gain_db(angle)
-            np.maximum(best, level, out=best)
-        rsrp[idx] = best + shadowing.fields[idx]
-    return rsrp
+            dx = px - (site_x + ox)
+            dy = py - (site_y + oy)
+            loss = pathloss_db(np.hypot(dx, dy))
+            bearing = np.degrees(np.arctan2(dy, dx))
+            for idx in members:
+                cell = layout.cells[idx]
+                level = cell.tx_power_dbm - loss
+                if cell.azimuth_deg is not None:
+                    level = level + sector_gain_db(bearing - cell.azimuth_deg)
+                np.maximum(gain[idx], level, out=gain[idx])
+    return gain
 
 
-def build_radio_map(layout: NetworkLayout, shadowing: ShadowingField) -> RadioMap:
-    rsrp = _rsrp_grid(layout, shadowing)
+def _dominance(grid: GridSpec, cell_ids: np.ndarray, rsrp: np.ndarray) -> DominanceMap:
+    # argmax keeps the first maximum, so ties go to the lowest cell id
+    return DominanceMap(grid_spec=grid, grid=cell_ids[np.argmax(rsrp, axis=0)])
+
+
+def build_radio_map(
+    layout: NetworkLayout, shadowing: ShadowingField, gain: np.ndarray | None = None
+) -> RadioMap:
+    """The radio map of one shadowing draw; gain is `path_gain` of the layout, if already known."""
+    if shadowing.fields.shape[0] != len(layout.cells):
+        raise ConfigError("shadowing field count does not match layout cells")
+    if gain is None:
+        gain = path_gain(layout, shadowing.grid)
+    rsrp = gain + shadowing.fields
     cell_ids = np.asarray(layout.cell_ids, dtype=np.int64)
-    dominant = cell_ids[np.argmax(rsrp, axis=0)]  # first max = lowest cell id
     total_dbm = 10.0 * np.log10(np.sum(np.power(10.0, rsrp / 10.0), axis=0))
     return RadioMap(
         grid_spec=shadowing.grid,
         cell_ids=cell_ids,
         rsrp_dbm=rsrp,
         total_dbm=total_dbm,
-        dominance=DominanceMap(grid_spec=shadowing.grid, grid=dominant),
+        dominance=_dominance(shadowing.grid, cell_ids, rsrp),
     )
 
 
@@ -100,24 +115,28 @@ def derive_adjacency(dmap: DominanceMap) -> dict[int, frozenset[int]]:
     return {c: frozenset(n) for c, n in adjacency.items()}
 
 
-def layout_adjacency(layout: NetworkLayout, grid: GridSpec) -> dict[int, frozenset[int]]:
+def layout_adjacency(
+    layout: NetworkLayout, grid: GridSpec, gain: np.ndarray | None = None
+) -> dict[int, frozenset[int]]:
     """Planned neighbor relation: adjacency of the zero-shadow wedge map.
 
     Shadowing carves small dominance islands that would make nearly every
-    cell pair "adjacent"; the planned relation uses pure geometry instead.
+    cell pair "adjacent"; the planned relation uses pure geometry instead,
+    the argmax of the path gain (`path_gain`, computed here if not given).
     """
-    zero = ShadowingField.zeros(grid, len(layout.cells))
-    return derive_adjacency(build_dominance_map(layout, zero))
+    if gain is None:
+        gain = path_gain(layout, grid)
+    cell_ids = np.asarray(layout.cell_ids, dtype=np.int64)
+    return derive_adjacency(_dominance(grid, cell_ids, gain))
 
 
 def write_dominance_csv(dmap: DominanceMap, path) -> None:
+    """One `x_index,y_index,cell_id` row per pixel, row-major, CRLF line ends."""
+    lines = [DOMINANCE_HEADER + "\r\n"]
+    for iy, row in enumerate(dmap.grid.tolist()):
+        lines.extend(f"{ix},{iy},{cell}\r\n" for ix, cell in enumerate(row))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DOMINANCE_HEADER.split(","))
-        ny, nx = dmap.grid.shape
-        for iy in range(ny):
-            for ix in range(nx):
-                writer.writerow([ix, iy, int(dmap.grid[iy, ix])])
+        fh.write("".join(lines))
 
 
 DOMINANCE_HEADER = "x_index,y_index,cell_id"

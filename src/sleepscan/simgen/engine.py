@@ -99,6 +99,11 @@ def simulate(
     grid = radio.grid_spec
     cell_ids = radio.cell_ids
     n_cells = len(cell_ids)
+    # The radio map by flat pixel index (iy * nx + ix); RSRP is copied
+    # pixel-major so that each step gathers whole rows.
+    rsrp_by_pixel = radio.rsrp_dbm.reshape(n_cells, -1).T.copy()  # (pixels, n_cells)
+    total_by_pixel = radio.total_dbm.reshape(-1)
+    dominance_by_pixel = radio.dominance.grid.reshape(-1)
     faulty_idx = layout.index_of(fault.faulty_cell) if fault.enabled else -1
 
     n_ue = sim.ues_per_cell * n_cells
@@ -146,10 +151,10 @@ def simulate(
             and (target == fault.faulty_cell or int(dom_cell) == fault.faulty_cell)
         )
 
-    def best_healthy(rsrp_col):
-        col = rsrp_col.copy()
-        col[faulty_idx] = -np.inf
-        return int(np.argmax(col))
+    def best_healthy(rsrp_row):
+        row = rsrp_row.copy()
+        row[faulty_idx] = -np.inf
+        return int(np.argmax(row))
 
     for t in range(sim.duration_steps):
         if t > 0:
@@ -163,24 +168,25 @@ def simulate(
             pos[move] += vec[move] / dist[move, None] * speed
 
         iy, ix = grid.indices_for(pos[:, 0], pos[:, 1])
-        rsrp = radio.rsrp_dbm[:, iy, ix]  # (n_cells, n_ue)
-        dom_now = radio.dominance.grid[iy, ix]
+        pixel = iy * grid.nx + ix
+        rsrp = rsrp_by_pixel[pixel]  # (n_ue, n_cells)
+        dom_now = dominance_by_pixel[pixel]
 
         if t == 0:
-            serving[:] = np.argmax(rsrp, axis=0)
+            serving[:] = np.argmax(rsrp, axis=1)
             if fault.enabled:
                 for u in np.nonzero(serving == faulty_idx)[0]:
                     # initial attach toward the sleeping cell fails
                     emit(EventId.PL_PROBLEM, u, t, dom_now[u])
                     emit(EventId.RLF, u, t, dom_now[u])
-                    best = best_healthy(rsrp[:, u])
+                    best = best_healthy(rsrp[u])
                     emit(EventId.RLF_REESTAB, u, t, dom_now[u], target_idx=best)
                     serving[u] = best
                     bar_cell[u] = faulty_idx
                     bar_until[u] = t + backoff_steps
 
-        serving_rsrp = rsrp[serving, ue_range]
-        rsrq = serving_rsrp - radio.total_dbm[iy, ix] - sim.rsrq_load_db
+        serving_rsrp = rsrp[ue_range, serving]
+        rsrq = serving_rsrp - total_by_pixel[pixel] - sim.rsrq_load_db
 
         # A2 RSRP enter/leave on threshold-with-hysteresis crossings
         enter = ~a2_rsrp_on & (serving_rsrp < sim.a2_rsrp_threshold_dbm - sim.a2_rsrp_hysteresis_db)
@@ -215,7 +221,7 @@ def simulate(
             if fault.enabled and target == faulty_idx:
                 emit(EventId.PL_PROBLEM, u, t, dom_now[u])
                 emit(EventId.RLF, u, t, dom_now[u])
-                best = best_healthy(rsrp[:, u])
+                best = best_healthy(rsrp[u])
                 emit(EventId.RLF_REESTAB, u, t, dom_now[u], target_idx=best)
                 serving[u] = best
                 bar_cell[u] = faulty_idx
@@ -228,12 +234,12 @@ def simulate(
 
         # A3 evaluation over non-serving, non-barred cells
         candidates = rsrp.copy()
-        candidates[serving, ue_range] = -np.inf
+        candidates[ue_range, serving] = -np.inf
         barred = (bar_cell >= 0) & (t < bar_until)
-        candidates[bar_cell[barred], ue_range[barred]] = -np.inf
+        candidates[ue_range[barred], bar_cell[barred]] = -np.inf
         bar_cell[(bar_cell >= 0) & ~barred] = -1
-        best_idx = np.argmax(candidates, axis=0)
-        best_val = candidates[best_idx, ue_range]
+        best_idx = np.argmax(candidates, axis=1)
+        best_val = candidates[ue_range, best_idx]
         condition = (best_val - serving_rsrp > sim.a3_margin_db) & (pending_target < 0)
         a3_count = np.where(condition, a3_count + 1, 0)
         for u in np.nonzero(condition & (a3_count >= ttt_steps))[0]:

@@ -24,6 +24,7 @@ from .dominance import (
     build_radio_map,
     layout_adjacency,
     load_dominance_csv,
+    path_gain,
     write_dominance_csv,
 )
 from .engine import FaultConfig, SimConfig, simulate
@@ -83,7 +84,8 @@ def generate_dataset_suite(
     if grid is None:
         grid = layout.default_grid()
     seeds = derive_seeds(master_seed)
-    adjacency = layout_adjacency(layout, grid)
+    gain = path_gain(layout, grid)  # shared by every role's radio map
+    adjacency = layout_adjacency(layout, grid, gain)
     radio_cache: dict[int, RadioMap] = {}
     roles: dict[str, RoleData] = {}
     for role in ROLES:
@@ -92,7 +94,7 @@ def generate_dataset_suite(
             shadowing = make_shadowing(
                 layout, grid, sigma_db=sigma_db, correlation_m=correlation_m, seed=shadow_seed
             )
-            radio_cache[shadow_seed] = build_radio_map(layout, shadowing)
+            radio_cache[shadow_seed] = build_radio_map(layout, shadowing, gain)
         fault = FaultConfig(enabled=(role == "problematic"), faulty_cell=faulty_cell)
         role_sim = replace(sim, rng_seed=seeds["mobility"][role])
         out = simulate(layout, None, role_sim, fault, radio=radio_cache[shadow_seed])
@@ -125,9 +127,12 @@ def truth_rows(records, affected):
 
 def write_truth(records, affected, path) -> None:
     """Ground truth JSONL keyed by (ue, event_index within the UE's call)."""
+    lines = [
+        f'{{"ue": {ue}, "event_index": {idx}, "affected": {"true" if flag else "false"}}}\n'
+        for ue, idx, flag in truth_rows(records, affected)
+    ]
     with open(path, "w", encoding="utf-8") as fh:
-        for ue, idx, flag in truth_rows(records, affected):
-            fh.write(json.dumps({"ue": ue, "event_index": idx, "affected": flag}) + "\n")
+        fh.write("".join(lines))
 
 
 def load_truth(path) -> dict[tuple[int, int], bool]:

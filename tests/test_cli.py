@@ -1,10 +1,14 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sleepscan
 from sleepscan.cli import main
 
 TINY_CONFIG = {
@@ -54,6 +58,30 @@ def test_simulate_is_reproducible(tmp_path, tiny_config_path, dataset_dir):
         assert (dataset_dir / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_commands_run_without_scipy(tmp_path):
+    """scipy is a test oracle only: no command may import it."""
+    config = tmp_path / "smoke.json"
+    config.write_text(json.dumps(
+        {"ues_per_cell": 3, "duration_steps": 800, "map_resolution_m": 10.0, "knn_k": 5, "master_seed": 42}
+    ))
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+        "from sleepscan.cli import main\n"
+        "for argv in (['simulate', '--config', 'smoke.json', '--out', 'suite'],\n"
+        "             ['detect', '--config', 'smoke.json', '--data', 'suite', '--out', 'run', '--folds', '2'],\n"
+        "             ['evaluate', '--out', 'run'], ['report', '--out', 'run']):\n"
+        "    if main(argv) != 0:\n"
+        "        sys.exit(f'{argv[0]} failed')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(sleepscan.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "suite" / "manifest.json").exists()
+
+
 def test_simulate_missing_parent_is_data_error(tiny_config_path, capsys):
     code = main(["simulate", "--config", str(tiny_config_path), "--out", "/nonexistent/nope/suite"])
     assert code == 3
@@ -90,6 +118,16 @@ def test_detect_limited_folds(tmp_path, tiny_config_path, dataset_dir):
     assert len(fold_dirs) == 1
     for name in ("fold.json", "scores_train.csv", "scores_test.csv", "histograms.csv"):
         assert (fold_dirs[0] / name).exists()
+
+
+def test_detect_negative_folds_is_config_error(tmp_path, tiny_config_path, dataset_dir, capsys):
+    out = tmp_path / "neg"
+    assert main([
+        "detect", "--config", str(tiny_config_path),
+        "--data", str(dataset_dir), "--out", str(out), "--folds", "-1",
+    ]) == 2
+    assert "--folds" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_detect_full_run_outputs(detect_dir):
@@ -192,9 +230,12 @@ def _drop_target_rows(path):
         ("evaluate", "folds/problematic_0x0/fold.json", lambda p: p.write_text('{"train_role": ')),
         ("evaluate", "folds/problematic_0x0/scores_test.csv", _bad_score_row),
         ("evaluate", "folds/problematic_0x0/histograms.csv", _drop_target_rows),
+        ("report", "aggregate/labels_gram.json", lambda p: p.write_text("{bad")),
+        ("report", "aggregate/labels_gram.json", lambda p: _drop_key(p, "pairings")),
     ],
     ids=["manifest_not_json", "report_manifest_not_json", "manifest_without_faulty_cell",
-         "fold_json_not_json", "scores_test_bad_row", "histograms_without_a_method"],
+         "fold_json_not_json", "scores_test_bad_row", "histograms_without_a_method",
+         "labels_not_json", "labels_without_pairings"],
 )
 def test_damaged_run_directory_is_data_error(tmp_path, detect_dir, capsys, command, name, damage):
     run = tmp_path / "run"

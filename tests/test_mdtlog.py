@@ -89,7 +89,7 @@ def test_grouping_and_lengths(tmp_path):
 
 def test_missing_target_is_an_error_with_line(tmp_path):
     path = tmp_path / "log.jsonl"
-    good = _rec().to_json()
+    good = json.dumps({"ue": 1, "t": 0, "event": "RLF", "x": 0.0, "y": 0.0, "serving": 1, "target": None})
     bad = json.dumps(
         {"ue": 1, "t": 2, "event": "HO COMMAND", "x": 0.0, "y": 0.0, "serving": 1, "target": None}
     )
@@ -158,6 +158,49 @@ def test_roundtrip_is_field_exact(tmp_path_factory, records):
     assert np.diff(bounds).tolist() == [len(c) for c in calls]
     flat = [rec for call in calls for rec in call]
     assert _columns(grouped) == _columns(EventLog.from_records(flat))
+
+
+def _json_dumps_line(rec):
+    """Reference line: json.dumps of the record's dict."""
+    obj = {"ue": rec.ue, "t": rec.t, "event": WIRE_NAMES[rec.event], "x": rec.x, "y": rec.y,
+           "serving": rec.serving, "target": rec.target}
+    return json.dumps(obj) + "\n"
+
+
+AWKWARD_FLOATS = [1e-07, -0.0, 1e16, 100.0, 0.1 + 0.2, float(np.nextafter(10.0, 0.0)), 9.999999999999998,
+                  -1234.5678, 5e-324, 1.7976931348623157e308, 123456789.12345679]
+
+
+def test_write_records_matches_json_dumps(tmp_path):
+    records = [
+        _rec(event=event, ue=i, t=3 * i, x=x, y=-x, serving=1 + i % 21, target=target)
+        for i, (event, x, target) in enumerate(
+            zip(list(EventId) * 3, AWKWARD_FLOATS + AWKWARD_FLOATS[::-1], [None, 7, None, 21] * 7)
+        )
+    ]
+    assert any(r.target is None for r in records) and any(r.target is not None for r in records)
+    path = tmp_path / "log.jsonl"
+    write_records(records, path)
+    assert path.read_bytes() == "".join(_json_dumps_line(r) for r in records).encode()
+    write_records([], path)
+    assert path.read_bytes() == b""
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.builds(
+    _rec,
+    event=events_st,
+    ue=st.integers(0, 2**40),
+    t=st.integers(0, 2**40),
+    x=st.floats(allow_nan=False, allow_infinity=False),
+    y=st.floats(allow_nan=False, allow_infinity=False),
+    serving=st.integers(0, 100),
+    target=st.none() | st.integers(0, 100),
+), max_size=20))
+def test_write_records_matches_json_dumps_on_any_finite_float(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("wr") / "log.jsonl"
+    write_records(records, path)
+    assert path.read_bytes() == "".join(_json_dumps_line(r) for r in records).encode()
 
 
 def test_fold_pairs_cross_product():

@@ -1,10 +1,12 @@
+import csv
 import io
+import json
 
 import numpy as np
 import pytest
 
 from sleepscan.errors import ConfigError
-from sleepscan.mdtlog import EventId, write_records
+from sleepscan.mdtlog import EventId, MdtRecord, write_records
 from sleepscan.simgen import (
     Cell,
     FaultConfig,
@@ -21,8 +23,10 @@ from sleepscan.simgen import (
     pathloss_db,
     simulate,
 )
-from sleepscan.simgen.fields import ShadowingField
-from sleepscan.simgen.layout import GridSpec
+from sleepscan.simgen.dominance import DOMINANCE_HEADER, DominanceMap, path_gain, write_dominance_csv
+from sleepscan.simgen.fields import ShadowingField, gaussian_filter_wrap
+from sleepscan.simgen.layout import GridSpec, sector_gain_db
+from sleepscan.simgen.suite import truth_rows, write_truth
 
 FAST_SIM = dict(ues_per_cell=3, duration_steps=1200, rng_seed=9)
 
@@ -89,6 +93,78 @@ def test_shadowing_statistics():
         assert abs(plane.std() - 8.0) < 0.8
     zero = ShadowingField.zeros(grid, 21)
     assert zero.fields.std() == 0.0
+
+
+# Grids smaller than the kernel radius, sigma below one pixel, non-square
+# grids, and one 1-D and one 3-D array.
+FILTER_CASES = [((5, 7), 4.0), ((3, 3), 2.6), ((12, 9), 0.4), ((9, 14), 0.7), ((40, 25), 4.0), ((1, 6), 1e-6),
+                ((11,), 2.0), ((4, 5, 6), 1.5)]
+
+
+@pytest.mark.parametrize("shape,sigma", FILTER_CASES)
+def test_gaussian_filter_matches_scipy_bit_for_bit(shape, sigma):
+    from scipy.ndimage import gaussian_filter
+
+    values = np.random.default_rng(3).standard_normal(shape)
+    assert np.array_equal(gaussian_filter_wrap(values, sigma), gaussian_filter(values, sigma=sigma, mode="wrap"))
+
+
+def _scipy_shadowing(layout, grid, sigma_db, correlation_m, seed):
+    """Reference shadowing on scipy's filter: one noise draw and one 2-D filter per cell."""
+    from scipy.ndimage import gaussian_filter
+
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    sigma_px = max(correlation_m / grid.resolution_m, 1e-6)
+    fields = np.empty((len(layout.cells), grid.ny, grid.nx))
+    for c in range(len(layout.cells)):
+        smooth = gaussian_filter(rng.standard_normal((grid.ny, grid.nx)), sigma=sigma_px, mode="wrap")
+        smooth -= smooth.mean()
+        fields[c] = smooth * (sigma_db / smooth.std())
+    return fields
+
+
+@pytest.mark.parametrize(
+    "nx,ny,correlation_m",
+    [(6, 5, 40.0), (17, 11, 4.0), (11, 17, 40.0), (30, 30, 40.0)],
+    ids=["smaller_than_radius", "sigma_below_one_pixel", "non_square", "square"],
+)
+def test_make_shadowing_matches_scipy_bit_for_bit(nx, ny, correlation_m):
+    layout = macro21_layout()
+    grid = GridSpec(origin_x=-150.0, origin_y=-100.0, resolution_m=10.0, nx=nx, ny=ny)
+    field = make_shadowing(layout, grid, sigma_db=8.0, correlation_m=correlation_m, seed=7)
+    assert np.array_equal(field.fields, _scipy_shadowing(layout, grid, 8.0, correlation_m, 7))
+
+
+def _per_cell_gain(layout, grid):
+    """Path gain cell by cell, each cell computing its own distances and bearings."""
+    xs, ys = grid.pixel_centers()
+    gain = np.empty((len(layout.cells), grid.ny, grid.nx))
+    for idx, cell in enumerate(layout.cells):
+        best = np.full((grid.ny, grid.nx), -np.inf)
+        for ox, oy in layout.wrap_image_offsets():
+            dx = xs[None, :] - (cell.site_x + ox)
+            dy = ys[:, None] - (cell.site_y + oy)
+            level = cell.tx_power_dbm - pathloss_db(np.hypot(dx, dy))
+            if cell.azimuth_deg is not None:
+                level = level + sector_gain_db(np.degrees(np.arctan2(dy, dx)) - cell.azimuth_deg)
+            np.maximum(best, level, out=best)
+        gain[idx] = best
+    return gain
+
+
+@pytest.mark.parametrize("wrap", [True, False])
+def test_path_gain_shares_site_geometry_exactly(wrap):
+    layout = macro21_layout(wrap_around=wrap)
+    grid = layout.default_grid(resolution_m=25.0)
+    gain = path_gain(layout, grid)
+    assert np.array_equal(gain, _per_cell_gain(layout, grid))
+    omni = omni_layout([(0.0, 0.0), (0.0, 0.0), (300.0, 40.0)])
+    assert np.array_equal(path_gain(omni, small_grid()), _per_cell_gain(omni, small_grid()))
+    # the planned adjacency is the zero-shadow map's, with or without a shared gain
+    zero = ShadowingField.zeros(grid, len(layout.cells))
+    expected = derive_adjacency(build_dominance_map(layout, zero))
+    assert layout_adjacency(layout, grid) == expected
+    assert layout_adjacency(layout, grid, gain) == expected
 
 
 def test_faulty_cell_dominance_share():
@@ -270,6 +346,37 @@ def test_dataset_suite_structure():
     assert not np.array_equal(
         suite.roles["normal"].radio.dominance.grid, suite.roles["reference"].radio.dominance.grid
     )
+
+
+def test_write_truth_matches_json_dumps(tmp_path):
+    records = [
+        MdtRecord(event=EventId.RLF, ue=ue, t=t, x=0.0, y=0.0, serving=1)
+        for t, ue in enumerate((4, 0, 4, 12, 0, 4))
+    ]
+    affected = [True, False, False, True, True, False]
+    path = tmp_path / "truth.jsonl"
+    write_truth(records, affected, path)
+    expected = "".join(
+        json.dumps({"ue": ue, "event_index": idx, "affected": flag}) + "\n"
+        for ue, idx, flag in truth_rows(records, affected)
+    )
+    assert path.read_bytes() == expected.encode()
+    assert [json.loads(line)["affected"] for line in path.read_text().splitlines()] == affected
+
+
+def test_write_dominance_csv_matches_csv_writer(tmp_path):
+    grid = np.array([[1, 2, 3], [21, 1, 7]], dtype=np.int64)
+    spec = GridSpec(origin_x=0.0, origin_y=0.0, resolution_m=10.0, nx=3, ny=2)
+    path = tmp_path / "dominance.csv"
+    write_dominance_csv(DominanceMap(grid_spec=spec, grid=grid), path)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(DOMINANCE_HEADER.split(","))
+    for iy in range(2):
+        for ix in range(3):
+            writer.writerow([ix, iy, int(grid[iy, ix])])
+    assert path.read_bytes() == expected.getvalue().encode()
+    assert b"\r\n" in path.read_bytes()
 
 
 def test_fault_validation():
