@@ -154,7 +154,7 @@ class RunConfig:
             resolution_m=self.map_resolution_m, half_extent_m=self.map_half_extent_m
         )
 
-    def sim_config(self, rng_seed: int = 0) -> SimConfig:
+    def sim_config(self) -> SimConfig:
         cfg = SimConfig(
             ues_per_cell=self.ues_per_cell,
             ue_speed_kmh=self.ue_speed_kmh,
@@ -168,7 +168,6 @@ class RunConfig:
             a2_report_interval_ms=self.a2_report_interval_ms,
             duration_steps=self.duration_steps,
             step_seconds=self.step_seconds,
-            rng_seed=rng_seed,
             t304_ms=self.t304_ms,
             ho_complete_ms=self.ho_complete_ms,
             ho_backoff_ms=self.ho_backoff_ms,

@@ -1,4 +1,4 @@
-"""MDT data model: events, records, columnar logs and chunks, JSONL I/O, K-fold pairing.
+"""MDT data model: events, columnar logs and chunks, JSONL I/O, K-fold pairing.
 
 One JSONL record per line:
     {"ue": int, "t": int, "event": str, "x": float, "y": float,
@@ -6,9 +6,9 @@ One JSONL record per line:
 Event names on the wire use the human-readable spellings
 ("HO COMMAND", "RLF REESTAB.", ...).
 
-The simulator produces `MdtRecord` objects; detection reads a log as an
-`EventLog` (one numpy array per field) and a dataset chunk as a `Chunk`,
-whose records are ordered into calls once, at load.
+A log is an `EventLog` (one numpy array per field) from the simulator
+to the detector; a dataset chunk is a `Chunk`, whose records are ordered
+into calls once, at load.
 """
 
 from __future__ import annotations
@@ -59,19 +59,6 @@ TARGETED_EVENTS = frozenset(
 NO_TARGET = -1
 
 
-@dataclass(frozen=True, slots=True)
-class MdtRecord:
-    """One event-triggered measurement report."""
-
-    event: EventId
-    ue: int
-    t: int
-    x: float
-    y: float
-    serving: int
-    target: int | None = None
-
-
 @dataclass(frozen=True)
 class FoldPair:
     """One (training chunk, testing chunk) combination of the K-fold cross."""
@@ -80,8 +67,6 @@ class FoldPair:
     train_index: int
     test_role: str
     test_index: int
-
-
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,12 +91,13 @@ class EventLog:
         dtypes = (np.int64, np.int64, np.int64, np.float64, np.float64, np.int64, np.int64)
         return cls(*(np.array(col, dtype=dt) for col, dt in zip(columns, dtypes)))
 
-    @classmethod
-    def from_records(cls, records) -> "EventLog":
-        return cls.from_rows(
-            (int(r.event), r.ue, r.t, r.x, r.y, r.serving, NO_TARGET if r.target is None else r.target)
-            for r in records
-        )
+    def rows(self) -> list[tuple]:
+        """(event, ue, t, x, y, serving, target) tuples of Python scalars, in record order."""
+        return list(zip(*(getattr(self, f.name).tolist() for f in fields(self))))
+
+    def take(self, index) -> "EventLog":
+        """The records at the given indices, in that order."""
+        return EventLog(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
 def group_calls(log: EventLog) -> tuple[EventLog, np.ndarray]:
@@ -123,7 +109,7 @@ def group_calls(log: EventLog) -> tuple[EventLog, np.ndarray]:
     """
     order = np.argsort(log.t, kind="stable")
     order = order[np.argsort(log.ue[order], kind="stable")]
-    log = EventLog(*(getattr(log, f.name)[order] for f in fields(log)))
+    log = log.take(order)
     starts = np.flatnonzero(log.ue[1:] != log.ue[:-1]) + 1
     bounds = np.concatenate(([0], starts, [len(log)])) if len(log) else [0]
     return log, np.asarray(bounds, dtype=np.int64)
@@ -231,17 +217,17 @@ def read_records(path) -> EventLog:
         raise DataError(f"{path}: integer field outside the 64-bit range") from None
 
 
-def write_records(records, path) -> None:
-    """Write records as JSONL, one record per line, in given order.
+def write_records(log: EventLog, path) -> None:
+    """Write a log as JSONL, one record per line, in record order.
 
     Each line is what `json.dumps` writes for the record's dict: x and y
     as the `repr` of a float, a missing target as null.
     """
+    names = [WIRE_NAMES[ev] for ev in EventId]  # by event code
     lines = [
-        f'{{"ue": {r.ue}, "t": {r.t}, "event": "{WIRE_NAMES[r.event]}", '
-        f'"x": {float(r.x)!r}, "y": {float(r.y)!r}, "serving": {r.serving}, '
-        f'"target": {"null" if r.target is None else r.target}}}\n'
-        for r in records
+        f'{{"ue": {ue}, "t": {t}, "event": "{names[event]}", "x": {x!r}, "y": {y!r}, '
+        f'"serving": {serving}, "target": {"null" if target == NO_TARGET else target}}}\n'
+        for event, ue, t, x, y, serving, target in log.rows()
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(lines))

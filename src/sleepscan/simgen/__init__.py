@@ -11,7 +11,6 @@ from .fields import ShadowingField, make_shadowing
 from .dominance import (
     DominanceMap,
     RadioMap,
-    build_dominance_map,
     build_radio_map,
     derive_adjacency,
     layout_adjacency,
@@ -35,7 +34,6 @@ __all__ = [
     "make_shadowing",
     "DominanceMap",
     "RadioMap",
-    "build_dominance_map",
     "build_radio_map",
     "derive_adjacency",
     "layout_adjacency",

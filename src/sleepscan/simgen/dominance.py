@@ -97,10 +97,6 @@ def build_radio_map(
     )
 
 
-def build_dominance_map(layout: NetworkLayout, shadowing: ShadowingField) -> DominanceMap:
-    return build_radio_map(layout, shadowing).dominance
-
-
 def derive_adjacency(dmap: DominanceMap) -> dict[int, frozenset[int]]:
     """Cells whose dominance areas share a pixel border (toroidal grid)."""
     grid = dmap.grid
@@ -130,13 +126,18 @@ def layout_adjacency(
     return derive_adjacency(_dominance(grid, cell_ids, gain))
 
 
-def write_dominance_csv(dmap: DominanceMap, path) -> None:
-    """One `x_index,y_index,cell_id` row per pixel, row-major, CRLF line ends."""
+def write_dominance_csv(dmap: DominanceMap, *paths) -> None:
+    """One `x_index,y_index,cell_id` row per pixel, row-major, CRLF line ends.
+
+    The map is formatted once and the same text written to every path.
+    """
     lines = [DOMINANCE_HEADER + "\r\n"]
     for iy, row in enumerate(dmap.grid.tolist()):
         lines.extend(f"{ix},{iy},{cell}\r\n" for ix, cell in enumerate(row))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("".join(lines))
+    text = "".join(lines)
+    for path in paths:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
 
 
 DOMINANCE_HEADER = "x_index,y_index,cell_id"

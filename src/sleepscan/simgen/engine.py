@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from ..mdtlog import EventId, MdtRecord
-from .dominance import RadioMap, build_radio_map
-from .fields import ShadowingField
+from ..mdtlog import NO_TARGET, EventId, EventLog
+from .dominance import RadioMap
 from .layout import NetworkLayout
 
 
@@ -30,11 +29,8 @@ from .layout import NetworkLayout
 class FaultConfig:
     enabled: bool = False
     faulty_cell: int = 1
-    mode: str = "rach-failure"
 
     def validate(self, layout: NetworkLayout) -> None:
-        if self.mode != "rach-failure":
-            raise ConfigError(f"unsupported fault mode {self.mode!r}")
         if self.enabled and self.faulty_cell not in layout.cell_ids:
             raise ConfigError(f"faulty cell {self.faulty_cell} not in layout")
 
@@ -77,25 +73,15 @@ class SimConfig:
         return max(1, math.ceil(n) if round_up else round(n))
 
 
-@dataclass
-class SimOutput:
-    records: list[MdtRecord]
-    affected: list[bool]  # fault-affected flag per record
-    radio: RadioMap
-
-
 def simulate(
-    layout: NetworkLayout,
-    shadowing: ShadowingField | None,
-    sim: SimConfig,
-    fault: FaultConfig,
-    radio: RadioMap | None = None,
-) -> SimOutput:
-    """Run one dataset; deterministic for a fixed rng_seed."""
+    layout: NetworkLayout, sim: SimConfig, fault: FaultConfig, radio: RadioMap
+) -> tuple[EventLog, np.ndarray]:
+    """Run one dataset; deterministic for a fixed rng_seed.
+
+    Returns the log in emission order and each record's fault-affected flag.
+    """
     sim.validate()
     fault.validate(layout)
-    if radio is None:
-        radio = build_radio_map(layout, shadowing)
     grid = radio.grid_spec
     cell_ids = radio.cell_ids
     n_cells = len(cell_ids)
@@ -130,22 +116,14 @@ def simulate(
     bar_cell = np.full(n_ue, -1, dtype=np.int64)
     bar_until = np.zeros(n_ue, dtype=np.int64)
 
-    records: list[MdtRecord] = []
+    rows: list[tuple] = []  # (event, ue, t, x, y, serving, target)
     affected: list[bool] = []
     ue_range = np.arange(n_ue)
 
     def emit(event, ue, t, dom_cell, target_idx=None):
-        target = None if target_idx is None else int(cell_ids[target_idx])
-        rec = MdtRecord(
-            event=event,
-            ue=int(ue),
-            t=int(t),
-            x=float(pos[ue, 0]),
-            y=float(pos[ue, 1]),
-            serving=int(cell_ids[serving[ue]]),
-            target=target,
-        )
-        records.append(rec)
+        target = NO_TARGET if target_idx is None else int(cell_ids[target_idx])
+        x, y = pos[ue].tolist()
+        rows.append((int(event), int(ue), int(t), x, y, int(cell_ids[serving[ue]]), target))
         affected.append(
             fault.enabled
             and (target == fault.faulty_cell or int(dom_cell) == fault.faulty_cell)
@@ -259,4 +237,4 @@ def simulate(
                 pending_target[u] = target
                 pending_timer[u] = timer
 
-    return SimOutput(records=records, affected=affected, radio=radio)
+    return EventLog.from_rows(rows), np.array(affected, dtype=bool)

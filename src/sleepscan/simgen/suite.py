@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DataError
-from ..mdtlog import Chunk, EventLog, MdtRecord, read_records, write_records
+from ..mdtlog import Chunk, EventLog, read_records, write_records
 from .dominance import (
     RadioMap,
     build_radio_map,
@@ -46,10 +46,10 @@ def derive_seeds(master_seed: int) -> dict:
 @dataclass
 class RoleData:
     role: str
-    records: list[MdtRecord]
-    affected: list[bool]
-    radio: RadioMap | None
-    chunks: list[list[MdtRecord]]
+    records: EventLog      # the role's whole log, in emission order
+    affected: np.ndarray   # bool fault-affected flag per record
+    radio: RadioMap
+    chunks: list[EventLog]
 
 
 @dataclass
@@ -63,12 +63,10 @@ class DatasetSuite:
     adjacency: dict[int, frozenset[int]]
 
 
-def split_chunks(records, n_chunks: int) -> list[list[MdtRecord]]:
+def split_chunks(log: EventLog, n_chunks: int) -> list[EventLog]:
     """Partition a log by UE (ue mod n_chunks), preserving record order."""
-    chunks: list[list[MdtRecord]] = [[] for _ in range(n_chunks)]
-    for rec in records:
-        chunks[rec.ue % n_chunks].append(rec)
-    return chunks
+    part = log.ue % n_chunks
+    return [log.take(np.flatnonzero(part == j)) for j in range(n_chunks)]
 
 
 def generate_dataset_suite(
@@ -95,15 +93,12 @@ def generate_dataset_suite(
                 layout, grid, sigma_db=sigma_db, correlation_m=correlation_m, seed=shadow_seed
             )
             radio_cache[shadow_seed] = build_radio_map(layout, shadowing, gain)
+        radio = radio_cache[shadow_seed]
         fault = FaultConfig(enabled=(role == "problematic"), faulty_cell=faulty_cell)
         role_sim = replace(sim, rng_seed=seeds["mobility"][role])
-        out = simulate(layout, None, role_sim, fault, radio=radio_cache[shadow_seed])
+        log, affected = simulate(layout, role_sim, fault, radio)
         roles[role] = RoleData(
-            role=role,
-            records=out.records,
-            affected=out.affected,
-            radio=out.radio,
-            chunks=split_chunks(out.records, n_chunks),
+            role=role, records=log, affected=affected, radio=radio, chunks=split_chunks(log, n_chunks)
         )
     return DatasetSuite(
         roles=roles,
@@ -116,20 +111,21 @@ def generate_dataset_suite(
     )
 
 
-def truth_rows(records, affected):
+def truth_rows(log: EventLog, affected) -> list[tuple[int, int, bool]]:
     """(ue, event_index within the UE's call, affected) per record, in record order."""
-    counters: dict[int, int] = {}
-    for rec, flag in zip(records, affected):
-        idx = counters.get(rec.ue, 0)
-        counters[rec.ue] = idx + 1
-        yield rec.ue, idx, bool(flag)
+    order = np.argsort(log.ue, kind="stable")
+    ue_sorted = log.ue[order]
+    index = np.empty(len(log), dtype=np.int64)
+    # a record's rank in the stable ue order, less the rank of its UE's first record
+    index[order] = np.arange(len(log)) - np.searchsorted(ue_sorted, ue_sorted)
+    return list(zip(log.ue.tolist(), index.tolist(), np.asarray(affected, dtype=bool).tolist()))
 
 
-def write_truth(records, affected, path) -> None:
+def write_truth(log: EventLog, affected, path) -> None:
     """Ground truth JSONL keyed by (ue, event_index within the UE's call)."""
     lines = [
         f'{{"ue": {ue}, "event_index": {idx}, "affected": {"true" if flag else "false"}}}\n'
-        for ue, idx, flag in truth_rows(records, affected)
+        for ue, idx, flag in truth_rows(log, affected)
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(lines))
@@ -153,6 +149,7 @@ def write_suite(suite: DatasetSuite, out_dir, manifest_extra: dict | None = None
         raise DataError(f"parent directory does not exist: {out_dir.parent}")
     out_dir.mkdir(exist_ok=True)
     files: dict[str, dict] = {}
+    dominance_paths: dict[int, tuple] = {}  # normal and problematic share one map: format it once
     for role, data in suite.roles.items():
         chunk_names = []
         for j, chunk in enumerate(data.chunks):
@@ -162,8 +159,11 @@ def write_suite(suite: DatasetSuite, out_dir, manifest_extra: dict | None = None
         truth_name = f"truth_{role}.jsonl"
         write_truth(data.records, data.affected, out_dir / truth_name)
         dom_name = f"dominance_{role}.csv"
-        write_dominance_csv(data.radio.dominance, out_dir / dom_name)
+        dmap = data.radio.dominance
+        dominance_paths.setdefault(id(dmap), (dmap, []))[1].append(out_dir / dom_name)
         files[role] = {"chunks": chunk_names, "truth": truth_name, "dominance": dom_name}
+    for dmap, paths in dominance_paths.values():
+        write_dominance_csv(dmap, *paths)
     manifest = {**suite_manifest(suite), "files": files}
     if manifest_extra:
         manifest.update(manifest_extra)
@@ -236,9 +236,6 @@ def suite_roles(suite: DatasetSuite) -> dict[str, LoadedRole]:
     roles = {}
     for role, data in suite.roles.items():
         truth = {(ue, idx): flag for ue, idx, flag in truth_rows(data.records, data.affected)}
-        chunks = [
-            Chunk.from_log(EventLog.from_records(chunk), data.radio.dominance, suite.cell_ids, truth)
-            for chunk in data.chunks
-        ]
+        chunks = [Chunk.from_log(chunk, data.radio.dominance, suite.cell_ids, truth) for chunk in data.chunks]
         roles[role] = LoadedRole(role=role, chunks=chunks)
     return roles

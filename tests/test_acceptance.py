@@ -252,11 +252,11 @@ def test_a7_invariant_suites(tmp_path):
     radio = build_radio_map(layout, make_shadowing(layout, grid, seed=3))
     sim = SimConfig(ues_per_cell=3, duration_steps=800, rng_seed=5)
     fault = FaultConfig(enabled=True, faulty_cell=1)
-    out_a = simulate(layout, None, sim, fault, radio=radio)
-    out_b = simulate(layout, None, sim, fault, radio=radio)
+    log_a, _ = simulate(layout, sim, fault, radio)
+    log_b, _ = simulate(layout, sim, fault, radio)
     pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_records(out_a.records, pa)
-    write_records(out_b.records, pb)
+    write_records(log_a, pa)
+    write_records(log_b, pb)
     sim_ok = pa.read_bytes() == pb.read_bytes()
 
     from sleepscan.cli import main

@@ -18,7 +18,7 @@ from sleepscan.localize import (
     sc_dominance_subcall_deviation,
     sc_target_cell_subcalls,
 )
-from sleepscan.mdtlog import TARGETED_EVENTS, Chunk, EventId, EventLog, MdtRecord, strip_locations
+from sleepscan.mdtlog import NO_TARGET, TARGETED_EVENTS, Chunk, EventId, EventLog, strip_locations
 from sleepscan.simgen.dominance import DominanceMap
 from sleepscan.simgen.layout import GridSpec
 
@@ -43,14 +43,14 @@ def call_records(events, ue=0, xs=None, targets=None):
     xs = xs if xs is not None else [5.0] * len(events)
     targets = targets if targets is not None else [None] * len(events)
     return [
-        MdtRecord(event=e, ue=ue, t=i, x=float(x), y=5.0, serving=1,
-                  target=tg if tg is not None else (2 if e in TARGETED_EVENTS else None))
+        (e, ue, i, float(x), 5.0, 1, tg if tg is not None else (2 if e in TARGETED_EVENTS else NO_TARGET))
         for i, (e, x, tg) in enumerate(zip(events, xs, targets))
     ]
 
 
 def make_chunk(records, dmap, cell_ids=CELLS):
-    return Chunk.from_log(EventLog.from_records(records), dmap, cell_ids)
+    """A chunk of (event, ue, t, x, y, serving, target) rows."""
+    return Chunk.from_log(EventLog.from_rows(records), dmap, cell_ids)
 
 
 def whole_calls(chunk):
@@ -113,10 +113,8 @@ def _ho_attempt_call(ue, serving, target, count):
     recs = []
     t = 0
     for _ in range(count):
-        recs.append(MdtRecord(event=EventId.A3_RSRP, ue=ue, t=t, x=0.0, y=0.0,
-                              serving=serving, target=target))
-        recs.append(MdtRecord(event=EventId.HO_COMMAND, ue=ue, t=t + 1, x=0.0, y=0.0,
-                              serving=serving, target=target))
+        recs.append((EventId.A3_RSRP, ue, t, 0.0, 0.0, serving, target))
+        recs.append((EventId.HO_COMMAND, ue, t + 1, 0.0, 0.0, serving, target))
         t += 2
     return recs
 
@@ -146,8 +144,8 @@ def test_symmetry_location_mode_counts_crossings():
     dmap = split_map(left=1, right=2)
     # movement left->right: pair of consecutive events straddling the border
     cross = make_chunk([
-        MdtRecord(event=EventId.RLF, ue=0, t=0, x=5.0, y=5.0, serving=1),
-        MdtRecord(event=EventId.RLF, ue=0, t=1, x=35.0, y=5.0, serving=1),
+        (EventId.RLF, 0, 0, 5.0, 5.0, 1, NO_TARGET),
+        (EventId.RLF, 0, 1, 35.0, 5.0, 1, NO_TARGET),
     ], dmap)
     empty = make_chunk([], dmap)
     h = sc_2gram_symmetry_deviation(CELLS, empty, cross, adjacency, mode="location")
@@ -186,7 +184,7 @@ def test_target_cell_needs_no_locations():
     records = call_records(
         [EventId.HO_COMMAND, EventId.HO_COMPLETE], ue=1, xs=[5.0, 35.0], targets=[2, 2]
     )
-    log = EventLog.from_records(records)
+    log = EventLog.from_rows(records)
     chunk = Chunk.from_log(log, dmap, CELLS)
     stripped = Chunk.from_log(strip_locations(log), dmap, CELLS)
     assert chunk.cell.tolist() != stripped.cell.tolist()
@@ -254,10 +252,9 @@ def test_columnar_localizers_match_per_subcall_loops(seed, m, n_frac):
         for ue in range(int(rng.integers(1, 6))):
             for t in range(int(rng.integers(0, 40))):
                 event = EventId(int(rng.integers(0, 9)))
-                target = int(rng.choice(cell_ids + [99])) if event in TARGETED_EVENTS else None
-                records.append(MdtRecord(event=event, ue=ue, t=int(rng.integers(0, 30)),
-                                         x=float(rng.uniform(0, 40)), y=float(rng.uniform(0, 40)),
-                                         serving=3, target=target))
+                target = int(rng.choice(cell_ids + [99])) if event in TARGETED_EVENTS else NO_TARGET
+                records.append((event, ue, int(rng.integers(0, 30)),
+                                float(rng.uniform(0, 40)), float(rng.uniform(0, 40)), 3, target))
         return featurize_chunk(make_chunk(records, dmap, cell_ids), m=m, n=n)
 
     train, test = random_chunk(), random_chunk()

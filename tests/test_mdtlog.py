@@ -15,7 +15,6 @@ from sleepscan.mdtlog import (
     Chunk,
     EventId,
     EventLog,
-    MdtRecord,
     group_calls,
     lookup_index,
     make_fold_pairs,
@@ -46,9 +45,10 @@ def test_event_codes_are_stable():
 
 
 def _rec(event=EventId.RLF, ue=1, t=0, x=0.0, y=0.0, serving=1, target=None):
+    """One (event, ue, t, x, y, serving, target) row for `EventLog.from_rows`."""
     if event in TARGETED_EVENTS and target is None:
         target = 2
-    return MdtRecord(event=event, ue=ue, t=t, x=x, y=y, serving=serving, target=target)
+    return (int(event), ue, t, x, y, serving, NO_TARGET if target is None else target)
 
 
 def _columns(log):
@@ -59,8 +59,8 @@ def _group_oracle(records):
     """Calls as the record-object pipeline built them: per ue in ue order, stable by t."""
     by_ue = {}
     for rec in records:
-        by_ue.setdefault(rec.ue, []).append(rec)
-    return [sorted(by_ue[ue], key=lambda r: r.t) for ue in sorted(by_ue)]
+        by_ue.setdefault(rec[1], []).append(rec)
+    return [sorted(by_ue[ue], key=lambda r: r[2]) for ue in sorted(by_ue)]
 
 
 def test_parse_empty_file(tmp_path):
@@ -81,7 +81,7 @@ def test_grouping_and_lengths(tmp_path):
         _rec(ue=7, t=2),
     ]
     path = tmp_path / "log.jsonl"
-    write_records(records, path)
+    write_records(EventLog.from_rows(records), path)
     grouped, bounds = group_calls(read_records(path))
     assert grouped.ue[bounds[:-1]].tolist() == [7, 9]
     assert np.diff(bounds).tolist() == [3, 2]
@@ -122,7 +122,7 @@ def test_tie_in_t_keeps_file_order(tmp_path):
         _rec(ue=1, t=5, event=EventId.A2_RSRQ_ENTER),
     ]
     path = tmp_path / "log.jsonl"
-    write_records(records, path)
+    write_records(EventLog.from_rows(records), path)
     grouped, bounds = group_calls(read_records(path))
     assert bounds.tolist() == [0, 3]
     assert grouped.event.tolist() == [EventId.RLF, EventId.RLF_REESTAB, EventId.A2_RSRQ_ENTER]
@@ -148,22 +148,23 @@ records_st = st.lists(
 @given(records_st)
 def test_roundtrip_is_field_exact(tmp_path_factory, records):
     path = tmp_path_factory.mktemp("rt") / "log.jsonl"
-    write_records(records, path)
+    write_records(EventLog.from_rows(records), path)
     log = read_records(path)
-    assert _columns(log) == _columns(EventLog.from_records(records))
+    assert _columns(log) == _columns(EventLog.from_rows(records))
     assert all(t != NO_TARGET for t in log.target.tolist())
     # grouped calls match direct grouping of the in-memory records
     grouped, bounds = group_calls(log)
     calls = _group_oracle(records)
     assert np.diff(bounds).tolist() == [len(c) for c in calls]
     flat = [rec for call in calls for rec in call]
-    assert _columns(grouped) == _columns(EventLog.from_records(flat))
+    assert _columns(grouped) == _columns(EventLog.from_rows(flat))
 
 
 def _json_dumps_line(rec):
     """Reference line: json.dumps of the record's dict."""
-    obj = {"ue": rec.ue, "t": rec.t, "event": WIRE_NAMES[rec.event], "x": rec.x, "y": rec.y,
-           "serving": rec.serving, "target": rec.target}
+    event, ue, t, x, y, serving, target = rec
+    obj = {"ue": ue, "t": t, "event": WIRE_NAMES[EventId(event)], "x": x, "y": y,
+           "serving": serving, "target": None if target == NO_TARGET else target}
     return json.dumps(obj) + "\n"
 
 
@@ -178,11 +179,11 @@ def test_write_records_matches_json_dumps(tmp_path):
             zip(list(EventId) * 3, AWKWARD_FLOATS + AWKWARD_FLOATS[::-1], [None, 7, None, 21] * 7)
         )
     ]
-    assert any(r.target is None for r in records) and any(r.target is not None for r in records)
+    assert any(r[6] == NO_TARGET for r in records) and any(r[6] != NO_TARGET for r in records)
     path = tmp_path / "log.jsonl"
-    write_records(records, path)
+    write_records(EventLog.from_rows(records), path)
     assert path.read_bytes() == "".join(_json_dumps_line(r) for r in records).encode()
-    write_records([], path)
+    write_records(EventLog.from_rows([]), path)
     assert path.read_bytes() == b""
 
 
@@ -199,7 +200,7 @@ def test_write_records_matches_json_dumps(tmp_path):
 ), max_size=20))
 def test_write_records_matches_json_dumps_on_any_finite_float(tmp_path_factory, records):
     path = tmp_path_factory.mktemp("wr") / "log.jsonl"
-    write_records(records, path)
+    write_records(EventLog.from_rows(records), path)
     assert path.read_bytes() == "".join(_json_dumps_line(r) for r in records).encode()
 
 
@@ -225,14 +226,14 @@ def test_chunk_attaches_cells_and_truth_by_call_position():
         _rec(ue=1, t=1, x=35.0),
     ]
     truth = {(2, 1): True, (1, 0): False}
-    chunk = Chunk.from_log(EventLog.from_records(records), dmap, [3, 5], truth)
+    chunk = Chunk.from_log(EventLog.from_rows(records), dmap, [3, 5], truth)
     assert chunk.log.ue.tolist() == [1, 1, 2, 2]
     assert chunk.log.t.tolist() == [0, 1, 0, 1]
     assert chunk.call_bounds.tolist() == [0, 2, 4]
     assert chunk.cell.tolist() == [1, 0, 1, 0]  # indices into [3, 5]
     assert chunk.affected.tolist() == [False, False, False, True]
     with pytest.raises(DataError):
-        Chunk.from_log(EventLog.from_records(records), dmap, [3], truth)
+        Chunk.from_log(EventLog.from_rows(records), dmap, [3], truth)
 
 
 def test_lookup_index():

@@ -1,18 +1,23 @@
 import csv
 import io
 import json
+from collections import namedtuple
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sleepscan.config import RunConfig
 from sleepscan.errors import ConfigError
-from sleepscan.mdtlog import EventId, MdtRecord, write_records
+from sleepscan.mdtlog import NO_TARGET, EventId, EventLog, write_records
+from sleepscan.pipeline import suite_from_config
 from sleepscan.simgen import (
     Cell,
     FaultConfig,
     NetworkLayout,
     SimConfig,
-    build_dominance_map,
     build_radio_map,
     derive_adjacency,
     derive_seeds,
@@ -26,9 +31,16 @@ from sleepscan.simgen import (
 from sleepscan.simgen.dominance import DOMINANCE_HEADER, DominanceMap, path_gain, write_dominance_csv
 from sleepscan.simgen.fields import ShadowingField, gaussian_filter_wrap
 from sleepscan.simgen.layout import GridSpec, sector_gain_db
-from sleepscan.simgen.suite import truth_rows, write_truth
+from sleepscan.simgen.suite import load_suite, split_chunks, suite_roles, truth_rows, write_suite, write_truth
 
 FAST_SIM = dict(ues_per_cell=3, duration_steps=1200, rng_seed=9)
+
+Record = namedtuple("Record", "event ue t x y serving target")
+
+
+def records(log):
+    """A log's records as named tuples, in record order."""
+    return [Record(*row) for row in log.rows()]
 
 
 def omni_layout(positions, wrap=False):
@@ -53,7 +65,7 @@ def test_pathloss_formula_and_floor():
 def test_single_cell_dominates_everywhere():
     layout = omni_layout([(0.0, 0.0)])
     grid = small_grid()
-    dmap = build_dominance_map(layout, ShadowingField.zeros(grid, 1))
+    dmap = build_radio_map(layout, ShadowingField.zeros(grid, 1)).dominance
     assert np.all(dmap.grid == 1)
 
 
@@ -61,7 +73,7 @@ def test_tie_breaks_to_lower_cell_id():
     # co-located cells tie at every pixel
     layout = omni_layout([(0.0, 0.0), (0.0, 0.0)])
     grid = small_grid()
-    dmap = build_dominance_map(layout, ShadowingField.zeros(grid, 2))
+    dmap = build_radio_map(layout, ShadowingField.zeros(grid, 2)).dominance
     assert np.all(dmap.grid == 1)
 
 
@@ -162,7 +174,7 @@ def test_path_gain_shares_site_geometry_exactly(wrap):
     assert np.array_equal(path_gain(omni, small_grid()), _per_cell_gain(omni, small_grid()))
     # the planned adjacency is the zero-shadow map's, with or without a shared gain
     zero = ShadowingField.zeros(grid, len(layout.cells))
-    expected = derive_adjacency(build_dominance_map(layout, zero))
+    expected = derive_adjacency(build_radio_map(layout, zero).dominance)
     assert layout_adjacency(layout, grid) == expected
     assert layout_adjacency(layout, grid, gain) == expected
 
@@ -171,7 +183,7 @@ def test_faulty_cell_dominance_share():
     layout = macro21_layout()
     grid = layout.default_grid()
     for seed in (0, 1, 2):
-        dmap = build_dominance_map(layout, make_shadowing(layout, grid, seed=seed))
+        dmap = build_radio_map(layout, make_shadowing(layout, grid, seed=seed)).dominance
         share = dmap.share_of(1)
         assert abs(share - 1.0 / 21.0) < 0.03
 
@@ -197,14 +209,14 @@ def small_world():
 
 def test_fault_free_run_has_no_failure_events(small_world):
     layout, radio = small_world
-    out = simulate(layout, None, SimConfig(**FAST_SIM), FaultConfig(enabled=False), radio=radio)
-    events = [r.event for r in out.records]
+    log, affected = simulate(layout, SimConfig(**FAST_SIM), FaultConfig(enabled=False), radio)
+    events = [r.event for r in records(log)]
     assert EventId.PL_PROBLEM not in events
     assert EventId.RLF not in events
-    assert not any(out.affected)
+    assert not any(affected)
     # every command is followed by a completion for the same UE and target
     pending = {}
-    for rec in out.records:
+    for rec in records(log):
         if rec.event == EventId.HO_COMMAND:
             assert pending.get(rec.ue) is None
             pending[rec.ue] = rec.target
@@ -215,12 +227,12 @@ def test_fault_free_run_has_no_failure_events(small_world):
 
 def test_fault_blocks_all_access_to_cell_one(small_world):
     layout, radio = small_world
-    out = simulate(layout, None, SimConfig(**FAST_SIM), FaultConfig(enabled=True, faulty_cell=1), radio=radio)
-    completes_to_faulty = [r for r in out.records if r.event == EventId.HO_COMPLETE and r.target == 1]
+    log, affected = simulate(layout, SimConfig(**FAST_SIM), FaultConfig(enabled=True, faulty_cell=1), radio)
+    completes_to_faulty = [r for r in records(log) if r.event == EventId.HO_COMPLETE and r.target == 1]
     assert completes_to_faulty == []
     # every command toward the faulty cell is followed by the failure triple
     by_ue = {}
-    for rec in out.records:
+    for rec in records(log):
         by_ue.setdefault(rec.ue, []).append(rec)
     commands = 0
     for ue, recs in by_ue.items():
@@ -232,14 +244,14 @@ def test_fault_blocks_all_access_to_cell_one(small_world):
                 pl = later.index(EventId.PL_PROBLEM)
                 assert later[pl : pl + 3] == [EventId.PL_PROBLEM, EventId.RLF, EventId.RLF_REESTAB]
     assert commands > 0
-    assert any(out.affected)
+    assert any(affected)
 
 
 def test_event_grammar(small_world):
     layout, radio = small_world
-    out = simulate(layout, None, SimConfig(**FAST_SIM), FaultConfig(enabled=True, faulty_cell=1), radio=radio)
+    log, _ = simulate(layout, SimConfig(**FAST_SIM), FaultConfig(enabled=True, faulty_cell=1), radio)
     by_ue = {}
-    for rec in out.records:
+    for rec in records(log):
         by_ue.setdefault(rec.ue, []).append(rec)
     for recs in by_ue.values():
         events = [r.event for r in recs]
@@ -258,27 +270,27 @@ def test_determinism_bit_for_bit(small_world, tmp_path):
     layout, radio = small_world
     sim = SimConfig(**FAST_SIM)
     fault = FaultConfig(enabled=True, faulty_cell=1)
-    a = simulate(layout, None, sim, fault, radio=radio)
-    b = simulate(layout, None, sim, fault, radio=radio)
+    log_a, affected_a = simulate(layout, sim, fault, radio)
+    log_b, affected_b = simulate(layout, sim, fault, radio)
     pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_records(a.records, pa)
-    write_records(b.records, pb)
+    write_records(log_a, pa)
+    write_records(log_b, pb)
     assert pa.read_bytes() == pb.read_bytes()
-    assert a.affected == b.affected
+    assert affected_a.tolist() == affected_b.tolist()
 
 
 def test_seed_changes_the_log(small_world):
     layout, radio = small_world
-    base = simulate(layout, None, SimConfig(**FAST_SIM), FaultConfig(), radio=radio)
-    other = simulate(layout, None, SimConfig(**{**FAST_SIM, "rng_seed": 10}), FaultConfig(), radio=radio)
-    assert base.records != other.records
+    base, _ = simulate(layout, SimConfig(**FAST_SIM), FaultConfig(), radio)
+    other, _ = simulate(layout, SimConfig(**{**FAST_SIM, "rng_seed": 10}), FaultConfig(), radio)
+    assert records(base) != records(other)
 
 
 def test_records_stay_in_bounds(small_world):
     layout, radio = small_world
-    out = simulate(layout, None, SimConfig(**FAST_SIM), FaultConfig(), radio=radio)
+    log, _ = simulate(layout, SimConfig(**FAST_SIM), FaultConfig(), radio)
     x0, x1, y0, y1 = radio.grid_spec.extent
-    for rec in out.records:
+    for rec in records(log):
         assert x0 <= rec.x <= x1 and y0 <= rec.y <= y1
 
 
@@ -294,12 +306,12 @@ def test_a2_rsrp_state_machine_with_weak_transmitter():
     radio = build_radio_map(layout, ShadowingField.zeros(grid, 1))
     assert radio.rsrp_dbm.min() < -113.0 < -107.0 < radio.rsrp_dbm.max()
     sim = SimConfig(ues_per_cell=30, duration_steps=3000, rng_seed=1)
-    out = simulate(layout, None, sim, FaultConfig(enabled=False), radio=radio)
-    enters = [r for r in out.records if r.event == EventId.A2_RSRP_ENTER]
-    leaves = [r for r in out.records if r.event == EventId.A2_RSRP_LEAVE]
+    log, _ = simulate(layout, sim, FaultConfig(enabled=False), radio)
+    enters = [r for r in records(log) if r.event == EventId.A2_RSRP_ENTER]
+    leaves = [r for r in records(log) if r.event == EventId.A2_RSRP_LEAVE]
     assert enters and leaves
     by_ue = {}
-    for rec in out.records:
+    for rec in records(log):
         if rec.event in (EventId.A2_RSRP_ENTER, EventId.A2_RSRP_LEAVE):
             by_ue.setdefault(rec.ue, []).append(rec.event)
     for events in by_ue.values():
@@ -327,15 +339,15 @@ def test_dataset_suite_structure():
     n_ue = 2 * 21
     for role, data in suite.roles.items():
         assert len(data.chunks) == 6
-        chunk_ues = [sorted({r.ue for r in chunk}) for chunk in data.chunks]
+        chunk_ues = [sorted({r.ue for r in records(chunk)}) for chunk in data.chunks]
         union = sorted(u for chunk in chunk_ues for u in chunk)
-        assert union == sorted({r.ue for r in data.records})
+        assert union == sorted({r.ue for r in records(data.records)})
         flat = [u for chunk in chunk_ues for u in chunk]
         assert len(flat) == len(set(flat))  # pairwise disjoint
-        assert len({r.ue for r in data.records}) == n_ue
+        assert len({r.ue for r in records(data.records)}) == n_ue
     # problematic has zero completed handovers into the faulty cell, normal more
-    def completes_to_1(records):
-        return sum(1 for r in records if r.event == EventId.HO_COMPLETE and r.target == 1)
+    def completes_to_1(log):
+        return sum(1 for r in records(log) if r.event == EventId.HO_COMPLETE and r.target == 1)
 
     assert completes_to_1(suite.roles["problematic"].records) == 0
     assert completes_to_1(suite.roles["normal"].records) > 0
@@ -349,26 +361,84 @@ def test_dataset_suite_structure():
 
 
 def test_write_truth_matches_json_dumps(tmp_path):
-    records = [
-        MdtRecord(event=EventId.RLF, ue=ue, t=t, x=0.0, y=0.0, serving=1)
-        for t, ue in enumerate((4, 0, 4, 12, 0, 4))
-    ]
+    log = EventLog.from_rows(
+        (EventId.RLF, ue, t, 0.0, 0.0, 1, NO_TARGET) for t, ue in enumerate((4, 0, 4, 12, 0, 4))
+    )
     affected = [True, False, False, True, True, False]
     path = tmp_path / "truth.jsonl"
-    write_truth(records, affected, path)
+    write_truth(log, affected, path)
     expected = "".join(
         json.dumps({"ue": ue, "event_index": idx, "affected": flag}) + "\n"
-        for ue, idx, flag in truth_rows(records, affected)
+        for ue, idx, flag in truth_rows(log, affected)
     )
     assert path.read_bytes() == expected.encode()
     assert [json.loads(line)["affected"] for line in path.read_text().splitlines()] == affected
 
 
+def _split_chunks_oracle(rows, n_chunks):
+    """The per-record loop: each record to chunk ue mod n_chunks, in record order."""
+    chunks = [[] for _ in range(n_chunks)]
+    for row in rows:
+        chunks[row[1] % n_chunks].append(row)
+    return chunks
+
+
+def _truth_rows_oracle(rows, affected):
+    """The per-record loop: a counter per UE numbers its records in record order."""
+    counters, out = {}, []
+    for row, flag in zip(rows, affected):
+        idx = counters.get(row[1], 0)
+        counters[row[1]] = idx + 1
+        out.append((row[1], idx, bool(flag)))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(ue_flags=st.lists(st.tuples(st.integers(-3, 12), st.booleans()), max_size=60), n_chunks=st.integers(1, 20))
+@example(ue_flags=[], n_chunks=3)
+@example(ue_flags=[(5, True), (2, False), (5, False), (2, True), (9, True), (5, True)], n_chunks=8)
+def test_columnar_split_and_truth_match_per_record_loops(ue_flags, n_chunks):
+    rows = [
+        (i % 9, ue, i, 0.5 * i, -1.0 * i, 1 + i % 21, NO_TARGET if i % 2 else i % 21)
+        for i, (ue, _) in enumerate(ue_flags)
+    ]
+    affected = [flag for _, flag in ue_flags]
+    log = EventLog.from_rows(rows)
+    chunks = split_chunks(log, n_chunks)
+    assert [chunk.rows() for chunk in chunks] == _split_chunks_oracle(rows, n_chunks)
+    dtypes = [getattr(log, f.name).dtype for f in fields(log)]
+    assert all([getattr(chunk, f.name).dtype for f in fields(chunk)] == dtypes for chunk in chunks)
+    assert truth_rows(log, np.array(affected, dtype=bool)) == _truth_rows_oracle(rows, affected)
+
+
+SMOKE = {"ues_per_cell": 3, "duration_steps": 800, "map_resolution_m": 10.0, "knn_k": 5, "master_seed": 42}
+
+
+@pytest.mark.parametrize("overrides", [{}, {"a2_report_interval_ms": 200}], ids=["smoke", "a2_report_interval"])
+def test_suite_roles_equal_the_written_suite_loaded_back(overrides, tmp_path):
+    suite = suite_from_config(RunConfig.from_dict({**SMOKE, **overrides}))
+    write_suite(suite, tmp_path / "suite")
+    _, _, loaded = load_suite(tmp_path / "suite")
+    in_memory = suite_roles(suite)
+    assert set(in_memory) == set(loaded) == {"normal", "problematic", "reference"}
+    for role, expected in loaded.items():
+        got = in_memory[role]
+        assert len(got.chunks) == len(expected.chunks) == 6
+        for a, b in zip(got.chunks, expected.chunks):
+            for f in fields(a.log):
+                column_a, column_b = getattr(a.log, f.name), getattr(b.log, f.name)
+                assert column_a.dtype == column_b.dtype and np.array_equal(column_a, column_b), (role, f.name)
+            for name in ("call_bounds", "cell", "affected"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), (role, name)
+    assert any(chunk.affected.any() for chunk in loaded["problematic"].chunks)
+
+
 def test_write_dominance_csv_matches_csv_writer(tmp_path):
     grid = np.array([[1, 2, 3], [21, 1, 7]], dtype=np.int64)
     spec = GridSpec(origin_x=0.0, origin_y=0.0, resolution_m=10.0, nx=3, ny=2)
-    path = tmp_path / "dominance.csv"
-    write_dominance_csv(DominanceMap(grid_spec=spec, grid=grid), path)
+    path, second = tmp_path / "dominance.csv", tmp_path / "second.csv"
+    write_dominance_csv(DominanceMap(grid_spec=spec, grid=grid), path, second)
+    assert second.read_bytes() == path.read_bytes()
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(DOMINANCE_HEADER.split(","))
