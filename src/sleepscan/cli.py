@@ -9,7 +9,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +82,8 @@ def cmd_detect(args) -> int:
     print(f"running {len(fold_inputs)} folds (jobs={args.jobs})")
 
     if args.jobs and args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: the import costs every command ~30 ms
+
         with ProcessPoolExecutor(
             max_workers=args.jobs,
             initializer=_detect_worker_init,

@@ -6,6 +6,17 @@ One JSONL record per line:
 Event names on the wire use the human-readable spellings
 ("HO COMMAND", "RLF REESTAB.", ...).
 
+`read_records` parses a file in one pass when every line is exactly
+what `write_records` emits: the keys in the order above, each followed
+by `": "` and separated by `", "`, the nine wire names, integers in JSON
+grammar (`-?(0|[1-9][0-9]*)`), x and y spelled as a float `repr` is
+(`100.0`, `-0.0`, `1e-07`, `1.7976931348623157e+308`), target `null` or
+an integer, and a `"\\n"` after every line, the last included.  The file
+must also carry a target on every targeted event and fit every integer
+in 64 bits.  Any other file (blank lines, reordered keys, other spacing
+or number spellings, a bad line) is read line by line with `json.loads`,
+which gives the same columns or a `ParseError` naming the line.
+
 A log is an `EventLog` (one numpy array per field) from the simulator
 to the detector; a dataset chunk is a `Chunk`, whose records are ordered
 into calls once, at load.
@@ -14,6 +25,7 @@ into calls once, at load.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, fields, replace
 from enum import IntEnum
 
@@ -147,18 +159,25 @@ class Chunk:
     def from_log(cls, log: EventLog, dominance, cell_ids, truth=None) -> "Chunk":
         """Order a log into calls and attach cells and truth.
 
-        dominance is the role's `DominanceMap`; truth maps (ue, position in
-        the call) to the fault flag, absent keys reading as unaffected.
+        dominance is the role's `DominanceMap`; truth is the (ue,
+        event_index, affected) arrays of the role's truth file, keyed by
+        (ue, position in the call).  Absent keys read as unaffected, and
+        a key listed more than once keeps its last flag.
         """
         log, bounds = group_calls(log)
         cell = lookup_index(dominance.cell_at(log.x, log.y), cell_ids)
         if (cell < 0).any():
             raise DataError("dominance map places records in cells missing from the suite's cell ids")
         affected = np.zeros(len(log), dtype=bool)
-        if truth:
-            position = np.arange(len(log)) - np.repeat(bounds[:-1], np.diff(bounds))
-            keys = zip(log.ue.tolist(), position.tolist())
-            affected = np.fromiter((truth.get(k, False) for k in keys), dtype=bool, count=len(log))
+        if truth is not None:
+            ue, index, flag = (np.asarray(column) for column in truth)
+            call = lookup_index(ue, log.ue[bounds[:-1]])  # calls are one per UE, in ue order
+            found = call >= 0
+            call, index, flag = call[found], index[found], flag[found]
+            inside = (index >= 0) & (index < bounds[call + 1] - bounds[call])
+            record = bounds[call[inside]] + index[inside]
+            last = len(record) - 1 - np.unique(record[::-1], return_index=True)[1]
+            affected[record[last]] = flag[inside][last]
         return cls(log=log, call_bounds=bounds, cell=cell, affected=affected)
 
 
@@ -177,7 +196,7 @@ def _row_from_obj(obj: dict, path, lineno: int) -> tuple:
     try:
         x = float(obj["x"])
         y = float(obj["y"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: float(10**400)
         raise ParseError(path, lineno, "non-numeric coordinate") from None
     target = obj.get("target")
     if target is None and code in _TARGETED_CODES:
@@ -192,13 +211,71 @@ def _row_from_obj(obj: dict, path, lineno: int) -> tuple:
             int(obj["serving"]),
             NO_TARGET if target is None else int(target),
         )
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: int(Infinity)
         raise ParseError(path, lineno, "malformed field value") from None
 
 
+JSON_INT = r"-?(?:0|[1-9][0-9]*)"
+_FLOAT_REPR = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:e[+-][0-9]+)?|e[+-][0-9]+)"
+_WIRE_NAME = "|".join(re.escape(name) for name in WIRE_NAMES.values())
+# One line as `write_records` emits it; target is captured empty when null.
+_RECORD_LINE = re.compile(
+    rf'^{{"ue": ({JSON_INT}), "t": ({JSON_INT}), "event": "({_WIRE_NAME})", "x": ({_FLOAT_REPR}), '
+    rf'"y": ({_FLOAT_REPR}), "serving": ({JSON_INT}), "target": (?:null|({JSON_INT}))}}\n',
+    re.MULTILINE | re.ASCII,
+)
+
+
+def line_columns(line: re.Pattern, text: str) -> list[tuple[str, ...]] | None:
+    """The captures of line, column by column, if every line of text matches it.
+
+    line is a MULTILINE pattern anchored at `^` that ends in `\\n` and
+    matches no `\\n` before that, so each match is exactly one line.
+    None when some line does not match or the last line lacks its `\\n`.
+    """
+    rows = line.findall(text)
+    if len(rows) != text.count("\n") or (text and not text.endswith("\n")):
+        return None
+    return list(zip(*rows)) or [()] * line.groups
+
+
+def _parse_written_records(text: str) -> EventLog | None:
+    """Columns of a log in exactly `write_records`' format, else None."""
+    columns = line_columns(_RECORD_LINE, text)
+    if columns is None:
+        return None
+    ue, t, names, x, y, serving, target = columns
+    event = np.array([_CODES_BY_NAME[name] for name in names], dtype=np.int64)
+    no_target = np.array([not value for value in target], dtype=bool)
+    if (no_target & np.isin(event, list(_TARGETED_CODES))).any():
+        return None
+    try:
+        ue, t, serving, target = (
+            np.array(column, dtype=np.int64)
+            for column in (ue, t, serving, [value or str(NO_TARGET) for value in target])
+        )
+    except OverflowError:
+        return None
+    x, y = np.array(x, dtype=np.float64), np.array(y, dtype=np.float64)
+    return EventLog(event=event, ue=ue, t=t, x=x, y=y, serving=serving, target=target)
+
+
 def read_records(path) -> EventLog:
-    """Read a JSONL log into columns, in file order."""
-    rows = []
+    """Read a JSONL log into columns, in file order.
+
+    A file in exactly `write_records`' format is parsed in one pass;
+    any other is read line by line, with the same result or error.
+    """
+    with open(path, encoding="utf-8") as fh:
+        log = _parse_written_records(fh.read())
+    return _read_records_per_line(path) if log is None else log
+
+
+def json_objects(path):
+    """(line number, object) for each non-blank line of a JSONL file.
+
+    A line that is not a JSON object is a ParseError naming it.
+    """
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -210,7 +287,11 @@ def read_records(path) -> EventLog:
                 raise ParseError(path, lineno, "invalid JSON") from None
             if not isinstance(obj, dict):
                 raise ParseError(path, lineno, "record is not an object")
-            rows.append(_row_from_obj(obj, path, lineno))
+            yield lineno, obj
+
+
+def _read_records_per_line(path) -> EventLog:
+    rows = [_row_from_obj(obj, path, lineno) for lineno, obj in json_objects(path)]
     try:
         return EventLog.from_rows(rows)
     except OverflowError:

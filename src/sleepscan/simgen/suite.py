@@ -12,13 +12,14 @@ chunks in a full K x K cross.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import DataError
-from ..mdtlog import Chunk, EventLog, read_records, write_records
+from ..errors import DataError, ParseError
+from ..mdtlog import JSON_INT, Chunk, EventLog, json_objects, line_columns, read_records, write_records
 from .dominance import (
     RadioMap,
     build_radio_map,
@@ -111,36 +112,73 @@ def generate_dataset_suite(
     )
 
 
-def truth_rows(log: EventLog, affected) -> list[tuple[int, int, bool]]:
-    """(ue, event_index within the UE's call, affected) per record, in record order."""
+def truth_rows(log: EventLog, affected) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ue, event_index within the UE's call, affected) arrays, one entry per record in record order."""
     order = np.argsort(log.ue, kind="stable")
     ue_sorted = log.ue[order]
     index = np.empty(len(log), dtype=np.int64)
     # a record's rank in the stable ue order, less the rank of its UE's first record
     index[order] = np.arange(len(log)) - np.searchsorted(ue_sorted, ue_sorted)
-    return list(zip(log.ue.tolist(), index.tolist(), np.asarray(affected, dtype=bool).tolist()))
+    return log.ue, index, np.asarray(affected, dtype=bool)
 
 
 def write_truth(log: EventLog, affected, path) -> None:
     """Ground truth JSONL keyed by (ue, event_index within the UE's call)."""
     lines = [
         f'{{"ue": {ue}, "event_index": {idx}, "affected": {"true" if flag else "false"}}}\n'
-        for ue, idx, flag in truth_rows(log, affected)
+        for ue, idx, flag in zip(*(column.tolist() for column in truth_rows(log, affected)))
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(lines))
 
 
-def load_truth(path) -> dict[tuple[int, int], bool]:
-    truth = {}
+# One line as `write_truth` emits it.
+_TRUTH_LINE = re.compile(
+    rf'^{{"ue": ({JSON_INT}), "event_index": ({JSON_INT}), "affected": (true|false)}}\n',
+    re.MULTILINE | re.ASCII,
+)
+
+
+def _parse_written_truth(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The arrays of a truth file in exactly `write_truth`'s format, else None."""
+    columns = line_columns(_TRUTH_LINE, text)
+    if columns is None:
+        return None
+    ue, index, affected = columns
+    try:
+        ue, index = np.array(ue, dtype=np.int64), np.array(index, dtype=np.int64)
+    except OverflowError:
+        return None
+    return ue, index, np.array([flag == "true" for flag in affected], dtype=bool)
+
+
+def load_truth(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ue, event_index, affected) arrays of a truth file, in file order.
+
+    A file in exactly `write_truth`'s format is parsed in one pass; any
+    other is read line by line, with the same result or error.
+    """
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            truth[(int(obj["ue"]), int(obj["event_index"]))] = bool(obj["affected"])
-    return truth
+        truth = _parse_written_truth(fh.read())
+    return _load_truth_per_line(path) if truth is None else truth
+
+
+def _load_truth_per_line(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ues, indices, flags = [], [], []
+    for lineno, obj in json_objects(path):
+        for field in ("ue", "event_index", "affected"):
+            if field not in obj:
+                raise ParseError(path, lineno, f"missing required field {field!r}")
+        try:
+            ues.append(int(obj["ue"]))
+            indices.append(int(obj["event_index"]))
+        except (TypeError, ValueError, OverflowError):  # OverflowError: int(Infinity)
+            raise ParseError(path, lineno, "malformed field value") from None
+        flags.append(bool(obj["affected"]))
+    try:
+        return np.array(ues, dtype=np.int64), np.array(indices, dtype=np.int64), np.array(flags, dtype=bool)
+    except OverflowError:
+        raise DataError(f"{path}: integer field outside the 64-bit range") from None
 
 
 def write_suite(suite: DatasetSuite, out_dir, manifest_extra: dict | None = None) -> Path:
@@ -198,36 +236,54 @@ class LoadedRole:
     chunks: list[Chunk]
 
 
+# What detect reads of a suite manifest.
+_MANIFEST_KEYS = ("grid", "cell_ids", "files", "adjacency", "faulty_cell")
+
+
 def load_suite(data_dir):
     """Read back a written suite: manifest, grid, and each role's chunks.
 
     Every chunk is parsed once into columns, with each record's dominance
-    cell and ground-truth flag attached (`mdtlog.Chunk`).
+    cell and ground-truth flag attached (`mdtlog.Chunk`).  A malformed
+    manifest or a missing file is a DataError naming the file.
     """
     data_dir = Path(data_dir)
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.exists():
         raise DataError(f"no manifest.json in {data_dir}")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    g = manifest["grid"]
-    grid = GridSpec(
-        origin_x=g["origin_x"],
-        origin_y=g["origin_y"],
-        resolution_m=g["resolution_m"],
-        nx=g["nx"],
-        ny=g["ny"],
-    )
+    try:
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+        if missing:
+            raise DataError(f"{manifest_path} lacks {', '.join(missing)}")
+        g = manifest["grid"]
+        grid = GridSpec(
+            origin_x=g["origin_x"],
+            origin_y=g["origin_y"],
+            resolution_m=g["resolution_m"],
+            nx=g["nx"],
+            ny=g["ny"],
+        )
+        files = [
+            (role, entry["truth"], entry["dominance"], list(entry["chunks"]))
+            for role, entry in manifest["files"].items()
+        ]
+    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"malformed {manifest_path}: {exc!r}") from None
     cell_ids = manifest["cell_ids"]
     roles = {}
-    for role, entry in manifest["files"].items():
-        truth = load_truth(data_dir / entry["truth"])
-        dominance = load_dominance_csv(data_dir / entry["dominance"], grid)
-        chunks = [
-            Chunk.from_log(read_records(data_dir / name), dominance, cell_ids, truth)
-            for name in entry["chunks"]
-        ]
-        roles[role] = LoadedRole(role=role, chunks=chunks)
+    try:
+        for role, truth_name, dominance_name, chunk_names in files:
+            truth = load_truth(data_dir / truth_name)
+            dominance = load_dominance_csv(data_dir / dominance_name, grid)
+            chunks = [
+                Chunk.from_log(read_records(data_dir / name), dominance, cell_ids, truth)
+                for name in chunk_names
+            ]
+            roles[role] = LoadedRole(role=role, chunks=chunks)
+    except FileNotFoundError as exc:
+        raise DataError(f"missing {exc.filename}") from None
     return manifest, grid, roles
 
 
@@ -235,7 +291,7 @@ def suite_roles(suite: DatasetSuite) -> dict[str, LoadedRole]:
     """The roles of an in-memory suite, as `load_suite` reads them back once written."""
     roles = {}
     for role, data in suite.roles.items():
-        truth = {(ue, idx): flag for ue, idx, flag in truth_rows(data.records, data.affected)}
+        truth = truth_rows(data.records, data.affected)
         chunks = [Chunk.from_log(chunk, data.radio.dominance, suite.cell_ids, truth) for chunk in data.chunks]
         roles[role] = LoadedRole(role=role, chunks=chunks)
     return roles

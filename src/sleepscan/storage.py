@@ -19,15 +19,19 @@ All floats are written with repr() so reruns are byte-identical.
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .mdtlog import FoldPair
+from .mdtlog import FoldPair, lookup_index
 from .pipeline import ALL_METHODS, FoldOutput, MethodAggregate
+
+
+_SCORES_TRAIN_HEADER = "row,ue,offset,score,anomalous"
+_SCORES_TEST_HEADER = "row,ue,offset,score,anomalous,fault_affected"
+_HISTOGRAMS_HEADER = "method,stage,cell_id,value"
 
 
 def fold_dir_name(pair: FoldPair) -> str:
@@ -51,21 +55,21 @@ def write_fold_output(out: FoldOutput, fold_dir) -> None:
         fh.write("\n")
 
     with open(fold_dir / "scores_train.csv", "w", encoding="utf-8") as fh:
-        fh.write("row,ue,offset,score,anomalous\n")
+        fh.write(_SCORES_TRAIN_HEADER + "\n")
         for i, ((ue, off), score, anom) in enumerate(
             zip(out.train_rows, out.train_scores, out.train_anomalous)
         ):
             fh.write(f"{i},{ue},{off},{float(score)!r},{int(anom)}\n")
 
     with open(fold_dir / "scores_test.csv", "w", encoding="utf-8") as fh:
-        fh.write("row,ue,offset,score,anomalous,fault_affected\n")
+        fh.write(_SCORES_TEST_HEADER + "\n")
         for i, ((ue, off), score, anom, aff) in enumerate(
             zip(out.test_rows, out.test_scores, out.test_anomalous, out.test_affected)
         ):
             fh.write(f"{i},{ue},{off},{float(score)!r},{int(anom)},{int(aff)}\n")
 
     with open(fold_dir / "histograms.csv", "w", encoding="utf-8") as fh:
-        fh.write("method,stage,cell_id,value\n")
+        fh.write(_HISTOGRAMS_HEADER + "\n")
         for method in ALL_METHODS:
             stages = out.histograms[method]
             for stage in sorted(stages):
@@ -80,8 +84,25 @@ def _parsing(path: Path):
         yield
     except FileNotFoundError:
         raise DataError(f"missing {path}") from None
-    except (KeyError, ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:  # JSONDecodeError is a ValueError
         raise DataError(f"malformed {path}: {exc!r}") from None
+
+
+def _csv_columns(path: Path, header: str) -> list[tuple[str, ...]]:
+    """The fields of a CSV file as written here, column by column, as strings.
+
+    The file must start with header and hold as many fields on every
+    other line; anything else is a DataError naming the file.
+    """
+    with _parsing(path), open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != header:
+        raise DataError(f"malformed {path}: the header is not {header!r}")
+    width = header.count(",") + 1
+    rows = [line.split(",") for line in lines[1:]]
+    if any(len(row) != width for row in rows):
+        raise DataError(f"malformed {path}: a row without {width} fields")
+    return list(zip(*rows)) or [()] * width
 
 
 def read_fold_output(fold_dir) -> FoldOutput:
@@ -99,28 +120,28 @@ def read_fold_output(fold_dir) -> FoldOutput:
         threshold = float(meta["threshold"])
         selected_components = int(meta["selected_components"])
 
-    def read_scores(name, with_affected):
-        rows, scores, anoms, affs = [], [], [], []
-        with _parsing(fold_dir / name), open(fold_dir / name, encoding="utf-8", newline="") as fh:
-            for rec in csv.DictReader(fh):
-                rows.append((int(rec["ue"]), int(rec["offset"])))
-                scores.append(float(rec["score"]))
-                anoms.append(bool(int(rec["anomalous"])))
-                if with_affected:
-                    affs.append(bool(int(rec["fault_affected"])))
-        return rows, np.array(scores), np.array(anoms, dtype=bool), np.array(affs, dtype=bool)
+    def read_scores(name, header):
+        path = fold_dir / name
+        columns = _csv_columns(path, header)
+        with _parsing(path):
+            ue, offset = (np.array(column, dtype=np.int64) for column in columns[1:3])
+            scores = np.array(columns[3], dtype=np.float64)
+            flags = [np.array(column, dtype=np.int64) != 0 for column in columns[4:]]
+        return list(zip(ue.tolist(), offset.tolist())), scores, *flags
 
-    train_rows, train_scores, train_anom, _ = read_scores("scores_train.csv", False)
-    test_rows, test_scores, test_anom, affected = read_scores("scores_test.csv", True)
+    train_rows, train_scores, train_anom = read_scores("scores_train.csv", _SCORES_TRAIN_HEADER)
+    test_rows, test_scores, test_anom, affected = read_scores("scores_test.csv", _SCORES_TEST_HEADER)
 
-    histograms: dict[str, dict[str, list]] = {}
-    index = {c: i for i, c in enumerate(cell_ids)}
     path = fold_dir / "histograms.csv"
-    with _parsing(path), open(path, encoding="utf-8", newline="") as fh:
-        for rec in csv.DictReader(fh):
-            stages = histograms.setdefault(rec["method"], {})
-            arr = stages.setdefault(rec["stage"], np.zeros(len(cell_ids)))
-            arr[index[int(rec["cell_id"])]] = float(rec["value"])
+    methods, stages, cells, values = _csv_columns(path, _HISTOGRAMS_HEADER)
+    with _parsing(path):
+        cell = lookup_index(np.array(cells, dtype=np.int64), cell_ids)
+        values = np.array(values, dtype=np.float64)
+    if (cell < 0).any():
+        raise DataError(f"malformed {path}: a cell id missing from fold.json")
+    histograms: dict[str, dict[str, np.ndarray]] = {}
+    for method, stage, i, value in zip(methods, stages, cell.tolist(), values.tolist()):
+        histograms.setdefault(method, {}).setdefault(stage, np.zeros(len(cell_ids)))[i] = value
     missing = [m for m in ALL_METHODS if m not in histograms]
     if missing:
         raise DataError(f"{path} has no rows for {', '.join(missing)}")

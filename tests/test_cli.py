@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import sleepscan
+from sleepscan import mdtlog, storage
 from sleepscan.cli import main
+from sleepscan.simgen import suite as suite_module
 
 TINY_CONFIG = {
     "ues_per_cell": 4,
@@ -216,6 +218,12 @@ def _bad_score_row(path):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _edit_line(path, index, edit):
+    lines = path.read_text().splitlines()
+    lines[index] = edit(lines[index])
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _drop_target_rows(path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(line for line in lines if not line.startswith("target,")) + "\n")
@@ -232,10 +240,15 @@ def _drop_target_rows(path):
         ("evaluate", "folds/problematic_0x0/histograms.csv", _drop_target_rows),
         ("report", "aggregate/labels_gram.json", lambda p: p.write_text("{bad")),
         ("report", "aggregate/labels_gram.json", lambda p: _drop_key(p, "pairings")),
+        ("evaluate", "folds/problematic_0x0/scores_train.csv", lambda p: _edit_line(p, 0, lambda h: h.upper())),
+        ("evaluate", "folds/problematic_0x0/histograms.csv", lambda p: _edit_line(p, 3, lambda r: r + ",0")),
+        ("evaluate", "folds/problematic_0x0/histograms.csv",
+         lambda p: _edit_line(p, 3, lambda r: ",".join(r.split(",")[:2] + ["999"] + r.split(",")[3:]))),
     ],
     ids=["manifest_not_json", "report_manifest_not_json", "manifest_without_faulty_cell",
          "fold_json_not_json", "scores_test_bad_row", "histograms_without_a_method",
-         "labels_not_json", "labels_without_pairings"],
+         "labels_not_json", "labels_without_pairings", "scores_train_other_header",
+         "histograms_long_row", "histograms_unknown_cell"],
 )
 def test_damaged_run_directory_is_data_error(tmp_path, detect_dir, capsys, command, name, damage):
     run = tmp_path / "run"
@@ -244,6 +257,58 @@ def test_damaged_run_directory_is_data_error(tmp_path, detect_dir, capsys, comma
     capsys.readouterr()
     assert main([command, "--out", str(run)]) == 3
     assert str(run / name) in capsys.readouterr().err
+
+
+def _append(path, text):
+    path.write_text(path.read_text() + text)
+
+
+def _drop_key_on_line(path, lineno, key):
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[lineno - 1])
+    del doc[key]
+    lines[lineno - 1] = json.dumps(doc)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "name,damage",
+    [
+        ("truth_normal.jsonl", lambda p: _append(p, "{bad")),
+        ("truth_normal.jsonl", lambda p: _drop_key_on_line(p, 3, "event_index")),
+        ("manifest.json", lambda p: p.write_text("{bad")),
+        ("manifest.json", lambda p: _drop_key(p, "grid")),
+        ("normal_chunk2.jsonl", lambda p: p.unlink()),
+        ("truth_reference.jsonl", lambda p: p.unlink()),
+    ],
+    ids=["truth_not_json", "truth_without_event_index", "manifest_not_json", "manifest_without_grid",
+         "missing_chunk", "missing_truth"],
+)
+def test_damaged_suite_is_data_error(tmp_path, tiny_config_path, dataset_dir, capsys, name, damage):
+    data = tmp_path / "suite"
+    shutil.copytree(dataset_dir, data)
+    damage(data / name)
+    capsys.readouterr()
+    assert main([
+        "detect", "--config", str(tiny_config_path), "--data", str(data), "--out", str(tmp_path / "out"),
+    ]) == 3
+    assert name in capsys.readouterr().err
+
+
+def test_written_suite_and_run_need_no_per_line_parser(dataset_dir, detect_dir, monkeypatch):
+    """The writers' own output parses in one pass; a format change that needs the slow path fails here."""
+    def per_line(path):
+        raise AssertionError(f"{path} needed the per-line parser")
+
+    monkeypatch.setattr(mdtlog, "_read_records_per_line", per_line)
+    monkeypatch.setattr(suite_module, "_load_truth_per_line", per_line)
+    _, _, roles = suite_module.load_suite(dataset_dir)
+    assert sum(len(chunk.log) for role in roles.values() for chunk in role.chunks) > 0
+    assert any(chunk.affected.any() for chunk in roles["problematic"].chunks)
+    fold_dirs = storage.list_fold_dirs(detect_dir)
+    assert len(fold_dirs) == 72
+    for fold_dir in fold_dirs:
+        storage.read_fold_output(fold_dir)
 
 
 def test_no_amplify_flag(tmp_path, tiny_config_path, dataset_dir):

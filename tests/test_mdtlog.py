@@ -3,7 +3,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sleepscan.errors import DataError, ParseError
@@ -16,6 +16,8 @@ from sleepscan.mdtlog import (
     EventId,
     EventLog,
     group_calls,
+    _parse_written_records,
+    _read_records_per_line,
     lookup_index,
     make_fold_pairs,
     read_records,
@@ -23,6 +25,7 @@ from sleepscan.mdtlog import (
 )
 from sleepscan.simgen.dominance import DominanceMap
 from sleepscan.simgen.layout import GridSpec
+from sleepscan.simgen.suite import _load_truth_per_line, load_truth, write_truth
 
 GOLDEN_CODES = {
     "PL PROBLEM": 0,
@@ -214,6 +217,12 @@ def test_fold_pairs_cross_product():
         make_fold_pairs("normal", list(range(6)), "problematic", [])
 
 
+def _truth_arrays(entries):
+    """(ue, event_index, affected) arrays, as `load_truth` returns them, from triples."""
+    ue, index, flag = zip(*entries) if entries else ((), (), ())
+    return np.array(ue, dtype=np.int64), np.array(index, dtype=np.int64), np.array(flag, dtype=bool)
+
+
 def test_chunk_attaches_cells_and_truth_by_call_position():
     spec = GridSpec(origin_x=0.0, origin_y=0.0, resolution_m=10.0, nx=4, ny=4)
     grid = np.full((4, 4), 5, dtype=np.int64)
@@ -225,7 +234,7 @@ def test_chunk_attaches_cells_and_truth_by_call_position():
         _rec(ue=2, t=0, x=5.0),
         _rec(ue=1, t=1, x=35.0),
     ]
-    truth = {(2, 1): True, (1, 0): False}
+    truth = _truth_arrays([(2, 1, True), (1, 0, False)])
     chunk = Chunk.from_log(EventLog.from_rows(records), dmap, [3, 5], truth)
     assert chunk.log.ue.tolist() == [1, 1, 2, 2]
     assert chunk.log.t.tolist() == [0, 1, 0, 1]
@@ -234,6 +243,178 @@ def test_chunk_attaches_cells_and_truth_by_call_position():
     assert chunk.affected.tolist() == [False, False, False, True]
     with pytest.raises(DataError):
         Chunk.from_log(EventLog.from_rows(records), dmap, [3], truth)
+
+
+def _truth_join_oracle(chunk, entries):
+    """The dict lookup: (ue, position in the call) -> flag, later entries overwriting earlier ones."""
+    table = {(ue, index): flag for ue, index, flag in entries}
+    bounds = chunk.call_bounds.tolist()
+    return [
+        table.get((int(chunk.log.ue[r]), r - start), False)
+        for start, stop in zip(bounds[:-1], bounds[1:])
+        for r in range(start, stop)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ues=st.lists(st.integers(-3, 5), max_size=30),
+    entries=st.lists(st.tuples(st.integers(-4, 6), st.integers(-1, 8), st.booleans()), max_size=40),
+)
+@example(ues=[2, 2, -1], entries=[])
+@example(ues=[], entries=[(0, 0, True)])
+@example(ues=[-2, -2, 4], entries=[(-2, 1, True), (4, 0, True), (-2, 1, False), (4, 0, False), (4, 0, True)])
+def test_truth_join_matches_dict_oracle(ues, entries):
+    spec = GridSpec(origin_x=0.0, origin_y=0.0, resolution_m=10.0, nx=1, ny=1)
+    dmap = DominanceMap(grid_spec=spec, grid=np.full((1, 1), 5, dtype=np.int64))
+    log = EventLog.from_rows([_rec(ue=ue, t=i % 4) for i, ue in enumerate(ues)])
+    chunk = Chunk.from_log(log, dmap, [5], _truth_arrays(entries))
+    assert chunk.affected.dtype == np.bool_
+    assert chunk.affected.tolist() == _truth_join_oracle(chunk, entries)
+    assert not Chunk.from_log(log, dmap, [5]).affected.any()
+
+
+def _assert_same_columns(got, expected):
+    """Equal dtypes and bytes, field by field (so -0.0 differs from 0.0)."""
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _log_columns(log):
+    return [getattr(log, f.name) for f in fields(log)]
+
+
+written_records_st = st.lists(st.builds(
+    _rec,
+    event=events_st,
+    ue=st.integers(-2**40, 2**40),
+    t=st.integers(0, 2**40),
+    x=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(AWKWARD_FLOATS),
+    y=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(AWKWARD_FLOATS),
+    serving=st.integers(0, 100),
+    target=st.none() | st.integers(0, 100),
+), max_size=30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(written_records_st)
+@example([])
+@example([_rec(event=event, ue=i, t=i, x=x, y=-x) for i, (event, x) in enumerate(zip(list(EventId) * 2, AWKWARD_FLOATS))])
+def test_fast_path_equals_per_line_path_on_written_logs(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("fast") / "log.jsonl"
+    write_records(EventLog.from_rows(records), path)
+    fast = _parse_written_records(path.read_text(encoding="utf-8"))
+    assert fast is not None
+    per_line = _log_columns(_read_records_per_line(path))
+    _assert_same_columns(_log_columns(fast), per_line)
+    _assert_same_columns(_log_columns(read_records(path)), per_line)
+
+
+def _reorder_keys(line):
+    return json.dumps(dict(reversed(json.loads(line).items())))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: "\n".join(_reorder_keys(line) for line in text.splitlines()) + "\n",
+        lambda text: text.replace(", ", ",  ").replace(": ", " : "),
+        lambda text: text.replace("\n", "\n\n", 1),
+        lambda text: text[:-1],
+    ],
+    ids=["reordered_keys", "extra_spaces", "blank_line", "no_final_newline"],
+)
+def test_non_canonical_log_takes_the_per_line_path(tmp_path, edit):
+    records = [_rec(event=event, ue=i % 3, t=i, x=x, y=-x, target=7) for i, (event, x) in
+               enumerate(zip(list(EventId), AWKWARD_FLOATS))]
+    path = tmp_path / "log.jsonl"
+    write_records(EventLog.from_rows(records), path)
+    text = edit(path.read_text(encoding="utf-8"))
+    path.write_text(text, encoding="utf-8")
+    assert _parse_written_records(text) is None
+    expected = _log_columns(EventLog.from_rows(records))
+    _assert_same_columns(_log_columns(_read_records_per_line(path)), expected)
+    _assert_same_columns(_log_columns(read_records(path)), expected)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [lambda line: "{bad\n", lambda line: "x" + line, lambda line: line[:-1] + "x\n"],
+    ids=["not_json", "text_before", "text_after"],
+)
+def test_bad_line_deep_in_a_written_log_names_its_line(tmp_path, damage):
+    path = tmp_path / "log.jsonl"
+    write_records(EventLog.from_rows([_rec(ue=i % 7, t=i) for i in range(1200)]), path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[999] = damage(lines[999])
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read_records(path)
+    assert err.value.lineno == 1000
+
+
+def test_integer_outside_64_bits_is_a_data_error(tmp_path):
+    path = tmp_path / "log.jsonl"
+    write_records(EventLog.from_rows([_rec(ue=3)]), path)
+    path.write_text(path.read_text(encoding="utf-8").replace('"ue": 3', f'"ue": {2**63}'), encoding="utf-8")
+    with pytest.raises(DataError, match="64-bit"):
+        read_records(path)
+    write_truth(EventLog.from_rows([_rec(ue=3)]), [True], path)
+    path.write_text(path.read_text(encoding="utf-8").replace('"ue": 3', f'"ue": {-2**63 - 1}'), encoding="utf-8")
+    with pytest.raises(DataError, match="64-bit"):
+        load_truth(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2**40, 2**40), st.booleans()), max_size=40))
+@example([])
+def test_truth_fast_path_equals_per_line_path(tmp_path_factory, ue_flags):
+    log = EventLog.from_rows([_rec(ue=ue, t=i) for i, (ue, _) in enumerate(ue_flags)])
+    path = tmp_path_factory.mktemp("truth") / "truth.jsonl"
+    write_truth(log, [flag for _, flag in ue_flags], path)
+    fast = load_truth(path)
+    assert [column.dtype for column in fast] == [np.int64, np.int64, np.bool_]
+    _assert_same_columns(fast, _load_truth_per_line(path))
+    assert fast[2].tolist() == [flag for _, flag in ue_flags]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: "\n".join(_reorder_keys(line) for line in text.splitlines()) + "\n",
+        lambda text: text.replace(", ", " ,  "),
+        lambda text: text.replace("\n", "\n\n", 1),
+        lambda text: text[:-1],
+    ],
+    ids=["reordered_keys", "extra_spaces", "blank_line", "no_final_newline"],
+)
+def test_non_canonical_truth_takes_the_per_line_path(tmp_path, monkeypatch, edit):
+    log = EventLog.from_rows([_rec(ue=ue, t=t) for t, ue in enumerate((4, -2, 4, 2**40))])
+    affected = [True, False, False, True]
+    path = tmp_path / "truth.jsonl"
+    write_truth(log, affected, path)
+    expected = load_truth(path)
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    calls = []
+    monkeypatch.setattr("sleepscan.simgen.suite._load_truth_per_line",
+                        lambda p: calls.append(p) or _load_truth_per_line(p))
+    _assert_same_columns(load_truth(path), expected)
+    assert calls == [path]
+
+
+@pytest.mark.parametrize(
+    "line,reason",
+    [("{bad", "invalid JSON"), ('{"ue": 1, "affected": true}', "missing required field 'event_index'"),
+     ('{"ue": "x", "event_index": 0, "affected": true}', "malformed field value"), ("[1]", "not an object")],
+)
+def test_damaged_truth_line_is_a_parse_error(tmp_path, line, reason):
+    path = tmp_path / "truth.jsonl"
+    write_truth(EventLog.from_rows([_rec(ue=1), _rec(ue=2)]), [True, False], path)
+    path.write_text(path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=reason) as err:
+        load_truth(path)
+    assert err.value.lineno == 3
 
 
 def test_lookup_index():

@@ -369,7 +369,7 @@ def test_write_truth_matches_json_dumps(tmp_path):
     write_truth(log, affected, path)
     expected = "".join(
         json.dumps({"ue": ue, "event_index": idx, "affected": flag}) + "\n"
-        for ue, idx, flag in truth_rows(log, affected)
+        for ue, idx, flag in zip(*(column.tolist() for column in truth_rows(log, affected)))
     )
     assert path.read_bytes() == expected.encode()
     assert [json.loads(line)["affected"] for line in path.read_text().splitlines()] == affected
@@ -408,7 +408,9 @@ def test_columnar_split_and_truth_match_per_record_loops(ue_flags, n_chunks):
     assert [chunk.rows() for chunk in chunks] == _split_chunks_oracle(rows, n_chunks)
     dtypes = [getattr(log, f.name).dtype for f in fields(log)]
     assert all([getattr(chunk, f.name).dtype for f in fields(chunk)] == dtypes for chunk in chunks)
-    assert truth_rows(log, np.array(affected, dtype=bool)) == _truth_rows_oracle(rows, affected)
+    columns = truth_rows(log, np.array(affected, dtype=bool))
+    assert [column.dtype for column in columns] == [np.int64, np.int64, np.bool_]
+    assert list(zip(*(column.tolist() for column in columns))) == _truth_rows_oracle(rows, affected)
 
 
 SMOKE = {"ues_per_cell": 3, "duration_steps": 800, "map_resolution_m": 10.0, "knn_k": 5, "master_seed": 42}
