@@ -1,7 +1,7 @@
 """Synthetic MDT dataset generation for a 21-cell macro scenario.
 
 Builds the network geometry, per-cell lognormal shadowing fields and the
-dominance map, then drives a per-step event simulator (A2/A3 measurement
+dominance map, then drives an event simulator (A2/A3 measurement
 events, handovers, and the random-access failure of the sleeping cell)
 to produce normal / problematic / reference datasets with ground truth.
 """

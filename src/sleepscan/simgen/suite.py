@@ -12,6 +12,7 @@ chunks in a full K x K cross.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -240,6 +241,37 @@ class LoadedRole:
 _MANIFEST_KEYS = ("grid", "cell_ids", "files", "adjacency", "faulty_cell")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check_manifest(manifest: dict, path) -> None:
+    """Reject manifest values detect cannot use: cells, adjacency, grid and faulty cell."""
+    cell_ids = manifest["cell_ids"]
+    if not isinstance(cell_ids, list) or not all(_is_int(c) for c in cell_ids):
+        raise DataError(f"{path}: cell_ids must be a list of integers")
+    adjacency = manifest["adjacency"]
+    if not isinstance(adjacency, dict) or not all(
+        re.fullmatch(JSON_INT, key) and isinstance(cells, list) and all(_is_int(c) for c in cells)
+        for key, cells in adjacency.items()
+    ):
+        raise DataError(f"{path}: adjacency must map integer cell ids to lists of integers")
+    grid = manifest["grid"]
+    if not (
+        isinstance(grid, dict)
+        and all(_is_number(grid.get(key)) for key in ("origin_x", "origin_y", "resolution_m"))
+        and grid["resolution_m"] > 0
+        and all(_is_int(grid.get(key)) and grid[key] > 0 for key in ("nx", "ny"))
+    ):
+        raise DataError(f"{path}: grid needs finite origin_x and origin_y, a positive resolution_m and positive nx, ny")
+    if not _is_int(manifest["faulty_cell"]) or manifest["faulty_cell"] not in cell_ids:
+        raise DataError(f"{path}: faulty_cell must be one of cell_ids")
+
+
 def load_suite(data_dir):
     """Read back a written suite: manifest, grid, and each role's chunks.
 
@@ -257,6 +289,7 @@ def load_suite(data_dir):
         missing = [key for key in _MANIFEST_KEYS if key not in manifest]
         if missing:
             raise DataError(f"{manifest_path} lacks {', '.join(missing)}")
+        _check_manifest(manifest, manifest_path)
         g = manifest["grid"]
         grid = GridSpec(
             origin_x=g["origin_x"],

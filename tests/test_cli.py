@@ -271,6 +271,12 @@ def _drop_key_on_line(path, lineno, key):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _edit_json(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
 @pytest.mark.parametrize(
     "name,damage",
     [
@@ -278,10 +284,14 @@ def _drop_key_on_line(path, lineno, key):
         ("truth_normal.jsonl", lambda p: _drop_key_on_line(p, 3, "event_index")),
         ("manifest.json", lambda p: p.write_text("{bad")),
         ("manifest.json", lambda p: _drop_key(p, "grid")),
+        ("manifest.json", lambda p: _edit_json(p, lambda d: d["adjacency"].update(x=d["adjacency"].pop("1")))),
+        ("manifest.json", lambda p: _edit_json(p, lambda d: d["grid"].update(resolution_m=0))),
+        ("manifest.json", lambda p: _edit_json(p, lambda d: d.update(faulty_cell="z"))),
         ("normal_chunk2.jsonl", lambda p: p.unlink()),
         ("truth_reference.jsonl", lambda p: p.unlink()),
     ],
     ids=["truth_not_json", "truth_without_event_index", "manifest_not_json", "manifest_without_grid",
+         "manifest_adjacency_key_not_int", "manifest_resolution_zero", "manifest_faulty_cell_not_int",
          "missing_chunk", "missing_truth"],
 )
 def test_damaged_suite_is_data_error(tmp_path, tiny_config_path, dataset_dir, capsys, name, damage):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -47,11 +48,30 @@ def test_unknown_keys_rejected():
         ("weights", (0.0, 0.0, 0.0, 0.0)),
         ("faulty_cell", 99),
         ("duration_steps", 0),
+        # simulator settings that crashed or gave a nonsense suite
+        ("ttt_ms", math.nan),
+        ("t304_ms", math.inf),
+        ("ho_backoff_ms", -500.0),
+        ("ue_speed_kmh", -30.0),
+        ("ue_speed_kmh", math.nan),
+        ("a2_rsrp_hysteresis_db", math.nan),
+        ("rsrq_load_db", math.nan),
+        ("step_seconds", math.nan),
+        ("map_half_extent_m", -1.0),
+        ("map_half_extent_m", 1.0),  # rounds to a map of no pixels
+        ("map_resolution_m", math.nan),
+        ("shadowing_correlation_m", -5.0),
+        ("shadowing_sigma_db", math.nan),
     ],
 )
 def test_invalid_values_rejected(field, value):
     with pytest.raises(ConfigError):
         RunConfig.from_dict({field: value})
+
+
+@pytest.mark.parametrize("field", ["ho_complete_ms", "a2_report_interval_ms", "shadowing_sigma_db"])
+def test_zero_stays_valid_where_the_golden_suites_use_it(field):
+    assert getattr(RunConfig.from_dict({field: 0}), field) == 0
 
 
 def test_auto_minor_components_allowed():

@@ -33,6 +33,8 @@ from sleepscan.simgen.fields import ShadowingField, gaussian_filter_wrap
 from sleepscan.simgen.layout import GridSpec, sector_gain_db
 from sleepscan.simgen.suite import load_suite, split_chunks, suite_roles, truth_rows, write_suite, write_truth
 
+import engine_oracle
+
 FAST_SIM = dict(ues_per_cell=3, duration_steps=1200, rng_seed=9)
 
 Record = namedtuple("Record", "event ue t x y serving target")
@@ -459,3 +461,83 @@ def test_fault_validation():
         SimConfig(duration_steps=0).validate()
     with pytest.raises(ConfigError):
         SimConfig(a2_rsrp_hysteresis_db=-1).validate()
+
+
+# One engine run: a layout, its radio map and the simulator settings.
+ENGINE_CASE = {
+    "layout": st.sampled_from(["macro", "omni1", "omni2"]),
+    "wrap_around": st.booleans(),
+    "tx_power_dbm": st.sampled_from([46.0, 0.0]),  # at 0 dBm A2 RSRP crosses its threshold
+    "sigma_db": st.sampled_from([0.0, 8.0]),
+    "shadow_seed": st.integers(0, 3),
+    "fault": st.none() | st.integers(0, 20),  # the faulty cell's index, modulo the cell count
+    "ues_per_cell": st.integers(1, 3),
+    "duration_steps": st.integers(1, 300),
+    "ue_speed_kmh": st.sampled_from([0.0, 30.0, 300.0]),
+    "a3_margin_db": st.sampled_from([3.0, 0.0, -2.0]),
+    "ttt_ms": st.sampled_from([100.0, 256.0, 400.0]),  # 100 ms is one step
+    "a2_rsrp_hysteresis_db": st.sampled_from([0.0, 3.0]),
+    "a2_rsrq_hysteresis_db": st.sampled_from([0.0, 2.0]),
+    "a2_report_interval_ms": st.sampled_from([0.0, 100.0, 300.0]),
+    "t304_ms": st.sampled_from([100.0, 200.0, 500.0]),
+    "ho_complete_ms": st.sampled_from([0.0, 100.0, 300.0]),
+    "ho_backoff_ms": st.sampled_from([100.0, 500.0]),
+    "rng_seed": st.integers(0, 2**32 - 1),
+}
+SIM_FIELDS = {f.name for f in fields(SimConfig)}
+
+
+def engine_inputs(case):
+    """The (layout, sim, fault, radio) of one engine case."""
+    if case["layout"] == "macro":
+        layout = macro21_layout(tx_power_dbm=case["tx_power_dbm"], wrap_around=case["wrap_around"])
+        grid = layout.default_grid(resolution_m=50.0)
+    else:
+        positions = [(0.0, 0.0), (300.0, 40.0)][: int(case["layout"][-1])]
+        cells = [
+            Cell(cell_id=i + 1, site_x=x, site_y=y, azimuth_deg=None, tx_power_dbm=case["tx_power_dbm"])
+            for i, (x, y) in enumerate(positions)
+        ]
+        layout = NetworkLayout(cells=cells, inter_site_distance=500.0, wrap_around=case["wrap_around"])
+        grid = small_grid(n=40, res=20.0, origin=-400.0)
+    radio = build_radio_map(layout, make_shadowing(layout, grid, sigma_db=case["sigma_db"], seed=case["shadow_seed"]))
+    if case["fault"] is None:
+        fault = FaultConfig()
+    else:
+        fault = FaultConfig(enabled=True, faulty_cell=layout.cell_ids[case["fault"] % len(layout.cells)])
+    sim = SimConfig(**{k: v for k, v in case.items() if k in SIM_FIELDS})
+    return layout, sim, fault, radio
+
+
+# Settings of the examples below, one per effect of the per-step order that
+# the engine reproduces (see the `simgen.engine` docstring).
+STEP_ORDER_CASE = {
+    "layout": "macro", "wrap_around": False, "tx_power_dbm": 46.0, "sigma_db": 0.0, "shadow_seed": 0,
+    "ues_per_cell": 1, "ue_speed_kmh": 30.0, "a3_margin_db": -2.0, "ttt_ms": 100.0, "a2_rsrp_hysteresis_db": 0.0,
+    "a2_rsrq_hysteresis_db": 0.0, "a2_report_interval_ms": 0.0, "ho_backoff_ms": 100.0,
+}
+
+
+@settings(deadline=None)
+@given(case=st.fixed_dictionaries(ENGINE_CASE))
+# A3 in the step a random access resolves compares against the old serving cell.
+@example(case={**STEP_ORDER_CASE, "fault": 17, "duration_steps": 12, "t304_ms": 500.0, "ho_complete_ms": 300.0,
+               "rng_seed": 2628077981})
+# A trigger toward the faulty cell is skipped near the end; the count runs on
+# and a shorter-timer target fires.
+@example(case={**STEP_ORDER_CASE, "fault": 17, "duration_steps": 81, "ue_speed_kmh": 300.0, "a3_margin_db": 3.0,
+               "ttt_ms": 256.0, "t304_ms": 200.0, "ho_complete_ms": 0.0, "rng_seed": 34906666})
+# A2 at t = 0 sees the cell the failed attach re-established on.
+@example(case={**STEP_ORDER_CASE, "layout": "omni2", "fault": 0, "duration_steps": 1, "t304_ms": 100.0,
+               "ho_complete_ms": 100.0, "rng_seed": 1200367645})
+# A random-access failure and an immediate handover in one step: the handover wins.
+@example(case={**STEP_ORDER_CASE, "fault": 0, "duration_steps": 4, "ue_speed_kmh": 0.0,
+               "a2_report_interval_ms": 100.0, "t304_ms": 100.0, "ho_complete_ms": 0.0, "rng_seed": 31})
+def test_engine_equals_the_per_step_oracle(case):
+    inputs = engine_inputs(case)
+    log, affected = simulate(*inputs)
+    expected_log, expected_affected = engine_oracle.simulate(*inputs)
+    for f in fields(log):
+        column, expected = getattr(log, f.name), getattr(expected_log, f.name)
+        assert column.dtype == expected.dtype and np.array_equal(column, expected), f.name
+    assert affected.dtype == expected_affected.dtype and np.array_equal(affected, expected_affected)
