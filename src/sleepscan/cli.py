@@ -75,13 +75,15 @@ def cmd_detect(args) -> int:
     out_dir = Path(args.out)
     if args.folds is not None and args.folds < 0:
         raise ConfigError(f"--folds must be >= 0, got {args.folds}")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     manifest, _grid, roles = load_suite(data_dir)
     fold_inputs = pipeline.fold_inputs_from_suite(manifest, roles, cfg, limit=args.folds)
     if not fold_inputs:
         raise DataError(f"no fold pairs available in {data_dir}")
     print(f"running {len(fold_inputs)} folds (jobs={args.jobs})")
 
-    if args.jobs and args.jobs > 1:
+    if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: the import costs every command ~30 ms
 
         with ProcessPoolExecutor(
@@ -120,11 +122,9 @@ def cmd_detect(args) -> int:
     for method in _selected_methods(args.method):
         agg = aggregates[method]
         for pairing, labels in sorted(agg.labels.items()):
-            print(
-                f"{method}/{pairing}: argmax cell "
-                f"{cell_ids[int(np.argmax(agg.mean_scores[pairing]))]}, "
-                f"abnormal {labels.abnormal_cells()}"
-            )
+            means = agg.mean_stages[pairing][agg.stage]
+            abnormal = [c for c, flag in zip(cell_ids, labels) if flag]
+            print(f"{method}/{pairing}: argmax cell {cell_ids[int(np.argmax(means))]}, abnormal {abnormal}")
     return 0
 
 
@@ -171,7 +171,7 @@ def cmd_evaluate(args) -> int:
 
     summary_rows = []
     for method in methods:
-        metrics = ev.method_metrics(aggregates[method], manifest["faulty_cell"])
+        metrics = ev.method_metrics(aggregates[method], outputs[0].cell_ids, manifest["faulty_cell"])
         with open(eval_dir / f"metrics_{method}.json", "w", encoding="utf-8") as fh:
             json.dump({"method": method, **metrics}, fh, indent=2, sort_keys=True)
             fh.write("\n")

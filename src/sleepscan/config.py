@@ -92,7 +92,7 @@ class RunConfig:
             raise ConfigError("weights must be 4 non-negative values with a positive sum")
         if self.cell_id_base < 0:
             raise ConfigError("cell_id_base must be >= 0")  # -1 marks a record without a target
-        for name in ("map_resolution_m", "map_half_extent_m", "shadowing_correlation_m"):
+        for name in ("inter_site_distance_m", "map_resolution_m", "map_half_extent_m", "shadowing_correlation_m"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive")
@@ -100,6 +100,8 @@ class RunConfig:
             raise ConfigError("the map must hold at least one pixel")
         if not (math.isfinite(self.shadowing_sigma_db) and self.shadowing_sigma_db >= 0):
             raise ConfigError("shadowing_sigma_db must be finite and >= 0")
+        if not math.isfinite(self.tx_power_dbm):
+            raise ConfigError("tx_power_dbm must be finite")
         n_cells = self.n_sites * self.sectors_per_site
         if not self.cell_id_base <= self.faulty_cell < self.cell_id_base + n_cells:
             raise ConfigError(f"faulty_cell {self.faulty_cell} not in layout")

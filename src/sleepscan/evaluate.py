@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .localize import SleepingCellHistogram
 from .mdtlog import FoldPair
 
 # (variant name, histogram stage) pairs scored by heuristic_totals
@@ -38,23 +37,16 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
-def count_confusion(labels_per_run, truth_per_run) -> ConfusionCounts:
-    """Pool cell-level decisions over runs; truth is the faulty-cell set per run."""
-    if len(labels_per_run) != len(truth_per_run):
-        raise DataError("one truth set per labeled run required")
-    tp = fp = tn = fn = 0
-    for labels, truth in zip(labels_per_run, truth_per_run):
-        for cell, flagged in zip(labels.cell_ids, labels.abnormal):
-            faulty = cell in truth
-            if flagged and faulty:
-                tp += 1
-            elif flagged and not faulty:
-                fp += 1
-            elif not flagged and faulty:
-                fn += 1
-            else:
-                tn += 1
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+def count_confusion(flagged, faulty) -> ConfusionCounts:
+    """Pool cell-level decisions over runs; both are (runs, cells) boolean arrays."""
+    flagged = np.asarray(flagged, dtype=bool)
+    faulty = np.asarray(faulty, dtype=bool)
+    if flagged.shape != faulty.shape:
+        raise DataError("one truth row per labeled run required")
+    tp = int(np.count_nonzero(flagged & faulty))
+    fp = int(np.count_nonzero(flagged)) - tp
+    fn = int(np.count_nonzero(faulty)) - tp
+    return ConfusionCounts(tp=tp, fp=fp, tn=flagged.size - tp - fp - fn, fn=fn)
 
 
 def confusion_metrics(counts: ConfusionCounts) -> dict[str, float]:
@@ -107,39 +99,40 @@ def roc(scores, positive) -> RocCurve:
     return RocCurve(fpr=fpr, tpr=tpr, auc=auc)
 
 
-def heuristic_point(h: SleepingCellHistogram) -> tuple[float, float]:
+def heuristic_point(scores) -> tuple[float, float]:
     """(spread of all scores excluding the argmax cell, maximum score)."""
-    scores = np.asarray(h.scores, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
     top = int(np.argmax(scores))
     rest = np.delete(scores, top)
     spread = float(rest.std(ddof=1)) if len(rest) > 1 else 0.0
     return spread, float(scores[top])
 
 
-def heuristic_distance(h: SleepingCellHistogram, scenario: str, n_cells: int) -> float:
-    """Euclidean distance to the scenario's ideal point."""
-    x, y = heuristic_point(h)
+def heuristic_distance(scores, scenario: str) -> float:
+    """Euclidean distance of a per-cell score array to the scenario's ideal point."""
+    x, y = heuristic_point(scores)
     if scenario == "faulty":
         ideal = (0.0, 100.0)
     elif scenario == "clean":
-        ideal = (0.0, 100.0 / n_cells)
+        ideal = (0.0, 100.0 / len(scores))
     else:
         raise DataError(f"unknown scenario {scenario!r}")
     return float(np.hypot(x - ideal[0], y - ideal[1]))
 
 
-def method_metrics(agg, faulty_cell: int) -> dict[str, float]:
+def method_metrics(agg, cell_ids, faulty_cell: int) -> dict[str, float]:
     """Confusion metrics of one method's per-run labels, pooled over pairings.
 
-    agg is a `pipeline.MethodAggregate`.  A problematic run's truth is
-    the faulty cell; a reference run has no faulty cell.
+    agg is a `pipeline.MethodAggregate` whose arrays are ordered by
+    cell_ids.  A problematic run's truth is the faulty cell; a reference
+    run has no faulty cell.
     """
-    labels, truths = [], []
-    for pairing, run_labels in sorted(agg.run_labels.items()):
-        truth = {faulty_cell} if pairing == "problematic" else set()
-        labels.extend(run_labels)
-        truths.extend([truth] * len(run_labels))
-    return confusion_metrics(count_confusion(labels, truths))
+    is_faulty = np.asarray(cell_ids) == faulty_cell
+    flagged, faulty = [], []
+    for pairing, runs in sorted(agg.run_labels.items()):
+        flagged.append(runs)
+        faulty.append(np.broadcast_to(is_faulty & (pairing == "problematic"), runs.shape))
+    return confusion_metrics(count_confusion(np.vstack(flagged), np.vstack(faulty)))
 
 
 def fold_aucs(fold_outputs) -> list[tuple[FoldPair, float]]:
@@ -176,16 +169,12 @@ def heuristic_totals(fold_outputs, method: str, stage: str) -> dict[str, tuple[f
 
     Each fold's `stage` histogram of `method` is measured against the
     faulty ideal when the fold tests a problematic chunk and against the
-    clean ideal otherwise; folds without that stage are skipped.
+    clean ideal otherwise.
     """
     totals = {"problematic": [0.0, 0], "reference": [0.0, 0]}
     for out in fold_outputs:
-        scores = out.histograms[method].get(stage)
-        if scores is None:
-            continue
-        h = SleepingCellHistogram(out.cell_ids, np.asarray(scores), "normalized")
         scenario = "faulty" if out.pair.test_role == "problematic" else "clean"
-        totals[out.pair.test_role][0] += heuristic_distance(h, scenario, len(out.cell_ids))
+        totals[out.pair.test_role][0] += heuristic_distance(out.histograms[method][stage], scenario)
         totals[out.pair.test_role][1] += 1
     totals["total"] = [sum(v[0] for v in totals.values()), sum(v[1] for v in totals.values())]
     return {scenario: (dist, runs) for scenario, (dist, runs) in totals.items()}

@@ -1,7 +1,7 @@
 """Per-cell sleeping-cell scores from anomalous sub-calls.
 
-Four post-processing methods convert anomaly decisions into a histogram
-over cells, each normalized by the distinct-UE count of its dataset
+Four post-processing methods convert anomaly decisions into a score per
+cell, each normalized by the distinct-UE count of its dataset
 chunk so scores do not depend on dataset size:
 
   dominance sub-call deviation    anomalous sub-calls per dominance cell,
@@ -23,8 +23,10 @@ its first event to that of its second; it is retained for comparison
 but pure mobility keeps those counts nearly symmetric.
 
 Amplification divides each cell's score by the summed score of its
-non-neighbors, normalization rescales to a sum of 100, and labeling
-flags cells more than three pooled standard deviations above the mean.
+non-neighbors, normalization rescales to a sum of 100, and combination
+re-normalizes a weighted mean of the normalized methods.  Every score
+vector is a plain float array ordered like the suite's `cell_ids`; the
+3-sigma labels are set in `pipeline.aggregate_method`.
 
 The methods read columnar chunks (`mdtlog.Chunk`), whose records carry
 their dominance-cell index, and sub-calls given as (start, stop) record
@@ -34,7 +36,6 @@ ranges into them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,34 +46,6 @@ from .mdtlog import NO_TARGET, Chunk, EventId, lookup_index
 AMPLIFY_EPSILON = 1e-9
 
 METHOD_NAMES = ("subcall", "gram", "symmetry", "target")
-
-
-@dataclass(frozen=True)
-class SleepingCellHistogram:
-    cell_ids: tuple[int, ...]
-    scores: np.ndarray
-    stage: str  # raw | amplified | normalized
-
-    def __post_init__(self):
-        if len(self.cell_ids) != len(self.scores):
-            raise DataError("histogram cell/score length mismatch")
-
-    def score_of(self, cell_id: int) -> float:
-        return float(self.scores[self.cell_ids.index(cell_id)])
-
-    def argmax_cell(self) -> int:
-        return self.cell_ids[int(np.argmax(self.scores))]
-
-
-@dataclass(frozen=True)
-class CellLabels:
-    cell_ids: tuple[int, ...]
-    abnormal: tuple[bool, ...]
-    mean: float
-    sigma: float
-
-    def abnormal_cells(self) -> list[int]:
-        return [c for c, flag in zip(self.cell_ids, self.abnormal) if flag]
 
 
 def _empty(cell_ids) -> np.ndarray:
@@ -97,7 +70,7 @@ def sc_dominance_subcall_deviation(
     test: Chunk,
     test_anom_windows,
     test_ue_count: int,
-) -> SleepingCellHistogram:
+) -> np.ndarray:
     """Rate of anomalous sub-calls touching each cell, testing minus training.
 
     A sub-call touches the dominance cells of its records' locations; the
@@ -110,7 +83,7 @@ def sc_dominance_subcall_deviation(
 
     f_train = rates(train, train_anom_windows, train_ue_count)
     f_test = rates(test, test_anom_windows, test_ue_count)
-    return SleepingCellHistogram(tuple(cell_ids), np.maximum(f_test - f_train, 0.0), "raw")
+    return np.maximum(f_test - f_train, 0.0)
 
 
 def _gram_cell_rates(chunk: Chunk, windows, ue_count: int, n_cells: int) -> dict[tuple, np.ndarray]:
@@ -138,7 +111,7 @@ def sc_dominance_2gram_deviation(
     test: Chunk,
     test_anom_windows,
     test_ue_count: int,
-) -> SleepingCellHistogram:
+) -> np.ndarray:
     """Sum over 2-grams of |testing rate - training rate| per cell.
 
     Training rates run over all training sub-calls; testing rates over the
@@ -158,7 +131,7 @@ def sc_dominance_2gram_deviation(
             scores += np.abs(a)
         else:
             scores += np.abs(a - b)
-    return SleepingCellHistogram(tuple(cell_ids), scores, "raw")
+    return scores
 
 
 def _directed_crossings(chunk: Chunk, cell_ids) -> dict[tuple[int, int], int]:
@@ -196,7 +169,7 @@ def sc_2gram_symmetry_deviation(
     test: Chunk,
     adjacency: dict[int, frozenset[int]],
     mode: str = "handover",
-) -> SleepingCellHistogram:
+) -> np.ndarray:
     """Change in the directed imbalance of border 2-grams, summed over neighbors.
 
     Profiles the full fold logs (not only flagged rows): for adjacent
@@ -220,7 +193,7 @@ def sc_2gram_symmetry_deviation(
                 _imbalance(test_counts, cell, other) - _imbalance(train_counts, cell, other)
             )
         scores[idx[cell]] = total
-    return SleepingCellHistogram(tuple(cell_ids), scores, "raw")
+    return scores
 
 
 def sc_target_cell_subcalls(
@@ -228,100 +201,50 @@ def sc_target_cell_subcalls(
     test: Chunk,
     test_anom_windows,
     test_ue_count: int,
-) -> SleepingCellHistogram:
+) -> np.ndarray:
     """Distinct target cells per anomalous sub-call; no location data needed."""
     rows, pos = gram_positions(test_anom_windows, 1)
     target = lookup_index(test.log.target[pos], cell_ids)
     known = target >= 0
     scores = _windows_per_cell(rows[known], target[known], len(cell_ids))
-    return SleepingCellHistogram(tuple(cell_ids), scores / max(test_ue_count, 1), "raw")
+    return scores / max(test_ue_count, 1)
 
 
 def amplify(
-    h: SleepingCellHistogram,
+    scores: np.ndarray,
+    cell_ids,
     adjacency: dict[int, frozenset[int]],
     epsilon: float = AMPLIFY_EPSILON,
-) -> SleepingCellHistogram:
+) -> np.ndarray:
     """Divide each score by the summed score of its non-neighbor cells."""
-    total = float(h.scores.sum())
-    out = np.empty_like(h.scores)
-    for i, cell in enumerate(h.cell_ids):
+    total = float(scores.sum())
+    values = scores.tolist()
+    out = np.empty_like(scores)
+    for i, cell in enumerate(cell_ids):
         excluded = {cell} | set(adjacency.get(cell, ()))
-        non_neighbor = total - sum(
-            h.scores[j] for j, c in enumerate(h.cell_ids) if c in excluded
-        )
-        out[i] = h.scores[i] / (non_neighbor + epsilon)
-    return SleepingCellHistogram(h.cell_ids, out, "amplified")
+        # A sequential sum in cell order: the float result depends on it.
+        non_neighbor = total - sum(v for v, c in zip(values, cell_ids) if c in excluded)
+        out[i] = scores[i] / (non_neighbor + epsilon)
+    return out
 
 
-def normalize(h: SleepingCellHistogram) -> SleepingCellHistogram:
-    """Rescale to sum 100; an all-zero histogram becomes uniform."""
-    total = float(h.scores.sum())
+def normalize(scores: np.ndarray) -> np.ndarray:
+    """Rescale to sum 100; an all-zero score vector becomes uniform."""
+    total = float(scores.sum())
     if total <= 0.0:
-        scores = np.full(len(h.cell_ids), 100.0 / len(h.cell_ids))
-    else:
-        scores = 100.0 * h.scores / total
-    return SleepingCellHistogram(h.cell_ids, scores, "normalized")
+        return np.full(len(scores), 100.0 / len(scores))
+    return 100.0 * scores / total
 
 
-def combine(histograms, weights=None) -> SleepingCellHistogram:
-    """Weighted per-cell mean of normalized histograms, re-normalized."""
-    if not histograms:
+def combine(parts, weights=None) -> np.ndarray:
+    """Weighted per-cell mean of normalized score vectors, re-normalized."""
+    if not parts:
         raise DataError("nothing to combine")
-    cell_ids = histograms[0].cell_ids
-    for h in histograms:
-        if h.cell_ids != cell_ids:
-            raise DataError("histograms cover different cell sets")
     if weights is None:
-        weights = [1.0] * len(histograms)
-    if len(weights) != len(histograms):
-        raise DataError("one weight per histogram required")
+        weights = [1.0] * len(parts)
+    if len(weights) != len(parts):
+        raise DataError("one weight per score vector required")
     wsum = float(sum(weights))
     if wsum <= 0:
         raise DataError("weights must sum to a positive value")
-    mean = sum(w * h.scores for w, h in zip(weights, histograms)) / wsum
-    return normalize(SleepingCellHistogram(cell_ids, mean, "raw"))
-
-
-def pooled_stats(score_runs) -> tuple[float, float]:
-    """Mean and population standard deviation over all (run, cell) scores."""
-    pooled = np.concatenate([np.asarray(s, dtype=np.float64) for s in score_runs])
-    return float(pooled.mean()), float(pooled.std())
-
-
-def label_cells(cell_ids, score_runs, stats: tuple[float, float] | None = None) -> CellLabels:
-    """Abnormal iff the per-cell mean exceeds mean + 3 sigma of pooled scores.
-
-    stats may carry externally pooled (mean, sigma), e.g. pooled over both
-    the problematic and reference pairings.
-    """
-    if not score_runs:
-        raise DataError("labeling needs at least one run")
-    matrix = np.vstack([np.asarray(s, dtype=np.float64) for s in score_runs])
-    mean, sigma = pooled_stats(score_runs) if stats is None else stats
-    threshold = mean + 3.0 * sigma
-    per_cell_mean = matrix.mean(axis=0)
-    return CellLabels(
-        cell_ids=tuple(cell_ids),
-        abnormal=tuple(bool(v) for v in per_cell_mean > threshold),
-        mean=mean,
-        sigma=sigma,
-    )
-
-
-def label_single_runs(cell_ids, score_runs, stats: tuple[float, float]) -> list[CellLabels]:
-    """Per-run labels against an externally pooled 3 sigma threshold."""
-    mean, sigma = stats
-    threshold = mean + 3.0 * sigma
-    out = []
-    for run in score_runs:
-        run = np.asarray(run, dtype=np.float64)
-        out.append(
-            CellLabels(
-                cell_ids=tuple(cell_ids),
-                abnormal=tuple(bool(v) for v in run > threshold),
-                mean=mean,
-                sigma=sigma,
-            )
-        )
-    return out
+    return normalize(sum(w * p for w, p in zip(weights, parts)) / wsum)

@@ -25,6 +25,7 @@ from .simgen import DatasetSuite, generate_dataset_suite
 
 ALL_METHODS = METHOD_NAMES + ("combined",)
 STAGES = ("raw", "amplified", "normalized_raw", "normalized")
+COMBINED_STAGES = STAGES[2:]  # the combination exists only normalized
 
 
 def suite_from_config(cfg: RunConfig) -> DatasetSuite:
@@ -120,27 +121,17 @@ def run_fold(fold: FoldInput, cfg: RunConfig) -> FoldOutput:
     }
 
     histograms: dict[str, dict[str, np.ndarray]] = {}
-    norm_raw_parts = []
-    norm_amp_parts = []
-    for name in METHOD_NAMES:
-        h = raw[name]
-        amped = localize.amplify(h, fold.adjacency)
-        n_raw = localize.normalize(h)
-        n_amp = localize.normalize(amped)
+    for name, scores in raw.items():
+        amped = localize.amplify(scores, cell_ids, fold.adjacency)
         histograms[name] = {
-            "raw": h.scores,
-            "amplified": amped.scores,
-            "normalized_raw": n_raw.scores,
-            "normalized": n_amp.scores,
+            "raw": scores,
+            "amplified": amped,
+            "normalized_raw": localize.normalize(scores),
+            "normalized": localize.normalize(amped),
         }
-        norm_raw_parts.append(n_raw)
-        norm_amp_parts.append(n_amp)
-    weights = list(cfg.weights)
-    combined_amp = localize.combine(norm_amp_parts, weights)
-    combined_raw = localize.combine(norm_raw_parts, weights)
     histograms["combined"] = {
-        "normalized_raw": combined_raw.scores,
-        "normalized": combined_amp.scores,
+        stage: localize.combine([histograms[name][stage] for name in METHOD_NAMES], list(cfg.weights))
+        for stage in COMBINED_STAGES
     }
 
     return FoldOutput(
@@ -199,54 +190,49 @@ def fold_inputs_from_suite(manifest, roles, cfg: RunConfig, limit: int | None = 
 
 @dataclass
 class MethodAggregate:
+    """One method's fold scores pooled per pairing; arrays are ordered by cell_ids."""
+
     method: str
+    stage: str  # the stage the labels were computed on
     pooled_mean: float
     pooled_sigma: float
-    mean_scores: dict[str, np.ndarray]         # pairing -> per-cell mean
     mean_stages: dict[str, dict[str, np.ndarray]]  # pairing -> stage -> per-cell mean
-    labels: dict[str, localize.CellLabels]     # pairing -> aggregate labels
-    run_labels: dict[str, list[localize.CellLabels]]  # pairing -> per-run labels
+    labels: dict[str, np.ndarray]  # pairing -> per-cell flag of the mean
+    run_labels: dict[str, np.ndarray]  # pairing -> (runs, cells) flags of each run
 
 
 def aggregate_method(
     method: str,
-    cell_ids,
     runs_by_pairing: dict[str, list[dict[str, np.ndarray]]],
     stage: str,
 ) -> MethodAggregate:
     """Pool one method's fold histograms into labels per pairing.
 
-    The 3-sigma statistics pool every (run, cell) score across both
-    pairings; each pairing is then labeled on its per-cell mean, and
+    The 3-sigma statistics pool every (run, cell) score of `stage` across
+    both pairings; each pairing is then labeled on its per-cell mean, and
     each individual run on its own scores, against the same threshold.
     """
-    all_runs = [stages[stage] for runs in runs_by_pairing.values() for stages in runs]
-    if not all_runs:
+    stacked = {
+        pairing: {st: np.vstack([stages[st] for stages in runs]) for st in runs[0]}
+        for pairing, runs in runs_by_pairing.items()
+        if runs
+    }
+    if not stacked:
         raise DataError(f"no runs to aggregate for method {method}")
-    stats = localize.pooled_stats(all_runs)
-    mean_scores = {}
-    mean_stages = {}
-    labels = {}
-    run_labels = {}
-    for pairing, runs in runs_by_pairing.items():
-        if not runs:
-            continue
-        scores = [stages[stage] for stages in runs]
-        labels[pairing] = localize.label_cells(cell_ids, scores, stats=stats)
-        run_labels[pairing] = localize.label_single_runs(cell_ids, scores, stats=stats)
-        mean_scores[pairing] = np.vstack(scores).mean(axis=0)
-        mean_stages[pairing] = {
-            st: np.vstack([stages[st] for stages in runs]).mean(axis=0)
-            for st in runs[0]
-        }
+    pooled = np.concatenate([m[stage].ravel() for m in stacked.values()])
+    mean, sigma = float(pooled.mean()), float(pooled.std())
+    threshold = mean + 3.0 * sigma
+    mean_stages = {
+        pairing: {st: m.mean(axis=0) for st, m in stages.items()} for pairing, stages in stacked.items()
+    }
     return MethodAggregate(
         method=method,
-        pooled_mean=stats[0],
-        pooled_sigma=stats[1],
-        mean_scores=mean_scores,
+        stage=stage,
+        pooled_mean=mean,
+        pooled_sigma=sigma,
         mean_stages=mean_stages,
-        labels=labels,
-        run_labels=run_labels,
+        labels={pairing: means[stage] > threshold for pairing, means in mean_stages.items()},
+        run_labels={pairing: stages[stage] > threshold for pairing, stages in stacked.items()},
     )
 
 
@@ -254,7 +240,6 @@ def aggregate_folds(fold_outputs, cfg: RunConfig) -> dict[str, MethodAggregate]:
     """Aggregate all fold outputs per method, grouped by test pairing."""
     if not fold_outputs:
         raise DataError("no fold outputs to aggregate")
-    cell_ids = fold_outputs[0].cell_ids
     stage = "normalized" if cfg.amplify else "normalized_raw"
     by_method: dict[str, dict[str, list[dict[str, np.ndarray]]]] = {
         m: {} for m in ALL_METHODS
@@ -264,5 +249,5 @@ def aggregate_folds(fold_outputs, cfg: RunConfig) -> dict[str, MethodAggregate]:
         for method in ALL_METHODS:
             by_method[method].setdefault(pairing, []).append(out.histograms[method])
     return {
-        m: aggregate_method(m, cell_ids, runs, stage) for m, runs in by_method.items()
+        m: aggregate_method(m, runs, stage) for m, runs in by_method.items()
     }

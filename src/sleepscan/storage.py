@@ -4,10 +4,14 @@ Per fold (out_dir/folds/<pairing>_<i>x<j>/):
     fold.json         pairing, chunk indices, threshold, component count
     scores_train.csv  row,ue,offset,score,anomalous
     scores_test.csv   row,ue,offset,score,anomalous,fault_affected
-    histograms.csv    method,stage,cell_id,value (long format)
+    histograms.csv    method,stage,cell_id,value (long format): one row per
+                      cell of each stage in pipeline.STAGES, and of the two
+                      normalized stages for "combined"; the reader requires
+                      exactly these rows
 
 Aggregates (out_dir/aggregate/):
-    labels_<method>.json
+    labels_<method>.json  pooled mean, sigma and 3-sigma threshold; per
+                          pairing the mean scores, abnormal and argmax cells
     histogram_<method>_<pairing>.csv  cell_id,raw,amplified,normalized,label
     heatmap_<method>_<pairing>.svg
 The normalized column and the heat map show the normalized stage the
@@ -26,7 +30,7 @@ import numpy as np
 
 from .errors import DataError
 from .mdtlog import FoldPair, lookup_index
-from .pipeline import ALL_METHODS, FoldOutput, MethodAggregate
+from .pipeline import ALL_METHODS, COMBINED_STAGES, STAGES, FoldOutput, MethodAggregate
 
 
 _SCORES_TRAIN_HEADER = "row,ue,offset,score,anomalous"
@@ -132,6 +136,9 @@ def read_fold_output(fold_dir) -> FoldOutput:
     train_rows, train_scores, train_anom = read_scores("scores_train.csv", _SCORES_TRAIN_HEADER)
     test_rows, test_scores, test_anom, affected = read_scores("scores_test.csv", _SCORES_TEST_HEADER)
 
+    # Exactly the stages the writer writes, each (method, stage, cell) once.
+    keys = [(m, st) for m in ALL_METHODS for st in sorted(COMBINED_STAGES if m == "combined" else STAGES)]
+    key_index = {key: k for k, key in enumerate(keys)}
     path = fold_dir / "histograms.csv"
     methods, stages, cells, values = _csv_columns(path, _HISTOGRAMS_HEADER)
     with _parsing(path):
@@ -139,12 +146,14 @@ def read_fold_output(fold_dir) -> FoldOutput:
         values = np.array(values, dtype=np.float64)
     if (cell < 0).any():
         raise DataError(f"malformed {path}: a cell id missing from fold.json")
+    key = np.array([key_index.get(k, -1) for k in zip(methods, stages)], dtype=np.int64)
+    slot = key * len(cell_ids) + cell  # negative for an unknown method or stage
+    order = np.argsort(slot, kind="stable")
+    if not np.array_equal(slot[order], np.arange(len(keys) * len(cell_ids))):
+        raise DataError(f"malformed {path}: not one row per method, stage and cell")
     histograms: dict[str, dict[str, np.ndarray]] = {}
-    for method, stage, i, value in zip(methods, stages, cell.tolist(), values.tolist()):
-        histograms.setdefault(method, {}).setdefault(stage, np.zeros(len(cell_ids)))[i] = value
-    missing = [m for m in ALL_METHODS if m not in histograms]
-    if missing:
-        raise DataError(f"{path} has no rows for {', '.join(missing)}")
+    for (method, stage), scores in zip(keys, values[order].reshape(len(keys), len(cell_ids))):
+        histograms.setdefault(method, {})[stage] = scores
 
     return FoldOutput(
         pair=pair,
@@ -183,11 +192,12 @@ def write_method_aggregate(
         "pairings": {},
     }
     for pairing, labels in agg.labels.items():
-        mean_scores = agg.mean_scores[pairing]
+        stages = agg.mean_stages[pairing]
+        norm = stages[agg.stage]  # the stage the labels were computed on
         doc["pairings"][pairing] = {
-            "mean_scores": {str(c): float(v) for c, v in zip(cell_ids, mean_scores)},
-            "abnormal_cells": labels.abnormal_cells(),
-            "argmax_cell": int(cell_ids[int(np.argmax(mean_scores))]),
+            "mean_scores": {str(c): float(v) for c, v in zip(cell_ids, norm)},
+            "abnormal_cells": [c for c, flag in zip(cell_ids, labels) if flag],
+            "argmax_cell": int(cell_ids[int(np.argmax(norm))]),
             "runs": len(agg.run_labels[pairing]),
         }
     with open(out_dir / f"labels_{agg.method}.json", "w", encoding="utf-8") as fh:
@@ -198,16 +208,14 @@ def write_method_aggregate(
         stages = agg.mean_stages[pairing]
         raw = stages.get("raw")
         amped = stages.get("amplified")
-        norm = agg.mean_scores[pairing]  # the stage the labels were computed on
+        norm = stages[agg.stage]
         path = out_dir / f"histogram_{agg.method}_{pairing}.csv"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("cell_id,raw,amplified,normalized,label\n")
             for i, cell in enumerate(cell_ids):
                 raw_v = "" if raw is None else repr(float(raw[i]))
                 amp_v = "" if amped is None else repr(float(amped[i]))
-                fh.write(
-                    f"{cell},{raw_v},{amp_v},{float(norm[i])!r},{int(labels.abnormal[i])}\n"
-                )
+                fh.write(f"{cell},{raw_v},{amp_v},{float(norm[i])!r},{int(labels[i])}\n")
         if layout is not None:
             from .heatmap import write_heatmap
 

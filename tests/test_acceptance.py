@@ -18,7 +18,7 @@ from sleepscan.embed import fit_basis, sorte_select
 from sleepscan.errors import DataError
 from sleepscan.evaluate import heuristic_distance
 from sleepscan.featurize import featurize_chunk, ngram_counts
-from sleepscan.localize import SleepingCellHistogram, normalize
+from sleepscan.localize import normalize
 from sleepscan.pipeline import aggregate_folds, fold_inputs_from_suite, run_fold, suite_from_config
 from sleepscan.simgen import FaultConfig, SimConfig, macro21_layout, simulate
 from sleepscan.simgen.suite import suite_manifest, suite_roles
@@ -40,16 +40,17 @@ def _run_suite_rep(seed: int) -> dict:
     aggregates = aggregate_folds(outputs, cfg)
 
     combined = aggregates["combined"]
-    prob_scores = combined.mean_scores["problematic"]
+    prob_scores = combined.mean_stages["problematic"][combined.stage]
     argmax_cell = suite.cell_ids[int(np.argmax(prob_scores))]
+    faulty_index = list(suite.cell_ids).index(cfg.faulty_cell)
     return {
         "seed": seed,
         "argmax_is_faulty": argmax_cell == cfg.faulty_cell,
-        "faulty_above_threshold": cfg.faulty_cell in combined.labels["problematic"].abnormal_cells(),
-        "reference_clean": combined.labels["reference"].abnormal_cells() == [],
+        "faulty_above_threshold": bool(combined.labels["problematic"][faulty_index]),
+        "reference_clean": not combined.labels["reference"].any(),
         "mean_auc": evaluate.mean_auc(evaluate.fold_aucs(outputs)),
         "f_scores": {
-            method: evaluate.method_metrics(agg, cfg.faulty_cell)["f_score"]
+            method: evaluate.method_metrics(agg, suite.cell_ids, cfg.faulty_cell)["f_score"]
             for method, agg in aggregates.items()
         },
     }
@@ -130,10 +131,9 @@ def test_a5_heuristic_distance_sanity():
     one_hot = np.zeros(n)
     one_hot[0] = 100.0
     uniform = np.full(n, 100.0 / n)
-    cells = tuple(range(1, n + 1))
-    d_faulty = heuristic_distance(SleepingCellHistogram(cells, one_hot, "normalized"), "faulty", n)
-    d_clean = heuristic_distance(SleepingCellHistogram(cells, uniform, "normalized"), "clean", n)
-    d_mixed = heuristic_distance(SleepingCellHistogram(cells, uniform, "normalized"), "faulty", n)
+    d_faulty = heuristic_distance(one_hot, "faulty")
+    d_clean = heuristic_distance(uniform, "clean")
+    d_mixed = heuristic_distance(uniform, "faulty")
     ok = (
         abs(d_faulty) <= 1e-9
         and abs(d_clean) <= 1e-9
@@ -210,8 +210,7 @@ def test_a7_invariant_suites(tmp_path):
     # normalized histograms sum to 100
     sums_ok = True
     for _ in range(50):
-        h = normalize(SleepingCellHistogram(tuple(range(21)), rng.uniform(0, 5, 21), "raw"))
-        sums_ok &= abs(h.scores.sum() - 100.0) < 1e-6
+        sums_ok &= abs(normalize(rng.uniform(0, 5, 21)).sum() - 100.0) < 1e-6
 
     # every sub-call's bigram total is its length minus one
     window_ok = True

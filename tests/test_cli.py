@@ -132,6 +132,17 @@ def test_detect_negative_folds_is_config_error(tmp_path, tiny_config_path, datas
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_detect_jobs_below_one_is_config_error(tmp_path, tiny_config_path, dataset_dir, capsys, jobs):
+    out = tmp_path / "jobs"
+    assert main([
+        "detect", "--config", str(tiny_config_path),
+        "--data", str(dataset_dir), "--out", str(out), "--jobs", jobs,
+    ]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_detect_full_run_outputs(detect_dir):
     fold_dirs = list((detect_dir / "folds").iterdir())
     assert len(fold_dirs) == 72
@@ -229,6 +240,16 @@ def _drop_target_rows(path):
     path.write_text("\n".join(line for line in lines if not line.startswith("target,")) + "\n")
 
 
+def _drop_histogram_rows(path, prefix):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(line for line in lines if not line.startswith(prefix)) + "\n")
+
+
+def _duplicate_line(path, index):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[: index + 1] + lines[index:]) + "\n")
+
+
 @pytest.mark.parametrize(
     "command,name,damage",
     [
@@ -244,11 +265,15 @@ def _drop_target_rows(path):
         ("evaluate", "folds/problematic_0x0/histograms.csv", lambda p: _edit_line(p, 3, lambda r: r + ",0")),
         ("evaluate", "folds/problematic_0x0/histograms.csv",
          lambda p: _edit_line(p, 3, lambda r: ",".join(r.split(",")[:2] + ["999"] + r.split(",")[3:]))),
+        ("evaluate", "folds/problematic_0x0/histograms.csv", lambda p: _drop_histogram_rows(p, "gram,amplified,")),
+        ("evaluate", "folds/problematic_0x0/histograms.csv", lambda p: _drop_histogram_rows(p, "symmetry,raw,1,")),
+        ("evaluate", "folds/problematic_0x0/histograms.csv", lambda p: _duplicate_line(p, 5)),
     ],
     ids=["manifest_not_json", "report_manifest_not_json", "manifest_without_faulty_cell",
          "fold_json_not_json", "scores_test_bad_row", "histograms_without_a_method",
          "labels_not_json", "labels_without_pairings", "scores_train_other_header",
-         "histograms_long_row", "histograms_unknown_cell"],
+         "histograms_long_row", "histograms_unknown_cell", "histograms_missing_stage",
+         "histograms_missing_cell_row", "histograms_duplicate_row"],
 )
 def test_damaged_run_directory_is_data_error(tmp_path, detect_dir, capsys, command, name, damage):
     run = tmp_path / "run"

@@ -62,6 +62,12 @@ def test_unknown_keys_rejected():
         ("map_resolution_m", math.nan),
         ("shadowing_correlation_m", -5.0),
         ("shadowing_sigma_db", math.nan),
+        ("tx_power_dbm", math.nan),
+        ("tx_power_dbm", math.inf),
+        ("inter_site_distance_m", math.nan),
+        ("inter_site_distance_m", math.inf),
+        ("inter_site_distance_m", 0.0),
+        ("inter_site_distance_m", -500.0),
     ],
 )
 def test_invalid_values_rejected(field, value):

@@ -57,6 +57,11 @@ CASES = {
         {**SMOKE, **WIDE_BRANCHES},
         "79a615a65749b9200ad68f6dde2959280159f6089059bf9d573b8d80276d6dbb",
     ),
+    # Labels, the aggregate CSV and the heat maps on the non-amplified stage.
+    "smoke_no_amplify": (
+        {**SMOKE, "amplify": False},
+        "8336d97495f8267403bcf113b4ba21afdd3ab81edce5684f89647d9cf81d7f89",
+    ),
 }
 
 

@@ -6,19 +6,16 @@ from hypothesis import strategies as st
 from sleepscan.errors import DataError
 from sleepscan.featurize import featurize_chunk
 from sleepscan.localize import (
-    SleepingCellHistogram,
     amplify,
     combine,
-    label_cells,
-    label_single_runs,
     normalize,
-    pooled_stats,
     sc_2gram_symmetry_deviation,
     sc_dominance_2gram_deviation,
     sc_dominance_subcall_deviation,
     sc_target_cell_subcalls,
 )
 from sleepscan.mdtlog import NO_TARGET, TARGETED_EVENTS, Chunk, EventId, EventLog, strip_locations
+from sleepscan.pipeline import aggregate_method
 from sleepscan.simgen.dominance import DominanceMap
 from sleepscan.simgen.layout import GridSpec
 
@@ -35,7 +32,7 @@ def split_map(left=1, right=2, n=4):
     return DominanceMap(grid_spec=spec, grid=grid)
 
 
-CELLS = [1, 2, 3]
+CELLS = [1, 2, 3]  # score arrays follow this order: cell c is at index c - 1
 NO_WINDOWS = np.zeros((0, 2), dtype=np.int64)
 
 
@@ -68,15 +65,15 @@ def test_subcall_deviation_empty_and_confined():
     dmap = uniform_map(cell_id=1)
     empty = make_chunk([], dmap)
     h = sc_dominance_subcall_deviation(CELLS, empty, NO_WINDOWS, 5, empty, NO_WINDOWS, 7)
-    assert np.all(h.scores == 0.0)
+    assert np.all(h == 0.0)
 
     chunk, sub = make_subcalls({"events": [EventId.RLF, EventId.RLF_REESTAB], "ue": 3}, dmap=dmap)
     h = sc_dominance_subcall_deviation(CELLS, empty, NO_WINDOWS, 5, chunk, sub, 1)
-    assert h.score_of(1) == pytest.approx(1.0)
-    assert h.score_of(2) == 0.0 and h.score_of(3) == 0.0
+    assert h[0] == pytest.approx(1.0)
+    assert h[1] == 0.0 and h[2] == 0.0
     # training deviation is clipped at zero
     h = sc_dominance_subcall_deviation(CELLS, chunk, sub, 1, empty, NO_WINDOWS, 1)
-    assert np.all(h.scores == 0.0)
+    assert np.all(h == 0.0)
 
 
 def test_gram_deviation_zero_when_identical():
@@ -85,7 +82,7 @@ def test_gram_deviation_zero_when_identical():
         *({"events": [EventId.A3_RSRP, EventId.HO_COMMAND], "ue": u} for u in range(3)), dmap=dmap
     )
     h = sc_dominance_2gram_deviation(CELLS, chunk, subs, 3, chunk, subs, 3)
-    assert np.allclose(h.scores, 0.0)
+    assert np.allclose(h, 0.0)
 
 
 def test_gram_deviation_single_new_pair_inside_one_cell():
@@ -93,8 +90,8 @@ def test_gram_deviation_single_new_pair_inside_one_cell():
     empty = make_chunk([], dmap)
     chunk, extra = make_subcalls({"events": [EventId.HO_COMMAND, EventId.A2_RSRP_ENTER], "ue": 9}, dmap=dmap)
     h = sc_dominance_2gram_deviation(CELLS, empty, NO_WINDOWS, 1, chunk, extra, 1)
-    assert h.score_of(1) == pytest.approx(1.0)  # 0.5 per endpoint
-    assert h.score_of(2) == 0.0 and h.score_of(3) == 0.0
+    assert h[0] == pytest.approx(1.0)  # 0.5 per endpoint
+    assert h[1] == 0.0 and h[2] == 0.0
 
 
 def test_gram_deviation_splits_border_pairs():
@@ -105,8 +102,8 @@ def test_gram_deviation_splits_border_pairs():
         {"events": [EventId.HO_COMMAND, EventId.HO_COMPLETE], "xs": [5.0, 35.0]}, dmap=dmap
     )
     h = sc_dominance_2gram_deviation(CELLS, empty, NO_WINDOWS, 1, chunk, sub, 1)
-    assert h.score_of(1) == pytest.approx(0.5)
-    assert h.score_of(2) == pytest.approx(0.5)
+    assert h[0] == pytest.approx(0.5)
+    assert h[1] == pytest.approx(0.5)
 
 
 def _ho_attempt_call(ue, serving, target, count):
@@ -125,7 +122,7 @@ def test_symmetry_balanced_flows_are_silent():
     train = make_chunk(_ho_attempt_call(0, 1, 2, 10) + _ho_attempt_call(1, 2, 1, 10), dmap)
     test = make_chunk(_ho_attempt_call(2, 1, 2, 4) + _ho_attempt_call(3, 2, 1, 4), dmap)
     h = sc_2gram_symmetry_deviation(CELLS, train, test, adjacency)
-    assert np.allclose(h.scores, 0.0)
+    assert np.allclose(h, 0.0)
 
 
 def test_symmetry_one_sided_flow_scores_both_ends():
@@ -134,9 +131,9 @@ def test_symmetry_one_sided_flow_scores_both_ends():
     train = make_chunk(_ho_attempt_call(0, 1, 2, 10) + _ho_attempt_call(1, 2, 1, 10), dmap)
     test = make_chunk(_ho_attempt_call(2, 1, 2, 10), dmap)  # nothing flows 2 -> 1
     h = sc_2gram_symmetry_deviation(CELLS, train, test, adjacency)
-    assert h.score_of(1) == pytest.approx(1.0)
-    assert h.score_of(2) == pytest.approx(1.0)
-    assert h.score_of(3) == 0.0
+    assert h[0] == pytest.approx(1.0)
+    assert h[1] == pytest.approx(1.0)
+    assert h[2] == 0.0
 
 
 def test_symmetry_location_mode_counts_crossings():
@@ -149,8 +146,8 @@ def test_symmetry_location_mode_counts_crossings():
     ], dmap)
     empty = make_chunk([], dmap)
     h = sc_2gram_symmetry_deviation(CELLS, empty, cross, adjacency, mode="location")
-    assert h.score_of(1) == pytest.approx(1.0)
-    assert h.score_of(2) == pytest.approx(1.0)
+    assert h[0] == pytest.approx(1.0)
+    assert h[1] == pytest.approx(1.0)
 
 
 def test_symmetry_location_mode_ignores_steps_between_calls():
@@ -164,7 +161,7 @@ def test_symmetry_location_mode_ignores_steps_between_calls():
     )
     empty = make_chunk([], dmap)
     h = sc_2gram_symmetry_deviation(CELLS, empty, chunk, adjacency, mode="location")
-    assert np.all(h.scores == 0.0)
+    assert np.all(h == 0.0)
 
 
 def test_target_cell_counts_unique_targets_per_subcall():
@@ -173,10 +170,10 @@ def test_target_cell_counts_unique_targets_per_subcall():
         {"events": [EventId.HO_COMMAND] * 3, "ue": 4, "targets": [1, 1, 3]}, dmap=dmap
     )
     h = sc_target_cell_subcalls(CELLS, chunk, sub, 1)
-    assert h.score_of(1) == pytest.approx(1.0)
-    assert h.score_of(3) == pytest.approx(1.0)
-    assert h.score_of(2) == 0.0
-    assert np.all(sc_target_cell_subcalls(CELLS, chunk, NO_WINDOWS, 5).scores == 0.0)
+    assert h[0] == pytest.approx(1.0)
+    assert h[2] == pytest.approx(1.0)
+    assert h[1] == 0.0
+    assert np.all(sc_target_cell_subcalls(CELLS, chunk, NO_WINDOWS, 5) == 0.0)
 
 
 def test_target_cell_needs_no_locations():
@@ -190,7 +187,7 @@ def test_target_cell_needs_no_locations():
     assert chunk.cell.tolist() != stripped.cell.tolist()
     a = sc_target_cell_subcalls(CELLS, chunk, whole_calls(chunk), 1)
     b = sc_target_cell_subcalls(CELLS, stripped, whole_calls(stripped), 1)
-    assert np.array_equal(a.scores, b.scores)
+    assert np.array_equal(a, b)
 
 
 def _reference_histograms(cell_ids, train, train_all, train_sel, train_ues, test, test_sel, test_ues):
@@ -271,82 +268,83 @@ def test_columnar_localizers_match_per_subcall_loops(seed, m, n_frac):
                                      test.chunk, test_sel, test.ue_count),
         sc_target_cell_subcalls(cell_ids, test.chunk, test_sel, test.ue_count),
     )
-    for h, ref in zip(got, expected):
-        assert np.array_equal(h.scores, ref)
+    for scores, ref in zip(got, expected):
+        assert np.array_equal(scores, ref)
 
 
 def test_amplification_arithmetic():
-    h = SleepingCellHistogram((1, 2, 3), np.array([50.0, 30.0, 20.0]), "raw")
     adjacency = {1: frozenset({2}), 2: frozenset({1}), 3: frozenset()}
-    amp = amplify(h, adjacency)
-    assert amp.score_of(1) == pytest.approx(50.0 / 20.0, rel=1e-9)
-    assert amp.score_of(2) == pytest.approx(30.0 / 20.0, rel=1e-9)
-    assert amp.score_of(3) == pytest.approx(20.0 / 80.0, rel=1e-9)
+    amp = amplify(np.array([50.0, 30.0, 20.0]), (1, 2, 3), adjacency)
+    assert amp[0] == pytest.approx(50.0 / 20.0, rel=1e-9)
+    assert amp[1] == pytest.approx(30.0 / 20.0, rel=1e-9)
+    assert amp[2] == pytest.approx(20.0 / 80.0, rel=1e-9)
 
 
 def test_amplification_uniform_symmetric_layout_stays_uniform():
     cells = (1, 2, 3, 4)
     # ring: every cell has the same neighbor count
     adjacency = {1: frozenset({2, 4}), 2: frozenset({1, 3}), 3: frozenset({2, 4}), 4: frozenset({3, 1})}
-    h = SleepingCellHistogram(cells, np.full(4, 25.0), "raw")
-    amp = amplify(h, adjacency)
-    assert np.allclose(amp.scores, amp.scores[0])
+    amp = amplify(np.full(4, 25.0), cells, adjacency)
+    assert np.allclose(amp, amp[0])
 
 
 def test_amplification_all_mass_on_one_cell_dominates():
     cells = (1, 2, 3)
     adjacency = {1: frozenset({2}), 2: frozenset({1, 3}), 3: frozenset({2})}
-    h = SleepingCellHistogram(cells, np.array([100.0, 0.0, 0.0]), "raw")
-    amp = amplify(h, adjacency)
-    norm = normalize(amp)
-    assert norm.argmax_cell() == 1
-    assert norm.score_of(1) > 99.9
+    norm = normalize(amplify(np.array([100.0, 0.0, 0.0]), cells, adjacency))
+    assert cells[int(np.argmax(norm))] == 1
+    assert norm[0] > 99.9
 
 
 def test_normalize_examples():
-    h = SleepingCellHistogram((1, 2, 3), np.array([2.0, 3.0, 5.0]), "raw")
-    norm = normalize(h)
-    assert np.allclose(norm.scores, [20.0, 30.0, 50.0])
-    zero = normalize(SleepingCellHistogram(tuple(range(21)), np.zeros(21), "raw"))
-    assert np.allclose(zero.scores, 100.0 / 21.0)
+    assert np.allclose(normalize(np.array([2.0, 3.0, 5.0])), [20.0, 30.0, 50.0])
+    assert np.allclose(normalize(np.zeros(21)), 100.0 / 21.0)
     rng = np.random.default_rng(0)
-    any_h = normalize(SleepingCellHistogram((1, 2, 3, 4), rng.uniform(0, 9, 4), "raw"))
-    assert any_h.scores.sum() == pytest.approx(100.0, abs=1e-6)
+    assert normalize(rng.uniform(0, 9, 4)).sum() == pytest.approx(100.0, abs=1e-6)
 
 
 def test_combine_identity_and_weights():
-    h = normalize(SleepingCellHistogram((1, 2), np.array([1.0, 3.0]), "raw"))
-    other = normalize(SleepingCellHistogram((1, 2), np.array([9.0, 1.0]), "raw"))
-    same = combine([h, h, h, h])
-    assert np.allclose(same.scores, h.scores)
-    first_only = combine([h, other, other, other], weights=[1, 0, 0, 0])
-    assert np.allclose(first_only.scores, h.scores)
-    with pytest.raises(DataError):
-        combine([h, normalize(SleepingCellHistogram((1, 3), np.array([1.0, 1.0]), "raw"))])
+    h = normalize(np.array([1.0, 3.0]))
+    other = normalize(np.array([9.0, 1.0]))
+    assert np.allclose(combine([h, h, h, h]), h)
+    assert np.allclose(combine([h, other, other, other], weights=[1, 0, 0, 0]), h)
     with pytest.raises(DataError):
         combine([h, other], weights=[1.0])
+    with pytest.raises(DataError):
+        combine([])
+    with pytest.raises(DataError):
+        combine([h, other], weights=[0.0, 0.0])
+
+
+def _runs(*runs):
+    """Fold histograms of one method that hold only the labeled stage."""
+    return [{"normalized": np.asarray(r, dtype=np.float64)} for r in runs]
 
 
 def test_labels_uniform_runs_flag_nothing():
-    runs = [np.full(21, 100.0 / 21.0) for _ in range(10)]
-    labels = label_cells(tuple(range(21)), runs)
-    assert labels.sigma == pytest.approx(0.0, abs=1e-12)
-    assert not any(labels.abnormal)
+    agg = aggregate_method("subcall", {"problematic": _runs(*[np.full(21, 100.0 / 21.0)] * 10)}, "normalized")
+    assert agg.pooled_sigma == pytest.approx(0.0, abs=1e-12)
+    assert not agg.labels["problematic"].any()
+    assert not agg.run_labels["problematic"].any()
 
 
 def test_labels_single_hot_cell_is_abnormal():
     run = np.zeros(21)
     run[4] = 100.0
-    labels = label_cells(tuple(range(21)), [run] * 12)
-    assert labels.abnormal_cells() == [4]
+    agg = aggregate_method("subcall", {"problematic": _runs(*[run] * 12)}, "normalized")
+    assert np.flatnonzero(agg.labels["problematic"]).tolist() == [4]
+    assert np.array_equal(agg.mean_stages["problematic"]["normalized"], run)
 
 
 def test_label_single_runs_against_external_stats():
-    runs = [np.array([10.0, 0.0]), np.array([0.0, 10.0])]
-    stats = pooled_stats(runs)
-    per_run = label_single_runs((1, 2), runs, stats)
-    assert len(per_run) == 2
-    assert per_run[0].abnormal_cells() == []  # 10 < 5 + 3*5
+    # one run per pairing: the 3-sigma statistics pool both
+    agg = aggregate_method(
+        "subcall", {"problematic": _runs([10.0, 0.0]), "reference": _runs([0.0, 10.0])}, "normalized"
+    )
+    assert (agg.pooled_mean, agg.pooled_sigma) == (5.0, 5.0)
+    assert agg.run_labels["problematic"].shape == (1, 2)
+    assert not agg.run_labels["problematic"].any()  # 10 < 5 + 3*5
+    assert not agg.labels["reference"].any()
 
 
 def test_methods_are_permutation_equivariant():
@@ -357,9 +355,9 @@ def test_methods_are_permutation_equivariant():
     empty = make_chunk([], split_map())
     h = sc_dominance_subcall_deviation([1, 2, 3], empty, NO_WINDOWS, 1, chunk, sub, 1)
     h_swapped = sc_dominance_subcall_deviation([1, 2, 3], empty, NO_WINDOWS, 1, swapped, sub_swapped, 1)
-    assert h.score_of(1) == h_swapped.score_of(2)
-    assert h.score_of(2) == h_swapped.score_of(1)
-    assert h.score_of(3) == h_swapped.score_of(3)
+    assert h[0] == h_swapped[1]
+    assert h[1] == h_swapped[0]
+    assert h[2] == h_swapped[2]
 
 
 def test_amplification_preserves_argmax_on_default_layout():
@@ -374,7 +372,6 @@ def test_amplification_preserves_argmax_on_default_layout():
         scores = rng.uniform(0.0, 1.0, len(cells))
         hot = int(rng.integers(len(cells)))
         scores[hot] += 10.0
-        h = SleepingCellHistogram(cells, scores, "raw")
         total = scores.sum()
         non_neighbor_sums = {
             c: total - sum(scores[i] for i, cc in enumerate(cells) if cc in ({c} | set(adjacency[c])))
@@ -382,10 +379,4 @@ def test_amplification_preserves_argmax_on_default_layout():
         }
         hot_cell = cells[hot]
         if all(non_neighbor_sums[hot_cell] <= v for c, v in non_neighbor_sums.items() if c != hot_cell):
-            assert amplify(h, adjacency).argmax_cell() == hot_cell
-
-
-def test_histogram_stage_tracking():
-    h = SleepingCellHistogram((1, 2), np.array([1.0, 2.0]), "raw")
-    assert normalize(h).stage == "normalized"
-    assert amplify(h, {1: frozenset(), 2: frozenset()}).stage == "amplified"
+            assert cells[int(np.argmax(amplify(scores, cells, adjacency)))] == hot_cell
