@@ -16,6 +16,44 @@ from .errors import ConfigError
 from .simgen import SimConfig, macro21_layout
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    if not (_is_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+# Each field annotation of RunConfig: the check its value must pass, and
+# how an error names that type.  A float field keeps an int as given, so
+# a config's hash does not depend on this check.
+_FIELD_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_finite_number, "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "int | str": (lambda v: _is_int(v) or isinstance(v, str), "an integer or a string"),
+    "tuple[float, float, float, float]": (
+        lambda v: isinstance(v, tuple) and len(v) == 4 and all(map(_is_finite_number, v)),
+        "4 finite numbers",
+    ),
+}
+
+
+def _as_weights(value):
+    """A list of finite numbers as the tuple of floats RunConfig holds;
+    any other value unchanged, for validate to reject."""
+    if isinstance(value, (list, tuple)) and all(map(_is_finite_number, value)):
+        return tuple(float(w) for w in value)
+    return value
+
+
 @dataclass(frozen=True)
 class RunConfig:
     # scenario geometry
@@ -65,6 +103,11 @@ class RunConfig:
     out_dir: str | None = None
 
     def validate(self) -> "RunConfig":
+        for f in fields(self):
+            check, type_name = _FIELD_TYPES[f.type]
+            value = getattr(self, f.name)
+            if not check(value):
+                raise ConfigError(f"{f.name} must be {type_name}, got {value!r}")
         if self.n_sites < 1 or self.sectors_per_site < 1:
             raise ConfigError("layout needs at least one site and sector")
         if self.window_m < 2:
@@ -88,7 +131,7 @@ class RunConfig:
             raise ConfigError('gram_scope must be "anomalous" or "all"')
         if self.symmetry_mode not in ("handover", "location"):
             raise ConfigError('symmetry_mode must be "handover" or "location"')
-        if len(self.weights) != 4 or any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
+        if any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
             raise ConfigError("weights must be 4 non-negative values with a positive sum")
         if self.cell_id_base < 0:
             raise ConfigError("cell_id_base must be >= 0")  # -1 marks a record without a target
@@ -119,8 +162,8 @@ class RunConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "weights" in data and data["weights"] is not None:
-            data = {**data, "weights": tuple(float(w) for w in data["weights"])}
+        if "weights" in data:
+            data = {**data, "weights": _as_weights(data["weights"])}
         return cls(**data).validate()
 
     @classmethod
@@ -139,7 +182,7 @@ class RunConfig:
     def with_overrides(self, **overrides) -> "RunConfig":
         overrides = {k: v for k, v in overrides.items() if v is not None}
         if "weights" in overrides:
-            overrides["weights"] = tuple(float(w) for w in overrides["weights"])
+            overrides["weights"] = _as_weights(overrides["weights"])
         return replace(self, **overrides).validate()
 
     def config_hash(self) -> str:

@@ -4,6 +4,14 @@ Every sub-call gets the sum of Euclidean distances to its k nearest
 training rows in the embedded space; the decision threshold is the
 95th percentile of the training scores and classification is strictly
 greater-than, so a constant-score training set flags nothing.
+
+Sub-calls are short n-gram count vectors, so most embedded rows repeat.
+The scorer works on the distinct rows: each distinct query row is
+scored once against the distinct training rows, each training distance
+standing for as many neighbours as the training set holds copies of
+that row, and the score is copied back to every query row with the same
+bytes.  Rows with equal bytes go through identical float operations, so
+the scores are those of the all-pairs computation bit for bit.
 """
 
 from __future__ import annotations
@@ -30,10 +38,17 @@ def knn_scores(train_emb, query_emb, k: int = DEFAULT_K, exclude_self: bool = Fa
     """Sum of Euclidean distances to the k nearest training rows, per query row.
 
     With exclude_self=True, query must be the training matrix itself
-    (row-aligned); the zero self-distance of row i is skipped.  The
-    squared distance accumulates one dimension at a time and the k
-    smallest distances are summed in ascending order, so the scores
-    equal a per-pair Python loop bit for bit.
+    (row-aligned); the zero self-distance of row i is skipped.
+
+    Train and query rows are deduplicated by their bytes.  The squared
+    distance between a distinct query row and a distinct training row
+    accumulates one dimension at a time; the k nearest are taken from
+    the smallest distinct distances, each repeated as often as its
+    training row occurs (one copy fewer for the query's own row under
+    exclude_self), and their square roots are summed in ascending order.
+    A duplicate row gets the same float operations as its first copy,
+    and a repeated distance is added as often as it occurs, never
+    multiplied, so the scores equal a per-pair Python loop bit for bit.
     """
     train = np.ascontiguousarray(train_emb, dtype=np.float64)
     query = np.ascontiguousarray(query_emb, dtype=np.float64)
@@ -44,7 +59,7 @@ def knn_scores(train_emb, query_emb, k: int = DEFAULT_K, exclude_self: bool = Fa
             f"dimension mismatch: train has {train.shape[1]} columns, "
             f"query has {query.shape[1]}"
         )
-    if exclude_self and query.shape[0] != train.shape[0]:
+    if exclude_self and (query.shape != train.shape or not np.array_equal(query, train, equal_nan=True)):
         raise ValueError("exclude_self requires query to be the training set itself")
     k = int(k)
     available = train.shape[0] - 1 if exclude_self else train.shape[0]
@@ -53,22 +68,48 @@ def knn_scores(train_emb, query_emb, k: int = DEFAULT_K, exclude_self: bool = Fa
     if k > available:
         raise ValueError(f"k={k} exceeds available neighbors ({available})")
 
-    n_train, dim = train.shape
-    n_query = query.shape[0]
+    train_rows, train_of, train_counts = _distinct_rows(train)
+    if exclude_self:
+        query_rows, query_of = train_rows, train_of
+    else:
+        query_rows, query_of, _ = _distinct_rows(query)
+    n_train, dim = train_rows.shape
+    n_query = query_rows.shape[0]
+    # Under exclude_self one candidate may be the query's own row with
+    # no copy left; one more candidate still leaves at least k copies.
+    n_cand = min(k + int(exclude_self), n_train)
     out = np.empty(n_query, dtype=np.float64)
     for start in range(0, n_query, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n_query)
-        block = query[start:stop]
+        block = query_rows[start:stop]
         d2 = np.zeros((stop - start, n_train), dtype=np.float64)
         for j in range(dim):
-            diff = block[:, j, None] - train[None, :, j]
+            diff = block[:, j, None] - train_rows[None, :, j]
             d2 += diff * diff
+        cand = np.argpartition(d2, n_cand - 1, axis=1)[:, :n_cand]
+        cand = np.take_along_axis(cand, np.take_along_axis(d2, cand, axis=1).argsort(axis=1), axis=1)
+        copies = train_counts[cand]
         if exclude_self:
-            d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        smallest = np.partition(d2, k - 1, axis=1)[:, :k]
-        smallest.sort(axis=1)
-        out[start:stop] = np.cumsum(np.sqrt(smallest), axis=1)[:, -1]
-    return out
+            copies -= cand == np.arange(start, stop)[:, None]
+        before = np.cumsum(copies, axis=1) - copies
+        take = np.clip(k - before, 0, copies)
+        dist = np.sqrt(np.take_along_axis(d2, cand, axis=1))
+        nearest = np.repeat(dist.ravel(), take.ravel()).reshape(stop - start, k)
+        out[start:stop] = np.cumsum(nearest, axis=1)[:, -1]
+    return out[query_of]
+
+
+def _distinct_rows(rows: np.ndarray):
+    """The distinct rows of a C-contiguous 2-D array by their bytes, the
+    index of each row's distinct row, and each distinct row's count."""
+    n, dim = rows.shape
+    if dim == 0:  # no bytes to compare: every row is the same empty row
+        return rows[:1], np.zeros(n, dtype=np.intp), np.full(min(n, 1), n)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * dim))).ravel()
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    return rows[first], inverse, counts
 
 
 def fit_threshold(train_scores, percentile: float = DEFAULT_PERCENTILE) -> Threshold:

@@ -58,27 +58,44 @@ def write_fold_output(out: FoldOutput, fold_dir) -> None:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    with open(fold_dir / "scores_train.csv", "w", encoding="utf-8") as fh:
-        fh.write(_SCORES_TRAIN_HEADER + "\n")
-        for i, ((ue, off), score, anom) in enumerate(
-            zip(out.train_rows, out.train_scores, out.train_anomalous)
-        ):
-            fh.write(f"{i},{ue},{off},{float(score)!r},{int(anom)}\n")
+    _write_lines(
+        fold_dir / "scores_train.csv", _SCORES_TRAIN_HEADER,
+        _score_lines(out.train_rows, out.train_scores, out.train_anomalous),
+    )
+    _write_lines(
+        fold_dir / "scores_test.csv", _SCORES_TEST_HEADER,
+        _score_lines(out.test_rows, out.test_scores, out.test_anomalous, out.test_affected),
+    )
+    _write_lines(fold_dir / "histograms.csv", _HISTOGRAMS_HEADER, (
+        f"{method},{stage},{cell},{value!r}"
+        for method in ALL_METHODS
+        for stage in sorted(out.histograms[method])
+        for cell, value in zip(out.cell_ids, out.histograms[method][stage].tolist())
+    ))
 
-    with open(fold_dir / "scores_test.csv", "w", encoding="utf-8") as fh:
-        fh.write(_SCORES_TEST_HEADER + "\n")
-        for i, ((ue, off), score, anom, aff) in enumerate(
-            zip(out.test_rows, out.test_scores, out.test_anomalous, out.test_affected)
-        ):
-            fh.write(f"{i},{ue},{off},{float(score)!r},{int(anom)},{int(aff)}\n")
 
-    with open(fold_dir / "histograms.csv", "w", encoding="utf-8") as fh:
-        fh.write(_HISTOGRAMS_HEADER + "\n")
-        for method in ALL_METHODS:
-            stages = out.histograms[method]
-            for stage in sorted(stages):
-                for cell, value in zip(out.cell_ids, stages[stage]):
-                    fh.write(f"{method},{stage},{cell},{float(value)!r}\n")
+def _score_lines(rows, scores, *flags):
+    """The lines of a scores CSV: row, ue, offset, score, then each flag as 0 or 1.
+
+    Scores repeat as the embedded rows do, so each distinct bit pattern
+    is formatted once.
+    """
+    bits, index = np.unique(
+        np.ascontiguousarray(scores, dtype=np.float64).view(np.int64), return_inverse=True
+    )
+    text = list(map(repr, bits.view(np.float64).tolist()))
+    columns = [
+        (f"{i},{ue},{offset}" for i, (ue, offset) in enumerate(rows)),
+        map(text.__getitem__, index.tolist()),
+        *(map(str, np.asarray(flag, dtype=np.uint8).tolist()) for flag in flags),
+    ]
+    return map(",".join, zip(*columns))
+
+
+def _write_lines(path: Path, header: str, lines) -> None:
+    """The header and the lines, each ending in a newline, in one write."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join([header, *lines, ""]))
 
 
 @contextlib.contextmanager

@@ -97,6 +97,10 @@ def test_bad_config_is_config_error(tmp_path, capsys):
     bad.write_text(json.dumps({"no_such_key": 1}))
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
     assert main(["simulate", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "x")]) == 2
+    bad.write_text(json.dumps({"knn_k": "5"}))  # a TypeError traceback before
+    capsys.readouterr()
+    assert main(["detect", "--config", str(bad), "--data", str(tmp_path), "--out", str(tmp_path / "r")]) == 2
+    assert "configuration error: knn_k must be an integer" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

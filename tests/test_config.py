@@ -68,6 +68,17 @@ def test_unknown_keys_rejected():
         ("inter_site_distance_m", math.inf),
         ("inter_site_distance_m", 0.0),
         ("inter_site_distance_m", -500.0),
+        # values of the wrong type: a traceback or a silent cast before
+        ("knn_k", "5"),
+        ("ues_per_cell", "3"),
+        ("weights", [math.nan, 1, 1, 1]),
+        ("weights", [math.inf, 1, 1, 1]),
+        ("weights", "abcd"),
+        ("window_m", 15.5),
+        ("knn_k", 2.5),
+        ("n_chunks", 1.5),
+        ("minor_components", 2.5),
+        ("amplify", "no"),
     ],
 )
 def test_invalid_values_rejected(field, value):

@@ -64,6 +64,54 @@ def test_matches_brute_force_oracle_exactly():
         )
 
 
+# Few values, so rows repeat heavily; -0.0 and 0.0 make rows that are
+# equal as numbers but not as bytes.
+_ROW_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_duplicate_heavy_rows_match_brute_force_exactly(data):
+    dim = data.draw(st.integers(0, 3))
+
+    def matrix(n):
+        rows = data.draw(st.lists(st.lists(_ROW_VALUES, min_size=dim, max_size=dim), min_size=n, max_size=n))
+        return np.array(rows, dtype=np.float64).reshape(n, dim)
+
+    train = matrix(data.draw(st.integers(2, 30)))
+    query = matrix(data.draw(st.integers(0, 30)))
+    k = data.draw(st.integers(1, len(train)))
+    assert np.array_equal(knn_scores(train, query, k=k), brute_force_scores(train, query, k))
+    k = data.draw(st.integers(1, len(train) - 1))
+    assert np.array_equal(
+        knn_scores(train, train, k=k, exclude_self=True),
+        brute_force_scores(train, train, k, exclude_self=True),
+    )
+
+
+def test_duplicate_row_edge_cases_match_brute_force_exactly():
+    # all-identical training rows, every neighbour but the row itself
+    same = np.ones((6, 2))
+    assert np.array_equal(
+        knn_scores(same, same, k=5, exclude_self=True), brute_force_scores(same, same, 5, exclude_self=True)
+    )
+    # rows equal as numbers but not as bytes
+    signed = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, -0.0], [2.0, 0.0]])
+    for k in (1, 2, 3, 4):
+        assert np.array_equal(
+            knn_scores(signed, signed, k=k, exclude_self=True),
+            brute_force_scores(signed, signed, k, exclude_self=True),
+        )
+        assert np.array_equal(knn_scores(signed, signed[::-1], k=k), brute_force_scores(signed, signed[::-1], k))
+    # more distinct query rows than one 512-row block, each repeated
+    grid = np.array(np.meshgrid(*[np.arange(5.0)] * 4)).reshape(4, -1).T[:520]
+    rows = np.vstack([grid, grid[:30]])
+    assert np.array_equal(
+        knn_scores(rows, rows, k=3, exclude_self=True), brute_force_scores(rows, rows, 3, exclude_self=True)
+    )
+    assert np.array_equal(knn_scores(grid[::7], rows, k=4), brute_force_scores(grid[::7], rows, 4))
+
+
 def test_accepts_non_contiguous_and_casts():
     rng = np.random.default_rng(0)
     wide = rng.normal(size=(30, 12))
@@ -84,6 +132,8 @@ def test_k_bounds_and_shape_validation():
         knn_scores(train, np.zeros((2, 3)), k=1)
     with pytest.raises(ValueError):
         knn_scores(train, np.zeros((4, 2)), k=1, exclude_self=True)
+    with pytest.raises(ValueError, match="training set itself"):
+        knn_scores(train, np.ones((5, 2)), k=1, exclude_self=True)
     with pytest.raises(ValueError):
         knn_scores(train, np.zeros((5, 2)), k=0)
 
