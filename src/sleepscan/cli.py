@@ -6,7 +6,6 @@ Exit codes: 0 ok, 2 configuration error, 3 data error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -129,6 +128,8 @@ def cmd_detect(args) -> int:
 
 
 _MANIFEST_KEYS = ("config", "config_hash", "faulty_cell", "methods", "n_folds")
+_SUMMARY_METRICS = ("accuracy", "precision", "recall", "f_score", "tnr", "fpr")
+_SUMMARY_HEADER = ",".join(("method",) + _SUMMARY_METRICS)
 
 
 def _read_json_object(path: Path, keys) -> dict:
@@ -146,20 +147,29 @@ def _read_json_object(path: Path, keys) -> dict:
     return doc
 
 
-def _read_detect_manifest(out_dir: Path) -> dict:
+def _read_detect_manifest(out_dir: Path) -> tuple[dict, RunConfig]:
+    """The detect manifest of a run directory and the configuration it records."""
     path = out_dir / "detect_manifest.json"
     if not path.exists():
         raise DataError(f"no detect_manifest.json in {out_dir}; run detect first")
     manifest = _read_json_object(path, _MANIFEST_KEYS)
-    if not isinstance(manifest["faulty_cell"], int):
-        raise DataError(f"{path}: faulty_cell must be an integer")
-    return manifest
+    if not (
+        all(type(manifest[key]) is int for key in ("faulty_cell", "n_folds"))
+        and isinstance(manifest["config_hash"], str) and isinstance(manifest["config"], dict)
+        and isinstance(manifest["methods"], list) and all(m in pipeline.ALL_METHODS for m in manifest["methods"])
+    ):
+        raise DataError(f"{path}: needs integer faulty_cell and n_folds, a string config_hash, "
+                        f"a config object and methods from {', '.join(pipeline.ALL_METHODS)}")
+    try:
+        cfg = RunConfig.from_dict(manifest["config"])
+    except ConfigError as exc:
+        raise DataError(f"{path}: invalid config: {exc}") from None
+    return manifest, cfg
 
 
 def cmd_evaluate(args) -> int:
     out_dir = Path(args.out)
-    manifest = _read_detect_manifest(out_dir)
-    cfg = RunConfig.from_dict(manifest["config"])
+    manifest, cfg = _read_detect_manifest(out_dir)
     outputs = [storage.read_fold_output(d) for d in storage.list_fold_dirs(out_dir)]
     aggregates = pipeline.aggregate_folds(outputs, cfg)
     methods = [m for m in _selected_methods(args.method) if m in manifest["methods"]]
@@ -175,12 +185,10 @@ def cmd_evaluate(args) -> int:
         with open(eval_dir / f"metrics_{method}.json", "w", encoding="utf-8") as fh:
             json.dump({"method": method, **metrics}, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        summary_rows.append(
-            [method] + [repr(metrics[k]) for k in ("accuracy", "precision", "recall", "f_score", "tnr", "fpr")]
-        )
+        summary_rows.append([method] + [repr(metrics[k]) for k in _SUMMARY_METRICS])
 
     with open(eval_dir / "metrics_summary.csv", "w", encoding="utf-8") as fh:
-        fh.write("method,accuracy,precision,recall,f_score,tnr,fpr\n")
+        fh.write(_SUMMARY_HEADER + "\n")
         for row in summary_rows:
             fh.write(",".join(row) + "\n")
 
@@ -217,7 +225,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_report(args) -> int:
     out_dir = Path(args.out)
-    manifest = _read_detect_manifest(out_dir)
+    manifest, _cfg = _read_detect_manifest(out_dir)
     eval_dir = out_dir / "eval"
     agg_dir = out_dir / "aggregate"
     print(f"run config hash: {manifest['config_hash'][:12]}, folds: {manifest['n_folds']}")
@@ -241,14 +249,14 @@ def cmd_report(args) -> int:
         print("  " + " | ".join(line))
     summary = eval_dir / "metrics_summary.csv"
     if summary.exists():
-        with open(summary, encoding="utf-8", newline="") as fh:
-            rows = list(csv.DictReader(fh))
+        methods, *columns = storage.csv_columns(summary, _SUMMARY_HEADER)
+        try:
+            values = np.array(columns, dtype=np.float64).T.tolist()
+        except ValueError:
+            raise DataError(f"malformed {summary}: a metric that is not a number") from None
         print("method     accuracy precision recall  f_score  tnr     fpr")
-        for row in rows:
-            print(
-                f"{row['method']:10s} "
-                + " ".join(f"{float(row[k]):7.4f}" for k in ("accuracy", "precision", "recall", "f_score", "tnr", "fpr"))
-            )
+        for method, row in zip(methods, values):
+            print(f"{method:10s} " + " ".join(f"{value:7.4f}" for value in row))
     else:
         print("(no eval/ directory yet; run evaluate for metrics)")
     return 0

@@ -170,19 +170,3 @@ def build_feature_matrix(features: ChunkFeatures, vocabulary: NGramVocabulary) -
     matrix[:, np.searchsorted(vocabulary.codes, features.codes)] = features.counts
     return matrix
 
-
-def write_matrix_csv(features: ChunkFeatures, vocabulary: NGramVocabulary, path, event_names=None) -> None:
-    """Debug dump of a chunk's feature matrix with "EVENT1|EVENT2" column headers."""
-
-    def name(code):
-        return EventId(code).name if event_names is None else event_names[code]
-
-    headers = ["|".join(name(c) for c in gram) for gram in vocabulary.pairs]
-    bounds = features.chunk.call_bounds
-    calls = np.searchsorted(bounds, features.windows[:, 0], side="right") - 1
-    matrix = build_feature_matrix(features, vocabulary)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(["ue", "call_index", "offset"] + headers) + "\n")
-        for (ue, offset), call, row in zip(features.rows, calls, matrix):
-            prefix = [str(ue), str(int(call)), str(offset)]
-            fh.write(",".join(prefix + [str(int(v)) for v in row]) + "\n")

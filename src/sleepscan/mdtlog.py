@@ -6,16 +6,16 @@ One JSONL record per line:
 Event names on the wire use the human-readable spellings
 ("HO COMMAND", "RLF REESTAB.", ...).
 
-`read_records` parses a file in one pass when every line is exactly
-what `write_records` emits: the keys in the order above, each followed
-by `": "` and separated by `", "`, the nine wire names, integers in JSON
-grammar (`-?(0|[1-9][0-9]*)`), x and y spelled as a float `repr` is
-(`100.0`, `-0.0`, `1e-07`, `1.7976931348623157e+308`), target `null` or
-an integer, and a `"\\n"` after every line, the last included.  The file
-must also carry a target on every targeted event and fit every integer
-in 64 bits.  Any other file (blank lines, reordered keys, other spacing
-or number spellings, a bad line) is read line by line with `json.loads`,
-which gives the same columns or a `ParseError` naming the line.
+`read_records` reads only what `write_records` writes, in one pass:
+every line exactly as the writer emits it, the keys in the order above,
+each followed by `": "` and separated by `", "`, the nine wire names,
+integers in JSON grammar (`-?(0|[1-9][0-9]*)`), x and y spelled as a
+float `repr` is (`100.0`, `-0.0`, `1e-07`, `1.7976931348623157e+308`),
+target `null` or an integer, and a `"\\n"` after every line, the last
+included.  Every targeted event must carry a target and every integer
+must fit in 64 bits.  Any other file (blank lines, reordered keys, other
+spacing or number spellings, a bad line) is a `ParseError` naming its
+first line that differs; an integer out of range is a `DataError`.
 
 A log is an `EventLog` (one numpy array per field) from the simulator
 to the detector; a dataset chunk is a `Chunk`, whose records are ordered
@@ -24,7 +24,6 @@ into calls once, at load.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, fields, replace
 from enum import IntEnum
@@ -185,36 +184,6 @@ _CODES_BY_NAME = {name: int(ev) for name, ev in EVENTS_BY_NAME.items()}
 _TARGETED_CODES = frozenset(int(ev) for ev in TARGETED_EVENTS)
 
 
-def _row_from_obj(obj: dict, path, lineno: int) -> tuple:
-    for field in ("ue", "t", "event", "x", "y", "serving"):
-        if field not in obj:
-            raise ParseError(path, lineno, f"missing required field {field!r}")
-    name = obj["event"]
-    if name not in _CODES_BY_NAME:
-        raise ParseError(path, lineno, f"unknown event name {name!r}")
-    code = _CODES_BY_NAME[name]
-    try:
-        x = float(obj["x"])
-        y = float(obj["y"])
-    except (TypeError, ValueError, OverflowError):  # OverflowError: float(10**400)
-        raise ParseError(path, lineno, "non-numeric coordinate") from None
-    target = obj.get("target")
-    if target is None and code in _TARGETED_CODES:
-        raise ParseError(path, lineno, f"event {name!r} requires a target cell")
-    try:
-        return (
-            code,
-            int(obj["ue"]),
-            int(obj["t"]),
-            x,
-            y,
-            int(obj["serving"]),
-            NO_TARGET if target is None else int(target),
-        )
-    except (TypeError, ValueError, OverflowError):  # OverflowError: int(Infinity)
-        raise ParseError(path, lineno, "malformed field value") from None
-
-
 JSON_INT = r"-?(?:0|[1-9][0-9]*)"
 _FLOAT_REPR = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:e[+-][0-9]+)?|e[+-][0-9]+)"
 _WIRE_NAME = "|".join(re.escape(name) for name in WIRE_NAMES.values())
@@ -226,76 +195,60 @@ _RECORD_LINE = re.compile(
 )
 
 
-def line_columns(line: re.Pattern, text: str) -> list[tuple[str, ...]] | None:
-    """The captures of line, column by column, if every line of text matches it.
+def read_text(path) -> str:
+    """The text of a UTF-8 file; other bytes are a DataError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+
+
+def line_columns(line: re.Pattern, text: str, path) -> list[tuple[str, ...]]:
+    """The captures of line, column by column; every line of text must match it.
 
     line is a MULTILINE pattern anchored at `^` that ends in `\\n` and
-    matches no `\\n` before that, so each match is exactly one line.
-    None when some line does not match or the last line lacks its `\\n`.
+    matches no `\\n` before that, so each match is exactly one line.  The
+    first line that does not match, or a last line without its `\\n`, is a
+    ParseError naming it.
     """
     rows = line.findall(text)
-    if len(rows) != text.count("\n") or (text and not text.endswith("\n")):
-        return None
-    return list(zip(*rows)) or [()] * line.groups
+    if len(rows) == text.count("\n") and (not text or text.endswith("\n")):
+        return list(zip(*rows)) or [()] * line.groups
+    lineno, pos = 1, 0  # matches run on line after line up to the first line that does not match
+    for match in line.finditer(text):
+        if match.start() != pos:
+            break
+        lineno, pos = lineno + 1, match.end()
+    bad = text[pos:].partition("\n")[0]
+    if line.match(bad + "\n"):
+        raise ParseError(path, lineno, "the last line does not end in a newline")
+    raise ParseError(path, lineno, f"not in the written format: {bad[:60]!r}")
 
 
-def _parse_written_records(text: str) -> EventLog | None:
-    """Columns of a log in exactly `write_records`' format, else None."""
-    columns = line_columns(_RECORD_LINE, text)
-    if columns is None:
-        return None
-    ue, t, names, x, y, serving, target = columns
+def read_records(path) -> EventLog:
+    """Read a log that `write_records` wrote into columns, in file order.
+
+    Every line must be exactly as `write_records` writes it, and every
+    targeted event must carry a target: the first line that does not is
+    a ParseError naming it.  An integer outside 64 bits is a DataError.
+    """
+    ue, t, names, x, y, serving, target = line_columns(_RECORD_LINE, read_text(path), path)
     event = np.array([_CODES_BY_NAME[name] for name in names], dtype=np.int64)
     no_target = np.array([not value for value in target], dtype=bool)
-    if (no_target & np.isin(event, list(_TARGETED_CODES))).any():
-        return None
+    untargeted = np.flatnonzero(no_target & np.isin(event, list(_TARGETED_CODES)))
+    if len(untargeted):
+        row = int(untargeted[0])
+        raise ParseError(path, row + 1, f"event {names[row]!r} requires a target cell")
     try:
         ue, t, serving, target = (
             np.array(column, dtype=np.int64)
             for column in (ue, t, serving, [value or str(NO_TARGET) for value in target])
         )
     except OverflowError:
-        return None
+        raise DataError(f"{path}: integer field outside the 64-bit range") from None
     x, y = np.array(x, dtype=np.float64), np.array(y, dtype=np.float64)
     return EventLog(event=event, ue=ue, t=t, x=x, y=y, serving=serving, target=target)
-
-
-def read_records(path) -> EventLog:
-    """Read a JSONL log into columns, in file order.
-
-    A file in exactly `write_records`' format is parsed in one pass;
-    any other is read line by line, with the same result or error.
-    """
-    with open(path, encoding="utf-8") as fh:
-        log = _parse_written_records(fh.read())
-    return _read_records_per_line(path) if log is None else log
-
-
-def json_objects(path):
-    """(line number, object) for each non-blank line of a JSONL file.
-
-    A line that is not a JSON object is a ParseError naming it.
-    """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                raise ParseError(path, lineno, "invalid JSON") from None
-            if not isinstance(obj, dict):
-                raise ParseError(path, lineno, "record is not an object")
-            yield lineno, obj
-
-
-def _read_records_per_line(path) -> EventLog:
-    rows = [_row_from_obj(obj, path, lineno) for lineno, obj in json_objects(path)]
-    try:
-        return EventLog.from_rows(rows)
-    except OverflowError:
-        raise DataError(f"{path}: integer field outside the 64-bit range") from None
 
 
 def write_records(log: EventLog, path) -> None:

@@ -9,12 +9,14 @@ the simulator's radio model and event-location attribution.
 
 from __future__ import annotations
 
+import io
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigError, DataError
+from ..mdtlog import read_text
 from .fields import ShadowingField
 from .layout import GridSpec, NetworkLayout, pathloss_db, sector_gain_db
 
@@ -145,16 +147,15 @@ DOMINANCE_HEADER = "x_index,y_index,cell_id"
 
 def load_dominance_csv(path, grid_spec: GridSpec) -> DominanceMap:
     """Read a dominance map written by `write_dominance_csv`; every pixel once."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        header = fh.readline().strip()
-        if header != DOMINANCE_HEADER:
-            raise DataError(f"{path}: dominance map header must be {DOMINANCE_HEADER!r}, got {header!r}")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # no rows: fails the coverage check
-                rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
-        except ValueError as exc:
-            raise DataError(f"{path}: malformed dominance map row ({exc})") from None
+    header, _, body = read_text(path).partition("\n")
+    if header.strip() != DOMINANCE_HEADER:
+        raise DataError(f"{path}: dominance map header must be {DOMINANCE_HEADER!r}, got {header.strip()!r}")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows: fails the coverage check
+            rows = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2)
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed dominance map row ({exc})") from None
     if not rows.size:
         rows = rows.reshape(0, 3)
     if rows.shape[1] != 3:

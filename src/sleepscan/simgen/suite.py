@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import DataError, ParseError
-from ..mdtlog import JSON_INT, Chunk, EventLog, json_objects, line_columns, read_records, write_records
+from ..errors import DataError
+from ..mdtlog import JSON_INT, Chunk, EventLog, line_columns, read_records, read_text, write_records
 from .dominance import (
     RadioMap,
     build_radio_map,
@@ -140,46 +140,19 @@ _TRUTH_LINE = re.compile(
 )
 
 
-def _parse_written_truth(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The arrays of a truth file in exactly `write_truth`'s format, else None."""
-    columns = line_columns(_TRUTH_LINE, text)
-    if columns is None:
-        return None
-    ue, index, affected = columns
+def load_truth(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ue, event_index, affected) arrays of a truth file `write_truth` wrote, in file order.
+
+    Every line must be exactly as `write_truth` writes it: the first
+    that is not is a ParseError naming it.  An integer outside 64 bits
+    is a DataError.
+    """
+    ue, index, affected = line_columns(_TRUTH_LINE, read_text(path), path)
     try:
         ue, index = np.array(ue, dtype=np.int64), np.array(index, dtype=np.int64)
     except OverflowError:
-        return None
-    return ue, index, np.array([flag == "true" for flag in affected], dtype=bool)
-
-
-def load_truth(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ue, event_index, affected) arrays of a truth file, in file order.
-
-    A file in exactly `write_truth`'s format is parsed in one pass; any
-    other is read line by line, with the same result or error.
-    """
-    with open(path, encoding="utf-8") as fh:
-        truth = _parse_written_truth(fh.read())
-    return _load_truth_per_line(path) if truth is None else truth
-
-
-def _load_truth_per_line(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    ues, indices, flags = [], [], []
-    for lineno, obj in json_objects(path):
-        for field in ("ue", "event_index", "affected"):
-            if field not in obj:
-                raise ParseError(path, lineno, f"missing required field {field!r}")
-        try:
-            ues.append(int(obj["ue"]))
-            indices.append(int(obj["event_index"]))
-        except (TypeError, ValueError, OverflowError):  # OverflowError: int(Infinity)
-            raise ParseError(path, lineno, "malformed field value") from None
-        flags.append(bool(obj["affected"]))
-    try:
-        return np.array(ues, dtype=np.int64), np.array(indices, dtype=np.int64), np.array(flags, dtype=bool)
-    except OverflowError:
         raise DataError(f"{path}: integer field outside the 64-bit range") from None
+    return ue, index, np.array([flag == "true" for flag in affected], dtype=bool)
 
 
 def write_suite(suite: DatasetSuite, out_dir, manifest_extra: dict | None = None) -> Path:
@@ -249,8 +222,12 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _is_file_name(value) -> bool:  # of a file in the suite directory itself
+    return isinstance(value, str) and value not in ("", ".", "..") and Path(value).name == value
+
+
 def _check_manifest(manifest: dict, path) -> None:
-    """Reject manifest values detect cannot use: cells, adjacency, grid and faulty cell."""
+    """Reject manifest values detect cannot use: cells, adjacency, grid, faulty cell and files."""
     cell_ids = manifest["cell_ids"]
     if not isinstance(cell_ids, list) or not all(_is_int(c) for c in cell_ids):
         raise DataError(f"{path}: cell_ids must be a list of integers")
@@ -270,6 +247,13 @@ def _check_manifest(manifest: dict, path) -> None:
         raise DataError(f"{path}: grid needs finite origin_x and origin_y, a positive resolution_m and positive nx, ny")
     if not _is_int(manifest["faulty_cell"]) or manifest["faulty_cell"] not in cell_ids:
         raise DataError(f"{path}: faulty_cell must be one of cell_ids")
+    files = manifest["files"]
+    if not (isinstance(files, dict) and "normal" in files and all(
+        isinstance(entry, dict) and isinstance(entry.get("chunks"), list)
+        and all(map(_is_file_name, [entry.get("truth"), entry.get("dominance"), *entry["chunks"]]))
+        for entry in files.values()
+    )):
+        raise DataError(f"{path}: files must give each role, normal included, truth, dominance and chunk file names")
 
 
 def load_suite(data_dir):
@@ -284,39 +268,32 @@ def load_suite(data_dir):
     if not manifest_path.exists():
         raise DataError(f"no manifest.json in {data_dir}")
     try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        missing = [key for key in _MANIFEST_KEYS if key not in manifest]
-        if missing:
-            raise DataError(f"{manifest_path} lacks {', '.join(missing)}")
-        _check_manifest(manifest, manifest_path)
-        g = manifest["grid"]
-        grid = GridSpec(
-            origin_x=g["origin_x"],
-            origin_y=g["origin_y"],
-            resolution_m=g["resolution_m"],
-            nx=g["nx"],
-            ny=g["ny"],
-        )
-        files = [
-            (role, entry["truth"], entry["dominance"], list(entry["chunks"]))
-            for role, entry in manifest["files"].items()
-        ]
-    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
+        manifest = json.loads(read_text(manifest_path))
+    except json.JSONDecodeError as exc:
         raise DataError(f"malformed {manifest_path}: {exc!r}") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"{manifest_path} does not hold a JSON object")
+    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise DataError(f"{manifest_path} lacks {', '.join(missing)}")
+    _check_manifest(manifest, manifest_path)
+    g = manifest["grid"]
+    grid = GridSpec(
+        origin_x=g["origin_x"], origin_y=g["origin_y"], resolution_m=g["resolution_m"], nx=g["nx"], ny=g["ny"]
+    )
     cell_ids = manifest["cell_ids"]
     roles = {}
     try:
-        for role, truth_name, dominance_name, chunk_names in files:
-            truth = load_truth(data_dir / truth_name)
-            dominance = load_dominance_csv(data_dir / dominance_name, grid)
+        for role, entry in manifest["files"].items():
+            truth = load_truth(data_dir / entry["truth"])
+            dominance = load_dominance_csv(data_dir / entry["dominance"], grid)
             chunks = [
                 Chunk.from_log(read_records(data_dir / name), dominance, cell_ids, truth)
-                for name in chunk_names
+                for name in entry["chunks"]
             ]
             roles[role] = LoadedRole(role=role, chunks=chunks)
-    except FileNotFoundError as exc:
-        raise DataError(f"missing {exc.filename}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {exc.filename}: {exc.strerror}") from None
     return manifest, grid, roles
 
 

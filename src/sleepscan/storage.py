@@ -109,7 +109,7 @@ def _parsing(path: Path):
         raise DataError(f"malformed {path}: {exc!r}") from None
 
 
-def _csv_columns(path: Path, header: str) -> list[tuple[str, ...]]:
+def csv_columns(path: Path, header: str) -> list[tuple[str, ...]]:
     """The fields of a CSV file as written here, column by column, as strings.
 
     The file must start with header and hold as many fields on every
@@ -140,10 +140,13 @@ def read_fold_output(fold_dir) -> FoldOutput:
         cell_ids = tuple(int(c) for c in meta["cell_ids"])
         threshold = float(meta["threshold"])
         selected_components = int(meta["selected_components"])
+    if not (pair.train_role == "normal" and pair.test_role in ("problematic", "reference")
+            and all(type(i) is int and i >= 0 for i in (pair.train_index, pair.test_index))):
+        raise DataError(f"malformed {fold_dir / 'fold.json'}: unknown roles or chunk indices")
 
     def read_scores(name, header):
         path = fold_dir / name
-        columns = _csv_columns(path, header)
+        columns = csv_columns(path, header)
         with _parsing(path):
             ue, offset = (np.array(column, dtype=np.int64) for column in columns[1:3])
             scores = np.array(columns[3], dtype=np.float64)
@@ -157,7 +160,7 @@ def read_fold_output(fold_dir) -> FoldOutput:
     keys = [(m, st) for m in ALL_METHODS for st in sorted(COMBINED_STAGES if m == "combined" else STAGES)]
     key_index = {key: k for k, key in enumerate(keys)}
     path = fold_dir / "histograms.csv"
-    methods, stages, cells, values = _csv_columns(path, _HISTOGRAMS_HEADER)
+    methods, stages, cells, values = csv_columns(path, _HISTOGRAMS_HEADER)
     with _parsing(path):
         cell = lookup_index(np.array(cells, dtype=np.int64), cell_ids)
         values = np.array(values, dtype=np.float64)

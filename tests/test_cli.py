@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sleepscan
-from sleepscan import mdtlog, storage
+from sleepscan import storage
 from sleepscan.cli import main
 from sleepscan.simgen import suite as suite_module
 
@@ -254,6 +254,22 @@ def _duplicate_line(path, index):
     path.write_text("\n".join(lines[: index + 1] + lines[index:]) + "\n")
 
 
+def _edit_json(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def _evaluated_summary_line(path, index, edit):
+    """Run evaluate on the run directory holding path, then edit a line of its metrics_summary.csv."""
+    assert main(["evaluate", "--out", str(path.parents[1])]) == 0
+    _edit_line(path, index, edit)
+
+
+def _prepend_byte(path, byte=b"\xff"):
+    path.write_bytes(byte + path.read_bytes())
+
+
 @pytest.mark.parametrize(
     "command,name,damage",
     [
@@ -272,12 +288,25 @@ def _duplicate_line(path, index):
         ("evaluate", "folds/problematic_0x0/histograms.csv", lambda p: _drop_histogram_rows(p, "gram,amplified,")),
         ("evaluate", "folds/problematic_0x0/histograms.csv", lambda p: _drop_histogram_rows(p, "symmetry,raw,1,")),
         ("evaluate", "folds/problematic_0x0/histograms.csv", lambda p: _duplicate_line(p, 5)),
+        ("evaluate", "folds/problematic_0x0/fold.json", lambda p: _edit_json(p, lambda d: d.update(test_role="bogus"))),
+        ("evaluate", "folds/problematic_0x0/fold.json", lambda p: _edit_json(p, lambda d: d.update(train_index="a"))),
+        ("report", "eval/metrics_summary.csv",
+         lambda p: _evaluated_summary_line(p, 0, lambda h: h.replace("f_score", "fscore"))),
+        ("report", "eval/metrics_summary.csv",
+         lambda p: _evaluated_summary_line(p, 1, lambda r: r.rsplit(",", 1)[0] + ",x")),
+        ("report", "detect_manifest.json", lambda p: _edit_json(p, lambda d: d.update(methods=7))),
+        ("report", "detect_manifest.json", lambda p: _edit_json(p, lambda d: d.update(config_hash=7))),
+        ("evaluate", "detect_manifest.json", lambda p: _edit_json(p, lambda d: d.update(methods="gram"))),
+        ("evaluate", "detect_manifest.json", lambda p: _edit_json(p, lambda d: d["config"].update(knn_k=-1))),
     ],
     ids=["manifest_not_json", "report_manifest_not_json", "manifest_without_faulty_cell",
          "fold_json_not_json", "scores_test_bad_row", "histograms_without_a_method",
          "labels_not_json", "labels_without_pairings", "scores_train_other_header",
          "histograms_long_row", "histograms_unknown_cell", "histograms_missing_stage",
-         "histograms_missing_cell_row", "histograms_duplicate_row"],
+         "histograms_missing_cell_row", "histograms_duplicate_row", "fold_json_unknown_test_role",
+         "fold_json_index_not_int", "summary_renamed_column", "summary_not_a_number",
+         "manifest_methods_not_a_list", "manifest_config_hash_not_a_string", "manifest_methods_a_string",
+         "manifest_config_invalid"],
 )
 def test_damaged_run_directory_is_data_error(tmp_path, detect_dir, capsys, command, name, damage):
     run = tmp_path / "run"
@@ -300,12 +329,6 @@ def _drop_key_on_line(path, lineno, key):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _edit_json(path, edit):
-    doc = json.loads(path.read_text())
-    edit(doc)
-    path.write_text(json.dumps(doc))
-
-
 @pytest.mark.parametrize(
     "name,damage",
     [
@@ -318,10 +341,19 @@ def _edit_json(path, edit):
         ("manifest.json", lambda p: _edit_json(p, lambda d: d.update(faulty_cell="z"))),
         ("normal_chunk2.jsonl", lambda p: p.unlink()),
         ("truth_reference.jsonl", lambda p: p.unlink()),
+        ("manifest.json", lambda p: _edit_json(p, lambda d: d["files"].pop("normal"))),
+        ("manifest.json", lambda p: _edit_json(p, lambda d: d["files"]["normal"].update(truth=5))),
+        ("manifest.json", lambda p: _edit_json(p, lambda d: d["files"]["normal"]["chunks"].__setitem__(0, "."))),
+        ("manifest.json", _prepend_byte),
+        ("dominance_normal.csv", _prepend_byte),
+        ("normal_chunk2.jsonl", _prepend_byte),
+        ("truth_problematic.jsonl", _prepend_byte),
     ],
     ids=["truth_not_json", "truth_without_event_index", "manifest_not_json", "manifest_without_grid",
          "manifest_adjacency_key_not_int", "manifest_resolution_zero", "manifest_faulty_cell_not_int",
-         "missing_chunk", "missing_truth"],
+         "missing_chunk", "missing_truth", "manifest_files_without_normal", "manifest_truth_name_not_a_string",
+         "manifest_chunk_name_dot", "manifest_not_utf8", "dominance_not_utf8", "chunk_not_utf8",
+         "truth_not_utf8"],
 )
 def test_damaged_suite_is_data_error(tmp_path, tiny_config_path, dataset_dir, capsys, name, damage):
     data = tmp_path / "suite"
@@ -334,13 +366,8 @@ def test_damaged_suite_is_data_error(tmp_path, tiny_config_path, dataset_dir, ca
     assert name in capsys.readouterr().err
 
 
-def test_written_suite_and_run_need_no_per_line_parser(dataset_dir, detect_dir, monkeypatch):
-    """The writers' own output parses in one pass; a format change that needs the slow path fails here."""
-    def per_line(path):
-        raise AssertionError(f"{path} needed the per-line parser")
-
-    monkeypatch.setattr(mdtlog, "_read_records_per_line", per_line)
-    monkeypatch.setattr(suite_module, "_load_truth_per_line", per_line)
+def test_written_suite_and_run_need_no_per_line_parser(dataset_dir, detect_dir):
+    """The readers take exactly what the writers write: a format change that breaks the round trip fails here."""
     _, _, roles = suite_module.load_suite(dataset_dir)
     assert sum(len(chunk.log) for role in roles.values() for chunk in role.chunks) > 0
     assert any(chunk.affected.any() for chunk in roles["problematic"].chunks)

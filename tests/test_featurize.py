@@ -220,19 +220,6 @@ def test_vocabulary_is_union_of_groups():
     assert build_feature_matrix(b, vocab).tolist() == [[0, 1]]
 
 
-def test_matrix_csv_dump(tmp_path):
-    from sleepscan.featurize import write_matrix_csv
-
-    feats = whole_call_features([EventId.HO_COMMAND, EventId.HO_COMPLETE, EventId.HO_COMMAND])
-    vocab = NGramVocabulary.from_subcalls(feats)
-    path = tmp_path / "matrix.csv"
-    write_matrix_csv(feats, vocab, path)
-    header, row = path.read_text().splitlines()
-    assert "HO_COMMAND|HO_COMPLETE" in header
-    assert "HO_COMPLETE|HO_COMMAND" in header
-    assert row.startswith("0,0,0,")
-
-
 def test_all_rows_sum_to_length_minus_one():
     rng = np.random.default_rng(5)
     calls = [rng.integers(0, 9, size=rng.integers(2, 60)).tolist() for _ in range(8)]

@@ -16,8 +16,6 @@ from sleepscan.mdtlog import (
     EventId,
     EventLog,
     group_calls,
-    _parse_written_records,
-    _read_records_per_line,
     lookup_index,
     make_fold_pairs,
     read_records,
@@ -25,7 +23,7 @@ from sleepscan.mdtlog import (
 )
 from sleepscan.simgen.dominance import DominanceMap
 from sleepscan.simgen.layout import GridSpec
-from sleepscan.simgen.suite import _load_truth_per_line, load_truth, write_truth
+from sleepscan.simgen.suite import load_truth, truth_rows, write_truth
 
 GOLDEN_CODES = {
     "PL PROBLEM": 0,
@@ -105,17 +103,15 @@ def test_missing_target_is_an_error_with_line(tmp_path):
 
 def test_unknown_event_and_bad_coordinate(tmp_path):
     path = tmp_path / "log.jsonl"
-    path.write_text(json.dumps({"ue": 1, "t": 0, "event": "NOPE", "x": 0, "y": 0, "serving": 1}) + "\n")
-    with pytest.raises(ParseError, match="unknown event"):
-        read_records(path)
-    path.write_text(
-        json.dumps({"ue": 1, "t": 0, "event": "RLF", "x": "wat", "y": 0, "serving": 1}) + "\n"
-    )
-    with pytest.raises(ParseError, match="non-numeric"):
-        read_records(path)
-    path.write_text(json.dumps({"ue": 1, "event": "RLF", "x": 0, "y": 0, "serving": 1}) + "\n")
-    with pytest.raises(ParseError, match="missing required field"):
-        read_records(path)
+    for line in (
+        json.dumps({"ue": 1, "t": 0, "event": "NOPE", "x": 0, "y": 0, "serving": 1}),
+        json.dumps({"ue": 1, "t": 0, "event": "RLF", "x": "wat", "y": 0, "serving": 1}),
+        json.dumps({"ue": 1, "event": "RLF", "x": 0, "y": 0, "serving": 1}),
+    ):
+        path.write_text(line + "\n")
+        with pytest.raises(ParseError, match="not in the written format") as err:
+            read_records(path)
+        assert err.value.lineno == 1
 
 
 def test_tie_in_t_keeps_file_order(tmp_path):
@@ -301,14 +297,10 @@ written_records_st = st.lists(st.builds(
 @given(written_records_st)
 @example([])
 @example([_rec(event=event, ue=i, t=i, x=x, y=-x) for i, (event, x) in enumerate(zip(list(EventId) * 2, AWKWARD_FLOATS))])
-def test_fast_path_equals_per_line_path_on_written_logs(tmp_path_factory, records):
-    path = tmp_path_factory.mktemp("fast") / "log.jsonl"
+def test_read_records_round_trips_written_logs(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("rt") / "log.jsonl"
     write_records(EventLog.from_rows(records), path)
-    fast = _parse_written_records(path.read_text(encoding="utf-8"))
-    assert fast is not None
-    per_line = _log_columns(_read_records_per_line(path))
-    _assert_same_columns(_log_columns(fast), per_line)
-    _assert_same_columns(_log_columns(read_records(path)), per_line)
+    _assert_same_columns(_log_columns(read_records(path)), _log_columns(EventLog.from_rows(records)))
 
 
 def _reorder_keys(line):
@@ -316,26 +308,26 @@ def _reorder_keys(line):
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit,lineno",
     [
-        lambda text: "\n".join(_reorder_keys(line) for line in text.splitlines()) + "\n",
-        lambda text: text.replace(", ", ",  ").replace(": ", " : "),
-        lambda text: text.replace("\n", "\n\n", 1),
-        lambda text: text[:-1],
+        (lambda text: "\n".join(_reorder_keys(line) for line in text.splitlines()) + "\n", 1),
+        (lambda text: text.replace(", ", ",  ").replace(": ", " : "), 1),
+        (lambda text: text.replace("\n", "\n\n", 1), 2),
+        (lambda text: text[:-1], 9),
     ],
     ids=["reordered_keys", "extra_spaces", "blank_line", "no_final_newline"],
 )
-def test_non_canonical_log_takes_the_per_line_path(tmp_path, edit):
+def test_non_canonical_log_takes_the_per_line_path(tmp_path, edit, lineno):
+    """A log that is not line for line what write_records writes fails the one-pass check;
+    the per-line walk then names its first differing line."""
     records = [_rec(event=event, ue=i % 3, t=i, x=x, y=-x, target=7) for i, (event, x) in
                enumerate(zip(list(EventId), AWKWARD_FLOATS))]
     path = tmp_path / "log.jsonl"
     write_records(EventLog.from_rows(records), path)
-    text = edit(path.read_text(encoding="utf-8"))
-    path.write_text(text, encoding="utf-8")
-    assert _parse_written_records(text) is None
-    expected = _log_columns(EventLog.from_rows(records))
-    _assert_same_columns(_log_columns(_read_records_per_line(path)), expected)
-    _assert_same_columns(_log_columns(read_records(path)), expected)
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read_records(path)
+    assert err.value.lineno == lineno
 
 
 @pytest.mark.parametrize(
@@ -369,52 +361,49 @@ def test_integer_outside_64_bits_is_a_data_error(tmp_path):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.integers(-2**40, 2**40), st.booleans()), max_size=40))
 @example([])
-def test_truth_fast_path_equals_per_line_path(tmp_path_factory, ue_flags):
+def test_load_truth_round_trips_written_truth(tmp_path_factory, ue_flags):
     log = EventLog.from_rows([_rec(ue=ue, t=i) for i, (ue, _) in enumerate(ue_flags)])
+    affected = [flag for _, flag in ue_flags]
     path = tmp_path_factory.mktemp("truth") / "truth.jsonl"
-    write_truth(log, [flag for _, flag in ue_flags], path)
-    fast = load_truth(path)
-    assert [column.dtype for column in fast] == [np.int64, np.int64, np.bool_]
-    _assert_same_columns(fast, _load_truth_per_line(path))
-    assert fast[2].tolist() == [flag for _, flag in ue_flags]
+    write_truth(log, affected, path)
+    truth = load_truth(path)
+    assert [column.dtype for column in truth] == [np.int64, np.int64, np.bool_]
+    _assert_same_columns(truth, truth_rows(log, affected))
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit,lineno",
     [
-        lambda text: "\n".join(_reorder_keys(line) for line in text.splitlines()) + "\n",
-        lambda text: text.replace(", ", " ,  "),
-        lambda text: text.replace("\n", "\n\n", 1),
-        lambda text: text[:-1],
+        (lambda text: "\n".join(_reorder_keys(line) for line in text.splitlines()) + "\n", 1),
+        (lambda text: text.replace(", ", " ,  "), 1),
+        (lambda text: text.replace("\n", "\n\n", 1), 2),
+        (lambda text: text[:-1], 4),
     ],
     ids=["reordered_keys", "extra_spaces", "blank_line", "no_final_newline"],
 )
-def test_non_canonical_truth_takes_the_per_line_path(tmp_path, monkeypatch, edit):
+def test_non_canonical_truth_takes_the_per_line_path(tmp_path, edit, lineno):
+    """As for logs: the first line that differs from write_truth's output is a ParseError naming it."""
     log = EventLog.from_rows([_rec(ue=ue, t=t) for t, ue in enumerate((4, -2, 4, 2**40))])
-    affected = [True, False, False, True]
     path = tmp_path / "truth.jsonl"
-    write_truth(log, affected, path)
-    expected = load_truth(path)
+    write_truth(log, [True, False, False, True], path)
     path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
-    calls = []
-    monkeypatch.setattr("sleepscan.simgen.suite._load_truth_per_line",
-                        lambda p: calls.append(p) or _load_truth_per_line(p))
-    _assert_same_columns(load_truth(path), expected)
-    assert calls == [path]
+    with pytest.raises(ParseError) as err:
+        load_truth(path)
+    assert err.value.lineno == lineno
 
 
 @pytest.mark.parametrize(
-    "line,reason",
+    "line,damage",
     [("{bad", "invalid JSON"), ('{"ue": 1, "affected": true}', "missing required field 'event_index'"),
      ('{"ue": "x", "event_index": 0, "affected": true}', "malformed field value"), ("[1]", "not an object")],
 )
-def test_damaged_truth_line_is_a_parse_error(tmp_path, line, reason):
+def test_damaged_truth_line_is_a_parse_error(tmp_path, line, damage):
     path = tmp_path / "truth.jsonl"
     write_truth(EventLog.from_rows([_rec(ue=1), _rec(ue=2)]), [True, False], path)
     path.write_text(path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
-    with pytest.raises(ParseError, match=reason) as err:
+    with pytest.raises(ParseError, match="not in the written format") as err:
         load_truth(path)
-    assert err.value.lineno == 3
+    assert err.value.lineno == 3, damage
 
 
 def test_lookup_index():
