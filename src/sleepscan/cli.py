@@ -127,7 +127,7 @@ def cmd_detect(args) -> int:
     return 0
 
 
-_MANIFEST_KEYS = ("config", "config_hash", "faulty_cell", "methods", "n_folds")
+_MANIFEST_KEYS = ("cell_ids", "config", "config_hash", "faulty_cell", "methods", "n_folds")
 _SUMMARY_METRICS = ("accuracy", "precision", "recall", "f_score", "tnr", "fpr")
 _SUMMARY_HEADER = ",".join(("method",) + _SUMMARY_METRICS)
 
@@ -157,9 +157,11 @@ def _read_detect_manifest(out_dir: Path) -> tuple[dict, RunConfig]:
         all(type(manifest[key]) is int for key in ("faulty_cell", "n_folds"))
         and isinstance(manifest["config_hash"], str) and isinstance(manifest["config"], dict)
         and isinstance(manifest["methods"], list) and all(m in pipeline.ALL_METHODS for m in manifest["methods"])
+        and isinstance(manifest["cell_ids"], list) and all(type(c) is int for c in manifest["cell_ids"])
     ):
         raise DataError(f"{path}: needs integer faulty_cell and n_folds, a string config_hash, "
-                        f"a config object and methods from {', '.join(pipeline.ALL_METHODS)}")
+                        f"a config object, methods from {', '.join(pipeline.ALL_METHODS)} "
+                        f"and a list of integer cell_ids")
     try:
         cfg = RunConfig.from_dict(manifest["config"])
     except ConfigError as exc:
@@ -170,7 +172,12 @@ def _read_detect_manifest(out_dir: Path) -> tuple[dict, RunConfig]:
 def cmd_evaluate(args) -> int:
     out_dir = Path(args.out)
     manifest, cfg = _read_detect_manifest(out_dir)
-    outputs = [storage.read_fold_output(d) for d in storage.list_fold_dirs(out_dir)]
+    cell_ids = tuple(manifest["cell_ids"])
+    outputs = []
+    for fold_dir in storage.list_fold_dirs(out_dir):
+        outputs.append(storage.read_fold_output(fold_dir))
+        if outputs[-1].cell_ids != cell_ids:  # every histogram must follow one cell order
+            raise DataError(f"{fold_dir / 'fold.json'}: cell_ids differ from those of detect_manifest.json")
     aggregates = pipeline.aggregate_folds(outputs, cfg)
     methods = [m for m in _selected_methods(args.method) if m in manifest["methods"]]
     if not methods:
@@ -181,7 +188,7 @@ def cmd_evaluate(args) -> int:
 
     summary_rows = []
     for method in methods:
-        metrics = ev.method_metrics(aggregates[method], outputs[0].cell_ids, manifest["faulty_cell"])
+        metrics = ev.method_metrics(aggregates[method], cell_ids, manifest["faulty_cell"])
         with open(eval_dir / f"metrics_{method}.json", "w", encoding="utf-8") as fh:
             json.dump({"method": method, **metrics}, fh, indent=2, sort_keys=True)
             fh.write("\n")

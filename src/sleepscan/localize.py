@@ -28,6 +28,11 @@ re-normalizes a weighted mean of the normalized methods.  Every score
 vector is a plain float array ordered like the suite's `cell_ids`; the
 3-sigma labels are set in `pipeline.aggregate_method`.
 
+The neighbor relation is one (cells, cells) boolean matrix per run
+(`adjacency_matrix`) in `cell_ids` order, which the suite loader requires
+to ascend: symmetry and amplification add a matrix row left to right,
+the same floats in the same order as a loop over sorted neighbor ids.
+
 The methods read columnar chunks (`mdtlog.Chunk`), whose records carry
 their dominance-cell index, and sub-calls given as (start, stop) record
 ranges into them.
@@ -35,25 +40,30 @@ ranges into them.
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
 from .errors import DataError
 from .featurize import decode_gram, gram_codes, gram_positions
-from .mdtlog import NO_TARGET, Chunk, EventId, lookup_index
+from .mdtlog import Chunk, EventId, lookup_index
 
 AMPLIFY_EPSILON = 1e-9
 
 METHOD_NAMES = ("subcall", "gram", "symmetry", "target")
 
 
-def _empty(cell_ids) -> np.ndarray:
-    return np.zeros(len(cell_ids), dtype=np.float64)
+def adjacency_matrix(adjacency, cell_ids) -> np.ndarray:
+    """(cells, cells) flags ordered like cell_ids: row i marks the cells
+    listed as neighbors of cell_ids[i].  Ids outside cell_ids are ignored."""
+    adjacent = np.zeros((len(cell_ids), len(cell_ids)), dtype=bool)
+    for i, cell in enumerate(cell_ids):
+        j = lookup_index(np.fromiter(adjacency.get(cell, ()), dtype=np.int64), cell_ids)
+        adjacent[i, j[j >= 0]] = True
+    return adjacent
 
 
-def _index(cell_ids) -> dict[int, int]:
-    return {c: i for i, c in enumerate(cell_ids)}
+def _row_sums(values: np.ndarray) -> np.ndarray:
+    """Per row, the sum of its entries added one by one from the left."""
+    return np.cumsum(values, axis=1)[:, -1]
 
 
 def _windows_per_cell(rows, cells, n_cells: int) -> np.ndarray:
@@ -120,80 +130,59 @@ def sc_dominance_2gram_deviation(
     """
     f_train = _gram_cell_rates(train, train_windows, train_ue_count, len(cell_ids))
     f_test = _gram_cell_rates(test, test_anom_windows, test_ue_count, len(cell_ids))
-    scores = _empty(cell_ids)
+    zero = np.zeros(len(cell_ids), dtype=np.float64)
+    scores = zero
     # Summed in set order, one key at a time: the float sum depends on it.
     for key in set(f_train) | set(f_test):
-        a = f_test.get(key)
-        b = f_train.get(key)
-        if a is None:
-            scores += np.abs(b)
-        elif b is None:
-            scores += np.abs(a)
-        else:
-            scores += np.abs(a - b)
+        scores = scores + np.abs(f_test.get(key, zero) - f_train.get(key, zero))
     return scores
 
 
-def _directed_crossings(chunk: Chunk, cell_ids) -> dict[tuple[int, int], int]:
-    """Counts of consecutive events of a call whose dominance cells differ."""
-    if len(chunk.log) < 2:
-        return {}
-    same_call = np.ones(len(chunk.log) - 1, dtype=bool)
-    same_call[chunk.call_bounds[1:-1] - 1] = False
-    a, b = chunk.cell[:-1], chunk.cell[1:]
-    keep = same_call & (a != b)
-    ids = np.asarray(cell_ids)
-    return Counter(zip(ids[a[keep]].tolist(), ids[b[keep]].tolist()))
+def _directed_counts(chunk: Chunk, cell_ids, mode: str) -> np.ndarray:
+    """(cells, cells) counts of directed border 2-grams, from row to column cell.
 
-
-def _directed_handovers(chunk: Chunk) -> dict[tuple[int, int], int]:
-    """Counts of 2-grams ending in HO COMMAND, directed serving -> target."""
+    "handover": 2-grams ending in HO COMMAND, serving -> target cell;
+    "location": consecutive events of a call, dominance cell -> dominance cell.
+    """
     log = chunk.log
-    keep = (log.event == int(EventId.HO_COMMAND)) & (log.target != NO_TARGET) & (log.serving != log.target)
-    keep[chunk.call_bounds[:-1]] = False  # a call's first event ends no 2-gram
-    return Counter(zip(log.serving[keep].tolist(), log.target[keep].tolist()))
+    starts_call = np.zeros(len(log), dtype=bool)  # a call's first event ends no 2-gram
+    starts_call[chunk.call_bounds[:-1]] = True
+    if mode == "handover":
+        src, dst = lookup_index(log.serving, cell_ids), lookup_index(log.target, cell_ids)
+        keep = (log.event == int(EventId.HO_COMMAND)) & ~starts_call & (src >= 0) & (dst >= 0)
+    elif mode == "location":
+        src, dst = chunk.cell[:-1], chunk.cell[1:]
+        keep = ~starts_call[1:]
+    else:
+        raise DataError(f"unknown symmetry mode {mode!r}")
+    n = len(cell_ids)
+    return np.bincount(src[keep] * n + dst[keep], minlength=n * n).reshape(n, n)
 
 
-def _imbalance(counts, a: int, b: int) -> float:
-    forward = counts.get((a, b), 0)
-    backward = counts.get((b, a), 0)
-    total = forward + backward
-    if total == 0:
-        return 0.0
-    return (forward - backward) / total
+def _imbalance(counts: np.ndarray) -> np.ndarray:
+    """(C - Cᵀ)/(C + Cᵀ) per cell pair: 0 where neither direction occurs and on the diagonal."""
+    total = counts + counts.T
+    return np.divide(counts - counts.T, total, out=np.zeros(total.shape), where=total > 0)
 
 
 def sc_2gram_symmetry_deviation(
     cell_ids,
     train: Chunk,
     test: Chunk,
-    adjacency: dict[int, frozenset[int]],
+    adjacent: np.ndarray,
     mode: str = "handover",
 ) -> np.ndarray:
     """Change in the directed imbalance of border 2-grams, summed over neighbors.
 
     Profiles the full fold logs (not only flagged rows): for adjacent
     cells A and B, the imbalance is (n(A->B) - n(B->A)) / (n(A->B) + n(B->A)).
-    mode selects the direction semantics (see module docstring).
+    mode selects the direction semantics (see module docstring); adjacent
+    is the `adjacency_matrix` of cell_ids.
     """
-    if mode == "handover":
-        train_counts = _directed_handovers(train)
-        test_counts = _directed_handovers(test)
-    elif mode == "location":
-        train_counts = _directed_crossings(train, cell_ids)
-        test_counts = _directed_crossings(test, cell_ids)
-    else:
-        raise DataError(f"unknown symmetry mode {mode!r}")
-    scores = _empty(cell_ids)
-    idx = _index(cell_ids)
-    for cell in cell_ids:
-        total = 0.0
-        for other in sorted(adjacency.get(cell, ())):
-            total += abs(
-                _imbalance(test_counts, cell, other) - _imbalance(train_counts, cell, other)
-            )
-        scores[idx[cell]] = total
-    return scores
+    change = np.abs(
+        _imbalance(_directed_counts(test, cell_ids, mode)) - _imbalance(_directed_counts(train, cell_ids, mode))
+    )
+    return _row_sums(np.where(adjacent, change, 0.0))
 
 
 def sc_target_cell_subcalls(
@@ -210,22 +199,10 @@ def sc_target_cell_subcalls(
     return scores / max(test_ue_count, 1)
 
 
-def amplify(
-    scores: np.ndarray,
-    cell_ids,
-    adjacency: dict[int, frozenset[int]],
-    epsilon: float = AMPLIFY_EPSILON,
-) -> np.ndarray:
+def amplify(scores: np.ndarray, adjacent: np.ndarray, epsilon: float = AMPLIFY_EPSILON) -> np.ndarray:
     """Divide each score by the summed score of its non-neighbor cells."""
-    total = float(scores.sum())
-    values = scores.tolist()
-    out = np.empty_like(scores)
-    for i, cell in enumerate(cell_ids):
-        excluded = {cell} | set(adjacency.get(cell, ()))
-        # A sequential sum in cell order: the float result depends on it.
-        non_neighbor = total - sum(v for v, c in zip(values, cell_ids) if c in excluded)
-        out[i] = scores[i] / (non_neighbor + epsilon)
-    return out
+    excluded = adjacent | np.eye(len(scores), dtype=bool)  # a cell and its neighbors
+    return scores / (scores.sum() - _row_sums(np.where(excluded, scores, 0.0)) + epsilon)
 
 
 def normalize(scores: np.ndarray) -> np.ndarray:

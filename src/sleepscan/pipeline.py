@@ -47,7 +47,7 @@ class FoldInput:
     pair: FoldPair
     train: featurize.ChunkFeatures
     test: featurize.ChunkFeatures
-    adjacency: dict[int, frozenset[int]]
+    adjacent: np.ndarray  # localize.adjacency_matrix of cell_ids
     cell_ids: list[int]
 
 
@@ -113,7 +113,7 @@ def run_fold(fold: FoldInput, cfg: RunConfig) -> FoldOutput:
             test.chunk, gram_test_windows, test.ue_count,
         ),
         "symmetry": localize.sc_2gram_symmetry_deviation(
-            cell_ids, train.chunk, test.chunk, fold.adjacency, mode=cfg.symmetry_mode,
+            cell_ids, train.chunk, test.chunk, fold.adjacent, mode=cfg.symmetry_mode,
         ),
         "target": localize.sc_target_cell_subcalls(
             cell_ids, test.chunk, test_anom_windows, test.ue_count,
@@ -122,7 +122,7 @@ def run_fold(fold: FoldInput, cfg: RunConfig) -> FoldOutput:
 
     histograms: dict[str, dict[str, np.ndarray]] = {}
     for name, scores in raw.items():
-        amped = localize.amplify(scores, cell_ids, fold.adjacency)
+        amped = localize.amplify(scores, fold.adjacent)
         histograms[name] = {
             "raw": scores,
             "amplified": amped,
@@ -157,8 +157,8 @@ def fold_inputs_from_suite(manifest, roles, cfg: RunConfig, limit: int | None = 
     chunk a fold uses is featurized once, and its features are shared by
     every fold that uses it.
     """
-    adjacency = {int(c): frozenset(v) for c, v in manifest["adjacency"].items()}
     cell_ids = [int(c) for c in manifest["cell_ids"]]
+    adjacent = localize.adjacency_matrix({int(c): v for c, v in manifest["adjacency"].items()}, cell_ids)
     normal = roles["normal"]
     pairs = []
     for test_role in ("problematic", "reference"):
@@ -181,7 +181,7 @@ def fold_inputs_from_suite(manifest, roles, cfg: RunConfig, limit: int | None = 
             pair=pair,
             train=chunk_features(pair.train_role, pair.train_index),
             test=chunk_features(pair.test_role, pair.test_index),
-            adjacency=adjacency,
+            adjacent=adjacent,
             cell_ids=cell_ids,
         )
         for pair in pairs

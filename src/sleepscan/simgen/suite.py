@@ -229,8 +229,11 @@ def _is_file_name(value) -> bool:  # of a file in the suite directory itself
 def _check_manifest(manifest: dict, path) -> None:
     """Reject manifest values detect cannot use: cells, adjacency, grid, faulty cell and files."""
     cell_ids = manifest["cell_ids"]
-    if not isinstance(cell_ids, list) or not all(_is_int(c) for c in cell_ids):
-        raise DataError(f"{path}: cell_ids must be a list of integers")
+    if not (
+        isinstance(cell_ids, list) and all(_is_int(c) for c in cell_ids)
+        and all(a < b for a, b in zip(cell_ids, cell_ids[1:]))
+    ):  # the localizers sum neighbors in cell_ids order, which must be id order
+        raise DataError(f"{path}: cell_ids must be a strictly increasing list of integers")
     adjacency = manifest["adjacency"]
     if not isinstance(adjacency, dict) or not all(
         re.fullmatch(JSON_INT, key) and isinstance(cells, list) and all(_is_int(c) for c in cells)

@@ -298,6 +298,8 @@ def _prepend_byte(path, byte=b"\xff"):
         ("report", "detect_manifest.json", lambda p: _edit_json(p, lambda d: d.update(config_hash=7))),
         ("evaluate", "detect_manifest.json", lambda p: _edit_json(p, lambda d: d.update(methods="gram"))),
         ("evaluate", "detect_manifest.json", lambda p: _edit_json(p, lambda d: d["config"].update(knn_k=-1))),
+        ("evaluate", "detect_manifest.json", lambda p: _drop_key(p, "cell_ids")),
+        ("evaluate", "folds/problematic_0x0/fold.json", lambda p: _edit_json(p, lambda d: d["cell_ids"].reverse())),
     ],
     ids=["manifest_not_json", "report_manifest_not_json", "manifest_without_faulty_cell",
          "fold_json_not_json", "scores_test_bad_row", "histograms_without_a_method",
@@ -306,7 +308,7 @@ def _prepend_byte(path, byte=b"\xff"):
          "histograms_missing_cell_row", "histograms_duplicate_row", "fold_json_unknown_test_role",
          "fold_json_index_not_int", "summary_renamed_column", "summary_not_a_number",
          "manifest_methods_not_a_list", "manifest_config_hash_not_a_string", "manifest_methods_a_string",
-         "manifest_config_invalid"],
+         "manifest_config_invalid", "manifest_without_cell_ids", "fold_json_cell_ids_reversed"],
 )
 def test_damaged_run_directory_is_data_error(tmp_path, detect_dir, capsys, command, name, damage):
     run = tmp_path / "run"
@@ -348,12 +350,13 @@ def _drop_key_on_line(path, lineno, key):
         ("dominance_normal.csv", _prepend_byte),
         ("normal_chunk2.jsonl", _prepend_byte),
         ("truth_problematic.jsonl", _prepend_byte),
+        ("manifest.json", lambda p: _edit_json(p, lambda d: d["cell_ids"].reverse())),
     ],
     ids=["truth_not_json", "truth_without_event_index", "manifest_not_json", "manifest_without_grid",
          "manifest_adjacency_key_not_int", "manifest_resolution_zero", "manifest_faulty_cell_not_int",
          "missing_chunk", "missing_truth", "manifest_files_without_normal", "manifest_truth_name_not_a_string",
          "manifest_chunk_name_dot", "manifest_not_utf8", "dominance_not_utf8", "chunk_not_utf8",
-         "truth_not_utf8"],
+         "truth_not_utf8", "manifest_cell_ids_descending"],
 )
 def test_damaged_suite_is_data_error(tmp_path, tiny_config_path, dataset_dir, capsys, name, damage):
     data = tmp_path / "suite"

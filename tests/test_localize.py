@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 from sleepscan.errors import DataError
 from sleepscan.featurize import featurize_chunk
 from sleepscan.localize import (
+    AMPLIFY_EPSILON,
+    adjacency_matrix,
     amplify,
     combine,
     normalize,
@@ -116,28 +120,34 @@ def _ho_attempt_call(ue, serving, target, count):
     return recs
 
 
+PAIR_ADJACENT = adjacency_matrix({1: [2], 2: [1], 3: []}, CELLS)  # cells 1 and 2 border, 3 is alone
+
+
+def test_adjacency_matrix_rows_follow_cell_ids():
+    adjacent = adjacency_matrix({1: [2, 99], 2: [1, 3], 7: [1]}, CELLS)
+    assert adjacent.tolist() == [[False, True, False], [True, False, True], [False, False, False]]
+    assert adjacency_matrix({}, []).shape == (0, 0)
+
+
 def test_symmetry_balanced_flows_are_silent():
-    adjacency = {1: frozenset({2}), 2: frozenset({1}), 3: frozenset()}
     dmap = uniform_map()
     train = make_chunk(_ho_attempt_call(0, 1, 2, 10) + _ho_attempt_call(1, 2, 1, 10), dmap)
     test = make_chunk(_ho_attempt_call(2, 1, 2, 4) + _ho_attempt_call(3, 2, 1, 4), dmap)
-    h = sc_2gram_symmetry_deviation(CELLS, train, test, adjacency)
+    h = sc_2gram_symmetry_deviation(CELLS, train, test, PAIR_ADJACENT)
     assert np.allclose(h, 0.0)
 
 
 def test_symmetry_one_sided_flow_scores_both_ends():
-    adjacency = {1: frozenset({2}), 2: frozenset({1}), 3: frozenset()}
     dmap = uniform_map()
     train = make_chunk(_ho_attempt_call(0, 1, 2, 10) + _ho_attempt_call(1, 2, 1, 10), dmap)
     test = make_chunk(_ho_attempt_call(2, 1, 2, 10), dmap)  # nothing flows 2 -> 1
-    h = sc_2gram_symmetry_deviation(CELLS, train, test, adjacency)
+    h = sc_2gram_symmetry_deviation(CELLS, train, test, PAIR_ADJACENT)
     assert h[0] == pytest.approx(1.0)
     assert h[1] == pytest.approx(1.0)
     assert h[2] == 0.0
 
 
 def test_symmetry_location_mode_counts_crossings():
-    adjacency = {1: frozenset({2}), 2: frozenset({1}), 3: frozenset()}
     dmap = split_map(left=1, right=2)
     # movement left->right: pair of consecutive events straddling the border
     cross = make_chunk([
@@ -145,13 +155,12 @@ def test_symmetry_location_mode_counts_crossings():
         (EventId.RLF, 0, 1, 35.0, 5.0, 1, NO_TARGET),
     ], dmap)
     empty = make_chunk([], dmap)
-    h = sc_2gram_symmetry_deviation(CELLS, empty, cross, adjacency, mode="location")
+    h = sc_2gram_symmetry_deviation(CELLS, empty, cross, PAIR_ADJACENT, mode="location")
     assert h[0] == pytest.approx(1.0)
     assert h[1] == pytest.approx(1.0)
 
 
 def test_symmetry_location_mode_ignores_steps_between_calls():
-    adjacency = {1: frozenset({2}), 2: frozenset({1}), 3: frozenset()}
     dmap = split_map(left=1, right=2)
     # UE 0 ends in cell 1 and UE 1 starts in cell 2: no crossing
     chunk = make_chunk(
@@ -160,7 +169,7 @@ def test_symmetry_location_mode_ignores_steps_between_calls():
         dmap,
     )
     empty = make_chunk([], dmap)
-    h = sc_2gram_symmetry_deviation(CELLS, empty, chunk, adjacency, mode="location")
+    h = sc_2gram_symmetry_deviation(CELLS, empty, chunk, PAIR_ADJACENT, mode="location")
     assert np.all(h == 0.0)
 
 
@@ -273,8 +282,7 @@ def test_columnar_localizers_match_per_subcall_loops(seed, m, n_frac):
 
 
 def test_amplification_arithmetic():
-    adjacency = {1: frozenset({2}), 2: frozenset({1}), 3: frozenset()}
-    amp = amplify(np.array([50.0, 30.0, 20.0]), (1, 2, 3), adjacency)
+    amp = amplify(np.array([50.0, 30.0, 20.0]), PAIR_ADJACENT)
     assert amp[0] == pytest.approx(50.0 / 20.0, rel=1e-9)
     assert amp[1] == pytest.approx(30.0 / 20.0, rel=1e-9)
     assert amp[2] == pytest.approx(20.0 / 80.0, rel=1e-9)
@@ -283,15 +291,15 @@ def test_amplification_arithmetic():
 def test_amplification_uniform_symmetric_layout_stays_uniform():
     cells = (1, 2, 3, 4)
     # ring: every cell has the same neighbor count
-    adjacency = {1: frozenset({2, 4}), 2: frozenset({1, 3}), 3: frozenset({2, 4}), 4: frozenset({3, 1})}
-    amp = amplify(np.full(4, 25.0), cells, adjacency)
+    adjacency = {1: [2, 4], 2: [1, 3], 3: [2, 4], 4: [3, 1]}
+    amp = amplify(np.full(4, 25.0), adjacency_matrix(adjacency, cells))
     assert np.allclose(amp, amp[0])
 
 
 def test_amplification_all_mass_on_one_cell_dominates():
     cells = (1, 2, 3)
-    adjacency = {1: frozenset({2}), 2: frozenset({1, 3}), 3: frozenset({2})}
-    norm = normalize(amplify(np.array([100.0, 0.0, 0.0]), cells, adjacency))
+    adjacency = {1: [2], 2: [1, 3], 3: [2]}
+    norm = normalize(amplify(np.array([100.0, 0.0, 0.0]), adjacency_matrix(adjacency, cells)))
     assert cells[int(np.argmax(norm))] == 1
     assert norm[0] > 99.9
 
@@ -365,18 +373,99 @@ def test_amplification_preserves_argmax_on_default_layout():
     from sleepscan.simgen import layout_adjacency, macro21_layout
 
     layout = macro21_layout()
-    adjacency = layout_adjacency(layout, layout.default_grid(resolution_m=20.0))
-    cells = tuple(layout.cell_ids)
+    cells = layout.cell_ids
+    adjacent = adjacency_matrix(layout_adjacency(layout, layout.default_grid(resolution_m=20.0)), cells)
     rng = np.random.default_rng(8)
     for _ in range(20):
         scores = rng.uniform(0.0, 1.0, len(cells))
         hot = int(rng.integers(len(cells)))
         scores[hot] += 10.0
-        total = scores.sum()
-        non_neighbor_sums = {
-            c: total - sum(scores[i] for i, cc in enumerate(cells) if cc in ({c} | set(adjacency[c])))
-            for c in cells
-        }
-        hot_cell = cells[hot]
-        if all(non_neighbor_sums[hot_cell] <= v for c, v in non_neighbor_sums.items() if c != hot_cell):
-            assert cells[int(np.argmax(amplify(scores, cells, adjacency)))] == hot_cell
+        assert int(np.argmax(amplify(scores, adjacent))) == hot
+
+
+def _reference_symmetry(cell_ids, train, test, adjacency, mode):
+    """The symmetry localizer as Counter lookups summed over each cell's
+    sorted neighbor ids (the implementation before the neighbor matrix)."""
+
+    def crossings(chunk):
+        if len(chunk.log) < 2:
+            return {}
+        same_call = np.ones(len(chunk.log) - 1, dtype=bool)
+        same_call[chunk.call_bounds[1:-1] - 1] = False
+        a, b = chunk.cell[:-1], chunk.cell[1:]
+        keep = same_call & (a != b)
+        ids = np.asarray(cell_ids)
+        return Counter(zip(ids[a[keep]].tolist(), ids[b[keep]].tolist()))
+
+    def handovers(chunk):
+        log = chunk.log
+        keep = (log.event == int(EventId.HO_COMMAND)) & (log.target != NO_TARGET) & (log.serving != log.target)
+        keep[chunk.call_bounds[:-1]] = False
+        return Counter(zip(log.serving[keep].tolist(), log.target[keep].tolist()))
+
+    def imbalance(counts, a, b):
+        forward, backward = counts.get((a, b), 0), counts.get((b, a), 0)
+        return 0.0 if forward + backward == 0 else (forward - backward) / (forward + backward)
+
+    directed = handovers if mode == "handover" else crossings
+    train_counts, test_counts = directed(train), directed(test)
+    scores = np.zeros(len(cell_ids))
+    for i, cell in enumerate(cell_ids):
+        total = 0.0
+        for other in sorted(adjacency.get(cell, ())):
+            total += abs(imbalance(test_counts, cell, other) - imbalance(train_counts, cell, other))
+        scores[i] = total
+    return scores
+
+
+def _reference_amplify(scores, cell_ids, adjacency, epsilon=AMPLIFY_EPSILON):
+    """Amplification as a sequential sum over cell_ids per cell (before the neighbor matrix)."""
+    total = float(scores.sum())
+    values = scores.tolist()
+    out = np.empty_like(scores)
+    for i, cell in enumerate(cell_ids):
+        excluded = {cell} | set(adjacency.get(cell, ()))
+        non_neighbor = total - sum(v for v, c in zip(values, cell_ids) if c in excluded)
+        out[i] = scores[i] / (non_neighbor + epsilon)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["handover", "location"]),
+    sizes=st.tuples(st.sampled_from([0, 1, 2, 200]), st.sampled_from([0, 1, 2, 200])),
+)
+def test_neighbor_matrix_localizers_match_set_loops_bit_for_bit(seed, mode, sizes):
+    rng = np.random.default_rng(seed)
+    # Ascending, as load_suite requires, and more than 8: np.sum would add these pairwise.
+    cell_ids = [2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377]
+    others = cell_ids + [99]  # serving and target ids outside cell_ids too
+    spec = GridSpec(origin_x=0.0, origin_y=0.0, resolution_m=10.0, nx=6, ny=6)
+    dmap = DominanceMap(grid_spec=spec, grid=rng.choice(cell_ids, size=(6, 6)))
+
+    def random_chunk(n_records):
+        records = []
+        for _ in range(n_records):
+            event = EventId.HO_COMMAND if rng.random() < 0.4 else EventId(int(rng.integers(0, 9)))
+            target = int(rng.choice(others)) if event in TARGETED_EVENTS else NO_TARGET
+            records.append((event, int(rng.integers(0, 4)), int(rng.integers(0, 30)),
+                            float(rng.uniform(0, 60)), float(rng.uniform(0, 60)), int(rng.choice(others)), target))
+        return make_chunk(records, dmap, cell_ids)
+
+    train, test = random_chunk(sizes[0]), random_chunk(sizes[1])
+    # Asymmetric lists, cells without neighbors or without a list, self-loops, unknown ids.
+    adjacency = {
+        c: [int(o) for o in rng.choice(others + [77], size=int(rng.integers(0, 12)))]
+        for c in cell_ids if rng.random() < 0.85
+    }
+    adjacent = adjacency_matrix(adjacency, cell_ids)
+    # The matrix holds only the suite's cells: an unknown id is as if not listed.
+    known = {c: frozenset(v) & set(cell_ids) for c, v in adjacency.items()}
+    assert np.array_equal(adjacent, adjacency_matrix(known, cell_ids))
+
+    symmetry = sc_2gram_symmetry_deviation(cell_ids, train, test, adjacent, mode=mode)
+    assert symmetry.tobytes() == _reference_symmetry(cell_ids, train, test, known, mode).tobytes()
+    n = len(cell_ids)
+    for scores in (symmetry, rng.uniform(0.0, 10.0, n) * (rng.random(n) < 0.7), np.zeros(n)):
+        assert amplify(scores, adjacent).tobytes() == _reference_amplify(scores, cell_ids, known).tobytes()
