@@ -209,22 +209,7 @@ class RunConfig:
         )
 
     def sim_config(self) -> SimConfig:
-        cfg = SimConfig(
-            ues_per_cell=self.ues_per_cell,
-            ue_speed_kmh=self.ue_speed_kmh,
-            a3_margin_db=self.a3_margin_db,
-            ttt_ms=self.ttt_ms,
-            a2_rsrp_threshold_dbm=self.a2_rsrp_threshold_dbm,
-            a2_rsrp_hysteresis_db=self.a2_rsrp_hysteresis_db,
-            a2_rsrq_threshold_db=self.a2_rsrq_threshold_db,
-            a2_rsrq_hysteresis_db=self.a2_rsrq_hysteresis_db,
-            rsrq_load_db=self.rsrq_load_db,
-            a2_report_interval_ms=self.a2_report_interval_ms,
-            duration_steps=self.duration_steps,
-            step_seconds=self.step_seconds,
-            t304_ms=self.t304_ms,
-            ho_complete_ms=self.ho_complete_ms,
-            ho_backoff_ms=self.ho_backoff_ms,
-        )
+        """The simulator settings of this run; each role's generator sets rng_seed."""
+        cfg = SimConfig(**{f.name: getattr(self, f.name) for f in fields(SimConfig) if f.name != "rng_seed"})
         cfg.validate()
         return cfg

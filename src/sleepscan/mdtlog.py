@@ -20,10 +20,14 @@ first line that differs; an integer out of range is a `DataError`.
 A log is an `EventLog` (one numpy array per field) from the simulator
 to the detector; a dataset chunk is a `Chunk`, whose records are ordered
 into calls once, at load.
+
+Every JSON file the program writes goes through `write_json`, and every
+one it reads back through `read_json_object`.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, fields, replace
 from enum import IntEnum
@@ -202,6 +206,29 @@ def read_text(path) -> str:
             return fh.read()
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
+
+
+def write_json(path, doc) -> None:
+    """doc as JSON with indent 2, sorted keys and a final newline, so reruns are byte-identical."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_json_object(path, keys=()) -> dict:
+    """The JSON object in path, holding keys; anything else is a DataError naming the file."""
+    try:
+        doc = json.loads(read_text(path))
+    except FileNotFoundError:
+        raise DataError(f"missing {path}") from None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path} does not hold a JSON object")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise DataError(f"{path} lacks {', '.join(missing)}")
+    return doc
 
 
 def line_columns(line: re.Pattern, text: str, path) -> list[tuple[str, ...]]:

@@ -6,7 +6,8 @@ build the fold's feature matrices, fit the minor-component basis on the
 training rows, score everything with k-NN, threshold on the training
 95th percentile, and run the four localization methods plus their
 combination.  Aggregation pools the 72 fold histograms into 3-sigma
-labels per pairing.  `suite_from_config` generates the dataset suite a
+labels per pairing.  `run_detect` does all of this for a suite, serially
+or in a process pool; `suite_from_config` generates the dataset suite a
 configuration describes.
 """
 
@@ -153,17 +154,16 @@ def run_fold(fold: FoldInput, cfg: RunConfig) -> FoldOutput:
 def fold_inputs_from_suite(manifest, roles, cfg: RunConfig, limit: int | None = None):
     """Fold inputs for normal x problematic and normal x reference pairings.
 
-    roles maps a role name to its chunks (`simgen.suite.LoadedRole`).  Each
-    chunk a fold uses is featurized once, and its features are shared by
-    every fold that uses it.
+    roles maps a role name to its chunks, as `simgen.load_suite` returns
+    them.  Each chunk a fold uses is featurized once, and its features are
+    shared by every fold that uses it.
     """
     cell_ids = [int(c) for c in manifest["cell_ids"]]
     adjacent = localize.adjacency_matrix({int(c): v for c, v in manifest["adjacency"].items()}, cell_ids)
-    normal = roles["normal"]
     pairs = []
     for test_role in ("problematic", "reference"):
         if test_role in roles:
-            pairs += make_fold_pairs("normal", normal.chunks, test_role, roles[test_role].chunks)
+            pairs += make_fold_pairs("normal", roles["normal"], test_role, roles[test_role])
     if limit is not None:
         pairs = pairs[:limit]
 
@@ -172,7 +172,7 @@ def fold_inputs_from_suite(manifest, roles, cfg: RunConfig, limit: int | None = 
     def chunk_features(role: str, index: int) -> featurize.ChunkFeatures:
         if (role, index) not in features:
             features[role, index] = featurize.featurize_chunk(
-                roles[role].chunks[index], m=cfg.window_m, n=cfg.window_n, ngram_n=cfg.ngram_n
+                roles[role][index], m=cfg.window_m, n=cfg.window_n, ngram_n=cfg.ngram_n
             )
         return features[role, index]
 
@@ -251,3 +251,31 @@ def aggregate_folds(fold_outputs, cfg: RunConfig) -> dict[str, MethodAggregate]:
     return {
         m: aggregate_method(m, runs, stage) for m, runs in by_method.items()
     }
+
+
+_WORKER_STATE: dict = {}
+
+
+def _detect_worker_init(fold_inputs: list, cfg: RunConfig) -> None:
+    """Hand a worker the fold inputs the parent already built from the suite."""
+    _WORKER_STATE["inputs"] = fold_inputs
+    _WORKER_STATE["cfg"] = cfg
+
+
+def _detect_worker_run(index: int) -> FoldOutput:
+    return run_fold(_WORKER_STATE["inputs"][index], _WORKER_STATE["cfg"])
+
+
+def run_detect(manifest, roles, cfg: RunConfig, limit: int | None = None, jobs: int = 1):
+    """(fold outputs, aggregates per method) of the suite's first limit folds, run in jobs processes."""
+    fold_inputs = fold_inputs_from_suite(manifest, roles, cfg, limit=limit)
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: the import costs every command ~30 ms
+
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_detect_worker_init, initargs=(fold_inputs, cfg)
+        ) as pool:
+            outputs = list(pool.map(_detect_worker_run, range(len(fold_inputs))))
+    else:
+        outputs = [run_fold(fold, cfg) for fold in fold_inputs]
+    return outputs, aggregate_folds(outputs, cfg)

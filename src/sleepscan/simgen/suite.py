@@ -11,7 +11,6 @@ chunks in a full K x K cross.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, replace
@@ -20,7 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DataError
-from ..mdtlog import JSON_INT, Chunk, EventLog, line_columns, read_records, read_text, write_records
+from ..mdtlog import (
+    JSON_INT, Chunk, EventLog, line_columns, read_json_object, read_records, read_text, write_json, write_records,
+)
 from .dominance import (
     RadioMap,
     build_radio_map,
@@ -179,9 +180,7 @@ def write_suite(suite: DatasetSuite, out_dir, manifest_extra: dict | None = None
     manifest = {**suite_manifest(suite), "files": files}
     if manifest_extra:
         manifest.update(manifest_extra)
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "manifest.json", manifest)
     return out_dir / "manifest.json"
 
 
@@ -202,12 +201,6 @@ def suite_manifest(suite: DatasetSuite) -> dict:
             "ny": grid.ny,
         },
     }
-
-
-@dataclass
-class LoadedRole:
-    role: str
-    chunks: list[Chunk]
 
 
 # What detect reads of a suite manifest.
@@ -234,12 +227,13 @@ def _check_manifest(manifest: dict, path) -> None:
         and all(a < b for a, b in zip(cell_ids, cell_ids[1:]))
     ):  # the localizers sum neighbors in cell_ids order, which must be id order
         raise DataError(f"{path}: cell_ids must be a strictly increasing list of integers")
-    adjacency = manifest["adjacency"]
+    adjacency, known = manifest["adjacency"], set(cell_ids)
     if not isinstance(adjacency, dict) or not all(
-        re.fullmatch(JSON_INT, key) and isinstance(cells, list) and all(_is_int(c) for c in cells)
+        re.fullmatch(JSON_INT, key) and int(key) in known
+        and isinstance(cells, list) and all(_is_int(c) and c in known for c in cells)
         for key, cells in adjacency.items()
     ):
-        raise DataError(f"{path}: adjacency must map integer cell ids to lists of integers")
+        raise DataError(f"{path}: adjacency must map ids of cell_ids to lists of ids of cell_ids")
     grid = manifest["grid"]
     if not (
         isinstance(grid, dict)
@@ -259,8 +253,8 @@ def _check_manifest(manifest: dict, path) -> None:
         raise DataError(f"{path}: files must give each role, normal included, truth, dominance and chunk file names")
 
 
-def load_suite(data_dir):
-    """Read back a written suite: manifest, grid, and each role's chunks.
+def load_suite(data_dir) -> tuple[dict, dict[str, list[Chunk]]]:
+    """Read back a written suite: its manifest, and each role's chunks.
 
     Every chunk is parsed once into columns, with each record's dominance
     cell and ground-truth flag attached (`mdtlog.Chunk`).  A malformed
@@ -268,17 +262,7 @@ def load_suite(data_dir):
     """
     data_dir = Path(data_dir)
     manifest_path = data_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise DataError(f"no manifest.json in {data_dir}")
-    try:
-        manifest = json.loads(read_text(manifest_path))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed {manifest_path}: {exc!r}") from None
-    if not isinstance(manifest, dict):
-        raise DataError(f"{manifest_path} does not hold a JSON object")
-    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
-    if missing:
-        raise DataError(f"{manifest_path} lacks {', '.join(missing)}")
+    manifest = read_json_object(manifest_path, _MANIFEST_KEYS)
     _check_manifest(manifest, manifest_path)
     g = manifest["grid"]
     grid = GridSpec(
@@ -290,21 +274,19 @@ def load_suite(data_dir):
         for role, entry in manifest["files"].items():
             truth = load_truth(data_dir / entry["truth"])
             dominance = load_dominance_csv(data_dir / entry["dominance"], grid)
-            chunks = [
+            roles[role] = [
                 Chunk.from_log(read_records(data_dir / name), dominance, cell_ids, truth)
                 for name in entry["chunks"]
             ]
-            roles[role] = LoadedRole(role=role, chunks=chunks)
     except OSError as exc:
         raise DataError(f"cannot read {exc.filename}: {exc.strerror}") from None
-    return manifest, grid, roles
+    return manifest, roles
 
 
-def suite_roles(suite: DatasetSuite) -> dict[str, LoadedRole]:
-    """The roles of an in-memory suite, as `load_suite` reads them back once written."""
+def suite_roles(suite: DatasetSuite) -> dict[str, list[Chunk]]:
+    """The chunks of each role of an in-memory suite, as `load_suite` reads them back once written."""
     roles = {}
     for role, data in suite.roles.items():
         truth = truth_rows(data.records, data.affected)
-        chunks = [Chunk.from_log(chunk, data.radio.dominance, suite.cell_ids, truth) for chunk in data.chunks]
-        roles[role] = LoadedRole(role=role, chunks=chunks)
+        roles[role] = [Chunk.from_log(chunk, data.radio.dominance, suite.cell_ids, truth) for chunk in data.chunks]
     return roles

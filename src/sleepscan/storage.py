@@ -1,38 +1,56 @@
-"""On-disk formats for detection outputs and their evaluation inputs.
+"""The run directory: every file detect and evaluate write, each with its one writer and reader here.
 
-Per fold (out_dir/folds/<pairing>_<i>x<j>/):
-    fold.json         pairing, chunk indices, threshold, component count
+detect_manifest.json  config and its hash, data_dir, faulty_cell, cell_ids,
+                      n_folds and methods (`write_run`, `read_detect_manifest`)
+folds/<pairing>_<i>x<j>/  one per fold, named by `fold_dir_name`
+                      (`write_fold_output`, `read_fold_output`)
+    fold.json         the FoldPair, threshold, component count and cell_ids
     scores_train.csv  row,ue,offset,score,anomalous
     scores_test.csv   row,ue,offset,score,anomalous,fault_affected
     histograms.csv    method,stage,cell_id,value (long format): one row per
                       cell of each stage in pipeline.STAGES, and of the two
                       normalized stages for "combined"; the reader requires
                       exactly these rows
-
-Aggregates (out_dir/aggregate/):
+aggregate/            (`write_method_aggregate`)
     labels_<method>.json  pooled mean, sigma and 3-sigma threshold; per
-                          pairing the mean scores, abnormal and argmax cells
+                      pairing the mean scores, abnormal and argmax cells
+                      (`read_labels`)
     histogram_<method>_<pairing>.csv  cell_id,raw,amplified,normalized,label
     heatmap_<method>_<pairing>.svg
+eval/                 (`write_eval`)
+    metrics_<method>.json    one method's confusion metrics
+    metrics_summary.csv      method,accuracy,precision,recall,f_score,tnr,fpr
+                             (`read_metrics_summary`)
+    roc_auc.csv              fold,auc per problematic fold with both classes, then mean
+    roc_points.csv           fpr,tpr of the pooled ROC, then "# auc,<auc>"
+    heuristic_distances.csv  method,variant,scenario,distance_sum,runs
 The normalized column and the heat map show the normalized stage the
 labels were computed on: amplified by default, raw under --no-amplify.
 
+`read_run` reads back exactly the folds detect wrote: n_folds fold
+directories, each named for the fold its fold.json describes and over
+the manifest's cell_ids; anything else is a DataError naming the file.
 All floats are written with repr() so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
-from .mdtlog import FoldPair, lookup_index
+from . import evaluate as ev
+from .config import RunConfig
+from .errors import ConfigError, DataError
+from .mdtlog import FoldPair, lookup_index, read_json_object, write_json
 from .pipeline import ALL_METHODS, COMBINED_STAGES, STAGES, FoldOutput, MethodAggregate
 
-
+_MANIFEST_KEYS = ("cell_ids", "config", "config_hash", "faulty_cell", "methods", "n_folds")
+_PAIR_KEYS = ("train_role", "train_index", "test_role", "test_index")
+_SUMMARY_METRICS = ("accuracy", "precision", "recall", "f_score", "tnr", "fpr")
+_SUMMARY_HEADER = ",".join(("method",) + _SUMMARY_METRICS)
 _SCORES_TRAIN_HEADER = "row,ue,offset,score,anomalous"
 _SCORES_TEST_HEADER = "row,ue,offset,score,anomalous,fault_affected"
 _HISTOGRAMS_HEADER = "method,stage,cell_id,value"
@@ -42,21 +60,71 @@ def fold_dir_name(pair: FoldPair) -> str:
     return f"{pair.test_role}_{pair.train_index}x{pair.test_index}"
 
 
+def write_run(out_dir, cfg: RunConfig, data_dir, faulty_cell: int, methods, outputs, aggregates) -> None:
+    """A detect run: every fold output, the aggregates of methods, and detect_manifest.json."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for out in outputs:
+        write_fold_output(out, out_dir / "folds" / fold_dir_name(out.pair))
+    cell_ids = list(outputs[0].cell_ids)
+    layout = cfg.layout()
+    for method in methods:
+        write_method_aggregate(aggregates[method], cell_ids, out_dir / "aggregate", layout=layout)
+    write_json(out_dir / "detect_manifest.json", dict(
+        config=cfg.to_dict(), config_hash=cfg.config_hash(), data_dir=str(Path(data_dir)),
+        faulty_cell=faulty_cell, cell_ids=cell_ids, n_folds=len(outputs), methods=list(methods),
+    ))
+
+
+def read_detect_manifest(out_dir) -> tuple[dict, RunConfig]:
+    """The detect manifest of a run directory and the configuration it records."""
+    path = Path(out_dir) / "detect_manifest.json"
+    if not path.exists():
+        raise DataError(f"no detect_manifest.json in {out_dir}; run detect first")
+    manifest = read_json_object(path, _MANIFEST_KEYS)
+    if not (
+        all(type(manifest[key]) is int for key in ("faulty_cell", "n_folds"))
+        and isinstance(manifest["config_hash"], str) and isinstance(manifest["config"], dict)
+        and isinstance(manifest["methods"], list) and all(m in ALL_METHODS for m in manifest["methods"])
+        and isinstance(manifest["cell_ids"], list) and all(type(c) is int for c in manifest["cell_ids"])
+    ):
+        raise DataError(f"{path}: needs integer faulty_cell and n_folds, a string config_hash, "
+                        f"a config object, methods from {', '.join(ALL_METHODS)} "
+                        f"and a list of integer cell_ids")
+    try:
+        cfg = RunConfig.from_dict(manifest["config"])
+    except ConfigError as exc:
+        raise DataError(f"{path}: invalid config: {exc}") from None
+    return manifest, cfg
+
+
+def read_run(out_dir) -> tuple[dict, RunConfig, list[FoldOutput]]:
+    """The detect manifest, its configuration and the fold outputs of a run directory, in fold name order."""
+    manifest, cfg = read_detect_manifest(out_dir)
+    folds_root = Path(out_dir) / "folds"
+    fold_dirs = sorted(p for p in folds_root.iterdir() if p.is_dir()) if folds_root.is_dir() else []
+    if len(fold_dirs) != manifest["n_folds"]:
+        raise DataError(f"{folds_root} holds {len(fold_dirs)} fold directories, but detect_manifest.json "
+                        f"says n_folds {manifest['n_folds']}; run detect into an empty directory")
+    outputs = []
+    for fold_dir in fold_dirs:
+        out = read_fold_output(fold_dir)
+        if fold_dir_name(out.pair) != fold_dir.name:
+            raise DataError(f"{fold_dir / 'fold.json'}: describes fold {fold_dir_name(out.pair)}, "
+                            f"not the fold of its directory")
+        if list(out.cell_ids) != manifest["cell_ids"]:  # every histogram must follow one cell order
+            raise DataError(f"{fold_dir / 'fold.json'}: cell_ids differ from those of detect_manifest.json")
+        outputs.append(out)
+    return manifest, cfg, outputs
+
+
 def write_fold_output(out: FoldOutput, fold_dir) -> None:
     fold_dir = Path(fold_dir)
     fold_dir.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "train_role": out.pair.train_role,
-        "train_index": out.pair.train_index,
-        "test_role": out.pair.test_role,
-        "test_index": out.pair.test_index,
-        "threshold": out.threshold,
-        "selected_components": out.selected_components,
-        "cell_ids": list(out.cell_ids),
-    }
-    with open(fold_dir / "fold.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(fold_dir / "fold.json", dict(
+        asdict(out.pair), threshold=out.threshold,
+        selected_components=out.selected_components, cell_ids=list(out.cell_ids),
+    ))
 
     _write_lines(
         fold_dir / "scores_train.csv", _SCORES_TRAIN_HEADER,
@@ -105,7 +173,7 @@ def _parsing(path: Path):
         yield
     except FileNotFoundError:
         raise DataError(f"missing {path}") from None
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:  # JSONDecodeError is a ValueError
+    except (ValueError, TypeError, OverflowError) as exc:
         raise DataError(f"malformed {path}: {exc!r}") from None
 
 
@@ -128,15 +196,9 @@ def csv_columns(path: Path, header: str) -> list[tuple[str, ...]]:
 
 def read_fold_output(fold_dir) -> FoldOutput:
     fold_dir = Path(fold_dir)
+    meta = read_json_object(fold_dir / "fold.json", (*_PAIR_KEYS, "threshold", "selected_components", "cell_ids"))
     with _parsing(fold_dir / "fold.json"):
-        with open(fold_dir / "fold.json", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        pair = FoldPair(
-            train_role=meta["train_role"],
-            train_index=meta["train_index"],
-            test_role=meta["test_role"],
-            test_index=meta["test_index"],
-        )
+        pair = FoldPair(**{key: meta[key] for key in _PAIR_KEYS})
         cell_ids = tuple(int(c) for c in meta["cell_ids"])
         threshold = float(meta["threshold"])
         selected_components = int(meta["selected_components"])
@@ -191,13 +253,6 @@ def read_fold_output(fold_dir) -> FoldOutput:
     )
 
 
-def list_fold_dirs(out_dir) -> list[Path]:
-    folds_root = Path(out_dir) / "folds"
-    if not folds_root.is_dir():
-        raise DataError(f"no folds directory under {out_dir}; run detect first")
-    return sorted(p for p in folds_root.iterdir() if p.is_dir())
-
-
 def write_method_aggregate(
     agg: MethodAggregate, cell_ids, out_dir, layout=None
 ) -> None:
@@ -220,9 +275,7 @@ def write_method_aggregate(
             "argmax_cell": int(cell_ids[int(np.argmax(norm))]),
             "runs": len(agg.run_labels[pairing]),
         }
-    with open(out_dir / f"labels_{agg.method}.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / f"labels_{agg.method}.json", doc)
 
     for pairing, labels in agg.labels.items():
         stages = agg.mean_stages[pairing]
@@ -246,3 +299,67 @@ def write_method_aggregate(
                 out_dir / f"heatmap_{agg.method}_{pairing}.svg",
                 title=f"{agg.method} / {pairing}",
             )
+
+
+def read_labels(out_dir, method: str) -> dict | None:
+    """The labels JSON of one method, or None if detect did not write it."""
+    path = Path(out_dir) / "aggregate" / f"labels_{method}.json"
+    if not path.exists():
+        return None
+    doc = read_json_object(path, ("threshold", "pairings"))
+    entries = doc["pairings"]
+    if not (
+        isinstance(doc["threshold"], (int, float))
+        and isinstance(entries, dict)
+        and all(isinstance(e, dict) and {"argmax_cell", "abnormal_cells"} <= e.keys() for e in entries.values())
+    ):
+        raise DataError(f"{path}: threshold must be a number and pairings map to argmax_cell, abnormal_cells")
+    return doc
+
+
+def write_eval(out_dir, manifest: dict, methods, outputs, aggregates) -> tuple[dict, float | None]:
+    """eval/ of a run: each method's metrics, the fold and pooled ROC, and heuristic distances.
+
+    Returns the metrics of each method and the mean fold AUC (None if no
+    problematic fold holds both classes).
+    """
+    eval_dir = Path(out_dir) / "eval"
+    eval_dir.mkdir(exist_ok=True)
+    metrics = {m: ev.method_metrics(aggregates[m], manifest["cell_ids"], manifest["faulty_cell"]) for m in methods}
+    for method, values in metrics.items():
+        write_json(eval_dir / f"metrics_{method}.json", {"method": method, **values})
+    _write_lines(eval_dir / "metrics_summary.csv", _SUMMARY_HEADER, (
+        ",".join([method, *(repr(values[k]) for k in _SUMMARY_METRICS)]) for method, values in metrics.items()
+    ))
+    aucs = ev.fold_aucs(outputs)
+    mean_auc = ev.mean_auc(aucs) if aucs else None
+    _write_lines(eval_dir / "roc_auc.csv", "fold,auc", [
+        *(f"{fold_dir_name(pair)},{auc!r}" for pair, auc in aucs),
+        *([] if mean_auc is None else [f"mean,{mean_auc!r}"]),
+    ])
+    curve = ev.pooled_roc(outputs)
+    if curve is not None:
+        _write_lines(eval_dir / "roc_points.csv", "fpr,tpr", [
+            *(f"{x!r},{y!r}" for x, y in zip(curve.fpr.tolist(), curve.tpr.tolist())),
+            f"# auc,{curve.auc!r}",
+        ])
+    _write_lines(eval_dir / "heuristic_distances.csv", "method,variant,scenario,distance_sum,runs", (
+        f"{method},{variant},{scenario},{dist!r},{runs}"
+        for method in methods
+        for variant, stage in ev.HEURISTIC_VARIANTS
+        for scenario, (dist, runs) in ev.heuristic_totals(outputs, method, stage).items()
+    ))
+    return metrics, mean_auc
+
+
+def read_metrics_summary(out_dir) -> list[tuple[str, list[float]]] | None:
+    """(method, metric values in summary column order) rows of eval/metrics_summary.csv, or None before evaluate."""
+    path = Path(out_dir) / "eval" / "metrics_summary.csv"
+    if not path.exists():
+        return None
+    methods, *columns = csv_columns(path, _SUMMARY_HEADER)
+    try:
+        values = np.array(columns, dtype=np.float64).T.tolist()
+    except ValueError:
+        raise DataError(f"malformed {path}: a metric that is not a number") from None
+    return list(zip(methods, values))

@@ -19,7 +19,7 @@ from sleepscan.errors import DataError
 from sleepscan.evaluate import heuristic_distance
 from sleepscan.featurize import featurize_chunk, ngram_counts
 from sleepscan.localize import normalize
-from sleepscan.pipeline import aggregate_folds, fold_inputs_from_suite, run_fold, suite_from_config
+from sleepscan.pipeline import run_detect, suite_from_config
 from sleepscan.simgen import FaultConfig, SimConfig, macro21_layout, simulate
 from sleepscan.simgen.suite import suite_manifest, suite_roles
 
@@ -35,9 +35,7 @@ def _run_suite_rep(seed: int) -> dict:
     """One full repetition: dataset suite, 72 folds, aggregation."""
     cfg = RunConfig().with_overrides(master_seed=seed)
     suite = suite_from_config(cfg)
-    folds = fold_inputs_from_suite(suite_manifest(suite), suite_roles(suite), cfg)
-    outputs = [run_fold(fold, cfg) for fold in folds]
-    aggregates = aggregate_folds(outputs, cfg)
+    outputs, aggregates = run_detect(suite_manifest(suite), suite_roles(suite), cfg)
 
     combined = aggregates["combined"]
     prob_scores = combined.mean_stages["problematic"][combined.stage]

@@ -300,6 +300,9 @@ def _prepend_byte(path, byte=b"\xff"):
         ("evaluate", "detect_manifest.json", lambda p: _edit_json(p, lambda d: d["config"].update(knn_k=-1))),
         ("evaluate", "detect_manifest.json", lambda p: _drop_key(p, "cell_ids")),
         ("evaluate", "folds/problematic_0x0/fold.json", lambda p: _edit_json(p, lambda d: d["cell_ids"].reverse())),
+        ("evaluate", "folds", lambda p: shutil.rmtree(p / "problematic_0x0")),
+        ("evaluate", "folds", lambda p: shutil.copytree(p / "problematic_0x0", p / "problematic_9x9")),
+        ("evaluate", "folds/problematic_0x0/fold.json", lambda p: _edit_json(p, lambda d: d.update(train_index=1))),
     ],
     ids=["manifest_not_json", "report_manifest_not_json", "manifest_without_faulty_cell",
          "fold_json_not_json", "scores_test_bad_row", "histograms_without_a_method",
@@ -308,7 +311,8 @@ def _prepend_byte(path, byte=b"\xff"):
          "histograms_missing_cell_row", "histograms_duplicate_row", "fold_json_unknown_test_role",
          "fold_json_index_not_int", "summary_renamed_column", "summary_not_a_number",
          "manifest_methods_not_a_list", "manifest_config_hash_not_a_string", "manifest_methods_a_string",
-         "manifest_config_invalid", "manifest_without_cell_ids", "fold_json_cell_ids_reversed"],
+         "manifest_config_invalid", "manifest_without_cell_ids", "fold_json_cell_ids_reversed",
+         "fold_missing", "fold_copied_under_another_name", "fold_json_names_another_fold"],
 )
 def test_damaged_run_directory_is_data_error(tmp_path, detect_dir, capsys, command, name, damage):
     run = tmp_path / "run"
@@ -351,12 +355,15 @@ def _drop_key_on_line(path, lineno, key):
         ("normal_chunk2.jsonl", _prepend_byte),
         ("truth_problematic.jsonl", _prepend_byte),
         ("manifest.json", lambda p: _edit_json(p, lambda d: d["cell_ids"].reverse())),
+        ("manifest.json", lambda p: _edit_json(p, lambda d: d["adjacency"]["1"].append(99))),
+        ("manifest.json", lambda p: _edit_json(p, lambda d: d["adjacency"].update({"98": [1]}))),
     ],
     ids=["truth_not_json", "truth_without_event_index", "manifest_not_json", "manifest_without_grid",
          "manifest_adjacency_key_not_int", "manifest_resolution_zero", "manifest_faulty_cell_not_int",
          "missing_chunk", "missing_truth", "manifest_files_without_normal", "manifest_truth_name_not_a_string",
          "manifest_chunk_name_dot", "manifest_not_utf8", "dominance_not_utf8", "chunk_not_utf8",
-         "truth_not_utf8", "manifest_cell_ids_descending"],
+         "truth_not_utf8", "manifest_cell_ids_descending",
+         "manifest_adjacency_neighbor_not_a_cell", "manifest_adjacency_key_not_a_cell"],
 )
 def test_damaged_suite_is_data_error(tmp_path, tiny_config_path, dataset_dir, capsys, name, damage):
     data = tmp_path / "suite"
@@ -371,13 +378,11 @@ def test_damaged_suite_is_data_error(tmp_path, tiny_config_path, dataset_dir, ca
 
 def test_written_suite_and_run_need_no_per_line_parser(dataset_dir, detect_dir):
     """The readers take exactly what the writers write: a format change that breaks the round trip fails here."""
-    _, _, roles = suite_module.load_suite(dataset_dir)
-    assert sum(len(chunk.log) for role in roles.values() for chunk in role.chunks) > 0
-    assert any(chunk.affected.any() for chunk in roles["problematic"].chunks)
-    fold_dirs = storage.list_fold_dirs(detect_dir)
-    assert len(fold_dirs) == 72
-    for fold_dir in fold_dirs:
-        storage.read_fold_output(fold_dir)
+    _, roles = suite_module.load_suite(dataset_dir)
+    assert sum(len(chunk.log) for chunks in roles.values() for chunk in chunks) > 0
+    assert any(chunk.affected.any() for chunk in roles["problematic"])
+    manifest, _cfg, outputs = storage.read_run(detect_dir)
+    assert manifest["n_folds"] == len(outputs) == 72
 
 
 def test_no_amplify_flag(tmp_path, tiny_config_path, dataset_dir):

@@ -1,10 +1,12 @@
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
 from sleepscan.config import RunConfig
 from sleepscan.errors import ConfigError
+from sleepscan.simgen import SimConfig
 
 
 def test_defaults_validate_and_roundtrip():
@@ -25,6 +27,13 @@ def test_hash_is_stable_and_ignores_paths():
     assert with_paths.config_hash() == base.config_hash()
     reseeded = base.with_overrides(master_seed=7)
     assert reseeded.config_hash() != base.config_hash()
+
+
+def test_every_simulator_setting_is_a_run_setting_with_the_same_default():
+    run_defaults = {f.name: f.default for f in fields(RunConfig)}
+    for f in fields(SimConfig):
+        if f.name != "rng_seed":  # each role's generator derives its own from master_seed
+            assert f.name in run_defaults and run_defaults[f.name] == f.default, f.name
 
 
 def test_unknown_keys_rejected():

@@ -422,19 +422,19 @@ SMOKE = {"ues_per_cell": 3, "duration_steps": 800, "map_resolution_m": 10.0, "kn
 def test_suite_roles_equal_the_written_suite_loaded_back(overrides, tmp_path):
     suite = suite_from_config(RunConfig.from_dict({**SMOKE, **overrides}))
     write_suite(suite, tmp_path / "suite")
-    _, _, loaded = load_suite(tmp_path / "suite")
+    _, loaded = load_suite(tmp_path / "suite")
     in_memory = suite_roles(suite)
     assert set(in_memory) == set(loaded) == {"normal", "problematic", "reference"}
     for role, expected in loaded.items():
         got = in_memory[role]
-        assert len(got.chunks) == len(expected.chunks) == 6
-        for a, b in zip(got.chunks, expected.chunks):
+        assert len(got) == len(expected) == 6
+        for a, b in zip(got, expected):
             for f in fields(a.log):
                 column_a, column_b = getattr(a.log, f.name), getattr(b.log, f.name)
                 assert column_a.dtype == column_b.dtype and np.array_equal(column_a, column_b), (role, f.name)
             for name in ("call_bounds", "cell", "affected"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), (role, name)
-    assert any(chunk.affected.any() for chunk in loaded["problematic"].chunks)
+    assert any(chunk.affected.any() for chunk in loaded["problematic"])
 
 
 def test_write_dominance_csv_matches_csv_writer(tmp_path):
