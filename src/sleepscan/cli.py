@@ -53,12 +53,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_detect(args) -> int:
     cfg = _load_config(args)
-    if args.folds is not None and args.folds < 0:
-        raise ConfigError(f"--folds must be >= 0, got {args.folds}")
+    if args.folds is not None and args.folds < 1:  # no fold could be aggregated: fail before the run is cleared
+        raise ConfigError(f"--folds must be >= 1, got {args.folds}")
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     manifest, roles = load_suite(args.data)
-    outputs, aggregates = pipeline.run_detect(manifest, roles, cfg, limit=args.folds, jobs=args.jobs)
+    write_fold = storage.start_run(args.out)
+    outputs, aggregates = pipeline.run_detect(
+        manifest, roles, cfg, limit=args.folds, jobs=args.jobs, write_fold=write_fold
+    )
     print(f"ran {len(outputs)} folds (jobs={args.jobs})")
     methods = _selected_methods(args.method)
     storage.write_run(args.out, cfg, args.data, manifest["faulty_cell"], methods, outputs, aggregates)

@@ -20,3 +20,6 @@ class ParseError(DataError):
         self.lineno = lineno
         self.reason = reason
         super().__init__(f"{self.path}:{lineno}: {reason}")
+
+    def __reduce__(self):  # a detect worker sends it back to the parent pickled
+        return type(self), (self.path, self.lineno, self.reason)

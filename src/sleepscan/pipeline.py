@@ -1,18 +1,26 @@
 """Fold-level detection pipeline and cross-fold aggregation.
 
 One fold pairs a normal training chunk with a problematic or reference
-testing chunk (each featurized once, shared by the folds that use it):
-build the fold's feature matrices, fit the minor-component basis on the
-training rows, score everything with k-NN, threshold on the training
-95th percentile, and run the four localization methods plus their
-combination.  Aggregation pools the 72 fold histograms into 3-sigma
-labels per pairing.  `run_detect` does all of this for a suite, serially
-or in a process pool; `suite_from_config` generates the dataset suite a
-configuration describes.
+testing chunk: build the fold's feature matrices, fit the
+minor-component basis on the training rows, score everything with k-NN,
+threshold on the training 95th percentile, and run the four localization
+methods plus their combination.  Aggregation pools the 72 fold
+histograms into 3-sigma labels per pairing.
+
+`run_detect` does all of this for a suite.  It first parses and
+featurizes, once, the normal chunks its folds use (`fold_inputs_from_suite`);
+then it runs one task per test chunk (`run_task`): parse and featurize
+that chunk, run each of its folds and hand each output to the fold
+writer.  The tasks run in order in this process, or in forked workers
+that inherit everything built before them; either way the outputs are
+put back in `make_fold_pairs` order before they are aggregated.
+`suite_from_config` generates the dataset suite a configuration
+describes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,8 +29,9 @@ from . import detect, embed, featurize, localize
 from .config import RunConfig
 from .errors import DataError
 from .localize import METHOD_NAMES
-from .mdtlog import FoldPair, make_fold_pairs
+from .mdtlog import Chunk, FoldPair, make_fold_pairs
 from .simgen import DatasetSuite, generate_dataset_suite
+from .simgen.suite import ChunkLoader
 
 ALL_METHODS = METHOD_NAMES + ("combined",)
 STAGES = ("raw", "amplified", "normalized_raw", "normalized")
@@ -151,12 +160,30 @@ def run_fold(fold: FoldInput, cfg: RunConfig) -> FoldOutput:
     )
 
 
-def fold_inputs_from_suite(manifest, roles, cfg: RunConfig, limit: int | None = None):
-    """Fold inputs for normal x problematic and normal x reference pairings.
+@dataclass
+class DetectPlan:
+    """What every fold of a detect run shares, built once before any task runs.
 
-    roles maps a role name to its chunks, as `simgen.load_suite` returns
-    them.  Each chunk a fold uses is featurized once, and its features are
-    shared by every fold that uses it.
+    A task is one test chunk and the folds that test it, in
+    `make_fold_pairs` order; forked workers inherit the plan and only read it.
+    """
+
+    cfg: RunConfig
+    cell_ids: list[int]
+    adjacent: np.ndarray  # localize.adjacency_matrix of cell_ids
+    pairs: list[FoldPair]  # every fold of the run, in make_fold_pairs order
+    train: dict[int, featurize.ChunkFeatures]  # normal chunk index -> its features
+    tasks: list[tuple[ChunkLoader, list[FoldPair]]]  # per test chunk: its loader and its folds
+    write_fold: Callable[[FoldOutput], None] | None = None
+
+
+def fold_inputs_from_suite(manifest, roles, cfg: RunConfig, limit: int | None = None) -> DetectPlan:
+    """The plan of the first limit folds of normal x problematic and normal x reference.
+
+    roles maps a role name to its chunk loaders, as `simgen.load_suite`
+    and `simgen.suite_roles` return them.  Each normal chunk a fold uses
+    is parsed and featurized here, once; each test chunk a fold uses
+    becomes one task.
     """
     cell_ids = [int(c) for c in manifest["cell_ids"]]
     adjacent = localize.adjacency_matrix({int(c): v for c, v in manifest["adjacency"].items()}, cell_ids)
@@ -166,26 +193,34 @@ def fold_inputs_from_suite(manifest, roles, cfg: RunConfig, limit: int | None = 
             pairs += make_fold_pairs("normal", roles["normal"], test_role, roles[test_role])
     if limit is not None:
         pairs = pairs[:limit]
+    train = {
+        index: _featurize(roles["normal"][index](), cfg)
+        for index in sorted({pair.train_index for pair in pairs})
+    }
+    tasks: dict[tuple[str, int], list[FoldPair]] = {}
+    for pair in pairs:
+        tasks.setdefault((pair.test_role, pair.test_index), []).append(pair)
+    return DetectPlan(
+        cfg=cfg, cell_ids=cell_ids, adjacent=adjacent, pairs=pairs, train=train,
+        tasks=[(roles[role][index], folds) for (role, index), folds in tasks.items()],
+    )
 
-    features: dict[tuple[str, int], featurize.ChunkFeatures] = {}
 
-    def chunk_features(role: str, index: int) -> featurize.ChunkFeatures:
-        if (role, index) not in features:
-            features[role, index] = featurize.featurize_chunk(
-                roles[role][index], m=cfg.window_m, n=cfg.window_n, ngram_n=cfg.ngram_n
-            )
-        return features[role, index]
+def _featurize(chunk: Chunk, cfg: RunConfig) -> featurize.ChunkFeatures:
+    return featurize.featurize_chunk(chunk, m=cfg.window_m, n=cfg.window_n, ngram_n=cfg.ngram_n)
 
-    return [
-        FoldInput(
-            pair=pair,
-            train=chunk_features(pair.train_role, pair.train_index),
-            test=chunk_features(pair.test_role, pair.test_index),
-            adjacent=adjacent,
-            cell_ids=cell_ids,
-        )
-        for pair in pairs
-    ]
+
+def run_task(plan: DetectPlan, index: int) -> list[FoldOutput]:
+    """Task index of the plan: parse and featurize its test chunk, then run and write each of its folds."""
+    load, pairs = plan.tasks[index]
+    test = _featurize(load(), plan.cfg)
+    outputs = []
+    for pair in pairs:
+        out = run_fold(FoldInput(pair, plan.train[pair.train_index], test, plan.adjacent, plan.cell_ids), plan.cfg)
+        if plan.write_fold is not None:
+            plan.write_fold(out)
+        outputs.append(out)
+    return outputs
 
 
 @dataclass
@@ -253,29 +288,38 @@ def aggregate_folds(fold_outputs, cfg: RunConfig) -> dict[str, MethodAggregate]:
     }
 
 
-_WORKER_STATE: dict = {}
+_FORKED_PLAN: DetectPlan | None = None  # set only while a pool's workers fork from this process
 
 
-def _detect_worker_init(fold_inputs: list, cfg: RunConfig) -> None:
-    """Hand a worker the fold inputs the parent already built from the suite."""
-    _WORKER_STATE["inputs"] = fold_inputs
-    _WORKER_STATE["cfg"] = cfg
+def _run_forked_task(index: int) -> list[FoldOutput]:
+    return run_task(_FORKED_PLAN, index)
 
 
-def _detect_worker_run(index: int) -> FoldOutput:
-    return run_fold(_WORKER_STATE["inputs"][index], _WORKER_STATE["cfg"])
+def run_detect(manifest, roles, cfg: RunConfig, limit: int | None = None, jobs: int = 1, write_fold=None):
+    """(fold outputs, aggregates per method) of the suite's first limit folds.
 
+    The tasks of `fold_inputs_from_suite` run in order in this process,
+    or with jobs > 1 in up to jobs forked workers, which inherit the plan
+    and send back only their outputs.  write_fold, if given, is called on
+    each fold output where it is computed.  Outputs come back in
+    `make_fold_pairs` order, which the aggregate sums depend on.
+    """
+    global _FORKED_PLAN
+    plan = fold_inputs_from_suite(manifest, roles, cfg, limit=limit)
+    plan.write_fold = write_fold
+    workers = min(jobs, len(plan.tasks))
+    if workers > 1:
+        import multiprocessing  # only here: the imports cost every command ~25 ms
+        from concurrent.futures import ProcessPoolExecutor
 
-def run_detect(manifest, roles, cfg: RunConfig, limit: int | None = None, jobs: int = 1):
-    """(fold outputs, aggregates per method) of the suite's first limit folds, run in jobs processes."""
-    fold_inputs = fold_inputs_from_suite(manifest, roles, cfg, limit=limit)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only here: the import costs every command ~30 ms
-
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_detect_worker_init, initargs=(fold_inputs, cfg)
-        ) as pool:
-            outputs = list(pool.map(_detect_worker_run, range(len(fold_inputs))))
+        _FORKED_PLAN = plan
+        try:  # a worker that dies breaks the pool, which raises here instead of waiting for its task
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                results = list(pool.map(_run_forked_task, range(len(plan.tasks))))
+        finally:
+            _FORKED_PLAN = None
     else:
-        outputs = [run_fold(fold, cfg) for fold in fold_inputs]
+        results = [run_task(plan, index) for index in range(len(plan.tasks))]
+    by_pair = {out.pair: out for outputs in results for out in outputs}
+    outputs = [by_pair[pair] for pair in plan.pairs]
     return outputs, aggregate_folds(outputs, cfg)

@@ -6,14 +6,18 @@ reference    fault off,  shadowing seed S2, mobility seed M3
 
 Each role's log is split into K chunks by UE partition (ue mod K); the
 detection stage pairs normal chunks against problematic and reference
-chunks in a full K x K cross.
+chunks in a full K x K cross.  Detect reads a written suite through
+`load_suite`, which checks it and returns a loader per chunk, so that
+each chunk is parsed only where a fold needs it.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +39,8 @@ from .fields import make_shadowing
 from .layout import GridSpec, NetworkLayout
 
 ROLES = ("normal", "problematic", "reference")
+
+ChunkLoader = Callable[[], Chunk]  # parses one chunk of a suite when called
 
 
 def derive_seeds(master_seed: int) -> dict:
@@ -253,11 +259,12 @@ def _check_manifest(manifest: dict, path) -> None:
         raise DataError(f"{path}: files must give each role, normal included, truth, dominance and chunk file names")
 
 
-def load_suite(data_dir) -> tuple[dict, dict[str, list[Chunk]]]:
-    """Read back a written suite: its manifest, and each role's chunks.
+def load_suite(data_dir) -> tuple[dict, dict[str, list[ChunkLoader]]]:
+    """Open a written suite: its manifest, and a loader per chunk of each role.
 
-    Every chunk is parsed once into columns, with each record's dominance
-    cell and ground-truth flag attached (`mdtlog.Chunk`).  A malformed
+    The manifest is checked, every file it names must exist, and each
+    role's truth and dominance map are read once here; a chunk file is
+    parsed only when its loader is called (`load_chunk`).  A malformed
     manifest or a missing file is a DataError naming the file.
     """
     data_dir = Path(data_dir)
@@ -269,24 +276,36 @@ def load_suite(data_dir) -> tuple[dict, dict[str, list[Chunk]]]:
         origin_x=g["origin_x"], origin_y=g["origin_y"], resolution_m=g["resolution_m"], nx=g["nx"], ny=g["ny"]
     )
     cell_ids = manifest["cell_ids"]
+    for entry in manifest["files"].values():
+        for name in (entry["truth"], entry["dominance"], *entry["chunks"]):
+            if not (data_dir / name).is_file():
+                raise DataError(f"missing {data_dir / name}")
     roles = {}
     try:
         for role, entry in manifest["files"].items():
             truth = load_truth(data_dir / entry["truth"])
             dominance = load_dominance_csv(data_dir / entry["dominance"], grid)
-            roles[role] = [
-                Chunk.from_log(read_records(data_dir / name), dominance, cell_ids, truth)
-                for name in entry["chunks"]
-            ]
+            roles[role] = [partial(load_chunk, data_dir / name, dominance, cell_ids, truth) for name in entry["chunks"]]
     except OSError as exc:
         raise DataError(f"cannot read {exc.filename}: {exc.strerror}") from None
     return manifest, roles
 
 
-def suite_roles(suite: DatasetSuite) -> dict[str, list[Chunk]]:
-    """The chunks of each role of an in-memory suite, as `load_suite` reads them back once written."""
+def load_chunk(path, dominance, cell_ids, truth) -> Chunk:
+    """One chunk file of a suite, parsed into columns, with each record's dominance cell and ground-truth flag."""
+    try:
+        log = read_records(path)
+    except OSError as exc:
+        raise DataError(f"cannot read {exc.filename}: {exc.strerror}") from None
+    return Chunk.from_log(log, dominance, cell_ids, truth)
+
+
+def suite_roles(suite: DatasetSuite) -> dict[str, list[ChunkLoader]]:
+    """A loader per chunk of each role of an in-memory suite: each gives the chunk `load_suite`'s would once written."""
     roles = {}
     for role, data in suite.roles.items():
         truth = truth_rows(data.records, data.affected)
-        roles[role] = [Chunk.from_log(chunk, data.radio.dominance, suite.cell_ids, truth) for chunk in data.chunks]
+        roles[role] = [
+            partial(Chunk.from_log, chunk, data.radio.dominance, suite.cell_ids, truth) for chunk in data.chunks
+        ]
     return roles

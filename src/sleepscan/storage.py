@@ -3,7 +3,9 @@
 detect_manifest.json  config and its hash, data_dir, faulty_cell, cell_ids,
                       n_folds and methods (`write_run`, `read_detect_manifest`)
 folds/<pairing>_<i>x<j>/  one per fold, named by `fold_dir_name`
-                      (`write_fold_output`, `read_fold_output`)
+                      (`write_fold_output`, `read_fold_output`); detect
+                      writes each where it is computed, in a worker
+                      under --jobs, through the writer `start_run` returns
     fold.json         the FoldPair, threshold, component count and cell_ids
     scores_train.csv  row,ue,offset,score,anomalous
     scores_test.csv   row,ue,offset,score,anomalous,fault_affected
@@ -27,6 +29,10 @@ eval/                 (`write_eval`)
 The normalized column and the heat map show the normalized stage the
 labels were computed on: amplified by default, raw under --no-amplify.
 
+A detect run starts with `start_run`, which removes detect's own entries
+(folds/, aggregate/, eval/ and detect_manifest.json, nothing else) from
+the directory, and ends with `write_run`, which writes the aggregates
+and, last, detect_manifest.json: a detect that fails leaves no manifest.
 `read_run` reads back exactly the folds detect wrote: n_folds fold
 directories, each named for the fold its fold.json describes and over
 the manifest's cell_ids; anything else is a DataError naming the file.
@@ -36,6 +42,8 @@ All floats are written with repr() so reruns are byte-identical.
 from __future__ import annotations
 
 import contextlib
+import shutil
+from collections.abc import Callable
 from dataclasses import asdict
 from pathlib import Path
 
@@ -60,12 +68,33 @@ def fold_dir_name(pair: FoldPair) -> str:
     return f"{pair.test_role}_{pair.train_index}x{pair.test_index}"
 
 
-def write_run(out_dir, cfg: RunConfig, data_dir, faulty_cell: int, methods, outputs, aggregates) -> None:
-    """A detect run: every fold output, the aggregates of methods, and detect_manifest.json."""
+# What detect owns in its output directory, the manifest first: a run cut short leaves none.
+_DETECT_ENTRIES = ("detect_manifest.json", "eval", "aggregate", "folds")
+
+
+def start_run(out_dir) -> Callable[[FoldOutput], None]:
+    """Clear detect's own entries in out_dir, and return the writer of one fold output into it.
+
+    Nothing else in out_dir is touched, so no fold of an earlier run can
+    mix with the folds of this one.
+    """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for out in outputs:
-        write_fold_output(out, out_dir / "folds" / fold_dir_name(out.pair))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name in _DETECT_ENTRIES:
+            path = out_dir / name
+            if path.is_dir() and not path.is_symlink():
+                shutil.rmtree(path)
+            else:
+                path.unlink(missing_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot clear {exc.filename}: {exc.strerror}") from None
+    return lambda out: write_fold_output(out, out_dir / "folds" / fold_dir_name(out.pair))
+
+
+def write_run(out_dir, cfg: RunConfig, data_dir, faulty_cell: int, methods, outputs, aggregates) -> None:
+    """The end of a detect run whose folds are written: the aggregates of methods, then detect_manifest.json."""
+    out_dir = Path(out_dir)
     cell_ids = list(outputs[0].cell_ids)
     layout = cfg.layout()
     for method in methods:
@@ -105,7 +134,7 @@ def read_run(out_dir) -> tuple[dict, RunConfig, list[FoldOutput]]:
     fold_dirs = sorted(p for p in folds_root.iterdir() if p.is_dir()) if folds_root.is_dir() else []
     if len(fold_dirs) != manifest["n_folds"]:
         raise DataError(f"{folds_root} holds {len(fold_dirs)} fold directories, but detect_manifest.json "
-                        f"says n_folds {manifest['n_folds']}; run detect into an empty directory")
+                        f"says n_folds {manifest['n_folds']}; run detect again")
     outputs = []
     for fold_dir in fold_dirs:
         out = read_fold_output(fold_dir)

@@ -136,6 +136,18 @@ def test_detect_negative_folds_is_config_error(tmp_path, tiny_config_path, datas
     assert not out.exists()
 
 
+def test_detect_zero_folds_is_config_error_and_keeps_the_run(tmp_path, tiny_config_path, dataset_dir, detect_dir,
+                                                              capsys):
+    """No fold could be aggregated, so detect stops before it clears the directory."""
+    run = tmp_path / "run"
+    shutil.copytree(detect_dir, run)
+    assert main([
+        "detect", "--config", str(tiny_config_path), "--data", str(dataset_dir), "--out", str(run), "--folds", "0",
+    ]) == 2
+    assert "--folds" in capsys.readouterr().err
+    assert storage.read_run(run)[0]["n_folds"] == 72
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_detect_jobs_below_one_is_config_error(tmp_path, tiny_config_path, dataset_dir, capsys, jobs):
     out = tmp_path / "jobs"
@@ -187,6 +199,71 @@ def test_detect_jobs_parallel_matches_serial(tmp_path, tiny_config_path, dataset
         "aggregate/histogram_gram_reference.csv",
     ):
         assert (detect_dir / name).read_bytes() == (out / name).read_bytes()
+
+
+def _detect_files(run) -> dict[str, bytes]:
+    """Relative path -> bytes of every file detect wrote in a run directory."""
+    files = {}
+    for part in ("folds", "aggregate", "detect_manifest.json"):
+        path = run / part
+        for f in sorted(path.rglob("*")) if path.is_dir() else [path]:
+            if f.is_file():
+                files[f.relative_to(run).as_posix()] = f.read_bytes()
+    return files
+
+
+@pytest.mark.parametrize(
+    "jobs,folds",
+    [("2", None), ("3", None), ("2", "5"), ("3", "5"), ("4", "2")],
+    ids=["jobs2", "jobs3", "jobs2_folds5", "jobs3_folds5", "jobs_above_tasks"],
+)
+def test_detect_tasks_match_serial_byte_for_byte(tmp_path, tiny_config_path, dataset_dir, detect_dir, jobs, folds):
+    """However the folds are grouped into test-chunk tasks and spread over workers, the run is the serial one."""
+    detect = ["detect", "--config", str(tiny_config_path), "--data", str(dataset_dir)]
+    limit = [] if folds is None else ["--folds", folds]
+    serial = detect_dir
+    if folds is not None:
+        serial = tmp_path / "serial"
+        assert main([*detect, "--out", str(serial), *limit]) == 0
+    assert main([*detect, "--out", str(tmp_path / "par"), "--jobs", jobs, *limit]) == 0
+    expected = _detect_files(serial)
+    assert len([name for name in expected if name.endswith("fold.json")]) == (72 if folds is None else int(folds))
+    assert _detect_files(tmp_path / "par") == expected
+
+
+def test_fold_data_error_is_the_same_under_jobs2(tmp_path, dataset_dir, capsys):
+    config = tmp_path / "big_k.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "knn_k": 100000}))
+    errors = []
+    for jobs in ("1", "2"):
+        capsys.readouterr()
+        assert main([
+            "detect", "--config", str(config), "--data", str(dataset_dir), "--out", str(tmp_path / jobs),
+            "--jobs", jobs,
+        ]) == 3
+        errors.append(capsys.readouterr().err)
+        assert not (tmp_path / jobs / "detect_manifest.json").exists()
+    assert "cannot support k=100000" in errors[0]
+    assert errors[0] == errors[1]
+
+
+def test_detect_replaces_an_earlier_run(tmp_path, tiny_config_path, dataset_dir, detect_dir, capsys):
+    """detect, evaluate, then detect --folds 4 into the same directory: nothing of the first run is left."""
+    run = tmp_path / "run"
+    shutil.copytree(detect_dir, run)
+    assert main(["evaluate", "--out", str(run)]) == 0
+    (run / "notes.txt").write_text("not detect's")
+    assert main([
+        "detect", "--config", str(tiny_config_path), "--data", str(dataset_dir), "--out", str(run), "--folds", "4",
+    ]) == 0
+    assert len(list((run / "folds").iterdir())) == 4
+    assert not (run / "eval").exists()
+    assert (run / "notes.txt").read_text() == "not detect's"
+    capsys.readouterr()
+    assert main(["report", "--out", str(run)]) == 0
+    text = capsys.readouterr().out
+    assert "folds: 4" in text and "no eval/ directory yet" in text
+    assert main(["evaluate", "--out", str(run)]) == 0
 
 
 def test_detect_without_data_is_data_error(tmp_path, tiny_config_path):
@@ -335,36 +412,40 @@ def _drop_key_on_line(path, lineno, key):
     path.write_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize(
-    "name,damage",
-    [
-        ("truth_normal.jsonl", lambda p: _append(p, "{bad")),
-        ("truth_normal.jsonl", lambda p: _drop_key_on_line(p, 3, "event_index")),
-        ("manifest.json", lambda p: p.write_text("{bad")),
-        ("manifest.json", lambda p: _drop_key(p, "grid")),
-        ("manifest.json", lambda p: _edit_json(p, lambda d: d["adjacency"].update(x=d["adjacency"].pop("1")))),
-        ("manifest.json", lambda p: _edit_json(p, lambda d: d["grid"].update(resolution_m=0))),
-        ("manifest.json", lambda p: _edit_json(p, lambda d: d.update(faulty_cell="z"))),
-        ("normal_chunk2.jsonl", lambda p: p.unlink()),
-        ("truth_reference.jsonl", lambda p: p.unlink()),
-        ("manifest.json", lambda p: _edit_json(p, lambda d: d["files"].pop("normal"))),
-        ("manifest.json", lambda p: _edit_json(p, lambda d: d["files"]["normal"].update(truth=5))),
-        ("manifest.json", lambda p: _edit_json(p, lambda d: d["files"]["normal"]["chunks"].__setitem__(0, "."))),
-        ("manifest.json", _prepend_byte),
-        ("dominance_normal.csv", _prepend_byte),
-        ("normal_chunk2.jsonl", _prepend_byte),
-        ("truth_problematic.jsonl", _prepend_byte),
-        ("manifest.json", lambda p: _edit_json(p, lambda d: d["cell_ids"].reverse())),
-        ("manifest.json", lambda p: _edit_json(p, lambda d: d["adjacency"]["1"].append(99))),
-        ("manifest.json", lambda p: _edit_json(p, lambda d: d["adjacency"].update({"98": [1]}))),
-    ],
-    ids=["truth_not_json", "truth_without_event_index", "manifest_not_json", "manifest_without_grid",
-         "manifest_adjacency_key_not_int", "manifest_resolution_zero", "manifest_faulty_cell_not_int",
-         "missing_chunk", "missing_truth", "manifest_files_without_normal", "manifest_truth_name_not_a_string",
-         "manifest_chunk_name_dot", "manifest_not_utf8", "dominance_not_utf8", "chunk_not_utf8",
-         "truth_not_utf8", "manifest_cell_ids_descending",
-         "manifest_adjacency_neighbor_not_a_cell", "manifest_adjacency_key_not_a_cell"],
-)
+# (file, damage): each must make detect exit 3 naming the file.
+DAMAGED_SUITE_CASES = [
+    ("truth_normal.jsonl", lambda p: _append(p, "{bad")),
+    ("truth_normal.jsonl", lambda p: _drop_key_on_line(p, 3, "event_index")),
+    ("manifest.json", lambda p: p.write_text("{bad")),
+    ("manifest.json", lambda p: _drop_key(p, "grid")),
+    ("manifest.json", lambda p: _edit_json(p, lambda d: d["adjacency"].update(x=d["adjacency"].pop("1")))),
+    ("manifest.json", lambda p: _edit_json(p, lambda d: d["grid"].update(resolution_m=0))),
+    ("manifest.json", lambda p: _edit_json(p, lambda d: d.update(faulty_cell="z"))),
+    ("normal_chunk2.jsonl", lambda p: p.unlink()),
+    ("truth_reference.jsonl", lambda p: p.unlink()),
+    ("manifest.json", lambda p: _edit_json(p, lambda d: d["files"].pop("normal"))),
+    ("manifest.json", lambda p: _edit_json(p, lambda d: d["files"]["normal"].update(truth=5))),
+    ("manifest.json", lambda p: _edit_json(p, lambda d: d["files"]["normal"]["chunks"].__setitem__(0, "."))),
+    ("manifest.json", _prepend_byte),
+    ("dominance_normal.csv", _prepend_byte),
+    ("normal_chunk2.jsonl", _prepend_byte),
+    ("truth_problematic.jsonl", _prepend_byte),
+    ("manifest.json", lambda p: _edit_json(p, lambda d: d["cell_ids"].reverse())),
+    ("manifest.json", lambda p: _edit_json(p, lambda d: d["adjacency"]["1"].append(99))),
+    ("manifest.json", lambda p: _edit_json(p, lambda d: d["adjacency"].update({"98": [1]}))),
+    ("problematic_chunk3.jsonl", lambda p: _edit_line(p, 4, lambda r: r.replace('"t": ', '"t":'))),
+]
+DAMAGED_SUITE_IDS = [
+    "truth_not_json", "truth_without_event_index", "manifest_not_json", "manifest_without_grid",
+    "manifest_adjacency_key_not_int", "manifest_resolution_zero", "manifest_faulty_cell_not_int",
+    "missing_chunk", "missing_truth", "manifest_files_without_normal", "manifest_truth_name_not_a_string",
+    "manifest_chunk_name_dot", "manifest_not_utf8", "dominance_not_utf8", "chunk_not_utf8", "truth_not_utf8",
+    "manifest_cell_ids_descending", "manifest_adjacency_neighbor_not_a_cell",
+    "manifest_adjacency_key_not_a_cell", "problematic_chunk_bad_line",
+]
+
+
+@pytest.mark.parametrize("name,damage", DAMAGED_SUITE_CASES, ids=DAMAGED_SUITE_IDS)
 def test_damaged_suite_is_data_error(tmp_path, tiny_config_path, dataset_dir, capsys, name, damage):
     data = tmp_path / "suite"
     shutil.copytree(dataset_dir, data)
@@ -376,9 +457,25 @@ def test_damaged_suite_is_data_error(tmp_path, tiny_config_path, dataset_dir, ca
     assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,damage", DAMAGED_SUITE_CASES, ids=DAMAGED_SUITE_IDS)
+def test_damaged_suite_is_data_error_under_jobs2(tmp_path, tiny_config_path, dataset_dir, capsys, name, damage):
+    """A chunk a worker parses fails as one the parent parses: exit 3 naming the file, and no manifest."""
+    data = tmp_path / "suite"
+    shutil.copytree(dataset_dir, data)
+    damage(data / name)
+    capsys.readouterr()
+    assert main([
+        "detect", "--config", str(tiny_config_path), "--data", str(data), "--out", str(tmp_path / "out"),
+        "--jobs", "2",
+    ]) == 3
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out" / "detect_manifest.json").exists()
+
+
 def test_written_suite_and_run_need_no_per_line_parser(dataset_dir, detect_dir):
     """The readers take exactly what the writers write: a format change that breaks the round trip fails here."""
-    _, roles = suite_module.load_suite(dataset_dir)
+    _, loaders = suite_module.load_suite(dataset_dir)
+    roles = {role: [load() for load in chunks] for role, chunks in loaders.items()}
     assert sum(len(chunk.log) for chunks in roles.values() for chunk in chunks) > 0
     assert any(chunk.affected.any() for chunk in roles["problematic"])
     manifest, _cfg, outputs = storage.read_run(detect_dir)

@@ -1,4 +1,5 @@
 import json
+import pickle
 from dataclasses import fields
 
 import numpy as np
@@ -99,6 +100,13 @@ def test_missing_target_is_an_error_with_line(tmp_path):
         read_records(path)
     assert err.value.lineno == 2
     assert "HO COMMAND" in str(err.value)
+
+
+def test_parse_error_survives_pickling():
+    """A detect worker sends the error of a damaged chunk back to the parent pickled."""
+    err = pickle.loads(pickle.dumps(ParseError("a/b.jsonl", 3, "bad")))
+    assert type(err) is ParseError
+    assert (err.path, err.lineno, err.reason, str(err)) == ("a/b.jsonl", 3, "bad", "a/b.jsonl:3: bad")
 
 
 def test_unknown_event_and_bad_coordinate(tmp_path):

@@ -423,7 +423,8 @@ def test_suite_roles_equal_the_written_suite_loaded_back(overrides, tmp_path):
     suite = suite_from_config(RunConfig.from_dict({**SMOKE, **overrides}))
     write_suite(suite, tmp_path / "suite")
     _, loaded = load_suite(tmp_path / "suite")
-    in_memory = suite_roles(suite)
+    loaded = {role: [load() for load in loaders] for role, loaders in loaded.items()}
+    in_memory = {role: [load() for load in loaders] for role, loaders in suite_roles(suite).items()}
     assert set(in_memory) == set(loaded) == {"normal", "problematic", "reference"}
     for role, expected in loaded.items():
         got = in_memory[role]
