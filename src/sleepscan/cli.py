@@ -4,12 +4,16 @@ Each command parses its arguments, calls the library and prints a
 summary: `simgen` writes and loads the suite, `pipeline.run_detect` runs
 the folds, and `storage` reads and writes every file of a run directory.
 
-Exit codes: 0 ok, 2 configuration error, 3 data error.
+Exit codes: 0 ok, 2 configuration error, 3 data error, 141 standard
+output closed before the summary was printed (as a shell reports a
+process that SIGPIPE ended).  A command prints only after its files
+are written, so detect leaves a complete run directory even then.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -62,9 +66,9 @@ def cmd_detect(args) -> int:
     outputs, aggregates = pipeline.run_detect(
         manifest, roles, cfg, limit=args.folds, jobs=args.jobs, write_fold=write_fold
     )
-    print(f"ran {len(outputs)} folds (jobs={args.jobs})")
     methods = _selected_methods(args.method)
     storage.write_run(args.out, cfg, args.data, manifest["faulty_cell"], methods, outputs, aggregates)
+    print(f"ran {len(outputs)} folds (jobs={args.jobs})")
     cell_ids = outputs[0].cell_ids
     for method in methods:
         agg = aggregates[method]
@@ -153,13 +157,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when started with no stdout at all: print then writes nothing
+            sys.stdout.flush()  # a closed pipe shows here at the latest, not at interpreter exit
+        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit finds no pipe
+        return 141
 
 
 if __name__ == "__main__":

@@ -189,23 +189,28 @@ _TARGETED_CODES = frozenset(int(ev) for ev in TARGETED_EVENTS)
 
 
 JSON_INT = r"-?(?:0|[1-9][0-9]*)"
-_FLOAT_REPR = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:e[+-][0-9]+)?|e[+-][0-9]+)"
+FLOAT_REPR = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:e[+-][0-9]+)?|e[+-][0-9]+)"
 _WIRE_NAME = "|".join(re.escape(name) for name in WIRE_NAMES.values())
 # One line as `write_records` emits it; target is captured empty when null.
 _RECORD_LINE = re.compile(
-    rf'^{{"ue": ({JSON_INT}), "t": ({JSON_INT}), "event": "({_WIRE_NAME})", "x": ({_FLOAT_REPR}), '
-    rf'"y": ({_FLOAT_REPR}), "serving": ({JSON_INT}), "target": (?:null|({JSON_INT}))}}\n',
+    rf'^{{"ue": ({JSON_INT}), "t": ({JSON_INT}), "event": "({_WIRE_NAME})", "x": ({FLOAT_REPR}), '
+    rf'"y": ({FLOAT_REPR}), "serving": ({JSON_INT}), "target": (?:null|({JSON_INT}))}}\n',
     re.MULTILINE | re.ASCII,
 )
 
 
 def read_text(path) -> str:
-    """The text of a UTF-8 file; other bytes are a DataError naming it."""
+    """The text of a UTF-8 file; a file that cannot be opened or decoded is a DataError naming it.
+
+    Every data file is read here, so this is the one place where reading one fails.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def write_json(path, doc) -> None:
@@ -219,8 +224,6 @@ def read_json_object(path, keys=()) -> dict:
     """The JSON object in path, holding keys; anything else is a DataError naming the file."""
     try:
         doc = json.loads(read_text(path))
-    except FileNotFoundError:
-        raise DataError(f"missing {path}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -231,18 +234,24 @@ def read_json_object(path, keys=()) -> dict:
     return doc
 
 
-def line_columns(line: re.Pattern, text: str, path) -> list[tuple[str, ...]]:
+def line_columns(line: re.Pattern, text: str, path, header: str | None = None) -> list[tuple[str, ...]]:
     """The captures of line, column by column; every line of text must match it.
 
     line is a MULTILINE pattern anchored at `^` that ends in `\\n` and
-    matches no `\\n` before that, so each match is exactly one line.  The
-    first line that does not match, or a last line without its `\\n`, is a
-    ParseError naming it.
+    matches no `\\n` before that, so each match is exactly one line.  With
+    a header, text must start with exactly that line and its `\\n`, as line
+    1, and line must match every line after it.  The first line that does
+    not match, or a last line without its `\\n`, is a ParseError naming it.
     """
+    lineno = 1
+    if header is not None:
+        if not text.startswith(header + "\n"):
+            raise ParseError(path, 1, f"the header line is not {header!r}")
+        text, lineno = text[len(header) + 1:], 2
     rows = line.findall(text)
     if len(rows) == text.count("\n") and (not text or text.endswith("\n")):
         return list(zip(*rows)) or [()] * line.groups
-    lineno, pos = 1, 0  # matches run on line after line up to the first line that does not match
+    pos = 0  # matches run on line after line up to the first line that does not match
     for match in line.finditer(text):
         if match.start() != pos:
             break
@@ -251,6 +260,14 @@ def line_columns(line: re.Pattern, text: str, path) -> list[tuple[str, ...]]:
     if line.match(bad + "\n"):
         raise ParseError(path, lineno, "the last line does not end in a newline")
     raise ParseError(path, lineno, f"not in the written format: {bad[:60]!r}")
+
+
+def int64_columns(path, *columns) -> list[np.ndarray]:
+    """Each column of integer strings as an int64 array; one outside 64 bits is a DataError naming path."""
+    try:
+        return [np.array(column, dtype=np.int64) for column in columns]
+    except OverflowError:
+        raise DataError(f"{path}: integer field outside the 64-bit range") from None
 
 
 def read_records(path) -> EventLog:
@@ -267,13 +284,7 @@ def read_records(path) -> EventLog:
     if len(untargeted):
         row = int(untargeted[0])
         raise ParseError(path, row + 1, f"event {names[row]!r} requires a target cell")
-    try:
-        ue, t, serving, target = (
-            np.array(column, dtype=np.int64)
-            for column in (ue, t, serving, [value or str(NO_TARGET) for value in target])
-        )
-    except OverflowError:
-        raise DataError(f"{path}: integer field outside the 64-bit range") from None
+    ue, t, serving, target = int64_columns(path, ue, t, serving, [value or str(NO_TARGET) for value in target])
     x, y = np.array(x, dtype=np.float64), np.array(y, dtype=np.float64)
     return EventLog(event=event, ue=ue, t=t, x=x, y=y, serving=serving, target=target)
 

@@ -146,31 +146,18 @@ DOMINANCE_HEADER = "x_index,y_index,cell_id"
 
 
 def load_dominance_csv(path, grid_spec: GridSpec) -> DominanceMap:
-    """Read a dominance map written by `write_dominance_csv`; every pixel once."""
+    """Read a dominance map as `write_dominance_csv` writes it: the exact header, then every pixel once, row-major."""
     header, _, body = read_text(path).partition("\n")
-    if header.strip() != DOMINANCE_HEADER:
-        raise DataError(f"{path}: dominance map header must be {DOMINANCE_HEADER!r}, got {header.strip()!r}")
+    if header != DOMINANCE_HEADER:
+        raise DataError(f"{path}: dominance map header must be {DOMINANCE_HEADER!r}, got {header!r}")
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # no rows: fails the coverage check
-            rows = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2)
+            warnings.simplefilter("ignore", UserWarning)  # no rows: fails the pixel check
+            rows = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2, comments=None)
     except ValueError as exc:
         raise DataError(f"{path}: malformed dominance map row ({exc})") from None
-    if not rows.size:
-        rows = rows.reshape(0, 3)
-    if rows.shape[1] != 3:
-        raise DataError(f"{path}: dominance map rows must hold 3 columns")
     ny, nx = grid_spec.ny, grid_spec.nx
-    ix, iy = rows[:, 0], rows[:, 1]
-    inside = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
-    if not inside.all():
-        raise DataError(f"{path}: dominance map pixel outside the {nx}x{ny} grid")
-    grid = np.zeros((ny, nx), dtype=np.int64)
-    seen = np.zeros((ny, nx), dtype=np.int64)
-    grid[iy, ix] = rows[:, 2]
-    np.add.at(seen, (iy, ix), 1)
-    if not (seen >= 1).all():
-        raise DataError(f"{path}: dominance map does not cover the grid")
-    if (seen > 1).any():
-        raise DataError(f"{path}: dominance map lists a pixel more than once")
-    return DominanceMap(grid_spec=grid_spec, grid=grid)
+    iy, ix = np.indices((ny, nx)).reshape(2, -1)
+    if rows.shape != (ny * nx, 3) or not np.array_equal(rows[:, :2], np.stack((ix, iy), axis=1)):
+        raise DataError(f"{path}: dominance map rows must list every pixel of the {nx}x{ny} grid once, row-major")
+    return DominanceMap(grid_spec=grid_spec, grid=np.ascontiguousarray(rows[:, 2]).reshape(ny, nx))

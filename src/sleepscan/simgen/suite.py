@@ -24,7 +24,8 @@ import numpy as np
 
 from ..errors import DataError
 from ..mdtlog import (
-    JSON_INT, Chunk, EventLog, line_columns, read_json_object, read_records, read_text, write_json, write_records,
+    JSON_INT, Chunk, EventLog, int64_columns, line_columns, read_json_object, read_records, read_text, write_json,
+    write_records,
 )
 from .dominance import (
     RadioMap,
@@ -155,11 +156,7 @@ def load_truth(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     is a DataError.
     """
     ue, index, affected = line_columns(_TRUTH_LINE, read_text(path), path)
-    try:
-        ue, index = np.array(ue, dtype=np.int64), np.array(index, dtype=np.int64)
-    except OverflowError:
-        raise DataError(f"{path}: integer field outside the 64-bit range") from None
-    return ue, index, np.array([flag == "true" for flag in affected], dtype=bool)
+    return *int64_columns(path, ue, index), np.array([flag == "true" for flag in affected], dtype=bool)
 
 
 def write_suite(suite: DatasetSuite, out_dir, manifest_extra: dict | None = None) -> Path:
@@ -281,23 +278,16 @@ def load_suite(data_dir) -> tuple[dict, dict[str, list[ChunkLoader]]]:
             if not (data_dir / name).is_file():
                 raise DataError(f"missing {data_dir / name}")
     roles = {}
-    try:
-        for role, entry in manifest["files"].items():
-            truth = load_truth(data_dir / entry["truth"])
-            dominance = load_dominance_csv(data_dir / entry["dominance"], grid)
-            roles[role] = [partial(load_chunk, data_dir / name, dominance, cell_ids, truth) for name in entry["chunks"]]
-    except OSError as exc:
-        raise DataError(f"cannot read {exc.filename}: {exc.strerror}") from None
+    for role, entry in manifest["files"].items():
+        truth = load_truth(data_dir / entry["truth"])
+        dominance = load_dominance_csv(data_dir / entry["dominance"], grid)
+        roles[role] = [partial(load_chunk, data_dir / name, dominance, cell_ids, truth) for name in entry["chunks"]]
     return manifest, roles
 
 
 def load_chunk(path, dominance, cell_ids, truth) -> Chunk:
     """One chunk file of a suite, parsed into columns, with each record's dominance cell and ground-truth flag."""
-    try:
-        log = read_records(path)
-    except OSError as exc:
-        raise DataError(f"cannot read {exc.filename}: {exc.strerror}") from None
-    return Chunk.from_log(log, dominance, cell_ids, truth)
+    return Chunk.from_log(read_records(path), dominance, cell_ids, truth)
 
 
 def suite_roles(suite: DatasetSuite) -> dict[str, list[ChunkLoader]]:

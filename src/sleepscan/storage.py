@@ -11,8 +11,8 @@ folds/<pairing>_<i>x<j>/  one per fold, named by `fold_dir_name`
     scores_test.csv   row,ue,offset,score,anomalous,fault_affected
     histograms.csv    method,stage,cell_id,value (long format): one row per
                       cell of each stage in pipeline.STAGES, and of the two
-                      normalized stages for "combined"; the reader requires
-                      exactly these rows
+                      normalized stages for "combined"; methods in
+                      ALL_METHODS order, stages sorted, cells in cell_ids order
 aggregate/            (`write_method_aggregate`)
     labels_<method>.json  pooled mean, sigma and 3-sigma threshold; per
                       pairing the mean scores, abnormal and argmax cells
@@ -37,11 +37,21 @@ and, last, detect_manifest.json: a detect that fails leaves no manifest.
 directories, each named for the fold its fold.json describes and over
 the manifest's cell_ids; anything else is a DataError naming the file.
 All floats are written with repr() so reruns are byte-identical.
+
+Each reader accepts only its writer's lines, in its writer's order.  A
+CSV is its exact header, as line 1, then lines that each match one
+pattern of the line its writer emits (`mdtlog.line_columns`): integers
+in JSON grammar, floats spelled as repr() spells a finite float, flags 0
+or 1.  The `row` column counts 0, 1, ... and the (method, stage,
+cell_id) keys of histograms.csv are the written sequence.  The first
+line that differs is a ParseError naming the file and that line.
+fold.json and detect_manifest.json must hold their keys with the JSON
+types their writers write.
 """
 
 from __future__ import annotations
 
-import contextlib
+import re
 import shutil
 from collections.abc import Callable
 from dataclasses import asdict
@@ -51,8 +61,10 @@ import numpy as np
 
 from . import evaluate as ev
 from .config import RunConfig
-from .errors import ConfigError, DataError
-from .mdtlog import FoldPair, lookup_index, read_json_object, write_json
+from .errors import ConfigError, DataError, ParseError
+from .mdtlog import (
+    FLOAT_REPR, JSON_INT, FoldPair, int64_columns, line_columns, read_json_object, read_text, write_json,
+)
 from .pipeline import ALL_METHODS, COMBINED_STAGES, STAGES, FoldOutput, MethodAggregate
 
 _MANIFEST_KEYS = ("cell_ids", "config", "config_hash", "faulty_cell", "methods", "n_folds")
@@ -62,6 +74,22 @@ _SUMMARY_HEADER = ",".join(("method",) + _SUMMARY_METRICS)
 _SCORES_TRAIN_HEADER = "row,ue,offset,score,anomalous"
 _SCORES_TEST_HEADER = "row,ue,offset,score,anomalous,fault_affected"
 _HISTOGRAMS_HEADER = "method,stage,cell_id,value"
+# (method, stage) of each block of histograms.csv rows, in the order the writer writes them.
+_HISTOGRAM_STAGES = tuple(
+    (m, stage) for m in ALL_METHODS for stage in sorted(COMBINED_STAGES if m == "combined" else STAGES)
+)
+
+
+def _line(*fields: str) -> re.Pattern:
+    """One CSV line of the given field patterns, as `mdtlog.line_columns` takes it."""
+    return re.compile("^" + ",".join(fields) + "\n", re.MULTILINE | re.ASCII)
+
+
+_INT, _FLOAT, _FLAG = f"({JSON_INT})", f"({FLOAT_REPR})", "([01])"
+_SCORES_TRAIN_LINE = _line(_INT, _INT, _INT, _FLOAT, _FLAG)
+_SCORES_TEST_LINE = _line(_INT, _INT, _INT, _FLOAT, _FLAG, _FLAG)
+_HISTOGRAMS_LINE = _line(f"([a-z]+,[a-z_]+,{JSON_INT})", _FLOAT)  # the (method, stage, cell_id) key as one field
+_SUMMARY_LINE = _line(f"({'|'.join(ALL_METHODS)})", *[_FLOAT] * len(_SUMMARY_METRICS))
 
 
 def fold_dir_name(pair: FoldPair) -> str:
@@ -137,12 +165,10 @@ def read_run(out_dir) -> tuple[dict, RunConfig, list[FoldOutput]]:
                         f"says n_folds {manifest['n_folds']}; run detect again")
     outputs = []
     for fold_dir in fold_dirs:
-        out = read_fold_output(fold_dir)
+        out = read_fold_output(fold_dir, manifest["cell_ids"])
         if fold_dir_name(out.pair) != fold_dir.name:
             raise DataError(f"{fold_dir / 'fold.json'}: describes fold {fold_dir_name(out.pair)}, "
                             f"not the fold of its directory")
-        if list(out.cell_ids) != manifest["cell_ids"]:  # every histogram must follow one cell order
-            raise DataError(f"{fold_dir / 'fold.json'}: cell_ids differ from those of detect_manifest.json")
         outputs.append(out)
     return manifest, cfg, outputs
 
@@ -195,81 +221,55 @@ def _write_lines(path: Path, header: str, lines) -> None:
         fh.write("\n".join([header, *lines, ""]))
 
 
-@contextlib.contextmanager
-def _parsing(path: Path):
-    """Turn a missing or malformed output file into a DataError naming it."""
-    try:
-        yield
-    except FileNotFoundError:
-        raise DataError(f"missing {path}") from None
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise DataError(f"malformed {path}: {exc!r}") from None
+def _in_writer_order(path: Path, column: tuple[str, ...], expected: tuple[str, ...]) -> None:
+    """column must be the sequence the writer writes; the first entry that differs is a ParseError naming its line."""
+    if column != expected:
+        i = next((i for i, (a, b) in enumerate(zip(column, expected)) if a != b), min(len(column), len(expected)))
+        reason = f"the writer writes {expected[i]!r} here" if i < len(expected) else "a line the writer does not write"
+        raise ParseError(path, i + 2, reason)  # the header is line 1
 
 
-def csv_columns(path: Path, header: str) -> list[tuple[str, ...]]:
-    """The fields of a CSV file as written here, column by column, as strings.
-
-    The file must start with header and hold as many fields on every
-    other line; anything else is a DataError naming the file.
-    """
-    with _parsing(path), open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != header:
-        raise DataError(f"malformed {path}: the header is not {header!r}")
-    width = header.count(",") + 1
-    rows = [line.split(",") for line in lines[1:]]
-    if any(len(row) != width for row in rows):
-        raise DataError(f"malformed {path}: a row without {width} fields")
-    return list(zip(*rows)) or [()] * width
-
-
-def read_fold_output(fold_dir) -> FoldOutput:
+def read_fold_output(fold_dir, cell_ids) -> FoldOutput:
+    """The fold output `write_fold_output` wrote in fold_dir; its fold.json must hold the run's cell_ids."""
     fold_dir = Path(fold_dir)
-    meta = read_json_object(fold_dir / "fold.json", (*_PAIR_KEYS, "threshold", "selected_components", "cell_ids"))
-    with _parsing(fold_dir / "fold.json"):
-        pair = FoldPair(**{key: meta[key] for key in _PAIR_KEYS})
-        cell_ids = tuple(int(c) for c in meta["cell_ids"])
-        threshold = float(meta["threshold"])
-        selected_components = int(meta["selected_components"])
+    path = fold_dir / "fold.json"
+    meta = read_json_object(path, (*_PAIR_KEYS, "threshold", "selected_components", "cell_ids"))
+    pair = FoldPair(**{key: meta[key] for key in _PAIR_KEYS})
     if not (pair.train_role == "normal" and pair.test_role in ("problematic", "reference")
-            and all(type(i) is int and i >= 0 for i in (pair.train_index, pair.test_index))):
-        raise DataError(f"malformed {fold_dir / 'fold.json'}: unknown roles or chunk indices")
+            and all(type(v) is int for v in (pair.train_index, pair.test_index, meta["selected_components"]))
+            and min(pair.train_index, pair.test_index) >= 0 and type(meta["threshold"]) is float
+            and isinstance(meta["cell_ids"], list) and all(type(c) is int for c in meta["cell_ids"])):
+        raise DataError(f"{path}: needs train_role normal, test_role problematic or reference, non-negative "
+                        f"integer chunk indices, integer selected_components, a float threshold "
+                        f"and a list of integer cell_ids")
+    if meta["cell_ids"] != list(cell_ids):  # every histogram must follow one cell order
+        raise DataError(f"{path}: cell_ids differ from those of detect_manifest.json")
 
-    def read_scores(name, header):
+    def read_scores(name, header, line):
         path = fold_dir / name
-        columns = csv_columns(path, header)
-        with _parsing(path):
-            ue, offset = (np.array(column, dtype=np.int64) for column in columns[1:3])
-            scores = np.array(columns[3], dtype=np.float64)
-            flags = [np.array(column, dtype=np.int64) != 0 for column in columns[4:]]
-        return list(zip(ue.tolist(), offset.tolist())), scores, *flags
+        row, ue, offset, scores, *flags = line_columns(line, read_text(path), path, header)
+        _in_writer_order(path, row, tuple(map(str, range(len(row)))))
+        ue, offset = int64_columns(path, ue, offset)
+        flags = [np.array([value == "1" for value in flag], dtype=bool) for flag in flags]
+        return list(zip(ue.tolist(), offset.tolist())), np.array(scores, dtype=np.float64), *flags
 
-    train_rows, train_scores, train_anom = read_scores("scores_train.csv", _SCORES_TRAIN_HEADER)
-    test_rows, test_scores, test_anom, affected = read_scores("scores_test.csv", _SCORES_TEST_HEADER)
+    train_rows, train_scores, train_anom = read_scores("scores_train.csv", _SCORES_TRAIN_HEADER, _SCORES_TRAIN_LINE)
+    test_rows, test_scores, test_anom, affected = read_scores(
+        "scores_test.csv", _SCORES_TEST_HEADER, _SCORES_TEST_LINE
+    )
 
-    # Exactly the stages the writer writes, each (method, stage, cell) once.
-    keys = [(m, st) for m in ALL_METHODS for st in sorted(COMBINED_STAGES if m == "combined" else STAGES)]
-    key_index = {key: k for k, key in enumerate(keys)}
     path = fold_dir / "histograms.csv"
-    methods, stages, cells, values = csv_columns(path, _HISTOGRAMS_HEADER)
-    with _parsing(path):
-        cell = lookup_index(np.array(cells, dtype=np.int64), cell_ids)
-        values = np.array(values, dtype=np.float64)
-    if (cell < 0).any():
-        raise DataError(f"malformed {path}: a cell id missing from fold.json")
-    key = np.array([key_index.get(k, -1) for k in zip(methods, stages)], dtype=np.int64)
-    slot = key * len(cell_ids) + cell  # negative for an unknown method or stage
-    order = np.argsort(slot, kind="stable")
-    if not np.array_equal(slot[order], np.arange(len(keys) * len(cell_ids))):
-        raise DataError(f"malformed {path}: not one row per method, stage and cell")
+    keys, values = line_columns(_HISTOGRAMS_LINE, read_text(path), path, _HISTOGRAMS_HEADER)
+    _in_writer_order(path, keys, tuple(f"{m},{st},{c}" for m, st in _HISTOGRAM_STAGES for c in cell_ids))
     histograms: dict[str, dict[str, np.ndarray]] = {}
-    for (method, stage), scores in zip(keys, values[order].reshape(len(keys), len(cell_ids))):
+    rows = np.array(values, dtype=np.float64).reshape(len(_HISTOGRAM_STAGES), len(cell_ids))
+    for (method, stage), scores in zip(_HISTOGRAM_STAGES, rows):
         histograms.setdefault(method, {})[stage] = scores
 
     return FoldOutput(
         pair=pair,
-        threshold=threshold,
-        selected_components=selected_components,
+        threshold=meta["threshold"],
+        selected_components=meta["selected_components"],
         train_rows=train_rows,
         test_rows=test_rows,
         train_scores=train_scores,
@@ -278,7 +278,7 @@ def read_fold_output(fold_dir) -> FoldOutput:
         test_anomalous=test_anom,
         test_affected=affected,
         histograms=histograms,
-        cell_ids=cell_ids,
+        cell_ids=tuple(cell_ids),
     )
 
 
@@ -386,9 +386,6 @@ def read_metrics_summary(out_dir) -> list[tuple[str, list[float]]] | None:
     path = Path(out_dir) / "eval" / "metrics_summary.csv"
     if not path.exists():
         return None
-    methods, *columns = csv_columns(path, _SUMMARY_HEADER)
-    try:
-        values = np.array(columns, dtype=np.float64).T.tolist()
-    except ValueError:
-        raise DataError(f"malformed {path}: a metric that is not a number") from None
-    return list(zip(methods, values))
+    methods, *columns = line_columns(_SUMMARY_LINE, read_text(path), path, _SUMMARY_HEADER)
+    _in_writer_order(path, methods, tuple(m for m in ALL_METHODS if m in methods))
+    return list(zip(methods, np.array(columns, dtype=np.float64).T.tolist()))

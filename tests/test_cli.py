@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import sleepscan
 from sleepscan import storage
 from sleepscan.cli import main
 from sleepscan.simgen import suite as suite_module
+from test_golden import tree_digest
 
 TINY_CONFIG = {
     "ues_per_cell": 4,
@@ -316,6 +318,18 @@ def _edit_line(path, index, edit):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _edit_field(path, index, field, edit):
+    _edit_line(path, index, lambda line: ",".join(
+        edit(value) if k == field else value for k, value in enumerate(line.split(","))
+    ))
+
+
+def _swap_lines(path, index):
+    lines = path.read_text().splitlines()
+    lines[index], lines[index + 1] = lines[index + 1], lines[index]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _drop_target_rows(path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(line for line in lines if not line.startswith("target,")) + "\n")
@@ -380,6 +394,13 @@ def _prepend_byte(path, byte=b"\xff"):
         ("evaluate", "folds", lambda p: shutil.rmtree(p / "problematic_0x0")),
         ("evaluate", "folds", lambda p: shutil.copytree(p / "problematic_0x0", p / "problematic_9x9")),
         ("evaluate", "folds/problematic_0x0/fold.json", lambda p: _edit_json(p, lambda d: d.update(train_index=1))),
+        ("evaluate", "folds/problematic_0x0/scores_test.csv", lambda p: _edit_field(p, 2, 3, lambda v: "nan")),
+        ("evaluate", "folds/problematic_0x0/scores_test.csv", lambda p: _swap_lines(p, 1)),
+        ("evaluate", "folds/problematic_0x0/scores_train.csv", lambda p: _edit_field(p, 1, 4, lambda v: "2")),
+        ("evaluate", "folds/problematic_0x0/scores_test.csv", lambda p: _edit_field(p, 1, 1, lambda v: " +" + v)),
+        ("evaluate", "folds/problematic_0x0/histograms.csv", lambda p: _swap_lines(p, 1)),
+        ("evaluate", "folds/problematic_0x0/fold.json",
+         lambda p: _edit_json(p, lambda d: d["cell_ids"].__setitem__(0, d["cell_ids"][0] + 0.25))),
     ],
     ids=["manifest_not_json", "report_manifest_not_json", "manifest_without_faulty_cell",
          "fold_json_not_json", "scores_test_bad_row", "histograms_without_a_method",
@@ -389,15 +410,21 @@ def _prepend_byte(path, byte=b"\xff"):
          "fold_json_index_not_int", "summary_renamed_column", "summary_not_a_number",
          "manifest_methods_not_a_list", "manifest_config_hash_not_a_string", "manifest_methods_a_string",
          "manifest_config_invalid", "manifest_without_cell_ids", "fold_json_cell_ids_reversed",
-         "fold_missing", "fold_copied_under_another_name", "fold_json_names_another_fold"],
+         "fold_missing", "fold_copied_under_another_name", "fold_json_names_another_fold",
+         "scores_test_nan", "scores_test_rows_swapped", "scores_train_flag_2", "scores_test_ue_with_sign",
+         "histograms_rows_swapped", "fold_json_fractional_cell_id"],
 )
 def test_damaged_run_directory_is_data_error(tmp_path, detect_dir, capsys, command, name, damage):
+    """Exit 3 naming the file, and for a CSV its first line that the writer does not write (the header is line 1)."""
     run = tmp_path / "run"
     shutil.copytree(detect_dir, run)
     damage(run / name)
     capsys.readouterr()
     assert main([command, "--out", str(run)]) == 3
-    assert str(run / name) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(run / name) in err
+    if name.endswith(".csv"):
+        assert re.search(re.escape(str(run / name)) + r":[0-9]+: ", err), err
 
 
 def _append(path, text):
@@ -502,10 +529,13 @@ def test_no_amplify_flag(tmp_path, tiny_config_path, dataset_dir):
 @pytest.mark.parametrize(
     "edit,message",
     [
-        (lambda lines: lines[:5] + lines[6:], "does not cover the grid"),    # a pixel missing
+        (lambda lines: lines[:5] + lines[6:], "every pixel"),                # a pixel missing
         (lambda lines: lines[:5] + ["4,0,1.5"] + lines[6:], "malformed"),    # a non-integer row
+        (lambda lines: lines[:1] + lines[2:3] + lines[1:2] + lines[3:], "row-major"),
+        (lambda lines: lines + ["# comment"], "malformed"),
+        (lambda lines: [" " + lines[0]] + lines[1:], "header must be"),
     ],
-    ids=["missing_pixel", "non_integer_row"],
+    ids=["missing_pixel", "non_integer_row", "rows_swapped", "trailing_comment", "header_leading_space"],
 )
 def test_bad_dominance_map_is_data_error(tmp_path, tiny_config_path, dataset_dir, capsys, edit, message):
     data = tmp_path / "suite"
@@ -517,6 +547,29 @@ def test_bad_dominance_map_is_data_error(tmp_path, tiny_config_path, dataset_dir
     ]) == 3
     err = capsys.readouterr().err
     assert "dominance_normal.csv" in err and message in err
+
+
+def test_closed_stdout_ends_quietly_with_the_run_written(tmp_path, tiny_config_path, dataset_dir, detect_dir):
+    """`sleepscan ... | head -1`: a reader gone before the summary leaves no traceback and the unpiped run."""
+    env = {**os.environ, "PYTHONPATH": str(Path(sleepscan.__file__).parents[1])}
+    run = tmp_path / "run"
+    for argv in (
+        ["detect", "--config", str(tiny_config_path), "--data", str(dataset_dir), "--out", str(run)],
+        ["report", "--out", str(run)],
+    ):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails as on a closed pipe
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "sleepscan.cli", *argv], stdout=write_end, stderr=subprocess.PIPE,
+                env=env, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in result.stderr
+        assert result.returncode == 141, result.stderr
+    detect_parts = ("folds", "aggregate", "detect_manifest.json")
+    assert tree_digest(run, detect_parts) == tree_digest(detect_dir, detect_parts)
 
 
 def test_method_choice_2gram_maps_to_gram(tmp_path, tiny_config_path, dataset_dir):
