@@ -6,16 +6,24 @@ One JSONL record per line:
 Event names on the wire use the human-readable spellings
 ("HO COMMAND", "RLF REESTAB.", ...).
 
-`read_records` reads only what `write_records` writes, in one pass:
-every line exactly as the writer emits it, the keys in the order above,
-each followed by `": "` and separated by `", "`, the nine wire names,
+`read_records` reads only what `write_records` writes: every line
+exactly as the writer emits it, the keys in the order above, each
+followed by `": "` and separated by `", "`, the nine wire names,
 integers in JSON grammar (`-?(0|[1-9][0-9]*)`), x and y spelled as a
-float `repr` is (`100.0`, `-0.0`, `1e-07`, `1.7976931348623157e+308`),
-target `null` or an integer, and a `"\\n"` after every line, the last
-included.  Every targeted event must carry a target and every integer
-must fit in 64 bits.  Any other file (blank lines, reordered keys, other
-spacing or number spellings, a bad line) is a `ParseError` naming its
-first line that differs; an integer out of range is a `DataError`.
+float `repr` is (`100.0`, `-0.0`, `1e-07`, `1.7976931348623157e+308`)
+and finite, target `null` or an integer, and a `"\\n"` after every line,
+the last included.  Every targeted event must carry a target and every
+integer must fit in 64 bits.  Any other file (blank lines, reordered
+keys, other spacing or number spellings, a bad line) is a `ParseError`
+naming its first line that differs; an integer out of range is a
+`DataError`.
+
+Every file whose lines follow one writer's pattern (logs, truth files,
+the CSVs of a run directory) is read by `line_columns`, which streams
+it in blocks of `BLOCK_CHARS` characters and converts each block's
+lines to arrays before it reads the next.  It never holds a file's
+whole text or a list of all its lines, so reading takes the columns it
+returns plus about one block, whatever the file's size.
 
 A log is an `EventLog` (one numpy array per field) from the simulator
 to the detector; a dataset chunk is a `Chunk`, whose records are ordered
@@ -29,6 +37,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from enum import IntEnum
 
@@ -185,7 +194,7 @@ class Chunk:
 
 
 _CODES_BY_NAME = {name: int(ev) for name, ev in EVENTS_BY_NAME.items()}
-_TARGETED_CODES = frozenset(int(ev) for ev in TARGETED_EVENTS)
+_TARGETED_CODES = np.array(sorted(int(ev) for ev in TARGETED_EVENTS))
 
 
 JSON_INT = r"-?(?:0|[1-9][0-9]*)"
@@ -198,19 +207,29 @@ _RECORD_LINE = re.compile(
     re.MULTILINE | re.ASCII,
 )
 
+# Characters `line_columns` reads at a time: it never holds more of a file than this and one partial line.
+BLOCK_CHARS = 1 << 17
 
-def read_text(path) -> str:
-    """The text of a UTF-8 file; a file that cannot be opened or decoded is a DataError naming it.
 
-    Every data file is read here, so this is the one place where reading one fails.
+@contextmanager
+def _opened(path):
+    """path open as UTF-8 text; a file that cannot be opened or decoded is a DataError naming it.
+
+    Every data file is read through here, so this is the one place where reading one fails.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            yield fh
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def read_text(path) -> str:
+    """The whole text of a UTF-8 file: for the JSON files and the dominance map, which are not read by line."""
+    with _opened(path) as fh:
+        return fh.read()
 
 
 def write_json(path, doc) -> None:
@@ -234,59 +253,112 @@ def read_json_object(path, keys=()) -> dict:
     return doc
 
 
-def line_columns(line: re.Pattern, text: str, path, header: str | None = None) -> list[tuple[str, ...]]:
-    """The captures of line, column by column; every line of text must match it.
+def _line_blocks(fh):
+    """The text of fh in blocks of whole lines, BLOCK_CHARS read at a time, then what follows its last newline."""
+    rest = ""
+    while block := fh.read(BLOCK_CHARS):
+        cut = block.rfind("\n") + 1
+        if cut:
+            yield rest + block[:cut]
+            rest = block[cut:]
+        else:
+            rest += block
+    yield rest
+
+
+def line_columns(line: re.Pattern, path, convert, header: str | None = None) -> list[np.ndarray]:
+    """The columns of the file at path, whose every line must match line, as arrays.
 
     line is a MULTILINE pattern anchored at `^` that ends in `\\n` and
     matches no `\\n` before that, so each match is exactly one line.  With
-    a header, text must start with exactly that line and its `\\n`, as line
-    1, and line must match every line after it.  The first line that does
-    not match, or a last line without its `\\n`, is a ParseError naming it.
+    a header, the file must start with exactly that line and its `\\n`, as
+    line 1, and line must match every line after it.  The file is read in
+    blocks of whole lines (`BLOCK_CHARS`), never whole:
+    convert(path, lineno, *columns) turns the captures of one block, whose
+    first line is line lineno of the file, into one array per column, and
+    each column is concatenated once, at the end.  The first line that
+    does not match, or a last line without its `\\n`, is a ParseError
+    naming it, raised after the lines before it are converted.  So where
+    each converter reports the earliest of its ParseErrors (`check_rows`),
+    a file's first faulty line is the one named, wherever the blocks fall.
+    An integer outside 64 bits is a DataError.
     """
-    lineno = 1
-    if header is not None:
-        if not text.startswith(header + "\n"):
-            raise ParseError(path, 1, f"the header line is not {header!r}")
-        text, lineno = text[len(header) + 1:], 2
-    rows = line.findall(text)
-    if len(rows) == text.count("\n") and (not text or text.endswith("\n")):
-        return list(zip(*rows)) or [()] * line.groups
-    pos = 0  # matches run on line after line up to the first line that does not match
-    for match in line.finditer(text):
-        if match.start() != pos:
-            break
-        lineno, pos = lineno + 1, match.end()
-    bad = text[pos:].partition("\n")[0]
-    if line.match(bad + "\n"):
-        raise ParseError(path, lineno, "the last line does not end in a newline")
-    raise ParseError(path, lineno, f"not in the written format: {bad[:60]!r}")
+    lineno, parts = 1, []
+    with _opened(path) as fh:
+        for text in _line_blocks(fh):
+            if lineno == 1 and header is not None:
+                if not text.startswith(header + "\n"):
+                    raise ParseError(path, 1, f"the header line is not {header!r}")
+                text, lineno = text[len(header) + 1:], 2
+            rows = line.findall(text)
+            if len(rows) == text.count("\n") and (not text or text.endswith("\n")):
+                parts.append(_converted(convert, path, lineno, rows, line.groups))
+                lineno += len(rows)
+                continue
+            pos = good = 0  # matches run on line after line up to the first line that does not match
+            for match in line.finditer(text):
+                if match.start() != pos:
+                    break
+                good, pos = good + 1, match.end()
+            _converted(convert, path, lineno, rows[:good], line.groups)  # a fault on an earlier line comes first
+            bad = text[pos:].partition("\n")[0]
+            if line.match(bad + "\n"):
+                raise ParseError(path, lineno + good, "the last line does not end in a newline")
+            raise ParseError(path, lineno + good, f"not in the written format: {bad[:60]!r}")
+    columns = list(zip(*parts))
+    del parts  # so each column's blocks are freed as soon as they are joined
+    for k, blocks in enumerate(columns):
+        columns[k] = np.concatenate(blocks)
+    return columns
 
 
-def int64_columns(path, *columns) -> list[np.ndarray]:
-    """Each column of integer strings as an int64 array; one outside 64 bits is a DataError naming path."""
+def _converted(convert, path, lineno, rows, groups) -> tuple[np.ndarray, ...]:
+    """convert's arrays of one block's matches; an integer outside 64 bits is a DataError naming path."""
     try:
-        return [np.array(column, dtype=np.int64) for column in columns]
+        return convert(path, lineno, *(list(zip(*rows)) or [()] * groups))
     except OverflowError:
         raise DataError(f"{path}: integer field outside the 64-bit range") from None
+
+
+def check_rows(path, lineno, *checks) -> None:
+    """A ParseError at the first row of a block that any check flags; its row 0 is line lineno of path.
+
+    Each check is (flags, reason): a bool per row, and the message of a
+    flagged row as reason(row).  Of checks that flag the same row, the first given is named.
+    """
+    flagged = [(int(np.argmax(flags)), k) for k, (flags, _) in enumerate(checks) if flags.any()]
+    if flagged:
+        row, k = min(flagged)
+        raise ParseError(path, lineno + row, checks[k][1](row))
+
+
+def finite_check(column, values):
+    """The `check_rows` check that values, parsed from the strings of column, are finite (`1e+400` parses to inf)."""
+    return ~np.isfinite(values), lambda row: f"{column[row]!r} is not a finite float"
+
+
+def _record_arrays(path, lineno, ue, t, names, x, y, serving, target) -> tuple[np.ndarray, ...]:
+    """One block of a log's captures as `EventLog` columns, in field order."""
+    event = np.array([_CODES_BY_NAME[name] for name in names], dtype=np.int64)
+    xs, ys = np.array(x, dtype=np.float64), np.array(y, dtype=np.float64)
+    untargeted = np.isin(event, _TARGETED_CODES) & np.array([not value for value in target], dtype=bool)
+    check_rows(path, lineno, (untargeted, lambda row: f"event {names[row]!r} requires a target cell"),
+               finite_check(x, xs), finite_check(y, ys))
+    ue, t, serving, target = (
+        np.array(column, dtype=np.int64) for column in (ue, t, serving, [value or str(NO_TARGET) for value in target])
+    )
+    return event, ue, t, xs, ys, serving, target
 
 
 def read_records(path) -> EventLog:
     """Read a log that `write_records` wrote into columns, in file order.
 
-    Every line must be exactly as `write_records` writes it, and every
-    targeted event must carry a target: the first line that does not is
-    a ParseError naming it.  An integer outside 64 bits is a DataError.
+    Every line must be exactly as `write_records` writes it, with finite
+    x and y, and every targeted event must carry a target: the first line
+    that does not is a ParseError naming it.  An integer outside 64 bits
+    is a DataError.
     """
-    ue, t, names, x, y, serving, target = line_columns(_RECORD_LINE, read_text(path), path)
-    event = np.array([_CODES_BY_NAME[name] for name in names], dtype=np.int64)
-    no_target = np.array([not value for value in target], dtype=bool)
-    untargeted = np.flatnonzero(no_target & np.isin(event, list(_TARGETED_CODES)))
-    if len(untargeted):
-        row = int(untargeted[0])
-        raise ParseError(path, row + 1, f"event {names[row]!r} requires a target cell")
-    ue, t, serving, target = int64_columns(path, ue, t, serving, [value or str(NO_TARGET) for value in target])
-    x, y = np.array(x, dtype=np.float64), np.array(y, dtype=np.float64)
-    return EventLog(event=event, ue=ue, t=t, x=x, y=y, serving=serving, target=target)
+    return EventLog(*line_columns(_RECORD_LINE, path, _record_arrays))
 
 
 def write_records(log: EventLog, path) -> None:

@@ -173,7 +173,7 @@ class DetectPlan:
     adjacent: np.ndarray  # localize.adjacency_matrix of cell_ids
     pairs: list[FoldPair]  # every fold of the run, in make_fold_pairs order
     train: dict[int, featurize.ChunkFeatures]  # normal chunk index -> its features
-    tasks: list[tuple[ChunkLoader, list[FoldPair]]]  # per test chunk: its loader and its folds
+    tasks: list[tuple[ChunkLoader | None, list[FoldPair]]]  # per test chunk: its loader, until run, and its folds
     write_fold: Callable[[FoldOutput], None] | None = None
 
 
@@ -213,7 +213,9 @@ def _featurize(chunk: Chunk, cfg: RunConfig) -> featurize.ChunkFeatures:
 def run_task(plan: DetectPlan, index: int) -> list[FoldOutput]:
     """Task index of the plan: parse and featurize its test chunk, then run and write each of its folds."""
     load, pairs = plan.tasks[index]
+    plan.tasks[index] = (None, pairs)  # with a role's last loader go its truth arrays and dominance map
     test = _featurize(load(), plan.cfg)
+    del load
     outputs = []
     for pair in pairs:
         out = run_fold(FoldInput(pair, plan.train[pair.train_index], test, plan.adjacent, plan.cell_ids), plan.cfg)
@@ -303,9 +305,15 @@ def run_detect(manifest, roles, cfg: RunConfig, limit: int | None = None, jobs: 
     and send back only their outputs.  write_fold, if given, is called on
     each fold output where it is computed.  Outputs come back in
     `make_fold_pairs` order, which the aggregate sums depend on.
+
+    roles is emptied once the plan is built: the plan then holds the
+    only loader of each test chunk, and drops it once the chunk is
+    parsed, so a role's truth arrays and dominance map are freed after
+    the last chunk that needs them.
     """
     global _FORKED_PLAN
     plan = fold_inputs_from_suite(manifest, roles, cfg, limit=limit)
+    roles.clear()
     plan.write_fold = write_fold
     workers = min(jobs, len(plan.tasks))
     if workers > 1:

@@ -24,8 +24,7 @@ import numpy as np
 
 from ..errors import DataError
 from ..mdtlog import (
-    JSON_INT, Chunk, EventLog, int64_columns, line_columns, read_json_object, read_records, read_text, write_json,
-    write_records,
+    JSON_INT, Chunk, EventLog, line_columns, read_json_object, read_records, write_json, write_records,
 )
 from .dominance import (
     RadioMap,
@@ -155,8 +154,13 @@ def load_truth(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     that is not is a ParseError naming it.  An integer outside 64 bits
     is a DataError.
     """
-    ue, index, affected = line_columns(_TRUTH_LINE, read_text(path), path)
-    return *int64_columns(path, ue, index), np.array([flag == "true" for flag in affected], dtype=bool)
+    return tuple(line_columns(_TRUTH_LINE, path, _truth_arrays))
+
+
+def _truth_arrays(path, lineno, ue, index, affected) -> tuple[np.ndarray, ...]:
+    """One block of a truth file's captures as (ue, event_index, affected) arrays."""
+    flags = np.array([flag == "true" for flag in affected], dtype=bool)
+    return np.array(ue, dtype=np.int64), np.array(index, dtype=np.int64), flags
 
 
 def write_suite(suite: DatasetSuite, out_dir, manifest_extra: dict | None = None) -> Path:

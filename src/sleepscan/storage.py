@@ -63,7 +63,7 @@ from . import evaluate as ev
 from .config import RunConfig
 from .errors import ConfigError, DataError, ParseError
 from .mdtlog import (
-    FLOAT_REPR, JSON_INT, FoldPair, int64_columns, line_columns, read_json_object, read_text, write_json,
+    FLOAT_REPR, JSON_INT, FoldPair, check_rows, finite_check, line_columns, read_json_object, write_json,
 )
 from .pipeline import ALL_METHODS, COMBINED_STAGES, STAGES, FoldOutput, MethodAggregate
 
@@ -221,12 +221,18 @@ def _write_lines(path: Path, header: str, lines) -> None:
         fh.write("\n".join([header, *lines, ""]))
 
 
-def _in_writer_order(path: Path, column: tuple[str, ...], expected: tuple[str, ...]) -> None:
-    """column must be the sequence the writer writes; the first entry that differs is a ParseError naming its line."""
-    if column != expected:
-        i = next((i for i, (a, b) in enumerate(zip(column, expected)) if a != b), min(len(column), len(expected)))
-        reason = f"the writer writes {expected[i]!r} here" if i < len(expected) else "a line the writer does not write"
-        raise ParseError(path, i + 2, reason)  # the header is line 1
+def _order_check(column, expected):
+    """The `check_rows` check that column, the entries of some rows, is expected, what the writer writes there.
+
+    expected may be shorter than column: a row past its end is one the writer does not write.
+    """
+    column, expected = tuple(column), tuple(expected)
+    flags = np.zeros(len(column), dtype=bool)
+    if column != expected:  # one comparison; only a damaged file is compared entry by entry
+        flags[:] = [row >= len(expected) or entry != expected[row] for row, entry in enumerate(column)]
+    return flags, lambda row: (
+        f"the writer writes {expected[row]!r} here" if row < len(expected) else "a line the writer does not write"
+    )
 
 
 def read_fold_output(fold_dir, cell_ids) -> FoldOutput:
@@ -245,24 +251,36 @@ def read_fold_output(fold_dir, cell_ids) -> FoldOutput:
     if meta["cell_ids"] != list(cell_ids):  # every histogram must follow one cell order
         raise DataError(f"{path}: cell_ids differ from those of detect_manifest.json")
 
-    def read_scores(name, header, line):
-        path = fold_dir / name
-        row, ue, offset, scores, *flags = line_columns(line, read_text(path), path, header)
-        _in_writer_order(path, row, tuple(map(str, range(len(row)))))
-        ue, offset = int64_columns(path, ue, offset)
+    def score_arrays(path, lineno, row, ue, offset, score, *flags):
+        scores = np.array(score, dtype=np.float64)
+        written_rows = tuple(map(str, range(lineno - 2, lineno - 2 + len(row))))  # the header is line 1
+        check_rows(path, lineno, _order_check(row, written_rows), finite_check(score, scores))
         flags = [np.array([value == "1" for value in flag], dtype=bool) for flag in flags]
-        return list(zip(ue.tolist(), offset.tolist())), np.array(scores, dtype=np.float64), *flags
+        return np.array(ue, dtype=np.int64), np.array(offset, dtype=np.int64), scores, *flags
+
+    def read_scores(name, header, line):
+        ue, offset, scores, *flags = line_columns(line, fold_dir / name, score_arrays, header)
+        return list(zip(ue.tolist(), offset.tolist())), scores, *flags
 
     train_rows, train_scores, train_anom = read_scores("scores_train.csv", _SCORES_TRAIN_HEADER, _SCORES_TRAIN_LINE)
     test_rows, test_scores, test_anom, affected = read_scores(
         "scores_test.csv", _SCORES_TEST_HEADER, _SCORES_TEST_LINE
     )
 
+    written_keys = tuple(f"{m},{st},{c}" for m, st in _HISTOGRAM_STAGES for c in cell_ids)
+
+    def histogram_values(path, lineno, keys, value):
+        values = np.array(value, dtype=np.float64)
+        start = lineno - 2
+        check_rows(path, lineno, _order_check(keys, written_keys[start:start + len(keys)]), finite_check(value, values))
+        return (values,)
+
     path = fold_dir / "histograms.csv"
-    keys, values = line_columns(_HISTOGRAMS_LINE, read_text(path), path, _HISTOGRAMS_HEADER)
-    _in_writer_order(path, keys, tuple(f"{m},{st},{c}" for m, st in _HISTOGRAM_STAGES for c in cell_ids))
+    values, = line_columns(_HISTOGRAMS_LINE, path, histogram_values, _HISTOGRAMS_HEADER)
+    if len(values) < len(written_keys):
+        raise ParseError(path, len(values) + 2, f"the writer writes {written_keys[len(values)]!r} here")
     histograms: dict[str, dict[str, np.ndarray]] = {}
-    rows = np.array(values, dtype=np.float64).reshape(len(_HISTOGRAM_STAGES), len(cell_ids))
+    rows = values.reshape(len(_HISTOGRAM_STAGES), len(cell_ids))
     for (method, stage), scores in zip(_HISTOGRAM_STAGES, rows):
         histograms.setdefault(method, {})[stage] = scores
 
@@ -386,6 +404,13 @@ def read_metrics_summary(out_dir) -> list[tuple[str, list[float]]] | None:
     path = Path(out_dir) / "eval" / "metrics_summary.csv"
     if not path.exists():
         return None
-    methods, *columns = line_columns(_SUMMARY_LINE, read_text(path), path, _SUMMARY_HEADER)
-    _in_writer_order(path, methods, tuple(m for m in ALL_METHODS if m in methods))
-    return list(zip(methods, np.array(columns, dtype=np.float64).T.tolist()))
+    methods, *columns = line_columns(_SUMMARY_LINE, path, _summary_arrays, _SUMMARY_HEADER)
+    methods = methods.tolist()
+    check_rows(path, 2, _order_check(methods, [m for m in ALL_METHODS if m in methods]))
+    return list(zip(methods, np.array(columns).T.tolist()))
+
+
+def _summary_arrays(path, lineno, methods, *metrics) -> tuple[np.ndarray, ...]:
+    values = [np.array(column, dtype=np.float64) for column in metrics]
+    check_rows(path, lineno, *map(finite_check, metrics, values))
+    return np.array(methods, dtype=str), *values

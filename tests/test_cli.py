@@ -5,13 +5,15 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import sleepscan
-from sleepscan import storage
+from sleepscan import pipeline, storage
 from sleepscan.cli import main
+from sleepscan.config import RunConfig
 from sleepscan.simgen import suite as suite_module
 from test_golden import tree_digest
 
@@ -401,6 +403,11 @@ def _prepend_byte(path, byte=b"\xff"):
         ("evaluate", "folds/problematic_0x0/histograms.csv", lambda p: _swap_lines(p, 1)),
         ("evaluate", "folds/problematic_0x0/fold.json",
          lambda p: _edit_json(p, lambda d: d["cell_ids"].__setitem__(0, d["cell_ids"][0] + 0.25))),
+        ("evaluate", "folds/problematic_0x0/scores_test.csv", lambda p: _edit_field(p, 2, 3, lambda v: "1e+400")),
+        ("evaluate", "folds/problematic_0x0/scores_train.csv", lambda p: _edit_field(p, 5, 3, lambda v: "-1e+400")),
+        ("evaluate", "folds/problematic_0x0/histograms.csv", lambda p: _edit_field(p, 4, 3, lambda v: "1e+999")),
+        ("report", "eval/metrics_summary.csv",
+         lambda p: _evaluated_summary_line(p, 2, lambda r: r.rsplit(",", 1)[0] + ",1e+400")),
     ],
     ids=["manifest_not_json", "report_manifest_not_json", "manifest_without_faulty_cell",
          "fold_json_not_json", "scores_test_bad_row", "histograms_without_a_method",
@@ -412,7 +419,8 @@ def _prepend_byte(path, byte=b"\xff"):
          "manifest_config_invalid", "manifest_without_cell_ids", "fold_json_cell_ids_reversed",
          "fold_missing", "fold_copied_under_another_name", "fold_json_names_another_fold",
          "scores_test_nan", "scores_test_rows_swapped", "scores_train_flag_2", "scores_test_ue_with_sign",
-         "histograms_rows_swapped", "fold_json_fractional_cell_id"],
+         "histograms_rows_swapped", "fold_json_fractional_cell_id", "scores_test_overflows",
+         "scores_train_overflows", "histograms_value_overflows", "summary_overflows"],
 )
 def test_damaged_run_directory_is_data_error(tmp_path, detect_dir, capsys, command, name, damage):
     """Exit 3 naming the file, and for a CSV its first line that the writer does not write (the header is line 1)."""
@@ -461,6 +469,8 @@ DAMAGED_SUITE_CASES = [
     ("manifest.json", lambda p: _edit_json(p, lambda d: d["adjacency"]["1"].append(99))),
     ("manifest.json", lambda p: _edit_json(p, lambda d: d["adjacency"].update({"98": [1]}))),
     ("problematic_chunk3.jsonl", lambda p: _edit_line(p, 4, lambda r: r.replace('"t": ', '"t":'))),
+    ("problematic_chunk3.jsonl", lambda p: _edit_line(p, 4, lambda r: re.sub(r'"x": [^,]+', '"x": 1e+400', r))),
+    ("normal_chunk1.jsonl", lambda p: _edit_line(p, 7, lambda r: re.sub(r'"y": [^,]+', '"y": -1e+400', r))),
 ]
 DAMAGED_SUITE_IDS = [
     "truth_not_json", "truth_without_event_index", "manifest_not_json", "manifest_without_grid",
@@ -468,7 +478,8 @@ DAMAGED_SUITE_IDS = [
     "missing_chunk", "missing_truth", "manifest_files_without_normal", "manifest_truth_name_not_a_string",
     "manifest_chunk_name_dot", "manifest_not_utf8", "dominance_not_utf8", "chunk_not_utf8", "truth_not_utf8",
     "manifest_cell_ids_descending", "manifest_adjacency_neighbor_not_a_cell",
-    "manifest_adjacency_key_not_a_cell", "problematic_chunk_bad_line",
+    "manifest_adjacency_key_not_a_cell", "problematic_chunk_bad_line", "problematic_chunk_x_overflows",
+    "normal_chunk_y_overflows",
 ]
 
 
@@ -507,6 +518,21 @@ def test_written_suite_and_run_need_no_per_line_parser(dataset_dir, detect_dir):
     assert any(chunk.affected.any() for chunk in roles["problematic"])
     manifest, _cfg, outputs = storage.read_run(detect_dir)
     assert manifest["n_folds"] == len(outputs) == 72
+
+
+def test_detect_frees_each_roles_truth_after_its_last_chunk(dataset_dir, tiny_config_path):
+    """Once a role's last chunk is parsed, nothing holds its truth arrays: not roles, not the plan."""
+    manifest, roles = suite_module.load_suite(dataset_dir)
+    truth = {role: weakref.ref(loaders[0].args[3][0]) for role, loaders in roles.items()}  # load_chunk's truth
+    alive = []
+
+    def write_fold(out):
+        alive.append((out.pair.test_role, sorted(role for role, ref in truth.items() if ref() is not None)))
+
+    pipeline.run_detect(manifest, roles, RunConfig.from_file(tiny_config_path), write_fold=write_fold)
+    assert alive[0] == ("problematic", ["problematic", "reference"])  # normal's went once the plan was built
+    assert alive[36] == ("reference", ["reference"])  # problematic's went with its last task
+    assert not roles and all(ref() is None for ref in truth.values())
 
 
 def test_no_amplify_flag(tmp_path, tiny_config_path, dataset_dir):

@@ -1,12 +1,17 @@
 import json
 import pickle
+import re
+import tracemalloc
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blocks import damaged, outcome
+from sleepscan import mdtlog
 from sleepscan.errors import DataError, ParseError
 from sleepscan.mdtlog import (
     EVENTS_BY_NAME,
@@ -366,6 +371,19 @@ def test_integer_outside_64_bits_is_a_data_error(tmp_path):
         load_truth(path)
 
 
+@pytest.mark.parametrize("field,spelling", [("x", "1e+400"), ("y", "-1e+309"), ("x", "17976931348623159e+292")])
+def test_float_past_the_float_range_is_a_parse_error(tmp_path, field, spelling):
+    """The pattern takes these spellings, and numpy parses them to infinity: the reader names their line."""
+    path = tmp_path / "log.jsonl"
+    write_records(EventLog.from_rows([_rec(ue=i, t=i, x=1.5, y=2.5) for i in range(5)]), path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[3] = lines[3].replace(f'"{field}": {1.5 if field == "x" else 2.5}', f'"{field}": {spelling}')
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read_records(path)
+    assert (err.value.lineno, err.value.reason) == (4, f"{spelling!r} is not a finite float")
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.integers(-2**40, 2**40), st.booleans()), max_size=40))
 @example([])
@@ -417,3 +435,141 @@ def test_damaged_truth_line_is_a_parse_error(tmp_path, line, damage):
 def test_lookup_index():
     assert lookup_index([4, 9, 2, -1], [2, 4, 8]).tolist() == [1, -1, 0, -1]
     assert lookup_index([1], []).tolist() == [-1]
+
+
+# -- reading in blocks --------------------------------------------------
+
+# Line edits (each returns the lines that replace its line) that make a line one the readers reject.
+LOG_EDITS = [
+    lambda line: ["{bad"],
+    lambda line: [line.replace('"t": ', '"t":')],
+    lambda line: [re.sub(r'"x": [^,]+', '"x": 1e+400', line)],
+    lambda line: [re.sub(r'"y": [^,]+', '"y": -1e+400', line)],
+    lambda line: [re.sub(r'"target": [0-9]+', '"target": null', line)],  # a fault only where the event is targeted
+    lambda line: [],
+    lambda line: [line, ""],
+]
+TRUTH_EDITS = [
+    lambda line: ["{bad"],
+    lambda line: [line.replace("true", "yes").replace("false", "no")],
+    lambda line: [line.replace('"ue": ', '"ue": 0')],
+    lambda line: [],
+]
+edits_st = st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 6)), max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(written_records_st, edits_st, st.booleans(), st.booleans(), st.integers(1, 300))
+@example([_rec(event=EventId.HO_COMMAND, ue=i, t=i, target=4) for i in range(40)], [(30, 4), (5, 3)], False, False, 50)
+def test_log_read_in_small_blocks_is_read_as_in_one(tmp_path_factory, records, edits, cut, crlf, block_chars):
+    """The same columns bit for bit, or the same ParseError line and reason, however the file is cut into blocks;
+    CRLF reads as LF."""
+    path = tmp_path_factory.mktemp("blocks") / "log.jsonl"
+    write_records(EventLog.from_rows(records), path)
+    text = damaged(path.read_text(encoding="utf-8"), edits, LOG_EDITS, cut)
+    path.write_bytes(text.encode())
+    expected = outcome(read_records, path)
+    assert outcome(read_records, path, block_chars) == expected
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+    assert outcome(read_records, path, block_chars) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2**40, 2**40), st.booleans()), max_size=40),
+       st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 3)), max_size=3), st.booleans(), st.integers(1, 100))
+def test_truth_read_in_small_blocks_is_read_as_in_one(tmp_path_factory, ue_flags, edits, cut, block_chars):
+    log = EventLog.from_rows([_rec(ue=ue, t=i) for i, (ue, _) in enumerate(ue_flags)])
+    path = tmp_path_factory.mktemp("blocks") / "truth.jsonl"
+    write_truth(log, [flag for _, flag in ue_flags], path)
+    text = damaged(path.read_text(encoding="utf-8"), edits, TRUTH_EDITS, cut)
+    path.write_bytes(text.encode())
+    expected = outcome(load_truth, path)
+    assert outcome(load_truth, path, block_chars) == expected
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+    assert outcome(load_truth, path, block_chars) == expected
+
+
+def _long_log(path, n=60):
+    """A written log of n records of equal line length; returns its lines."""
+    write_records(EventLog.from_rows([_rec(ue=100 + i, t=1000 + i, x=1.5, y=2.5) for i in range(n)]), path)
+    return path.read_text(encoding="utf-8").splitlines(keepends=True)
+
+
+def test_bad_line_in_the_third_block_names_its_line(tmp_path):
+    path = tmp_path / "log.jsonl"
+    lines = _long_log(path)
+    block = 4 * len(lines[0])
+    assert len({len(line) for line in lines}) == 1 and sum(map(len, lines[:10])) > 2 * block
+    lines[9] = lines[9].replace('"ue": ', '"ue":')
+    path.write_text("".join(lines), encoding="utf-8")
+    with mock.patch.object(mdtlog, "BLOCK_CHARS", block), pytest.raises(ParseError) as err:
+        read_records(path)
+    assert err.value.lineno == 10 and err.value.reason.startswith("not in the written format")
+
+
+def test_missing_final_newline_after_several_blocks_names_the_last_line(tmp_path):
+    path = tmp_path / "log.jsonl"
+    lines = _long_log(path)
+    path.write_text("".join(lines)[:-1], encoding="utf-8")
+    with mock.patch.object(mdtlog, "BLOCK_CHARS", 3 * len(lines[0])), pytest.raises(ParseError) as err:
+        read_records(path)
+    assert (err.value.lineno, err.value.reason) == (60, "the last line does not end in a newline")
+
+
+def test_non_utf8_byte_after_the_first_block_is_a_data_error(tmp_path):
+    path = tmp_path / "log.jsonl"
+    lines = _long_log(path)
+    data = "".join(lines).encode()
+    cut = 30 * len(lines[0]) + 10
+    path.write_bytes(data[:cut] + b"\xff" + data[cut:])
+    for block_chars in (len(lines[0]), mdtlog.BLOCK_CHARS):
+        with mock.patch.object(mdtlog, "BLOCK_CHARS", block_chars), pytest.raises(DataError) as err:
+            read_records(path)
+        assert str(err.value) == f"{path}: not UTF-8 text"
+
+
+def test_crlf_split_across_two_reads_reads_as_lf(tmp_path):
+    """The file's bytes are decoded 8192 at a time; here a CR is the last byte of the first 8192 and its LF the next."""
+    line = '{"ue": 1, "event_index": 0, "affected": true}\r\n'
+    n, extra = divmod(8193, len(line))
+    text = line.replace('"ue": 1', '"ue": 1' + "0" * extra) + line * (n + 40)
+    data = text.encode()
+    assert data[8191:8193] == b"\r\n"
+    crlf, lf = tmp_path / "crlf.jsonl", tmp_path / "lf.jsonl"
+    crlf.write_bytes(data)
+    lf.write_bytes(data.replace(b"\r\n", b"\n"))
+    expected = outcome(load_truth, lf)
+    assert expected[0] == ("<i8", (n + 41,), mock.ANY)
+    for block_chars in (1, 45, 46, 47, 100, 4096, mdtlog.BLOCK_CHARS):
+        assert outcome(load_truth, crlf, block_chars) == expected
+
+
+@pytest.mark.parametrize("block_chars", [1, mdtlog.BLOCK_CHARS])
+def test_empty_files_read_as_empty_columns(tmp_path, block_chars):
+    path = tmp_path / "empty.jsonl"
+    path.write_bytes(b"")
+    with mock.patch.object(mdtlog, "BLOCK_CHARS", block_chars):
+        log, truth = read_records(path), load_truth(path)
+    assert [(column.dtype, len(column)) for column in _log_columns(log)] == \
+        [(np.dtype(np.int64), 0)] * 3 + [(np.dtype(np.float64), 0)] * 2 + [(np.dtype(np.int64), 0)] * 2
+    assert [(column.dtype, len(column)) for column in truth] == [(np.dtype(np.int64), 0)] * 2 + [(np.dtype(bool), 0)]
+
+
+def test_reading_a_large_log_holds_one_block_not_the_file(tmp_path):
+    """Peak traced memory is the result's arrays plus a few blocks, not a multiple of the file's size."""
+    path = tmp_path / "log.jsonl"
+    rng = np.random.default_rng(0)
+    events = rng.integers(0, len(EventId), 32000)
+    write_records(EventLog.from_rows([
+        _rec(event=EventId(int(event)), ue=i % 500, t=i, x=float(x), y=float(y), serving=3)
+        for i, (event, x, y) in enumerate(zip(events, rng.normal(0, 1000, 32000), rng.normal(0, 1000, 32000)))
+    ]), path)
+    assert path.stat().st_size >= 4_000_000
+    tracemalloc.start()
+    try:
+        log = read_records(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = sum(column.nbytes for column in _log_columns(log))
+    assert peak <= result + 10 * mdtlog.BLOCK_CHARS, (peak, result)

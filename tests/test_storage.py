@@ -1,5 +1,6 @@
 """Round trips through the run-directory writers and readers: every float comes back bit for bit."""
 
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sleepscan import storage
+from blocks import damaged, outcome
+from sleepscan import mdtlog, storage
 from sleepscan.errors import ParseError
 from sleepscan.mdtlog import FoldPair
 from sleepscan.pipeline import ALL_METHODS, COMBINED_STAGES, STAGES, FoldOutput
@@ -129,3 +131,47 @@ def test_damaged_fold_csv_names_its_file_line(tmp_path, name, edit, lineno):
         storage.read_fold_output(tmp_path, (4, 7, 9))
     assert (err.value.path, err.value.lineno) == (str(path), lineno)
 
+
+# Line edits of a fold CSV (each returns the lines that replace its line); "1e+400" parses to infinity.
+CSV_EDITS = [
+    lambda line: ["x,y"],
+    lambda line: [",".join(line.split(",")[:3] + ["1e+400"] + line.split(",")[4:])],
+    lambda line: [",".join(["7"] + line.split(",")[1:])],
+    lambda line: [],
+    lambda line: [line, line],
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(fold_outputs(), st.sampled_from(["scores_train.csv", "scores_test.csv", "histograms.csv"]),
+       st.lists(st.tuples(st.integers(0, 1000), st.integers(0, len(CSV_EDITS) - 1)), max_size=3),
+       st.booleans(), st.booleans(), st.integers(1, 80))
+def test_fold_read_in_small_blocks_is_read_as_in_one(tmp_path_factory, out, name, edits, cut, crlf, block_chars):
+    """The same fold bit for bit, or the same ParseError line and reason, however its CSVs are cut into blocks."""
+    fold_dir = tmp_path_factory.mktemp("fold")
+    storage.write_fold_output(out, fold_dir)
+    path = fold_dir / name
+    path.write_bytes(damaged(path.read_text(encoding="utf-8"), edits, CSV_EDITS, cut, crlf).encode())
+    read = partial(storage.read_fold_output, cell_ids=list(out.cell_ids))
+    assert outcome(read, fold_dir, block_chars) == outcome(read, fold_dir)
+
+
+@pytest.mark.parametrize("block_chars", [1, 5, mdtlog.BLOCK_CHARS])
+def test_header_only_scores_read_as_no_rows(tmp_path, block_chars):
+    fold = _small_fold()
+    fold.train_rows, fold.train_scores, fold.train_anomalous = [], np.zeros(0), np.zeros(0, dtype=bool)
+    storage.write_fold_output(fold, tmp_path)
+    assert (tmp_path / "scores_train.csv").read_text() == storage._SCORES_TRAIN_HEADER + "\n"
+    back = outcome(partial(storage.read_fold_output, cell_ids=[4, 7, 9]), tmp_path, block_chars)
+    assert back["train_rows"] == [] and back["train_scores"] == ("<f8", (0,), b"")
+    assert back["train_anomalous"] == ("|b1", (0,), b"") and back["test_rows"] == [[1, 0], [2, 0], [2, 10]]
+
+
+@pytest.mark.parametrize("name", ["scores_train.csv", "histograms.csv"])
+def test_empty_fold_csv_names_its_missing_header(tmp_path, name):
+    storage.write_fold_output(_small_fold(), tmp_path)
+    (tmp_path / name).write_bytes(b"")
+    with pytest.raises(ParseError) as err:
+        storage.read_fold_output(tmp_path, (4, 7, 9))
+    assert (err.value.path, err.value.lineno) == (str(tmp_path / name), 1)
+    assert err.value.reason.startswith("the header line is not")
