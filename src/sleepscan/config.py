@@ -173,6 +173,10 @@ class RunConfig:
                 data = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
+        except OSError as exc:  # a directory, no permission, ...
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise ConfigError(f"config file {path} is not UTF-8 text") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
         if not isinstance(data, dict):

@@ -17,21 +17,14 @@ the scores are those of the all-pairs computation bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Threshold", "knn_scores", "fit_threshold", "classify"]
+__all__ = ["knn_scores", "fit_threshold", "classify"]
 
 DEFAULT_K = 35
 DEFAULT_PERCENTILE = 95.0
 _BLOCK_ROWS = 512  # query rows per distance block, to bound its memory
-
-
-@dataclass(frozen=True)
-class Threshold:
-    value: float
-    percentile: float = DEFAULT_PERCENTILE
 
 
 def knn_scores(train_emb, query_emb, k: int = DEFAULT_K, exclude_self: bool = False) -> np.ndarray:
@@ -112,16 +105,16 @@ def _distinct_rows(rows: np.ndarray):
     return rows[first], inverse, counts
 
 
-def fit_threshold(train_scores, percentile: float = DEFAULT_PERCENTILE) -> Threshold:
+def fit_threshold(train_scores, percentile: float = DEFAULT_PERCENTILE) -> float:
     """Nearest-rank percentile of the training scores."""
     scores = np.sort(np.asarray(train_scores, dtype=np.float64))
     if scores.size == 0:
         raise ValueError("cannot fit a threshold on empty scores")
     rank = math.ceil(percentile / 100.0 * scores.size)
     rank = min(max(rank, 1), scores.size)
-    return Threshold(value=float(scores[rank - 1]), percentile=percentile)
+    return float(scores[rank - 1])
 
 
-def classify(scores, threshold: Threshold) -> np.ndarray:
+def classify(scores, threshold: float) -> np.ndarray:
     """Anomalous iff score strictly exceeds the threshold."""
-    return np.asarray(scores, dtype=np.float64) > threshold.value
+    return np.asarray(scores, dtype=np.float64) > threshold

@@ -95,7 +95,7 @@ class ChunkFeatures:
     chunk: Chunk
     n: int                       # N-gram length
     windows: np.ndarray          # (W, 2) record ranges [start, stop)
-    rows: list[tuple[int, int]]  # (ue, offset in the call) per window
+    rows: np.ndarray             # (W, 2) int64 (ue, offset in the call) per window
     codes: np.ndarray            # (K,) sorted codes of the N-grams present
     counts: np.ndarray           # (W, K) int64
     ue_count: int                # distinct UEs with at least one window
@@ -112,7 +112,7 @@ def featurize_chunk(chunk: Chunk, m: int = 15, n: int = 10, ngram_n: int = 2) ->
     starts = windows[:, 0]
     call = np.searchsorted(bounds, starts, side="right") - 1
     ues = chunk.log.ue[starts]
-    rows = list(zip(ues.tolist(), (starts - bounds[call]).tolist()))
+    rows = np.stack((ues, starts - bounds[call]), axis=1)
 
     row, pos = gram_positions(windows, ngram_n)
     codes, column = np.unique(gram_codes(chunk.log.event, pos, ngram_n), return_inverse=True)

@@ -53,21 +53,12 @@ def suite_from_config(cfg: RunConfig) -> DatasetSuite:
 
 
 @dataclass
-class FoldInput:
-    pair: FoldPair
-    train: featurize.ChunkFeatures
-    test: featurize.ChunkFeatures
-    adjacent: np.ndarray  # localize.adjacency_matrix of cell_ids
-    cell_ids: list[int]
-
-
-@dataclass
 class FoldOutput:
     pair: FoldPair
     threshold: float
     selected_components: int
-    train_rows: list[tuple[int, int]]  # (ue, offset)
-    test_rows: list[tuple[int, int]]
+    train_rows: np.ndarray  # (n, 2) int64 (ue, offset) per sub-call
+    test_rows: np.ndarray
     train_scores: np.ndarray
     test_scores: np.ndarray
     train_anomalous: np.ndarray
@@ -77,11 +68,12 @@ class FoldOutput:
     cell_ids: tuple[int, ...] = ()
 
 
-def run_fold(fold: FoldInput, cfg: RunConfig) -> FoldOutput:
-    train, test = fold.train, fold.test
+def run_fold(plan: DetectPlan, pair: FoldPair, test: featurize.ChunkFeatures) -> FoldOutput:
+    """The fold pair of the plan, tested on test, the features of its test chunk."""
+    cfg, cell_ids, adjacent, train = plan.cfg, plan.cell_ids, plan.adjacent, plan.train[pair.train_index]
     if not len(train) or not len(test):
         raise DataError(
-            f"fold {fold.pair}: empty sub-call set "
+            f"fold {pair}: empty sub-call set "
             f"(train {len(train)}, test {len(test)})"
         )
     vocab = featurize.NGramVocabulary.from_subcalls(train, test)
@@ -99,7 +91,7 @@ def run_fold(fold: FoldInput, cfg: RunConfig) -> FoldOutput:
 
     if len(train) <= cfg.knn_k:
         raise DataError(
-            f"fold {fold.pair}: {len(train)} training sub-calls cannot "
+            f"fold {pair}: {len(train)} training sub-calls cannot "
             f"support k={cfg.knn_k} neighbors"
         )
     train_scores = detect.knn_scores(train_emb, train_emb, k=cfg.knn_k, exclude_self=True)
@@ -112,7 +104,6 @@ def run_fold(fold: FoldInput, cfg: RunConfig) -> FoldOutput:
     test_anom_windows = test.windows[test_anom]
     gram_test_windows = test_anom_windows if cfg.gram_scope == "anomalous" else test.windows
 
-    cell_ids = list(fold.cell_ids)
     raw = {
         "subcall": localize.sc_dominance_subcall_deviation(
             cell_ids, train.chunk, train_anom_windows, train.ue_count,
@@ -123,7 +114,7 @@ def run_fold(fold: FoldInput, cfg: RunConfig) -> FoldOutput:
             test.chunk, gram_test_windows, test.ue_count,
         ),
         "symmetry": localize.sc_2gram_symmetry_deviation(
-            cell_ids, train.chunk, test.chunk, fold.adjacent, mode=cfg.symmetry_mode,
+            cell_ids, train.chunk, test.chunk, adjacent, mode=cfg.symmetry_mode,
         ),
         "target": localize.sc_target_cell_subcalls(
             cell_ids, test.chunk, test_anom_windows, test.ue_count,
@@ -132,7 +123,7 @@ def run_fold(fold: FoldInput, cfg: RunConfig) -> FoldOutput:
 
     histograms: dict[str, dict[str, np.ndarray]] = {}
     for name, scores in raw.items():
-        amped = localize.amplify(scores, fold.adjacent)
+        amped = localize.amplify(scores, adjacent)
         histograms[name] = {
             "raw": scores,
             "amplified": amped,
@@ -145,8 +136,8 @@ def run_fold(fold: FoldInput, cfg: RunConfig) -> FoldOutput:
     }
 
     return FoldOutput(
-        pair=fold.pair,
-        threshold=threshold.value,
+        pair=pair,
+        threshold=threshold,
         selected_components=d,
         train_rows=train.rows,
         test_rows=test.rows,
@@ -218,7 +209,7 @@ def run_task(plan: DetectPlan, index: int) -> list[FoldOutput]:
     del load
     outputs = []
     for pair in pairs:
-        out = run_fold(FoldInput(pair, plan.train[pair.train_index], test, plan.adjacent, plan.cell_ids), plan.cfg)
+        out = run_fold(plan, pair, test)
         if plan.write_fold is not None:
             plan.write_fold(out)
         outputs.append(out)

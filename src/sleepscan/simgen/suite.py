@@ -165,29 +165,30 @@ def _truth_arrays(path, lineno, ue, index, affected) -> tuple[np.ndarray, ...]:
 
 def write_suite(suite: DatasetSuite, out_dir, manifest_extra: dict | None = None) -> Path:
     out_dir = Path(out_dir)
-    if not out_dir.parent.exists():
-        raise DataError(f"parent directory does not exist: {out_dir.parent}")
-    out_dir.mkdir(exist_ok=True)
-    files: dict[str, dict] = {}
-    dominance_paths: dict[int, tuple] = {}  # normal and problematic share one map: format it once
-    for role, data in suite.roles.items():
-        chunk_names = []
-        for j, chunk in enumerate(data.chunks):
-            name = f"{role}_chunk{j}.jsonl"
-            write_records(chunk, out_dir / name)
-            chunk_names.append(name)
-        truth_name = f"truth_{role}.jsonl"
-        write_truth(data.records, data.affected, out_dir / truth_name)
-        dom_name = f"dominance_{role}.csv"
-        dmap = data.radio.dominance
-        dominance_paths.setdefault(id(dmap), (dmap, []))[1].append(out_dir / dom_name)
-        files[role] = {"chunks": chunk_names, "truth": truth_name, "dominance": dom_name}
-    for dmap, paths in dominance_paths.values():
-        write_dominance_csv(dmap, *paths)
-    manifest = {**suite_manifest(suite), "files": files}
-    if manifest_extra:
-        manifest.update(manifest_extra)
-    write_json(out_dir / "manifest.json", manifest)
+    try:  # a missing parent, a file in the way, a full disk: each names the path it failed on
+        out_dir.mkdir(exist_ok=True)
+        files: dict[str, dict] = {}
+        dominance_paths: dict[int, tuple] = {}  # normal and problematic share one map: format it once
+        for role, data in suite.roles.items():
+            chunk_names = []
+            for j, chunk in enumerate(data.chunks):
+                name = f"{role}_chunk{j}.jsonl"
+                write_records(chunk, out_dir / name)
+                chunk_names.append(name)
+            truth_name = f"truth_{role}.jsonl"
+            write_truth(data.records, data.affected, out_dir / truth_name)
+            dom_name = f"dominance_{role}.csv"
+            dmap = data.radio.dominance
+            dominance_paths.setdefault(id(dmap), (dmap, []))[1].append(out_dir / dom_name)
+            files[role] = {"chunks": chunk_names, "truth": truth_name, "dominance": dom_name}
+        for dmap, paths in dominance_paths.values():
+            write_dominance_csv(dmap, *paths)
+        manifest = {**suite_manifest(suite), "files": files}
+        if manifest_extra:
+            manifest.update(manifest_extra)
+        write_json(out_dir / "manifest.json", manifest)
+    except OSError as exc:
+        raise DataError(f"cannot write the suite to {exc.filename or out_dir}: {exc.strerror}") from None
     return out_dir / "manifest.json"
 
 

@@ -33,9 +33,10 @@ A detect run starts with `start_run`, which removes detect's own entries
 (folds/, aggregate/, eval/ and detect_manifest.json, nothing else) from
 the directory, and ends with `write_run`, which writes the aggregates
 and, last, detect_manifest.json: a detect that fails leaves no manifest.
-`read_run` reads back exactly the folds detect wrote: n_folds fold
-directories, each named for the fold its fold.json describes and over
-the manifest's cell_ids; anything else is a DataError naming the file.
+`read_run` reads back exactly the folds detect wrote, in detect's fold
+order (`make_fold_pairs`): n_folds fold directories, each named for the
+fold its fold.json describes and over the manifest's cell_ids; anything
+else is a DataError naming the file.
 All floats are written with repr() so reruns are byte-identical.
 
 Each reader accepts only its writer's lines, in its writer's order.  A
@@ -62,6 +63,7 @@ import numpy as np
 from . import evaluate as ev
 from .config import RunConfig
 from .errors import ConfigError, DataError, ParseError
+from .heatmap import write_heatmap
 from .mdtlog import (
     FLOAT_REPR, JSON_INT, FoldPair, check_rows, finite_check, line_columns, read_json_object, write_json,
 )
@@ -126,7 +128,7 @@ def write_run(out_dir, cfg: RunConfig, data_dir, faulty_cell: int, methods, outp
     cell_ids = list(outputs[0].cell_ids)
     layout = cfg.layout()
     for method in methods:
-        write_method_aggregate(aggregates[method], cell_ids, out_dir / "aggregate", layout=layout)
+        write_method_aggregate(aggregates[method], cell_ids, out_dir / "aggregate", layout)
     write_json(out_dir / "detect_manifest.json", dict(
         config=cfg.to_dict(), config_hash=cfg.config_hash(), data_dir=str(Path(data_dir)),
         faulty_cell=faulty_cell, cell_ids=cell_ids, n_folds=len(outputs), methods=list(methods),
@@ -156,7 +158,12 @@ def read_detect_manifest(out_dir) -> tuple[dict, RunConfig]:
 
 
 def read_run(out_dir) -> tuple[dict, RunConfig, list[FoldOutput]]:
-    """The detect manifest, its configuration and the fold outputs of a run directory, in fold name order."""
+    """The detect manifest, its configuration and the fold outputs of a run directory.
+
+    The folds come back as `pipeline.run_detect` returned them, in
+    `make_fold_pairs` order: problematic before reference, then by
+    training chunk, then by testing chunk.
+    """
     manifest, cfg = read_detect_manifest(out_dir)
     folds_root = Path(out_dir) / "folds"
     fold_dirs = sorted(p for p in folds_root.iterdir() if p.is_dir()) if folds_root.is_dir() else []
@@ -170,6 +177,7 @@ def read_run(out_dir) -> tuple[dict, RunConfig, list[FoldOutput]]:
             raise DataError(f"{fold_dir / 'fold.json'}: describes fold {fold_dir_name(out.pair)}, "
                             f"not the fold of its directory")
         outputs.append(out)
+    outputs.sort(key=lambda out: (out.pair.test_role != "problematic", out.pair.train_index, out.pair.test_index))
     return manifest, cfg, outputs
 
 
@@ -198,7 +206,7 @@ def write_fold_output(out: FoldOutput, fold_dir) -> None:
 
 
 def _score_lines(rows, scores, *flags):
-    """The lines of a scores CSV: row, ue, offset, score, then each flag as 0 or 1.
+    """The lines of a scores CSV: row, ue, offset (a row of rows), score, then each flag as 0 or 1.
 
     Scores repeat as the embedded rows do, so each distinct bit pattern
     is formatted once.
@@ -208,7 +216,7 @@ def _score_lines(rows, scores, *flags):
     )
     text = list(map(repr, bits.view(np.float64).tolist()))
     columns = [
-        (f"{i},{ue},{offset}" for i, (ue, offset) in enumerate(rows)),
+        (f"{i},{ue},{offset}" for i, (ue, offset) in enumerate(zip(*rows.T.tolist()))),
         map(text.__getitem__, index.tolist()),
         *(map(str, np.asarray(flag, dtype=np.uint8).tolist()) for flag in flags),
     ]
@@ -256,15 +264,13 @@ def read_fold_output(fold_dir, cell_ids) -> FoldOutput:
         written_rows = tuple(map(str, range(lineno - 2, lineno - 2 + len(row))))  # the header is line 1
         check_rows(path, lineno, _order_check(row, written_rows), finite_check(score, scores))
         flags = [np.array([value == "1" for value in flag], dtype=bool) for flag in flags]
-        return np.array(ue, dtype=np.int64), np.array(offset, dtype=np.int64), scores, *flags
+        return np.stack((np.array(ue, dtype=np.int64), np.array(offset, dtype=np.int64)), axis=1), scores, *flags
 
-    def read_scores(name, header, line):
-        ue, offset, scores, *flags = line_columns(line, fold_dir / name, score_arrays, header)
-        return list(zip(ue.tolist(), offset.tolist())), scores, *flags
-
-    train_rows, train_scores, train_anom = read_scores("scores_train.csv", _SCORES_TRAIN_HEADER, _SCORES_TRAIN_LINE)
-    test_rows, test_scores, test_anom, affected = read_scores(
-        "scores_test.csv", _SCORES_TEST_HEADER, _SCORES_TEST_LINE
+    train_rows, train_scores, train_anom = line_columns(
+        _SCORES_TRAIN_LINE, fold_dir / "scores_train.csv", score_arrays, _SCORES_TRAIN_HEADER
+    )
+    test_rows, test_scores, test_anom, affected = line_columns(
+        _SCORES_TEST_LINE, fold_dir / "scores_test.csv", score_arrays, _SCORES_TEST_HEADER
     )
 
     written_keys = tuple(f"{m},{st},{c}" for m, st in _HISTOGRAM_STAGES for c in cell_ids)
@@ -300,9 +306,7 @@ def read_fold_output(fold_dir, cell_ids) -> FoldOutput:
     )
 
 
-def write_method_aggregate(
-    agg: MethodAggregate, cell_ids, out_dir, layout=None
-) -> None:
+def write_method_aggregate(agg: MethodAggregate, cell_ids, out_dir, layout) -> None:
     """labels JSON, per-pairing mean-histogram CSV, and heat maps."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -336,16 +340,9 @@ def write_method_aggregate(
                 raw_v = "" if raw is None else repr(float(raw[i]))
                 amp_v = "" if amped is None else repr(float(amped[i]))
                 fh.write(f"{cell},{raw_v},{amp_v},{float(norm[i])!r},{int(labels[i])}\n")
-        if layout is not None:
-            from .heatmap import write_heatmap
-
-            write_heatmap(
-                layout,
-                norm,
-                cell_ids,
-                out_dir / f"heatmap_{agg.method}_{pairing}.svg",
-                title=f"{agg.method} / {pairing}",
-            )
+        write_heatmap(
+            layout, norm, cell_ids, out_dir / f"heatmap_{agg.method}_{pairing}.svg", title=f"{agg.method} / {pairing}"
+        )
 
 
 def read_labels(out_dir, method: str) -> dict | None:

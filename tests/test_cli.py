@@ -8,14 +8,16 @@ import sys
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sleepscan
+from blocks import bits
 from sleepscan import pipeline, storage
 from sleepscan.cli import main
 from sleepscan.config import RunConfig
 from sleepscan.simgen import suite as suite_module
-from test_golden import tree_digest
+from test_golden import SMOKE, tree_digest
 
 TINY_CONFIG = {
     "ues_per_cell": 4,
@@ -105,6 +107,29 @@ def test_bad_config_is_config_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["detect", "--config", str(bad), "--data", str(tmp_path), "--out", str(tmp_path / "r")]) == 2
     assert "configuration error: knn_k must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "make", [lambda path: path.mkdir(), lambda path: path.write_bytes(b'{"knn_k": "\xff"}')],
+    ids=["directory", "not_utf8"],
+)
+def test_unreadable_config_is_config_error(tmp_path, capsys, make):
+    config = tmp_path / "config.json"
+    make(config)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "suite")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and str(config) in err
+    assert not (tmp_path / "suite").exists()
+
+
+def test_simulate_onto_a_file_is_data_error(tmp_path, capsys):
+    config, out = tmp_path / "smoke.json", tmp_path / "suite"
+    config.write_text(json.dumps(SMOKE))
+    out.write_text("not a directory")
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(out) in err
+    assert out.read_text() == "not a directory"
 
 
 @pytest.fixture(scope="module")
@@ -518,6 +543,23 @@ def test_written_suite_and_run_need_no_per_line_parser(dataset_dir, detect_dir):
     assert any(chunk.affected.any() for chunk in roles["problematic"])
     manifest, _cfg, outputs = storage.read_run(detect_dir)
     assert manifest["n_folds"] == len(outputs) == 72
+
+
+def test_evaluate_reads_the_folds_detect_returned(tmp_path):
+    """With 11 chunks, problematic_0x10 sorts before problematic_0x2 by name; read_run keeps detect's order."""
+    config = tmp_path / "smoke11.json"
+    config.write_text(json.dumps({**SMOKE, "n_chunks": 11}))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "suite")]) == 0
+    assert main(["detect", "--config", str(config), "--data", str(tmp_path / "suite"), "--out", str(tmp_path / "run"),
+                 "--folds", "12"]) == 0
+    _manifest, cfg, outputs = storage.read_run(tmp_path / "run")
+    detected, aggregates = pipeline.run_detect(*suite_module.load_suite(tmp_path / "suite"), cfg, limit=12)
+    assert [out.pair for out in outputs] == [out.pair for out in detected]
+    assert bits(outputs) == bits(detected)
+    for method, back in pipeline.aggregate_folds(outputs, cfg).items():
+        pooled = np.array([back.pooled_mean, back.pooled_sigma]).tobytes()
+        assert pooled == np.array([aggregates[method].pooled_mean, aggregates[method].pooled_sigma]).tobytes()
+        assert bits(back.mean_stages) == bits(aggregates[method].mean_stages), method
 
 
 def test_detect_frees_each_roles_truth_after_its_last_chunk(dataset_dir, tiny_config_path):

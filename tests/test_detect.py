@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sleepscan.detect import Threshold, classify, fit_threshold, knn_scores
+from sleepscan.detect import classify, fit_threshold, knn_scores
 
 
 def brute_force_scores(train, query, k, exclude_self=False):
@@ -140,18 +140,17 @@ def test_k_bounds_and_shape_validation():
 
 def test_threshold_nearest_rank():
     scores = np.arange(1.0, 101.0)
-    assert fit_threshold(scores, 95).value == 95.0
-    assert fit_threshold(np.array([7.5]), 95).value == 7.5
-    assert fit_threshold(np.full(10, 3.0), 95).value == 3.0
+    assert type(fit_threshold(scores, 95)) is float and fit_threshold(scores, 95) == 95.0
+    assert fit_threshold(np.array([7.5]), 95) == 7.5
+    assert fit_threshold(np.full(10, 3.0), 95) == 3.0
     # order must not matter
     rng = np.random.default_rng(2)
     shuffled = rng.permutation(scores)
-    assert fit_threshold(shuffled, 95).value == 95.0
+    assert fit_threshold(shuffled, 95) == 95.0
 
 
 def test_classification_is_strict():
-    thr = Threshold(value=5.0)
-    flags = classify(np.array([4.0, 5.0, 5.0 + 1e-12]), thr)
+    flags = classify(np.array([4.0, 5.0, 5.0 + 1e-12]), 5.0)
     assert flags.tolist() == [False, False, True]
 
 
@@ -173,7 +172,7 @@ def test_separable_scores_have_no_misses():
     clean = np.linspace(0.0, 1.0, 50)
     affected = np.linspace(2.0, 3.0, 10)
     thr = fit_threshold(clean, 95)
-    assert thr.value < affected.min()
+    assert thr < affected.min()
     assert classify(affected, thr).all()
 
 

@@ -142,7 +142,9 @@ def test_chunk_features_match_per_call_oracle(case):
         start += len(call)
 
     assert [tuple(w) for w in feats.windows.tolist()] == expected_windows
-    assert feats.rows == expected_rows
+    expected = np.array(expected_rows, dtype=np.int64).reshape(-1, 2)
+    assert (feats.rows.dtype, feats.rows.shape) == (expected.dtype, expected.shape)
+    assert np.array_equal(feats.rows, expected)
     assert feats.affected.tolist() == expected_flags
     assert feats.ue_count == len({ue for ue, _ in expected_rows})
     present = sorted({gram for counts in expected_counts for gram in counts})

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blocks import damaged, outcome
+from blocks import bits, damaged, outcome
 from sleepscan import mdtlog, storage
 from sleepscan.errors import ParseError
 from sleepscan.mdtlog import FoldPair
@@ -29,14 +29,18 @@ def fold_outputs(draw) -> FoldOutput:
     cell_ids = tuple(draw(st.lists(st.integers(0, 99), min_size=1, max_size=3, unique=True)))
     n_train, n_test = draw(st.integers(0, 4)), draw(st.integers(0, 4))
     rows = st.tuples(st.integers(0, 2**40), st.integers(0, 2**20))
+
+    def row_array(n):
+        return st.lists(rows, min_size=n, max_size=n).map(lambda r: np.array(r, dtype=np.int64).reshape(n, 2))
+
     flags = st.lists(st.booleans(), min_size=n_test, max_size=n_test)
     return FoldOutput(
         pair=FoldPair("normal", draw(st.integers(0, 5)), draw(st.sampled_from(["problematic", "reference"])),
                       draw(st.integers(0, 5))),
         threshold=draw(finite),
         selected_components=draw(st.integers(1, 8)),
-        train_rows=draw(st.lists(rows, min_size=n_train, max_size=n_train)),
-        test_rows=draw(st.lists(rows, min_size=n_test, max_size=n_test)),
+        train_rows=draw(row_array(n_train)),
+        test_rows=draw(row_array(n_test)),
         train_scores=np.array(draw(st.lists(finite, min_size=n_train, max_size=n_train)), dtype=np.float64),
         test_scores=np.array(draw(st.lists(finite, min_size=n_test, max_size=n_test)), dtype=np.float64),
         train_anomalous=np.array(draw(st.lists(st.booleans(), min_size=n_train, max_size=n_train)), dtype=bool),
@@ -61,7 +65,7 @@ def test_fold_output_round_trips_bit_for_bit(tmp_path_factory, out):
     back = storage.read_fold_output(fold_dir, list(out.cell_ids))
     assert (back.pair, back.selected_components, back.cell_ids) == (out.pair, out.selected_components, out.cell_ids)
     assert _bits([back.threshold]) == _bits([out.threshold])
-    assert (back.train_rows, back.test_rows) == (out.train_rows, out.test_rows)
+    assert bits([back.train_rows, back.test_rows]) == bits([out.train_rows, out.test_rows])
     for name in ("train_scores", "test_scores"):
         assert _bits(getattr(back, name)) == _bits(getattr(out, name))
     for name in ("train_anomalous", "test_anomalous", "test_affected"):
@@ -99,7 +103,7 @@ def _small_fold(cell_ids=(4, 7, 9)) -> FoldOutput:
     flags = np.array([False, True, False])
     return FoldOutput(
         pair=FoldPair("normal", 0, "problematic", 1), threshold=1.5, selected_components=2,
-        train_rows=[(0, 0), (0, 10), (3, 0)], test_rows=[(1, 0), (2, 0), (2, 10)],
+        train_rows=np.array([(0, 0), (0, 10), (3, 0)]), test_rows=np.array([(1, 0), (2, 0), (2, 10)]),
         train_scores=scores, test_scores=scores, train_anomalous=flags, test_anomalous=flags, test_affected=flags,
         histograms={m: {stage: np.arange(len(cell_ids), dtype=np.float64) for stage in
                         (COMBINED_STAGES if m == "combined" else STAGES)} for m in ALL_METHODS},
@@ -159,12 +163,14 @@ def test_fold_read_in_small_blocks_is_read_as_in_one(tmp_path_factory, out, name
 @pytest.mark.parametrize("block_chars", [1, 5, mdtlog.BLOCK_CHARS])
 def test_header_only_scores_read_as_no_rows(tmp_path, block_chars):
     fold = _small_fold()
-    fold.train_rows, fold.train_scores, fold.train_anomalous = [], np.zeros(0), np.zeros(0, dtype=bool)
+    fold.train_rows, fold.train_scores = np.zeros((0, 2), dtype=np.int64), np.zeros(0)
+    fold.train_anomalous = np.zeros(0, dtype=bool)
     storage.write_fold_output(fold, tmp_path)
     assert (tmp_path / "scores_train.csv").read_text() == storage._SCORES_TRAIN_HEADER + "\n"
     back = outcome(partial(storage.read_fold_output, cell_ids=[4, 7, 9]), tmp_path, block_chars)
-    assert back["train_rows"] == [] and back["train_scores"] == ("<f8", (0,), b"")
-    assert back["train_anomalous"] == ("|b1", (0,), b"") and back["test_rows"] == [[1, 0], [2, 0], [2, 10]]
+    assert back["train_rows"] == ("<i8", (0, 2), b"") and back["train_scores"] == ("<f8", (0,), b"")
+    assert back["train_anomalous"] == ("|b1", (0,), b"")
+    assert back["test_rows"] == bits(np.array([(1, 0), (2, 0), (2, 10)], dtype=np.int64))
 
 
 @pytest.mark.parametrize("name", ["scores_train.csv", "histograms.csv"])
