@@ -21,7 +21,7 @@ import numpy as np
 from . import pipeline, storage
 from .config import RunConfig
 from .errors import ConfigError, DataError
-from .simgen import load_suite, write_suite
+from .simgen.suite import load_suite, make_suite_dir, write_suite
 
 METHOD_CHOICES = ("subcall", "2gram", "symmetry", "target", "combined", "all")
 
@@ -44,6 +44,7 @@ def _load_config(args) -> RunConfig:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
+    make_suite_dir(args.out)  # an unusable --out fails before the simulation, not after it
     suite = pipeline.suite_from_config(cfg)
     manifest_path = write_suite(
         suite, args.out, manifest_extra={"config": cfg.to_dict(), "config_hash": cfg.config_hash()}

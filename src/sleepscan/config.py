@@ -1,8 +1,10 @@
 """Single structured configuration for reproducible runs.
 
-Every knob of the pipeline lives here with its default; a run is fully
-identified by the hash of the parameter set (paths excluded).  Flags on
-the command line override file values.
+`RunConfig` holds every setting of a run with its default.  It extends
+`simgen.SimConfig`, which declares the simulator's settings and their
+checks; the scenario, seed, detection and localization settings are
+declared here.  A run is fully identified by the hash of the parameter
+set (paths excluded).  Flags on the command line override file values.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import ConfigError
+from .mdtlog import EventId
 from .simgen import SimConfig, macro21_layout
 
 
@@ -54,8 +57,12 @@ def _as_weights(value):
     return value
 
 
+# The longest N-gram featurize can code: its len(EventId)**n codes must fit an int64.
+_MAX_NGRAM_N = max(n for n in range(1, 64) if len(EventId) ** n <= 2**63)
+
+
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(SimConfig):
     # scenario geometry
     n_sites: int = 7
     sectors_per_site: int = 3
@@ -67,22 +74,7 @@ class RunConfig:
     map_half_extent_m: float = 750.0
     shadowing_sigma_db: float = 8.0
     shadowing_correlation_m: float = 40.0
-    # simulation
-    ues_per_cell: int = 15
-    ue_speed_kmh: float = 30.0
-    a3_margin_db: float = 3.0
-    ttt_ms: float = 256.0
-    a2_rsrp_threshold_dbm: float = -110.0
-    a2_rsrp_hysteresis_db: float = 3.0
-    a2_rsrq_threshold_db: float = -10.0
-    a2_rsrq_hysteresis_db: float = 2.0
-    rsrq_load_db: float = 6.0
-    a2_report_interval_ms: float = 0.0
-    duration_steps: int = 5720
-    step_seconds: float = 0.1
-    t304_ms: float = 200.0
-    ho_complete_ms: float = 100.0
-    ho_backoff_ms: float = 500.0
+    # simulation (the engine's own settings are SimConfig's fields)
     faulty_cell: int = 1
     master_seed: int = 42
     # featurization and detection
@@ -108,14 +100,16 @@ class RunConfig:
             value = getattr(self, f.name)
             if not check(value):
                 raise ConfigError(f"{f.name} must be {type_name}, got {value!r}")
-        if self.n_sites < 1 or self.sectors_per_site < 1:
-            raise ConfigError("layout needs at least one site and sector")
+        if (self.n_sites, self.sectors_per_site) != (7, 3):
+            raise ConfigError("only the 7-site, 3-sector scenario is implemented")
         if self.window_m < 2:
             raise ConfigError("window_m must be >= 2")
         if not 1 <= self.window_n <= self.window_m:
             raise ConfigError("window_n must satisfy 1 <= n <= m")
-        if self.ngram_n < 1:
-            raise ConfigError("ngram_n must be >= 1")
+        if not 1 <= self.ngram_n <= self.window_m:
+            raise ConfigError("ngram_n must satisfy 1 <= ngram_n <= window_m")
+        if self.ngram_n > _MAX_NGRAM_N:
+            raise ConfigError(f"ngram_n must be <= {_MAX_NGRAM_N}, or its N-gram codes overflow int64")
         if self.knn_k < 1:
             raise ConfigError("knn_k must be >= 1")
         if not 0 < self.threshold_percentile <= 100:
@@ -148,7 +142,9 @@ class RunConfig:
         n_cells = self.n_sites * self.sectors_per_site
         if not self.cell_id_base <= self.faulty_cell < self.cell_id_base + n_cells:
             raise ConfigError(f"faulty_cell {self.faulty_cell} not in layout")
-        self.sim_config()  # runs SimConfig validation
+        if self.master_seed < 0:
+            raise ConfigError("master_seed must be >= 0")
+        super().validate()
         return self
 
     def to_dict(self) -> dict:
@@ -198,8 +194,6 @@ class RunConfig:
 
     # views for the sub-systems
     def layout(self):
-        if (self.n_sites, self.sectors_per_site) != (7, 3):
-            raise ConfigError("only the 7-site, 3-sector scenario is implemented")
         return macro21_layout(
             inter_site_distance=self.inter_site_distance_m,
             tx_power_dbm=self.tx_power_dbm,
@@ -211,9 +205,3 @@ class RunConfig:
         return self.layout().default_grid(
             resolution_m=self.map_resolution_m, half_extent_m=self.map_half_extent_m
         )
-
-    def sim_config(self) -> SimConfig:
-        """The simulator settings of this run; each role's generator sets rng_seed."""
-        cfg = SimConfig(**{f.name: getattr(self, f.name) for f in fields(SimConfig) if f.name != "rng_seed"})
-        cfg.validate()
-        return cfg

@@ -42,7 +42,7 @@ def suite_from_config(cfg: RunConfig) -> DatasetSuite:
     """The normal, problematic and reference datasets of one configuration."""
     return generate_dataset_suite(
         cfg.layout(),
-        cfg.sim_config(),
+        cfg,
         faulty_cell=cfg.faulty_cell,
         master_seed=cfg.master_seed,
         n_chunks=cfg.n_chunks,

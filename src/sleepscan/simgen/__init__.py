@@ -15,7 +15,7 @@ from .dominance import (
     derive_adjacency,
     layout_adjacency,
 )
-from .engine import FaultConfig, SimConfig, simulate
+from .engine import SimConfig, simulate
 from .suite import (
     DatasetSuite,
     derive_seeds,
@@ -37,7 +37,6 @@ __all__ = [
     "build_radio_map",
     "derive_adjacency",
     "layout_adjacency",
-    "FaultConfig",
     "SimConfig",
     "simulate",
     "DatasetSuite",

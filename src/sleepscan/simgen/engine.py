@@ -73,16 +73,6 @@ ATTACH, A2_RSRP_ENTER, A2_RSRP_LEAVE, A2_RSRQ, RA_RESOLUTION, A3 = range(6)
 
 
 @dataclass(frozen=True)
-class FaultConfig:
-    enabled: bool = False
-    faulty_cell: int = 1
-
-    def validate(self, layout: NetworkLayout) -> None:
-        if self.enabled and self.faulty_cell not in layout.cell_ids:
-            raise ConfigError(f"faulty cell {self.faulty_cell} not in layout")
-
-
-@dataclass(frozen=True)
 class SimConfig:
     ues_per_cell: int = 15
     ue_speed_kmh: float = 30.0
@@ -96,7 +86,6 @@ class SimConfig:
     a2_report_interval_ms: float = 0.0  # >0: re-report period while A2 RSRQ holds
     duration_steps: int = 5720
     step_seconds: float = 0.1
-    rng_seed: int = 0
     t304_ms: float = 200.0
     ho_complete_ms: float = 100.0
     ho_backoff_ms: float = 500.0
@@ -138,13 +127,13 @@ class _Block:
         return self.start + self.pixel.shape[1]
 
 
-def _trajectory(sim: SimConfig, grid, n_ue: int):
+def _trajectory(sim: SimConfig, grid, n_ue: int, seed: int):
     """The blocks of every UE's path, drawing a new waypoint at each arrival.
 
     A UE that arrives takes its waypoint's position; the others move
     `speed` meters toward theirs.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(sim.rng_seed))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     x0, x1, y0, y1 = grid.extent
     low, high = np.array([x0, y0]), np.array([x1, y1])
     pos = rng.uniform(low, high, size=(n_ue, 2)).T.copy()  # (2, n_ue)
@@ -471,25 +460,28 @@ class _A2:
 
 
 def simulate(
-    layout: NetworkLayout, sim: SimConfig, fault: FaultConfig, radio: RadioMap
+    layout: NetworkLayout, sim: SimConfig, radio: RadioMap, seed: int, faulty_cell: int | None = None
 ) -> tuple[EventLog, np.ndarray]:
-    """Run one dataset; deterministic for a fixed rng_seed.
+    """Run one dataset; deterministic for a fixed mobility seed.
 
+    Random access toward `faulty_cell` fails; None injects no fault.
     Returns the log in emission order and each record's fault-affected flag.
     """
     sim.validate()
-    fault.validate(layout)
+    if faulty_cell is not None and faulty_cell not in layout.cell_ids:
+        raise ConfigError(f"faulty cell {faulty_cell} not in layout")
     n_ue = sim.ues_per_cell * len(radio.cell_ids)
-    faulty_idx = layout.index_of(fault.faulty_cell) if fault.enabled else -1
+    faulty_idx = -1 if faulty_cell is None else layout.index_of(faulty_cell)
     tables = _RadioTables(radio, sim.a3_margin_db)
     records = _Records(tables)
     handover = _Handover(sim, tables, records, n_ue, faulty_idx)
     a2 = _A2(sim, tables, records, n_ue)
-    for block in _trajectory(sim, radio.grid_spec, n_ue):
+    for block in _trajectory(sim, radio.grid_spec, n_ue, seed):
         if block.start == 0:
             handover.attach(block)  # before A2, which sees the post-attach cell
         serving = handover.serving.copy()
         a2.advance(block, serving, handover.advance(block))
     log, dom = records.log()
-    affected = fault.enabled & ((log.target == fault.faulty_cell) | (dom == fault.faulty_cell))
-    return log, np.asarray(affected, dtype=bool)
+    if faulty_cell is None:
+        return log, np.zeros(len(log), dtype=bool)
+    return log, (log.target == faulty_cell) | (dom == faulty_cell)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -34,7 +34,7 @@ from .dominance import (
     path_gain,
     write_dominance_csv,
 )
-from .engine import FaultConfig, SimConfig, simulate
+from .engine import SimConfig, simulate
 from .fields import make_shadowing
 from .layout import GridSpec, NetworkLayout
 
@@ -103,9 +103,8 @@ def generate_dataset_suite(
             )
             radio_cache[shadow_seed] = build_radio_map(layout, shadowing, gain)
         radio = radio_cache[shadow_seed]
-        fault = FaultConfig(enabled=(role == "problematic"), faulty_cell=faulty_cell)
-        role_sim = replace(sim, rng_seed=seeds["mobility"][role])
-        log, affected = simulate(layout, role_sim, fault, radio)
+        fault = faulty_cell if role == "problematic" else None
+        log, affected = simulate(layout, sim, radio, seeds["mobility"][role], fault)
         roles[role] = RoleData(
             role=role, records=log, affected=affected, radio=radio, chunks=split_chunks(log, n_chunks)
         )
@@ -163,10 +162,19 @@ def _truth_arrays(path, lineno, ue, index, affected) -> tuple[np.ndarray, ...]:
     return np.array(ue, dtype=np.int64), np.array(index, dtype=np.int64), flags
 
 
-def write_suite(suite: DatasetSuite, out_dir, manifest_extra: dict | None = None) -> Path:
+def make_suite_dir(out_dir) -> Path:
+    """out_dir, created if missing, so that a suite can be written into it."""
     out_dir = Path(out_dir)
-    try:  # a missing parent, a file in the way, a full disk: each names the path it failed on
+    try:
         out_dir.mkdir(exist_ok=True)
+    except OSError as exc:  # a missing parent, a file in the way
+        raise DataError(f"cannot write the suite to {out_dir}: {exc.strerror}") from None
+    return out_dir
+
+
+def write_suite(suite: DatasetSuite, out_dir, manifest_extra: dict | None = None) -> Path:
+    out_dir = make_suite_dir(out_dir)
+    try:  # a full disk, a file that cannot be replaced: each names the path it failed on
         files: dict[str, dict] = {}
         dominance_paths: dict[int, tuple] = {}  # normal and problematic share one map: format it once
         for role, data in suite.roles.items():

@@ -10,19 +10,22 @@ from __future__ import annotations
 
 import numpy as np
 
+from sleepscan.errors import ConfigError
 from sleepscan.mdtlog import NO_TARGET, EventId, EventLog
-from sleepscan.simgen import FaultConfig, NetworkLayout, RadioMap, SimConfig
+from sleepscan.simgen import NetworkLayout, RadioMap, SimConfig
 
 
 def simulate(
-    layout: NetworkLayout, sim: SimConfig, fault: FaultConfig, radio: RadioMap
+    layout: NetworkLayout, sim: SimConfig, radio: RadioMap, seed: int, faulty_cell: int | None = None
 ) -> tuple[EventLog, np.ndarray]:
-    """Run one dataset; deterministic for a fixed rng_seed.
+    """Run one dataset; deterministic for a fixed mobility seed.
 
+    Random access toward `faulty_cell` fails; None injects no fault.
     Returns the log in emission order and each record's fault-affected flag.
     """
     sim.validate()
-    fault.validate(layout)
+    if faulty_cell is not None and faulty_cell not in layout.cell_ids:
+        raise ConfigError(f"faulty cell {faulty_cell} not in layout")
     grid = radio.grid_spec
     cell_ids = radio.cell_ids
     n_cells = len(cell_ids)
@@ -31,10 +34,10 @@ def simulate(
     rsrp_by_pixel = radio.rsrp_dbm.reshape(n_cells, -1).T.copy()  # (pixels, n_cells)
     total_by_pixel = radio.total_dbm.reshape(-1)
     dominance_by_pixel = radio.dominance.grid.reshape(-1)
-    faulty_idx = layout.index_of(fault.faulty_cell) if fault.enabled else -1
+    faulty_idx = -1 if faulty_cell is None else layout.index_of(faulty_cell)
 
     n_ue = sim.ues_per_cell * n_cells
-    rng = np.random.default_rng(np.random.SeedSequence(sim.rng_seed))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     x0, x1, y0, y1 = grid.extent
     pos = rng.uniform([x0, y0], [x1, y1], size=(n_ue, 2))
     waypoint = rng.uniform([x0, y0], [x1, y1], size=(n_ue, 2))
@@ -65,10 +68,7 @@ def simulate(
         target = NO_TARGET if target_idx is None else int(cell_ids[target_idx])
         x, y = pos[ue].tolist()
         rows.append((int(event), int(ue), int(t), x, y, int(cell_ids[serving[ue]]), target))
-        affected.append(
-            fault.enabled
-            and (target == fault.faulty_cell or int(dom_cell) == fault.faulty_cell)
-        )
+        affected.append(faulty_cell is not None and faulty_cell in (target, int(dom_cell)))
 
     def best_healthy(rsrp_row):
         row = rsrp_row.copy()
@@ -93,7 +93,7 @@ def simulate(
 
         if t == 0:
             serving[:] = np.argmax(rsrp, axis=1)
-            if fault.enabled:
+            if faulty_cell is not None:
                 for u in np.nonzero(serving == faulty_idx)[0]:
                     # initial attach toward the sleeping cell fails
                     emit(EventId.PL_PROBLEM, u, t, dom_now[u])
@@ -137,7 +137,7 @@ def simulate(
         pending_timer[active] -= 1
         for u in np.nonzero(active & (pending_timer <= 0))[0]:
             target = pending_target[u]
-            if fault.enabled and target == faulty_idx:
+            if faulty_cell is not None and target == faulty_idx:
                 emit(EventId.PL_PROBLEM, u, t, dom_now[u])
                 emit(EventId.RLF, u, t, dom_now[u])
                 best = best_healthy(rsrp[u])
@@ -163,7 +163,7 @@ def simulate(
         a3_count = np.where(condition, a3_count + 1, 0)
         for u in np.nonzero(condition & (a3_count >= ttt_steps))[0]:
             target = int(best_idx[u])
-            failing = fault.enabled and target == faulty_idx
+            failing = faulty_cell is not None and target == faulty_idx
             timer = t304_steps if failing else complete_steps
             if t + timer >= sim.duration_steps:
                 continue  # would never resolve before the run ends

@@ -20,7 +20,7 @@ from sleepscan.evaluate import heuristic_distance
 from sleepscan.featurize import featurize_chunk, ngram_counts
 from sleepscan.localize import normalize
 from sleepscan.pipeline import run_detect, suite_from_config
-from sleepscan.simgen import FaultConfig, SimConfig, macro21_layout, simulate
+from sleepscan.simgen import SimConfig, macro21_layout, simulate
 from sleepscan.simgen.suite import suite_manifest, suite_roles
 
 N_REPS = 20
@@ -247,10 +247,9 @@ def test_a7_invariant_suites(tmp_path):
     layout = macro21_layout()
     grid = layout.default_grid(resolution_m=10.0)
     radio = build_radio_map(layout, make_shadowing(layout, grid, seed=3))
-    sim = SimConfig(ues_per_cell=3, duration_steps=800, rng_seed=5)
-    fault = FaultConfig(enabled=True, faulty_cell=1)
-    log_a, _ = simulate(layout, sim, fault, radio)
-    log_b, _ = simulate(layout, sim, fault, radio)
+    sim = SimConfig(ues_per_cell=3, duration_steps=800)
+    log_a, _ = simulate(layout, sim, radio, 5, faulty_cell=1)
+    log_b, _ = simulate(layout, sim, radio, 5, faulty_cell=1)
     pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     write_records(log_a, pa)
     write_records(log_b, pb)

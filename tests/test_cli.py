@@ -90,7 +90,16 @@ def test_commands_run_without_scipy(tmp_path):
     assert (tmp_path / "suite" / "manifest.json").exists()
 
 
-def test_simulate_missing_parent_is_data_error(tiny_config_path, capsys):
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Fails the test if a suite is generated: an unusable --out must fail before that."""
+    def no_suite(cfg):
+        raise AssertionError("simulated before the --out check")
+
+    monkeypatch.setattr(pipeline, "suite_from_config", no_suite)
+
+
+def test_simulate_missing_parent_is_data_error(tiny_config_path, capsys, no_simulation):
     code = main(["simulate", "--config", str(tiny_config_path), "--out", "/nonexistent/nope/suite"])
     assert code == 3
     assert "/nonexistent/nope" in capsys.readouterr().err
@@ -103,8 +112,11 @@ def test_bad_config_is_config_error(tmp_path, capsys):
     bad.write_text(json.dumps({"no_such_key": 1}))
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
     assert main(["simulate", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "x")]) == 2
-    bad.write_text(json.dumps({"knn_k": "5"}))  # a TypeError traceback before
     capsys.readouterr()
+    assert main(["simulate", "--seed", "-1", "--out", str(tmp_path / "x")]) == 2  # a SeedSequence traceback before
+    assert capsys.readouterr().err == "configuration error: master_seed must be >= 0\n"
+    assert not (tmp_path / "x").exists()
+    bad.write_text(json.dumps({"knn_k": "5"}))  # a TypeError traceback before
     assert main(["detect", "--config", str(bad), "--data", str(tmp_path), "--out", str(tmp_path / "r")]) == 2
     assert "configuration error: knn_k must be an integer" in capsys.readouterr().err
 
@@ -122,7 +134,7 @@ def test_unreadable_config_is_config_error(tmp_path, capsys, make):
     assert not (tmp_path / "suite").exists()
 
 
-def test_simulate_onto_a_file_is_data_error(tmp_path, capsys):
+def test_simulate_onto_a_file_is_data_error(tmp_path, capsys, no_simulation):
     config, out = tmp_path / "smoke.json", tmp_path / "suite"
     config.write_text(json.dumps(SMOKE))
     out.write_text("not a directory")

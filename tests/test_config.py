@@ -1,12 +1,10 @@
 import json
 import math
-from dataclasses import fields
 
 import pytest
 
 from sleepscan.config import RunConfig
 from sleepscan.errors import ConfigError
-from sleepscan.simgen import SimConfig
 
 
 def test_defaults_validate_and_roundtrip():
@@ -27,13 +25,6 @@ def test_hash_is_stable_and_ignores_paths():
     assert with_paths.config_hash() == base.config_hash()
     reseeded = base.with_overrides(master_seed=7)
     assert reseeded.config_hash() != base.config_hash()
-
-
-def test_every_simulator_setting_is_a_run_setting_with_the_same_default():
-    run_defaults = {f.name: f.default for f in fields(RunConfig)}
-    for f in fields(SimConfig):
-        if f.name != "rng_seed":  # each role's generator derives its own from master_seed
-            assert f.name in run_defaults and run_defaults[f.name] == f.default, f.name
 
 
 def test_unknown_keys_rejected():
@@ -88,11 +79,22 @@ def test_unknown_keys_rejected():
         ("n_chunks", 1.5),
         ("minor_components", 2.5),
         ("amplify", "no"),
+        ("master_seed", -1),  # numpy's SeedSequence raised a ValueError traceback
+        ("ngram_n", 16),  # longer than a window: no window holds one
+        ("n_sites", 6),  # only the 7-site, 3-sector scenario is implemented
     ],
 )
 def test_invalid_values_rejected(field, value):
     with pytest.raises(ConfigError):
         RunConfig.from_dict({field: value})
+
+
+def test_ngram_n_must_fit_the_int64_gram_codes():
+    # 9**20 > 2**63: the codes of 20-grams wrapped around with no error
+    with pytest.raises(ConfigError, match="ngram_n must be <= 19"):
+        RunConfig.from_dict({"ngram_n": 20, "window_m": 40})
+    assert RunConfig.from_dict({"ngram_n": 19, "window_m": 40}).ngram_n == 19
+    assert RunConfig.from_dict({"ngram_n": 15}).ngram_n == 15  # as long as the default window
 
 
 @pytest.mark.parametrize("field", ["ho_complete_ms", "a2_report_interval_ms", "shadowing_sigma_db"])

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
+from sleepscan.config import RunConfig
 from sleepscan.embed import EigenBasis, fit_basis, project_minor, sorte_select
 from sleepscan.errors import DataError
+from sleepscan.featurize import NGramVocabulary, build_feature_matrix, featurize_chunk
+from sleepscan.pipeline import run_detect, suite_from_config
+from sleepscan.simgen.suite import suite_manifest, suite_roles
+from test_golden import SMOKE
 
 
 def test_rank_one_line_has_zero_minor_eigenvalue():
@@ -156,3 +161,23 @@ def test_projection_dimension_checks():
         project_minor(basis, np.zeros((4, 3)), d=0)
     with pytest.raises(DataError):
         project_minor(basis, np.zeros((4, 3)), d=4)
+
+
+def test_auto_minor_components_follow_each_folds_training_spectrum():
+    """`minor_components: "auto"` runs sorte_select on each fold's own training spectrum."""
+    cfg = RunConfig.from_dict({**SMOKE, "minor_components": "auto"})
+    suite = suite_from_config(cfg)
+    outputs, _ = run_detect(suite_manifest(suite), suite_roles(suite), cfg)
+    roles = suite_roles(suite)
+
+    def features(role, index):
+        return featurize_chunk(roles[role][index](), m=cfg.window_m, n=cfg.window_n, ngram_n=cfg.ngram_n)
+
+    chosen = []
+    for out in outputs:
+        train = features("normal", out.pair.train_index)
+        vocab = NGramVocabulary.from_subcalls(train, features(out.pair.test_role, out.pair.test_index))
+        basis = fit_basis(build_feature_matrix(train, vocab))
+        assert out.selected_components == min(sorte_select(basis.eigenvalues, fallback=min(6, basis.dim)), basis.dim)
+        chosen.append(out.selected_components)
+    assert len(chosen) == 72 and len(set(chosen)) > 1

@@ -15,7 +15,6 @@ from sleepscan.mdtlog import NO_TARGET, EventId, EventLog, write_records
 from sleepscan.pipeline import suite_from_config
 from sleepscan.simgen import (
     Cell,
-    FaultConfig,
     NetworkLayout,
     SimConfig,
     build_radio_map,
@@ -35,7 +34,8 @@ from sleepscan.simgen.suite import load_suite, split_chunks, suite_roles, truth_
 
 import engine_oracle
 
-FAST_SIM = dict(ues_per_cell=3, duration_steps=1200, rng_seed=9)
+FAST_SIM = SimConfig(ues_per_cell=3, duration_steps=1200)
+FAST_SEED = 9
 
 Record = namedtuple("Record", "event ue t x y serving target")
 
@@ -211,7 +211,7 @@ def small_world():
 
 def test_fault_free_run_has_no_failure_events(small_world):
     layout, radio = small_world
-    log, affected = simulate(layout, SimConfig(**FAST_SIM), FaultConfig(enabled=False), radio)
+    log, affected = simulate(layout, FAST_SIM, radio, FAST_SEED)
     events = [r.event for r in records(log)]
     assert EventId.PL_PROBLEM not in events
     assert EventId.RLF not in events
@@ -229,7 +229,7 @@ def test_fault_free_run_has_no_failure_events(small_world):
 
 def test_fault_blocks_all_access_to_cell_one(small_world):
     layout, radio = small_world
-    log, affected = simulate(layout, SimConfig(**FAST_SIM), FaultConfig(enabled=True, faulty_cell=1), radio)
+    log, affected = simulate(layout, FAST_SIM, radio, FAST_SEED, faulty_cell=1)
     completes_to_faulty = [r for r in records(log) if r.event == EventId.HO_COMPLETE and r.target == 1]
     assert completes_to_faulty == []
     # every command toward the faulty cell is followed by the failure triple
@@ -251,7 +251,7 @@ def test_fault_blocks_all_access_to_cell_one(small_world):
 
 def test_event_grammar(small_world):
     layout, radio = small_world
-    log, _ = simulate(layout, SimConfig(**FAST_SIM), FaultConfig(enabled=True, faulty_cell=1), radio)
+    log, _ = simulate(layout, FAST_SIM, radio, FAST_SEED, faulty_cell=1)
     by_ue = {}
     for rec in records(log):
         by_ue.setdefault(rec.ue, []).append(rec)
@@ -270,10 +270,8 @@ def test_event_grammar(small_world):
 
 def test_determinism_bit_for_bit(small_world, tmp_path):
     layout, radio = small_world
-    sim = SimConfig(**FAST_SIM)
-    fault = FaultConfig(enabled=True, faulty_cell=1)
-    log_a, affected_a = simulate(layout, sim, fault, radio)
-    log_b, affected_b = simulate(layout, sim, fault, radio)
+    log_a, affected_a = simulate(layout, FAST_SIM, radio, FAST_SEED, faulty_cell=1)
+    log_b, affected_b = simulate(layout, FAST_SIM, radio, FAST_SEED, faulty_cell=1)
     pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     write_records(log_a, pa)
     write_records(log_b, pb)
@@ -283,14 +281,14 @@ def test_determinism_bit_for_bit(small_world, tmp_path):
 
 def test_seed_changes_the_log(small_world):
     layout, radio = small_world
-    base, _ = simulate(layout, SimConfig(**FAST_SIM), FaultConfig(), radio)
-    other, _ = simulate(layout, SimConfig(**{**FAST_SIM, "rng_seed": 10}), FaultConfig(), radio)
+    base, _ = simulate(layout, FAST_SIM, radio, FAST_SEED)
+    other, _ = simulate(layout, FAST_SIM, radio, 10)
     assert records(base) != records(other)
 
 
 def test_records_stay_in_bounds(small_world):
     layout, radio = small_world
-    log, _ = simulate(layout, SimConfig(**FAST_SIM), FaultConfig(), radio)
+    log, _ = simulate(layout, FAST_SIM, radio, FAST_SEED)
     x0, x1, y0, y1 = radio.grid_spec.extent
     for rec in records(log):
         assert x0 <= rec.x <= x1 and y0 <= rec.y <= y1
@@ -307,8 +305,7 @@ def test_a2_rsrp_state_machine_with_weak_transmitter():
     grid = GridSpec(origin_x=-1500.0, origin_y=-1500.0, resolution_m=20.0, nx=150, ny=150)
     radio = build_radio_map(layout, ShadowingField.zeros(grid, 1))
     assert radio.rsrp_dbm.min() < -113.0 < -107.0 < radio.rsrp_dbm.max()
-    sim = SimConfig(ues_per_cell=30, duration_steps=3000, rng_seed=1)
-    log, _ = simulate(layout, sim, FaultConfig(enabled=False), radio)
+    log, _ = simulate(layout, SimConfig(ues_per_cell=30, duration_steps=3000), radio, 1)
     enters = [r for r in records(log) if r.event == EventId.A2_RSRP_ENTER]
     leaves = [r for r in records(log) if r.event == EventId.A2_RSRP_LEAVE]
     assert enters and leaves
@@ -454,10 +451,10 @@ def test_write_dominance_csv_matches_csv_writer(tmp_path):
     assert b"\r\n" in path.read_bytes()
 
 
-def test_fault_validation():
-    layout = macro21_layout()
-    with pytest.raises(ConfigError):
-        FaultConfig(enabled=True, faulty_cell=99).validate(layout)
+def test_fault_validation(small_world):
+    layout, radio = small_world
+    with pytest.raises(ConfigError, match="faulty cell 99 not in layout"):
+        simulate(layout, FAST_SIM, radio, FAST_SEED, faulty_cell=99)
     with pytest.raises(ConfigError):
         SimConfig(duration_steps=0).validate()
     with pytest.raises(ConfigError):
@@ -483,13 +480,13 @@ ENGINE_CASE = {
     "t304_ms": st.sampled_from([100.0, 200.0, 500.0]),
     "ho_complete_ms": st.sampled_from([0.0, 100.0, 300.0]),
     "ho_backoff_ms": st.sampled_from([100.0, 500.0]),
-    "rng_seed": st.integers(0, 2**32 - 1),
+    "seed": st.integers(0, 2**32 - 1),
 }
 SIM_FIELDS = {f.name for f in fields(SimConfig)}
 
 
 def engine_inputs(case):
-    """The (layout, sim, fault, radio) of one engine case."""
+    """The (layout, sim, radio, seed, faulty_cell) of one engine case."""
     if case["layout"] == "macro":
         layout = macro21_layout(tx_power_dbm=case["tx_power_dbm"], wrap_around=case["wrap_around"])
         grid = layout.default_grid(resolution_m=50.0)
@@ -502,12 +499,9 @@ def engine_inputs(case):
         layout = NetworkLayout(cells=cells, inter_site_distance=500.0, wrap_around=case["wrap_around"])
         grid = small_grid(n=40, res=20.0, origin=-400.0)
     radio = build_radio_map(layout, make_shadowing(layout, grid, sigma_db=case["sigma_db"], seed=case["shadow_seed"]))
-    if case["fault"] is None:
-        fault = FaultConfig()
-    else:
-        fault = FaultConfig(enabled=True, faulty_cell=layout.cell_ids[case["fault"] % len(layout.cells)])
+    fault = None if case["fault"] is None else layout.cell_ids[case["fault"] % len(layout.cells)]
     sim = SimConfig(**{k: v for k, v in case.items() if k in SIM_FIELDS})
-    return layout, sim, fault, radio
+    return layout, sim, radio, case["seed"], fault
 
 
 # Settings of the examples below, one per effect of the per-step order that
@@ -523,17 +517,17 @@ STEP_ORDER_CASE = {
 @given(case=st.fixed_dictionaries(ENGINE_CASE))
 # A3 in the step a random access resolves compares against the old serving cell.
 @example(case={**STEP_ORDER_CASE, "fault": 17, "duration_steps": 12, "t304_ms": 500.0, "ho_complete_ms": 300.0,
-               "rng_seed": 2628077981})
+               "seed": 2628077981})
 # A trigger toward the faulty cell is skipped near the end; the count runs on
 # and a shorter-timer target fires.
 @example(case={**STEP_ORDER_CASE, "fault": 17, "duration_steps": 81, "ue_speed_kmh": 300.0, "a3_margin_db": 3.0,
-               "ttt_ms": 256.0, "t304_ms": 200.0, "ho_complete_ms": 0.0, "rng_seed": 34906666})
+               "ttt_ms": 256.0, "t304_ms": 200.0, "ho_complete_ms": 0.0, "seed": 34906666})
 # A2 at t = 0 sees the cell the failed attach re-established on.
 @example(case={**STEP_ORDER_CASE, "layout": "omni2", "fault": 0, "duration_steps": 1, "t304_ms": 100.0,
-               "ho_complete_ms": 100.0, "rng_seed": 1200367645})
+               "ho_complete_ms": 100.0, "seed": 1200367645})
 # A random-access failure and an immediate handover in one step: the handover wins.
 @example(case={**STEP_ORDER_CASE, "fault": 0, "duration_steps": 4, "ue_speed_kmh": 0.0,
-               "a2_report_interval_ms": 100.0, "t304_ms": 100.0, "ho_complete_ms": 0.0, "rng_seed": 31})
+               "a2_report_interval_ms": 100.0, "t304_ms": 100.0, "ho_complete_ms": 0.0, "seed": 31})
 def test_engine_equals_the_per_step_oracle(case):
     inputs = engine_inputs(case)
     log, affected = simulate(*inputs)
