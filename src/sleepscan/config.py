@@ -9,10 +9,19 @@ set (paths excluded).  Flags on the command line override file values.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
+
+# CPython's built-in SHA-256 gives hashlib's digest without loading OpenSSL's
+# libcrypto, which would add about 3 MB to every command's memory.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256  # a build without the built-in module
 
 from .errors import ConfigError
 from .mdtlog import EventId
@@ -186,11 +195,16 @@ class RunConfig(SimConfig):
         return replace(self, **overrides).validate()
 
     def config_hash(self) -> str:
+        """SHA-256 hex digest of the canonical JSON of every setting but the paths.
+
+        The digest is hashlib's; it is computed with the built-in module
+        imported above, so that no command loads OpenSSL for it.
+        """
         d = self.to_dict()
         d.pop("data_dir", None)
         d.pop("out_dir", None)
         canonical = json.dumps(d, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return sha256(canonical.encode("utf-8")).hexdigest()
 
     # views for the sub-systems
     def layout(self):

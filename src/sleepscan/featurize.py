@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdtlog import Chunk, EventId
+from .mdtlog import Chunk, EventId, sorted_unique
 
 N_EVENTS = len(EventId)
 
@@ -128,7 +128,7 @@ def featurize_chunk(chunk: Chunk, m: int = 15, n: int = 10, ngram_n: int = 2) ->
         rows=rows,
         codes=codes,
         counts=counts,
-        ue_count=len(np.unique(ues)),
+        ue_count=len(sorted_unique(ues)),
         affected=affected,
     )
 
@@ -160,7 +160,7 @@ class NGramVocabulary:
     @classmethod
     def from_subcalls(cls, *groups: ChunkFeatures) -> "NGramVocabulary":
         """Union of the N-grams of every group's sub-calls, sorted by event codes."""
-        codes = np.unique(np.concatenate([g.codes for g in groups]))
+        codes = sorted_unique(np.concatenate([g.codes for g in groups]))
         return cls(codes=codes, n=groups[0].n)
 
 

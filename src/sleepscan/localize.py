@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DataError
 from .featurize import decode_gram, gram_codes, gram_positions
-from .mdtlog import Chunk, EventId, lookup_index
+from .mdtlog import Chunk, EventId, lookup_index, sorted_unique
 
 AMPLIFY_EPSILON = 1e-9
 
@@ -68,7 +68,7 @@ def _row_sums(values: np.ndarray) -> np.ndarray:
 
 def _windows_per_cell(rows, cells, n_cells: int) -> np.ndarray:
     """Per cell, the number of distinct window rows paired with it."""
-    pairs = np.unique(rows * n_cells + cells)
+    pairs = sorted_unique(rows * n_cells + cells)
     return np.bincount(pairs % n_cells, minlength=n_cells).astype(np.float64)
 
 

@@ -151,6 +151,19 @@ def lookup_index(values, keys) -> np.ndarray:
     return np.where(sorted_keys[pos] == values, order[pos], -1)
 
 
+def sorted_unique(values) -> np.ndarray:
+    """The distinct values of an integer array, sorted: what `np.unique(values)` returns.
+
+    numpy 2.3+ runs a plain `np.unique` through a hash table whose first
+    call imports `numpy.ma` (about 0.8 MB and 30 ms in every process);
+    a sort and a neighbour mask give the same array without it.
+    """
+    values = np.sort(np.asarray(values), axis=None)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 @dataclass(frozen=True, eq=False)
 class Chunk:
     """One dataset chunk, parsed once into what every fold reads.
@@ -212,7 +225,7 @@ BLOCK_CHARS = 1 << 17
 
 
 @contextmanager
-def _opened(path):
+def opened(path):
     """path open as UTF-8 text; a file that cannot be opened or decoded is a DataError naming it.
 
     Every data file is read through here, so this is the one place where reading one fails.
@@ -227,8 +240,8 @@ def _opened(path):
 
 
 def read_text(path) -> str:
-    """The whole text of a UTF-8 file: for the JSON files and the dominance map, which are not read by line."""
-    with _opened(path) as fh:
+    """The whole text of a UTF-8 file: for the JSON files, which are not read by line."""
+    with opened(path) as fh:
         return fh.read()
 
 
@@ -284,7 +297,7 @@ def line_columns(line: re.Pattern, path, convert, header: str | None = None) -> 
     An integer outside 64 bits is a DataError.
     """
     lineno, parts = 1, []
-    with _opened(path) as fh:
+    with opened(path) as fh:
         for text in _line_blocks(fh):
             if lineno == 1 and header is not None:
                 if not text.startswith(header + "\n"):

@@ -9,14 +9,13 @@ the simulator's radio model and event-location attribution.
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from ..mdtlog import read_text
+from ..mdtlog import opened, sorted_unique
 from .fields import ShadowingField
 from .layout import GridSpec, NetworkLayout, pathloss_db, sector_gain_db
 
@@ -106,7 +105,7 @@ def derive_adjacency(dmap: DominanceMap) -> dict[int, frozenset[int]]:
     for a, b in ((grid, np.roll(grid, 1, axis=0)), (grid, np.roll(grid, 1, axis=1))):
         diff = a != b
         pairs.update(zip(a[diff].tolist(), b[diff].tolist()))
-    adjacency: dict[int, set[int]] = {int(c): set() for c in np.unique(grid)}
+    adjacency: dict[int, set[int]] = {int(c): set() for c in sorted_unique(grid)}
     for a, b in pairs:
         adjacency[a].add(b)
         adjacency[b].add(a)
@@ -146,18 +145,25 @@ DOMINANCE_HEADER = "x_index,y_index,cell_id"
 
 
 def load_dominance_csv(path, grid_spec: GridSpec) -> DominanceMap:
-    """Read a dominance map as `write_dominance_csv` writes it: the exact header, then every pixel once, row-major."""
-    header, _, body = read_text(path).partition("\n")
-    if header != DOMINANCE_HEADER:
-        raise DataError(f"{path}: dominance map header must be {DOMINANCE_HEADER!r}, got {header!r}")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # no rows: fails the pixel check
-            rows = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2, comments=None)
-    except ValueError as exc:
-        raise DataError(f"{path}: malformed dominance map row ({exc})") from None
+    """Read a dominance map as `write_dominance_csv` writes it: the exact header, then every pixel once, row-major.
+
+    The rows are streamed from the open file by one `np.loadtxt` call, so
+    the file's whole text is never held.
+    """
+    with opened(path) as fh:
+        header = fh.readline().removesuffix("\n")
+        if header != DOMINANCE_HEADER:
+            raise DataError(f"{path}: dominance map header must be {DOMINANCE_HEADER!r}, got {header!r}")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows: fails the pixel check
+                rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+        except UnicodeDecodeError:
+            raise  # opened() names the file as not UTF-8
+        except ValueError as exc:
+            raise DataError(f"{path}: malformed dominance map row ({exc})") from None
     ny, nx = grid_spec.ny, grid_spec.nx
-    iy, ix = np.indices((ny, nx)).reshape(2, -1)
-    if rows.shape != (ny * nx, 3) or not np.array_equal(rows[:, :2], np.stack((ix, iy), axis=1)):
+    pixels = rows.reshape(ny, nx, 3) if rows.shape == (ny * nx, 3) else None
+    if pixels is None or (pixels[..., 0] != np.arange(nx)).any() or (pixels[..., 1] != np.arange(ny)[:, None]).any():
         raise DataError(f"{path}: dominance map rows must list every pixel of the {nx}x{ny} grid once, row-major")
-    return DominanceMap(grid_spec=grid_spec, grid=np.ascontiguousarray(rows[:, 2]).reshape(ny, nx))
+    return DominanceMap(grid_spec=grid_spec, grid=np.ascontiguousarray(pixels[..., 2]))

@@ -67,7 +67,12 @@ def test_simulate_is_reproducible(tmp_path, tiny_config_path, dataset_dir):
 
 
 def test_commands_run_without_scipy(tmp_path):
-    """scipy is a test oracle only: no command may import it."""
+    """scipy is a test oracle only: no command may import it.
+
+    detect, evaluate and report also load neither OpenSSL (`_hashlib`)
+    nor `numpy.ma`.  simulate is run in a process of its own, because
+    numpy.random loads OpenSSL (through `secrets` and `hmac`).
+    """
     config = tmp_path / "smoke.json"
     config.write_text(json.dumps(
         {"ues_per_cell": 3, "duration_steps": 800, "map_resolution_m": 10.0, "knn_k": 5, "master_seed": 42}
@@ -76,18 +81,29 @@ def test_commands_run_without_scipy(tmp_path):
         "import sys\n"
         "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
         "from sleepscan.cli import main\n"
-        "for argv in (['simulate', '--config', 'smoke.json', '--out', 'suite'],\n"
-        "             ['detect', '--config', 'smoke.json', '--data', 'suite', '--out', 'run', '--folds', '2'],\n"
-        "             ['evaluate', '--out', 'run'], ['report', '--out', 'run']):\n"
+        "for argv in {commands!r}:\n"
         "    if main(argv) != 0:\n"
-        "        sys.exit(f'{argv[0]} failed')\n"
+        "        sys.exit(f'{{argv[0]}} failed')\n"
     )
+    no_stray_modules = (
+        "loaded = [name for name in ('_hashlib', 'numpy.ma') if name in sys.modules]\n"
+        "if loaded:\n"
+        "    sys.exit(f'loaded {loaded}')\n"
+    )
+    simulate = [["simulate", "--config", "smoke.json", "--out", "suite"]]
+    analyse = [
+        ["detect", "--config", "smoke.json", "--data", "suite", "--out", "run", "--folds", "2"],
+        ["evaluate", "--out", "run"],
+        ["report", "--out", "run"],
+    ]
     env = {**os.environ, "PYTHONPATH": str(Path(sleepscan.__file__).parents[1])}
-    result = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
-    )
-    assert result.returncode == 0, result.stderr
+    for source in (script.format(commands=simulate), script.format(commands=analyse) + no_stray_modules):
+        result = subprocess.run(
+            [sys.executable, "-c", source], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
     assert (tmp_path / "suite" / "manifest.json").exists()
+    assert (tmp_path / "run" / "eval").is_dir()
 
 
 @pytest.fixture

@@ -1,8 +1,14 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sleepscan
 from sleepscan.config import RunConfig
 from sleepscan.errors import ConfigError
 
@@ -25,6 +31,37 @@ def test_hash_is_stable_and_ignores_paths():
     assert with_paths.config_hash() == base.config_hash()
     reseeded = base.with_overrides(master_seed=7)
     assert reseeded.config_hash() != base.config_hash()
+
+
+DEFAULT_HASH = "bb6ae3483bbf72f57f59285b195d4481b4074463e73918674b085c90fc2e9779"
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"master_seed": 7, "out_dir": "/tmp/run"}, {"knn_k": 5, "weights": (1.0, 2.0, 0.5, 1.0), "gram_scope": "all"}],
+    ids=["defaults", "reseeded", "detection_settings"],
+)
+def test_hash_is_the_sha256_of_the_canonical_json(overrides):
+    cfg = RunConfig().with_overrides(**overrides)
+    settings = {k: v for k, v in cfg.to_dict().items() if k not in ("data_dir", "out_dir")}
+    canonical = json.dumps(settings, sort_keys=True, separators=(",", ":"))
+    assert cfg.config_hash() == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    if not overrides:
+        assert cfg.config_hash() == DEFAULT_HASH
+
+
+def test_hash_falls_back_to_hashlib_without_the_builtin_module():
+    """A Python built without its own SHA-256 module (`_sha2`, `_sha256`) hashes through hashlib, to the same digest."""
+    script = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None  # importing either now raises ImportError\n"
+        "from sleepscan.config import RunConfig\n"
+        "print(RunConfig().config_hash(), 'hashlib' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(sleepscan.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == [DEFAULT_HASH, "True"]
 
 
 def test_unknown_keys_rejected():

@@ -25,6 +25,7 @@ from sleepscan.mdtlog import (
     lookup_index,
     make_fold_pairs,
     read_records,
+    sorted_unique,
     write_records,
 )
 from sleepscan.simgen.dominance import DominanceMap
@@ -435,6 +436,17 @@ def test_damaged_truth_line_is_a_parse_error(tmp_path, line, damage):
 def test_lookup_index():
     assert lookup_index([4, 9, 2, -1], [2, 4, 8]).tolist() == [1, -1, 0, -1]
     assert lookup_index([1], []).tolist() == [-1]
+
+
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=40), st.sampled_from([(-1,), (2, -1)]))
+def test_sorted_unique_equals_np_unique(values, shape):
+    array = np.array(values + values[:2] + values[:2], dtype=np.int64)
+    if shape == (2, -1) and len(array) % 2:
+        array = array[1:]
+    array = array.reshape(shape)
+    expected = np.unique(array)
+    got = sorted_unique(array)
+    assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
 
 
 # -- reading in blocks --------------------------------------------------

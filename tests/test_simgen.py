@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 from collections import namedtuple
 from dataclasses import fields
 
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sleepscan.config import RunConfig
-from sleepscan.errors import ConfigError
+from sleepscan.errors import ConfigError, DataError
 from sleepscan.mdtlog import NO_TARGET, EventId, EventLog, write_records
 from sleepscan.pipeline import suite_from_config
 from sleepscan.simgen import (
@@ -27,7 +28,13 @@ from sleepscan.simgen import (
     pathloss_db,
     simulate,
 )
-from sleepscan.simgen.dominance import DOMINANCE_HEADER, DominanceMap, path_gain, write_dominance_csv
+from sleepscan.simgen.dominance import (
+    DOMINANCE_HEADER,
+    DominanceMap,
+    load_dominance_csv,
+    path_gain,
+    write_dominance_csv,
+)
 from sleepscan.simgen.fields import ShadowingField, gaussian_filter_wrap
 from sleepscan.simgen.layout import GridSpec, sector_gain_db
 from sleepscan.simgen.suite import load_suite, split_chunks, suite_roles, truth_rows, write_suite, write_truth
@@ -449,6 +456,35 @@ def test_write_dominance_csv_matches_csv_writer(tmp_path):
             writer.writerow([ix, iy, int(grid[iy, ix])])
     assert path.read_bytes() == expected.getvalue().encode()
     assert b"\r\n" in path.read_bytes()
+
+
+def test_load_dominance_csv_streams_the_map(tmp_path):
+    """A map loads back exactly, LF line ends too, holding little more than its rows while it reads them."""
+    spec = GridSpec(origin_x=0.0, origin_y=0.0, resolution_m=5.0, nx=200, ny=150)
+    grid = np.random.default_rng(3).integers(1, 22, size=(spec.ny, spec.nx))
+    path, lf = tmp_path / "dominance.csv", tmp_path / "dominance_lf.csv"
+    write_dominance_csv(DominanceMap(grid_spec=spec, grid=grid), path)
+    lf.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+    assert np.array_equal(load_dominance_csv(lf, spec).grid, grid)
+    tracemalloc.start()
+    try:
+        loaded = load_dominance_csv(path, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.grid, grid) and loaded.grid.flags.c_contiguous
+    # the parsed (pixels, 3) rows and the cell column copied out of them; the file's text is never held whole
+    assert peak <= 5 * loaded.grid.nbytes, (peak, loaded.grid.nbytes)
+
+
+def test_load_dominance_csv_rejects_a_non_utf8_byte_past_the_header(tmp_path):
+    spec = GridSpec(origin_x=0.0, origin_y=0.0, resolution_m=5.0, nx=200, ny=150)
+    path = tmp_path / "dominance.csv"
+    write_dominance_csv(DominanceMap(grid_spec=spec, grid=np.ones((spec.ny, spec.nx), dtype=np.int64)), path)
+    text = path.read_bytes()
+    path.write_bytes(text[: len(text) // 2] + b"\xff" + text[len(text) // 2:])
+    with pytest.raises(DataError, match="not UTF-8"):
+        load_dominance_csv(path, spec)
 
 
 def test_fault_validation(small_world):
