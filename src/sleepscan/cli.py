@@ -63,9 +63,9 @@ def cmd_detect(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     manifest, roles = load_suite(args.data)
-    write_fold = storage.start_run(args.out)
+    write_folds = storage.start_run(args.out)
     outputs, aggregates = pipeline.run_detect(
-        manifest, roles, cfg, limit=args.folds, jobs=args.jobs, write_fold=write_fold
+        manifest, roles, cfg, limit=args.folds, jobs=args.jobs, write_folds=write_folds
     )
     methods = _selected_methods(args.method)
     storage.write_run(args.out, cfg, args.data, manifest["faulty_cell"], methods, outputs, aggregates)

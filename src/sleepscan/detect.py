@@ -6,12 +6,13 @@ training rows in the embedded space; the decision threshold is the
 greater-than, so a constant-score training set flags nothing.
 
 Sub-calls are short n-gram count vectors, so most embedded rows repeat.
-The scorer works on the distinct rows: each distinct query row is
-scored once against the distinct training rows, each training distance
-standing for as many neighbours as the training set holds copies of
-that row, and the score is copied back to every query row with the same
-bytes.  Rows with equal bytes go through identical float operations, so
-the scores are those of the all-pairs computation bit for bit.
+The scorer works on the distinct rows (`distinct_rows`): each distinct
+query row is scored once against the distinct training rows, each
+training distance standing for as many neighbours as the training set
+holds copies of that row, and the score is copied back to every query
+row with the same bytes.  Rows with equal bytes go through identical
+float operations, so the scores are those of the all-pairs computation
+bit for bit.
 """
 
 from __future__ import annotations
@@ -20,18 +21,23 @@ import math
 
 import numpy as np
 
-__all__ = ["knn_scores", "fit_threshold", "classify"]
+__all__ = ["knn_scores", "distinct_rows", "fit_threshold", "classify"]
 
 DEFAULT_K = 35
 DEFAULT_PERCENTILE = 95.0
 _BLOCK_ROWS = 512  # query rows per distance block, to bound its memory
 
 
-def knn_scores(train_emb, query_emb, k: int = DEFAULT_K, exclude_self: bool = False) -> np.ndarray:
+def knn_scores(
+    train_emb, query_emb, k: int = DEFAULT_K, exclude_self: bool = False, train_distinct=None
+) -> np.ndarray:
     """Sum of Euclidean distances to the k nearest training rows, per query row.
 
     With exclude_self=True, query must be the training matrix itself
     (row-aligned); the zero self-distance of row i is skipped.
+    train_distinct, if given, is `distinct_rows` of the training matrix,
+    so that a fold scoring its training and testing rows finds the
+    distinct training rows once.
 
     Train and query rows are deduplicated by their bytes.  The squared
     distance between a distinct query row and a distinct training row
@@ -61,11 +67,11 @@ def knn_scores(train_emb, query_emb, k: int = DEFAULT_K, exclude_self: bool = Fa
     if k > available:
         raise ValueError(f"k={k} exceeds available neighbors ({available})")
 
-    train_rows, train_of, train_counts = _distinct_rows(train)
+    train_rows, train_of, train_counts = distinct_rows(train) if train_distinct is None else train_distinct
     if exclude_self:
         query_rows, query_of = train_rows, train_of
     else:
-        query_rows, query_of, _ = _distinct_rows(query)
+        query_rows, query_of, _ = distinct_rows(query)
     n_train, dim = train_rows.shape
     n_query = query_rows.shape[0]
     # Under exclude_self one candidate may be the query's own row with
@@ -92,17 +98,26 @@ def knn_scores(train_emb, query_emb, k: int = DEFAULT_K, exclude_self: bool = Fa
     return out[query_of]
 
 
-def _distinct_rows(rows: np.ndarray):
-    """The distinct rows of a C-contiguous 2-D array by their bytes, the
-    index of each row's distinct row, and each distinct row's count."""
+def distinct_rows(rows):
+    """The distinct rows of a 2-D float64 array by their bits, the index of
+    each row's distinct row, and each distinct row's count.
+
+    Rows are keyed by a sort on their int64 bit columns; the distinct
+    rows come in that sort's order, which no score depends on.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
     n, dim = rows.shape
-    if dim == 0:  # no bytes to compare: every row is the same empty row
+    if dim == 0:  # no bits to compare: every row is the same empty row
         return rows[:1], np.zeros(n, dtype=np.intp), np.full(min(n, 1), n)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * dim))).ravel()
-    _, first, inverse, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
-    )
-    return rows[first], inverse, counts
+    bits = rows.view(np.int64)
+    order = np.lexsort(bits.T)
+    ordered = bits[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    first = np.flatnonzero(starts)
+    return rows[order[first]], inverse, np.diff(np.append(first, n))
 
 
 def fit_threshold(train_scores, percentile: float = DEFAULT_PERCENTILE) -> float:

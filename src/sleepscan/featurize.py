@@ -90,9 +90,12 @@ def ngram_counts(sequence, n: int = 2) -> dict[tuple, int]:
 
 @dataclass(frozen=True, eq=False)
 class ChunkFeatures:
-    """A chunk's sub-calls and their N-gram counts, shared by every fold using it."""
+    """A chunk's sub-calls and their N-gram counts, shared by every fold using it.
 
-    chunk: Chunk
+    It holds no record of the chunk, so a chunk's records can be freed
+    once everything a fold needs of them is built.
+    """
+
     n: int                       # N-gram length
     windows: np.ndarray          # (W, 2) record ranges [start, stop)
     rows: np.ndarray             # (W, 2) int64 (ue, offset in the call) per window
@@ -122,7 +125,6 @@ def featurize_chunk(chunk: Chunk, m: int = 15, n: int = 10, ngram_n: int = 2) ->
     hits = np.concatenate(([0], np.cumsum(chunk.affected)))
     affected = hits[windows[:, 1]] > hits[starts]
     return ChunkFeatures(
-        chunk=chunk,
         n=ngram_n,
         windows=windows,
         rows=rows,

@@ -33,12 +33,27 @@ The neighbor relation is one (cells, cells) boolean matrix per run
 to ascend: symmetry and amplification add a matrix row left to right,
 the same floats in the same order as a loop over sorted neighbor ids.
 
-The methods read columnar chunks (`mdtlog.Chunk`), whose records carry
-their dominance-cell index, and sub-calls given as (start, stop) record
-ranges into them.
+Work is split by what it depends on:
+
+  per run    the neighbor matrix (`adjacency_matrix`)
+  per chunk  `chunk_tables` reads a columnar chunk (`mdtlog.Chunk`), whose
+             records carry their dominance-cell index, and its sub-calls,
+             (start, stop) record ranges into it: the symmetry imbalance,
+             the distinct (sub-call, dominance cell) and (sub-call, target
+             cell) pairs, and the 2-gram rates over all sub-calls
+  per fold   the four `sc_*` comparisons of a training and a testing
+             chunk's tables, given each chunk's anomalous sub-calls as a
+             bool mask; only the 2-gram rates of the anomalous testing
+             sub-calls are counted per fold, from the testing chunk's records
+
+A fold's sub-call and target counts are one `bincount` over the pairs
+whose sub-call is anomalous: the integers, and so the floats, of
+counting the anomalous sub-calls themselves.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,34 +81,79 @@ def _row_sums(values: np.ndarray) -> np.ndarray:
     return np.cumsum(values, axis=1)[:, -1]
 
 
-def _windows_per_cell(rows, cells, n_cells: int) -> np.ndarray:
-    """Per cell, the number of distinct window rows paired with it."""
+@dataclass(frozen=True, eq=False)
+class ChunkTables:
+    """One chunk's side of every localizer comparison, whatever fold it is in.
+
+    Built once per chunk (`chunk_tables`) and shared by every fold that
+    uses the chunk.  A fold selects the chunk's anomalous windows with a
+    bool mask over `windows`.
+    """
+
+    chunk: Chunk | None       # kept only without gram_rates, for the 2-grams of a fold's anomalous windows
+    windows: np.ndarray       # (W, 2) record ranges [start, stop): the chunk's sub-calls
+    ue_count: int
+    n_cells: int
+    imbalance: np.ndarray     # (cells, cells) imbalance of directed border 2-grams over the whole chunk
+    cell_pairs: np.ndarray    # (P, 2) int32 distinct (window, dominance cell index) pairs
+    target_pairs: np.ndarray | None  # (Q, 2) int32 distinct (window, target cell index) pairs, if built
+    gram_rates: dict[tuple, np.ndarray] | None  # `_gram_cell_rates` over all windows, if built
+
+
+def chunk_tables(chunk: Chunk, windows, ue_count: int, cell_ids, symmetry_mode: str = "handover",
+                 targets: bool = True, gram_rates: bool = True) -> ChunkTables:
+    """The tables of a chunk whose sub-calls are windows.
+
+    A testing chunk needs its target pairs, and its 2-gram rates over all
+    windows only when the 2-gram deviation scores every testing sub-call;
+    a training chunk needs its 2-gram rates but no target pairs.  Tables
+    without the rates keep the chunk, whose records each fold reads for
+    the rates of its anomalous windows; the others hold no record.
+    """
+    n_cells = len(cell_ids)
+    windows = np.asarray(windows, dtype=np.int64).reshape(-1, 2)
+    rows, pos = gram_positions(windows, 1)
+    target_pairs = None
+    if targets:
+        target = lookup_index(chunk.log.target[pos], cell_ids)
+        known = target >= 0
+        target_pairs = _distinct_pairs(rows[known], target[known], n_cells)
+    return ChunkTables(
+        chunk=None if gram_rates else chunk,
+        windows=windows,
+        ue_count=ue_count,
+        n_cells=n_cells,
+        imbalance=_imbalance(_directed_counts(chunk, cell_ids, symmetry_mode)),
+        cell_pairs=_distinct_pairs(rows, chunk.cell[pos], n_cells),
+        target_pairs=target_pairs,
+        gram_rates=_gram_cell_rates(chunk, windows, ue_count, n_cells) if gram_rates else None,
+    )
+
+
+def _distinct_pairs(rows, cells, n_cells: int) -> np.ndarray:
+    """The distinct (window row, cell) pairs, as a (pairs, 2) int32 array."""
     pairs = sorted_unique(rows * n_cells + cells)
-    return np.bincount(pairs % n_cells, minlength=n_cells).astype(np.float64)
+    return np.stack((pairs // n_cells, pairs % n_cells), axis=1).astype(np.int32)
+
+
+def _windows_per_cell(pairs: np.ndarray, selected: np.ndarray, n_cells: int) -> np.ndarray:
+    """Per cell, the number of selected windows paired with it."""
+    return np.bincount(pairs[selected[pairs[:, 0]], 1], minlength=n_cells).astype(np.float64)
 
 
 def sc_dominance_subcall_deviation(
-    cell_ids,
-    train: Chunk,
-    train_anom_windows,
-    train_ue_count: int,
-    test: Chunk,
-    test_anom_windows,
-    test_ue_count: int,
+    train: ChunkTables, train_anomalous: np.ndarray, test: ChunkTables, test_anomalous: np.ndarray
 ) -> np.ndarray:
     """Rate of anomalous sub-calls touching each cell, testing minus training.
 
     A sub-call touches the dominance cells of its records' locations; the
-    windows are (start, stop) record ranges into their chunk.
+    anomalous arguments are bool masks over each chunk's windows.
     """
 
-    def rates(chunk, windows, ue_count):
-        rows, pos = gram_positions(windows, 1)
-        return _windows_per_cell(rows, chunk.cell[pos], len(cell_ids)) / max(ue_count, 1)
+    def rates(tables, anomalous):
+        return _windows_per_cell(tables.cell_pairs, anomalous, tables.n_cells) / max(tables.ue_count, 1)
 
-    f_train = rates(train, train_anom_windows, train_ue_count)
-    f_test = rates(test, test_anom_windows, test_ue_count)
-    return np.maximum(f_test - f_train, 0.0)
+    return np.maximum(rates(test, test_anomalous) - rates(train, train_anomalous), 0.0)
 
 
 def _gram_cell_rates(chunk: Chunk, windows, ue_count: int, n_cells: int) -> dict[tuple, np.ndarray]:
@@ -114,23 +174,21 @@ def _gram_cell_rates(chunk: Chunk, windows, ue_count: int, n_cells: int) -> dict
 
 
 def sc_dominance_2gram_deviation(
-    cell_ids,
-    train: Chunk,
-    train_windows,
-    train_ue_count: int,
-    test: Chunk,
-    test_anom_windows,
-    test_ue_count: int,
+    train: ChunkTables, test: ChunkTables, test_anomalous: np.ndarray | None = None
 ) -> np.ndarray:
     """Sum over 2-grams of |testing rate - training rate| per cell.
 
-    Training rates run over all training sub-calls; testing rates over the
-    anomalous testing sub-calls (configurable upstream by passing all of
-    them instead).
+    Training rates run over all training sub-calls (the table's
+    `gram_rates`); testing rates over the anomalous testing sub-calls, a
+    bool mask over test's windows, or with test_anomalous None over all
+    of them (test's `gram_rates`).
     """
-    f_train = _gram_cell_rates(train, train_windows, train_ue_count, len(cell_ids))
-    f_test = _gram_cell_rates(test, test_anom_windows, test_ue_count, len(cell_ids))
-    zero = np.zeros(len(cell_ids), dtype=np.float64)
+    f_train = train.gram_rates
+    if test_anomalous is None:
+        f_test = test.gram_rates
+    else:
+        f_test = _gram_cell_rates(test.chunk, test.windows[test_anomalous], test.ue_count, test.n_cells)
+    zero = np.zeros(test.n_cells, dtype=np.float64)
     scores = zero
     # Summed in set order, one key at a time: the float sum depends on it.
     for key in set(f_train) | set(f_test):
@@ -165,38 +223,20 @@ def _imbalance(counts: np.ndarray) -> np.ndarray:
     return np.divide(counts - counts.T, total, out=np.zeros(total.shape), where=total > 0)
 
 
-def sc_2gram_symmetry_deviation(
-    cell_ids,
-    train: Chunk,
-    test: Chunk,
-    adjacent: np.ndarray,
-    mode: str = "handover",
-) -> np.ndarray:
+def sc_2gram_symmetry_deviation(train: ChunkTables, test: ChunkTables, adjacent: np.ndarray) -> np.ndarray:
     """Change in the directed imbalance of border 2-grams, summed over neighbors.
 
     Profiles the full fold logs (not only flagged rows): for adjacent
-    cells A and B, the imbalance is (n(A->B) - n(B->A)) / (n(A->B) + n(B->A)).
-    mode selects the direction semantics (see module docstring); adjacent
-    is the `adjacency_matrix` of cell_ids.
+    cells A and B, the imbalance is (n(A->B) - n(B->A)) / (n(A->B) + n(B->A)),
+    counted in the symmetry mode the tables were built with (see module
+    docstring); adjacent is the `adjacency_matrix` of cell_ids.
     """
-    change = np.abs(
-        _imbalance(_directed_counts(test, cell_ids, mode)) - _imbalance(_directed_counts(train, cell_ids, mode))
-    )
-    return _row_sums(np.where(adjacent, change, 0.0))
+    return _row_sums(np.where(adjacent, np.abs(test.imbalance - train.imbalance), 0.0))
 
 
-def sc_target_cell_subcalls(
-    cell_ids,
-    test: Chunk,
-    test_anom_windows,
-    test_ue_count: int,
-) -> np.ndarray:
+def sc_target_cell_subcalls(test: ChunkTables, test_anomalous: np.ndarray) -> np.ndarray:
     """Distinct target cells per anomalous sub-call; no location data needed."""
-    rows, pos = gram_positions(test_anom_windows, 1)
-    target = lookup_index(test.log.target[pos], cell_ids)
-    known = target >= 0
-    scores = _windows_per_cell(rows[known], target[known], len(cell_ids))
-    return scores / max(test_ue_count, 1)
+    return _windows_per_cell(test.target_pairs, test_anomalous, test.n_cells) / max(test.ue_count, 1)
 
 
 def amplify(scores: np.ndarray, adjacent: np.ndarray, epsilon: float = AMPLIFY_EPSILON) -> np.ndarray:

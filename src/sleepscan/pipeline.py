@@ -7,15 +7,26 @@ threshold on the training 95th percentile, and run the four localization
 methods plus their combination.  Aggregation pools the 72 fold
 histograms into 3-sigma labels per pairing.
 
-`run_detect` does all of this for a suite.  It first parses and
-featurizes, once, the normal chunks its folds use (`fold_inputs_from_suite`);
-then it runs one task per test chunk (`run_task`): parse and featurize
-that chunk, run each of its folds and hand each output to the fold
-writer.  The tasks run in order in this process, or in forked workers
-that inherit everything built before them; either way the outputs are
-put back in `make_fold_pairs` order before they are aggregated.
-`suite_from_config` generates the dataset suite a configuration
-describes.
+`run_detect` does all of this for a suite.  Work is done once at the
+level it depends on:
+
+  per run    the cell ids, the neighbor matrix and the fold pairs
+             (`fold_inputs_from_suite`, into the `DetectPlan`)
+  per chunk  parse a chunk, featurize it (`featurize.featurize_chunk`) and
+             build its localizer tables (`localize.chunk_tables`): once
+             for each normal chunk, in the plan, before any task runs, and
+             once for each test chunk, in its task (`run_task`), which
+             drops them when it ends
+  per fold   the vocabulary, feature matrices, embedding, k-NN scores and
+             threshold, which depend on both chunks through the fold's
+             vocabulary, and the four localizer comparisons (`run_fold`)
+
+A task runs the folds of one test chunk and hands their outputs to the
+fold writer.  The tasks run in order in this process, or in forked
+workers that inherit everything built before them; either way the
+outputs are put back in `make_fold_pairs` order before they are
+aggregated.  `suite_from_config` generates the dataset suite a
+configuration describes.
 """
 
 from __future__ import annotations
@@ -68,9 +79,12 @@ class FoldOutput:
     cell_ids: tuple[int, ...] = ()
 
 
-def run_fold(plan: DetectPlan, pair: FoldPair, test: featurize.ChunkFeatures) -> FoldOutput:
-    """The fold pair of the plan, tested on test, the features of its test chunk."""
+def run_fold(
+    plan: DetectPlan, pair: FoldPair, test: featurize.ChunkFeatures, test_tables: localize.ChunkTables
+) -> FoldOutput:
+    """The fold pair of the plan, tested on test, the features of its test chunk, and its localizer tables."""
     cfg, cell_ids, adjacent, train = plan.cfg, plan.cell_ids, plan.adjacent, plan.train[pair.train_index]
+    train_tables = plan.train_tables[pair.train_index]
     if not len(train) or not len(test):
         raise DataError(
             f"fold {pair}: empty sub-call set "
@@ -94,31 +108,20 @@ def run_fold(plan: DetectPlan, pair: FoldPair, test: featurize.ChunkFeatures) ->
             f"fold {pair}: {len(train)} training sub-calls cannot "
             f"support k={cfg.knn_k} neighbors"
         )
-    train_scores = detect.knn_scores(train_emb, train_emb, k=cfg.knn_k, exclude_self=True)
-    test_scores = detect.knn_scores(train_emb, test_emb, k=cfg.knn_k)
+    distinct = detect.distinct_rows(train_emb)
+    train_scores = detect.knn_scores(train_emb, train_emb, k=cfg.knn_k, exclude_self=True, train_distinct=distinct)
+    test_scores = detect.knn_scores(train_emb, test_emb, k=cfg.knn_k, train_distinct=distinct)
     threshold = detect.fit_threshold(train_scores, percentile=cfg.threshold_percentile)
     train_anom = detect.classify(train_scores, threshold)
     test_anom = detect.classify(test_scores, threshold)
 
-    train_anom_windows = train.windows[train_anom]
-    test_anom_windows = test.windows[test_anom]
-    gram_test_windows = test_anom_windows if cfg.gram_scope == "anomalous" else test.windows
-
     raw = {
-        "subcall": localize.sc_dominance_subcall_deviation(
-            cell_ids, train.chunk, train_anom_windows, train.ue_count,
-            test.chunk, test_anom_windows, test.ue_count,
-        ),
+        "subcall": localize.sc_dominance_subcall_deviation(train_tables, train_anom, test_tables, test_anom),
         "gram": localize.sc_dominance_2gram_deviation(
-            cell_ids, train.chunk, train.windows, train.ue_count,
-            test.chunk, gram_test_windows, test.ue_count,
+            train_tables, test_tables, test_anom if cfg.gram_scope == "anomalous" else None
         ),
-        "symmetry": localize.sc_2gram_symmetry_deviation(
-            cell_ids, train.chunk, test.chunk, adjacent, mode=cfg.symmetry_mode,
-        ),
-        "target": localize.sc_target_cell_subcalls(
-            cell_ids, test.chunk, test_anom_windows, test.ue_count,
-        ),
+        "symmetry": localize.sc_2gram_symmetry_deviation(train_tables, test_tables, adjacent),
+        "target": localize.sc_target_cell_subcalls(test_tables, test_anom),
     }
 
     histograms: dict[str, dict[str, np.ndarray]] = {}
@@ -164,8 +167,9 @@ class DetectPlan:
     adjacent: np.ndarray  # localize.adjacency_matrix of cell_ids
     pairs: list[FoldPair]  # every fold of the run, in make_fold_pairs order
     train: dict[int, featurize.ChunkFeatures]  # normal chunk index -> its features
+    train_tables: dict[int, localize.ChunkTables]  # normal chunk index -> its localizer tables
     tasks: list[tuple[ChunkLoader | None, list[FoldPair]]]  # per test chunk: its loader, until run, and its folds
-    write_fold: Callable[[FoldOutput], None] | None = None
+    write_folds: Callable[[list[FoldOutput]], None] | None = None  # takes the outputs of one task
 
 
 def fold_inputs_from_suite(manifest, roles, cfg: RunConfig, limit: int | None = None) -> DetectPlan:
@@ -184,15 +188,18 @@ def fold_inputs_from_suite(manifest, roles, cfg: RunConfig, limit: int | None = 
             pairs += make_fold_pairs("normal", roles["normal"], test_role, roles[test_role])
     if limit is not None:
         pairs = pairs[:limit]
-    train = {
-        index: _featurize(roles["normal"][index](), cfg)
-        for index in sorted({pair.train_index for pair in pairs})
-    }
+    train, train_tables = {}, {}
+    for index in sorted({pair.train_index for pair in pairs}):  # the chunk's records go once these are built
+        chunk = roles["normal"][index]()
+        train[index] = _featurize(chunk, cfg)
+        train_tables[index] = localize.chunk_tables(
+            chunk, train[index].windows, train[index].ue_count, cell_ids, cfg.symmetry_mode, targets=False
+        )
     tasks: dict[tuple[str, int], list[FoldPair]] = {}
     for pair in pairs:
         tasks.setdefault((pair.test_role, pair.test_index), []).append(pair)
     return DetectPlan(
-        cfg=cfg, cell_ids=cell_ids, adjacent=adjacent, pairs=pairs, train=train,
+        cfg=cfg, cell_ids=cell_ids, adjacent=adjacent, pairs=pairs, train=train, train_tables=train_tables,
         tasks=[(roles[role][index], folds) for (role, index), folds in tasks.items()],
     )
 
@@ -202,17 +209,21 @@ def _featurize(chunk: Chunk, cfg: RunConfig) -> featurize.ChunkFeatures:
 
 
 def run_task(plan: DetectPlan, index: int) -> list[FoldOutput]:
-    """Task index of the plan: parse and featurize its test chunk, then run and write each of its folds."""
+    """Task index of the plan: parse and featurize its test chunk, build its
+    localizer tables, then run and write each of its folds."""
     load, pairs = plan.tasks[index]
     plan.tasks[index] = (None, pairs)  # with a role's last loader go its truth arrays and dominance map
-    test = _featurize(load(), plan.cfg)
+    chunk = load()
     del load
-    outputs = []
-    for pair in pairs:
-        out = run_fold(plan, pair, test)
-        if plan.write_fold is not None:
-            plan.write_fold(out)
-        outputs.append(out)
+    test = _featurize(chunk, plan.cfg)
+    test_tables = localize.chunk_tables(
+        chunk, test.windows, test.ue_count, plan.cell_ids, plan.cfg.symmetry_mode,
+        gram_rates=plan.cfg.gram_scope == "all",
+    )
+    del chunk  # the tables keep it only where each fold reads its records
+    outputs = [run_fold(plan, pair, test, test_tables) for pair in pairs]
+    if plan.write_folds is not None:
+        plan.write_folds(outputs)
     return outputs
 
 
@@ -288,13 +299,13 @@ def _run_forked_task(index: int) -> list[FoldOutput]:
     return run_task(_FORKED_PLAN, index)
 
 
-def run_detect(manifest, roles, cfg: RunConfig, limit: int | None = None, jobs: int = 1, write_fold=None):
+def run_detect(manifest, roles, cfg: RunConfig, limit: int | None = None, jobs: int = 1, write_folds=None):
     """(fold outputs, aggregates per method) of the suite's first limit folds.
 
     The tasks of `fold_inputs_from_suite` run in order in this process,
     or with jobs > 1 in up to jobs forked workers, which inherit the plan
-    and send back only their outputs.  write_fold, if given, is called on
-    each fold output where it is computed.  Outputs come back in
+    and send back only their outputs.  write_folds, if given, is called
+    where a task runs, on the outputs of its folds.  Outputs come back in
     `make_fold_pairs` order, which the aggregate sums depend on.
 
     roles is emptied once the plan is built: the plan then holds the
@@ -305,7 +316,7 @@ def run_detect(manifest, roles, cfg: RunConfig, limit: int | None = None, jobs: 
     global _FORKED_PLAN
     plan = fold_inputs_from_suite(manifest, roles, cfg, limit=limit)
     roles.clear()
-    plan.write_fold = write_fold
+    plan.write_folds = write_folds
     workers = min(jobs, len(plan.tasks))
     if workers > 1:
         import multiprocessing  # only here: the imports cost every command ~25 ms

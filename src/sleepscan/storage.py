@@ -4,8 +4,9 @@ detect_manifest.json  config and its hash, data_dir, faulty_cell, cell_ids,
                       n_folds and methods (`write_run`, `read_detect_manifest`)
 folds/<pairing>_<i>x<j>/  one per fold, named by `fold_dir_name`
                       (`write_fold_output`, `read_fold_output`); detect
-                      writes each where it is computed, in a worker
-                      under --jobs, through the writer `start_run` returns
+                      writes the folds of each test chunk where they are
+                      computed, in a worker under --jobs, through the
+                      writer `start_run` returns
     fold.json         the FoldPair, threshold, component count and cell_ids
     scores_train.csv  row,ue,offset,score,anomalous
     scores_test.csv   row,ue,offset,score,anomalous,fault_affected
@@ -102,11 +103,12 @@ def fold_dir_name(pair: FoldPair) -> str:
 _DETECT_ENTRIES = ("detect_manifest.json", "eval", "aggregate", "folds")
 
 
-def start_run(out_dir) -> Callable[[FoldOutput], None]:
-    """Clear detect's own entries in out_dir, and return the writer of one fold output into it.
+def start_run(out_dir) -> Callable[[list[FoldOutput]], None]:
+    """Clear detect's own entries in out_dir, and return the writer of one task's fold outputs into it.
 
     Nothing else in out_dir is touched, so no fold of an earlier run can
-    mix with the folds of this one.
+    mix with the folds of this one.  A task's outputs share one testing
+    chunk, whose row text the writer forgets once they are written.
     """
     out_dir = Path(out_dir)
     try:
@@ -119,7 +121,14 @@ def start_run(out_dir) -> Callable[[FoldOutput], None]:
                 path.unlink(missing_ok=True)
     except OSError as exc:
         raise DataError(f"cannot clear {exc.filename}: {exc.strerror}") from None
-    return lambda out: write_fold_output(out, out_dir / "folds" / fold_dir_name(out.pair))
+    text = FoldText()
+
+    def write_task(outputs: list[FoldOutput]) -> None:
+        for out in outputs:
+            write_fold_output(out, out_dir / "folds" / fold_dir_name(out.pair), text)
+        text.forget(outputs[0].test_rows)
+
+    return write_task
 
 
 def write_run(out_dir, cfg: RunConfig, data_dir, faulty_cell: int, methods, outputs, aggregates) -> None:
@@ -127,12 +136,15 @@ def write_run(out_dir, cfg: RunConfig, data_dir, faulty_cell: int, methods, outp
     out_dir = Path(out_dir)
     cell_ids = list(outputs[0].cell_ids)
     layout = cfg.layout()
-    for method in methods:
-        write_method_aggregate(aggregates[method], cell_ids, out_dir / "aggregate", layout)
-    write_json(out_dir / "detect_manifest.json", dict(
-        config=cfg.to_dict(), config_hash=cfg.config_hash(), data_dir=str(Path(data_dir)),
-        faulty_cell=faulty_cell, cell_ids=cell_ids, n_folds=len(outputs), methods=list(methods),
-    ))
+    try:
+        for method in methods:
+            write_method_aggregate(aggregates[method], cell_ids, out_dir / "aggregate", layout)
+        write_json(out_dir / "detect_manifest.json", dict(
+            config=cfg.to_dict(), config_hash=cfg.config_hash(), data_dir=str(Path(data_dir)),
+            faulty_cell=faulty_cell, cell_ids=cell_ids, n_folds=len(outputs), methods=list(methods),
+        ))
+    except OSError as exc:
+        raise _write_error(exc, out_dir) from None
 
 
 def read_detect_manifest(out_dir) -> tuple[dict, RunConfig]:
@@ -181,32 +193,70 @@ def read_run(out_dir) -> tuple[dict, RunConfig, list[FoldOutput]]:
     return manifest, cfg, outputs
 
 
-def write_fold_output(out: FoldOutput, fold_dir) -> None:
+class FoldText:
+    """The text a run's fold writes share, formatted once: the `row,ue,offset`
+    text of each chunk's scores and the `method,stage,cell_id,` keys of histograms.csv.
+
+    Each is held as one string of lines and split for each fold that
+    writes it, a sixth of the memory of a list of its lines.  A chunk's
+    row text is found by the identity of its rows array, which the cache
+    holds until `forget`: detect keeps every training chunk's for the
+    whole run, and a testing chunk's until its task is written.
+    """
+
+    def __init__(self):
+        self.rows: dict[int, tuple[np.ndarray, str]] = {}
+        self.keys: tuple[tuple[int, ...] | None, str] = (None, "")
+
+    def row_text(self, rows: np.ndarray) -> list[str]:
+        cached = self.rows.get(id(rows))
+        if cached is None:
+            lines = "".join(f"{i},{ue},{offset}\n" for i, (ue, offset) in enumerate(zip(*rows.T.tolist())))
+            cached = self.rows[id(rows)] = (rows, lines)
+        return cached[1].splitlines()
+
+    def forget(self, rows: np.ndarray) -> None:
+        self.rows.pop(id(rows), None)
+
+    def histogram_keys(self, cell_ids: tuple[int, ...]) -> list[str]:
+        if self.keys[0] != cell_ids:
+            self.keys = (cell_ids, "".join(f"{m},{st},{c},\n" for m, st in _HISTOGRAM_STAGES for c in cell_ids))
+        return self.keys[1].splitlines()
+
+
+def write_fold_output(out: FoldOutput, fold_dir, text: FoldText | None = None) -> None:
+    """The files of one fold in fold_dir; text, if given, is what the run's fold writes share."""
     fold_dir = Path(fold_dir)
-    fold_dir.mkdir(parents=True, exist_ok=True)
-    write_json(fold_dir / "fold.json", dict(
-        asdict(out.pair), threshold=out.threshold,
-        selected_components=out.selected_components, cell_ids=list(out.cell_ids),
-    ))
+    text = FoldText() if text is None else text
+    try:
+        fold_dir.mkdir(parents=True, exist_ok=True)
+        write_json(fold_dir / "fold.json", dict(
+            asdict(out.pair), threshold=out.threshold,
+            selected_components=out.selected_components, cell_ids=list(out.cell_ids),
+        ))
+        _write_lines(
+            fold_dir / "scores_train.csv", _SCORES_TRAIN_HEADER,
+            _score_lines(text.row_text(out.train_rows), out.train_scores, out.train_anomalous),
+        )
+        _write_lines(
+            fold_dir / "scores_test.csv", _SCORES_TEST_HEADER,
+            _score_lines(text.row_text(out.test_rows), out.test_scores, out.test_anomalous, out.test_affected),
+        )
+        values = np.concatenate([out.histograms[m][st] for m, st in _HISTOGRAM_STAGES]).tolist()
+        _write_lines(fold_dir / "histograms.csv", _HISTOGRAMS_HEADER, map(
+            str.__add__, text.histogram_keys(out.cell_ids), map(repr, values)
+        ))
+    except OSError as exc:
+        raise _write_error(exc, fold_dir) from None
 
-    _write_lines(
-        fold_dir / "scores_train.csv", _SCORES_TRAIN_HEADER,
-        _score_lines(out.train_rows, out.train_scores, out.train_anomalous),
-    )
-    _write_lines(
-        fold_dir / "scores_test.csv", _SCORES_TEST_HEADER,
-        _score_lines(out.test_rows, out.test_scores, out.test_anomalous, out.test_affected),
-    )
-    _write_lines(fold_dir / "histograms.csv", _HISTOGRAMS_HEADER, (
-        f"{method},{stage},{cell},{value!r}"
-        for method in ALL_METHODS
-        for stage in sorted(out.histograms[method])
-        for cell, value in zip(out.cell_ids, out.histograms[method][stage].tolist())
-    ))
+
+def _write_error(exc: OSError, path) -> DataError:
+    """A failed write of path, as the DataError (exit 3) that names the file."""
+    return DataError(f"cannot write {exc.filename or path}: {exc.strerror}")
 
 
-def _score_lines(rows, scores, *flags):
-    """The lines of a scores CSV: row, ue, offset (a row of rows), score, then each flag as 0 or 1.
+def _score_lines(row_text, scores, *flags):
+    """The lines of a scores CSV: row_text (row,ue,offset), score, then each flag as 0 or 1.
 
     Scores repeat as the embedded rows do, so each distinct bit pattern
     is formatted once.
@@ -216,7 +266,7 @@ def _score_lines(rows, scores, *flags):
     )
     text = list(map(repr, bits.view(np.float64).tolist()))
     columns = [
-        (f"{i},{ue},{offset}" for i, (ue, offset) in enumerate(zip(*rows.T.tolist()))),
+        row_text,
         map(text.__getitem__, index.tolist()),
         *(map(str, np.asarray(flag, dtype=np.uint8).tolist()) for flag in flags),
     ]
@@ -368,31 +418,35 @@ def write_eval(out_dir, manifest: dict, methods, outputs, aggregates) -> tuple[d
     problematic fold holds both classes).
     """
     eval_dir = Path(out_dir) / "eval"
-    eval_dir.mkdir(exist_ok=True)
     metrics = {m: ev.method_metrics(aggregates[m], manifest["cell_ids"], manifest["faulty_cell"]) for m in methods}
-    for method, values in metrics.items():
-        write_json(eval_dir / f"metrics_{method}.json", {"method": method, **values})
-    _write_lines(eval_dir / "metrics_summary.csv", _SUMMARY_HEADER, (
-        ",".join([method, *(repr(values[k]) for k in _SUMMARY_METRICS)]) for method, values in metrics.items()
-    ))
     aucs = ev.fold_aucs(outputs)
     mean_auc = ev.mean_auc(aucs) if aucs else None
-    _write_lines(eval_dir / "roc_auc.csv", "fold,auc", [
-        *(f"{fold_dir_name(pair)},{auc!r}" for pair, auc in aucs),
-        *([] if mean_auc is None else [f"mean,{mean_auc!r}"]),
-    ])
     curve = ev.pooled_roc(outputs)
-    if curve is not None:
-        _write_lines(eval_dir / "roc_points.csv", "fpr,tpr", [
-            *(f"{x!r},{y!r}" for x, y in zip(curve.fpr.tolist(), curve.tpr.tolist())),
-            f"# auc,{curve.auc!r}",
-        ])
-    _write_lines(eval_dir / "heuristic_distances.csv", "method,variant,scenario,distance_sum,runs", (
+    distances = [
         f"{method},{variant},{scenario},{dist!r},{runs}"
         for method in methods
         for variant, stage in ev.HEURISTIC_VARIANTS
         for scenario, (dist, runs) in ev.heuristic_totals(outputs, method, stage).items()
-    ))
+    ]
+    try:
+        eval_dir.mkdir(exist_ok=True)
+        for method, values in metrics.items():
+            write_json(eval_dir / f"metrics_{method}.json", {"method": method, **values})
+        _write_lines(eval_dir / "metrics_summary.csv", _SUMMARY_HEADER, (
+            ",".join([method, *(repr(values[k]) for k in _SUMMARY_METRICS)]) for method, values in metrics.items()
+        ))
+        _write_lines(eval_dir / "roc_auc.csv", "fold,auc", [
+            *(f"{fold_dir_name(pair)},{auc!r}" for pair, auc in aucs),
+            *([] if mean_auc is None else [f"mean,{mean_auc!r}"]),
+        ])
+        if curve is not None:
+            _write_lines(eval_dir / "roc_points.csv", "fpr,tpr", [
+                *(f"{x!r},{y!r}" for x, y in zip(curve.fpr.tolist(), curve.tpr.tolist())),
+                f"# auc,{curve.auc!r}",
+            ])
+        _write_lines(eval_dir / "heuristic_distances.csv", "method,variant,scenario,distance_sum,runs", distances)
+    except OSError as exc:
+        raise _write_error(exc, eval_dir) from None
     return metrics, mean_auc
 
 

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import re
@@ -355,6 +356,55 @@ def test_evaluate_without_detect_is_data_error(tmp_path):
     assert main(["evaluate", "--out", str(tmp_path / "empty")]) == 3
 
 
+def test_eval_taken_by_a_file_is_data_error(tmp_path, detect_dir, capsys):
+    """evaluate cannot make eval/ where a file named eval stands: exit 3 naming it, not a traceback."""
+    run = tmp_path / "run"
+    shutil.copytree(detect_dir, run)
+    shutil.rmtree(run / "eval", ignore_errors=True)
+    (run / "eval").write_text("not a directory")
+    assert main(["evaluate", "--out", str(run)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: cannot write ") and str(run / "eval") in err
+    assert (run / "eval").read_text() == "not a directory"
+
+
+def _full_disk(monkeypatch, name):
+    """Every write of a run-directory file called name fails as a write to a full disk does."""
+    def failing(write):
+        def checked(path, *args):
+            if Path(path).name == name:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write(path, *args)
+        return checked
+
+    monkeypatch.setattr(storage, "_write_lines", failing(storage._write_lines))
+    monkeypatch.setattr(storage, "write_json", failing(storage.write_json))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("name", ["scores_test.csv", "labels_combined.json", "detect_manifest.json"])
+def test_failed_detect_write_is_data_error(tmp_path, tiny_config_path, dataset_dir, capsys, monkeypatch, jobs, name):
+    """A fold (written in a worker under --jobs 2), an aggregate or the manifest that cannot be
+    written ends detect with exit 3 naming where, not with a traceback, and leaves no manifest."""
+    run = tmp_path / "run"
+    _full_disk(monkeypatch, name)
+    assert main([
+        "detect", "--config", str(tiny_config_path), "--data", str(dataset_dir), "--out", str(run),
+        "--folds", "7", "--jobs", jobs,
+    ]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot write {run}") and err.endswith(": No space left on device\n")
+    assert not (run / "detect_manifest.json").exists()
+
+
+def test_failed_eval_write_is_data_error(tmp_path, detect_dir, capsys, monkeypatch):
+    run = tmp_path / "run"
+    shutil.copytree(detect_dir, run)
+    _full_disk(monkeypatch, "roc_auc.csv")
+    assert main(["evaluate", "--out", str(run)]) == 3
+    assert capsys.readouterr().err == f"data error: cannot write {run / 'eval'}: No space left on device\n"
+
+
 def _drop_key(path, key):
     doc = json.loads(path.read_text())
     del doc[key]
@@ -596,10 +646,11 @@ def test_detect_frees_each_roles_truth_after_its_last_chunk(dataset_dir, tiny_co
     truth = {role: weakref.ref(loaders[0].args[3][0]) for role, loaders in roles.items()}  # load_chunk's truth
     alive = []
 
-    def write_fold(out):
-        alive.append((out.pair.test_role, sorted(role for role, ref in truth.items() if ref() is not None)))
+    def write_folds(outputs):
+        for out in outputs:
+            alive.append((out.pair.test_role, sorted(role for role, ref in truth.items() if ref() is not None)))
 
-    pipeline.run_detect(manifest, roles, RunConfig.from_file(tiny_config_path), write_fold=write_fold)
+    pipeline.run_detect(manifest, roles, RunConfig.from_file(tiny_config_path), write_folds=write_folds)
     assert alive[0] == ("problematic", ["problematic", "reference"])  # normal's went once the plan was built
     assert alive[36] == ("reference", ["reference"])  # problematic's went with its last task
     assert not roles and all(ref() is None for ref in truth.values())

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sleepscan.detect import classify, fit_threshold, knn_scores
+from sleepscan.detect import classify, distinct_rows, fit_threshold, knn_scores
 
 
 def brute_force_scores(train, query, k, exclude_self=False):
@@ -87,6 +87,31 @@ def test_duplicate_heavy_rows_match_brute_force_exactly(data):
         knn_scores(train, train, k=k, exclude_self=True),
         brute_force_scores(train, train, k, exclude_self=True),
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_distinct_rows_key_rows_by_their_bits(data):
+    """Every row maps to a distinct row of its exact bits (-0.0 is not 0.0, a NaN is kept),
+    no two distinct rows share their bits, and the counts add up to the rows."""
+    dim = data.draw(st.integers(0, 3))
+    values = _ROW_VALUES | st.just(float("nan"))
+    rows = data.draw(st.lists(st.lists(values, min_size=dim, max_size=dim), max_size=30))
+    rows = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
+    distinct, inverse, counts = distinct_rows(rows)
+    assert distinct[inverse].tobytes() == rows.tobytes()
+    assert len({row.tobytes() for row in distinct}) == len(distinct)
+    assert counts.tolist() == np.bincount(inverse, minlength=len(distinct)).tolist()
+    assert counts.sum() == len(rows) and (counts > 0).all()
+    if len(rows) > 1:  # the fold's path: both scores from one set of distinct training rows
+        k = data.draw(st.integers(1, len(rows) - 1))
+        train_distinct = distinct_rows(rows)
+        assert knn_scores(rows, rows, k=k, exclude_self=True, train_distinct=train_distinct).tobytes() == (
+            knn_scores(rows, rows, k=k, exclude_self=True).tobytes()
+        )
+        assert knn_scores(rows, rows[::-1], k=k, train_distinct=train_distinct).tobytes() == (
+            knn_scores(rows, rows[::-1], k=k).tobytes()
+        )
 
 
 def test_duplicate_row_edge_cases_match_brute_force_exactly():

@@ -5,8 +5,10 @@ over (relative path, sha256 of the file) of every file of the suite
 directory, in sorted order.
 
 Each run case runs simulate -> detect -> evaluate through `cli.main` in a
-fresh working directory with relative paths (`suite`, `run`), because
-detect_manifest.json records the data directory as given.  The digest is
+working directory of its own with relative paths (`suite`, `run_jobs1`),
+because detect_manifest.json records the data directory as given.  It
+runs once serially and once with `--jobs 2`, against the same digest;
+both detect from one simulated suite.  The digest is
 sha256 over (relative path, sha256 of the file) of every file under
 folds/, aggregate/, detect_manifest.json and eval/, in sorted order.
 
@@ -91,13 +93,23 @@ def test_suite_digest(case, tmp_path, monkeypatch):
     assert tree_digest(suite, sorted(f.name for f in suite.iterdir())) == expected
 
 
+@pytest.fixture(scope="module")
+def case_dirs(tmp_path_factory):
+    """One working directory per run case, so that both --jobs values detect from the same suite."""
+    return {case: tmp_path_factory.mktemp(case) for case in CASES}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"], ids=["jobs1", "jobs2"])
 @pytest.mark.parametrize("case", CASES)
-def test_run_directory_digest(case, tmp_path, monkeypatch):
+def test_run_directory_digest(case, jobs, case_dirs, monkeypatch):
+    """Serial detect and detect in two forked workers give the same pinned bytes."""
     config, expected = CASES[case]
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "config.json").write_text(json.dumps(config))
-    run("simulate", "--config", "config.json", "--out", "suite")
-    for out, jobs in (("run", "1"), ("run_jobs2", "2")):
-        run("detect", "--config", "config.json", "--data", "suite", "--out", out, "--jobs", jobs)
-        run("evaluate", "--out", out)
-        assert tree_digest(tmp_path / out) == expected, f"--jobs {jobs}"
+    base = case_dirs[case]
+    monkeypatch.chdir(base)
+    if not (base / "suite").exists():
+        (base / "config.json").write_text(json.dumps(config))
+        run("simulate", "--config", "config.json", "--out", "suite")
+    out = f"run_jobs{jobs}"
+    run("detect", "--config", "config.json", "--data", "suite", "--out", out, "--jobs", jobs)
+    run("evaluate", "--out", out)
+    assert tree_digest(base / out) == expected

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sleepscan import localize
+from sleepscan.config import RunConfig
 from sleepscan.errors import DataError
 from sleepscan.featurize import featurize_chunk
 from sleepscan.localize import (
     AMPLIFY_EPSILON,
     adjacency_matrix,
     amplify,
+    chunk_tables,
     combine,
     normalize,
     sc_2gram_symmetry_deviation,
@@ -19,9 +22,11 @@ from sleepscan.localize import (
     sc_target_cell_subcalls,
 )
 from sleepscan.mdtlog import NO_TARGET, TARGETED_EVENTS, Chunk, EventId, EventLog, strip_locations
-from sleepscan.pipeline import aggregate_method
+from sleepscan.pipeline import aggregate_method, run_detect, suite_from_config
 from sleepscan.simgen.dominance import DominanceMap
 from sleepscan.simgen.layout import GridSpec
+from sleepscan.simgen.suite import suite_manifest, suite_roles
+from test_golden import SMOKE, WIDE_BRANCHES
 
 
 def uniform_map(cell_id=1, n=4):
@@ -65,18 +70,29 @@ def make_subcalls(*calls, dmap):
     return chunk, whole_calls(chunk)
 
 
+def side(chunk, windows=NO_WINDOWS, ue_count=1, mode="handover"):
+    """(tables, mask): the chunk's tables over windows as detect builds a testing chunk's, and a mask
+    selecting every window."""
+    return chunk_tables(chunk, windows, ue_count, CELLS, mode, gram_rates=False), np.ones(len(windows), dtype=bool)
+
+
+def training(chunk, windows=NO_WINDOWS, ue_count=1):
+    """The chunk's tables over windows as detect builds a training chunk's: 2-gram rates over every window."""
+    return chunk_tables(chunk, windows, ue_count, CELLS, targets=False)
+
+
 def test_subcall_deviation_empty_and_confined():
     dmap = uniform_map(cell_id=1)
     empty = make_chunk([], dmap)
-    h = sc_dominance_subcall_deviation(CELLS, empty, NO_WINDOWS, 5, empty, NO_WINDOWS, 7)
+    h = sc_dominance_subcall_deviation(*side(empty, ue_count=5), *side(empty, ue_count=7))
     assert np.all(h == 0.0)
 
     chunk, sub = make_subcalls({"events": [EventId.RLF, EventId.RLF_REESTAB], "ue": 3}, dmap=dmap)
-    h = sc_dominance_subcall_deviation(CELLS, empty, NO_WINDOWS, 5, chunk, sub, 1)
+    h = sc_dominance_subcall_deviation(*side(empty, ue_count=5), *side(chunk, sub))
     assert h[0] == pytest.approx(1.0)
     assert h[1] == 0.0 and h[2] == 0.0
     # training deviation is clipped at zero
-    h = sc_dominance_subcall_deviation(CELLS, chunk, sub, 1, empty, NO_WINDOWS, 1)
+    h = sc_dominance_subcall_deviation(*side(chunk, sub), *side(empty))
     assert np.all(h == 0.0)
 
 
@@ -85,15 +101,16 @@ def test_gram_deviation_zero_when_identical():
     chunk, subs = make_subcalls(
         *({"events": [EventId.A3_RSRP, EventId.HO_COMMAND], "ue": u} for u in range(3)), dmap=dmap
     )
-    h = sc_dominance_2gram_deviation(CELLS, chunk, subs, 3, chunk, subs, 3)
+    h = sc_dominance_2gram_deviation(training(chunk, subs, 3), *side(chunk, subs, 3))
     assert np.allclose(h, 0.0)
+    assert np.allclose(sc_dominance_2gram_deviation(training(chunk, subs, 3), training(chunk, subs, 3)), 0.0)
 
 
 def test_gram_deviation_single_new_pair_inside_one_cell():
     dmap = uniform_map(cell_id=1)
     empty = make_chunk([], dmap)
     chunk, extra = make_subcalls({"events": [EventId.HO_COMMAND, EventId.A2_RSRP_ENTER], "ue": 9}, dmap=dmap)
-    h = sc_dominance_2gram_deviation(CELLS, empty, NO_WINDOWS, 1, chunk, extra, 1)
+    h = sc_dominance_2gram_deviation(training(empty), *side(chunk, extra))
     assert h[0] == pytest.approx(1.0)  # 0.5 per endpoint
     assert h[1] == 0.0 and h[2] == 0.0
 
@@ -105,7 +122,7 @@ def test_gram_deviation_splits_border_pairs():
     chunk, sub = make_subcalls(
         {"events": [EventId.HO_COMMAND, EventId.HO_COMPLETE], "xs": [5.0, 35.0]}, dmap=dmap
     )
-    h = sc_dominance_2gram_deviation(CELLS, empty, NO_WINDOWS, 1, chunk, sub, 1)
+    h = sc_dominance_2gram_deviation(training(empty), *side(chunk, sub))
     assert h[0] == pytest.approx(0.5)
     assert h[1] == pytest.approx(0.5)
 
@@ -133,7 +150,7 @@ def test_symmetry_balanced_flows_are_silent():
     dmap = uniform_map()
     train = make_chunk(_ho_attempt_call(0, 1, 2, 10) + _ho_attempt_call(1, 2, 1, 10), dmap)
     test = make_chunk(_ho_attempt_call(2, 1, 2, 4) + _ho_attempt_call(3, 2, 1, 4), dmap)
-    h = sc_2gram_symmetry_deviation(CELLS, train, test, PAIR_ADJACENT)
+    h = sc_2gram_symmetry_deviation(side(train)[0], side(test)[0], PAIR_ADJACENT)
     assert np.allclose(h, 0.0)
 
 
@@ -141,7 +158,7 @@ def test_symmetry_one_sided_flow_scores_both_ends():
     dmap = uniform_map()
     train = make_chunk(_ho_attempt_call(0, 1, 2, 10) + _ho_attempt_call(1, 2, 1, 10), dmap)
     test = make_chunk(_ho_attempt_call(2, 1, 2, 10), dmap)  # nothing flows 2 -> 1
-    h = sc_2gram_symmetry_deviation(CELLS, train, test, PAIR_ADJACENT)
+    h = sc_2gram_symmetry_deviation(side(train)[0], side(test)[0], PAIR_ADJACENT)
     assert h[0] == pytest.approx(1.0)
     assert h[1] == pytest.approx(1.0)
     assert h[2] == 0.0
@@ -155,7 +172,7 @@ def test_symmetry_location_mode_counts_crossings():
         (EventId.RLF, 0, 1, 35.0, 5.0, 1, NO_TARGET),
     ], dmap)
     empty = make_chunk([], dmap)
-    h = sc_2gram_symmetry_deviation(CELLS, empty, cross, PAIR_ADJACENT, mode="location")
+    h = sc_2gram_symmetry_deviation(side(empty, mode="location")[0], side(cross, mode="location")[0], PAIR_ADJACENT)
     assert h[0] == pytest.approx(1.0)
     assert h[1] == pytest.approx(1.0)
 
@@ -169,7 +186,7 @@ def test_symmetry_location_mode_ignores_steps_between_calls():
         dmap,
     )
     empty = make_chunk([], dmap)
-    h = sc_2gram_symmetry_deviation(CELLS, empty, chunk, PAIR_ADJACENT, mode="location")
+    h = sc_2gram_symmetry_deviation(side(empty, mode="location")[0], side(chunk, mode="location")[0], PAIR_ADJACENT)
     assert np.all(h == 0.0)
 
 
@@ -178,11 +195,11 @@ def test_target_cell_counts_unique_targets_per_subcall():
     chunk, sub = make_subcalls(
         {"events": [EventId.HO_COMMAND] * 3, "ue": 4, "targets": [1, 1, 3]}, dmap=dmap
     )
-    h = sc_target_cell_subcalls(CELLS, chunk, sub, 1)
+    h = sc_target_cell_subcalls(*side(chunk, sub))
     assert h[0] == pytest.approx(1.0)
     assert h[2] == pytest.approx(1.0)
     assert h[1] == 0.0
-    assert np.all(sc_target_cell_subcalls(CELLS, chunk, NO_WINDOWS, 5) == 0.0)
+    assert np.all(sc_target_cell_subcalls(side(chunk, sub, 5)[0], np.zeros(len(sub), dtype=bool)) == 0.0)
 
 
 def test_target_cell_needs_no_locations():
@@ -194,8 +211,8 @@ def test_target_cell_needs_no_locations():
     chunk = Chunk.from_log(log, dmap, CELLS)
     stripped = Chunk.from_log(strip_locations(log), dmap, CELLS)
     assert chunk.cell.tolist() != stripped.cell.tolist()
-    a = sc_target_cell_subcalls(CELLS, chunk, whole_calls(chunk), 1)
-    b = sc_target_cell_subcalls(CELLS, stripped, whole_calls(stripped), 1)
+    a = sc_target_cell_subcalls(*side(chunk, whole_calls(chunk)))
+    b = sc_target_cell_subcalls(*side(stripped, whole_calls(stripped)))
     assert np.array_equal(a, b)
 
 
@@ -245,8 +262,15 @@ def _reference_histograms(cell_ids, train, train_all, train_sel, train_ues, test
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 20), n_frac=st.floats(0.1, 1.0))
-def test_columnar_localizers_match_per_subcall_loops(seed, m, n_frac):
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 20),
+    n_frac=st.floats(0.1, 1.0),
+    share=st.sampled_from([0.0, 0.3, 1.0]),
+)
+def test_columnar_localizers_match_per_subcall_loops(seed, m, n_frac, share):
+    """Per-chunk tables and per-fold comparisons give the per-sub-call loops' floats bit for bit,
+    for empty, partial and full anomalous sets, and for both 2-gram scopes."""
     rng = np.random.default_rng(seed)
     n = max(1, int(m * n_frac))
     cell_ids = [3, 5, 8, 13]
@@ -261,24 +285,37 @@ def test_columnar_localizers_match_per_subcall_loops(seed, m, n_frac):
                 target = int(rng.choice(cell_ids + [99])) if event in TARGETED_EVENTS else NO_TARGET
                 records.append((event, ue, int(rng.integers(0, 30)),
                                 float(rng.uniform(0, 40)), float(rng.uniform(0, 40)), 3, target))
-        return featurize_chunk(make_chunk(records, dmap, cell_ids), m=m, n=n)
+        chunk = make_chunk(records, dmap, cell_ids)
+        return chunk, featurize_chunk(chunk, m=m, n=n)
 
-    train, test = random_chunk(), random_chunk()
-    train_sel = train.windows[rng.random(len(train)) < 0.3]
-    test_sel = test.windows[rng.random(len(test)) < 0.3]
+    def tables(chunk, features, training):
+        """As detect builds them: a training chunk's 2-gram rates, a testing chunk's target pairs."""
+        return chunk_tables(chunk, features.windows, features.ue_count, cell_ids,
+                            targets=not training, gram_rates=training)
+
+    (train_chunk, train), (test_chunk, test) = random_chunk(), random_chunk()
+    train_anom = rng.random(len(train)) < share
+    test_anom = rng.random(len(test)) < share
     expected = _reference_histograms(
-        cell_ids, train.chunk, train.windows, train_sel, train.ue_count,
-        test.chunk, test_sel, test.ue_count,
+        cell_ids, train_chunk, train.windows, train.windows[train_anom], train.ue_count,
+        test_chunk, test.windows[test_anom], test.ue_count,
     )
+    train_tables = tables(train_chunk, train, training=True)
+    test_tables = tables(test_chunk, test, training=False)
     got = (
-        sc_dominance_subcall_deviation(cell_ids, train.chunk, train_sel, train.ue_count,
-                                       test.chunk, test_sel, test.ue_count),
-        sc_dominance_2gram_deviation(cell_ids, train.chunk, train.windows, train.ue_count,
-                                     test.chunk, test_sel, test.ue_count),
-        sc_target_cell_subcalls(cell_ids, test.chunk, test_sel, test.ue_count),
+        sc_dominance_subcall_deviation(train_tables, train_anom, test_tables, test_anom),
+        sc_dominance_2gram_deviation(train_tables, test_tables, test_anom),
+        sc_target_cell_subcalls(test_tables, test_anom),
     )
     for scores, ref in zip(got, expected):
-        assert np.array_equal(scores, ref)
+        assert scores.tobytes() == ref.tobytes()
+    # gram_scope "all": the testing rates over every testing sub-call, from the test chunk's own table
+    _, gram_all, _ = _reference_histograms(
+        cell_ids, train_chunk, train.windows, train.windows[train_anom], train.ue_count,
+        test_chunk, test.windows, test.ue_count,
+    )
+    test_all = chunk_tables(test_chunk, test.windows, test.ue_count, cell_ids)
+    assert sc_dominance_2gram_deviation(train_tables, test_all).tobytes() == gram_all.tobytes()
 
 
 def test_amplification_arithmetic():
@@ -361,8 +398,8 @@ def test_methods_are_permutation_equivariant():
     chunk, sub = make_subcalls(call, dmap=split_map(left=1, right=2))
     swapped, sub_swapped = make_subcalls(call, dmap=split_map(left=2, right=1))
     empty = make_chunk([], split_map())
-    h = sc_dominance_subcall_deviation([1, 2, 3], empty, NO_WINDOWS, 1, chunk, sub, 1)
-    h_swapped = sc_dominance_subcall_deviation([1, 2, 3], empty, NO_WINDOWS, 1, swapped, sub_swapped, 1)
+    h = sc_dominance_subcall_deviation(*side(empty), *side(chunk, sub))
+    h_swapped = sc_dominance_subcall_deviation(*side(empty), *side(swapped, sub_swapped))
     assert h[0] == h_swapped[1]
     assert h[1] == h_swapped[0]
     assert h[2] == h_swapped[2]
@@ -464,8 +501,39 @@ def test_neighbor_matrix_localizers_match_set_loops_bit_for_bit(seed, mode, size
     known = {c: frozenset(v) & set(cell_ids) for c, v in adjacency.items()}
     assert np.array_equal(adjacent, adjacency_matrix(known, cell_ids))
 
-    symmetry = sc_2gram_symmetry_deviation(cell_ids, train, test, adjacent, mode=mode)
+    symmetry = sc_2gram_symmetry_deviation(
+        chunk_tables(train, NO_WINDOWS, 1, cell_ids, mode), chunk_tables(test, NO_WINDOWS, 1, cell_ids, mode), adjacent
+    )
     assert symmetry.tobytes() == _reference_symmetry(cell_ids, train, test, known, mode).tobytes()
     n = len(cell_ids)
     for scores in (symmetry, rng.uniform(0.0, 10.0, n) * (rng.random(n) < 0.7), np.zeros(n)):
         assert amplify(scores, adjacent).tobytes() == _reference_amplify(scores, cell_ids, known).tobytes()
+
+
+@pytest.mark.parametrize("overrides", [{}, WIDE_BRANCHES], ids=["smoke", "smoke_wide_branches"])
+def test_tables_are_built_once_per_chunk(monkeypatch, overrides):
+    """A 72-fold detect over 6 normal and 12 test chunks builds each chunk's tables once, not once per fold.
+
+    Only the 2-gram rates of anomalous testing sub-calls are fold work,
+    under the default gram_scope "anomalous".
+    """
+    cfg = RunConfig.from_dict({**SMOKE, **overrides})
+    suite = suite_from_config(cfg)
+    calls = Counter()
+
+    def counted(name):
+        builder = getattr(localize, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return builder(*args, **kwargs)
+
+        monkeypatch.setattr(localize, name, count)
+
+    for name in ("chunk_tables", "_directed_counts", "_distinct_pairs", "_gram_cell_rates"):
+        counted(name)
+    outputs, _ = run_detect(suite_manifest(suite), suite_roles(suite), cfg)
+    assert len(outputs) == 72
+    assert calls["chunk_tables"] == calls["_directed_counts"] == 18
+    assert calls["_distinct_pairs"] == 18 + 12  # dominance cells of every chunk, target cells of test chunks
+    assert calls["_gram_cell_rates"] == 6 + (12 if cfg.gram_scope == "all" else 72)
