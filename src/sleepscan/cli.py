@@ -45,7 +45,13 @@ def _load_config(args) -> RunConfig:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     make_suite_dir(args.out)  # an unusable --out fails before the simulation, not after it
-    suite = pipeline.suite_from_config(cfg)
+    try:
+        suite = pipeline.suite_from_config(cfg)
+    except MemoryError:  # numpy refuses an array of the map's pixels or of the UEs
+        raise ConfigError(
+            "the simulation does not fit in memory: map_resolution_m="
+            f"{cfg.map_resolution_m}, map_half_extent_m={cfg.map_half_extent_m}, ues_per_cell={cfg.ues_per_cell}"
+        ) from None
     manifest_path = write_suite(
         suite, args.out, manifest_extra={"config": cfg.to_dict(), "config_hash": cfg.config_hash()}
     )

@@ -1,10 +1,11 @@
 """Single structured configuration for reproducible runs.
 
 `RunConfig` holds every setting of a run with its default.  It extends
-`simgen.SimConfig`, which declares the simulator's settings and their
+`SimConfig`, which declares the simulator engine's settings and their
 checks; the scenario, seed, detection and localization settings are
-declared here.  A run is fully identified by the hash of the parameter
-set (paths excluded).  Flags on the command line override file values.
+declared in `RunConfig` itself.  A run is fully identified by the hash
+of the parameter set (paths excluded).  Flags on the command line
+override file values.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ except ImportError:
 
 from .errors import ConfigError
 from .mdtlog import EventId
-from .simgen import SimConfig, macro21_layout
+from .simgen.layout import macro21_layout
 
 
 def _is_int(value) -> bool:
@@ -68,6 +69,50 @@ def _as_weights(value):
 
 # The longest N-gram featurize can code: its len(EventId)**n codes must fit an int64.
 _MAX_NGRAM_N = max(n for n in range(1, 64) if len(EventId) ** n <= 2**63)
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """The settings of the event simulator (`simgen.engine`), with their checks."""
+
+    ues_per_cell: int = 15
+    ue_speed_kmh: float = 30.0
+    a3_margin_db: float = 3.0
+    ttt_ms: float = 256.0
+    a2_rsrp_threshold_dbm: float = -110.0
+    a2_rsrp_hysteresis_db: float = 3.0
+    a2_rsrq_threshold_db: float = -10.0
+    a2_rsrq_hysteresis_db: float = 2.0
+    rsrq_load_db: float = 6.0  # RSSI load factor: RSRQ = serving - total - this
+    a2_report_interval_ms: float = 0.0  # >0: re-report period while A2 RSRQ holds
+    duration_steps: int = 5720
+    step_seconds: float = 0.1
+    t304_ms: float = 200.0
+    ho_complete_ms: float = 100.0
+    ho_backoff_ms: float = 500.0
+
+    def validate(self) -> None:
+        if self.ues_per_cell < 1:
+            raise ConfigError("ues_per_cell must be >= 1")
+        if self.duration_steps < 1:
+            raise ConfigError("duration_steps must be >= 1")
+        if not (math.isfinite(self.step_seconds) and self.step_seconds > 0):
+            raise ConfigError("step_seconds must be finite and positive")
+        for name in ("a3_margin_db", "a2_rsrp_threshold_dbm", "a2_rsrq_threshold_db", "rsrq_load_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
+        for name in (
+            "ue_speed_kmh", "a2_rsrp_hysteresis_db", "a2_rsrq_hysteresis_db",
+            "ttt_ms", "t304_ms", "ho_complete_ms", "ho_backoff_ms", "a2_report_interval_ms",
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0")
+
+    def steps(self, milliseconds: float, *, round_up: bool = False) -> int:
+        step_ms = self.step_seconds * 1000.0
+        n = milliseconds / step_ms
+        return max(1, math.ceil(n) if round_up else round(n))
 
 
 @dataclass(frozen=True)
@@ -136,6 +181,8 @@ class RunConfig(SimConfig):
             raise ConfigError('symmetry_mode must be "handover" or "location"')
         if any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
             raise ConfigError("weights must be 4 non-negative values with a positive sum")
+        if not math.isfinite(100.0 * sum(self.weights)):  # combine's terms and partial sums reach 100 * sum
+            raise ConfigError("weights are too large: 100 times their sum must be a finite float")
         if self.cell_id_base < 0:
             raise ConfigError("cell_id_base must be >= 0")  # -1 marks a record without a target
         for name in ("inter_site_distance_m", "map_resolution_m", "map_half_extent_m", "shadowing_correlation_m"):

@@ -20,10 +20,10 @@ naming its first line that differs; an integer out of range is a
 
 Every file whose lines follow one writer's pattern (logs, truth files,
 the CSVs of a run directory) is read by `line_columns`, which streams
-it in blocks of `BLOCK_CHARS` characters and converts each block's
-lines to arrays before it reads the next.  It never holds a file's
-whole text or a list of all its lines, so reading takes the columns it
-returns plus about one block, whatever the file's size.
+it in blocks of `BLOCK_CHARS` (64 Ki) characters and converts each
+block's lines to arrays before it reads the next.  It never holds a
+file's whole text or a list of all its lines, so reading takes the
+columns it returns plus about one block, whatever the file's size.
 
 A log is an `EventLog` (one numpy array per field) from the simulator
 to the detector; a dataset chunk is a `Chunk`, whose records are ordered
@@ -221,7 +221,9 @@ _RECORD_LINE = re.compile(
 )
 
 # Characters `line_columns` reads at a time: it never holds more of a file than this and one partial line.
-BLOCK_CHARS = 1 << 17
+# A block's captures (a tuple and a string per field of each line) are the reader's largest transient, so a
+# smaller block holds less; below 2**16 the fixed cost of each column's one concatenation at the end dominates.
+BLOCK_CHARS = 1 << 16
 
 
 @contextmanager

@@ -41,8 +41,7 @@ from .config import RunConfig
 from .errors import DataError
 from .localize import METHOD_NAMES
 from .mdtlog import Chunk, FoldPair, make_fold_pairs
-from .simgen import DatasetSuite, generate_dataset_suite
-from .simgen.suite import ChunkLoader
+from .simgen.suite import ChunkLoader, DatasetSuite, generate_dataset_suite
 
 ALL_METHODS = METHOD_NAMES + ("combined",)
 STAGES = ("raw", "amplified", "normalized_raw", "normalized")
@@ -175,9 +174,9 @@ class DetectPlan:
 def fold_inputs_from_suite(manifest, roles, cfg: RunConfig, limit: int | None = None) -> DetectPlan:
     """The plan of the first limit folds of normal x problematic and normal x reference.
 
-    roles maps a role name to its chunk loaders, as `simgen.load_suite`
-    and `simgen.suite_roles` return them.  Each normal chunk a fold uses
-    is parsed and featurized here, once; each test chunk a fold uses
+    roles maps a role name to its chunk loaders, as `simgen.suite`'s
+    `load_suite` and `suite_roles` return them.  Each normal chunk a fold
+    uses is parsed and featurized here, once; each test chunk a fold uses
     becomes one task.
     """
     cell_ids = [int(c) for c in manifest["cell_ids"]]

@@ -1,47 +1,13 @@
 """Synthetic MDT dataset generation for a 21-cell macro scenario.
 
-Builds the network geometry, per-cell lognormal shadowing fields and the
-dominance map, then drives an event simulator (A2/A3 measurement
-events, handovers, and the random-access failure of the sleeping cell)
-to produce normal / problematic / reference datasets with ground truth.
+`layout` builds the network geometry, `fields` the per-cell lognormal
+shadowing and `dominance` the radio and dominance maps; `engine` drives
+the event simulator (A2/A3 measurement events, handovers, and the
+random-access failure of the sleeping cell) with the settings of
+`config.SimConfig`; `suite` produces the normal / problematic /
+reference datasets with ground truth and reads them back.
+
+The package re-exports nothing: each name is imported from its module,
+so that detect, evaluate and report, which only read a suite, load
+neither `engine` nor `fields`.
 """
-
-from .layout import Cell, GridSpec, NetworkLayout, macro21_layout, pathloss_db
-from .fields import ShadowingField, make_shadowing
-from .dominance import (
-    DominanceMap,
-    RadioMap,
-    build_radio_map,
-    derive_adjacency,
-    layout_adjacency,
-)
-from .engine import SimConfig, simulate
-from .suite import (
-    DatasetSuite,
-    derive_seeds,
-    generate_dataset_suite,
-    load_suite,
-    write_suite,
-)
-
-__all__ = [
-    "Cell",
-    "GridSpec",
-    "NetworkLayout",
-    "macro21_layout",
-    "pathloss_db",
-    "ShadowingField",
-    "make_shadowing",
-    "DominanceMap",
-    "RadioMap",
-    "build_radio_map",
-    "derive_adjacency",
-    "layout_adjacency",
-    "SimConfig",
-    "simulate",
-    "DatasetSuite",
-    "derive_seeds",
-    "generate_dataset_suite",
-    "load_suite",
-    "write_suite",
-]

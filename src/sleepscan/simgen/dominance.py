@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import ConfigError, DataError
 from ..mdtlog import opened, sorted_unique
-from .fields import ShadowingField
 from .layout import GridSpec, NetworkLayout, pathloss_db, sector_gain_db
+
+if TYPE_CHECKING:
+    from .fields import ShadowingField
 
 
 @dataclass(frozen=True)

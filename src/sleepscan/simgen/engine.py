@@ -53,8 +53,8 @@ The step-by-step order leaves four effects that the engine reproduces:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -63,6 +63,9 @@ from ..mdtlog import NO_TARGET, EventId, EventLog
 from .dominance import RadioMap
 from .layout import NetworkLayout
 
+if TYPE_CHECKING:
+    from ..config import SimConfig
+
 # Steps held at once: positions, pixels and the A2 passes are per block.
 BLOCK_STEPS = 256
 # Steps of the A3 condition one handover round evaluates per UE.
@@ -70,48 +73,6 @@ WINDOW_STEPS = 64
 
 # Emission phases within a step, in emission order.
 ATTACH, A2_RSRP_ENTER, A2_RSRP_LEAVE, A2_RSRQ, RA_RESOLUTION, A3 = range(6)
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    ues_per_cell: int = 15
-    ue_speed_kmh: float = 30.0
-    a3_margin_db: float = 3.0
-    ttt_ms: float = 256.0
-    a2_rsrp_threshold_dbm: float = -110.0
-    a2_rsrp_hysteresis_db: float = 3.0
-    a2_rsrq_threshold_db: float = -10.0
-    a2_rsrq_hysteresis_db: float = 2.0
-    rsrq_load_db: float = 6.0  # RSSI load factor: RSRQ = serving - total - this
-    a2_report_interval_ms: float = 0.0  # >0: re-report period while A2 RSRQ holds
-    duration_steps: int = 5720
-    step_seconds: float = 0.1
-    t304_ms: float = 200.0
-    ho_complete_ms: float = 100.0
-    ho_backoff_ms: float = 500.0
-
-    def validate(self) -> None:
-        if self.ues_per_cell < 1:
-            raise ConfigError("ues_per_cell must be >= 1")
-        if self.duration_steps < 1:
-            raise ConfigError("duration_steps must be >= 1")
-        if not (math.isfinite(self.step_seconds) and self.step_seconds > 0):
-            raise ConfigError("step_seconds must be finite and positive")
-        for name in ("a3_margin_db", "a2_rsrp_threshold_dbm", "a2_rsrq_threshold_db", "rsrq_load_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
-        for name in (
-            "ue_speed_kmh", "a2_rsrp_hysteresis_db", "a2_rsrq_hysteresis_db",
-            "ttt_ms", "t304_ms", "ho_complete_ms", "ho_backoff_ms", "a2_report_interval_ms",
-        ):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and >= 0")
-
-    def steps(self, milliseconds: float, *, round_up: bool = False) -> int:
-        step_ms = self.step_seconds * 1000.0
-        n = milliseconds / step_ms
-        return max(1, math.ceil(n) if round_up else round(n))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,9 +35,10 @@ from .dominance import (
     path_gain,
     write_dominance_csv,
 )
-from .engine import SimConfig, simulate
-from .fields import make_shadowing
 from .layout import GridSpec, NetworkLayout
+
+if TYPE_CHECKING:
+    from ..config import SimConfig
 
 ROLES = ("normal", "problematic", "reference")
 
@@ -88,6 +90,9 @@ def generate_dataset_suite(
     sigma_db: float = 8.0,
     correlation_m: float = 40.0,
 ) -> DatasetSuite:
+    from .engine import simulate  # only here: detect, evaluate and report load no simulator code
+    from .fields import make_shadowing
+
     if grid is None:
         grid = layout.default_grid()
     seeds = derive_seeds(master_seed)

@@ -61,7 +61,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluate as ev
 from .config import RunConfig
 from .errors import ConfigError, DataError, ParseError
 from .heatmap import write_heatmap
@@ -417,6 +416,8 @@ def write_eval(out_dir, manifest: dict, methods, outputs, aggregates) -> tuple[d
     Returns the metrics of each method and the mean fold AUC (None if no
     problematic fold holds both classes).
     """
+    from . import evaluate as ev  # only here: detect and report load no evaluation code
+
     eval_dir = Path(out_dir) / "eval"
     metrics = {m: ev.method_metrics(aggregates[m], manifest["cell_ids"], manifest["faulty_cell"]) for m in methods}
     aucs = ev.fold_aucs(outputs)

@@ -1,18 +1,21 @@
-"""The per-step MDT event engine, kept as the reference for `simgen.simulate`.
+"""The per-step MDT event engine, kept as the reference for `simgen.engine.simulate`.
 
 It advances every UE one step at a time: mobility, the t = 0 attach, the
 A2-RSRP and A2-RSRQ machines, random-access resolution and A3 with
 time-to-trigger, in that order within each step, emitting records as it
-goes.  `simgen.simulate` must return the same log and flags bit for bit.
+goes.  `simgen.engine.simulate` must return the same log and flags bit
+for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from sleepscan.config import SimConfig
 from sleepscan.errors import ConfigError
 from sleepscan.mdtlog import NO_TARGET, EventId, EventLog
-from sleepscan.simgen import NetworkLayout, RadioMap, SimConfig
+from sleepscan.simgen.dominance import RadioMap
+from sleepscan.simgen.layout import NetworkLayout
 
 
 def simulate(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sleepscan import evaluate
-from sleepscan.config import RunConfig
+from sleepscan.config import RunConfig, SimConfig
 from sleepscan.detect import fit_threshold, knn_scores
 from sleepscan.embed import fit_basis, sorte_select
 from sleepscan.errors import DataError
@@ -20,7 +20,8 @@ from sleepscan.evaluate import heuristic_distance
 from sleepscan.featurize import featurize_chunk, ngram_counts
 from sleepscan.localize import normalize
 from sleepscan.pipeline import run_detect, suite_from_config
-from sleepscan.simgen import SimConfig, macro21_layout, simulate
+from sleepscan.simgen.engine import simulate
+from sleepscan.simgen.layout import macro21_layout
 from sleepscan.simgen.suite import suite_manifest, suite_roles
 
 N_REPS = 20
@@ -242,7 +243,8 @@ def test_a7_invariant_suites(tmp_path):
 
     # determinism: identical seeds give byte-identical logs and manifests
     from sleepscan.mdtlog import write_records
-    from sleepscan.simgen import build_radio_map, make_shadowing
+    from sleepscan.simgen.dominance import build_radio_map
+    from sleepscan.simgen.fields import make_shadowing
 
     layout = macro21_layout()
     grid = layout.default_grid(resolution_m=10.0)

@@ -71,8 +71,10 @@ def test_commands_run_without_scipy(tmp_path):
     """scipy is a test oracle only: no command may import it.
 
     detect, evaluate and report also load neither OpenSSL (`_hashlib`)
-    nor `numpy.ma`.  simulate is run in a process of its own, because
-    numpy.random loads OpenSSL (through `secrets` and `hmac`).
+    nor `numpy.ma`, nor the simulator's engine and shadowing fields, and
+    a process that runs only detect loads no evaluation code.  simulate
+    is run in a process of its own, because numpy.random loads OpenSSL
+    (through `secrets` and `hmac`).
     """
     config = tmp_path / "smoke.json"
     config.write_text(json.dumps(
@@ -87,18 +89,20 @@ def test_commands_run_without_scipy(tmp_path):
         "        sys.exit(f'{{argv[0]}} failed')\n"
     )
     no_stray_modules = (
-        "loaded = [name for name in ('_hashlib', 'numpy.ma') if name in sys.modules]\n"
+        "loaded = [name for name in {stray!r} if name in sys.modules]\n"
         "if loaded:\n"
-        "    sys.exit(f'loaded {loaded}')\n"
+        "    sys.exit(f'loaded {{loaded}}')\n"
     )
     simulate = [["simulate", "--config", "smoke.json", "--out", "suite"]]
-    analyse = [
-        ["detect", "--config", "smoke.json", "--data", "suite", "--out", "run", "--folds", "2"],
-        ["evaluate", "--out", "run"],
-        ["report", "--out", "run"],
-    ]
+    detect = [["detect", "--config", "smoke.json", "--data", "suite", "--out", "run", "--folds", "2"]]
+    analyse = [*detect, ["evaluate", "--out", "run"], ["report", "--out", "run"]]
+    not_analysis = ("_hashlib", "numpy.ma", "sleepscan.simgen.engine", "sleepscan.simgen.fields")
     env = {**os.environ, "PYTHONPATH": str(Path(sleepscan.__file__).parents[1])}
-    for source in (script.format(commands=simulate), script.format(commands=analyse) + no_stray_modules):
+    for source in (
+        script.format(commands=simulate),
+        script.format(commands=detect) + no_stray_modules.format(stray=(*not_analysis, "sleepscan.evaluate")),
+        script.format(commands=analyse) + no_stray_modules.format(stray=not_analysis),
+    ):
         result = subprocess.run(
             [sys.executable, "-c", source], cwd=tmp_path, env=env, capture_output=True, text=True
         )
@@ -136,6 +140,29 @@ def test_bad_config_is_config_error(tmp_path, capsys):
     bad.write_text(json.dumps({"knn_k": "5"}))  # a TypeError traceback before
     assert main(["detect", "--config", str(bad), "--data", str(tmp_path), "--out", str(tmp_path / "r")]) == 2
     assert "configuration error: knn_k must be an integer" in capsys.readouterr().err
+
+
+def test_weights_that_overflow_the_combination_are_config_error(tmp_path, dataset_dir, capsys):
+    """These weights wrote nan combined scores, then died in the heatmap with a traceback and no manifest."""
+    config, out = tmp_path / "weights.json", tmp_path / "run"
+    config.write_text(json.dumps({**TINY_CONFIG, "weights": [1e308, 1e308, 1e308, 1e308]}))
+    assert main(["detect", "--config", str(config), "--data", str(dataset_dir), "--out", str(out)]) == 2
+    assert "configuration error: weights are too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("settings", [
+    {"map_resolution_m": 1e-14, "ues_per_cell": 1},  # 1.5e17 pixel centres per axis, 1.04 EiB
+    {"map_resolution_m": 50.0, "ues_per_cell": 10**16},  # 2.1e17 UEs, 1.46 EiB per UE column
+])
+def test_simulation_numpy_cannot_allocate_is_config_error(tmp_path, capsys, settings):
+    """Each array is larger than any 64-bit address space, so numpy refuses it before touching memory."""
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({**settings, "duration_steps": 10}))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "suite")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: the simulation does not fit in memory")
+    assert f"map_resolution_m={settings['map_resolution_m']}" in err and f"ues_per_cell={settings['ues_per_cell']}" in err
 
 
 @pytest.mark.parametrize(

@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sleepscan
+from sleepscan import localize
 from sleepscan.config import RunConfig
 from sleepscan.errors import ConfigError
 
@@ -119,6 +121,10 @@ def test_unknown_keys_rejected():
         ("master_seed", -1),  # numpy's SeedSequence raised a ValueError traceback
         ("ngram_n", 16),  # longer than a window: no window holds one
         ("n_sites", 6),  # only the 7-site, 3-sector scenario is implemented
+        # finite weights whose combination overflowed: nan combined scores, then a heatmap traceback
+        ("weights", [1e308, 1e308, 1e308, 1e308]),
+        ("weights", [1e307, 0, 0, 0]),
+        ("weights", [0, 0, 0, 2e306]),
     ],
 )
 def test_invalid_values_rejected(field, value):
@@ -132,6 +138,13 @@ def test_ngram_n_must_fit_the_int64_gram_codes():
         RunConfig.from_dict({"ngram_n": 20, "window_m": 40})
     assert RunConfig.from_dict({"ngram_n": 19, "window_m": 40}).ngram_n == 19
     assert RunConfig.from_dict({"ngram_n": 15}).ngram_n == 15  # as long as the default window
+
+
+def test_largest_accepted_weights_combine_to_finite_scores():
+    weights = [sys.float_info.max / 400] * 4  # 100 times their sum is the largest finite float
+    cfg = RunConfig.from_dict({"weights": weights})
+    parts = [np.array([100.0, 0.0]), np.array([0.0, 100.0]), np.array([50.0, 50.0]), np.array([100.0, 0.0])]
+    assert localize.combine(parts, cfg.weights).tolist() == [62.5, 37.5]
 
 
 @pytest.mark.parametrize("field", ["ho_complete_ms", "a2_report_interval_ms", "shadowing_sigma_db"])

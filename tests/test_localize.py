@@ -407,7 +407,8 @@ def test_methods_are_permutation_equivariant():
 
 def test_amplification_preserves_argmax_on_default_layout():
     # single-cell fault shape: one dominant score plus background noise
-    from sleepscan.simgen import layout_adjacency, macro21_layout
+    from sleepscan.simgen.dominance import layout_adjacency
+    from sleepscan.simgen.layout import macro21_layout
 
     layout = macro21_layout()
     cells = layout.cell_ids

@@ -10,34 +10,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sleepscan.config import RunConfig
+from sleepscan.config import RunConfig, SimConfig
 from sleepscan.errors import ConfigError, DataError
 from sleepscan.mdtlog import NO_TARGET, EventId, EventLog, write_records
 from sleepscan.pipeline import suite_from_config
-from sleepscan.simgen import (
-    Cell,
-    NetworkLayout,
-    SimConfig,
-    build_radio_map,
-    derive_adjacency,
-    derive_seeds,
-    generate_dataset_suite,
-    layout_adjacency,
-    macro21_layout,
-    make_shadowing,
-    pathloss_db,
-    simulate,
-)
 from sleepscan.simgen.dominance import (
     DOMINANCE_HEADER,
     DominanceMap,
+    build_radio_map,
+    derive_adjacency,
+    layout_adjacency,
     load_dominance_csv,
     path_gain,
     write_dominance_csv,
 )
-from sleepscan.simgen.fields import ShadowingField, gaussian_filter_wrap
-from sleepscan.simgen.layout import GridSpec, sector_gain_db
-from sleepscan.simgen.suite import load_suite, split_chunks, suite_roles, truth_rows, write_suite, write_truth
+from sleepscan.simgen.engine import simulate
+from sleepscan.simgen.fields import ShadowingField, gaussian_filter_wrap, make_shadowing
+from sleepscan.simgen.layout import Cell, GridSpec, NetworkLayout, macro21_layout, pathloss_db, sector_gain_db
+from sleepscan.simgen.suite import (
+    derive_seeds, generate_dataset_suite, load_suite, split_chunks, suite_roles, truth_rows, write_suite, write_truth,
+)
 
 import engine_oracle
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blocks import bits, damaged, outcome
-from sleepscan import mdtlog, storage
+from sleepscan import evaluate, mdtlog, storage
 from sleepscan.errors import ParseError
 from sleepscan.mdtlog import FoldPair
 from sleepscan.pipeline import ALL_METHODS, COMBINED_STAGES, STAGES, FoldOutput
@@ -87,10 +87,10 @@ def test_metrics_summary_round_trips_bit_for_bit(tmp_path_factory, methods, valu
     """write_eval's summary as read_metrics_summary reads it; the metrics themselves come from a stub."""
     written = {m: dict(zip(storage._SUMMARY_METRICS, values[6 * k: 6 * k + 6])) for k, m in enumerate(methods)}
     run = tmp_path_factory.mktemp("run")
-    with mock.patch.object(storage.ev, "method_metrics", lambda agg, cells, faulty: written[agg]), \
-            mock.patch.object(storage.ev, "fold_aucs", lambda outputs: []), \
-            mock.patch.object(storage.ev, "pooled_roc", lambda outputs: None), \
-            mock.patch.object(storage.ev, "heuristic_totals", lambda outputs, method, stage: {}):
+    with mock.patch.object(evaluate, "method_metrics", lambda agg, cells, faulty: written[agg]), \
+            mock.patch.object(evaluate, "fold_aucs", lambda outputs: []), \
+            mock.patch.object(evaluate, "pooled_roc", lambda outputs: None), \
+            mock.patch.object(evaluate, "heuristic_totals", lambda outputs, method, stage: {}):
         storage.write_eval(run, {"cell_ids": [1], "faulty_cell": 1}, methods, [], {m: m for m in methods})
     summary = storage.read_metrics_summary(Path(run))
     assert [method for method, _ in summary] == methods
