@@ -1,8 +1,9 @@
 """Command-line interface: simulate | detect | evaluate | report.
 
 Each command parses its arguments, calls the library and prints a
-summary: `simgen` writes and loads the suite, `pipeline.run_detect` runs
-the folds, and `storage` reads and writes every file of a run directory.
+summary: `simgen.suite` simulates, writes and loads the suite,
+`pipeline.run_detect` runs the folds, and `storage` reads and writes
+every file of a run directory.
 
 Exit codes: 0 ok, 2 configuration error, 3 data error, 141 standard
 output closed before the summary was printed (as a shell reports a
@@ -21,7 +22,7 @@ import numpy as np
 from . import pipeline, storage
 from .config import RunConfig
 from .errors import ConfigError, DataError
-from .simgen.suite import load_suite, make_suite_dir, write_suite
+from .simgen.suite import generate_dataset_suite, load_suite, make_suite_dir, write_suite
 
 METHOD_CHOICES = ("subcall", "2gram", "symmetry", "target", "combined", "all")
 
@@ -44,17 +45,20 @@ def _load_config(args) -> RunConfig:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
+    created = not os.path.exists(args.out)
     make_suite_dir(args.out)  # an unusable --out fails before the simulation, not after it
     try:
-        suite = pipeline.suite_from_config(cfg)
-    except MemoryError:  # numpy refuses an array of the map's pixels or of the UEs
-        raise ConfigError(
-            "the simulation does not fit in memory: map_resolution_m="
-            f"{cfg.map_resolution_m}, map_half_extent_m={cfg.map_half_extent_m}, ues_per_cell={cfg.ues_per_cell}"
-        ) from None
-    manifest_path = write_suite(
-        suite, args.out, manifest_extra={"config": cfg.to_dict(), "config_hash": cfg.config_hash()}
-    )
+        suite = generate_dataset_suite(cfg)
+    except BaseException as exc:
+        if created:  # a failed simulation leaves no empty suite directory; an --out that existed stays
+            os.rmdir(args.out)
+        if isinstance(exc, MemoryError):  # numpy refuses an array of the map's pixels or of the UEs
+            raise ConfigError(
+                "the simulation does not fit in memory: map_resolution_m="
+                f"{cfg.map_resolution_m}, map_half_extent_m={cfg.map_half_extent_m}, ues_per_cell={cfg.ues_per_cell}"
+            ) from None
+        raise
+    manifest_path = write_suite(suite, args.out)
     counts = {role: len(data.records) for role, data in suite.roles.items()}
     print(f"wrote dataset suite to {args.out} (config {cfg.config_hash()[:12]})")
     print(f"records per role: {counts}")

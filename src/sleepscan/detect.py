@@ -1,9 +1,11 @@
 """Semi-supervised k-NN anomaly scoring with percentile thresholding.
 
 Every sub-call gets the sum of Euclidean distances to its k nearest
-training rows in the embedded space; the decision threshold is the
-95th percentile of the training scores and classification is strictly
-greater-than, so a constant-score training set flags nothing.
+training rows in the embedded space; the decision threshold is a
+percentile of the training scores (k and the percentile are the run's
+`knn_k` and `threshold_percentile`, 35 and the 95th by default) and
+classification is strictly greater-than, so a constant-score training
+set flags nothing.
 
 Sub-calls are short n-gram count vectors, so most embedded rows repeat.
 The scorer works on the distinct rows (`distinct_rows`): each distinct
@@ -23,14 +25,10 @@ import numpy as np
 
 __all__ = ["knn_scores", "distinct_rows", "fit_threshold", "classify"]
 
-DEFAULT_K = 35
-DEFAULT_PERCENTILE = 95.0
 _BLOCK_ROWS = 512  # query rows per distance block, to bound its memory
 
 
-def knn_scores(
-    train_emb, query_emb, k: int = DEFAULT_K, exclude_self: bool = False, train_distinct=None
-) -> np.ndarray:
+def knn_scores(train_emb, query_emb, k: int, exclude_self: bool = False, train_distinct=None) -> np.ndarray:
     """Sum of Euclidean distances to the k nearest training rows, per query row.
 
     With exclude_self=True, query must be the training matrix itself
@@ -120,7 +118,7 @@ def distinct_rows(rows):
     return rows[order[first]], inverse, np.diff(np.append(first, n))
 
 
-def fit_threshold(train_scores, percentile: float = DEFAULT_PERCENTILE) -> float:
+def fit_threshold(train_scores, percentile: float) -> float:
     """Nearest-rank percentile of the training scores."""
     scores = np.sort(np.asarray(train_scores, dtype=np.float64))
     if scores.size == 0:

@@ -27,7 +27,7 @@ from .mdtlog import Chunk, EventId, sorted_unique
 N_EVENTS = len(EventId)
 
 
-def windows_for_calls(call_bounds, m: int = 15, n: int = 10) -> np.ndarray:
+def windows_for_calls(call_bounds, m: int, n: int) -> np.ndarray:
     """Sub-call ranges of consecutive calls, as a (windows, 2) array of [start, stop).
 
     Call c spans records call_bounds[c]:call_bounds[c + 1].  Within a call
@@ -108,7 +108,7 @@ class ChunkFeatures:
         return len(self.windows)
 
 
-def featurize_chunk(chunk: Chunk, m: int = 15, n: int = 10, ngram_n: int = 2) -> ChunkFeatures:
+def featurize_chunk(chunk: Chunk, m: int, n: int, ngram_n: int) -> ChunkFeatures:
     """Window a chunk and count each window's N-grams over the codes it holds."""
     bounds = chunk.call_bounds
     windows = windows_for_calls(bounds, m=m, n=n)

@@ -25,8 +25,7 @@ A task runs the folds of one test chunk and hands their outputs to the
 fold writer.  The tasks run in order in this process, or in forked
 workers that inherit everything built before them; either way the
 outputs are put back in `make_fold_pairs` order before they are
-aggregated.  `suite_from_config` generates the dataset suite a
-configuration describes.
+aggregated.
 """
 
 from __future__ import annotations
@@ -41,25 +40,11 @@ from .config import RunConfig
 from .errors import DataError
 from .localize import METHOD_NAMES
 from .mdtlog import Chunk, FoldPair, make_fold_pairs
-from .simgen.suite import ChunkLoader, DatasetSuite, generate_dataset_suite
+from .simgen.suite import ChunkLoader
 
 ALL_METHODS = METHOD_NAMES + ("combined",)
 STAGES = ("raw", "amplified", "normalized_raw", "normalized")
 COMBINED_STAGES = STAGES[2:]  # the combination exists only normalized
-
-
-def suite_from_config(cfg: RunConfig) -> DatasetSuite:
-    """The normal, problematic and reference datasets of one configuration."""
-    return generate_dataset_suite(
-        cfg.layout(),
-        cfg,
-        faulty_cell=cfg.faulty_cell,
-        master_seed=cfg.master_seed,
-        n_chunks=cfg.n_chunks,
-        grid=cfg.grid(),
-        sigma_db=cfg.shadowing_sigma_db,
-        correlation_m=cfg.shadowing_correlation_m,
-    )
 
 
 @dataclass
@@ -174,8 +159,8 @@ class DetectPlan:
 def fold_inputs_from_suite(manifest, roles, cfg: RunConfig, limit: int | None = None) -> DetectPlan:
     """The plan of the first limit folds of normal x problematic and normal x reference.
 
-    roles maps a role name to its chunk loaders, as `simgen.suite`'s
-    `load_suite` and `suite_roles` return them.  Each normal chunk a fold
+    roles maps a role name to its chunk loaders, as
+    `simgen.suite.load_suite` returns them.  Each normal chunk a fold
     uses is parsed and featurized here, once; each test chunk a fold uses
     becomes one task.
     """

@@ -4,11 +4,14 @@ normal       fault off,  shadowing seed S1, mobility seed M1
 problematic  fault on,   shadowing seed S1, mobility seed M2
 reference    fault off,  shadowing seed S2, mobility seed M3
 
-Each role's log is split into K chunks by UE partition (ue mod K); the
-detection stage pairs normal chunks against problematic and reference
-chunks in a full K x K cross.  Detect reads a written suite through
-`load_suite`, which checks it and returns a loader per chunk, so that
-each chunk is parsed only where a fold needs it.
+`generate_dataset_suite` simulates the three roles of a `RunConfig`,
+which gives the layout, map grid, master seed, faulty cell, chunk count
+and shadowing; `write_suite` writes them with a manifest that holds that
+configuration and its hash.  Each role's log is split into K chunks by
+UE partition (ue mod K); the detection stage pairs normal chunks against
+problematic and reference chunks in a full K x K cross.  Detect reads a
+written suite through `load_suite`, which checks it and returns a loader
+per chunk, so that each chunk is parsed only where a fold needs it.
 """
 
 from __future__ import annotations
@@ -35,10 +38,10 @@ from .dominance import (
     path_gain,
     write_dominance_csv,
 )
-from .layout import GridSpec, NetworkLayout
+from .layout import GridSpec
 
 if TYPE_CHECKING:
-    from ..config import SimConfig
+    from ..config import RunConfig
 
 ROLES = ("normal", "problematic", "reference")
 
@@ -65,12 +68,9 @@ class RoleData:
 
 @dataclass
 class DatasetSuite:
+    cfg: RunConfig  # the configuration the suite was simulated from
     roles: dict[str, RoleData]
     seeds: dict
-    n_chunks: int
-    grid: GridSpec
-    faulty_cell: int
-    cell_ids: list[int]
     adjacency: dict[int, frozenset[int]]
 
 
@@ -80,22 +80,13 @@ def split_chunks(log: EventLog, n_chunks: int) -> list[EventLog]:
     return [log.take(np.flatnonzero(part == j)) for j in range(n_chunks)]
 
 
-def generate_dataset_suite(
-    layout: NetworkLayout,
-    sim: SimConfig,
-    faulty_cell: int = 1,
-    master_seed: int = 0,
-    n_chunks: int = 6,
-    grid: GridSpec | None = None,
-    sigma_db: float = 8.0,
-    correlation_m: float = 40.0,
-) -> DatasetSuite:
+def generate_dataset_suite(cfg: RunConfig) -> DatasetSuite:
+    """The normal, problematic and reference datasets of one configuration."""
     from .engine import simulate  # only here: detect, evaluate and report load no simulator code
     from .fields import make_shadowing
 
-    if grid is None:
-        grid = layout.default_grid()
-    seeds = derive_seeds(master_seed)
+    layout, grid = cfg.layout(), cfg.grid()
+    seeds = derive_seeds(cfg.master_seed)
     gain = path_gain(layout, grid)  # shared by every role's radio map
     adjacency = layout_adjacency(layout, grid, gain)
     radio_cache: dict[int, RadioMap] = {}
@@ -104,24 +95,17 @@ def generate_dataset_suite(
         shadow_seed = seeds["shadow"][role]
         if shadow_seed not in radio_cache:
             shadowing = make_shadowing(
-                layout, grid, sigma_db=sigma_db, correlation_m=correlation_m, seed=shadow_seed
+                layout, grid, sigma_db=cfg.shadowing_sigma_db, correlation_m=cfg.shadowing_correlation_m,
+                seed=shadow_seed,
             )
             radio_cache[shadow_seed] = build_radio_map(layout, shadowing, gain)
         radio = radio_cache[shadow_seed]
-        fault = faulty_cell if role == "problematic" else None
-        log, affected = simulate(layout, sim, radio, seeds["mobility"][role], fault)
+        fault = cfg.faulty_cell if role == "problematic" else None
+        log, affected = simulate(layout, cfg, radio, seeds["mobility"][role], fault)
         roles[role] = RoleData(
-            role=role, records=log, affected=affected, radio=radio, chunks=split_chunks(log, n_chunks)
+            role=role, records=log, affected=affected, radio=radio, chunks=split_chunks(log, cfg.n_chunks)
         )
-    return DatasetSuite(
-        roles=roles,
-        seeds=seeds,
-        n_chunks=n_chunks,
-        grid=grid,
-        faulty_cell=faulty_cell,
-        cell_ids=list(layout.cell_ids),
-        adjacency=adjacency,
-    )
+    return DatasetSuite(cfg=cfg, roles=roles, seeds=seeds, adjacency=adjacency)
 
 
 def truth_rows(log: EventLog, affected) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -177,8 +161,10 @@ def make_suite_dir(out_dir) -> Path:
     return out_dir
 
 
-def write_suite(suite: DatasetSuite, out_dir, manifest_extra: dict | None = None) -> Path:
+def write_suite(suite: DatasetSuite, out_dir) -> Path:
+    """Write each role's chunks, truth and dominance map, then the manifest, which names them and holds the config."""
     out_dir = make_suite_dir(out_dir)
+    cfg, grid = suite.cfg, suite.cfg.grid()
     try:  # a full disk, a file that cannot be replaced: each names the path it failed on
         files: dict[str, dict] = {}
         dominance_paths: dict[int, tuple] = {}  # normal and problematic share one map: format it once
@@ -196,32 +182,26 @@ def write_suite(suite: DatasetSuite, out_dir, manifest_extra: dict | None = None
             files[role] = {"chunks": chunk_names, "truth": truth_name, "dominance": dom_name}
         for dmap, paths in dominance_paths.values():
             write_dominance_csv(dmap, *paths)
-        manifest = {**suite_manifest(suite), "files": files}
-        if manifest_extra:
-            manifest.update(manifest_extra)
-        write_json(out_dir / "manifest.json", manifest)
+        write_json(out_dir / "manifest.json", {
+            "seeds": suite.seeds,
+            "n_chunks": cfg.n_chunks,
+            "faulty_cell": cfg.faulty_cell,
+            "cell_ids": list(cfg.layout().cell_ids),
+            "adjacency": {str(c): sorted(n) for c, n in suite.adjacency.items()},
+            "grid": {
+                "origin_x": grid.origin_x,
+                "origin_y": grid.origin_y,
+                "resolution_m": grid.resolution_m,
+                "nx": grid.nx,
+                "ny": grid.ny,
+            },
+            "files": files,
+            "config": cfg.to_dict(),
+            "config_hash": cfg.config_hash(),
+        })
     except OSError as exc:
         raise DataError(f"cannot write the suite to {exc.filename or out_dir}: {exc.strerror}") from None
     return out_dir / "manifest.json"
-
-
-def suite_manifest(suite: DatasetSuite) -> dict:
-    """The manifest of a suite, less its file names and any extra keys."""
-    grid = suite.grid
-    return {
-        "seeds": suite.seeds,
-        "n_chunks": suite.n_chunks,
-        "faulty_cell": suite.faulty_cell,
-        "cell_ids": suite.cell_ids,
-        "adjacency": {str(c): sorted(n) for c, n in suite.adjacency.items()},
-        "grid": {
-            "origin_x": grid.origin_x,
-            "origin_y": grid.origin_y,
-            "resolution_m": grid.resolution_m,
-            "nx": grid.nx,
-            "ny": grid.ny,
-        },
-    }
 
 
 # What detect reads of a suite manifest.
@@ -306,14 +286,3 @@ def load_suite(data_dir) -> tuple[dict, dict[str, list[ChunkLoader]]]:
 def load_chunk(path, dominance, cell_ids, truth) -> Chunk:
     """One chunk file of a suite, parsed into columns, with each record's dominance cell and ground-truth flag."""
     return Chunk.from_log(read_records(path), dominance, cell_ids, truth)
-
-
-def suite_roles(suite: DatasetSuite) -> dict[str, list[ChunkLoader]]:
-    """A loader per chunk of each role of an in-memory suite: each gives the chunk `load_suite`'s would once written."""
-    roles = {}
-    for role, data in suite.roles.items():
-        truth = truth_rows(data.records, data.affected)
-        roles[role] = [
-            partial(Chunk.from_log, chunk, data.radio.dominance, suite.cell_ids, truth) for chunk in data.chunks
-        ]
-    return roles

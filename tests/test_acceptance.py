@@ -2,16 +2,22 @@
 
 Each test prints one PASS/FAIL line (run pytest with -s or -rA to see
 them).  The end-to-end criteria run 20 independently seeded dataset
-suites of 72 folds each, so this module takes a few minutes.
+suites of 72 folds each through the command line (simulate, detect,
+evaluate), so this module takes a few minutes.
 """
 
+import contextlib
+import io
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sleepscan import evaluate
+from sleepscan import storage
+from sleepscan.cli import main
 from sleepscan.config import RunConfig, SimConfig
 from sleepscan.detect import fit_threshold, knn_scores
 from sleepscan.embed import fit_basis, sorte_select
@@ -19,13 +25,12 @@ from sleepscan.errors import DataError
 from sleepscan.evaluate import heuristic_distance
 from sleepscan.featurize import featurize_chunk, ngram_counts
 from sleepscan.localize import normalize
-from sleepscan.pipeline import run_detect, suite_from_config
 from sleepscan.simgen.engine import simulate
 from sleepscan.simgen.layout import macro21_layout
-from sleepscan.simgen.suite import suite_manifest, suite_roles
 
 N_REPS = 20
 REP_SEEDS = [42] + [1000 + i for i in range(N_REPS - 1)]
+F_SCORE = 3  # column of f_score in metrics_summary.csv: accuracy, precision, recall, f_score, tnr, fpr
 
 
 def _announce(criterion: str, ok: bool, detail: str) -> None:
@@ -33,25 +38,31 @@ def _announce(criterion: str, ok: bool, detail: str) -> None:
 
 
 def _run_suite_rep(seed: int) -> dict:
-    """One full repetition: dataset suite, 72 folds, aggregation."""
-    cfg = RunConfig().with_overrides(master_seed=seed)
-    suite = suite_from_config(cfg)
-    outputs, aggregates = run_detect(suite_manifest(suite), suite_roles(suite), cfg)
+    """One full repetition as the CLI runs it: simulate, detect (72 folds) and evaluate.
 
-    combined = aggregates["combined"]
-    prob_scores = combined.mean_stages["problematic"][combined.stage]
-    argmax_cell = suite.cell_ids[int(np.argmax(prob_scores))]
-    faulty_index = list(suite.cell_ids).index(cfg.faulty_cell)
+    The numbers are read back from the files the commands wrote, in a
+    directory that is removed once they are read (a suite is 27 MB).
+    """
+    with tempfile.TemporaryDirectory(prefix=f"sleepscan-rep{seed}-") as work:
+        suite, run = Path(work) / "suite", Path(work) / "run"
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (
+                ["simulate", "--seed", str(seed), "--out", str(suite)],
+                ["detect", "--seed", str(seed), "--data", str(suite), "--out", str(run)],
+                ["evaluate", "--out", str(run)],
+            ):
+                assert main(argv) == 0, argv
+        pairings = storage.read_labels(run, "combined")["pairings"]
+        f_scores = {method: row[F_SCORE] for method, row in storage.read_metrics_summary(run)}
+        aucs = dict(line.split(",") for line in (run / "eval" / "roc_auc.csv").read_text().splitlines()[1:])
+    faulty_cell = RunConfig().faulty_cell
     return {
         "seed": seed,
-        "argmax_is_faulty": argmax_cell == cfg.faulty_cell,
-        "faulty_above_threshold": bool(combined.labels["problematic"][faulty_index]),
-        "reference_clean": not combined.labels["reference"].any(),
-        "mean_auc": evaluate.mean_auc(evaluate.fold_aucs(outputs)),
-        "f_scores": {
-            method: evaluate.method_metrics(agg, suite.cell_ids, cfg.faulty_cell)["f_score"]
-            for method, agg in aggregates.items()
-        },
+        "argmax_is_faulty": pairings["problematic"]["argmax_cell"] == faulty_cell,
+        "faulty_above_threshold": faulty_cell in pairings["problematic"]["abnormal_cells"],
+        "reference_clean": not pairings["reference"]["abnormal_cells"],
+        "mean_auc": float(aucs["mean"]),
+        "f_scores": f_scores,
     }
 
 
@@ -223,7 +234,7 @@ def test_a7_invariant_suites(tmp_path):
             cell=np.zeros(n_events, dtype=np.int64),
             affected=np.zeros(n_events, dtype=bool),
         )
-        feats = featurize_chunk(chunk, m=15, n=10)
+        feats = featurize_chunk(chunk, m=15, n=10, ngram_n=2)
         lengths = feats.windows[:, 1] - feats.windows[:, 0]
         window_ok &= bool(np.array_equal(feats.counts.sum(axis=1), lengths - 1))
 
@@ -256,8 +267,6 @@ def test_a7_invariant_suites(tmp_path):
     write_records(log_a, pa)
     write_records(log_b, pb)
     sim_ok = pa.read_bytes() == pb.read_bytes()
-
-    from sleepscan.cli import main
 
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(

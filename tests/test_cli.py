@@ -14,7 +14,7 @@ import pytest
 
 import sleepscan
 from blocks import bits
-from sleepscan import pipeline, storage
+from sleepscan import cli, pipeline, storage
 from sleepscan.cli import main
 from sleepscan.config import RunConfig
 from sleepscan.simgen import suite as suite_module
@@ -117,7 +117,7 @@ def no_simulation(monkeypatch):
     def no_suite(cfg):
         raise AssertionError("simulated before the --out check")
 
-    monkeypatch.setattr(pipeline, "suite_from_config", no_suite)
+    monkeypatch.setattr(cli, "generate_dataset_suite", no_suite)
 
 
 def test_simulate_missing_parent_is_data_error(tiny_config_path, capsys, no_simulation):
@@ -163,6 +163,19 @@ def test_simulation_numpy_cannot_allocate_is_config_error(tmp_path, capsys, sett
     err = capsys.readouterr().err
     assert err.startswith("configuration error: the simulation does not fit in memory")
     assert f"map_resolution_m={settings['map_resolution_m']}" in err and f"ues_per_cell={settings['ues_per_cell']}" in err
+
+
+def test_failed_simulation_removes_only_the_suite_directory_it_created(tmp_path, capsys):
+    """A simulate that fails leaves no empty suite directory; an --out that existed before stays."""
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"map_resolution_m": 1e-14, "duration_steps": 10, "ues_per_cell": 1}))
+    created, existing = tmp_path / "created", tmp_path / "existing"
+    existing.mkdir()
+    for out in (created, existing):
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: the simulation does not fit in memory")
+    assert not created.exists()
+    assert existing.is_dir() and not any(existing.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -665,6 +678,34 @@ def test_evaluate_reads_the_folds_detect_returned(tmp_path):
         pooled = np.array([back.pooled_mean, back.pooled_sigma]).tobytes()
         assert pooled == np.array([aggregates[method].pooled_mean, aggregates[method].pooled_sigma]).tobytes()
         assert bits(back.mean_stages) == bits(aggregates[method].mean_stages), method
+
+
+def test_cell_id_base_shifts_every_label_and_no_metric(tmp_path):
+    """Cells numbered from 101 instead of 1: each abnormal and argmax cell is the base-1 run's plus 100,
+    and every metric is the same, byte for byte."""
+    runs = {}
+    for base in (1, 101):
+        config, suite, run = tmp_path / f"base{base}.json", tmp_path / f"suite{base}", tmp_path / f"run{base}"
+        config.write_text(json.dumps({**SMOKE, "cell_id_base": base, "faulty_cell": base}))
+        for argv in (
+            ["simulate", "--config", str(config), "--out", str(suite)],
+            ["detect", "--config", str(config), "--data", str(suite), "--out", str(run)],
+            ["evaluate", "--out", str(run)],
+        ):
+            assert main(argv) == 0, argv
+        runs[base] = run
+    for method in pipeline.ALL_METHODS:
+        one, shifted = (storage.read_labels(runs[base], method)["pairings"] for base in (1, 101))
+        assert one.keys() == shifted.keys() == {"problematic", "reference"}
+        for pairing, labels in one.items():
+            assert shifted[pairing]["argmax_cell"] == labels["argmax_cell"] + 100, (method, pairing)
+            assert shifted[pairing]["abnormal_cells"] == [c + 100 for c in labels["abnormal_cells"]], (method, pairing)
+    assert any(storage.read_labels(runs[1], "combined")["pairings"]["problematic"]["abnormal_cells"])
+    for name in ("metrics_summary.csv", "heuristic_distances.csv"):
+        assert (runs[1] / "eval" / name).read_bytes() == (runs[101] / "eval" / name).read_bytes(), name
+    aucs = [[line.split(",")[1] for line in (run / "eval" / "roc_auc.csv").read_text().splitlines()[1:]]
+            for run in runs.values()]
+    assert aucs[0] == aucs[1] and len(aucs[0]) > 1
 
 
 def test_detect_frees_each_roles_truth_after_its_last_chunk(dataset_dir, tiny_config_path):

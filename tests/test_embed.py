@@ -5,8 +5,8 @@ from sleepscan.config import RunConfig
 from sleepscan.embed import EigenBasis, fit_basis, project_minor, sorte_select
 from sleepscan.errors import DataError
 from sleepscan.featurize import NGramVocabulary, build_feature_matrix, featurize_chunk
-from sleepscan.pipeline import run_detect, suite_from_config
-from sleepscan.simgen.suite import suite_manifest, suite_roles
+from sleepscan.pipeline import run_detect
+from sleepscan.simgen.suite import generate_dataset_suite, load_suite, write_suite
 from test_golden import SMOKE
 
 
@@ -163,12 +163,12 @@ def test_projection_dimension_checks():
         project_minor(basis, np.zeros((4, 3)), d=4)
 
 
-def test_auto_minor_components_follow_each_folds_training_spectrum():
+def test_auto_minor_components_follow_each_folds_training_spectrum(tmp_path):
     """`minor_components: "auto"` runs sorte_select on each fold's own training spectrum."""
     cfg = RunConfig.from_dict({**SMOKE, "minor_components": "auto"})
-    suite = suite_from_config(cfg)
-    outputs, _ = run_detect(suite_manifest(suite), suite_roles(suite), cfg)
-    roles = suite_roles(suite)
+    write_suite(generate_dataset_suite(cfg), tmp_path)
+    outputs, _ = run_detect(*load_suite(tmp_path), cfg)
+    _, roles = load_suite(tmp_path)  # run_detect empties the loaders it is given
 
     def features(role, index):
         return featurize_chunk(roles[role][index](), m=cfg.window_m, n=cfg.window_n, ngram_n=cfg.ngram_n)

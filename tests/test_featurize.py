@@ -194,7 +194,7 @@ def test_featurization_is_order_sensitive():
 def whole_call_features(*calls):
     """Features of calls each cut as one sub-call spanning the whole call."""
     m = max(2, *(len(c) for c in calls))
-    return featurize_chunk(make_chunk(calls), m=m, n=m)
+    return featurize_chunk(make_chunk(calls), m=m, n=m, ngram_n=2)
 
 
 def test_feature_matrix_counts_and_row_sum():
@@ -225,7 +225,7 @@ def test_vocabulary_is_union_of_groups():
 def test_all_rows_sum_to_length_minus_one():
     rng = np.random.default_rng(5)
     calls = [rng.integers(0, 9, size=rng.integers(2, 60)).tolist() for _ in range(8)]
-    feats = featurize_chunk(make_chunk(calls), m=15, n=10)
+    feats = featurize_chunk(make_chunk(calls), m=15, n=10, ngram_n=2)
     vocab = NGramVocabulary.from_subcalls(feats)
     counts = build_feature_matrix(feats, vocab)
     lengths = feats.windows[:, 1] - feats.windows[:, 0]

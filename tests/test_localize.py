@@ -22,10 +22,10 @@ from sleepscan.localize import (
     sc_target_cell_subcalls,
 )
 from sleepscan.mdtlog import NO_TARGET, TARGETED_EVENTS, Chunk, EventId, EventLog, strip_locations
-from sleepscan.pipeline import aggregate_method, run_detect, suite_from_config
+from sleepscan.pipeline import aggregate_method, run_detect
 from sleepscan.simgen.dominance import DominanceMap
 from sleepscan.simgen.layout import GridSpec
-from sleepscan.simgen.suite import suite_manifest, suite_roles
+from sleepscan.simgen.suite import generate_dataset_suite, load_suite, write_suite
 from test_golden import SMOKE, WIDE_BRANCHES
 
 
@@ -286,7 +286,7 @@ def test_columnar_localizers_match_per_subcall_loops(seed, m, n_frac, share):
                 records.append((event, ue, int(rng.integers(0, 30)),
                                 float(rng.uniform(0, 40)), float(rng.uniform(0, 40)), 3, target))
         chunk = make_chunk(records, dmap, cell_ids)
-        return chunk, featurize_chunk(chunk, m=m, n=n)
+        return chunk, featurize_chunk(chunk, m=m, n=n, ngram_n=2)
 
     def tables(chunk, features, training):
         """As detect builds them: a training chunk's 2-gram rates, a testing chunk's target pairs."""
@@ -512,14 +512,14 @@ def test_neighbor_matrix_localizers_match_set_loops_bit_for_bit(seed, mode, size
 
 
 @pytest.mark.parametrize("overrides", [{}, WIDE_BRANCHES], ids=["smoke", "smoke_wide_branches"])
-def test_tables_are_built_once_per_chunk(monkeypatch, overrides):
+def test_tables_are_built_once_per_chunk(monkeypatch, tmp_path, overrides):
     """A 72-fold detect over 6 normal and 12 test chunks builds each chunk's tables once, not once per fold.
 
     Only the 2-gram rates of anomalous testing sub-calls are fold work,
     under the default gram_scope "anomalous".
     """
     cfg = RunConfig.from_dict({**SMOKE, **overrides})
-    suite = suite_from_config(cfg)
+    write_suite(generate_dataset_suite(cfg), tmp_path)
     calls = Counter()
 
     def counted(name):
@@ -533,7 +533,7 @@ def test_tables_are_built_once_per_chunk(monkeypatch, overrides):
 
     for name in ("chunk_tables", "_directed_counts", "_distinct_pairs", "_gram_cell_rates"):
         counted(name)
-    outputs, _ = run_detect(suite_manifest(suite), suite_roles(suite), cfg)
+    outputs, _ = run_detect(*load_suite(tmp_path), cfg)
     assert len(outputs) == 72
     assert calls["chunk_tables"] == calls["_directed_counts"] == 18
     assert calls["_distinct_pairs"] == 18 + 12  # dominance cells of every chunk, target cells of test chunks

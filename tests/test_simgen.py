@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from sleepscan.config import RunConfig, SimConfig
 from sleepscan.errors import ConfigError, DataError
-from sleepscan.mdtlog import NO_TARGET, EventId, EventLog, write_records
-from sleepscan.pipeline import suite_from_config
+from sleepscan.mdtlog import NO_TARGET, Chunk, EventId, EventLog, write_records
 from sleepscan.simgen.dominance import (
     DOMINANCE_HEADER,
     DominanceMap,
@@ -28,7 +27,7 @@ from sleepscan.simgen.engine import simulate
 from sleepscan.simgen.fields import ShadowingField, gaussian_filter_wrap, make_shadowing
 from sleepscan.simgen.layout import Cell, GridSpec, NetworkLayout, macro21_layout, pathloss_db, sector_gain_db
 from sleepscan.simgen.suite import (
-    derive_seeds, generate_dataset_suite, load_suite, split_chunks, suite_roles, truth_rows, write_suite, write_truth,
+    derive_seeds, generate_dataset_suite, load_suite, split_chunks, truth_rows, write_suite, write_truth,
 )
 
 import engine_oracle
@@ -329,10 +328,7 @@ def test_seed_derivation_roles():
 
 
 def test_dataset_suite_structure():
-    layout = macro21_layout()
-    grid = layout.default_grid(resolution_m=10.0)
-    sim = SimConfig(ues_per_cell=2, duration_steps=900)
-    suite = generate_dataset_suite(layout, sim, faulty_cell=1, master_seed=5, n_chunks=6, grid=grid)
+    suite = generate_dataset_suite(RunConfig(ues_per_cell=2, duration_steps=900, master_seed=5, map_resolution_m=10.0))
     assert set(suite.roles) == {"normal", "problematic", "reference"}
     n_ue = 2 * 21
     for role, data in suite.roles.items():
@@ -415,15 +411,18 @@ SMOKE = {"ues_per_cell": 3, "duration_steps": 800, "map_resolution_m": 10.0, "kn
 
 
 @pytest.mark.parametrize("overrides", [{}, {"a2_report_interval_ms": 200}], ids=["smoke", "a2_report_interval"])
-def test_suite_roles_equal_the_written_suite_loaded_back(overrides, tmp_path):
-    suite = suite_from_config(RunConfig.from_dict({**SMOKE, **overrides}))
+def test_written_suite_loads_back_as_the_simulated_chunks(overrides, tmp_path):
+    """Each chunk `load_suite` returns equals, column by column, the chunk built from the simulated log."""
+    cfg = RunConfig.from_dict({**SMOKE, **overrides})
+    suite = generate_dataset_suite(cfg)
     write_suite(suite, tmp_path / "suite")
     _, loaded = load_suite(tmp_path / "suite")
-    loaded = {role: [load() for load in loaders] for role, loaders in loaded.items()}
-    in_memory = {role: [load() for load in loaders] for role, loaders in suite_roles(suite).items()}
-    assert set(in_memory) == set(loaded) == {"normal", "problematic", "reference"}
-    for role, expected in loaded.items():
-        got = in_memory[role]
+    cell_ids = list(cfg.layout().cell_ids)
+    assert set(loaded) == set(suite.roles) == {"normal", "problematic", "reference"}
+    for role, data in suite.roles.items():
+        truth = truth_rows(data.records, data.affected)
+        expected = [Chunk.from_log(chunk, data.radio.dominance, cell_ids, truth) for chunk in data.chunks]
+        got = [load() for load in loaded[role]]
         assert len(got) == len(expected) == 6
         for a, b in zip(got, expected):
             for f in fields(a.log):
@@ -431,7 +430,8 @@ def test_suite_roles_equal_the_written_suite_loaded_back(overrides, tmp_path):
                 assert column_a.dtype == column_b.dtype and np.array_equal(column_a, column_b), (role, f.name)
             for name in ("call_bounds", "cell", "affected"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), (role, name)
-    assert any(chunk.affected.any() for chunk in loaded["problematic"])
+        if role == "problematic":
+            assert any(chunk.affected.any() for chunk in got)
 
 
 def test_write_dominance_csv_matches_csv_writer(tmp_path):
