@@ -184,10 +184,11 @@ class Chunk:
     def from_log(cls, log: EventLog, dominance, cell_ids, truth=None) -> "Chunk":
         """Order a log into calls and attach cells and truth.
 
-        dominance is the role's `DominanceMap`; truth is the (ue,
-        event_index, affected) arrays of the role's truth file, keyed by
-        (ue, position in the call).  Absent keys read as unaffected, and
-        a key listed more than once keeps its last flag.
+        dominance is the role's `DominanceMap`; truth is (ue,
+        event_index, affected) arrays keyed by (ue, position in the call):
+        `simgen.suite.load_truth` gives the rows of a role's truth file
+        that can mark a record.  Absent keys read as unaffected, and a key
+        listed more than once keeps its last flag.
         """
         log, bounds = group_calls(log)
         cell = lookup_index(dominance.cell_at(log.x, log.y), cell_ids)
@@ -309,6 +310,7 @@ def line_columns(line: re.Pattern, path, convert, header: str | None = None) -> 
             if len(rows) == text.count("\n") and (not text or text.endswith("\n")):
                 parts.append(_converted(convert, path, lineno, rows, line.groups))
                 lineno += len(rows)
+                del text, rows  # before the next block is read, so that two blocks' captures are never held at once
                 continue
             pos = good = 0  # matches run on line after line up to the first line that does not match
             for match in line.finditer(text):

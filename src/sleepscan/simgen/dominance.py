@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..errors import ConfigError, DataError
+from ..errors import ConfigError, DataError, ParseError
 from ..mdtlog import opened, sorted_unique
 from .layout import GridSpec, NetworkLayout, pathloss_db, sector_gain_db
 
@@ -147,26 +148,62 @@ def write_dominance_csv(dmap: DominanceMap, *paths) -> None:
 DOMINANCE_HEADER = "x_index,y_index,cell_id"
 
 
+# Rows `load_dominance_csv` parses at a time: it holds one block of lines and its parsed rows, never the whole map.
+DOMINANCE_BLOCK_ROWS = 1024
+
+
 def load_dominance_csv(path, grid_spec: GridSpec) -> DominanceMap:
     """Read a dominance map as `write_dominance_csv` writes it: the exact header, then every pixel once, row-major.
 
-    The rows are streamed from the open file by one `np.loadtxt` call, so
-    the file's whole text is never held.
+    The rows are read from the open file `DOMINANCE_BLOCK_ROWS` lines at
+    a time, each block parsed by `np.loadtxt`, its index columns checked
+    against the pixels' row-major positions and its cell column copied
+    into the grid.  So neither the file's text nor its (pixels, 3) rows
+    are ever held whole.  A row that is not three integers is a
+    ParseError naming its line, counted from the top of the file.
     """
+    ny, nx = grid_spec.ny, grid_spec.nx
+    misplaced = f"{path}: dominance map rows must list every pixel of the {nx}x{ny} grid once, row-major"
+    cells = np.empty(ny * nx, dtype=np.int64)
+    filled, lineno = 0, 2  # pixels read so far; the file line of the block's first line
     with opened(path) as fh:
         header = fh.readline().removesuffix("\n")
         if header != DOMINANCE_HEADER:
             raise DataError(f"{path}: dominance map header must be {DOMINANCE_HEADER!r}, got {header!r}")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # no rows: fails the pixel check
-                rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
-        except UnicodeDecodeError:
-            raise  # opened() names the file as not UTF-8
-        except ValueError as exc:
-            raise DataError(f"{path}: malformed dominance map row ({exc})") from None
-    ny, nx = grid_spec.ny, grid_spec.nx
-    pixels = rows.reshape(ny, nx, 3) if rows.shape == (ny * nx, 3) else None
-    if pixels is None or (pixels[..., 0] != np.arange(nx)).any() or (pixels[..., 1] != np.arange(ny)[:, None]).any():
-        raise DataError(f"{path}: dominance map rows must list every pixel of the {nx}x{ny} grid once, row-major")
-    return DominanceMap(grid_spec=grid_spec, grid=np.ascontiguousarray(pixels[..., 2]))
+        while lines := list(islice(fh, DOMINANCE_BLOCK_ROWS)):
+            rows = _dominance_rows(path, lineno, lines)
+            stop = filled + len(rows)
+            pixel = np.arange(filled, stop)
+            if stop > len(cells) or (rows[:, 0] != pixel % nx).any() or (rows[:, 1] != pixel // nx).any():
+                raise DataError(misplaced)
+            cells[filled:stop] = rows[:, 2]
+            filled, lineno = stop, lineno + len(lines)
+    if filled < len(cells):
+        raise DataError(misplaced)
+    return DominanceMap(grid_spec=grid_spec, grid=cells.reshape(ny, nx))
+
+
+def _int_rows(lines) -> np.ndarray | None:
+    """The comma-separated integers of lines as a 2-d int64 array (no row for an empty line), None if they are not."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows: an empty block of lines
+            return np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+    except ValueError:
+        return None
+
+
+def _dominance_rows(path, lineno, lines) -> np.ndarray:
+    """The (rows, 3) int64 array of a block of a dominance map's lines, whose first is line lineno of path.
+
+    An empty line gives no row.  The first line that is not three
+    integers is a ParseError naming it.
+    """
+    rows = _int_rows(lines)
+    if rows is None or rows.shape[1] != 3:
+        for k, line in enumerate(lines):  # np.loadtxt's "at row" counts within the block: find the line here
+            if (row := _int_rows([line])) is None or row.shape not in ((0, 1), (1, 3)):
+                text = line.removesuffix("\n")
+                raise ParseError(path, lineno + k, f"malformed dominance map row: {text[:60]!r}")
+        rows = rows.reshape(0, 3)  # every line of the block is empty
+    return rows

@@ -28,7 +28,8 @@ import numpy as np
 
 from ..errors import DataError
 from ..mdtlog import (
-    JSON_INT, Chunk, EventLog, line_columns, read_json_object, read_records, write_json, write_records,
+    JSON_INT, Chunk, EventLog, line_columns, lookup_index, read_json_object, read_records, sorted_unique, write_json,
+    write_records,
 )
 from .dominance import (
     RadioMap,
@@ -136,13 +137,44 @@ _TRUTH_LINE = re.compile(
 
 
 def load_truth(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ue, event_index, affected) arrays of a truth file `write_truth` wrote, in file order.
+    """(ue, event_index, affected) arrays of the rows of a truth file `write_truth` wrote that can mark a record.
+
+    `Chunk.from_log` gives a key (ue, event_index) the flag of its last
+    row, and reads a key without rows as unaffected.  So a row can change
+    what the join gives only if it is affected or follows an affected row
+    of its key: those rows are kept, in file order, and the rest dropped.
+    Rows before the file's first affected row go as their block is
+    parsed, so a file without one never holds more than a block of rows;
+    the rest are compacted once, at the end.  Each call returns new
+    arrays.
 
     Every line must be exactly as `write_truth` writes it: the first
     that is not is a ParseError naming it.  An integer outside 64 bits
     is a DataError.
     """
-    return tuple(line_columns(_TRUTH_LINE, path, _truth_arrays))
+    marked = False  # a block so far held an affected row
+
+    def rows_from_first_affected(path, lineno, *captures):
+        nonlocal marked
+        ue, index, flags = _truth_arrays(path, lineno, *captures)  # every row is converted, and so checked
+        if not marked:
+            marked = bool(flags.any())
+            first = int(np.argmax(flags)) if marked else len(flags)
+            if first:  # copies, so that the block's arrays are freed now
+                ue, index, flags = (column[first:].copy() for column in (ue, index, flags))
+        return ue, index, flags
+
+    ue, index, flags = line_columns(_TRUTH_LINE, path, rows_from_first_affected)
+    order = np.lexsort((index, ue))  # stable: each key's rows stay in file order
+    ue_sorted, index_sorted = ue[order], index[order]
+    new_key = np.ones(len(order), dtype=bool)
+    new_key[1:] = (ue_sorted[1:] != ue_sorted[:-1]) | (index_sorted[1:] != index_sorted[:-1])
+    del ue_sorted, index_sorted
+    key = np.cumsum(new_key)  # 1, 2, ... in sorted order
+    # the last key with an affected row so far is the row's own iff an affected row of its key is at or before it
+    keep = np.empty(len(order), dtype=bool)
+    keep[order] = np.maximum.accumulate(np.where(flags[order], key, 0)) == key
+    return ue[keep], index[keep], flags[keep]
 
 
 def _truth_arrays(path, lineno, ue, index, affected) -> tuple[np.ndarray, ...]:
@@ -258,9 +290,10 @@ def load_suite(data_dir) -> tuple[dict, dict[str, list[ChunkLoader]]]:
     """Open a written suite: its manifest, and a loader per chunk of each role.
 
     The manifest is checked, every file it names must exist, and each
-    role's truth and dominance map are read once here; a chunk file is
-    parsed only when its loader is called (`load_chunk`).  A malformed
-    manifest or a missing file is a DataError naming the file.
+    role's truth (`load_truth`) and dominance map are read once here; a
+    chunk file is parsed only when its loader is called (`load_chunk`).
+    A malformed manifest, a missing file or a dominance map that names a
+    cell outside the manifest's `cell_ids` is a DataError naming the file.
     """
     data_dir = Path(data_dir)
     manifest_path = data_dir / "manifest.json"
@@ -279,6 +312,10 @@ def load_suite(data_dir) -> tuple[dict, dict[str, list[ChunkLoader]]]:
     for role, entry in manifest["files"].items():
         truth = load_truth(data_dir / entry["truth"])
         dominance = load_dominance_csv(data_dir / entry["dominance"], grid)
+        cells = sorted_unique(dominance.grid)
+        unknown = cells[lookup_index(cells, cell_ids) < 0]
+        if len(unknown):
+            raise DataError(f"{data_dir / entry['dominance']}: cell {unknown[0]} is not one of the manifest's cell_ids")
         roles[role] = [partial(load_chunk, data_dir / name, dominance, cell_ids, truth) for name in entry["chunks"]]
     return manifest, roles
 

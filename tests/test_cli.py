@@ -590,6 +590,11 @@ def _drop_key_on_line(path, lineno, key):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _set_every_cell(path, cell):
+    header, *rows = path.read_text().splitlines()
+    path.write_text(header + "\n" + "".join(row.rpartition(",")[0] + f",{cell}\n" for row in rows))
+
+
 # (file, damage): each must make detect exit 3 naming the file.
 DAMAGED_SUITE_CASES = [
     ("truth_normal.jsonl", lambda p: _append(p, "{bad")),
@@ -614,6 +619,8 @@ DAMAGED_SUITE_CASES = [
     ("problematic_chunk3.jsonl", lambda p: _edit_line(p, 4, lambda r: r.replace('"t": ', '"t":'))),
     ("problematic_chunk3.jsonl", lambda p: _edit_line(p, 4, lambda r: re.sub(r'"x": [^,]+', '"x": 1e+400', r))),
     ("normal_chunk1.jsonl", lambda p: _edit_line(p, 7, lambda r: re.sub(r'"y": [^,]+', '"y": -1e+400', r))),
+    ("dominance_normal.csv", lambda p: _edit_line(p, 1, lambda r: "0,0,999")),
+    ("dominance_reference.csv", lambda p: _set_every_cell(p, 999)),
 ]
 DAMAGED_SUITE_IDS = [
     "truth_not_json", "truth_without_event_index", "manifest_not_json", "manifest_without_grid",
@@ -622,7 +629,7 @@ DAMAGED_SUITE_IDS = [
     "manifest_chunk_name_dot", "manifest_not_utf8", "dominance_not_utf8", "chunk_not_utf8", "truth_not_utf8",
     "manifest_cell_ids_descending", "manifest_adjacency_neighbor_not_a_cell",
     "manifest_adjacency_key_not_a_cell", "problematic_chunk_bad_line", "problematic_chunk_x_overflows",
-    "normal_chunk_y_overflows",
+    "normal_chunk_y_overflows", "dominance_pixel_not_a_cell", "dominance_map_not_a_cell",
 ]
 
 
@@ -722,6 +729,21 @@ def test_detect_frees_each_roles_truth_after_its_last_chunk(dataset_dir, tiny_co
     assert alive[0] == ("problematic", ["problematic", "reference"])  # normal's went once the plan was built
     assert alive[36] == ("reference", ["reference"])  # problematic's went with its last task
     assert not roles and all(ref() is None for ref in truth.values())
+
+
+def test_dominance_cell_outside_cell_ids_fails_before_the_run_is_touched(tmp_path, tiny_config_path, dataset_dir,
+                                                                          detect_dir, capsys):
+    """A map naming cell 999 exits 3 naming the map and the cell, and leaves the earlier run in --out as it was."""
+    data, run = tmp_path / "suite", tmp_path / "run"
+    shutil.copytree(dataset_dir, data)
+    shutil.copytree(detect_dir, run)
+    _edit_line(data / "dominance_reference.csv", 5, lambda row: row.rpartition(",")[0] + ",999")
+    capsys.readouterr()
+    assert main(["detect", "--config", str(tiny_config_path), "--data", str(data), "--out", str(run)]) == 3
+    err = capsys.readouterr().err
+    assert str(data / "dominance_reference.csv") in err and "cell 999 " in err
+    assert sorted(p.relative_to(run) for p in run.rglob("*")) == sorted(p.relative_to(detect_dir)
+                                                                       for p in detect_dir.rglob("*"))
 
 
 def test_no_amplify_flag(tmp_path, tiny_config_path, dataset_dir):

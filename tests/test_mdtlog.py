@@ -395,7 +395,65 @@ def test_load_truth_round_trips_written_truth(tmp_path_factory, ue_flags):
     write_truth(log, affected, path)
     truth = load_truth(path)
     assert [column.dtype for column in truth] == [np.int64, np.int64, np.bool_]
-    _assert_same_columns(truth, truth_rows(log, affected))
+    _assert_same_columns(truth, _rows_that_can_mark(truth_rows(log, affected)))
+
+
+def _rows_that_can_mark(columns):
+    """The rows, in order, at or after an affected row of their (ue, event_index) key: what `load_truth` keeps."""
+    marked, kept = set(), []
+    for ue, index, flag in zip(*(column.tolist() for column in columns)):
+        if flag:
+            marked.add((ue, index))
+        if (ue, index) in marked:
+            kept.append((ue, index, flag))
+    return _truth_arrays(kept)
+
+
+def _truth_text(entries):
+    """A truth file listing (ue, event_index, affected) triples in order, each line as `write_truth` writes it."""
+    return "".join(
+        f'{{"ue": {ue}, "event_index": {index}, "affected": {"true" if flag else "false"}}}\n'
+        for ue, index, flag in entries
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ues=st.lists(st.integers(-3, 5), max_size=30),
+    entries=st.lists(st.tuples(st.integers(-4, 6), st.integers(-1, 8), st.booleans()), max_size=40),
+    block_chars=st.integers(1, 200),
+)
+@example(ues=[1, 1, 2], entries=[(1, 1, True), *[(4, i, False) for i in range(8)], (1, 1, False), (2, 0, True)],
+         block_chars=60)
+@example(ues=[1, 1, 2], entries=[(2, 0, True), (1, 1, False), *[(4, i, False) for i in range(8)], (1, 1, True)],
+         block_chars=60)
+def test_truth_keys_listed_again_in_a_later_block_join_as_listed(tmp_path_factory, ues, entries, block_chars):
+    """A key listed true and then false, or false and then true, in blocks read apart joins to its last flag."""
+    path = tmp_path_factory.mktemp("truth") / "truth.jsonl"
+    path.write_text(_truth_text(entries), encoding="utf-8")
+    with mock.patch.object(mdtlog, "BLOCK_CHARS", block_chars):
+        truth = load_truth(path)
+    _assert_same_columns(truth, _rows_that_can_mark(_truth_arrays(entries)))
+    spec = GridSpec(origin_x=0.0, origin_y=0.0, resolution_m=10.0, nx=1, ny=1)
+    dmap = DominanceMap(grid_spec=spec, grid=np.full((1, 1), 5, dtype=np.int64))
+    chunk = Chunk.from_log(EventLog.from_rows([_rec(ue=ue, t=i) for i, ue in enumerate(ues)]), dmap, [5], truth)
+    assert chunk.affected.tolist() == _truth_join_oracle(chunk, entries)
+
+
+def test_truth_without_an_affected_row_holds_one_block_not_the_file(tmp_path):
+    """A role whose truth marks no record loads to empty arrays, holding a block at a time, whatever its size."""
+    path = tmp_path / "truth.jsonl"
+    n = 100_000
+    path.write_text(_truth_text(zip(range(n), np.arange(n) % 7, [False] * n)), encoding="utf-8")
+    assert path.stat().st_size >= 4_000_000
+    tracemalloc.start()
+    try:
+        truth = load_truth(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(column.dtype, len(column)) for column in truth] == [(np.dtype(np.int64), 0)] * 2 + [(np.dtype(bool), 0)]
+    assert peak <= 10 * mdtlog.BLOCK_CHARS, peak
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import json
 import tracemalloc
 from collections import namedtuple
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sleepscan.config import RunConfig, SimConfig
-from sleepscan.errors import ConfigError, DataError
+from sleepscan.errors import ConfigError, DataError, ParseError
 from sleepscan.mdtlog import NO_TARGET, Chunk, EventId, EventLog, write_records
+from sleepscan.simgen import dominance
 from sleepscan.simgen.dominance import (
     DOMINANCE_HEADER,
     DominanceMap,
@@ -465,8 +467,55 @@ def test_load_dominance_csv_streams_the_map(tmp_path):
     finally:
         tracemalloc.stop()
     assert np.array_equal(loaded.grid, grid) and loaded.grid.flags.c_contiguous
-    # the parsed (pixels, 3) rows and the cell column copied out of them; the file's text is never held whole
-    assert peak <= 5 * loaded.grid.nbytes, (peak, loaded.grid.nbytes)
+    # the grid, and one block of lines and its parsed rows: neither the file's text nor its (pixels, 3) rows
+    assert peak <= 2.5 * loaded.grid.nbytes, (peak, loaded.grid.nbytes)
+
+
+def _map_lines(path, spec):
+    """The lines, without line ends, of a written map of spec's grid; line k of the file is item k - 1."""
+    grid = np.arange(spec.ny * spec.nx).reshape(spec.ny, spec.nx) % 21 + 1
+    write_dominance_csv(DominanceMap(grid_spec=spec, grid=grid), path)
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, dominance.DOMINANCE_BLOCK_ROWS])
+@pytest.mark.parametrize("lineno", [2 + dominance.DOMINANCE_BLOCK_ROWS, 3 * dominance.DOMINANCE_BLOCK_ROWS + 7, 30001])
+@pytest.mark.parametrize("row", ["4,0,1.5", "4,0", "4,0,1,1", "# comment", "4;0;1"])
+def test_malformed_dominance_row_names_its_line_from_the_top_of_the_file(tmp_path, row, lineno, block_rows):
+    """However the rows fall into blocks, the first row that is not three integers is named by its file line."""
+    spec = GridSpec(origin_x=0.0, origin_y=0.0, resolution_m=5.0, nx=200, ny=150)
+    path = tmp_path / "dominance.csv"
+    lines = _map_lines(path, spec)
+    assert len(lines) == 30001
+    if lineno < len(lines):
+        lines[-1] = "0,0,x"  # a later fault is not the one named
+    lines[lineno - 1] = row
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with mock.patch.object(dominance, "DOMINANCE_BLOCK_ROWS", block_rows), pytest.raises(ParseError) as err:
+        load_dominance_csv(path, spec)
+    assert (err.value.path, err.value.lineno, err.value.reason) == (
+        str(path), lineno, f"malformed dominance map row: {row!r}"
+    )
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda lines: lines[:3000] + lines[3001:],                                 # a pixel missing
+        lambda lines: lines[:3001] + lines[3000:],                                 # a pixel twice
+        lambda lines: lines[:3000] + [lines[3001], lines[3000]] + lines[3002:],   # two pixels swapped
+        lambda lines: lines + ["0,150,1"],                                         # a pixel past the grid
+        lambda lines: lines[:-1],                                                  # the last pixel missing
+    ],
+    ids=["missing", "repeated", "swapped", "extra", "last_missing"],
+)
+def test_misplaced_pixel_past_the_first_block_is_a_data_error(tmp_path, edit):
+    spec = GridSpec(origin_x=0.0, origin_y=0.0, resolution_m=5.0, nx=200, ny=150)
+    path = tmp_path / "dominance.csv"
+    path.write_text("\n".join(edit(_map_lines(path, spec))) + "\n", encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        load_dominance_csv(path, spec)
+    assert str(err.value) == f"{path}: dominance map rows must list every pixel of the 200x150 grid once, row-major"
 
 
 def test_load_dominance_csv_rejects_a_non_utf8_byte_past_the_header(tmp_path):
