@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import IntEnum
 
 import numpy as np
@@ -181,14 +181,16 @@ class Chunk:
     affected: np.ndarray     # bool per record
 
     @classmethod
-    def from_log(cls, log: EventLog, dominance, cell_ids, truth=None) -> "Chunk":
+    def from_log(
+        cls, log: EventLog, dominance, cell_ids, truth=None, mismatch: str = "truth does not match the log"
+    ) -> "Chunk":
         """Order a log into calls and attach cells and truth.
 
-        dominance is the role's `DominanceMap`; truth is (ue,
-        event_index, affected) arrays keyed by (ue, position in the call):
-        `simgen.suite.load_truth` gives the rows of a role's truth file
-        that can mark a record.  Absent keys read as unaffected, and a key
-        listed more than once keeps its last flag.
+        dominance is the role's `DominanceMap`; truth is `simgen.suite.load_truth`
+        of the role's truth file: its UEs, their row counts and the flag of
+        each row by (ue, position in the call).  A count that is not the
+        record count of the UE's call is a DataError whose message starts
+        with mismatch.
         """
         log, bounds = group_calls(log)
         cell = lookup_index(dominance.cell_at(log.x, log.y), cell_ids)
@@ -196,14 +198,17 @@ class Chunk:
             raise DataError("dominance map places records in cells missing from the suite's cell ids")
         affected = np.zeros(len(log), dtype=bool)
         if truth is not None:
-            ue, index, flag = (np.asarray(column) for column in truth)
-            call = lookup_index(ue, log.ue[bounds[:-1]])  # calls are one per UE, in ue order
-            found = call >= 0
-            call, index, flag = call[found], index[found], flag[found]
-            inside = (index >= 0) & (index < bounds[call + 1] - bounds[call])
-            record = bounds[call[inside]] + index[inside]
-            last = len(record) - 1 - np.unique(record[::-1], return_index=True)[1]
-            affected[record[last]] = flag[inside][last]
+            truth_ues, counts, flags = truth
+            call_ues, sizes = log.ue[bounds[:-1]], np.diff(bounds)  # calls are one per UE, in ue order
+            at = lookup_index(call_ues, truth_ues)
+            listed = np.append(counts, 0)[at]
+            if (listed != sizes).any():
+                c = int(np.argmax(listed != sizes))
+                raise DataError(
+                    f"{mismatch}: truth lists {listed[c]} rows for ue {call_ues[c]}, whose call has {sizes[c]} records"
+                )
+            first = (np.cumsum(counts) - counts)[at]  # each call's first row among the flags
+            affected = flags[np.repeat(first - bounds[:-1], sizes) + np.arange(len(log))]
         return cls(log=log, call_bounds=bounds, cell=cell, affected=affected)
 
 
@@ -407,7 +412,3 @@ def make_fold_pairs(train_role, train_chunks, test_role, test_chunks) -> list[Fo
         for j in range(len(test_chunks))
     ]
 
-
-def strip_locations(log: EventLog) -> EventLog:
-    """Copy a log with location zeroed; target-cell analysis must not need it."""
-    return replace(log, x=np.zeros_like(log.x), y=np.zeros_like(log.y))

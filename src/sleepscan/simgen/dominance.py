@@ -9,7 +9,7 @@ the simulator's radio model and event-location attribution.
 
 from __future__ import annotations
 
-import warnings
+import re
 from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING
@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import ConfigError, DataError, ParseError
-from ..mdtlog import opened, sorted_unique
+from ..mdtlog import JSON_INT, opened, sorted_unique
 from .layout import GridSpec, NetworkLayout, pathloss_db, sector_gain_db
 
 if TYPE_CHECKING:
@@ -32,9 +32,6 @@ class DominanceMap:
     def cell_at(self, x, y):
         iy, ix = self.grid_spec.indices_for(x, y)
         return self.grid[iy, ix]
-
-    def share_of(self, cell_id: int) -> float:
-        return float(np.mean(self.grid == cell_id))
 
 
 @dataclass(frozen=True)
@@ -156,11 +153,13 @@ def load_dominance_csv(path, grid_spec: GridSpec) -> DominanceMap:
     """Read a dominance map as `write_dominance_csv` writes it: the exact header, then every pixel once, row-major.
 
     The rows are read from the open file `DOMINANCE_BLOCK_ROWS` lines at
-    a time, each block parsed by `np.loadtxt`, its index columns checked
-    against the pixels' row-major positions and its cell column copied
-    into the grid.  So neither the file's text nor its (pixels, 3) rows
-    are ever held whole.  A row that is not three integers is a
-    ParseError naming its line, counted from the top of the file.
+    a time.  Each block is matched against the writer's `ix,iy,cell`
+    line, parsed by `np.loadtxt`, its index columns checked against the
+    pixels' row-major positions and its cell column copied into the
+    grid.  So neither the file's text nor its (pixels, 3) rows are ever
+    held whole.  A line that is not a row as the writer writes it (other
+    spacing, a sign, an empty line, no final newline) is a ParseError
+    naming it, counted from the top of the file.
     """
     ny, nx = grid_spec.ny, grid_spec.nx
     misplaced = f"{path}: dominance map rows must list every pixel of the {nx}x{ny} grid once, row-major"
@@ -183,27 +182,23 @@ def load_dominance_csv(path, grid_spec: GridSpec) -> DominanceMap:
     return DominanceMap(grid_spec=grid_spec, grid=cells.reshape(ny, nx))
 
 
-def _int_rows(lines) -> np.ndarray | None:
-    """The comma-separated integers of lines as a 2-d int64 array (no row for an empty line), None if they are not."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # no rows: an empty block of lines
-            return np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
-    except ValueError:
-        return None
+# A line `write_dominance_csv` writes after its header, read with universal newlines.
+_INDEX = JSON_INT.removeprefix("-?")  # a non-negative JSON integer
+_DOMINANCE_ROW = re.compile(rf"^{_INDEX},{_INDEX},{JSON_INT}\n", re.MULTILINE | re.ASCII)
 
 
 def _dominance_rows(path, lineno, lines) -> np.ndarray:
     """The (rows, 3) int64 array of a block of a dominance map's lines, whose first is line lineno of path.
 
-    An empty line gives no row.  The first line that is not three
-    integers is a ParseError naming it.
+    Every line must be a row as `write_dominance_csv` writes it: the
+    first that is not is a ParseError naming it.  An integer outside 64
+    bits is a DataError.
     """
-    rows = _int_rows(lines)
-    if rows is None or rows.shape[1] != 3:
-        for k, line in enumerate(lines):  # np.loadtxt's "at row" counts within the block: find the line here
-            if (row := _int_rows([line])) is None or row.shape not in ((0, 1), (1, 3)):
-                text = line.removesuffix("\n")
-                raise ParseError(path, lineno + k, f"malformed dominance map row: {text[:60]!r}")
-        rows = rows.reshape(0, 3)  # every line of the block is empty
-    return rows
+    if len(_DOMINANCE_ROW.findall("".join(lines))) < len(lines):  # each match is one whole line
+        k = next(k for k, line in enumerate(lines) if not _DOMINANCE_ROW.fullmatch(line))
+        row = lines[k].removesuffix("\n")
+        raise ParseError(path, lineno + k, f"malformed dominance map row: {row[:60]!r}")
+    try:
+        return np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+    except ValueError:  # the pattern admits only integers: one is outside 64 bits
+        raise DataError(f"{path}: integer field outside the 64-bit range") from None

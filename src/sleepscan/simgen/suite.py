@@ -28,8 +28,8 @@ import numpy as np
 
 from ..errors import DataError
 from ..mdtlog import (
-    JSON_INT, Chunk, EventLog, line_columns, lookup_index, read_json_object, read_records, sorted_unique, write_json,
-    write_records,
+    JSON_INT, Chunk, EventLog, check_rows, line_columns, lookup_index, read_json_object, read_records, sorted_unique,
+    write_json, write_records,
 )
 from .dominance import (
     RadioMap,
@@ -109,14 +109,19 @@ def generate_dataset_suite(cfg: RunConfig) -> DatasetSuite:
     return DatasetSuite(cfg=cfg, roles=roles, seeds=seeds, adjacency=adjacency)
 
 
+def event_indices(ue) -> np.ndarray:
+    """Each record's position among the records of its UE, in record order: the event_index `write_truth` writes."""
+    order = np.argsort(ue, kind="stable")
+    ue_sorted = ue[order]
+    index = np.empty(len(ue), dtype=np.int64)
+    # a record's rank in the stable ue order, less the rank of its UE's first record
+    index[order] = np.arange(len(ue)) - np.searchsorted(ue_sorted, ue_sorted)
+    return index
+
+
 def truth_rows(log: EventLog, affected) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ue, event_index within the UE's call, affected) arrays, one entry per record in record order."""
-    order = np.argsort(log.ue, kind="stable")
-    ue_sorted = log.ue[order]
-    index = np.empty(len(log), dtype=np.int64)
-    # a record's rank in the stable ue order, less the rank of its UE's first record
-    index[order] = np.arange(len(log)) - np.searchsorted(ue_sorted, ue_sorted)
-    return log.ue, index, np.asarray(affected, dtype=bool)
+    return log.ue, event_indices(log.ue), np.asarray(affected, dtype=bool)
 
 
 def write_truth(log: EventLog, affected, path) -> None:
@@ -137,50 +142,37 @@ _TRUTH_LINE = re.compile(
 
 
 def load_truth(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ue, event_index, affected) arrays of the rows of a truth file `write_truth` wrote that can mark a record.
+    """Every UE of a truth file `write_truth` wrote, sorted, its row count, and each row's affected flag.
 
-    `Chunk.from_log` gives a key (ue, event_index) the flag of its last
-    row, and reads a key without rows as unaffected.  So a row can change
-    what the join gives only if it is affected or follows an affected row
-    of its key: those rows are kept, in file order, and the rest dropped.
-    Rows before the file's first affected row go as their block is
-    parsed, so a file without one never holds more than a block of rows;
-    the rest are compacted once, at the end.  Each call returns new
-    arrays.
+    Three new arrays: the UEs and their row counts (int64), and the flags
+    (bool) with the rows ordered by (ue, event_index), so that a UE's
+    flags follow the flags of the UEs before it.  The file is read a block
+    at a time, keeping only the counts and the keys of affected rows.
 
-    Every line must be exactly as `write_truth` writes it: the first
+    Every line must be exactly as `write_truth` writes it, and each row's
+    event_index the number of rows of its UE before it: the first line
     that is not is a ParseError naming it.  An integer outside 64 bits
     is a DataError.
     """
-    marked = False  # a block so far held an affected row
+    ues = counts = np.zeros(0, dtype=np.int64)  # every UE so far, sorted, and its rows so far
 
-    def rows_from_first_affected(path, lineno, *captures):
-        nonlocal marked
-        ue, index, flags = _truth_arrays(path, lineno, *captures)  # every row is converted, and so checked
-        if not marked:
-            marked = bool(flags.any())
-            first = int(np.argmax(flags)) if marked else len(flags)
-            if first:  # copies, so that the block's arrays are freed now
-                ue, index, flags = (column[first:].copy() for column in (ue, index, flags))
-        return ue, index, flags
+    def affected_keys(path, lineno, ue, index, affected):
+        nonlocal ues, counts
+        ue, index = np.array(ue, dtype=np.int64), np.array(index, dtype=np.int64)
+        expected = event_indices(ue)
+        expected += np.append(counts, 0)[lookup_index(ue, ues)]  # the UE's rows in earlier blocks
+        check_rows(path, lineno, (index != expected, lambda row: f"the writer writes event_index {expected[row]} here"))
+        merged = sorted_unique(np.concatenate((ues, ue)))
+        grown = np.bincount(np.searchsorted(merged, ue), minlength=len(merged))
+        grown[np.searchsorted(merged, ues)] += counts
+        ues, counts = merged, grown
+        flags = np.array([flag == "true" for flag in affected], dtype=bool)
+        return ue[flags], index[flags]
 
-    ue, index, flags = line_columns(_TRUTH_LINE, path, rows_from_first_affected)
-    order = np.lexsort((index, ue))  # stable: each key's rows stay in file order
-    ue_sorted, index_sorted = ue[order], index[order]
-    new_key = np.ones(len(order), dtype=bool)
-    new_key[1:] = (ue_sorted[1:] != ue_sorted[:-1]) | (index_sorted[1:] != index_sorted[:-1])
-    del ue_sorted, index_sorted
-    key = np.cumsum(new_key)  # 1, 2, ... in sorted order
-    # the last key with an affected row so far is the row's own iff an affected row of its key is at or before it
-    keep = np.empty(len(order), dtype=bool)
-    keep[order] = np.maximum.accumulate(np.where(flags[order], key, 0)) == key
-    return ue[keep], index[keep], flags[keep]
-
-
-def _truth_arrays(path, lineno, ue, index, affected) -> tuple[np.ndarray, ...]:
-    """One block of a truth file's captures as (ue, event_index, affected) arrays."""
-    flags = np.array([flag == "true" for flag in affected], dtype=bool)
-    return np.array(ue, dtype=np.int64), np.array(index, dtype=np.int64), flags
+    ue, index = line_columns(_TRUTH_LINE, path, affected_keys)
+    flags = np.zeros(int(counts.sum()), dtype=bool)
+    flags[(np.cumsum(counts) - counts)[np.searchsorted(ues, ue)] + index] = True
+    return ues, counts, flags
 
 
 def make_suite_dir(out_dir) -> Path:
@@ -310,16 +302,23 @@ def load_suite(data_dir) -> tuple[dict, dict[str, list[ChunkLoader]]]:
                 raise DataError(f"missing {data_dir / name}")
     roles = {}
     for role, entry in manifest["files"].items():
-        truth = load_truth(data_dir / entry["truth"])
+        truth_path = data_dir / entry["truth"]
+        truth = load_truth(truth_path)
         dominance = load_dominance_csv(data_dir / entry["dominance"], grid)
         cells = sorted_unique(dominance.grid)
         unknown = cells[lookup_index(cells, cell_ids) < 0]
         if len(unknown):
             raise DataError(f"{data_dir / entry['dominance']}: cell {unknown[0]} is not one of the manifest's cell_ids")
-        roles[role] = [partial(load_chunk, data_dir / name, dominance, cell_ids, truth) for name in entry["chunks"]]
+        roles[role] = [
+            partial(load_chunk, data_dir / name, dominance, cell_ids, truth, truth_path) for name in entry["chunks"]
+        ]
     return manifest, roles
 
 
-def load_chunk(path, dominance, cell_ids, truth) -> Chunk:
-    """One chunk file of a suite, parsed into columns, with each record's dominance cell and ground-truth flag."""
-    return Chunk.from_log(read_records(path), dominance, cell_ids, truth)
+def load_chunk(path, dominance, cell_ids, truth, truth_path) -> Chunk:
+    """One chunk file of a suite, parsed into columns, with each record's dominance cell and ground-truth flag.
+
+    truth is `load_truth` of truth_path; truth that is not the chunk's is a DataError naming both files.
+    """
+    # no local holds the file's columns, so that from_log frees them once it has ordered them into calls
+    return Chunk.from_log(read_records(path), dominance, cell_ids, truth, f"{truth_path} does not match {path}")

@@ -621,6 +621,11 @@ DAMAGED_SUITE_CASES = [
     ("normal_chunk1.jsonl", lambda p: _edit_line(p, 7, lambda r: re.sub(r'"y": [^,]+', '"y": -1e+400', r))),
     ("dominance_normal.csv", lambda p: _edit_line(p, 1, lambda r: "0,0,999")),
     ("dominance_reference.csv", lambda p: _set_every_cell(p, 999)),
+    ("truth_problematic.jsonl", lambda p: shutil.copy(p.with_name("truth_reference.jsonl"), p)),
+    ("truth_problematic.jsonl", lambda p: p.write_text("".join(p.read_text().splitlines(keepends=True)[:-5]))),
+    ("truth_problematic.jsonl", lambda p: _edit_line(p, 9, lambda r: r + "\n" + r)),
+    ("dominance_reference.csv", lambda p: _edit_line(p, 1, lambda r: " +0 , 0 ," + r.rpartition(",")[2])),
+    ("dominance_reference.csv", lambda p: _edit_line(p, 3, lambda r: "\n" + r)),
 ]
 DAMAGED_SUITE_IDS = [
     "truth_not_json", "truth_without_event_index", "manifest_not_json", "manifest_without_grid",
@@ -630,6 +635,8 @@ DAMAGED_SUITE_IDS = [
     "manifest_cell_ids_descending", "manifest_adjacency_neighbor_not_a_cell",
     "manifest_adjacency_key_not_a_cell", "problematic_chunk_bad_line", "problematic_chunk_x_overflows",
     "normal_chunk_y_overflows", "dominance_pixel_not_a_cell", "dominance_map_not_a_cell",
+    "truth_of_another_role", "truth_cut_short", "truth_key_repeated", "dominance_row_signed_and_spaced",
+    "dominance_empty_line",
 ]
 
 

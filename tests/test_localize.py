@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from sleepscan.localize import (
     sc_dominance_subcall_deviation,
     sc_target_cell_subcalls,
 )
-from sleepscan.mdtlog import NO_TARGET, TARGETED_EVENTS, Chunk, EventId, EventLog, strip_locations
+from sleepscan.mdtlog import NO_TARGET, TARGETED_EVENTS, Chunk, EventId, EventLog
 from sleepscan.pipeline import aggregate_method, run_detect
 from sleepscan.simgen.dominance import DominanceMap
 from sleepscan.simgen.layout import GridSpec
@@ -200,6 +201,11 @@ def test_target_cell_counts_unique_targets_per_subcall():
     assert h[2] == pytest.approx(1.0)
     assert h[1] == 0.0
     assert np.all(sc_target_cell_subcalls(side(chunk, sub, 5)[0], np.zeros(len(sub), dtype=bool)) == 0.0)
+
+
+def strip_locations(log: EventLog) -> EventLog:
+    """Copy a log with location zeroed; target-cell analysis must not need it."""
+    return replace(log, x=np.zeros_like(log.x), y=np.zeros_like(log.y))
 
 
 def test_target_cell_needs_no_locations():

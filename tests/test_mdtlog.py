@@ -30,7 +30,7 @@ from sleepscan.mdtlog import (
 )
 from sleepscan.simgen.dominance import DominanceMap
 from sleepscan.simgen.layout import GridSpec
-from sleepscan.simgen.suite import load_truth, truth_rows, write_truth
+from sleepscan.simgen.suite import load_truth, write_truth
 
 GOLDEN_CODES = {
     "PL PROBLEM": 0,
@@ -227,10 +227,12 @@ def test_fold_pairs_cross_product():
         make_fold_pairs("normal", list(range(6)), "problematic", [])
 
 
-def _truth_arrays(entries):
-    """(ue, event_index, affected) arrays, as `load_truth` returns them, from triples."""
-    ue, index, flag = zip(*entries) if entries else ((), (), ())
-    return np.array(ue, dtype=np.int64), np.array(index, dtype=np.int64), np.array(flag, dtype=bool)
+def _truth(keys, counts):
+    """Truth as `load_truth` returns it, from the (ue, event_index) keys of affected rows and {ue: rows}."""
+    ues, marked = sorted(counts), set(keys)
+    flags = [(ue, index) in marked for ue in ues for index in range(counts[ue])]
+    return (np.array(ues, dtype=np.int64), np.array([counts[ue] for ue in ues], dtype=np.int64),
+            np.array(flags, dtype=bool))
 
 
 def test_chunk_attaches_cells_and_truth_by_call_position():
@@ -244,44 +246,36 @@ def test_chunk_attaches_cells_and_truth_by_call_position():
         _rec(ue=2, t=0, x=5.0),
         _rec(ue=1, t=1, x=35.0),
     ]
-    truth = _truth_arrays([(2, 1, True), (1, 0, False)])
+    truth = _truth([(2, 1), (7, 0)], {1: 2, 2: 2, 7: 1})  # ue 7 is another chunk's
     chunk = Chunk.from_log(EventLog.from_rows(records), dmap, [3, 5], truth)
     assert chunk.log.ue.tolist() == [1, 1, 2, 2]
     assert chunk.log.t.tolist() == [0, 1, 0, 1]
     assert chunk.call_bounds.tolist() == [0, 2, 4]
     assert chunk.cell.tolist() == [1, 0, 1, 0]  # indices into [3, 5]
     assert chunk.affected.tolist() == [False, False, False, True]
+    assert not Chunk.from_log(EventLog.from_rows(records), dmap, [3, 5]).affected.any()
     with pytest.raises(DataError):
         Chunk.from_log(EventLog.from_rows(records), dmap, [3], truth)
 
 
-def _truth_join_oracle(chunk, entries):
-    """The dict lookup: (ue, position in the call) -> flag, later entries overwriting earlier ones."""
-    table = {(ue, index): flag for ue, index, flag in entries}
-    bounds = chunk.call_bounds.tolist()
-    return [
-        table.get((int(chunk.log.ue[r]), r - start), False)
-        for start, stop in zip(bounds[:-1], bounds[1:])
-        for r in range(start, stop)
-    ]
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    ues=st.lists(st.integers(-3, 5), max_size=30),
-    entries=st.lists(st.tuples(st.integers(-4, 6), st.integers(-1, 8), st.booleans()), max_size=40),
+@pytest.mark.parametrize(
+    "counts,message",
+    [({1: 2, 2: 3}, "truth lists 3 rows for ue 2, whose call has 2 records"),
+     ({1: 1, 2: 2}, "truth lists 1 rows for ue 1, whose call has 2 records"),
+     ({2: 2}, "truth lists 0 rows for ue 1, whose call has 2 records")],
+    ids=["more_rows", "fewer_rows", "ue_missing"],
 )
-@example(ues=[2, 2, -1], entries=[])
-@example(ues=[], entries=[(0, 0, True)])
-@example(ues=[-2, -2, 4], entries=[(-2, 1, True), (4, 0, True), (-2, 1, False), (4, 0, False), (4, 0, True)])
-def test_truth_join_matches_dict_oracle(ues, entries):
+def test_truth_of_another_log_is_a_data_error(counts, message):
+    """Truth must list one row per record of each of the chunk's UEs, or it was not written for this log."""
     spec = GridSpec(origin_x=0.0, origin_y=0.0, resolution_m=10.0, nx=1, ny=1)
     dmap = DominanceMap(grid_spec=spec, grid=np.full((1, 1), 5, dtype=np.int64))
-    log = EventLog.from_rows([_rec(ue=ue, t=i % 4) for i, ue in enumerate(ues)])
-    chunk = Chunk.from_log(log, dmap, [5], _truth_arrays(entries))
-    assert chunk.affected.dtype == np.bool_
-    assert chunk.affected.tolist() == _truth_join_oracle(chunk, entries)
-    assert not Chunk.from_log(log, dmap, [5]).affected.any()
+    log = EventLog.from_rows([_rec(ue=ue, t=i) for i, ue in enumerate([2, 1, 2, 1])])
+    with pytest.raises(DataError) as err:
+        Chunk.from_log(log, dmap, [5], _truth([], counts))
+    assert str(err.value) == f"truth does not match the log: {message}"
+    with pytest.raises(DataError) as err:
+        Chunk.from_log(log, dmap, [5], _truth([], counts), "truth.jsonl does not match chunk.jsonl")
+    assert str(err.value) == f"truth.jsonl does not match chunk.jsonl: {message}"
 
 
 def _assert_same_columns(got, expected):
@@ -386,27 +380,22 @@ def test_float_past_the_float_range_is_a_parse_error(tmp_path, field, spelling):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.integers(-2**40, 2**40), st.booleans()), max_size=40))
-@example([])
-def test_load_truth_round_trips_written_truth(tmp_path_factory, ue_flags):
+@given(st.lists(st.tuples(st.integers(-3, 5) | st.integers(-2**40, 2**40), st.booleans()), max_size=40),
+       st.integers(1, 200))
+@example([], mdtlog.BLOCK_CHARS)
+def test_load_truth_returns_the_row_counts_and_flags_of_written_truth(tmp_path_factory, ue_flags, block_chars):
+    """The per-record loop: a counter per UE numbers its records, and the affected ones' keys set their flags."""
     log = EventLog.from_rows([_rec(ue=ue, t=i) for i, (ue, _) in enumerate(ue_flags)])
-    affected = [flag for _, flag in ue_flags]
     path = tmp_path_factory.mktemp("truth") / "truth.jsonl"
-    write_truth(log, affected, path)
-    truth = load_truth(path)
-    assert [column.dtype for column in truth] == [np.int64, np.int64, np.bool_]
-    _assert_same_columns(truth, _rows_that_can_mark(truth_rows(log, affected)))
-
-
-def _rows_that_can_mark(columns):
-    """The rows, in order, at or after an affected row of their (ue, event_index) key: what `load_truth` keeps."""
-    marked, kept = set(), []
-    for ue, index, flag in zip(*(column.tolist() for column in columns)):
+    write_truth(log, [flag for _, flag in ue_flags], path)
+    counts, keys = {}, []
+    for ue, flag in ue_flags:
         if flag:
-            marked.add((ue, index))
-        if (ue, index) in marked:
-            kept.append((ue, index, flag))
-    return _truth_arrays(kept)
+            keys.append((ue, counts.get(ue, 0)))
+        counts[ue] = counts.get(ue, 0) + 1
+    with mock.patch.object(mdtlog, "BLOCK_CHARS", block_chars):
+        truth = load_truth(path)
+    _assert_same_columns(truth, _truth(keys, counts))
 
 
 def _truth_text(entries):
@@ -417,34 +406,30 @@ def _truth_text(entries):
     )
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    ues=st.lists(st.integers(-3, 5), max_size=30),
-    entries=st.lists(st.tuples(st.integers(-4, 6), st.integers(-1, 8), st.booleans()), max_size=40),
-    block_chars=st.integers(1, 200),
+@pytest.mark.parametrize("block_chars", [1, 100, mdtlog.BLOCK_CHARS])
+@pytest.mark.parametrize(
+    "index,expected", [(1, 2), (3, 2), (0, 2), (-1, 2)], ids=["repeated", "skipped", "restarted", "negative"]
 )
-@example(ues=[1, 1, 2], entries=[(1, 1, True), *[(4, i, False) for i in range(8)], (1, 1, False), (2, 0, True)],
-         block_chars=60)
-@example(ues=[1, 1, 2], entries=[(2, 0, True), (1, 1, False), *[(4, i, False) for i in range(8)], (1, 1, True)],
-         block_chars=60)
-def test_truth_keys_listed_again_in_a_later_block_join_as_listed(tmp_path_factory, ues, entries, block_chars):
-    """A key listed true and then false, or false and then true, in blocks read apart joins to its last flag."""
-    path = tmp_path_factory.mktemp("truth") / "truth.jsonl"
+def test_event_index_other_than_the_writers_names_its_line(tmp_path, block_chars, index, expected):
+    """Line 9 must give ue 3 its third row, event_index 2: anything else is named, even with ue 3's earlier
+    rows blocks back (a 100-character block holds two lines)."""
+    entries = [(3, 0, True), (3, 1, False), *[(4, i, False) for i in range(6)], (3, index, True), (4, 6, True)]
+    path = tmp_path / "truth.jsonl"
+    path.write_text(_truth_text(entries), encoding="utf-8")
+    assert outcome(load_truth, path, block_chars) == ("ParseError", 9, f"the writer writes event_index {expected} here")
+    entries[8] = (3, 2, True)
     path.write_text(_truth_text(entries), encoding="utf-8")
     with mock.patch.object(mdtlog, "BLOCK_CHARS", block_chars):
         truth = load_truth(path)
-    _assert_same_columns(truth, _rows_that_can_mark(_truth_arrays(entries)))
-    spec = GridSpec(origin_x=0.0, origin_y=0.0, resolution_m=10.0, nx=1, ny=1)
-    dmap = DominanceMap(grid_spec=spec, grid=np.full((1, 1), 5, dtype=np.int64))
-    chunk = Chunk.from_log(EventLog.from_rows([_rec(ue=ue, t=i) for i, ue in enumerate(ues)]), dmap, [5], truth)
-    assert chunk.affected.tolist() == _truth_join_oracle(chunk, entries)
+    _assert_same_columns(truth, _truth([(3, 0), (3, 2), (4, 6)], {3: 3, 4: 7}))
 
 
 def test_truth_without_an_affected_row_holds_one_block_not_the_file(tmp_path):
-    """A role whose truth marks no record loads to empty arrays, holding a block at a time, whatever its size."""
+    """A role whose truth marks no record loads to its UEs' counts and all-false flags, holding a block at a
+    time, whatever its size."""
     path = tmp_path / "truth.jsonl"
-    n = 100_000
-    path.write_text(_truth_text(zip(range(n), np.arange(n) % 7, [False] * n)), encoding="utf-8")
+    n, ues = 100_000, 7
+    path.write_text(_truth_text(zip(np.arange(n) % ues, np.arange(n) // ues, [False] * n)), encoding="utf-8")
     assert path.stat().st_size >= 4_000_000
     tracemalloc.start()
     try:
@@ -452,7 +437,7 @@ def test_truth_without_an_affected_row_holds_one_block_not_the_file(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [(column.dtype, len(column)) for column in truth] == [(np.dtype(np.int64), 0)] * 2 + [(np.dtype(bool), 0)]
+    _assert_same_columns(truth, _truth([], {ue: len(range(ue, n, ues)) for ue in range(ues)}))
     assert peak <= 10 * mdtlog.BLOCK_CHARS, peak
 
 
@@ -600,17 +585,16 @@ def test_non_utf8_byte_after_the_first_block_is_a_data_error(tmp_path):
 
 def test_crlf_split_across_two_reads_reads_as_lf(tmp_path):
     """The file's bytes are decoded 8192 at a time; here a CR is the last byte of the first 8192 and its LF the next."""
-    line = '{"ue": 1, "event_index": 0, "affected": true}\r\n'
-    n, extra = divmod(8193, len(line))
-    text = line.replace('"ue": 1', '"ue": 1' + "0" * extra) + line * (n + 40)
-    data = text.encode()
+    line = '{{"ue": {}, "event_index": 0, "affected": {}}}\r\n'.format
+    n, extra = divmod(8193, len(line(100000, "true")))  # n lines, the first extra of them one character longer
+    data = "".join(line(100000 + k, "false" if k < extra else "true") for k in range(n + 40)).encode()
     assert data[8191:8193] == b"\r\n"
     crlf, lf = tmp_path / "crlf.jsonl", tmp_path / "lf.jsonl"
     crlf.write_bytes(data)
     lf.write_bytes(data.replace(b"\r\n", b"\n"))
     expected = outcome(load_truth, lf)
-    assert expected[0] == ("<i8", (n + 41,), mock.ANY)
-    for block_chars in (1, 45, 46, 47, 100, 4096, mdtlog.BLOCK_CHARS):
+    assert expected[0] == ("<i8", (n + 40,), mock.ANY)
+    for block_chars in (1, 50, 51, 52, 100, 4096, mdtlog.BLOCK_CHARS):  # about one LF line: 51 characters
         assert outcome(load_truth, crlf, block_chars) == expected
 
 

@@ -186,7 +186,7 @@ def test_faulty_cell_dominance_share():
     grid = layout.default_grid()
     for seed in (0, 1, 2):
         dmap = build_radio_map(layout, make_shadowing(layout, grid, seed=seed)).dominance
-        share = dmap.share_of(1)
+        share = float(np.mean(dmap.grid == 1))  # cell 1's share of the map's pixels
         assert abs(share - 1.0 / 21.0) < 0.03
 
 
@@ -422,7 +422,8 @@ def test_written_suite_loads_back_as_the_simulated_chunks(overrides, tmp_path):
     cell_ids = list(cfg.layout().cell_ids)
     assert set(loaded) == set(suite.roles) == {"normal", "problematic", "reference"}
     for role, data in suite.roles.items():
-        truth = truth_rows(data.records, data.affected)
+        ue, index, flags = truth_rows(data.records, data.affected)
+        truth = (*np.unique(ue, return_counts=True), flags[np.lexsort((index, ue))])  # as `load_truth` returns it
         expected = [Chunk.from_log(chunk, data.radio.dominance, cell_ids, truth) for chunk in data.chunks]
         got = [load() for load in loaded[role]]
         assert len(got) == len(expected) == 6
@@ -480,7 +481,7 @@ def _map_lines(path, spec):
 
 @pytest.mark.parametrize("block_rows", [1, 7, dominance.DOMINANCE_BLOCK_ROWS])
 @pytest.mark.parametrize("lineno", [2 + dominance.DOMINANCE_BLOCK_ROWS, 3 * dominance.DOMINANCE_BLOCK_ROWS + 7, 30001])
-@pytest.mark.parametrize("row", ["4,0,1.5", "4,0", "4,0,1,1", "# comment", "4;0;1"])
+@pytest.mark.parametrize("row", ["4,0,1.5", "4,0", "4,0,1,1", "# comment", "4;0;1", " +4 , 0 ,1", ""])
 def test_malformed_dominance_row_names_its_line_from_the_top_of_the_file(tmp_path, row, lineno, block_rows):
     """However the rows fall into blocks, the first row that is not three integers is named by its file line."""
     spec = GridSpec(origin_x=0.0, origin_y=0.0, resolution_m=5.0, nx=200, ny=150)
@@ -516,6 +517,17 @@ def test_misplaced_pixel_past_the_first_block_is_a_data_error(tmp_path, edit):
     with pytest.raises(DataError) as err:
         load_dominance_csv(path, spec)
     assert str(err.value) == f"{path}: dominance map rows must list every pixel of the 200x150 grid once, row-major"
+
+
+def test_dominance_cell_outside_64_bits_is_a_data_error(tmp_path):
+    spec = GridSpec(origin_x=0.0, origin_y=0.0, resolution_m=5.0, nx=200, ny=150)
+    path = tmp_path / "dominance.csv"
+    lines = _map_lines(path, spec)
+    lines[5000] = lines[5000].rpartition(",")[0] + f",{2**63}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        load_dominance_csv(path, spec)
+    assert str(err.value) == f"{path}: integer field outside the 64-bit range"
 
 
 def test_load_dominance_csv_rejects_a_non_utf8_byte_past_the_header(tmp_path):
