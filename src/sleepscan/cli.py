@@ -3,7 +3,9 @@
 Each command parses its arguments, calls the library and prints a
 summary: `simgen.suite` simulates, writes and loads the suite,
 `pipeline.run_detect` runs the folds, and `storage` reads and writes
-every file of a run directory.
+every file of a run directory.  A run's configuration is exactly its
+`--config` file, or the defaults; the other options are paths
+(`--data`, `--out`) and how detect runs (`--folds`, `--jobs`).
 
 Exit codes: 0 ok, 2 configuration error, 3 data error, 141 standard
 output closed before the summary was printed (as a shell reports a
@@ -24,23 +26,9 @@ from .config import RunConfig
 from .errors import ConfigError, DataError
 from .simgen.suite import generate_dataset_suite, load_suite, make_suite_dir, write_suite
 
-METHOD_CHOICES = ("subcall", "2gram", "symmetry", "target", "combined", "all")
-
-
-def _selected_methods(choice: str) -> tuple[str, ...]:
-    if choice == "all":
-        return pipeline.ALL_METHODS
-    return ("gram" if choice == "2gram" else choice,)
-
 
 def _load_config(args) -> RunConfig:
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["master_seed"] = args.seed
-    if getattr(args, "no_amplify", False):
-        overrides["amplify"] = False
-    return cfg.with_overrides(**overrides)
+    return RunConfig.from_file(args.config) if args.config else RunConfig()
 
 
 def cmd_simulate(args) -> int:
@@ -77,12 +65,10 @@ def cmd_detect(args) -> int:
     outputs, aggregates = pipeline.run_detect(
         manifest, roles, cfg, limit=args.folds, jobs=args.jobs, write_folds=write_folds
     )
-    methods = _selected_methods(args.method)
-    storage.write_run(args.out, cfg, args.data, manifest["faulty_cell"], methods, outputs, aggregates)
+    storage.write_run(args.out, cfg, args.data, manifest["faulty_cell"], outputs, aggregates)
     print(f"ran {len(outputs)} folds (jobs={args.jobs})")
     cell_ids = outputs[0].cell_ids
-    for method in methods:
-        agg = aggregates[method]
+    for method, agg in aggregates.items():
         for pairing, labels in sorted(agg.labels.items()):
             means = agg.mean_stages[pairing][agg.stage]
             abnormal = [c for c, flag in zip(cell_ids, labels) if flag]
@@ -93,10 +79,7 @@ def cmd_detect(args) -> int:
 def cmd_evaluate(args) -> int:
     manifest, cfg, outputs = storage.read_run(args.out)
     aggregates = pipeline.aggregate_folds(outputs, cfg)
-    methods = [m for m in _selected_methods(args.method) if m in manifest["methods"]]
-    if not methods:
-        raise DataError("requested method was not part of the detect run")
-    metrics, mean_auc = storage.write_eval(args.out, manifest, methods, outputs, aggregates)
+    metrics, mean_auc = storage.write_eval(args.out, manifest, outputs, aggregates)
     print(f"metrics written to the eval directory of {args.out}")
     for method, m in metrics.items():
         print(f"  {method:9s} F={m['f_score']:.3f} precision={m['precision']:.3f} recall={m['recall']:.3f}")
@@ -110,8 +93,6 @@ def cmd_report(args) -> int:
     print(f"run config hash: {manifest['config_hash'][:12]}, folds: {manifest['n_folds']}")
     for method in manifest["methods"]:
         doc = storage.read_labels(args.out, method)
-        if doc is None:
-            continue
         line = [f"{method:9s} thr={doc['threshold']:.2f}"]
         for pairing, entry in sorted(doc["pairings"].items()):
             line.append(f"{pairing}: argmax cell {entry['argmax_cell']}, abnormal {entry['abnormal_cells']}")
@@ -133,28 +114,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="JSON config file (defaults built in)")
-        p.add_argument("--seed", type=int, help="override the master seed")
+    config_help = "JSON config file, the run's whole configuration (defaults built in)"
 
     p_sim = sub.add_parser("simulate", help="generate the dataset suite")
-    add_common(p_sim)
+    p_sim.add_argument("--config", help=config_help)
     p_sim.add_argument("--out", required=True, help="output dataset directory")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_det = sub.add_parser("detect", help="run fold detection and aggregation")
-    add_common(p_det)
+    p_det.add_argument("--config", help=config_help)
     p_det.add_argument("--data", required=True, help="dataset directory from simulate")
     p_det.add_argument("--out", required=True, help="detection output directory")
     p_det.add_argument("--folds", type=int, help="limit to the first N folds")
     p_det.add_argument("--jobs", type=int, default=1, help="parallel fold workers")
-    p_det.add_argument("--method", choices=METHOD_CHOICES, default="all")
-    p_det.add_argument("--no-amplify", action="store_true", help="label on non-amplified scores")
     p_det.set_defaults(func=cmd_detect)
 
     p_eval = sub.add_parser("evaluate", help="compute metrics from detection outputs")
     p_eval.add_argument("--out", required=True, help="detection output directory")
-    p_eval.add_argument("--method", choices=METHOD_CHOICES, default="all")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_rep = sub.add_parser("report", help="print a summary of a finished run")

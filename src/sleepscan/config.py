@@ -4,15 +4,15 @@
 `SimConfig`, which declares the simulator engine's settings and their
 checks; the scenario, seed, detection and localization settings are
 declared in `RunConfig` itself.  A run is fully identified by the hash
-of the parameter set (paths excluded).  Flags on the command line
-override file values.
+of the parameter set.  A command's configuration is exactly its
+`--config` file, or these defaults: no flag changes a setting.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 # CPython's built-in SHA-256 gives hashlib's digest without loading OpenSSL's
 # libcrypto, which would add about 3 MB to every command's memory.
@@ -144,7 +144,7 @@ class RunConfig(SimConfig):
     weights: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
     gram_scope: str = "anomalous"  # or "all": deviation over every testing sub-call
     symmetry_mode: str = "handover"  # or "location": dominance-cell crossings
-    # paths (optional; excluded from the config hash)
+    # unused: the paths are the commands' --data and --out; only null is valid, and the hash leaves them out
     data_dir: str | None = None
     out_dir: str | None = None
 
@@ -200,6 +200,9 @@ class RunConfig(SimConfig):
             raise ConfigError(f"faulty_cell {self.faulty_cell} not in layout")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be >= 0")
+        for name, flag in (("data_dir", "--data"), ("out_dir", "--out")):
+            if getattr(self, name) is not None:
+                raise ConfigError(f"{name} must be null: the command's {flag} gives that directory")
         super().validate()
         return self
 
@@ -235,14 +238,8 @@ class RunConfig(SimConfig):
             raise ConfigError(f"config file {path} must hold a JSON object")
         return cls.from_dict(data)
 
-    def with_overrides(self, **overrides) -> "RunConfig":
-        overrides = {k: v for k, v in overrides.items() if v is not None}
-        if "weights" in overrides:
-            overrides["weights"] = _as_weights(overrides["weights"])
-        return replace(self, **overrides).validate()
-
     def config_hash(self) -> str:
-        """SHA-256 hex digest of the canonical JSON of every setting but the paths.
+        """SHA-256 hex digest of the canonical JSON of every setting but the unused data_dir and out_dir.
 
         The digest is hashlib's; it is computed with the built-in module
         imported above, so that no command loads OpenSSL for it.

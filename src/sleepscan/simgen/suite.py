@@ -310,15 +310,27 @@ def load_suite(data_dir) -> tuple[dict, dict[str, list[ChunkLoader]]]:
         if len(unknown):
             raise DataError(f"{data_dir / entry['dominance']}: cell {unknown[0]} is not one of the manifest's cell_ids")
         roles[role] = [
-            partial(load_chunk, data_dir / name, dominance, cell_ids, truth, truth_path) for name in entry["chunks"]
+            partial(load_chunk, data_dir / name, dominance, cell_ids, truth, truth_path, j, len(entry["chunks"]))
+            for j, name in enumerate(entry["chunks"])
         ]
     return manifest, roles
 
 
-def load_chunk(path, dominance, cell_ids, truth, truth_path) -> Chunk:
-    """One chunk file of a suite, parsed into columns, with each record's dominance cell and ground-truth flag.
+def load_chunk(path, dominance, cell_ids, truth, truth_path, index: int, n_chunks: int) -> Chunk:
+    """Chunk index of a role's n_chunks, parsed into columns, with each record's dominance cell and ground-truth flag.
 
-    truth is `load_truth` of truth_path; truth that is not the chunk's is a DataError naming both files.
+    truth is `load_truth` of truth_path.  The chunk must hold one call of
+    each truth UE u with u mod n_chunks == index (`split_chunks`) and no
+    other, with one record per truth row, so that each truth UE is checked
+    by the one chunk that holds it, in whichever process parses that
+    chunk; truth that is not the chunk's is a DataError naming both files.
     """
+    mismatch = f"{truth_path} does not match {path}"
     # no local holds the file's columns, so that from_log frees them once it has ordered them into calls
-    return Chunk.from_log(read_records(path), dominance, cell_ids, truth, f"{truth_path} does not match {path}")
+    chunk = Chunk.from_log(read_records(path), dominance, cell_ids, truth, mismatch)
+    calls, owned = chunk.log.ue[chunk.call_bounds[:-1]], truth[0][truth[0] % n_chunks == index]
+    if not np.array_equal(calls, owned):
+        ue = min(set(calls.tolist()) ^ set(owned.tolist()))
+        raise DataError(f"{mismatch}: chunk {index} of {n_chunks} holds the calls of exactly the truth's ues u "
+                        f"with u mod {n_chunks} == {index}, and ue {ue} breaks that")
+    return chunk

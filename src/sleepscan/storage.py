@@ -28,7 +28,7 @@ eval/                 (`write_eval`)
     roc_points.csv           fpr,tpr of the pooled ROC, then "# auc,<auc>"
     heuristic_distances.csv  method,variant,scenario,distance_sum,runs
 The normalized column and the heat map show the normalized stage the
-labels were computed on: amplified by default, raw under --no-amplify.
+labels were computed on: amplified, or raw when the config sets amplify false.
 
 A detect run starts with `start_run`, which removes detect's own entries
 (folds/, aggregate/, eval/ and detect_manifest.json, nothing else) from
@@ -130,17 +130,17 @@ def start_run(out_dir) -> Callable[[list[FoldOutput]], None]:
     return write_task
 
 
-def write_run(out_dir, cfg: RunConfig, data_dir, faulty_cell: int, methods, outputs, aggregates) -> None:
-    """The end of a detect run whose folds are written: the aggregates of methods, then detect_manifest.json."""
+def write_run(out_dir, cfg: RunConfig, data_dir, faulty_cell: int, outputs, aggregates) -> None:
+    """The end of a detect run whose folds are written: the aggregate of each method, then detect_manifest.json."""
     out_dir = Path(out_dir)
     cell_ids = list(outputs[0].cell_ids)
     layout = cfg.layout()
     try:
-        for method in methods:
+        for method in ALL_METHODS:
             write_method_aggregate(aggregates[method], cell_ids, out_dir / "aggregate", layout)
         write_json(out_dir / "detect_manifest.json", dict(
             config=cfg.to_dict(), config_hash=cfg.config_hash(), data_dir=str(Path(data_dir)),
-            faulty_cell=faulty_cell, cell_ids=cell_ids, n_folds=len(outputs), methods=list(methods),
+            faulty_cell=faulty_cell, cell_ids=cell_ids, n_folds=len(outputs), methods=list(ALL_METHODS),
         ))
     except OSError as exc:
         raise _write_error(exc, out_dir) from None
@@ -155,11 +155,11 @@ def read_detect_manifest(out_dir) -> tuple[dict, RunConfig]:
     if not (
         all(type(manifest[key]) is int for key in ("faulty_cell", "n_folds"))
         and isinstance(manifest["config_hash"], str) and isinstance(manifest["config"], dict)
-        and isinstance(manifest["methods"], list) and all(m in ALL_METHODS for m in manifest["methods"])
+        and manifest["methods"] == list(ALL_METHODS)
         and isinstance(manifest["cell_ids"], list) and all(type(c) is int for c in manifest["cell_ids"])
     ):
         raise DataError(f"{path}: needs integer faulty_cell and n_folds, a string config_hash, "
-                        f"a config object, methods from {', '.join(ALL_METHODS)} "
+                        f"a config object, methods {list(ALL_METHODS)} "
                         f"and a list of integer cell_ids")
     try:
         cfg = RunConfig.from_dict(manifest["config"])
@@ -394,11 +394,9 @@ def write_method_aggregate(agg: MethodAggregate, cell_ids, out_dir, layout) -> N
         )
 
 
-def read_labels(out_dir, method: str) -> dict | None:
-    """The labels JSON of one method, or None if detect did not write it."""
+def read_labels(out_dir, method: str) -> dict:
+    """The labels JSON detect wrote for one method."""
     path = Path(out_dir) / "aggregate" / f"labels_{method}.json"
-    if not path.exists():
-        return None
     doc = read_json_object(path, ("threshold", "pairings"))
     entries = doc["pairings"]
     if not (
@@ -410,7 +408,7 @@ def read_labels(out_dir, method: str) -> dict | None:
     return doc
 
 
-def write_eval(out_dir, manifest: dict, methods, outputs, aggregates) -> tuple[dict, float | None]:
+def write_eval(out_dir, manifest: dict, outputs, aggregates) -> tuple[dict, float | None]:
     """eval/ of a run: each method's metrics, the fold and pooled ROC, and heuristic distances.
 
     Returns the metrics of each method and the mean fold AUC (None if no
@@ -419,6 +417,7 @@ def write_eval(out_dir, manifest: dict, methods, outputs, aggregates) -> tuple[d
     from . import evaluate as ev  # only here: detect and report load no evaluation code
 
     eval_dir = Path(out_dir) / "eval"
+    methods = manifest["methods"]
     metrics = {m: ev.method_metrics(aggregates[m], manifest["cell_ids"], manifest["faulty_cell"]) for m in methods}
     aucs = ev.fold_aucs(outputs)
     mean_auc = ev.mean_auc(aucs) if aucs else None

@@ -8,6 +8,7 @@ evaluate), so this module takes a few minutes.
 
 import contextlib
 import io
+import json
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -44,11 +45,12 @@ def _run_suite_rep(seed: int) -> dict:
     directory that is removed once they are read (a suite is 27 MB).
     """
     with tempfile.TemporaryDirectory(prefix=f"sleepscan-rep{seed}-") as work:
-        suite, run = Path(work) / "suite", Path(work) / "run"
+        config, suite, run = Path(work) / "config.json", Path(work) / "suite", Path(work) / "run"
+        config.write_text(json.dumps({"master_seed": seed}))
         with contextlib.redirect_stdout(io.StringIO()):
             for argv in (
-                ["simulate", "--seed", str(seed), "--out", str(suite)],
-                ["detect", "--seed", str(seed), "--data", str(suite), "--out", str(run)],
+                ["simulate", "--config", str(config), "--out", str(suite)],
+                ["detect", "--config", str(config), "--data", str(suite), "--out", str(run)],
                 ["evaluate", "--out", str(run)],
             ):
                 assert main(argv) == 0, argv

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import errno
 import json
@@ -134,12 +135,62 @@ def test_bad_config_is_config_error(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
     assert main(["simulate", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "x")]) == 2
     capsys.readouterr()
-    assert main(["simulate", "--seed", "-1", "--out", str(tmp_path / "x")]) == 2  # a SeedSequence traceback before
+    bad.write_text(json.dumps({"master_seed": -1}))  # a SeedSequence traceback before
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err == "configuration error: master_seed must be >= 0\n"
     assert not (tmp_path / "x").exists()
     bad.write_text(json.dumps({"knn_k": "5"}))  # a TypeError traceback before
     assert main(["detect", "--config", str(bad), "--data", str(tmp_path), "--out", str(tmp_path / "r")]) == 2
     assert "configuration error: knn_k must be an integer" in capsys.readouterr().err
+
+
+def test_each_command_takes_only_paths_and_execution_settings():
+    """The config file is a run's whole configuration: no flag sets a setting or picks what a run computes."""
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    options = {
+        name: sorted(o for action in p._actions for o in action.option_strings if o not in ("-h", "--help"))
+        for name, p in commands.items()
+    }
+    assert options == {
+        "simulate": ["--config", "--out"],
+        "detect": ["--config", "--data", "--folds", "--jobs", "--out"],
+        "evaluate": ["--out"],
+        "report": ["--out"],
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seed", "7", "--out", "suite"],
+    ["detect", "--seed", "7", "--data", "suite", "--out", "run"],
+    ["detect", "--no-amplify", "--data", "suite", "--out", "run"],
+    ["detect", "--method", "gram", "--data", "suite", "--out", "run"],
+    ["evaluate", "--method", "combined", "--out", "run"],
+], ids=["simulate_seed", "detect_seed", "detect_no_amplify", "detect_method", "evaluate_method"])
+def test_removed_flags_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[1]}" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_run_records_exactly_its_config_file(tiny_config_path, dataset_dir, detect_dir):
+    manifest = json.loads((detect_dir / "detect_manifest.json").read_text())
+    assert manifest["config"] == RunConfig.from_file(tiny_config_path).to_dict()
+    assert manifest["config"] == json.loads((dataset_dir / "manifest.json").read_text())["config"]
+
+
+@pytest.mark.parametrize("key,flag", [("data_dir", "--data"), ("out_dir", "--out")])
+def test_config_path_keys_are_config_error(tmp_path, dataset_dir, capsys, key, flag):
+    """Nothing reads these keys, so a run that set one recorded a directory it never used."""
+    config, out = tmp_path / "paths.json", tmp_path / "run"
+    config.write_text(json.dumps({**TINY_CONFIG, key: "/nonexistent"}))
+    assert main(["detect", "--config", str(config), "--data", str(dataset_dir), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {key} must be null: the command's {flag} gives that directory\n"
+    assert not out.exists()
 
 
 def test_weights_that_overflow_the_combination_are_config_error(tmp_path, dataset_dir, capsys):
@@ -551,6 +602,8 @@ def _prepend_byte(path, byte=b"\xff"):
         ("evaluate", "folds/problematic_0x0/histograms.csv", lambda p: _edit_field(p, 4, 3, lambda v: "1e+999")),
         ("report", "eval/metrics_summary.csv",
          lambda p: _evaluated_summary_line(p, 2, lambda r: r.rsplit(",", 1)[0] + ",1e+400")),
+        ("report", "aggregate/labels_gram.json", lambda p: p.unlink()),
+        ("evaluate", "detect_manifest.json", lambda p: _edit_json(p, lambda d: d["methods"].pop(1))),
     ],
     ids=["manifest_not_json", "report_manifest_not_json", "manifest_without_faulty_cell",
          "fold_json_not_json", "scores_test_bad_row", "histograms_without_a_method",
@@ -563,7 +616,8 @@ def _prepend_byte(path, byte=b"\xff"):
          "fold_missing", "fold_copied_under_another_name", "fold_json_names_another_fold",
          "scores_test_nan", "scores_test_rows_swapped", "scores_train_flag_2", "scores_test_ue_with_sign",
          "histograms_rows_swapped", "fold_json_fractional_cell_id", "scores_test_overflows",
-         "scores_train_overflows", "histograms_value_overflows", "summary_overflows"],
+         "scores_train_overflows", "histograms_value_overflows", "summary_overflows", "labels_missing",
+         "manifest_methods_one_short"],
 )
 def test_damaged_run_directory_is_data_error(tmp_path, detect_dir, capsys, command, name, damage):
     """Exit 3 naming the file, and for a CSV its first line that the writer does not write (the header is line 1)."""
@@ -626,6 +680,7 @@ DAMAGED_SUITE_CASES = [
     ("truth_problematic.jsonl", lambda p: _edit_line(p, 9, lambda r: r + "\n" + r)),
     ("dominance_reference.csv", lambda p: _edit_line(p, 1, lambda r: " +0 , 0 ," + r.rpartition(",")[2])),
     ("dominance_reference.csv", lambda p: _edit_line(p, 3, lambda r: "\n" + r)),
+    ("truth_problematic.jsonl", lambda p: _append(p, '{"ue": 999999, "event_index": 0, "affected": true}\n')),
 ]
 DAMAGED_SUITE_IDS = [
     "truth_not_json", "truth_without_event_index", "manifest_not_json", "manifest_without_grid",
@@ -636,7 +691,7 @@ DAMAGED_SUITE_IDS = [
     "manifest_adjacency_key_not_a_cell", "problematic_chunk_bad_line", "problematic_chunk_x_overflows",
     "normal_chunk_y_overflows", "dominance_pixel_not_a_cell", "dominance_map_not_a_cell",
     "truth_of_another_role", "truth_cut_short", "truth_key_repeated", "dominance_row_signed_and_spaced",
-    "dominance_empty_line",
+    "dominance_empty_line", "truth_ue_of_no_chunk",
 ]
 
 
@@ -753,11 +808,11 @@ def test_dominance_cell_outside_cell_ids_fails_before_the_run_is_touched(tmp_pat
                                                                        for p in detect_dir.rglob("*"))
 
 
-def test_no_amplify_flag(tmp_path, tiny_config_path, dataset_dir):
-    out = tmp_path / "noamp"
+def test_amplify_false_config(tmp_path, dataset_dir):
+    config, out = tmp_path / "noamp.json", tmp_path / "noamp"
+    config.write_text(json.dumps({**TINY_CONFIG, "amplify": False}))
     assert main([
-        "detect", "--config", str(tiny_config_path),
-        "--data", str(dataset_dir), "--out", str(out), "--folds", "4", "--no-amplify",
+        "detect", "--config", str(config), "--data", str(dataset_dir), "--out", str(out), "--folds", "4",
     ]) == 0
     manifest = json.loads((out / "detect_manifest.json").read_text())
     assert manifest["config"]["amplify"] is False
@@ -814,14 +869,3 @@ def test_closed_stdout_ends_quietly_with_the_run_written(tmp_path, tiny_config_p
         assert result.returncode == 141, result.stderr
     detect_parts = ("folds", "aggregate", "detect_manifest.json")
     assert tree_digest(run, detect_parts) == tree_digest(detect_dir, detect_parts)
-
-
-def test_method_choice_2gram_maps_to_gram(tmp_path, tiny_config_path, dataset_dir):
-    out = tmp_path / "m2g"
-    assert main([
-        "detect", "--config", str(tiny_config_path),
-        "--data", str(dataset_dir), "--out", str(out), "--folds", "2", "--method", "2gram",
-    ]) == 0
-    agg = out / "aggregate"
-    assert (agg / "labels_gram.json").exists()
-    assert not (agg / "labels_subcall.json").exists()

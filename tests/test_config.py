@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -29,9 +30,11 @@ def test_defaults_validate_and_roundtrip():
 def test_hash_is_stable_and_ignores_paths():
     base = RunConfig()
     assert base.config_hash() == RunConfig().config_hash()
-    with_paths = base.with_overrides(data_dir="/tmp/a", out_dir="/tmp/b")
+    with_paths = dataclasses.replace(base, data_dir="/tmp/a", out_dir="/tmp/b")
     assert with_paths.config_hash() == base.config_hash()
-    reseeded = base.with_overrides(master_seed=7)
+    with pytest.raises(ConfigError, match="^data_dir must be null"):  # the commands' --data and --out give them
+        with_paths.validate()
+    reseeded = dataclasses.replace(base, master_seed=7).validate()
     assert reseeded.config_hash() != base.config_hash()
 
 
@@ -40,11 +43,11 @@ DEFAULT_HASH = "bb6ae3483bbf72f57f59285b195d4481b4074463e73918674b085c90fc2e9779
 
 @pytest.mark.parametrize(
     "overrides",
-    [{}, {"master_seed": 7, "out_dir": "/tmp/run"}, {"knn_k": 5, "weights": (1.0, 2.0, 0.5, 1.0), "gram_scope": "all"}],
+    [{}, {"master_seed": 7}, {"knn_k": 5, "weights": [1.0, 2.0, 0.5, 1.0], "gram_scope": "all"}],
     ids=["defaults", "reseeded", "detection_settings"],
 )
 def test_hash_is_the_sha256_of_the_canonical_json(overrides):
-    cfg = RunConfig().with_overrides(**overrides)
+    cfg = RunConfig.from_dict(overrides)
     settings = {k: v for k, v in cfg.to_dict().items() if k not in ("data_dir", "out_dir")}
     canonical = json.dumps(settings, sort_keys=True, separators=(",", ":"))
     assert cfg.config_hash() == hashlib.sha256(canonical.encode("utf-8")).hexdigest()

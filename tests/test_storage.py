@@ -91,7 +91,7 @@ def test_metrics_summary_round_trips_bit_for_bit(tmp_path_factory, methods, valu
             mock.patch.object(evaluate, "fold_aucs", lambda outputs: []), \
             mock.patch.object(evaluate, "pooled_roc", lambda outputs: None), \
             mock.patch.object(evaluate, "heuristic_totals", lambda outputs, method, stage: {}):
-        storage.write_eval(run, {"cell_ids": [1], "faulty_cell": 1}, methods, [], {m: m for m in methods})
+        storage.write_eval(run, {"cell_ids": [1], "faulty_cell": 1, "methods": methods}, [], {m: m for m in methods})
     summary = storage.read_metrics_summary(Path(run))
     assert [method for method, _ in summary] == methods
     for method, row in summary:
