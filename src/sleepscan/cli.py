@@ -3,9 +3,12 @@
 Each command parses its arguments, calls the library and prints a
 summary: `simgen.suite` simulates, writes and loads the suite,
 `pipeline.run_detect` runs the folds, and `storage` reads and writes
-every file of a run directory.  A run's configuration is exactly its
-`--config` file, or the defaults; the other options are paths
-(`--data`, `--out`) and how detect runs (`--folds`, `--jobs`).
+every file of a run directory.  simulate's configuration is exactly its
+`--config` file, or the defaults.  detect runs the configuration its
+suite records; its `--config` may differ from that only in
+`config.DETECTION_SETTINGS`, and any other difference is a
+configuration error before `--out` is touched.  The other options are
+paths (`--data`, `--out`) and how detect runs (`--folds`, `--jobs`).
 
 Exit codes: 0 ok, 2 configuration error, 3 data error, 141 standard
 output closed before the summary was printed (as a shell reports a
@@ -22,17 +25,13 @@ import sys
 import numpy as np
 
 from . import pipeline, storage
-from .config import RunConfig
+from .config import DETECTION_SETTINGS, RunConfig
 from .errors import ConfigError, DataError
 from .simgen.suite import generate_dataset_suite, load_suite, make_suite_dir, write_suite
 
 
-def _load_config(args) -> RunConfig:
-    return RunConfig.from_file(args.config) if args.config else RunConfig()
-
-
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
+    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     created = not os.path.exists(args.out)
     make_suite_dir(args.out)  # an unusable --out fails before the simulation, not after it
     try:
@@ -54,18 +53,31 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _detect_config(cfg: RunConfig | None, suite: RunConfig) -> RunConfig:
+    """The suite's configuration, or cfg if each of its settings but DETECTION_SETTINGS is the suite's."""
+    if cfg is None:
+        return suite
+    mine, theirs = cfg.to_dict(), suite.to_dict()
+    for key in mine:
+        if key not in DETECTION_SETTINGS and mine[key] != theirs[key]:
+            raise ConfigError(f"{key} is {mine[key]!r} in the config but {theirs[key]!r} in the suite; "
+                              f"detect may change only {', '.join(DETECTION_SETTINGS)}")
+    return cfg
+
+
 def cmd_detect(args) -> int:
-    cfg = _load_config(args)
+    cfg = RunConfig.from_file(args.config) if args.config else None  # a bad file fails before the suite is read
     if args.folds is not None and args.folds < 1:  # no fold could be aggregated: fail before the run is cleared
         raise ConfigError(f"--folds must be >= 1, got {args.folds}")
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    manifest, roles = load_suite(args.data)
+    manifest, suite_cfg, roles = load_suite(args.data)
+    cfg = _detect_config(cfg, suite_cfg)
     write_folds = storage.start_run(args.out)
     outputs, aggregates = pipeline.run_detect(
         manifest, roles, cfg, limit=args.folds, jobs=args.jobs, write_folds=write_folds
     )
-    storage.write_run(args.out, cfg, args.data, manifest["faulty_cell"], outputs, aggregates)
+    storage.write_run(args.out, cfg, args.data, outputs, aggregates)
     print(f"ran {len(outputs)} folds (jobs={args.jobs})")
     cell_ids = outputs[0].cell_ids
     for method, agg in aggregates.items():
@@ -114,15 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    config_help = "JSON config file, the run's whole configuration (defaults built in)"
-
     p_sim = sub.add_parser("simulate", help="generate the dataset suite")
-    p_sim.add_argument("--config", help=config_help)
+    p_sim.add_argument("--config", help="JSON config file, the suite's whole configuration (defaults built in)")
     p_sim.add_argument("--out", required=True, help="output dataset directory")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_det = sub.add_parser("detect", help="run fold detection and aggregation")
-    p_det.add_argument("--config", help=config_help)
+    p_det.add_argument("--config", help="JSON config file that may differ from the suite's only in detection settings")
     p_det.add_argument("--data", required=True, help="dataset directory from simulate")
     p_det.add_argument("--out", required=True, help="detection output directory")
     p_det.add_argument("--folds", type=int, help="limit to the first N folds")

@@ -24,7 +24,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256  # a build without the built-in module
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .mdtlog import EventId
 from .simgen.layout import macro21_layout
 
@@ -66,6 +66,12 @@ def _as_weights(value):
         return tuple(float(w) for w in value)
     return value
 
+
+# The settings detect's --config may change; every other setting of a run is its suite's.
+DETECTION_SETTINGS = (
+    "window_m", "window_n", "ngram_n", "knn_k", "threshold_percentile", "minor_components",
+    "amplify", "weights", "gram_scope", "symmetry_mode",
+)
 
 # The longest N-gram featurize can code: its len(EventId)**n codes must fit an int64.
 _MAX_NGRAM_N = max(n for n in range(1, 64) if len(EventId) ** n <= 2**63)
@@ -237,6 +243,16 @@ class RunConfig(SimConfig):
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
         return cls.from_dict(data)
+
+    @classmethod
+    def from_manifest(cls, manifest: dict, path) -> "RunConfig":
+        """The configuration a manifest at path records; one that is not valid is a DataError naming path."""
+        try:
+            if not isinstance(manifest["config"], dict):
+                raise ConfigError("it must be a JSON object")
+            return cls.from_dict(manifest["config"])
+        except ConfigError as exc:
+            raise DataError(f"{path}: invalid config: {exc}") from None
 
     def config_hash(self) -> str:
         """SHA-256 hex digest of the canonical JSON of every setting but the unused data_dir and out_dir.

@@ -154,11 +154,6 @@ class NGramVocabulary:
     def __len__(self) -> int:
         return len(self.codes)
 
-    @property
-    def pairs(self) -> tuple[tuple[int, ...], ...]:
-        """The N-grams as event-code tuples, in column order."""
-        return tuple(decode_gram(c, self.n) for c in self.codes)
-
     @classmethod
     def from_subcalls(cls, *groups: ChunkFeatures) -> "NGramVocabulary":
         """Union of the N-grams of every group's sub-calls, sorted by event codes."""

@@ -29,9 +29,10 @@ vector is a plain float array ordered like the suite's `cell_ids`; the
 3-sigma labels are set in `pipeline.aggregate_method`.
 
 The neighbor relation is one (cells, cells) boolean matrix per run
-(`adjacency_matrix`) in `cell_ids` order, which the suite loader requires
-to ascend: symmetry and amplification add a matrix row left to right,
-the same floats in the same order as a loop over sorted neighbor ids.
+(`adjacency_matrix`) in `cell_ids` order, which ascends, since the layout
+numbers its cells from `cell_id_base` up: symmetry and amplification add
+a matrix row left to right, the same floats in the same order as a loop
+over sorted neighbor ids.
 
 Work is split by what it depends on:
 
@@ -253,15 +254,7 @@ def normalize(scores: np.ndarray) -> np.ndarray:
     return 100.0 * scores / total
 
 
-def combine(parts, weights=None) -> np.ndarray:
-    """Weighted per-cell mean of normalized score vectors, re-normalized."""
-    if not parts:
-        raise DataError("nothing to combine")
-    if weights is None:
-        weights = [1.0] * len(parts)
-    if len(weights) != len(parts):
-        raise DataError("one weight per score vector required")
-    wsum = float(sum(weights))
-    if wsum <= 0:
-        raise DataError("weights must sum to a positive value")
-    return normalize(sum(w * p for w, p in zip(weights, parts)) / wsum)
+def combine(parts, weights) -> np.ndarray:
+    """Weighted per-cell mean of normalized score vectors, re-normalized: one weight per part, as
+    `RunConfig.weights` holds them, non-negative with a positive sum."""
+    return normalize(sum(w * p for w, p in zip(weights, parts)) / float(sum(weights)))

@@ -274,6 +274,16 @@ def read_json_object(path, keys=()) -> dict:
     return doc
 
 
+def check_entries(path, doc: dict, expected: dict) -> None:
+    """Each entry of expected, what the config in doc gives, must be doc's as JSON (1 is not true or 1.0);
+    else a DataError naming path and the entry."""
+    for key, value in expected.items():
+        if key not in doc:
+            raise DataError(f"{path} lacks {key}")
+        if json.dumps(doc[key], sort_keys=True) != json.dumps(value, sort_keys=True):
+            raise DataError(f"{path}: {key} is not the {key} its config gives")
+
+
 def _line_blocks(fh):
     """The text of fh in blocks of whole lines, BLOCK_CHARS read at a time, then what follows its last newline."""
     rest = ""

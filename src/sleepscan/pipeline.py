@@ -164,12 +164,11 @@ def fold_inputs_from_suite(manifest, roles, cfg: RunConfig, limit: int | None = 
     uses is parsed and featurized here, once; each test chunk a fold uses
     becomes one task.
     """
-    cell_ids = [int(c) for c in manifest["cell_ids"]]
+    cell_ids = manifest["cell_ids"]
     adjacent = localize.adjacency_matrix({int(c): v for c, v in manifest["adjacency"].items()}, cell_ids)
     pairs = []
     for test_role in ("problematic", "reference"):
-        if test_role in roles:
-            pairs += make_fold_pairs("normal", roles["normal"], test_role, roles[test_role])
+        pairs += make_fold_pairs("normal", roles["normal"], test_role, roles[test_role])
     if limit is not None:
         pairs = pairs[:limit]
     train, train_tables = {}, {}

@@ -7,29 +7,29 @@ reference    fault off,  shadowing seed S2, mobility seed M3
 `generate_dataset_suite` simulates the three roles of a `RunConfig`,
 which gives the layout, map grid, master seed, faulty cell, chunk count
 and shadowing; `write_suite` writes them with a manifest that holds that
-configuration and its hash.  Each role's log is split into K chunks by
-UE partition (ue mod K); the detection stage pairs normal chunks against
-problematic and reference chunks in a full K x K cross.  Detect reads a
-written suite through `load_suite`, which checks it and returns a loader
-per chunk, so that each chunk is parsed only where a fold needs it.
+configuration and every entry it fixes (`suite_facts`).  Each role's log
+is split into K chunks by UE partition (ue mod K); the detection stage
+pairs normal chunks against problematic and reference chunks in a full
+K x K cross.  Detect reads a written suite through `load_suite`, which
+checks it, returns its configuration and a loader per chunk, so that
+each chunk is parsed only where a fold needs it.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..config import RunConfig
 from ..errors import DataError
 from ..mdtlog import (
-    JSON_INT, Chunk, EventLog, check_rows, line_columns, lookup_index, read_json_object, read_records, sorted_unique,
-    write_json, write_records,
+    JSON_INT, Chunk, EventLog, check_entries, check_rows, line_columns, lookup_index, read_json_object, read_records,
+    sorted_unique, write_json, write_records,
 )
 from .dominance import (
     RadioMap,
@@ -39,10 +39,6 @@ from .dominance import (
     path_gain,
     write_dominance_csv,
 )
-from .layout import GridSpec
-
-if TYPE_CHECKING:
-    from ..config import RunConfig
 
 ROLES = ("normal", "problematic", "reference")
 
@@ -185,122 +181,87 @@ def make_suite_dir(out_dir) -> Path:
     return out_dir
 
 
+def suite_facts(cfg: RunConfig) -> dict:
+    """The manifest entries cfg alone fixes: what `write_suite` writes and `load_suite` requires of them."""
+    grid = cfg.grid()
+    return {
+        "n_chunks": cfg.n_chunks,
+        "faulty_cell": cfg.faulty_cell,
+        "cell_ids": list(cfg.layout().cell_ids),
+        "grid": {name: getattr(grid, name) for name in ("origin_x", "origin_y", "resolution_m", "nx", "ny")},
+        "files": {
+            role: {
+                "chunks": [f"{role}_chunk{j}.jsonl" for j in range(cfg.n_chunks)],
+                "truth": f"truth_{role}.jsonl",
+                "dominance": f"dominance_{role}.csv",
+            }
+            for role in ROLES
+        },
+        "config": cfg.to_dict(),
+        "config_hash": cfg.config_hash(),
+    }
+
+
 def write_suite(suite: DatasetSuite, out_dir) -> Path:
-    """Write each role's chunks, truth and dominance map, then the manifest, which names them and holds the config."""
+    """Write each role's chunks, truth and dominance map under the names `suite_facts` gives, then the manifest:
+    `suite_facts` of the suite's config, its seeds and its cell adjacency."""
     out_dir = make_suite_dir(out_dir)
-    cfg, grid = suite.cfg, suite.cfg.grid()
+    facts = suite_facts(suite.cfg)
     try:  # a full disk, a file that cannot be replaced: each names the path it failed on
-        files: dict[str, dict] = {}
         dominance_paths: dict[int, tuple] = {}  # normal and problematic share one map: format it once
         for role, data in suite.roles.items():
-            chunk_names = []
-            for j, chunk in enumerate(data.chunks):
-                name = f"{role}_chunk{j}.jsonl"
+            names = facts["files"][role]
+            for name, chunk in zip(names["chunks"], data.chunks):
                 write_records(chunk, out_dir / name)
-                chunk_names.append(name)
-            truth_name = f"truth_{role}.jsonl"
-            write_truth(data.records, data.affected, out_dir / truth_name)
-            dom_name = f"dominance_{role}.csv"
+            write_truth(data.records, data.affected, out_dir / names["truth"])
             dmap = data.radio.dominance
-            dominance_paths.setdefault(id(dmap), (dmap, []))[1].append(out_dir / dom_name)
-            files[role] = {"chunks": chunk_names, "truth": truth_name, "dominance": dom_name}
+            dominance_paths.setdefault(id(dmap), (dmap, []))[1].append(out_dir / names["dominance"])
         for dmap, paths in dominance_paths.values():
             write_dominance_csv(dmap, *paths)
         write_json(out_dir / "manifest.json", {
+            **facts,
             "seeds": suite.seeds,
-            "n_chunks": cfg.n_chunks,
-            "faulty_cell": cfg.faulty_cell,
-            "cell_ids": list(cfg.layout().cell_ids),
             "adjacency": {str(c): sorted(n) for c, n in suite.adjacency.items()},
-            "grid": {
-                "origin_x": grid.origin_x,
-                "origin_y": grid.origin_y,
-                "resolution_m": grid.resolution_m,
-                "nx": grid.nx,
-                "ny": grid.ny,
-            },
-            "files": files,
-            "config": cfg.to_dict(),
-            "config_hash": cfg.config_hash(),
         })
     except OSError as exc:
         raise DataError(f"cannot write the suite to {exc.filename or out_dir}: {exc.strerror}") from None
     return out_dir / "manifest.json"
 
 
-# What detect reads of a suite manifest.
-_MANIFEST_KEYS = ("grid", "cell_ids", "files", "adjacency", "faulty_cell")
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+def load_suite(data_dir) -> tuple[dict, RunConfig, dict[str, list[ChunkLoader]]]:
+    """Open a written suite: its manifest, the configuration it was simulated from, and a loader per chunk of each role.
 
-
-def _is_file_name(value) -> bool:  # of a file in the suite directory itself
-    return isinstance(value, str) and value not in ("", ".", "..") and Path(value).name == value
-
-
-def _check_manifest(manifest: dict, path) -> None:
-    """Reject manifest values detect cannot use: cells, adjacency, grid, faulty cell and files."""
-    cell_ids = manifest["cell_ids"]
-    if not (
-        isinstance(cell_ids, list) and all(_is_int(c) for c in cell_ids)
-        and all(a < b for a, b in zip(cell_ids, cell_ids[1:]))
-    ):  # the localizers sum neighbors in cell_ids order, which must be id order
-        raise DataError(f"{path}: cell_ids must be a strictly increasing list of integers")
-    adjacency, known = manifest["adjacency"], set(cell_ids)
+    The manifest's config must be a valid RunConfig, and every entry
+    `suite_facts` derives from it must be the manifest's; only the
+    adjacency, whose derivation needs the path-gain geometry, is checked by hand.
+    Every file the manifest names must exist, and each role's truth
+    (`load_truth`) and dominance map are read once here; a chunk file is
+    parsed only when its loader is called (`load_chunk`).  A manifest
+    entry that is not so, a missing file or a dominance map that names a
+    cell outside `cell_ids` is a DataError naming the file.
+    """
+    data_dir = Path(data_dir)
+    manifest_path = data_dir / "manifest.json"
+    manifest = read_json_object(manifest_path, ("config", "adjacency"))
+    cfg = RunConfig.from_manifest(manifest, manifest_path)
+    check_entries(manifest_path, manifest, suite_facts(cfg))
+    cell_ids, adjacency = manifest["cell_ids"], manifest["adjacency"]
+    known = set(cell_ids)
     if not isinstance(adjacency, dict) or not all(
         re.fullmatch(JSON_INT, key) and int(key) in known
         and isinstance(cells, list) and all(_is_int(c) and c in known for c in cells)
         for key, cells in adjacency.items()
     ):
-        raise DataError(f"{path}: adjacency must map ids of cell_ids to lists of ids of cell_ids")
-    grid = manifest["grid"]
-    if not (
-        isinstance(grid, dict)
-        and all(_is_number(grid.get(key)) for key in ("origin_x", "origin_y", "resolution_m"))
-        and grid["resolution_m"] > 0
-        and all(_is_int(grid.get(key)) and grid[key] > 0 for key in ("nx", "ny"))
-    ):
-        raise DataError(f"{path}: grid needs finite origin_x and origin_y, a positive resolution_m and positive nx, ny")
-    if not _is_int(manifest["faulty_cell"]) or manifest["faulty_cell"] not in cell_ids:
-        raise DataError(f"{path}: faulty_cell must be one of cell_ids")
-    files = manifest["files"]
-    if not (isinstance(files, dict) and "normal" in files and all(
-        isinstance(entry, dict) and isinstance(entry.get("chunks"), list)
-        and all(map(_is_file_name, [entry.get("truth"), entry.get("dominance"), *entry["chunks"]]))
-        for entry in files.values()
-    )):
-        raise DataError(f"{path}: files must give each role, normal included, truth, dominance and chunk file names")
-
-
-def load_suite(data_dir) -> tuple[dict, dict[str, list[ChunkLoader]]]:
-    """Open a written suite: its manifest, and a loader per chunk of each role.
-
-    The manifest is checked, every file it names must exist, and each
-    role's truth (`load_truth`) and dominance map are read once here; a
-    chunk file is parsed only when its loader is called (`load_chunk`).
-    A malformed manifest, a missing file or a dominance map that names a
-    cell outside the manifest's `cell_ids` is a DataError naming the file.
-    """
-    data_dir = Path(data_dir)
-    manifest_path = data_dir / "manifest.json"
-    manifest = read_json_object(manifest_path, _MANIFEST_KEYS)
-    _check_manifest(manifest, manifest_path)
-    g = manifest["grid"]
-    grid = GridSpec(
-        origin_x=g["origin_x"], origin_y=g["origin_y"], resolution_m=g["resolution_m"], nx=g["nx"], ny=g["ny"]
-    )
-    cell_ids = manifest["cell_ids"]
+        raise DataError(f"{manifest_path}: adjacency must map ids of cell_ids to lists of ids of cell_ids")
     for entry in manifest["files"].values():
         for name in (entry["truth"], entry["dominance"], *entry["chunks"]):
             if not (data_dir / name).is_file():
                 raise DataError(f"missing {data_dir / name}")
-    roles = {}
+    grid, roles = cfg.grid(), {}
     for role, entry in manifest["files"].items():
         truth_path = data_dir / entry["truth"]
         truth = load_truth(truth_path)
@@ -313,7 +274,7 @@ def load_suite(data_dir) -> tuple[dict, dict[str, list[ChunkLoader]]]:
             partial(load_chunk, data_dir / name, dominance, cell_ids, truth, truth_path, j, len(entry["chunks"]))
             for j, name in enumerate(entry["chunks"])
         ]
-    return manifest, roles
+    return manifest, cfg, roles
 
 
 def load_chunk(path, dominance, cell_ids, truth, truth_path, index: int, n_chunks: int) -> Chunk:

@@ -1,7 +1,8 @@
 """The run directory: every file detect and evaluate write, each with its one writer and reader here.
 
-detect_manifest.json  config and its hash, data_dir, faulty_cell, cell_ids,
-                      n_folds and methods (`write_run`, `read_detect_manifest`)
+detect_manifest.json  config, data_dir, n_folds, and what the config fixes
+                      (`_run_facts`): config_hash, faulty_cell, cell_ids and
+                      methods (`write_run`, `read_detect_manifest`)
 folds/<pairing>_<i>x<j>/  one per fold, named by `fold_dir_name`
                       (`write_fold_output`, `read_fold_output`); detect
                       writes the folds of each test chunk where they are
@@ -47,8 +48,9 @@ in JSON grammar, floats spelled as repr() spells a finite float, flags 0
 or 1.  The `row` column counts 0, 1, ... and the (method, stage,
 cell_id) keys of histograms.csv are the written sequence.  The first
 line that differs is a ParseError naming the file and that line.
-fold.json and detect_manifest.json must hold their keys with the JSON
-types their writers write.
+fold.json must hold its keys with the JSON types its writer writes;
+detect_manifest.json a valid config, an integer n_folds, and exactly the
+`_run_facts` of that config.
 """
 
 from __future__ import annotations
@@ -62,14 +64,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .errors import ConfigError, DataError, ParseError
+from .errors import DataError, ParseError
 from .heatmap import write_heatmap
 from .mdtlog import (
-    FLOAT_REPR, JSON_INT, FoldPair, check_rows, finite_check, line_columns, read_json_object, write_json,
+    FLOAT_REPR, JSON_INT, FoldPair, check_entries, check_rows, finite_check, line_columns, read_json_object, write_json,
 )
 from .pipeline import ALL_METHODS, COMBINED_STAGES, STAGES, FoldOutput, MethodAggregate
 
-_MANIFEST_KEYS = ("cell_ids", "config", "config_hash", "faulty_cell", "methods", "n_folds")
 _PAIR_KEYS = ("train_role", "train_index", "test_role", "test_index")
 _SUMMARY_METRICS = ("accuracy", "precision", "recall", "f_score", "tnr", "fpr")
 _SUMMARY_HEADER = ",".join(("method",) + _SUMMARY_METRICS)
@@ -130,41 +131,41 @@ def start_run(out_dir) -> Callable[[list[FoldOutput]], None]:
     return write_task
 
 
-def write_run(out_dir, cfg: RunConfig, data_dir, faulty_cell: int, outputs, aggregates) -> None:
+def _run_facts(cfg: RunConfig) -> dict:
+    """The detect manifest entries cfg alone fixes: what `write_run` writes and `read_detect_manifest` requires."""
+    return {
+        "config": cfg.to_dict(),
+        "config_hash": cfg.config_hash(),
+        "faulty_cell": cfg.faulty_cell,
+        "cell_ids": list(cfg.layout().cell_ids),
+        "methods": list(ALL_METHODS),
+    }
+
+
+def write_run(out_dir, cfg: RunConfig, data_dir, outputs, aggregates) -> None:
     """The end of a detect run whose folds are written: the aggregate of each method, then detect_manifest.json."""
     out_dir = Path(out_dir)
-    cell_ids = list(outputs[0].cell_ids)
+    facts = _run_facts(cfg)
     layout = cfg.layout()
     try:
         for method in ALL_METHODS:
-            write_method_aggregate(aggregates[method], cell_ids, out_dir / "aggregate", layout)
-        write_json(out_dir / "detect_manifest.json", dict(
-            config=cfg.to_dict(), config_hash=cfg.config_hash(), data_dir=str(Path(data_dir)),
-            faulty_cell=faulty_cell, cell_ids=cell_ids, n_folds=len(outputs), methods=list(ALL_METHODS),
-        ))
+            write_method_aggregate(aggregates[method], facts["cell_ids"], out_dir / "aggregate", layout)
+        manifest = {**facts, "data_dir": str(Path(data_dir)), "n_folds": len(outputs)}
+        write_json(out_dir / "detect_manifest.json", manifest)
     except OSError as exc:
         raise _write_error(exc, out_dir) from None
 
 
 def read_detect_manifest(out_dir) -> tuple[dict, RunConfig]:
-    """The detect manifest of a run directory and the configuration it records."""
+    """The detect manifest of a run directory and the configuration it records, which gives its `_run_facts`."""
     path = Path(out_dir) / "detect_manifest.json"
     if not path.exists():
         raise DataError(f"no detect_manifest.json in {out_dir}; run detect first")
-    manifest = read_json_object(path, _MANIFEST_KEYS)
-    if not (
-        all(type(manifest[key]) is int for key in ("faulty_cell", "n_folds"))
-        and isinstance(manifest["config_hash"], str) and isinstance(manifest["config"], dict)
-        and manifest["methods"] == list(ALL_METHODS)
-        and isinstance(manifest["cell_ids"], list) and all(type(c) is int for c in manifest["cell_ids"])
-    ):
-        raise DataError(f"{path}: needs integer faulty_cell and n_folds, a string config_hash, "
-                        f"a config object, methods {list(ALL_METHODS)} "
-                        f"and a list of integer cell_ids")
-    try:
-        cfg = RunConfig.from_dict(manifest["config"])
-    except ConfigError as exc:
-        raise DataError(f"{path}: invalid config: {exc}") from None
+    manifest = read_json_object(path, ("config", "n_folds"))
+    if type(manifest["n_folds"]) is not int:
+        raise DataError(f"{path}: n_folds must be an integer")
+    cfg = RunConfig.from_manifest(manifest, path)
+    check_entries(path, manifest, _run_facts(cfg))
     return manifest, cfg
 
 

@@ -182,6 +182,30 @@ def test_run_records_exactly_its_config_file(tiny_config_path, dataset_dir, dete
     assert manifest["config"] == json.loads((dataset_dir / "manifest.json").read_text())["config"]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("settings", [
+    {"master_seed": 7}, {"n_chunks": 3}, {"cell_id_base": 101, "faulty_cell": 101}, {"ues_per_cell": 5},
+], ids=["master_seed", "n_chunks", "cell_id_base", "ues_per_cell"])
+def test_detect_config_of_another_suite_is_config_error(tmp_path, dataset_dir, capsys, settings, jobs):
+    """Only the detection settings may differ from the suite's: these ran the suite and recorded other settings."""
+    config, out = tmp_path / "other.json", tmp_path / "run"
+    config.write_text(json.dumps({**TINY_CONFIG, **settings}))
+    capsys.readouterr()
+    assert main(["detect", "--config", str(config), "--data", str(dataset_dir), "--out", str(out), "--jobs", jobs]) == 2
+    key = next(iter(settings))
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {key} is {settings[key]!r} in the config but ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_detect_without_config_runs_the_suites_config(tmp_path, dataset_dir, detect_dir):
+    """No --config writes the very bytes of --config <the suite's file>, not a run of the defaults."""
+    out = tmp_path / "run"
+    assert main(["detect", "--data", str(dataset_dir), "--out", str(out)]) == 0
+    assert _detect_files(out) == _detect_files(detect_dir)
+
+
 @pytest.mark.parametrize("key,flag", [("data_dir", "--data"), ("out_dir", "--out")])
 def test_config_path_keys_are_config_error(tmp_path, dataset_dir, capsys, key, flag):
     """Nothing reads these keys, so a run that set one recorded a directory it never used."""
@@ -604,6 +628,8 @@ def _prepend_byte(path, byte=b"\xff"):
          lambda p: _evaluated_summary_line(p, 2, lambda r: r.rsplit(",", 1)[0] + ",1e+400")),
         ("report", "aggregate/labels_gram.json", lambda p: p.unlink()),
         ("evaluate", "detect_manifest.json", lambda p: _edit_json(p, lambda d: d["methods"].pop(1))),
+        ("evaluate", "detect_manifest.json", lambda p: _edit_json(p, lambda d: d.update(faulty_cell=5))),
+        ("report", "detect_manifest.json", lambda p: _edit_json(p, lambda d: d.update(config_hash="0" * 64))),
     ],
     ids=["manifest_not_json", "report_manifest_not_json", "manifest_without_faulty_cell",
          "fold_json_not_json", "scores_test_bad_row", "histograms_without_a_method",
@@ -617,7 +643,7 @@ def _prepend_byte(path, byte=b"\xff"):
          "scores_test_nan", "scores_test_rows_swapped", "scores_train_flag_2", "scores_test_ue_with_sign",
          "histograms_rows_swapped", "fold_json_fractional_cell_id", "scores_test_overflows",
          "scores_train_overflows", "histograms_value_overflows", "summary_overflows", "labels_missing",
-         "manifest_methods_one_short"],
+         "manifest_methods_one_short", "manifest_faulty_cell_not_the_configs", "manifest_config_hash_zeroed"],
 )
 def test_damaged_run_directory_is_data_error(tmp_path, detect_dir, capsys, command, name, damage):
     """Exit 3 naming the file, and for a CSV its first line that the writer does not write (the header is line 1)."""
@@ -681,6 +707,13 @@ DAMAGED_SUITE_CASES = [
     ("dominance_reference.csv", lambda p: _edit_line(p, 1, lambda r: " +0 , 0 ," + r.rpartition(",")[2])),
     ("dominance_reference.csv", lambda p: _edit_line(p, 3, lambda r: "\n" + r)),
     ("truth_problematic.jsonl", lambda p: _append(p, '{"ue": 999999, "event_index": 0, "affected": true}\n')),
+    ("manifest.json", lambda p: _edit_json(p, lambda d: d.update(faulty_cell=5))),
+    ("manifest.json", lambda p: _edit_json(p, lambda d: d["config"].update(faulty_cell=5))),
+    ("manifest.json", lambda p: _edit_json(p, lambda d: d.update(config_hash="0" * 64))),
+    ("manifest.json", lambda p: _edit_json(p, lambda d: d.update(n_chunks=3))),
+    ("manifest.json", lambda p: _edit_json(p, lambda d: d["files"].pop("reference"))),
+    ("manifest.json", lambda p: _edit_json(p, lambda d: d["files"].update(extra=d["files"]["reference"]))),
+    ("manifest.json", lambda p: _drop_key(p, "config")),
 ]
 DAMAGED_SUITE_IDS = [
     "truth_not_json", "truth_without_event_index", "manifest_not_json", "manifest_without_grid",
@@ -691,7 +724,9 @@ DAMAGED_SUITE_IDS = [
     "manifest_adjacency_key_not_a_cell", "problematic_chunk_bad_line", "problematic_chunk_x_overflows",
     "normal_chunk_y_overflows", "dominance_pixel_not_a_cell", "dominance_map_not_a_cell",
     "truth_of_another_role", "truth_cut_short", "truth_key_repeated", "dominance_row_signed_and_spaced",
-    "dominance_empty_line", "truth_ue_of_no_chunk",
+    "dominance_empty_line", "truth_ue_of_no_chunk", "manifest_faulty_cell_not_the_configs",
+    "manifest_config_faulty_cell_not_the_manifests", "manifest_config_hash_zeroed", "manifest_n_chunks_not_the_configs",
+    "manifest_files_without_reference", "manifest_files_with_an_extra_role", "manifest_without_config",
 ]
 
 
@@ -724,7 +759,7 @@ def test_damaged_suite_is_data_error_under_jobs2(tmp_path, tiny_config_path, dat
 
 def test_written_suite_and_run_need_no_per_line_parser(dataset_dir, detect_dir):
     """The readers take exactly what the writers write: a format change that breaks the round trip fails here."""
-    _, loaders = suite_module.load_suite(dataset_dir)
+    _, _, loaders = suite_module.load_suite(dataset_dir)
     roles = {role: [load() for load in chunks] for role, chunks in loaders.items()}
     assert sum(len(chunk.log) for chunks in roles.values() for chunk in chunks) > 0
     assert any(chunk.affected.any() for chunk in roles["problematic"])
@@ -740,7 +775,8 @@ def test_evaluate_reads_the_folds_detect_returned(tmp_path):
     assert main(["detect", "--config", str(config), "--data", str(tmp_path / "suite"), "--out", str(tmp_path / "run"),
                  "--folds", "12"]) == 0
     _manifest, cfg, outputs = storage.read_run(tmp_path / "run")
-    detected, aggregates = pipeline.run_detect(*suite_module.load_suite(tmp_path / "suite"), cfg, limit=12)
+    manifest, _, roles = suite_module.load_suite(tmp_path / "suite")
+    detected, aggregates = pipeline.run_detect(manifest, roles, cfg, limit=12)
     assert [out.pair for out in outputs] == [out.pair for out in detected]
     assert bits(outputs) == bits(detected)
     for method, back in pipeline.aggregate_folds(outputs, cfg).items():
@@ -779,7 +815,7 @@ def test_cell_id_base_shifts_every_label_and_no_metric(tmp_path):
 
 def test_detect_frees_each_roles_truth_after_its_last_chunk(dataset_dir, tiny_config_path):
     """Once a role's last chunk is parsed, nothing holds its truth arrays: not roles, not the plan."""
-    manifest, roles = suite_module.load_suite(dataset_dir)
+    manifest, _, roles = suite_module.load_suite(dataset_dir)
     truth = {role: weakref.ref(loaders[0].args[3][0]) for role, loaders in roles.items()}  # load_chunk's truth
     alive = []
 

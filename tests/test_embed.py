@@ -167,8 +167,9 @@ def test_auto_minor_components_follow_each_folds_training_spectrum(tmp_path):
     """`minor_components: "auto"` runs sorte_select on each fold's own training spectrum."""
     cfg = RunConfig.from_dict({**SMOKE, "minor_components": "auto"})
     write_suite(generate_dataset_suite(cfg), tmp_path)
-    outputs, _ = run_detect(*load_suite(tmp_path), cfg)
-    _, roles = load_suite(tmp_path)  # run_detect empties the loaders it is given
+    manifest, _, roles = load_suite(tmp_path)
+    outputs, _ = run_detect(manifest, roles, cfg)
+    _, _, roles = load_suite(tmp_path)  # run_detect empties the loaders it is given
 
     def features(role, index):
         return featurize_chunk(roles[role][index](), m=cfg.window_m, n=cfg.window_n, ngram_n=cfg.ngram_n)

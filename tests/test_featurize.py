@@ -30,6 +30,11 @@ def make_chunk(calls, affected=None):
     )
 
 
+def vocabulary_grams(vocab):
+    """The vocabulary's N-grams as event-code tuples, in column order."""
+    return tuple(decode_gram(c, vocab.n) for c in vocab.codes)
+
+
 def window_oracle(length, m, n):
     """Brute-force reference: emit clipped slices at offsets 0, n, 2n, ...;
     a full window that lands exactly on the end terminates the scan; slices
@@ -204,8 +209,8 @@ def test_feature_matrix_counts_and_row_sum():
     counts = build_feature_matrix(feats, vocab)
     assert counts.sum() == 2
     row = counts[0]
-    assert row[vocab.pairs.index((int(EventId.HO_COMMAND), int(EventId.HO_COMPLETE)))] == 1
-    assert row[vocab.pairs.index((int(EventId.HO_COMPLETE), int(EventId.A2_RSRP_ENTER)))] == 1
+    assert row[vocabulary_grams(vocab).index((int(EventId.HO_COMMAND), int(EventId.HO_COMPLETE)))] == 1
+    assert row[vocabulary_grams(vocab).index((int(EventId.HO_COMPLETE), int(EventId.A2_RSRP_ENTER)))] == 1
     assert row.sum() == len(events) - 1
 
 
@@ -215,9 +220,9 @@ def test_vocabulary_is_union_of_groups():
     vocab = NGramVocabulary.from_subcalls(a, b)
     assert len(vocab) == 2
     # deterministic ordering by event codes
-    assert vocab.pairs == tuple(sorted(vocab.pairs))
+    assert vocabulary_grams(vocab) == tuple(sorted(vocabulary_grams(vocab)))
     # each chunk's counts land in the union's columns
-    assert vocab.pairs == ((EventId.RLF, EventId.RLF_REESTAB), (EventId.RLF_REESTAB, EventId.PL_PROBLEM))
+    assert vocabulary_grams(vocab) == ((EventId.RLF, EventId.RLF_REESTAB), (EventId.RLF_REESTAB, EventId.PL_PROBLEM))
     assert build_feature_matrix(a, vocab).tolist() == [[1, 0]]
     assert build_feature_matrix(b, vocab).tolist() == [[0, 1]]
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from sleepscan import localize
 from sleepscan.config import RunConfig
-from sleepscan.errors import DataError
 from sleepscan.featurize import featurize_chunk
 from sleepscan.localize import (
     AMPLIFY_EPSILON,
@@ -357,14 +356,8 @@ def test_normalize_examples():
 def test_combine_identity_and_weights():
     h = normalize(np.array([1.0, 3.0]))
     other = normalize(np.array([9.0, 1.0]))
-    assert np.allclose(combine([h, h, h, h]), h)
+    assert np.allclose(combine([h, h, h, h], [1.0, 1.0, 1.0, 1.0]), h)
     assert np.allclose(combine([h, other, other, other], weights=[1, 0, 0, 0]), h)
-    with pytest.raises(DataError):
-        combine([h, other], weights=[1.0])
-    with pytest.raises(DataError):
-        combine([])
-    with pytest.raises(DataError):
-        combine([h, other], weights=[0.0, 0.0])
 
 
 def _runs(*runs):
@@ -482,7 +475,7 @@ def _reference_amplify(scores, cell_ids, adjacency, epsilon=AMPLIFY_EPSILON):
 )
 def test_neighbor_matrix_localizers_match_set_loops_bit_for_bit(seed, mode, sizes):
     rng = np.random.default_rng(seed)
-    # Ascending, as load_suite requires, and more than 8: np.sum would add these pairwise.
+    # Ascending, as the layout numbers cells, and more than 8: np.sum would add these pairwise.
     cell_ids = [2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377]
     others = cell_ids + [99]  # serving and target ids outside cell_ids too
     spec = GridSpec(origin_x=0.0, origin_y=0.0, resolution_m=10.0, nx=6, ny=6)
@@ -539,7 +532,8 @@ def test_tables_are_built_once_per_chunk(monkeypatch, tmp_path, overrides):
 
     for name in ("chunk_tables", "_directed_counts", "_distinct_pairs", "_gram_cell_rates"):
         counted(name)
-    outputs, _ = run_detect(*load_suite(tmp_path), cfg)
+    manifest, _, roles = load_suite(tmp_path)
+    outputs, _ = run_detect(manifest, roles, cfg)
     assert len(outputs) == 72
     assert calls["chunk_tables"] == calls["_directed_counts"] == 18
     assert calls["_distinct_pairs"] == 18 + 12  # dominance cells of every chunk, target cells of test chunks

@@ -418,7 +418,7 @@ def test_written_suite_loads_back_as_the_simulated_chunks(overrides, tmp_path):
     cfg = RunConfig.from_dict({**SMOKE, **overrides})
     suite = generate_dataset_suite(cfg)
     write_suite(suite, tmp_path / "suite")
-    _, loaded = load_suite(tmp_path / "suite")
+    _, _, loaded = load_suite(tmp_path / "suite")
     cell_ids = list(cfg.layout().cell_ids)
     assert set(loaded) == set(suite.roles) == {"normal", "problematic", "reference"}
     for role, data in suite.roles.items():
