@@ -25,16 +25,12 @@ except ImportError:
         from hashlib import sha256  # a build without the built-in module
 
 from .errors import ConfigError, DataError
-from .mdtlog import EventId
+from .mdtlog import EventId, is_json_int
 from .simgen.layout import macro21_layout
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_finite_number(value) -> bool:
-    if not (_is_int(value) or isinstance(value, float)):
+    if not (is_json_int(value) or isinstance(value, float)):
         return False
     try:
         return math.isfinite(value)
@@ -43,15 +39,14 @@ def _is_finite_number(value) -> bool:
 
 
 # Each field annotation of RunConfig: the check its value must pass, and
-# how an error names that type.  A float field keeps an int as given, so
-# a config's hash does not depend on this check.
+# how an error names that type.
 _FIELD_TYPES = {
-    "int": (_is_int, "an integer"),
+    "int": (is_json_int, "an integer"),
     "float": (_is_finite_number, "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
-    "int | str": (lambda v: _is_int(v) or isinstance(v, str), "an integer or a string"),
+    "int | str": (lambda v: is_json_int(v) or isinstance(v, str), "an integer or a string"),
     "tuple[float, float, float, float]": (
         lambda v: isinstance(v, tuple) and len(v) == 4 and all(map(_is_finite_number, v)),
         "4 finite numbers",
@@ -59,11 +54,14 @@ _FIELD_TYPES = {
 }
 
 
-def _as_weights(value):
-    """A list of finite numbers as the tuple of floats RunConfig holds;
-    any other value unchanged, for validate to reject."""
-    if isinstance(value, (list, tuple)) and all(map(_is_finite_number, value)):
-        return tuple(float(w) for w in value)
+def _stored(annotation: str, value):
+    """value as RunConfig holds it in a field of this annotation: a finite number of a float field as a float,
+    so that 30 and 30.0 are one setting with one hash, and a list of weights as a tuple; any other value
+    as given, for validate to reject."""
+    if annotation == "float" and _is_finite_number(value):
+        return float(value)
+    if annotation == "tuple[float, float, float, float]" and isinstance(value, (list, tuple)):
+        return tuple(_stored("float", v) for v in value)
     return value
 
 
@@ -219,13 +217,11 @@ class RunConfig(SimConfig):
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(data) - types.keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "weights" in data:
-            data = {**data, "weights": _as_weights(data["weights"])}
-        return cls(**data).validate()
+        return cls(**{key: _stored(types[key], value) for key, value in data.items()}).validate()
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":

@@ -274,6 +274,11 @@ def read_json_object(path, keys=()) -> dict:
     return doc
 
 
+def is_json_int(value) -> bool:
+    """Whether value is an integer as JSON spells one: an int, not a bool (true is not 1, nor 1.0 an integer)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_entries(path, doc: dict, expected: dict) -> None:
     """Each entry of expected, what the config in doc gives, must be doc's as JSON (1 is not true or 1.0);
     else a DataError naming path and the entry."""

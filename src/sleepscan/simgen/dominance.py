@@ -128,18 +128,13 @@ def layout_adjacency(
     return derive_adjacency(_dominance(grid, cell_ids, gain))
 
 
-def write_dominance_csv(dmap: DominanceMap, *paths) -> None:
-    """One `x_index,y_index,cell_id` row per pixel, row-major, CRLF line ends.
-
-    The map is formatted once and the same text written to every path.
-    """
+def write_dominance_csv(dmap: DominanceMap, path) -> None:
+    """One `x_index,y_index,cell_id` row per pixel, row-major, CRLF line ends, in one write."""
     lines = [DOMINANCE_HEADER + "\r\n"]
     for iy, row in enumerate(dmap.grid.tolist()):
         lines.extend(f"{ix},{iy},{cell}\r\n" for ix, cell in enumerate(row))
-    text = "".join(lines)
-    for path in paths:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(lines))
 
 
 DOMINANCE_HEADER = "x_index,y_index,cell_id"

@@ -28,8 +28,8 @@ import numpy as np
 from ..config import RunConfig
 from ..errors import DataError
 from ..mdtlog import (
-    JSON_INT, Chunk, EventLog, check_entries, check_rows, line_columns, lookup_index, read_json_object, read_records,
-    sorted_unique, write_json, write_records,
+    JSON_INT, Chunk, EventLog, check_entries, check_rows, is_json_int, line_columns, lookup_index, read_json_object,
+    read_records, sorted_unique, write_json, write_records,
 )
 from .dominance import (
     RadioMap,
@@ -208,16 +208,12 @@ def write_suite(suite: DatasetSuite, out_dir) -> Path:
     out_dir = make_suite_dir(out_dir)
     facts = suite_facts(suite.cfg)
     try:  # a full disk, a file that cannot be replaced: each names the path it failed on
-        dominance_paths: dict[int, tuple] = {}  # normal and problematic share one map: format it once
         for role, data in suite.roles.items():
             names = facts["files"][role]
             for name, chunk in zip(names["chunks"], data.chunks):
                 write_records(chunk, out_dir / name)
             write_truth(data.records, data.affected, out_dir / names["truth"])
-            dmap = data.radio.dominance
-            dominance_paths.setdefault(id(dmap), (dmap, []))[1].append(out_dir / names["dominance"])
-        for dmap, paths in dominance_paths.values():
-            write_dominance_csv(dmap, *paths)
+            write_dominance_csv(data.radio.dominance, out_dir / names["dominance"])
         write_json(out_dir / "manifest.json", {
             **facts,
             "seeds": suite.seeds,
@@ -226,10 +222,6 @@ def write_suite(suite: DatasetSuite, out_dir) -> Path:
     except OSError as exc:
         raise DataError(f"cannot write the suite to {exc.filename or out_dir}: {exc.strerror}") from None
     return out_dir / "manifest.json"
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_suite(data_dir) -> tuple[dict, RunConfig, dict[str, list[ChunkLoader]]]:
@@ -253,7 +245,7 @@ def load_suite(data_dir) -> tuple[dict, RunConfig, dict[str, list[ChunkLoader]]]
     known = set(cell_ids)
     if not isinstance(adjacency, dict) or not all(
         re.fullmatch(JSON_INT, key) and int(key) in known
-        and isinstance(cells, list) and all(_is_int(c) and c in known for c in cells)
+        and isinstance(cells, list) and all(is_json_int(c) and c in known for c in cells)
         for key, cells in adjacency.items()
     ):
         raise DataError(f"{manifest_path}: adjacency must map ids of cell_ids to lists of ids of cell_ids")

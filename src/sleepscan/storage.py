@@ -39,7 +39,8 @@ and, last, detect_manifest.json: a detect that fails leaves no manifest.
 order (`make_fold_pairs`): n_folds fold directories, each named for the
 fold its fold.json describes and over the manifest's cell_ids; anything
 else is a DataError naming the file.
-All floats are written with repr() so reruns are byte-identical.
+Each CSV is written, header and lines, in one `_write_lines` call.  All
+floats are written with repr() so reruns are byte-identical.
 
 Each reader accepts only its writer's lines, in its writer's order.  A
 CSV is its exact header, as line 1, then lines that each match one
@@ -67,7 +68,8 @@ from .config import RunConfig
 from .errors import DataError, ParseError
 from .heatmap import write_heatmap
 from .mdtlog import (
-    FLOAT_REPR, JSON_INT, FoldPair, check_entries, check_rows, finite_check, line_columns, read_json_object, write_json,
+    FLOAT_REPR, JSON_INT, FoldPair, check_entries, check_rows, finite_check, is_json_int, line_columns,
+    read_json_object, write_json,
 )
 from .pipeline import ALL_METHODS, COMBINED_STAGES, STAGES, FoldOutput, MethodAggregate
 
@@ -107,8 +109,7 @@ def start_run(out_dir) -> Callable[[list[FoldOutput]], None]:
     """Clear detect's own entries in out_dir, and return the writer of one task's fold outputs into it.
 
     Nothing else in out_dir is touched, so no fold of an earlier run can
-    mix with the folds of this one.  A task's outputs share one testing
-    chunk, whose row text the writer forgets once they are written.
+    mix with the folds of this one.
     """
     out_dir = Path(out_dir)
     try:
@@ -121,12 +122,10 @@ def start_run(out_dir) -> Callable[[list[FoldOutput]], None]:
                 path.unlink(missing_ok=True)
     except OSError as exc:
         raise DataError(f"cannot clear {exc.filename}: {exc.strerror}") from None
-    text = FoldText()
 
     def write_task(outputs: list[FoldOutput]) -> None:
         for out in outputs:
-            write_fold_output(out, out_dir / "folds" / fold_dir_name(out.pair), text)
-        text.forget(outputs[0].test_rows)
+            write_fold_output(out, out_dir / "folds" / fold_dir_name(out.pair))
 
     return write_task
 
@@ -193,41 +192,9 @@ def read_run(out_dir) -> tuple[dict, RunConfig, list[FoldOutput]]:
     return manifest, cfg, outputs
 
 
-class FoldText:
-    """The text a run's fold writes share, formatted once: the `row,ue,offset`
-    text of each chunk's scores and the `method,stage,cell_id,` keys of histograms.csv.
-
-    Each is held as one string of lines and split for each fold that
-    writes it, a sixth of the memory of a list of its lines.  A chunk's
-    row text is found by the identity of its rows array, which the cache
-    holds until `forget`: detect keeps every training chunk's for the
-    whole run, and a testing chunk's until its task is written.
-    """
-
-    def __init__(self):
-        self.rows: dict[int, tuple[np.ndarray, str]] = {}
-        self.keys: tuple[tuple[int, ...] | None, str] = (None, "")
-
-    def row_text(self, rows: np.ndarray) -> list[str]:
-        cached = self.rows.get(id(rows))
-        if cached is None:
-            lines = "".join(f"{i},{ue},{offset}\n" for i, (ue, offset) in enumerate(zip(*rows.T.tolist())))
-            cached = self.rows[id(rows)] = (rows, lines)
-        return cached[1].splitlines()
-
-    def forget(self, rows: np.ndarray) -> None:
-        self.rows.pop(id(rows), None)
-
-    def histogram_keys(self, cell_ids: tuple[int, ...]) -> list[str]:
-        if self.keys[0] != cell_ids:
-            self.keys = (cell_ids, "".join(f"{m},{st},{c},\n" for m, st in _HISTOGRAM_STAGES for c in cell_ids))
-        return self.keys[1].splitlines()
-
-
-def write_fold_output(out: FoldOutput, fold_dir, text: FoldText | None = None) -> None:
-    """The files of one fold in fold_dir; text, if given, is what the run's fold writes share."""
+def write_fold_output(out: FoldOutput, fold_dir) -> None:
+    """The files of one fold in fold_dir."""
     fold_dir = Path(fold_dir)
-    text = FoldText() if text is None else text
     try:
         fold_dir.mkdir(parents=True, exist_ok=True)
         write_json(fold_dir / "fold.json", dict(
@@ -236,16 +203,15 @@ def write_fold_output(out: FoldOutput, fold_dir, text: FoldText | None = None) -
         ))
         _write_lines(
             fold_dir / "scores_train.csv", _SCORES_TRAIN_HEADER,
-            _score_lines(text.row_text(out.train_rows), out.train_scores, out.train_anomalous),
+            _score_lines(out.train_rows, out.train_scores, out.train_anomalous),
         )
         _write_lines(
             fold_dir / "scores_test.csv", _SCORES_TEST_HEADER,
-            _score_lines(text.row_text(out.test_rows), out.test_scores, out.test_anomalous, out.test_affected),
+            _score_lines(out.test_rows, out.test_scores, out.test_anomalous, out.test_affected),
         )
+        keys = [f"{m},{st},{c}," for m, st in _HISTOGRAM_STAGES for c in out.cell_ids]
         values = np.concatenate([out.histograms[m][st] for m, st in _HISTOGRAM_STAGES]).tolist()
-        _write_lines(fold_dir / "histograms.csv", _HISTOGRAMS_HEADER, map(
-            str.__add__, text.histogram_keys(out.cell_ids), map(repr, values)
-        ))
+        _write_lines(fold_dir / "histograms.csv", _HISTOGRAMS_HEADER, map(str.__add__, keys, map(repr, values)))
     except OSError as exc:
         raise _write_error(exc, fold_dir) from None
 
@@ -255,8 +221,8 @@ def _write_error(exc: OSError, path) -> DataError:
     return DataError(f"cannot write {exc.filename or path}: {exc.strerror}")
 
 
-def _score_lines(row_text, scores, *flags):
-    """The lines of a scores CSV: row_text (row,ue,offset), score, then each flag as 0 or 1.
+def _score_lines(rows, scores, *flags):
+    """The lines of a scores CSV: row (0, 1, ...), each rows column (ue, offset), score, then each flag as 0 or 1.
 
     Scores repeat as the embedded rows do, so each distinct bit pattern
     is formatted once.
@@ -266,7 +232,8 @@ def _score_lines(row_text, scores, *flags):
     )
     text = list(map(repr, bits.view(np.float64).tolist()))
     columns = [
-        row_text,
+        map(str, range(len(rows))),
+        *(map(str, column) for column in rows.T.tolist()),
         map(text.__getitem__, index.tolist()),
         *(map(str, np.asarray(flag, dtype=np.uint8).tolist()) for flag in flags),
     ]
@@ -300,9 +267,9 @@ def read_fold_output(fold_dir, cell_ids) -> FoldOutput:
     meta = read_json_object(path, (*_PAIR_KEYS, "threshold", "selected_components", "cell_ids"))
     pair = FoldPair(**{key: meta[key] for key in _PAIR_KEYS})
     if not (pair.train_role == "normal" and pair.test_role in ("problematic", "reference")
-            and all(type(v) is int for v in (pair.train_index, pair.test_index, meta["selected_components"]))
+            and all(map(is_json_int, (pair.train_index, pair.test_index, meta["selected_components"])))
             and min(pair.train_index, pair.test_index) >= 0 and type(meta["threshold"]) is float
-            and isinstance(meta["cell_ids"], list) and all(type(c) is int for c in meta["cell_ids"])):
+            and isinstance(meta["cell_ids"], list) and all(map(is_json_int, meta["cell_ids"]))):
         raise DataError(f"{path}: needs train_role normal, test_role problematic or reference, non-negative "
                         f"integer chunk indices, integer selected_components, a float threshold "
                         f"and a list of integer cell_ids")
@@ -380,16 +347,14 @@ def write_method_aggregate(agg: MethodAggregate, cell_ids, out_dir, layout) -> N
 
     for pairing, labels in agg.labels.items():
         stages = agg.mean_stages[pairing]
-        raw = stages.get("raw")
-        amped = stages.get("amplified")
         norm = stages[agg.stage]
-        path = out_dir / f"histogram_{agg.method}_{pairing}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("cell_id,raw,amplified,normalized,label\n")
-            for i, cell in enumerate(cell_ids):
-                raw_v = "" if raw is None else repr(float(raw[i]))
-                amp_v = "" if amped is None else repr(float(amped[i]))
-                fh.write(f"{cell},{raw_v},{amp_v},{float(norm[i])!r},{int(labels[i])}\n")
+        columns = [
+            [""] * len(cell_ids) if values is None else [repr(float(v)) for v in values]
+            for values in (stages.get("raw"), stages.get("amplified"), norm)
+        ]
+        _write_lines(out_dir / f"histogram_{agg.method}_{pairing}.csv", "cell_id,raw,amplified,normalized,label", map(
+            ",".join, zip(map(str, cell_ids), *columns, (str(int(flag)) for flag in labels))
+        ))
         write_heatmap(
             layout, norm, cell_ids, out_dir / f"heatmap_{agg.method}_{pairing}.svg", title=f"{agg.method} / {pairing}"
         )

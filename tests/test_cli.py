@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import errno
 import json
 import os
@@ -204,6 +205,31 @@ def test_detect_without_config_runs_the_suites_config(tmp_path, dataset_dir, det
     out = tmp_path / "run"
     assert main(["detect", "--data", str(dataset_dir), "--out", str(out)]) == 0
     assert _detect_files(out) == _detect_files(detect_dir)
+
+
+def test_a_float_setting_spelled_as_an_integer_simulates_the_same_suite(tmp_path):
+    """ue_speed_kmh 30 and 30.0 are one setting: the two suites are the same bytes, their manifests included."""
+    suites = []
+    for spelling, speed in (("int", 30), ("float", 30.0)):
+        config, suite = tmp_path / f"{spelling}.json", tmp_path / f"suite_{spelling}"
+        config.write_text(json.dumps({**SMOKE, "ue_speed_kmh": speed}))
+        assert main(["simulate", "--config", str(config), "--out", str(suite)]) == 0
+        suites.append({f.name: f.read_bytes() for f in sorted(suite.iterdir())})
+    assert suites[0] == suites[1]
+
+
+def test_a_float_setting_spelled_as_an_integer_detects_the_same_run(tmp_path, dataset_dir):
+    """detect records its suite's config and hash whichever spelling --config gives a float setting."""
+    manifests = []
+    for spelling, speed in (("int", 30), ("float", 30.0)):
+        config, out = tmp_path / f"{spelling}.json", tmp_path / f"run_{spelling}"
+        config.write_text(json.dumps({**TINY_CONFIG, "ue_speed_kmh": speed}))
+        assert main(["detect", "--config", str(config), "--data", str(dataset_dir), "--out", str(out),
+                     "--folds", "1"]) == 0
+        manifests.append((out / "detect_manifest.json").read_text())
+    assert manifests[0] == manifests[1]
+    suite_hash = json.loads((dataset_dir / "manifest.json").read_text())["config_hash"]
+    assert json.loads(manifests[0])["config_hash"] == suite_hash
 
 
 @pytest.mark.parametrize("key,flag", [("data_dir", "--data"), ("out_dir", "--out")])
@@ -571,6 +597,15 @@ def _edit_json(path, edit):
     path.write_text(json.dumps(doc))
 
 
+def _spell_a_float_as_an_integer(path):
+    """The manifest a suite simulated from "ue_speed_kmh": 30 had while a float setting kept an int as given."""
+    def edit(doc):
+        doc["config"]["ue_speed_kmh"] = 30
+        doc["config_hash"] = dataclasses.replace(RunConfig.from_dict(doc["config"]), ue_speed_kmh=30).config_hash()
+
+    _edit_json(path, edit)
+
+
 def _evaluated_summary_line(path, index, edit):
     """Run evaluate on the run directory holding path, then edit a line of its metrics_summary.csv."""
     assert main(["evaluate", "--out", str(path.parents[1])]) == 0
@@ -714,6 +749,7 @@ DAMAGED_SUITE_CASES = [
     ("manifest.json", lambda p: _edit_json(p, lambda d: d["files"].pop("reference"))),
     ("manifest.json", lambda p: _edit_json(p, lambda d: d["files"].update(extra=d["files"]["reference"]))),
     ("manifest.json", lambda p: _drop_key(p, "config")),
+    ("manifest.json", _spell_a_float_as_an_integer),
 ]
 DAMAGED_SUITE_IDS = [
     "truth_not_json", "truth_without_event_index", "manifest_not_json", "manifest_without_grid",
@@ -727,6 +763,7 @@ DAMAGED_SUITE_IDS = [
     "dominance_empty_line", "truth_ue_of_no_chunk", "manifest_faulty_cell_not_the_configs",
     "manifest_config_faulty_cell_not_the_manifests", "manifest_config_hash_zeroed", "manifest_n_chunks_not_the_configs",
     "manifest_files_without_reference", "manifest_files_with_an_extra_role", "manifest_without_config",
+    "manifest_config_float_spelled_as_an_integer",
 ]
 
 

@@ -55,6 +55,16 @@ def test_hash_is_the_sha256_of_the_canonical_json(overrides):
         assert cfg.config_hash() == DEFAULT_HASH
 
 
+@pytest.mark.parametrize("key", ["ue_speed_kmh", "a2_report_interval_ms", "map_resolution_m", "threshold_percentile"])
+def test_a_float_setting_spelled_as_an_integer_is_stored_and_hashed_as_a_float(key):
+    """30 and 30.0 are one value: the config holds the float, so its dict and hash are the defaults'."""
+    cfg = RunConfig.from_dict({key: int(getattr(RunConfig(), key))})
+    assert type(getattr(cfg, key)) is float
+    assert cfg.to_dict() == RunConfig().to_dict()
+    assert json.dumps(cfg.to_dict()) == json.dumps(RunConfig().to_dict())
+    assert cfg.config_hash() == DEFAULT_HASH
+
+
 def test_hash_falls_back_to_hashlib_without_the_builtin_module():
     """A Python built without its own SHA-256 module (`_sha2`, `_sha256`) hashes through hashlib, to the same digest."""
     script = (

@@ -37,15 +37,15 @@ SUITE_CASES = {
     "smoke": (SMOKE, "b3133791ce41df128c0a6a5113e506c83a572e874323a8ef790257512bb554a5"),
     "a2_report_interval": (
         {**SMOKE, "a2_report_interval_ms": 200},
-        "a449f5deaf9cbc641fab132e95a65aa99e97611dd5e94dba288fab0fd237a26d",
+        "8630ce83960622fb443c00f4617952891dfff96b6628ff06ddfedfddbcecabad",
     ),
     "ho_complete_zero": (
         {**SMOKE, "ho_complete_ms": 0},
-        "e796d4806aa9cf79992a47076dad696365f0510b52725a47b1f1bb21027ed32f",
+        "ba83277ba613c654b9e3b2be5b652d55a9757e949682f1f4ef256d36ac4fc7c4",
     ),
     "no_shadowing": (
         {**SMOKE, "shadowing_sigma_db": 0},
-        "aa6ae2bdc3c30d81757961a98ba33a139fe6bae5050243b26efd826c692a8fb3",
+        "bf8f30307e755d075daefd7b9ebb1f8f3636382364a5084abb7f9a9cfdbae8ef",
     ),
     "no_wrap_around": (
         {**SMOKE, "wrap_around": False},
