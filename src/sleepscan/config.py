@@ -3,8 +3,10 @@
 `RunConfig` holds every setting of a run with its default.  It extends
 `SimConfig`, which declares the simulator engine's settings and their
 checks; the scenario, seed, detection and localization settings are
-declared in `RunConfig` itself.  A run is fully identified by the hash
-of the parameter set.  A command's configuration is exactly its
+declared in `RunConfig` itself.  A config is stored and checked when it
+is built, by keywords, `dataclasses.replace` or `from_dict` alike, so
+every config is valid and its hash, which identifies a run, depends
+only on its values.  A command's configuration is exactly its
 `--config` file, or these defaults: no flag changes a setting.
 """
 
@@ -38,8 +40,8 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-# Each field annotation of RunConfig: the check its value must pass, and
-# how an error names that type.
+# Each field annotation of SimConfig and RunConfig: the check its stored
+# value must pass, and how an error names that type.
 _FIELD_TYPES = {
     "int": (is_json_int, "an integer"),
     "float": (_is_finite_number, "a finite number"),
@@ -55,9 +57,9 @@ _FIELD_TYPES = {
 
 
 def _stored(annotation: str, value):
-    """value as RunConfig holds it in a field of this annotation: a finite number of a float field as a float,
+    """value as a config holds it in a field of this annotation: a finite number of a float field as a float,
     so that 30 and 30.0 are one setting with one hash, and a list of weights as a tuple; any other value
-    as given, for validate to reject."""
+    as given, for the field's type check to reject."""
     if annotation == "float" and _is_finite_number(value):
         return float(value)
     if annotation == "tuple[float, float, float, float]" and isinstance(value, (list, tuple)):
@@ -95,22 +97,29 @@ class SimConfig:
     ho_complete_ms: float = 100.0
     ho_backoff_ms: float = 500.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        """Store each field (`_stored`) and check its type, then its range (`_check`): a ConfigError if one fails."""
+        for f in fields(self):
+            value = _stored(f.type, getattr(self, f.name))
+            check, type_name = _FIELD_TYPES[f.type]
+            if not check(value):
+                raise ConfigError(f"{f.name} must be {type_name}, got {value!r}")
+            object.__setattr__(self, f.name, value)
+        self._check()
+
+    def _check(self) -> None:
+        """The checks of the settings' ranges; each float setting is already finite (its type check)."""
         if self.ues_per_cell < 1:
             raise ConfigError("ues_per_cell must be >= 1")
         if self.duration_steps < 1:
             raise ConfigError("duration_steps must be >= 1")
-        if not (math.isfinite(self.step_seconds) and self.step_seconds > 0):
+        if not self.step_seconds > 0:
             raise ConfigError("step_seconds must be finite and positive")
-        for name in ("a3_margin_db", "a2_rsrp_threshold_dbm", "a2_rsrq_threshold_db", "rsrq_load_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
         for name in (
             "ue_speed_kmh", "a2_rsrp_hysteresis_db", "a2_rsrq_hysteresis_db",
             "ttt_ms", "t304_ms", "ho_complete_ms", "ho_backoff_ms", "a2_report_interval_ms",
         ):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
+            if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be finite and >= 0")
 
     def steps(self, milliseconds: float, *, round_up: bool = False) -> int:
@@ -152,12 +161,7 @@ class RunConfig(SimConfig):
     data_dir: str | None = None
     out_dir: str | None = None
 
-    def validate(self) -> "RunConfig":
-        for f in fields(self):
-            check, type_name = _FIELD_TYPES[f.type]
-            value = getattr(self, f.name)
-            if not check(value):
-                raise ConfigError(f"{f.name} must be {type_name}, got {value!r}")
+    def _check(self) -> None:
         if (self.n_sites, self.sectors_per_site) != (7, 3):
             raise ConfigError("only the 7-site, 3-sector scenario is implemented")
         if self.window_m < 2:
@@ -190,15 +194,12 @@ class RunConfig(SimConfig):
         if self.cell_id_base < 0:
             raise ConfigError("cell_id_base must be >= 0")  # -1 marks a record without a target
         for name in ("inter_site_distance_m", "map_resolution_m", "map_half_extent_m", "shadowing_correlation_m"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be finite and positive")
         if round(2.0 * self.map_half_extent_m / self.map_resolution_m) < 1:
             raise ConfigError("the map must hold at least one pixel")
-        if not (math.isfinite(self.shadowing_sigma_db) and self.shadowing_sigma_db >= 0):
+        if self.shadowing_sigma_db < 0:
             raise ConfigError("shadowing_sigma_db must be finite and >= 0")
-        if not math.isfinite(self.tx_power_dbm):
-            raise ConfigError("tx_power_dbm must be finite")
         n_cells = self.n_sites * self.sectors_per_site
         if not self.cell_id_base <= self.faulty_cell < self.cell_id_base + n_cells:
             raise ConfigError(f"faulty_cell {self.faulty_cell} not in layout")
@@ -207,8 +208,7 @@ class RunConfig(SimConfig):
         for name, flag in (("data_dir", "--data"), ("out_dir", "--out")):
             if getattr(self, name) is not None:
                 raise ConfigError(f"{name} must be null: the command's {flag} gives that directory")
-        super().validate()
-        return self
+        super()._check()
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -217,11 +217,10 @@ class RunConfig(SimConfig):
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        types = {f.name: f.type for f in fields(cls)}
-        unknown = set(data) - types.keys()
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**{key: _stored(types[key], value) for key, value in data.items()}).validate()
+        return cls(**data)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":

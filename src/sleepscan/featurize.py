@@ -35,12 +35,9 @@ def windows_for_calls(call_bounds, m: int, n: int) -> np.ndarray:
     a window that exactly fits the tail (offset + m == L) ends the scan.
     Windows are clipped at the call end, and those shorter than 2 events
     cannot form a 2-gram and are dropped.  Windows are ordered by call,
-    then by offset.
+    then by offset.  m >= 2 and 1 <= n <= m, as a RunConfig's window_m
+    and window_n are.
     """
-    if m < 2:
-        raise ValueError("window size m must be >= 2")
-    if not 1 <= n <= m:
-        raise ValueError("step n must satisfy 1 <= n <= m")
     bounds = np.asarray(call_bounds, dtype=np.int64)
     starts, lengths = bounds[:-1], np.diff(bounds)
     # Offsets that fall inside the call, cut after the one fitting the tail.

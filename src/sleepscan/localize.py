@@ -58,7 +58,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
 from .featurize import decode_gram, gram_codes, gram_positions
 from .mdtlog import Chunk, EventId, lookup_index, sorted_unique
 
@@ -209,11 +208,9 @@ def _directed_counts(chunk: Chunk, cell_ids, mode: str) -> np.ndarray:
     if mode == "handover":
         src, dst = lookup_index(log.serving, cell_ids), lookup_index(log.target, cell_ids)
         keep = (log.event == int(EventId.HO_COMMAND)) & ~starts_call & (src >= 0) & (dst >= 0)
-    elif mode == "location":
+    else:
         src, dst = chunk.cell[:-1], chunk.cell[1:]
         keep = ~starts_call[1:]
-    else:
-        raise DataError(f"unknown symmetry mode {mode!r}")
     n = len(cell_ids)
     return np.bincount(src[keep] * n + dst[keep], minlength=n * n).reshape(n, n)
 

@@ -181,34 +181,29 @@ class Chunk:
     affected: np.ndarray     # bool per record
 
     @classmethod
-    def from_log(
-        cls, log: EventLog, dominance, cell_ids, truth=None, mismatch: str = "truth does not match the log"
-    ) -> "Chunk":
+    def from_log(cls, log: EventLog, dominance, cell_ids, truth, mismatch: str) -> "Chunk":
         """Order a log into calls and attach cells and truth.
 
-        dominance is the role's `DominanceMap`; truth is `simgen.suite.load_truth`
-        of the role's truth file: its UEs, their row counts and the flag of
-        each row by (ue, position in the call).  A count that is not the
-        record count of the UE's call is a DataError whose message starts
-        with mismatch.
+        dominance is the role's `DominanceMap`, every cell of which is one
+        of cell_ids (`simgen.suite.load_suite` checks that); truth is
+        `simgen.suite.load_truth` of the role's truth file: its UEs, their
+        row counts and the flag of each row by (ue, position in the call).
+        A count that is not the record count of the UE's call is a
+        DataError whose message starts with mismatch.
         """
         log, bounds = group_calls(log)
         cell = lookup_index(dominance.cell_at(log.x, log.y), cell_ids)
-        if (cell < 0).any():
-            raise DataError("dominance map places records in cells missing from the suite's cell ids")
-        affected = np.zeros(len(log), dtype=bool)
-        if truth is not None:
-            truth_ues, counts, flags = truth
-            call_ues, sizes = log.ue[bounds[:-1]], np.diff(bounds)  # calls are one per UE, in ue order
-            at = lookup_index(call_ues, truth_ues)
-            listed = np.append(counts, 0)[at]
-            if (listed != sizes).any():
-                c = int(np.argmax(listed != sizes))
-                raise DataError(
-                    f"{mismatch}: truth lists {listed[c]} rows for ue {call_ues[c]}, whose call has {sizes[c]} records"
-                )
-            first = (np.cumsum(counts) - counts)[at]  # each call's first row among the flags
-            affected = flags[np.repeat(first - bounds[:-1], sizes) + np.arange(len(log))]
+        truth_ues, counts, flags = truth
+        call_ues, sizes = log.ue[bounds[:-1]], np.diff(bounds)  # calls are one per UE, in ue order
+        at = lookup_index(call_ues, truth_ues)
+        listed = np.append(counts, 0)[at]
+        if (listed != sizes).any():
+            c = int(np.argmax(listed != sizes))
+            raise DataError(
+                f"{mismatch}: truth lists {listed[c]} rows for ue {call_ues[c]}, whose call has {sizes[c]} records"
+            )
+        first = (np.cumsum(counts) - counts)[at]  # each call's first row among the flags
+        affected = flags[np.repeat(first - bounds[:-1], sizes) + np.arange(len(log))]
         return cls(log=log, call_bounds=bounds, cell=cell, affected=affected)
 
 
@@ -279,14 +274,22 @@ def is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def check_entries(path, doc: dict, expected: dict) -> None:
+def check_entries(path, doc: dict, expected: dict, writer: str) -> None:
     """Each entry of expected, what the config in doc gives, must be doc's as JSON (1 is not true or 1.0);
-    else a DataError naming path and the entry."""
+    else a DataError naming path and the entry.  Where doc's config is not its stored form (a float setting
+    spelled as an integer), the error names the first setting that differs and says to run writer again."""
     for key, value in expected.items():
         if key not in doc:
             raise DataError(f"{path} lacks {key}")
-        if json.dumps(doc[key], sort_keys=True) != json.dumps(value, sort_keys=True):
-            raise DataError(f"{path}: {key} is not the {key} its config gives")
+        if json.dumps(doc[key], sort_keys=True) == json.dumps(value, sort_keys=True):
+            continue
+        if key == "config":
+            name = next(name for name in value
+                        if name not in doc[key] or json.dumps(doc[key][name]) != json.dumps(value[name]))
+            spelled = f"written as {json.dumps(doc[key][name])}" if name in doc[key] else "not written"
+            raise DataError(f"{path}: config setting {name} is {spelled}, stored as {json.dumps(value[name])}; "
+                            f"{writer} again to write it as stored")
+        raise DataError(f"{path}: {key} is not the {key} its config gives")
 
 
 def _line_blocks(fh):

@@ -82,7 +82,7 @@ def run_fold(
     if cfg.minor_components == "auto":
         d = embed.sorte_select(basis.eigenvalues, fallback=min(6, basis.dim))
     else:
-        d = int(cfg.minor_components)
+        d = cfg.minor_components
     d = min(d, basis.dim)
     train_emb = embed.project_minor(basis, train_counts, d)
     test_emb = embed.project_minor(basis, test_counts, d)

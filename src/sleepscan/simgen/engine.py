@@ -58,7 +58,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..errors import ConfigError
 from ..mdtlog import NO_TARGET, EventId, EventLog
 from .dominance import RadioMap
 from .layout import NetworkLayout
@@ -428,9 +427,6 @@ def simulate(
     Random access toward `faulty_cell` fails; None injects no fault.
     Returns the log in emission order and each record's fault-affected flag.
     """
-    sim.validate()
-    if faulty_cell is not None and faulty_cell not in layout.cell_ids:
-        raise ConfigError(f"faulty cell {faulty_cell} not in layout")
     n_ue = sim.ues_per_cell * len(radio.cell_ids)
     faulty_idx = -1 if faulty_cell is None else layout.index_of(faulty_cell)
     tables = _RadioTables(radio, sim.a3_margin_db)

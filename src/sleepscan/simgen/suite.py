@@ -240,7 +240,7 @@ def load_suite(data_dir) -> tuple[dict, RunConfig, dict[str, list[ChunkLoader]]]
     manifest_path = data_dir / "manifest.json"
     manifest = read_json_object(manifest_path, ("config", "adjacency"))
     cfg = RunConfig.from_manifest(manifest, manifest_path)
-    check_entries(manifest_path, manifest, suite_facts(cfg))
+    check_entries(manifest_path, manifest, suite_facts(cfg), "simulate")
     cell_ids, adjacency = manifest["cell_ids"], manifest["adjacency"]
     known = set(cell_ids)
     if not isinstance(adjacency, dict) or not all(

@@ -164,7 +164,7 @@ def read_detect_manifest(out_dir) -> tuple[dict, RunConfig]:
     if type(manifest["n_folds"]) is not int:
         raise DataError(f"{path}: n_folds must be an integer")
     cfg = RunConfig.from_manifest(manifest, path)
-    check_entries(path, manifest, _run_facts(cfg))
+    check_entries(path, manifest, _run_facts(cfg), "detect")
     return manifest, cfg
 
 

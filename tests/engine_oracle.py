@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from sleepscan.config import SimConfig
-from sleepscan.errors import ConfigError
 from sleepscan.mdtlog import NO_TARGET, EventId, EventLog
 from sleepscan.simgen.dominance import RadioMap
 from sleepscan.simgen.layout import NetworkLayout
@@ -26,9 +25,6 @@ def simulate(
     Random access toward `faulty_cell` fails; None injects no fault.
     Returns the log in emission order and each record's fault-affected flag.
     """
-    sim.validate()
-    if faulty_cell is not None and faulty_cell not in layout.cell_ids:
-        raise ConfigError(f"faulty cell {faulty_cell} not in layout")
     grid = radio.grid_spec
     cell_ids = radio.cell_ids
     n_cells = len(cell_ids)

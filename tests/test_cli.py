@@ -1,7 +1,7 @@
 import argparse
 import csv
-import dataclasses
 import errno
+import hashlib
 import json
 import os
 import re
@@ -598,12 +598,34 @@ def _edit_json(path, edit):
 
 
 def _spell_a_float_as_an_integer(path):
-    """The manifest a suite simulated from "ue_speed_kmh": 30 had while a float setting kept an int as given."""
+    """The manifest a run from "ue_speed_kmh": 30 wrote while a float setting kept an int as given:
+    the config as spelled, and the hash of its canonical JSON."""
     def edit(doc):
         doc["config"]["ue_speed_kmh"] = 30
-        doc["config_hash"] = dataclasses.replace(RunConfig.from_dict(doc["config"]), ue_speed_kmh=30).config_hash()
+        settings = {key: value for key, value in doc["config"].items() if key not in ("data_dir", "out_dir")}
+        canonical = json.dumps(settings, sort_keys=True, separators=(",", ":"))
+        doc["config_hash"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     _edit_json(path, edit)
+
+
+@pytest.mark.parametrize("writer", ["simulate", "detect"])
+def test_a_manifest_config_not_as_stored_names_the_setting_and_the_remedy(
+    tmp_path, tiny_config_path, dataset_dir, detect_dir, capsys, writer
+):
+    """Exit 3 naming the manifest, the first setting not in its stored form, and the command that writes it again."""
+    data, run = tmp_path / "suite", tmp_path / "run"
+    shutil.copytree(dataset_dir, data)
+    shutil.copytree(detect_dir, run)
+    path = data / "manifest.json" if writer == "simulate" else run / "detect_manifest.json"
+    _spell_a_float_as_an_integer(path)
+    capsys.readouterr()
+    detect = ["detect", "--config", str(tiny_config_path), "--data", str(data), "--out", str(tmp_path / "out")]
+    assert main(detect if writer == "simulate" else ["evaluate", "--out", str(run)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {path}: config setting ue_speed_kmh is written as 30, stored as 30.0; "
+        f"{writer} again to write it as stored\n"
+    )
 
 
 def _evaluated_summary_line(path, index, edit):

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import sleepscan
 from sleepscan import localize
@@ -16,8 +18,8 @@ from sleepscan.config import RunConfig
 from sleepscan.errors import ConfigError
 
 
-def test_defaults_validate_and_roundtrip():
-    cfg = RunConfig().validate()
+def test_defaults_are_valid_and_roundtrip():
+    cfg = RunConfig()
     rebuilt = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert rebuilt == cfg
     assert cfg.window_m == 15 and cfg.window_n == 10
@@ -30,15 +32,66 @@ def test_defaults_validate_and_roundtrip():
 def test_hash_is_stable_and_ignores_paths():
     base = RunConfig()
     assert base.config_hash() == RunConfig().config_hash()
-    with_paths = dataclasses.replace(base, data_dir="/tmp/a", out_dir="/tmp/b")
-    assert with_paths.config_hash() == base.config_hash()
     with pytest.raises(ConfigError, match="^data_dir must be null"):  # the commands' --data and --out give them
-        with_paths.validate()
-    reseeded = dataclasses.replace(base, master_seed=7).validate()
+        dataclasses.replace(base, data_dir="/tmp/a", out_dir="/tmp/b")
+    reseeded = dataclasses.replace(base, master_seed=7)
     assert reseeded.config_hash() != base.config_hash()
 
 
 DEFAULT_HASH = "bb6ae3483bbf72f57f59285b195d4481b4074463e73918674b085c90fc2e9779"
+
+# The three ways to build a config from settings over the defaults.
+BUILDERS = {
+    "from_dict": RunConfig.from_dict,
+    "constructor": lambda settings: RunConfig(**settings),
+    "replace": lambda settings: dataclasses.replace(RunConfig(), **settings),
+}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: RunConfig(ue_speed_kmh=30), lambda: RunConfig(weights=[1, 1, 1, 1]),
+     lambda: dataclasses.replace(RunConfig(), ue_speed_kmh=30)],
+    ids=["constructor_int_speed", "constructor_weights_list", "replace_int_speed"],
+)
+def test_a_config_built_by_keywords_is_stored_as_from_dict_stores_it(build):
+    """A float setting given as an integer, or weights as a list, is stored as from_dict stores it."""
+    cfg = build()
+    assert cfg == RunConfig()
+    assert hash(cfg) == hash(RunConfig())
+    assert cfg.config_hash() == DEFAULT_HASH
+
+
+# Valid values of float settings, integral so that each can be spelled as an int or as a float.
+FLOAT_SETTINGS = {
+    "ue_speed_kmh": st.integers(0, 300),
+    "a2_report_interval_ms": st.integers(0, 1000),
+    "map_resolution_m": st.integers(1, 50),
+    "threshold_percentile": st.integers(1, 100),
+    "tx_power_dbm": st.integers(-30, 60),
+    "weights": st.lists(st.integers(0, 5), min_size=4, max_size=4).filter(any),
+}
+
+
+def _spelled(value, as_float: bool):
+    if not as_float:
+        return value
+    return tuple(map(float, value)) if isinstance(value, list) else float(value)
+
+
+@given(
+    values=st.fixed_dictionaries(FLOAT_SETTINGS),
+    as_float=st.fixed_dictionaries({key: st.booleans() for key in FLOAT_SETTINGS}),
+    builder=st.sampled_from(sorted(BUILDERS)),
+)
+def test_float_settings_give_one_config_and_one_hash_however_built_and_spelled(values, as_float, builder):
+    """Any builder, and either spelling of each float setting, gives the config from_dict gives from floats."""
+    cfg = BUILDERS[builder]({key: _spelled(value, as_float[key]) for key, value in values.items()})
+    expected = RunConfig.from_dict({key: _spelled(value, True) for key, value in values.items()})
+    assert cfg == expected and hash(cfg) == hash(expected)
+    assert cfg.config_hash() == expected.config_hash()
+    assert json.dumps(cfg.to_dict()) == json.dumps(expected.to_dict())
+    assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 @pytest.mark.parametrize(
@@ -140,9 +193,10 @@ def test_unknown_keys_rejected():
         ("weights", [0, 0, 0, 2e306]),
     ],
 )
-def test_invalid_values_rejected(field, value):
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_invalid_values_rejected(field, value, builder):
     with pytest.raises(ConfigError):
-        RunConfig.from_dict({field: value})
+        BUILDERS[builder]({field: value})
 
 
 def test_ngram_n_must_fit_the_int64_gram_codes():

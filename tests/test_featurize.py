@@ -72,15 +72,6 @@ def test_sliding_window_lengths(length, expected):
     assert windows == window_oracle(length, 15, 10)
 
 
-def test_sliding_window_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        windows_for_calls([0, 5], m=1, n=1)
-    with pytest.raises(ValueError):
-        windows_for_calls([0, 5], m=5, n=6)
-    with pytest.raises(ValueError):
-        windows_for_calls([0, 5], m=5, n=0)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     length=st.integers(0, 200),

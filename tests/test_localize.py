@@ -54,9 +54,15 @@ def call_records(events, ue=0, xs=None, targets=None):
     ]
 
 
+def chunk_of(log, dmap, cell_ids=CELLS):
+    """The chunk of log, with truth that flags no record."""
+    ues, counts = np.unique(log.ue, return_counts=True)
+    return Chunk.from_log(log, dmap, cell_ids, (ues, counts, np.zeros(len(log), dtype=bool)), "truth")
+
+
 def make_chunk(records, dmap, cell_ids=CELLS):
     """A chunk of (event, ue, t, x, y, serving, target) rows."""
-    return Chunk.from_log(EventLog.from_rows(records), dmap, cell_ids)
+    return chunk_of(EventLog.from_rows(records), dmap, cell_ids)
 
 
 def whole_calls(chunk):
@@ -213,8 +219,8 @@ def test_target_cell_needs_no_locations():
         [EventId.HO_COMMAND, EventId.HO_COMPLETE], ue=1, xs=[5.0, 35.0], targets=[2, 2]
     )
     log = EventLog.from_rows(records)
-    chunk = Chunk.from_log(log, dmap, CELLS)
-    stripped = Chunk.from_log(strip_locations(log), dmap, CELLS)
+    chunk = chunk_of(log, dmap)
+    stripped = chunk_of(strip_locations(log), dmap)
     assert chunk.cell.tolist() != stripped.cell.tolist()
     a = sc_target_cell_subcalls(*side(chunk, whole_calls(chunk)))
     b = sc_target_cell_subcalls(*side(stripped, whole_calls(stripped)))
