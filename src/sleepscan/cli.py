@@ -74,12 +74,10 @@ def cmd_detect(args) -> int:
     manifest, suite_cfg, roles = load_suite(args.data)
     cfg = _detect_config(cfg, suite_cfg)
     write_folds = storage.start_run(args.out)
-    outputs, aggregates = pipeline.run_detect(
-        manifest, roles, cfg, limit=args.folds, jobs=args.jobs, write_folds=write_folds
-    )
-    storage.write_run(args.out, cfg, args.data, outputs, aggregates)
-    print(f"ran {len(outputs)} folds (jobs={args.jobs})")
-    cell_ids = outputs[0].cell_ids
+    folds, aggregates = pipeline.run_detect(manifest, roles, cfg, write_folds, limit=args.folds, jobs=args.jobs)
+    storage.write_run(args.out, cfg, args.data, folds, aggregates)
+    print(f"ran {len(folds)} folds (jobs={args.jobs})")
+    cell_ids = cfg.layout().cell_ids
     for method, agg in aggregates.items():
         for pairing, labels in sorted(agg.labels.items()):
             means = agg.mean_stages[pairing][agg.stage]

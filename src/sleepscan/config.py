@@ -196,7 +196,11 @@ class RunConfig(SimConfig):
         for name in ("inter_site_distance_m", "map_resolution_m", "map_half_extent_m", "shadowing_correlation_m"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be finite and positive")
-        if round(2.0 * self.map_half_extent_m / self.map_resolution_m) < 1:
+        pixels = 2.0 * self.map_half_extent_m / self.map_resolution_m
+        if not math.isfinite(pixels):  # round() of an infinite float raises OverflowError
+            raise ConfigError(f"the map is too large: 2 * map_half_extent_m / map_resolution_m "
+                              f"(2 * {self.map_half_extent_m} / {self.map_resolution_m}) must be a finite float")
+        if round(pixels) < 1:
             raise ConfigError("the map must hold at least one pixel")
         if self.shadowing_sigma_db < 0:
             raise ConfigError("shadowing_sigma_db must be finite and >= 0")

@@ -21,11 +21,13 @@ level it depends on:
              threshold, which depend on both chunks through the fold's
              vocabulary, and the four localizer comparisons (`run_fold`)
 
-A task runs the folds of one test chunk and hands their outputs to the
-fold writer.  The tasks run in order in this process, or in forked
-workers that inherit everything built before them; either way the
-outputs are put back in `make_fold_pairs` order before they are
-aggregated.
+A task runs the folds of one test chunk, hands their outputs to the
+fold writer, and returns only a `FoldRecord` of each fold, its pair and
+histograms: a fold's rows, scores and flags go once they are written.
+The tasks run in order in this process, or in forked workers that
+inherit everything built before them and send back only the records;
+either way the records are put back in `make_fold_pairs` order before
+they are aggregated.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ from .simgen.suite import ChunkLoader
 ALL_METHODS = METHOD_NAMES + ("combined",)
 STAGES = ("raw", "amplified", "normalized_raw", "normalized")
 COMBINED_STAGES = STAGES[2:]  # the combination exists only normalized
+# (method, stage) of each histogram of a fold, in the order a FoldRecord's rows and histograms.csv hold them.
+HISTOGRAM_STAGES = tuple(
+    (m, stage) for m in ALL_METHODS for stage in sorted(COMBINED_STAGES if m == "combined" else STAGES)
+)
 
 
 @dataclass
@@ -61,6 +67,31 @@ class FoldOutput:
     test_affected: np.ndarray  # per test sub-call ground truth
     histograms: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
     cell_ids: tuple[int, ...] = ()
+
+
+@dataclass
+class FoldRecord:
+    """What a detect run keeps of a fold once its files are written: what `aggregate_folds` reads."""
+
+    pair: FoldPair
+    values: np.ndarray  # (len(HISTOGRAM_STAGES), cells): the fold's histograms, as `stack_histograms` stacks them
+
+    @property
+    def histograms(self) -> dict[str, dict[str, np.ndarray]]:
+        return unstack_histograms(self.values)
+
+
+def stack_histograms(histograms: dict[str, dict[str, np.ndarray]]) -> np.ndarray:
+    """The histograms of a fold as the rows of one array, in HISTOGRAM_STAGES order."""
+    return np.stack([histograms[method][stage] for method, stage in HISTOGRAM_STAGES])
+
+
+def unstack_histograms(values: np.ndarray) -> dict[str, dict[str, np.ndarray]]:
+    """The rows of values, as `stack_histograms` stacks them, by method and stage: views, not copies."""
+    histograms: dict[str, dict[str, np.ndarray]] = {}
+    for (method, stage), row in zip(HISTOGRAM_STAGES, values):
+        histograms.setdefault(method, {})[stage] = row
+    return histograms
 
 
 def run_fold(
@@ -153,11 +184,13 @@ class DetectPlan:
     train: dict[int, featurize.ChunkFeatures]  # normal chunk index -> its features
     train_tables: dict[int, localize.ChunkTables]  # normal chunk index -> its localizer tables
     tasks: list[tuple[ChunkLoader | None, list[FoldPair]]]  # per test chunk: its loader, until run, and its folds
-    write_folds: Callable[[list[FoldOutput]], None] | None = None  # takes the outputs of one task
+    write_folds: Callable[[list[FoldOutput]], None]  # takes the outputs of one task
 
 
-def fold_inputs_from_suite(manifest, roles, cfg: RunConfig, limit: int | None = None) -> DetectPlan:
-    """The plan of the first limit folds of normal x problematic and normal x reference.
+def fold_inputs_from_suite(
+    manifest, roles, cfg: RunConfig, write_folds: Callable[[list[FoldOutput]], None], limit: int | None = None
+) -> DetectPlan:
+    """The plan of the first limit folds of normal x problematic and normal x reference, written by write_folds.
 
     roles maps a role name to its chunk loaders, as
     `simgen.suite.load_suite` returns them.  Each normal chunk a fold
@@ -183,7 +216,7 @@ def fold_inputs_from_suite(manifest, roles, cfg: RunConfig, limit: int | None = 
         tasks.setdefault((pair.test_role, pair.test_index), []).append(pair)
     return DetectPlan(
         cfg=cfg, cell_ids=cell_ids, adjacent=adjacent, pairs=pairs, train=train, train_tables=train_tables,
-        tasks=[(roles[role][index], folds) for (role, index), folds in tasks.items()],
+        tasks=[(roles[role][index], folds) for (role, index), folds in tasks.items()], write_folds=write_folds,
     )
 
 
@@ -191,9 +224,9 @@ def _featurize(chunk: Chunk, cfg: RunConfig) -> featurize.ChunkFeatures:
     return featurize.featurize_chunk(chunk, m=cfg.window_m, n=cfg.window_n, ngram_n=cfg.ngram_n)
 
 
-def run_task(plan: DetectPlan, index: int) -> list[FoldOutput]:
+def run_task(plan: DetectPlan, index: int) -> list[FoldRecord]:
     """Task index of the plan: parse and featurize its test chunk, build its
-    localizer tables, then run and write each of its folds."""
+    localizer tables, then run and write each of its folds; the record of each."""
     load, pairs = plan.tasks[index]
     plan.tasks[index] = (None, pairs)  # with a role's last loader go its truth arrays and dominance map
     chunk = load()
@@ -205,9 +238,8 @@ def run_task(plan: DetectPlan, index: int) -> list[FoldOutput]:
     )
     del chunk  # the tables keep it only where each fold reads its records
     outputs = [run_fold(plan, pair, test, test_tables) for pair in pairs]
-    if plan.write_folds is not None:
-        plan.write_folds(outputs)
-    return outputs
+    plan.write_folds(outputs)
+    return [FoldRecord(out.pair, stack_histograms(out.histograms)) for out in outputs]
 
 
 @dataclass
@@ -258,18 +290,18 @@ def aggregate_method(
     )
 
 
-def aggregate_folds(fold_outputs, cfg: RunConfig) -> dict[str, MethodAggregate]:
-    """Aggregate all fold outputs per method, grouped by test pairing."""
-    if not fold_outputs:
+def aggregate_folds(folds, cfg: RunConfig) -> dict[str, MethodAggregate]:
+    """Aggregate all folds per method, grouped by test pairing: FoldRecords or FoldOutputs, which hold the same."""
+    if not folds:
         raise DataError("no fold outputs to aggregate")
     stage = "normalized" if cfg.amplify else "normalized_raw"
     by_method: dict[str, dict[str, list[dict[str, np.ndarray]]]] = {
         m: {} for m in ALL_METHODS
     }
-    for out in fold_outputs:
-        pairing = out.pair.test_role
+    for out in folds:
+        pairing, histograms = out.pair.test_role, out.histograms
         for method in ALL_METHODS:
-            by_method[method].setdefault(pairing, []).append(out.histograms[method])
+            by_method[method].setdefault(pairing, []).append(histograms[method])
     return {
         m: aggregate_method(m, runs, stage) for m, runs in by_method.items()
     }
@@ -278,18 +310,22 @@ def aggregate_folds(fold_outputs, cfg: RunConfig) -> dict[str, MethodAggregate]:
 _FORKED_PLAN: DetectPlan | None = None  # set only while a pool's workers fork from this process
 
 
-def _run_forked_task(index: int) -> list[FoldOutput]:
+def _run_forked_task(index: int) -> list[FoldRecord]:
     return run_task(_FORKED_PLAN, index)
 
 
-def run_detect(manifest, roles, cfg: RunConfig, limit: int | None = None, jobs: int = 1, write_folds=None):
-    """(fold outputs, aggregates per method) of the suite's first limit folds.
+def run_detect(
+    manifest, roles, cfg: RunConfig, write_folds: Callable[[list[FoldOutput]], None], limit: int | None = None,
+    jobs: int = 1,
+) -> tuple[list[FoldRecord], dict[str, MethodAggregate]]:
+    """(fold records, aggregates per method) of the suite's first limit folds.
 
     The tasks of `fold_inputs_from_suite` run in order in this process,
     or with jobs > 1 in up to jobs forked workers, which inherit the plan
-    and send back only their outputs.  write_folds, if given, is called
-    where a task runs, on the outputs of its folds.  Outputs come back in
-    `make_fold_pairs` order, which the aggregate sums depend on.
+    and send back only their records.  write_folds is called where a
+    task runs, on the outputs of its folds; nothing else keeps a fold's
+    rows and scores.  Records come back in `make_fold_pairs` order, which
+    the aggregate sums depend on.
 
     roles is emptied once the plan is built: the plan then holds the
     only loader of each test chunk, and drops it once the chunk is
@@ -297,9 +333,8 @@ def run_detect(manifest, roles, cfg: RunConfig, limit: int | None = None, jobs: 
     the last chunk that needs them.
     """
     global _FORKED_PLAN
-    plan = fold_inputs_from_suite(manifest, roles, cfg, limit=limit)
+    plan = fold_inputs_from_suite(manifest, roles, cfg, write_folds, limit=limit)
     roles.clear()
-    plan.write_folds = write_folds
     workers = min(jobs, len(plan.tasks))
     if workers > 1:
         import multiprocessing  # only here: the imports cost every command ~25 ms
@@ -313,6 +348,6 @@ def run_detect(manifest, roles, cfg: RunConfig, limit: int | None = None, jobs: 
             _FORKED_PLAN = None
     else:
         results = [run_task(plan, index) for index in range(len(plan.tasks))]
-    by_pair = {out.pair: out for outputs in results for out in outputs}
-    outputs = [by_pair[pair] for pair in plan.pairs]
-    return outputs, aggregate_folds(outputs, cfg)
+    by_pair = {record.pair: record for records in results for record in records}
+    records = [by_pair[pair] for pair in plan.pairs]
+    return records, aggregate_folds(records, cfg)

@@ -71,7 +71,9 @@ from .mdtlog import (
     FLOAT_REPR, JSON_INT, FoldPair, check_entries, check_rows, finite_check, is_json_int, line_columns,
     read_json_object, write_json,
 )
-from .pipeline import ALL_METHODS, COMBINED_STAGES, STAGES, FoldOutput, MethodAggregate
+from .pipeline import (
+    ALL_METHODS, HISTOGRAM_STAGES, FoldOutput, MethodAggregate, stack_histograms, unstack_histograms,
+)
 
 _PAIR_KEYS = ("train_role", "train_index", "test_role", "test_index")
 _SUMMARY_METRICS = ("accuracy", "precision", "recall", "f_score", "tnr", "fpr")
@@ -79,10 +81,6 @@ _SUMMARY_HEADER = ",".join(("method",) + _SUMMARY_METRICS)
 _SCORES_TRAIN_HEADER = "row,ue,offset,score,anomalous"
 _SCORES_TEST_HEADER = "row,ue,offset,score,anomalous,fault_affected"
 _HISTOGRAMS_HEADER = "method,stage,cell_id,value"
-# (method, stage) of each block of histograms.csv rows, in the order the writer writes them.
-_HISTOGRAM_STAGES = tuple(
-    (m, stage) for m in ALL_METHODS for stage in sorted(COMBINED_STAGES if m == "combined" else STAGES)
-)
 
 
 def _line(*fields: str) -> re.Pattern:
@@ -141,7 +139,7 @@ def _run_facts(cfg: RunConfig) -> dict:
     }
 
 
-def write_run(out_dir, cfg: RunConfig, data_dir, outputs, aggregates) -> None:
+def write_run(out_dir, cfg: RunConfig, data_dir, folds, aggregates) -> None:
     """The end of a detect run whose folds are written: the aggregate of each method, then detect_manifest.json."""
     out_dir = Path(out_dir)
     facts = _run_facts(cfg)
@@ -149,7 +147,7 @@ def write_run(out_dir, cfg: RunConfig, data_dir, outputs, aggregates) -> None:
     try:
         for method in ALL_METHODS:
             write_method_aggregate(aggregates[method], facts["cell_ids"], out_dir / "aggregate", layout)
-        manifest = {**facts, "data_dir": str(Path(data_dir)), "n_folds": len(outputs)}
+        manifest = {**facts, "data_dir": str(Path(data_dir)), "n_folds": len(folds)}
         write_json(out_dir / "detect_manifest.json", manifest)
     except OSError as exc:
         raise _write_error(exc, out_dir) from None
@@ -171,9 +169,9 @@ def read_detect_manifest(out_dir) -> tuple[dict, RunConfig]:
 def read_run(out_dir) -> tuple[dict, RunConfig, list[FoldOutput]]:
     """The detect manifest, its configuration and the fold outputs of a run directory.
 
-    The folds come back as `pipeline.run_detect` returned them, in
-    `make_fold_pairs` order: problematic before reference, then by
-    training chunk, then by testing chunk.
+    The folds come back in the order of the records `pipeline.run_detect`
+    returns, `make_fold_pairs` order: problematic before reference, then
+    by training chunk, then by testing chunk.
     """
     manifest, cfg = read_detect_manifest(out_dir)
     folds_root = Path(out_dir) / "folds"
@@ -209,8 +207,8 @@ def write_fold_output(out: FoldOutput, fold_dir) -> None:
             fold_dir / "scores_test.csv", _SCORES_TEST_HEADER,
             _score_lines(out.test_rows, out.test_scores, out.test_anomalous, out.test_affected),
         )
-        keys = [f"{m},{st},{c}," for m, st in _HISTOGRAM_STAGES for c in out.cell_ids]
-        values = np.concatenate([out.histograms[m][st] for m, st in _HISTOGRAM_STAGES]).tolist()
+        keys = [f"{m},{st},{c}," for m, st in HISTOGRAM_STAGES for c in out.cell_ids]
+        values = stack_histograms(out.histograms).ravel().tolist()
         _write_lines(fold_dir / "histograms.csv", _HISTOGRAMS_HEADER, map(str.__add__, keys, map(repr, values)))
     except OSError as exc:
         raise _write_error(exc, fold_dir) from None
@@ -290,7 +288,7 @@ def read_fold_output(fold_dir, cell_ids) -> FoldOutput:
         _SCORES_TEST_LINE, fold_dir / "scores_test.csv", score_arrays, _SCORES_TEST_HEADER
     )
 
-    written_keys = tuple(f"{m},{st},{c}" for m, st in _HISTOGRAM_STAGES for c in cell_ids)
+    written_keys = tuple(f"{m},{st},{c}" for m, st in HISTOGRAM_STAGES for c in cell_ids)
 
     def histogram_values(path, lineno, keys, value):
         values = np.array(value, dtype=np.float64)
@@ -302,11 +300,6 @@ def read_fold_output(fold_dir, cell_ids) -> FoldOutput:
     values, = line_columns(_HISTOGRAMS_LINE, path, histogram_values, _HISTOGRAMS_HEADER)
     if len(values) < len(written_keys):
         raise ParseError(path, len(values) + 2, f"the writer writes {written_keys[len(values)]!r} here")
-    histograms: dict[str, dict[str, np.ndarray]] = {}
-    rows = values.reshape(len(_HISTOGRAM_STAGES), len(cell_ids))
-    for (method, stage), scores in zip(_HISTOGRAM_STAGES, rows):
-        histograms.setdefault(method, {})[stage] = scores
-
     return FoldOutput(
         pair=pair,
         threshold=meta["threshold"],
@@ -318,7 +311,7 @@ def read_fold_output(fold_dir, cell_ids) -> FoldOutput:
         train_anomalous=train_anom,
         test_anomalous=test_anom,
         test_affected=affected,
-        histograms=histograms,
+        histograms=unstack_histograms(values.reshape(len(HISTOGRAM_STAGES), len(cell_ids))),
         cell_ids=tuple(cell_ids),
     )
 

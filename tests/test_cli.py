@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import weakref
+from dataclasses import is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,10 @@ def test_bad_config_is_config_error(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err == "configuration error: master_seed must be >= 0\n"
     assert not (tmp_path / "x").exists()
+    bad.write_text(json.dumps({"map_half_extent_m": 1e308, "map_resolution_m": 1e-300}))  # an OverflowError before
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == ("configuration error: the map is too large: 2 * map_half_extent_m / "
+                                       "map_resolution_m (2 * 1e+308 / 1e-300) must be a finite float\n")
     bad.write_text(json.dumps({"knn_k": "5"}))  # a TypeError traceback before
     assert main(["detect", "--config", str(bad), "--data", str(tmp_path), "--out", str(tmp_path / "r")]) == 2
     assert "configuration error: knn_k must be an integer" in capsys.readouterr().err
@@ -835,9 +840,12 @@ def test_evaluate_reads_the_folds_detect_returned(tmp_path):
                  "--folds", "12"]) == 0
     _manifest, cfg, outputs = storage.read_run(tmp_path / "run")
     manifest, _, roles = suite_module.load_suite(tmp_path / "suite")
-    detected, aggregates = pipeline.run_detect(manifest, roles, cfg, limit=12)
-    assert [out.pair for out in outputs] == [out.pair for out in detected]
-    assert bits(outputs) == bits(detected)
+    written = []  # the writer gets each task's folds, grouped by test chunk
+    records, aggregates = pipeline.run_detect(manifest, roles, cfg, written.extend, limit=12)
+    by_pair = {out.pair: out for out in written}
+    assert len(by_pair) == len(written) == 12
+    assert [out.pair for out in outputs] == [record.pair for record in records]
+    assert bits(outputs) == bits([by_pair[record.pair] for record in records])
     for method, back in pipeline.aggregate_folds(outputs, cfg).items():
         pooled = np.array([back.pooled_mean, back.pooled_sigma]).tobytes()
         assert pooled == np.array([aggregates[method].pooled_mean, aggregates[method].pooled_sigma]).tobytes()
@@ -882,10 +890,50 @@ def test_detect_frees_each_roles_truth_after_its_last_chunk(dataset_dir, tiny_co
         for out in outputs:
             alive.append((out.pair.test_role, sorted(role for role, ref in truth.items() if ref() is not None)))
 
-    pipeline.run_detect(manifest, roles, RunConfig.from_file(tiny_config_path), write_folds=write_folds)
+    pipeline.run_detect(manifest, roles, RunConfig.from_file(tiny_config_path), write_folds)
     assert alive[0] == ("problematic", ["problematic", "reference"])  # normal's went once the plan was built
     assert alive[36] == ("reference", ["reference"])  # problematic's went with its last task
     assert not roles and all(ref() is None for ref in truth.values())
+
+
+def test_detect_frees_each_folds_rows_and_scores_once_its_task_returns(dataset_dir, tiny_config_path):
+    """Once a task has returned, nothing holds the scores of its folds or the rows of its test chunk:
+    detect keeps of a fold only its record, the pair and one array of its histograms."""
+    manifest, _, roles = suite_module.load_suite(dataset_dir)
+    refs = []  # per task, weak references to arrays its writer was given
+    alive = []  # per task, how many arrays of the earlier tasks are still alive when it writes
+
+    def write_folds(outputs):
+        alive.append(sum(ref() is not None for task in refs for ref in task))
+        refs.append([weakref.ref(array) for out in outputs for array in (out.train_scores, out.test_rows)])
+
+    records, _ = pipeline.run_detect(manifest, roles, RunConfig.from_file(tiny_config_path), write_folds)
+    assert alive == [0] * 12
+    assert all(ref() is None for task in refs for ref in task)
+    assert [vars(record).keys() for record in records] == [{"pair", "values"}] * 72
+
+
+def _arrays(value):
+    """Each numpy array in value, through dataclasses, dicts, lists and tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif is_dataclass(value):
+        yield from _arrays(vars(value))
+    elif isinstance(value, (dict, list, tuple)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _arrays(item)
+
+
+def test_detect_workers_send_back_no_row_or_score_array(dataset_dir, tiny_config_path):
+    """Under --jobs 2 the records run_detect returns, and the aggregates built from them, hold only
+    per-cell arrays: no fold's rows, scores or flags come back from a worker."""
+    manifest, _, roles = suite_module.load_suite(dataset_dir)
+    records, aggregates = pipeline.run_detect(
+        manifest, roles, RunConfig.from_file(tiny_config_path), lambda outputs: None, jobs=2
+    )
+    assert [type(record) for record in records] == [pipeline.FoldRecord] * 72
+    assert {record.values.shape for record in records} == {(len(pipeline.HISTOGRAM_STAGES), len(manifest["cell_ids"]))}
+    assert {array.shape[-1] for array in _arrays((records, aggregates))} == {len(manifest["cell_ids"])}
 
 
 def test_dominance_cell_outside_cell_ids_fails_before_the_run_is_touched(tmp_path, tiny_config_path, dataset_dir,

@@ -164,6 +164,8 @@ def test_unknown_keys_rejected():
         ("step_seconds", math.nan),
         ("map_half_extent_m", -1.0),
         ("map_half_extent_m", 1.0),  # rounds to a map of no pixels
+        ("map_half_extent_m", 1e308),  # 2 * half / resolution overflows a float
+        ("map_resolution_m", 1e-310),
         ("map_resolution_m", math.nan),
         ("shadowing_correlation_m", -5.0),
         ("shadowing_sigma_db", math.nan),

@@ -168,7 +168,8 @@ def test_auto_minor_components_follow_each_folds_training_spectrum(tmp_path):
     cfg = RunConfig.from_dict({**SMOKE, "minor_components": "auto"})
     write_suite(generate_dataset_suite(cfg), tmp_path)
     manifest, _, roles = load_suite(tmp_path)
-    outputs, _ = run_detect(manifest, roles, cfg)
+    outputs = []
+    run_detect(manifest, roles, cfg, outputs.extend)
     _, _, roles = load_suite(tmp_path)  # run_detect empties the loaders it is given
 
     def features(role, index):

@@ -539,7 +539,8 @@ def test_tables_are_built_once_per_chunk(monkeypatch, tmp_path, overrides):
     for name in ("chunk_tables", "_directed_counts", "_distinct_pairs", "_gram_cell_rates"):
         counted(name)
     manifest, _, roles = load_suite(tmp_path)
-    outputs, _ = run_detect(manifest, roles, cfg)
+    outputs = []
+    run_detect(manifest, roles, cfg, outputs.extend)
     assert len(outputs) == 72
     assert calls["chunk_tables"] == calls["_directed_counts"] == 18
     assert calls["_distinct_pairs"] == 18 + 12  # dominance cells of every chunk, target cells of test chunks
