@@ -73,11 +73,11 @@ def cmd_detect(args) -> int:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     manifest, suite_cfg, roles = load_suite(args.data)
     cfg = _detect_config(cfg, suite_cfg)
-    write_folds = storage.start_run(args.out)
+    cell_ids = cfg.layout().cell_ids
+    write_folds = storage.start_run(args.out, cell_ids)
     folds, aggregates = pipeline.run_detect(manifest, roles, cfg, write_folds, limit=args.folds, jobs=args.jobs)
     storage.write_run(args.out, cfg, args.data, folds, aggregates)
     print(f"ran {len(folds)} folds (jobs={args.jobs})")
-    cell_ids = cfg.layout().cell_ids
     for method, agg in aggregates.items():
         for pairing, labels in sorted(agg.labels.items()):
             means = agg.mean_stages[pairing][agg.stage]
@@ -102,7 +102,7 @@ def cmd_report(args) -> int:
     manifest, _cfg = storage.read_detect_manifest(args.out)
     print(f"run config hash: {manifest['config_hash'][:12]}, folds: {manifest['n_folds']}")
     for method in manifest["methods"]:
-        doc = storage.read_labels(args.out, method)
+        doc = storage.read_labels(args.out, method, manifest["cell_ids"])
         line = [f"{method:9s} thr={doc['threshold']:.2f}"]
         for pairing, entry in sorted(doc["pairings"].items()):
             line.append(f"{pairing}: argmax cell {entry['argmax_cell']}, abnormal {entry['abnormal_cells']}")

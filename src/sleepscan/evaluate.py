@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DataError
 from .mdtlog import FoldPair
+from .pipeline import HISTOGRAM_ROW
 
 # (variant name, histogram stage) pairs scored by heuristic_totals
 HEURISTIC_VARIANTS = (("amplified", "normalized"), ("original", "normalized_raw"))
@@ -154,14 +155,13 @@ def mean_auc(aucs: list[tuple[FoldPair, float]]) -> float:
 
 
 def pooled_roc(fold_outputs) -> RocCurve | None:
-    """ROC of the test sub-calls of all problematic folds together; None without such folds."""
+    """ROC of the test sub-calls of all problematic folds together; None unless they hold both
+    affected and unaffected sub-calls (as `fold_aucs` skips a fold that holds one class)."""
     problematic = [out for out in fold_outputs if out.pair.test_role == "problematic"]
-    if not problematic:
+    affected = np.concatenate([out.test_affected for out in problematic] or [np.zeros(0, dtype=bool)])
+    if affected.all() or not affected.any():
         return None
-    return roc(
-        np.concatenate([out.test_scores for out in problematic]),
-        np.concatenate([out.test_affected for out in problematic]),
-    )
+    return roc(np.concatenate([out.test_scores for out in problematic]), affected)
 
 
 def heuristic_totals(fold_outputs, method: str, stage: str) -> dict[str, tuple[float, int]]:
@@ -174,7 +174,7 @@ def heuristic_totals(fold_outputs, method: str, stage: str) -> dict[str, tuple[f
     totals = {"problematic": [0.0, 0], "reference": [0.0, 0]}
     for out in fold_outputs:
         scenario = "faulty" if out.pair.test_role == "problematic" else "clean"
-        totals[out.pair.test_role][0] += heuristic_distance(out.histograms[method][stage], scenario)
+        totals[out.pair.test_role][0] += heuristic_distance(out.histograms[HISTOGRAM_ROW[method, stage]], scenario)
         totals[out.pair.test_role][1] += 1
     totals["total"] = [sum(v[0] for v in totals.values()), sum(v[1] for v in totals.values())]
     return {scenario: (dist, runs) for scenario, (dist, runs) in totals.items()}

@@ -275,7 +275,7 @@ def is_json_int(value) -> bool:
 
 
 def check_entries(path, doc: dict, expected: dict, writer: str) -> None:
-    """Each entry of expected, what the config in doc gives, must be doc's as JSON (1 is not true or 1.0);
+    """Each entry of expected, what writer writes in doc, must be doc's as JSON (1 is not true or 1.0);
     else a DataError naming path and the entry.  Where doc's config is not its stored form (a float setting
     spelled as an integer), the error names the first setting that differs and says to run writer again."""
     for key, value in expected.items():
@@ -289,7 +289,7 @@ def check_entries(path, doc: dict, expected: dict, writer: str) -> None:
             spelled = f"written as {json.dumps(doc[key][name])}" if name in doc[key] else "not written"
             raise DataError(f"{path}: config setting {name} is {spelled}, stored as {json.dumps(value[name])}; "
                             f"{writer} again to write it as stored")
-        raise DataError(f"{path}: {key} is not the {key} its config gives")
+        raise DataError(f"{path}: {key} is not the {key} {writer} writes there")
 
 
 def _line_blocks(fh):
@@ -417,16 +417,12 @@ def write_records(log: EventLog, path) -> None:
         fh.write("".join(lines))
 
 
-def make_fold_pairs(train_role, train_chunks, test_role, test_chunks) -> list[FoldPair]:
-    """Full cross product of training and testing chunk indices."""
-    if not train_chunks or not test_chunks:
-        raise DataError(
-            f"fold pairing needs at least one chunk per role, got "
-            f"{len(train_chunks)} x {len(test_chunks)}"
-        )
+def make_fold_pairs(n_chunks: int) -> list[FoldPair]:
+    """Every fold of a run of n_chunks chunks per role, in detect's order: each normal chunk against each
+    problematic chunk, then each normal chunk against each reference chunk."""
     return [
-        FoldPair(train_role, i, test_role, j)
-        for i in range(len(train_chunks))
-        for j in range(len(test_chunks))
+        FoldPair("normal", i, test_role, j)
+        for test_role in ("problematic", "reference")
+        for i in range(n_chunks)
+        for j in range(n_chunks)
     ]
-

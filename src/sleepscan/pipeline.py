@@ -33,7 +33,7 @@ they are aggregated.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,10 +47,11 @@ from .simgen.suite import ChunkLoader
 ALL_METHODS = METHOD_NAMES + ("combined",)
 STAGES = ("raw", "amplified", "normalized_raw", "normalized")
 COMBINED_STAGES = STAGES[2:]  # the combination exists only normalized
-# (method, stage) of each histogram of a fold, in the order a FoldRecord's rows and histograms.csv hold them.
+# (method, stage) of each histogram of a fold, in the order of the rows of its histograms array and of histograms.csv.
 HISTOGRAM_STAGES = tuple(
     (m, stage) for m in ALL_METHODS for stage in sorted(COMBINED_STAGES if m == "combined" else STAGES)
 )
+HISTOGRAM_ROW = {key: row for row, key in enumerate(HISTOGRAM_STAGES)}  # (method, stage) -> its row
 
 
 @dataclass
@@ -65,8 +66,7 @@ class FoldOutput:
     train_anomalous: np.ndarray
     test_anomalous: np.ndarray
     test_affected: np.ndarray  # per test sub-call ground truth
-    histograms: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
-    cell_ids: tuple[int, ...] = ()
+    histograms: np.ndarray  # (len(HISTOGRAM_STAGES), cells): row HISTOGRAM_ROW[method, stage], cells in cell_ids order
 
 
 @dataclass
@@ -74,24 +74,7 @@ class FoldRecord:
     """What a detect run keeps of a fold once its files are written: what `aggregate_folds` reads."""
 
     pair: FoldPair
-    values: np.ndarray  # (len(HISTOGRAM_STAGES), cells): the fold's histograms, as `stack_histograms` stacks them
-
-    @property
-    def histograms(self) -> dict[str, dict[str, np.ndarray]]:
-        return unstack_histograms(self.values)
-
-
-def stack_histograms(histograms: dict[str, dict[str, np.ndarray]]) -> np.ndarray:
-    """The histograms of a fold as the rows of one array, in HISTOGRAM_STAGES order."""
-    return np.stack([histograms[method][stage] for method, stage in HISTOGRAM_STAGES])
-
-
-def unstack_histograms(values: np.ndarray) -> dict[str, dict[str, np.ndarray]]:
-    """The rows of values, as `stack_histograms` stacks them, by method and stage: views, not copies."""
-    histograms: dict[str, dict[str, np.ndarray]] = {}
-    for (method, stage), row in zip(HISTOGRAM_STAGES, values):
-        histograms.setdefault(method, {})[stage] = row
-    return histograms
+    histograms: np.ndarray  # the FoldOutput's own array
 
 
 def run_fold(
@@ -139,19 +122,15 @@ def run_fold(
         "target": localize.sc_target_cell_subcalls(test_tables, test_anom),
     }
 
-    histograms: dict[str, dict[str, np.ndarray]] = {}
+    histograms = np.empty((len(HISTOGRAM_STAGES), len(cell_ids)))
     for name, scores in raw.items():
         amped = localize.amplify(scores, adjacent)
-        histograms[name] = {
-            "raw": scores,
-            "amplified": amped,
-            "normalized_raw": localize.normalize(scores),
-            "normalized": localize.normalize(amped),
-        }
-    histograms["combined"] = {
-        stage: localize.combine([histograms[name][stage] for name in METHOD_NAMES], list(cfg.weights))
-        for stage in COMBINED_STAGES
-    }
+        for stage, values in zip(STAGES, (scores, amped, localize.normalize(scores), localize.normalize(amped))):
+            histograms[HISTOGRAM_ROW[name, stage]] = values
+    for stage in COMBINED_STAGES:
+        histograms[HISTOGRAM_ROW["combined", stage]] = localize.combine(
+            [histograms[HISTOGRAM_ROW[name, stage]] for name in METHOD_NAMES], list(cfg.weights)
+        )
 
     return FoldOutput(
         pair=pair,
@@ -165,7 +144,6 @@ def run_fold(
         test_anomalous=test_anom,
         test_affected=test.affected,
         histograms=histograms,
-        cell_ids=tuple(cell_ids),
     )
 
 
@@ -199,11 +177,7 @@ def fold_inputs_from_suite(
     """
     cell_ids = manifest["cell_ids"]
     adjacent = localize.adjacency_matrix({int(c): v for c, v in manifest["adjacency"].items()}, cell_ids)
-    pairs = []
-    for test_role in ("problematic", "reference"):
-        pairs += make_fold_pairs("normal", roles["normal"], test_role, roles[test_role])
-    if limit is not None:
-        pairs = pairs[:limit]
+    pairs = make_fold_pairs(cfg.n_chunks)[:limit]
     train, train_tables = {}, {}
     for index in sorted({pair.train_index for pair in pairs}):  # the chunk's records go once these are built
         chunk = roles["normal"][index]()
@@ -239,7 +213,7 @@ def run_task(plan: DetectPlan, index: int) -> list[FoldRecord]:
     del chunk  # the tables keep it only where each fold reads its records
     outputs = [run_fold(plan, pair, test, test_tables) for pair in pairs]
     plan.write_folds(outputs)
-    return [FoldRecord(out.pair, stack_histograms(out.histograms)) for out in outputs]
+    return [FoldRecord(out.pair, out.histograms) for out in outputs]
 
 
 @dataclass
@@ -250,29 +224,24 @@ class MethodAggregate:
     stage: str  # the stage the labels were computed on
     pooled_mean: float
     pooled_sigma: float
+    threshold: float  # pooled_mean + 3 pooled_sigma: a cell above it is labeled abnormal
     mean_stages: dict[str, dict[str, np.ndarray]]  # pairing -> stage -> per-cell mean
     labels: dict[str, np.ndarray]  # pairing -> per-cell flag of the mean
     run_labels: dict[str, np.ndarray]  # pairing -> (runs, cells) flags of each run
 
 
-def aggregate_method(
-    method: str,
-    runs_by_pairing: dict[str, list[dict[str, np.ndarray]]],
-    stage: str,
-) -> MethodAggregate:
+def aggregate_method(method: str, runs_by_pairing: dict[str, list[np.ndarray]], stage: str) -> MethodAggregate:
     """Pool one method's fold histograms into labels per pairing.
 
+    runs_by_pairing maps a pairing to the histograms arrays of its folds.
     The 3-sigma statistics pool every (run, cell) score of `stage` across
     both pairings; each pairing is then labeled on its per-cell mean, and
     each individual run on its own scores, against the same threshold.
     """
     stacked = {
-        pairing: {st: np.vstack([stages[st] for stages in runs]) for st in runs[0]}
+        pairing: {st: np.stack([run[row] for run in runs]) for (m, st), row in HISTOGRAM_ROW.items() if m == method}
         for pairing, runs in runs_by_pairing.items()
-        if runs
     }
-    if not stacked:
-        raise DataError(f"no runs to aggregate for method {method}")
     pooled = np.concatenate([m[stage].ravel() for m in stacked.values()])
     mean, sigma = float(pooled.mean()), float(pooled.std())
     threshold = mean + 3.0 * sigma
@@ -284,6 +253,7 @@ def aggregate_method(
         stage=stage,
         pooled_mean=mean,
         pooled_sigma=sigma,
+        threshold=threshold,
         mean_stages=mean_stages,
         labels={pairing: means[stage] > threshold for pairing, means in mean_stages.items()},
         run_labels={pairing: stages[stage] > threshold for pairing, stages in stacked.items()},
@@ -295,16 +265,10 @@ def aggregate_folds(folds, cfg: RunConfig) -> dict[str, MethodAggregate]:
     if not folds:
         raise DataError("no fold outputs to aggregate")
     stage = "normalized" if cfg.amplify else "normalized_raw"
-    by_method: dict[str, dict[str, list[dict[str, np.ndarray]]]] = {
-        m: {} for m in ALL_METHODS
-    }
+    by_pairing: dict[str, list[np.ndarray]] = {}
     for out in folds:
-        pairing, histograms = out.pair.test_role, out.histograms
-        for method in ALL_METHODS:
-            by_method[method].setdefault(pairing, []).append(histograms[method])
-    return {
-        m: aggregate_method(m, runs, stage) for m, runs in by_method.items()
-    }
+        by_pairing.setdefault(out.pair.test_role, []).append(out.histograms)
+    return {m: aggregate_method(m, by_pairing, stage) for m in ALL_METHODS}
 
 
 _FORKED_PLAN: DetectPlan | None = None  # set only while a pool's workers fork from this process

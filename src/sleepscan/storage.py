@@ -11,10 +11,11 @@ folds/<pairing>_<i>x<j>/  one per fold, named by `fold_dir_name`
     fold.json         the FoldPair, threshold, component count and cell_ids
     scores_train.csv  row,ue,offset,score,anomalous
     scores_test.csv   row,ue,offset,score,anomalous,fault_affected
-    histograms.csv    method,stage,cell_id,value (long format): one row per
-                      cell of each stage in pipeline.STAGES, and of the two
-                      normalized stages for "combined"; methods in
-                      ALL_METHODS order, stages sorted, cells in cell_ids order
+    histograms.csv    method,stage,cell_id,value: the fold's histograms array
+                      in long format, one line per cell of each row in
+                      pipeline.HISTOGRAM_STAGES order (methods in
+                      ALL_METHODS order, stages sorted, "combined" only
+                      normalized), cells in cell_ids order
 aggregate/            (`write_method_aggregate`)
     labels_<method>.json  pooled mean, sigma and 3-sigma threshold; per
                       pairing the mean scores, abnormal and argmax cells
@@ -35,10 +36,11 @@ A detect run starts with `start_run`, which removes detect's own entries
 (folds/, aggregate/, eval/ and detect_manifest.json, nothing else) from
 the directory, and ends with `write_run`, which writes the aggregates
 and, last, detect_manifest.json: a detect that fails leaves no manifest.
-`read_run` reads back exactly the folds detect wrote, in detect's fold
-order (`make_fold_pairs`): n_folds fold directories, each named for the
-fold its fold.json describes and over the manifest's cell_ids; anything
-else is a DataError naming the file.
+`read_run` reads back exactly the folds detect wrote: the first n_folds
+of `make_fold_pairs`, in that order, each from the directory
+`fold_dir_name` names.  folds/ holding any other set of directories is
+a DataError naming folds/, and a fold.json that describes another fold
+or other cell_ids than the manifest's a DataError naming the file.
 Each CSV is written, header and lines, in one `_write_lines` call.  All
 floats are written with repr() so reruns are byte-identical.
 
@@ -49,9 +51,13 @@ in JSON grammar, floats spelled as repr() spells a finite float, flags 0
 or 1.  The `row` column counts 0, 1, ... and the (method, stage,
 cell_id) keys of histograms.csv are the written sequence.  The first
 line that differs is a ParseError naming the file and that line.
-fold.json must hold its keys with the JSON types its writer writes;
-detect_manifest.json a valid config, an integer n_folds, and exactly the
-`_run_facts` of that config.
+fold.json must hold its fold's pair and the run's cell_ids as its writer
+writes them (`mdtlog.check_entries`: 1 is not true or 1.0), an integer
+selected_components and a float threshold; detect_manifest.json a valid
+config, an integer n_folds, and exactly the `_run_facts` of that config;
+a labels JSON a float threshold and, per problematic or reference
+pairing, an argmax cell of cell_ids and its abnormal cells in cell_ids
+order.
 """
 
 from __future__ import annotations
@@ -69,13 +75,10 @@ from .errors import DataError, ParseError
 from .heatmap import write_heatmap
 from .mdtlog import (
     FLOAT_REPR, JSON_INT, FoldPair, check_entries, check_rows, finite_check, is_json_int, line_columns,
-    read_json_object, write_json,
+    make_fold_pairs, read_json_object, write_json,
 )
-from .pipeline import (
-    ALL_METHODS, HISTOGRAM_STAGES, FoldOutput, MethodAggregate, stack_histograms, unstack_histograms,
-)
+from .pipeline import ALL_METHODS, HISTOGRAM_STAGES, FoldOutput, MethodAggregate
 
-_PAIR_KEYS = ("train_role", "train_index", "test_role", "test_index")
 _SUMMARY_METRICS = ("accuracy", "precision", "recall", "f_score", "tnr", "fpr")
 _SUMMARY_HEADER = ",".join(("method",) + _SUMMARY_METRICS)
 _SCORES_TRAIN_HEADER = "row,ue,offset,score,anomalous"
@@ -103,8 +106,9 @@ def fold_dir_name(pair: FoldPair) -> str:
 _DETECT_ENTRIES = ("detect_manifest.json", "eval", "aggregate", "folds")
 
 
-def start_run(out_dir) -> Callable[[list[FoldOutput]], None]:
-    """Clear detect's own entries in out_dir, and return the writer of one task's fold outputs into it.
+def start_run(out_dir, cell_ids) -> Callable[[list[FoldOutput]], None]:
+    """Clear detect's own entries in out_dir, and return the writer of one task's fold outputs into it,
+    over the run's cell_ids.
 
     Nothing else in out_dir is touched, so no fold of an earlier run can
     mix with the folds of this one.
@@ -123,7 +127,7 @@ def start_run(out_dir) -> Callable[[list[FoldOutput]], None]:
 
     def write_task(outputs: list[FoldOutput]) -> None:
         for out in outputs:
-            write_fold_output(out, out_dir / "folds" / fold_dir_name(out.pair))
+            write_fold_output(out, out_dir / "folds" / fold_dir_name(out.pair), cell_ids)
 
     return write_task
 
@@ -169,35 +173,31 @@ def read_detect_manifest(out_dir) -> tuple[dict, RunConfig]:
 def read_run(out_dir) -> tuple[dict, RunConfig, list[FoldOutput]]:
     """The detect manifest, its configuration and the fold outputs of a run directory.
 
-    The folds come back in the order of the records `pipeline.run_detect`
-    returns, `make_fold_pairs` order: problematic before reference, then
-    by training chunk, then by testing chunk.
+    The folds are the first n_folds of `make_fold_pairs`, the folds detect
+    wrote, read by `fold_dir_name` and returned in that order, the order
+    of the records `pipeline.run_detect` returns.
     """
     manifest, cfg = read_detect_manifest(out_dir)
-    folds_root = Path(out_dir) / "folds"
-    fold_dirs = sorted(p for p in folds_root.iterdir() if p.is_dir()) if folds_root.is_dir() else []
-    if len(fold_dirs) != manifest["n_folds"]:
-        raise DataError(f"{folds_root} holds {len(fold_dirs)} fold directories, but detect_manifest.json "
-                        f"says n_folds {manifest['n_folds']}; run detect again")
-    outputs = []
-    for fold_dir in fold_dirs:
-        out = read_fold_output(fold_dir, manifest["cell_ids"])
-        if fold_dir_name(out.pair) != fold_dir.name:
-            raise DataError(f"{fold_dir / 'fold.json'}: describes fold {fold_dir_name(out.pair)}, "
-                            f"not the fold of its directory")
-        outputs.append(out)
-    outputs.sort(key=lambda out: (out.pair.test_role != "problematic", out.pair.train_index, out.pair.test_index))
-    return manifest, cfg, outputs
+    n_folds, folds_root = manifest["n_folds"], Path(out_dir) / "folds"
+    every = make_fold_pairs(cfg.n_chunks)
+    pairs = every[:n_folds]
+    found = sorted(p.name for p in folds_root.iterdir() if p.is_dir()) if folds_root.is_dir() else []
+    if len(pairs) != n_folds or sorted(map(fold_dir_name, pairs)) != found:
+        raise DataError(f"{folds_root} must hold the first n_folds ({n_folds}) of the {len(every)} folds "
+                        f"of its config, each in its own directory, and nothing else; run detect again")
+    return manifest, cfg, [
+        read_fold_output(folds_root / fold_dir_name(pair), pair, manifest["cell_ids"]) for pair in pairs
+    ]
 
 
-def write_fold_output(out: FoldOutput, fold_dir) -> None:
-    """The files of one fold in fold_dir."""
+def write_fold_output(out: FoldOutput, fold_dir, cell_ids) -> None:
+    """The files of one fold of a run over cell_ids in fold_dir."""
     fold_dir = Path(fold_dir)
     try:
         fold_dir.mkdir(parents=True, exist_ok=True)
         write_json(fold_dir / "fold.json", dict(
             asdict(out.pair), threshold=out.threshold,
-            selected_components=out.selected_components, cell_ids=list(out.cell_ids),
+            selected_components=out.selected_components, cell_ids=list(cell_ids),
         ))
         _write_lines(
             fold_dir / "scores_train.csv", _SCORES_TRAIN_HEADER,
@@ -207,8 +207,8 @@ def write_fold_output(out: FoldOutput, fold_dir) -> None:
             fold_dir / "scores_test.csv", _SCORES_TEST_HEADER,
             _score_lines(out.test_rows, out.test_scores, out.test_anomalous, out.test_affected),
         )
-        keys = [f"{m},{st},{c}," for m, st in HISTOGRAM_STAGES for c in out.cell_ids]
-        values = stack_histograms(out.histograms).ravel().tolist()
+        keys = [f"{m},{st},{c}," for m, st in HISTOGRAM_STAGES for c in cell_ids]
+        values = out.histograms.ravel().tolist()
         _write_lines(fold_dir / "histograms.csv", _HISTOGRAMS_HEADER, map(str.__add__, keys, map(repr, values)))
     except OSError as exc:
         raise _write_error(exc, fold_dir) from None
@@ -258,21 +258,18 @@ def _order_check(column, expected):
     )
 
 
-def read_fold_output(fold_dir, cell_ids) -> FoldOutput:
-    """The fold output `write_fold_output` wrote in fold_dir; its fold.json must hold the run's cell_ids."""
+def read_fold_output(fold_dir, pair: FoldPair, cell_ids) -> FoldOutput:
+    """The fold output `write_fold_output` wrote in fold_dir for the fold pair of a run over cell_ids.
+
+    Its fold.json must hold that pair and those cell_ids, as JSON values
+    of the types its writer writes (`mdtlog.check_entries`).
+    """
     fold_dir = Path(fold_dir)
     path = fold_dir / "fold.json"
-    meta = read_json_object(path, (*_PAIR_KEYS, "threshold", "selected_components", "cell_ids"))
-    pair = FoldPair(**{key: meta[key] for key in _PAIR_KEYS})
-    if not (pair.train_role == "normal" and pair.test_role in ("problematic", "reference")
-            and all(map(is_json_int, (pair.train_index, pair.test_index, meta["selected_components"])))
-            and min(pair.train_index, pair.test_index) >= 0 and type(meta["threshold"]) is float
-            and isinstance(meta["cell_ids"], list) and all(map(is_json_int, meta["cell_ids"]))):
-        raise DataError(f"{path}: needs train_role normal, test_role problematic or reference, non-negative "
-                        f"integer chunk indices, integer selected_components, a float threshold "
-                        f"and a list of integer cell_ids")
-    if meta["cell_ids"] != list(cell_ids):  # every histogram must follow one cell order
-        raise DataError(f"{path}: cell_ids differ from those of detect_manifest.json")
+    meta = read_json_object(path, ("threshold", "selected_components"))
+    check_entries(path, meta, {**asdict(pair), "cell_ids": list(cell_ids)}, "detect")
+    if not (is_json_int(meta["selected_components"]) and type(meta["threshold"]) is float):
+        raise DataError(f"{path}: needs integer selected_components and a float threshold")
 
     def score_arrays(path, lineno, row, ue, offset, score, *flags):
         scores = np.array(score, dtype=np.float64)
@@ -311,8 +308,7 @@ def read_fold_output(fold_dir, cell_ids) -> FoldOutput:
         train_anomalous=train_anom,
         test_anomalous=test_anom,
         test_affected=affected,
-        histograms=unstack_histograms(values.reshape(len(HISTOGRAM_STAGES), len(cell_ids))),
-        cell_ids=tuple(cell_ids),
+        histograms=values.reshape(len(HISTOGRAM_STAGES), len(cell_ids)),
     )
 
 
@@ -324,7 +320,7 @@ def write_method_aggregate(agg: MethodAggregate, cell_ids, out_dir, layout) -> N
         "method": agg.method,
         "pooled_mean": agg.pooled_mean,
         "pooled_sigma": agg.pooled_sigma,
-        "threshold": agg.pooled_mean + 3.0 * agg.pooled_sigma,
+        "threshold": agg.threshold,
         "pairings": {},
     }
     for pairing, labels in agg.labels.items():
@@ -353,17 +349,24 @@ def write_method_aggregate(agg: MethodAggregate, cell_ids, out_dir, layout) -> N
         )
 
 
-def read_labels(out_dir, method: str) -> dict:
-    """The labels JSON detect wrote for one method."""
+def read_labels(out_dir, method: str, cell_ids) -> dict:
+    """The labels JSON detect wrote for one method of a run over cell_ids."""
     path = Path(out_dir) / "aggregate" / f"labels_{method}.json"
     doc = read_json_object(path, ("threshold", "pairings"))
     entries = doc["pairings"]
-    if not (
-        isinstance(doc["threshold"], (int, float))
-        and isinstance(entries, dict)
-        and all(isinstance(e, dict) and {"argmax_cell", "abnormal_cells"} <= e.keys() for e in entries.values())
-    ):
-        raise DataError(f"{path}: threshold must be a number and pairings map to argmax_cell, abnormal_cells")
+
+    def is_entry(e) -> bool:
+        abnormal = e.get("abnormal_cells") if isinstance(e, dict) else None
+        return (
+            isinstance(abnormal, list) and all(map(is_json_int, abnormal))
+            and abnormal == [c for c in cell_ids if c in abnormal]
+            and is_json_int(e.get("argmax_cell")) and e["argmax_cell"] in cell_ids
+        )
+
+    if not (type(doc["threshold"]) is float and isinstance(entries, dict) and entries
+            and entries.keys() <= {"problematic", "reference"} and all(map(is_entry, entries.values()))):
+        raise DataError(f"{path}: needs a float threshold and problematic or reference pairings, each with an "
+                        f"argmax_cell of the run's cell_ids and abnormal_cells, a list of those ids in their order")
     return doc
 
 

@@ -54,7 +54,8 @@ def _run_suite_rep(seed: int) -> dict:
                 ["evaluate", "--out", str(run)],
             ):
                 assert main(argv) == 0, argv
-        pairings = storage.read_labels(run, "combined")["pairings"]
+        cell_ids = storage.read_detect_manifest(run)[0]["cell_ids"]
+        pairings = storage.read_labels(run, "combined", cell_ids)["pairings"]
         f_scores = {method: row[F_SCORE] for method, row in storage.read_metrics_summary(run)}
         aucs = dict(line.split(",") for line in (run / "eval" / "roc_auc.csv").read_text().splitlines()[1:])
     faulty_cell = RunConfig().faulty_cell

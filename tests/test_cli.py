@@ -498,6 +498,26 @@ def test_evaluate_and_report(detect_dir, capsys):
     assert "combined" in text and "f_score" in text
 
 
+def test_evaluate_a_run_whose_problematic_sub_calls_hold_one_class(tmp_path, capsys):
+    """No problematic test sub-call is fault-affected: evaluate writes no fold AUC and no pooled ROC, and exits 0."""
+    config, suite, run = tmp_path / "one_class.json", tmp_path / "suite", tmp_path / "run"
+    config.write_text(json.dumps({"ues_per_cell": 1, "duration_steps": 120, "map_resolution_m": 10.0, "knn_k": 1,
+                                  "n_chunks": 1, "master_seed": 6, "faulty_cell": 7}))
+    for argv in (
+        ["simulate", "--config", str(config), "--out", str(suite)],
+        ["detect", "--config", str(config), "--data", str(suite), "--out", str(run)],
+        ["evaluate", "--out", str(run)],
+        ["report", "--out", str(run)],
+    ):
+        assert main(argv) == 0, argv
+    _, _, outputs = storage.read_run(run)
+    assert [out.pair.test_role for out in outputs] == ["problematic", "reference"]
+    assert not outputs[0].test_affected.any()
+    assert (run / "eval" / "roc_auc.csv").read_text() == "fold,auc\n"
+    assert not (run / "eval" / "roc_points.csv").exists()
+    assert "mean sub-call ROC AUC" not in capsys.readouterr().out
+
+
 def test_evaluate_without_detect_is_data_error(tmp_path):
     assert main(["evaluate", "--out", str(tmp_path / "empty")]) == 3
 
@@ -633,6 +653,16 @@ def test_a_manifest_config_not_as_stored_names_the_setting_and_the_remedy(
     )
 
 
+def _set_n_folds(folds, n_folds):
+    """Set n_folds in the detect manifest of the run directory that holds folds."""
+    _edit_json(folds.parent / "detect_manifest.json", lambda d: d.update(n_folds=n_folds))
+
+
+def _edit_pairing(path, **entries):
+    """Set entries of the problematic pairing of a labels JSON."""
+    _edit_json(path, lambda d: d["pairings"]["problematic"].update(entries))
+
+
 def _evaluated_summary_line(path, index, edit):
     """Run evaluate on the run directory holding path, then edit a line of its metrics_summary.csv."""
     assert main(["evaluate", "--out", str(path.parents[1])]) == 0
@@ -692,6 +722,16 @@ def _prepend_byte(path, byte=b"\xff"):
         ("evaluate", "detect_manifest.json", lambda p: _edit_json(p, lambda d: d["methods"].pop(1))),
         ("evaluate", "detect_manifest.json", lambda p: _edit_json(p, lambda d: d.update(faulty_cell=5))),
         ("report", "detect_manifest.json", lambda p: _edit_json(p, lambda d: d.update(config_hash="0" * 64))),
+        ("evaluate", "folds", lambda p: (shutil.rmtree(p / "problematic_0x0"), _set_n_folds(p, 71))),
+        ("evaluate", "folds", lambda p: _set_n_folds(p, 73)),
+        ("evaluate", "folds", lambda p: (p / "notes").mkdir()),
+        ("report", "aggregate/labels_gram.json", lambda p: _edit_json(p, lambda d: d.update(threshold=True))),
+        ("report", "aggregate/labels_gram.json",
+         lambda p: _edit_json(p, lambda d: d["pairings"].update(normal=d["pairings"].pop("reference")))),
+        ("report", "aggregate/labels_gram.json", lambda p: _edit_pairing(p, argmax_cell="nowhere")),
+        ("report", "aggregate/labels_gram.json", lambda p: _edit_pairing(p, argmax_cell=999)),
+        ("report", "aggregate/labels_gram.json", lambda p: _edit_pairing(p, abnormal_cells={"a": 1})),
+        ("report", "aggregate/labels_gram.json", lambda p: _edit_pairing(p, abnormal_cells=[2, 1])),
     ],
     ids=["manifest_not_json", "report_manifest_not_json", "manifest_without_faulty_cell",
          "fold_json_not_json", "scores_test_bad_row", "histograms_without_a_method",
@@ -705,7 +745,10 @@ def _prepend_byte(path, byte=b"\xff"):
          "scores_test_nan", "scores_test_rows_swapped", "scores_train_flag_2", "scores_test_ue_with_sign",
          "histograms_rows_swapped", "fold_json_fractional_cell_id", "scores_test_overflows",
          "scores_train_overflows", "histograms_value_overflows", "summary_overflows", "labels_missing",
-         "manifest_methods_one_short", "manifest_faulty_cell_not_the_configs", "manifest_config_hash_zeroed"],
+         "manifest_methods_one_short", "manifest_faulty_cell_not_the_configs", "manifest_config_hash_zeroed",
+         "fold_missing_and_n_folds_lowered", "n_folds_past_the_last_fold", "folds_with_a_non_fold_directory",
+         "labels_threshold_true", "labels_pairing_unknown", "labels_argmax_not_a_cell", "labels_argmax_outside_cell_ids",
+         "labels_abnormal_not_a_list", "labels_abnormal_out_of_cell_order"],
 )
 def test_damaged_run_directory_is_data_error(tmp_path, detect_dir, capsys, command, name, damage):
     """Exit 3 naming the file, and for a CSV its first line that the writer does not write (the header is line 1)."""
@@ -866,13 +909,18 @@ def test_cell_id_base_shifts_every_label_and_no_metric(tmp_path):
         ):
             assert main(argv) == 0, argv
         runs[base] = run
+
+    def pairings(base, method):
+        return storage.read_labels(runs[base], method, storage.read_detect_manifest(runs[base])[0]["cell_ids"])[
+            "pairings"]
+
     for method in pipeline.ALL_METHODS:
-        one, shifted = (storage.read_labels(runs[base], method)["pairings"] for base in (1, 101))
+        one, shifted = (pairings(base, method) for base in (1, 101))
         assert one.keys() == shifted.keys() == {"problematic", "reference"}
         for pairing, labels in one.items():
             assert shifted[pairing]["argmax_cell"] == labels["argmax_cell"] + 100, (method, pairing)
             assert shifted[pairing]["abnormal_cells"] == [c + 100 for c in labels["abnormal_cells"]], (method, pairing)
-    assert any(storage.read_labels(runs[1], "combined")["pairings"]["problematic"]["abnormal_cells"])
+    assert any(pairings(1, "combined")["problematic"]["abnormal_cells"])
     for name in ("metrics_summary.csv", "heuristic_distances.csv"):
         assert (runs[1] / "eval" / name).read_bytes() == (runs[101] / "eval" / name).read_bytes(), name
     aucs = [[line.split(",")[1] for line in (run / "eval" / "roc_auc.csv").read_text().splitlines()[1:]]
@@ -910,7 +958,7 @@ def test_detect_frees_each_folds_rows_and_scores_once_its_task_returns(dataset_d
     records, _ = pipeline.run_detect(manifest, roles, RunConfig.from_file(tiny_config_path), write_folds)
     assert alive == [0] * 12
     assert all(ref() is None for task in refs for ref in task)
-    assert [vars(record).keys() for record in records] == [{"pair", "values"}] * 72
+    assert [vars(record).keys() for record in records] == [{"pair", "histograms"}] * 72
 
 
 def _arrays(value):
@@ -932,7 +980,7 @@ def test_detect_workers_send_back_no_row_or_score_array(dataset_dir, tiny_config
         manifest, roles, RunConfig.from_file(tiny_config_path), lambda outputs: None, jobs=2
     )
     assert [type(record) for record in records] == [pipeline.FoldRecord] * 72
-    assert {record.values.shape for record in records} == {(len(pipeline.HISTOGRAM_STAGES), len(manifest["cell_ids"]))}
+    assert {record.histograms.shape for record in records} == {(len(pipeline.HISTOGRAM_STAGES), len(manifest["cell_ids"]))}
     assert {array.shape[-1] for array in _arrays((records, aggregates))} == {len(manifest["cell_ids"])}
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from sleepscan.evaluate import (
     heuristic_distance,
     heuristic_point,
     method_metrics,
+    pooled_roc,
     roc,
 )
+from sleepscan.mdtlog import FoldPair
 from sleepscan.pipeline import MethodAggregate
 
 N_CELLS = 21
@@ -75,6 +79,20 @@ def test_roc_single_class_is_an_error():
         roc(np.arange(5.0), np.ones(5, dtype=bool))
 
 
+def _test_fold(test_role, scores, affected):
+    return SimpleNamespace(pair=FoldPair("normal", 0, test_role, 0), test_scores=np.array(scores, dtype=np.float64),
+                           test_affected=np.array(affected, dtype=bool))
+
+
+def test_pooled_roc_is_none_unless_problematic_sub_calls_hold_both_classes():
+    reference = _test_fold("reference", [0.0, 1.0], [False, True])  # a reference fold is not pooled
+    assert pooled_roc([reference]) is None
+    assert pooled_roc([_test_fold("problematic", [1.0, 2.0], [False, False]), reference]) is None
+    assert pooled_roc([_test_fold("problematic", [1.0, 2.0], [True, True]), reference]) is None
+    pooled = pooled_roc([_test_fold("problematic", [2.0], [True]), _test_fold("problematic", [1.0], [False])])
+    assert pooled.auc == 1.0
+
+
 def test_roc_invariant_under_monotone_transform():
     rng = np.random.default_rng(0)
     scores = rng.normal(size=40)
@@ -115,6 +133,7 @@ def test_method_metrics_take_truth_from_the_pairing():
         stage="normalized",
         pooled_mean=0.0,
         pooled_sigma=0.0,
+        threshold=0.0,
         mean_stages={},
         labels={},
         run_labels={

@@ -22,7 +22,7 @@ from sleepscan.localize import (
     sc_target_cell_subcalls,
 )
 from sleepscan.mdtlog import NO_TARGET, TARGETED_EVENTS, Chunk, EventId, EventLog
-from sleepscan.pipeline import aggregate_method, run_detect
+from sleepscan.pipeline import HISTOGRAM_ROW, HISTOGRAM_STAGES, aggregate_method, run_detect
 from sleepscan.simgen.dominance import DominanceMap
 from sleepscan.simgen.layout import GridSpec
 from sleepscan.simgen.suite import generate_dataset_suite, load_suite, write_suite
@@ -367,8 +367,10 @@ def test_combine_identity_and_weights():
 
 
 def _runs(*runs):
-    """Fold histograms of one method that hold only the labeled stage."""
-    return [{"normalized": np.asarray(r, dtype=np.float64)} for r in runs]
+    """Fold histograms arrays whose subcall normalized row, the labeled stage, is each run; every other row is 0."""
+    histograms = np.zeros((len(runs), len(HISTOGRAM_STAGES), len(runs[0])))
+    histograms[:, HISTOGRAM_ROW["subcall", "normalized"]] = runs
+    return list(histograms)
 
 
 def test_labels_uniform_runs_flag_nothing():
@@ -391,7 +393,7 @@ def test_label_single_runs_against_external_stats():
     agg = aggregate_method(
         "subcall", {"problematic": _runs([10.0, 0.0]), "reference": _runs([0.0, 10.0])}, "normalized"
     )
-    assert (agg.pooled_mean, agg.pooled_sigma) == (5.0, 5.0)
+    assert (agg.pooled_mean, agg.pooled_sigma, agg.threshold) == (5.0, 5.0, 20.0)
     assert agg.run_labels["problematic"].shape == (1, 2)
     assert not agg.run_labels["problematic"].any()  # 10 < 5 + 3*5
     assert not agg.labels["reference"].any()

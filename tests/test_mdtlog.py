@@ -21,6 +21,7 @@ from sleepscan.mdtlog import (
     Chunk,
     EventId,
     EventLog,
+    FoldPair,
     group_calls,
     lookup_index,
     make_fold_pairs,
@@ -218,13 +219,16 @@ def test_write_records_matches_json_dumps_on_any_finite_float(tmp_path_factory, 
 
 
 def test_fold_pairs_cross_product():
-    pairs = make_fold_pairs("normal", list(range(6)), "problematic", list(range(6)))
-    assert len(pairs) == 36
-    assert len({(p.train_index, p.test_index) for p in pairs}) == 36
-    assert all(p.train_role != p.test_role for p in pairs)
-    assert len(make_fold_pairs("normal", [0], "reference", [0])) == 1
-    with pytest.raises(DataError):
-        make_fold_pairs("normal", list(range(6)), "problematic", [])
+    """Every normal chunk against every problematic chunk, then against every reference chunk, in that order."""
+    for n_chunks in (1, 2, 6, 11):
+        expected = []
+        for test_role in ("problematic", "reference"):
+            for i in range(n_chunks):
+                for j in range(n_chunks):
+                    expected.append(FoldPair("normal", i, test_role, j))
+        pairs = make_fold_pairs(n_chunks)
+        assert pairs == expected
+        assert len(set(pairs)) == 2 * n_chunks * n_chunks
 
 
 def _truth(keys, counts):
