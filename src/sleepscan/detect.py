@@ -31,11 +31,12 @@ _BLOCK_ROWS = 512  # query rows per distance block, to bound its memory
 def knn_scores(train_emb, query_emb, k: int, exclude_self: bool = False, train_distinct=None) -> np.ndarray:
     """Sum of Euclidean distances to the k nearest training rows, per query row.
 
-    With exclude_self=True, query must be the training matrix itself
-    (row-aligned); the zero self-distance of row i is skipped.
-    train_distinct, if given, is `distinct_rows` of the training matrix,
-    so that a fold scoring its training and testing rows finds the
-    distinct training rows once.
+    Both are 2-D with the same columns, and 1 <= k <= the training rows
+    (one fewer with exclude_self), as `run_fold` gives them.  With
+    exclude_self=True, query is the training matrix itself (row-aligned);
+    the zero self-distance of row i is skipped.  train_distinct, if given,
+    is `distinct_rows` of the training matrix, so that a fold scoring its
+    training and testing rows finds the distinct training rows once.
 
     Train and query rows are deduplicated by their bytes.  The squared
     distance between a distinct query row and a distinct training row
@@ -49,22 +50,6 @@ def knn_scores(train_emb, query_emb, k: int, exclude_self: bool = False, train_d
     """
     train = np.ascontiguousarray(train_emb, dtype=np.float64)
     query = np.ascontiguousarray(query_emb, dtype=np.float64)
-    if train.ndim != 2 or query.ndim != 2:
-        raise ValueError("train and query must be 2-D")
-    if train.shape[1] != query.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: train has {train.shape[1]} columns, "
-            f"query has {query.shape[1]}"
-        )
-    if exclude_self and (query.shape != train.shape or not np.array_equal(query, train, equal_nan=True)):
-        raise ValueError("exclude_self requires query to be the training set itself")
-    k = int(k)
-    available = train.shape[0] - 1 if exclude_self else train.shape[0]
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > available:
-        raise ValueError(f"k={k} exceeds available neighbors ({available})")
-
     train_rows, train_of, train_counts = distinct_rows(train) if train_distinct is None else train_distinct
     if exclude_self:
         query_rows, query_of = train_rows, train_of
@@ -100,13 +85,12 @@ def distinct_rows(rows):
     """The distinct rows of a 2-D float64 array by their bits, the index of
     each row's distinct row, and each distinct row's count.
 
-    Rows are keyed by a sort on their int64 bit columns; the distinct
-    rows come in that sort's order, which no score depends on.
+    Rows are keyed by a sort on their int64 bit columns, at least one
+    (an embedding keeps d >= 1 components); the distinct rows come in
+    that sort's order, which no score depends on.
     """
     rows = np.ascontiguousarray(rows, dtype=np.float64)
-    n, dim = rows.shape
-    if dim == 0:  # no bits to compare: every row is the same empty row
-        return rows[:1], np.zeros(n, dtype=np.intp), np.full(min(n, 1), n)
+    n = len(rows)
     bits = rows.view(np.int64)
     order = np.lexsort(bits.T)
     ordered = bits[order]
@@ -119,10 +103,8 @@ def distinct_rows(rows):
 
 
 def fit_threshold(train_scores, percentile: float) -> float:
-    """Nearest-rank percentile of the training scores."""
+    """Nearest-rank percentile of the training scores, of which a fold has more than knn_k."""
     scores = np.sort(np.asarray(train_scores, dtype=np.float64))
-    if scores.size == 0:
-        raise ValueError("cannot fit a threshold on empty scores")
     rank = math.ceil(percentile / 100.0 * scores.size)
     rank = min(max(rank, 1), scores.size)
     return float(scores[rank - 1])

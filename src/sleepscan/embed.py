@@ -55,15 +55,15 @@ def fit_basis(train: np.ndarray) -> EigenBasis:
     return EigenBasis(mean=mean, eigenvalues=values, eigenvectors=vectors)
 
 
-def sorte_select(eigenvalues, fallback: int = 6) -> int:
+def sorte_select(eigenvalues) -> int:
     """Component count from the gap-variance-ratio statistic.
 
     For a descending spectrum with gaps g_i = lambda_i - lambda_{i+1},
     Var_k is the population variance of g_k..g_{p-1} (1-based), and the
     score at k is Var_{k+1} / Var_k.  k with the smallest score wins
     (smallest k on ties); k where both variances vanish are excluded.
-    A spectrum with no valid k (e.g. all eigenvalues equal) returns the
-    fallback count.
+    A spectrum with no valid k (e.g. all eigenvalues equal) returns
+    min(6, p).
     """
     values = np.asarray(eigenvalues, dtype=np.float64)
     p = len(values)
@@ -93,22 +93,16 @@ def sorte_select(eigenvalues, fallback: int = 6) -> int:
             best_score = score
             best_k = k
     if best_k is None:
-        return fallback
+        return min(6, p)
     return best_k
 
 
 def project_minor(basis: EigenBasis, X: np.ndarray, d: int) -> np.ndarray:
     """Project rows onto the d smallest-eigenvalue directions.
 
-    Columns are ordered from the smallest eigenvalue up.
+    X has the basis's columns and 1 <= d <= basis.dim, as `run_fold`
+    gives them.  Columns are ordered from the smallest eigenvalue up.
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != basis.dim:
-        raise DataError(
-            f"projection dimension mismatch: data has {X.shape[-1]} columns, "
-            f"basis has {basis.dim}"
-        )
-    if not 1 <= d <= basis.dim:
-        raise DataError(f"component count d={d} outside 1..{basis.dim}")
     minor = basis.eigenvectors[:, ::-1][:, :d]  # smallest eigenvalue first
     return (X - basis.mean) @ minor

@@ -93,7 +93,6 @@ class ChunkFeatures:
     once everything a fold needs of them is built.
     """
 
-    n: int                       # N-gram length
     windows: np.ndarray          # (W, 2) record ranges [start, stop)
     rows: np.ndarray             # (W, 2) int64 (ue, offset in the call) per window
     codes: np.ndarray            # (K,) sorted codes of the N-grams present
@@ -122,7 +121,6 @@ def featurize_chunk(chunk: Chunk, m: int, n: int, ngram_n: int) -> ChunkFeatures
     hits = np.concatenate(([0], np.cumsum(chunk.affected)))
     affected = hits[windows[:, 1]] > hits[starts]
     return ChunkFeatures(
-        n=ngram_n,
         windows=windows,
         rows=rows,
         codes=codes,
@@ -146,7 +144,6 @@ class NGramVocabulary:
     """Sorted N-gram codes defining the feature columns."""
 
     codes: np.ndarray
-    n: int = 2
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -155,7 +152,7 @@ class NGramVocabulary:
     def from_subcalls(cls, *groups: ChunkFeatures) -> "NGramVocabulary":
         """Union of the N-grams of every group's sub-calls, sorted by event codes."""
         codes = sorted_unique(np.concatenate([g.codes for g in groups]))
-        return cls(codes=codes, n=groups[0].n)
+        return cls(codes=codes)
 
 
 def build_feature_matrix(features: ChunkFeatures, vocabulary: NGramVocabulary) -> np.ndarray:

@@ -35,8 +35,8 @@ def _grey(score: float, max_score: float) -> str:
     return f"#{level:02x}{level:02x}{level:02x}"
 
 
-def render_heatmap(layout: NetworkLayout, scores_by_cell: dict[int, float], title: str = "") -> str:
-    """Render one histogram as an SVG string."""
+def render_heatmap(layout: NetworkLayout, scores_by_cell: dict[int, float], title: str) -> str:
+    """Render one histogram, with its title on top, as an SVG string."""
     max_score = max(scores_by_cell.values(), default=0.0)
     radius = 0.3 * layout.inter_site_distance
     pad = layout.inter_site_distance * 0.9
@@ -56,12 +56,9 @@ def render_heatmap(layout: NetworkLayout, scores_by_cell: dict[int, float], titl
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
     # wedges first, labels on top
     labels = []
     for cell in layout.cells:
@@ -92,7 +89,7 @@ def render_heatmap(layout: NetworkLayout, scores_by_cell: dict[int, float], titl
     return "\n".join(parts) + "\n"
 
 
-def write_heatmap(layout: NetworkLayout, scores, cell_ids, path, title: str = "") -> None:
+def write_heatmap(layout: NetworkLayout, scores, cell_ids, path, title: str) -> None:
     by_cell = {int(c): float(s) for c, s in zip(cell_ids, np.asarray(scores))}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(render_heatmap(layout, by_cell, title=title))

@@ -68,11 +68,11 @@ METHOD_NAMES = ("subcall", "gram", "symmetry", "target")
 
 def adjacency_matrix(adjacency, cell_ids) -> np.ndarray:
     """(cells, cells) flags ordered like cell_ids: row i marks the cells
-    listed as neighbors of cell_ids[i].  Ids outside cell_ids are ignored."""
+    listed as neighbors of cell_ids[i], each one of cell_ids (`load_suite`
+    checks a suite's adjacency)."""
     adjacent = np.zeros((len(cell_ids), len(cell_ids)), dtype=bool)
     for i, cell in enumerate(cell_ids):
-        j = lookup_index(np.fromiter(adjacency.get(cell, ()), dtype=np.int64), cell_ids)
-        adjacent[i, j[j >= 0]] = True
+        adjacent[i, lookup_index(np.fromiter(adjacency.get(cell, ()), dtype=np.int64), cell_ids)] = True
     return adjacent
 
 
@@ -100,7 +100,7 @@ class ChunkTables:
     gram_rates: dict[tuple, np.ndarray] | None  # `_gram_cell_rates` over all windows, if built
 
 
-def chunk_tables(chunk: Chunk, windows, ue_count: int, cell_ids, symmetry_mode: str = "handover",
+def chunk_tables(chunk: Chunk, windows, ue_count: int, cell_ids, symmetry_mode: str,
                  targets: bool = True, gram_rates: bool = True) -> ChunkTables:
     """The tables of a chunk whose sub-calls are windows.
 
@@ -237,10 +237,10 @@ def sc_target_cell_subcalls(test: ChunkTables, test_anomalous: np.ndarray) -> np
     return _windows_per_cell(test.target_pairs, test_anomalous, test.n_cells) / max(test.ue_count, 1)
 
 
-def amplify(scores: np.ndarray, adjacent: np.ndarray, epsilon: float = AMPLIFY_EPSILON) -> np.ndarray:
-    """Divide each score by the summed score of its non-neighbor cells."""
+def amplify(scores: np.ndarray, adjacent: np.ndarray) -> np.ndarray:
+    """Divide each score by the summed score of its non-neighbor cells, plus AMPLIFY_EPSILON."""
     excluded = adjacent | np.eye(len(scores), dtype=bool)  # a cell and its neighbors
-    return scores / (scores.sum() - _row_sums(np.where(excluded, scores, 0.0)) + epsilon)
+    return scores / (scores.sum() - _row_sums(np.where(excluded, scores, 0.0)) + AMPLIFY_EPSILON)
 
 
 def normalize(scores: np.ndarray) -> np.ndarray:

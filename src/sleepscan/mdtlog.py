@@ -24,6 +24,10 @@ it in blocks of `BLOCK_CHARS` (64 Ki) characters and converts each
 block's lines to arrays before it reads the next.  It never holds a
 file's whole text or a list of all its lines, so reading takes the
 columns it returns plus about one block, whatever the file's size.
+The one exception is a suite's dominance map, whose short lines
+`simgen.dominance.load_dominance_csv` parses with `np.loadtxt` in blocks
+of its own: per-line captures would take several times its memory (see
+that function).
 
 A log is an `EventLog` (one numpy array per field) from the simulator
 to the detector; a dataset chunk is a `Chunk`, whose records are ordered

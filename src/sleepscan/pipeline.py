@@ -94,7 +94,7 @@ def run_fold(
 
     basis = embed.fit_basis(train_counts)
     if cfg.minor_components == "auto":
-        d = embed.sorte_select(basis.eigenvalues, fallback=min(6, basis.dim))
+        d = embed.sorte_select(basis.eigenvalues)
     else:
         d = cfg.minor_components
     d = min(d, basis.dim)
@@ -261,9 +261,10 @@ def aggregate_method(method: str, runs_by_pairing: dict[str, list[np.ndarray]], 
 
 
 def aggregate_folds(folds, cfg: RunConfig) -> dict[str, MethodAggregate]:
-    """Aggregate all folds per method, grouped by test pairing: FoldRecords or FoldOutputs, which hold the same."""
-    if not folds:
-        raise DataError("no fold outputs to aggregate")
+    """Aggregate all folds per method, grouped by test pairing: FoldRecords or FoldOutputs, which hold the same.
+
+    There is at least one fold: detect's --folds and a detect manifest's n_folds are at least 1.
+    """
     stage = "normalized" if cfg.amplify else "normalized_raw"
     by_pairing: dict[str, list[np.ndarray]] = {}
     for out in folds:

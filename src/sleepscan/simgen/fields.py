@@ -17,13 +17,7 @@ from .layout import GridSpec, NetworkLayout
 @dataclass(frozen=True)
 class ShadowingField:
     grid: GridSpec
-    sigma_db: float
-    seed: int
     fields: np.ndarray  # (n_cells, ny, nx) dB
-
-    @classmethod
-    def zeros(cls, grid: GridSpec, n_cells: int, seed: int = 0) -> "ShadowingField":
-        return cls(grid=grid, sigma_db=0.0, seed=seed, fields=np.zeros((n_cells, grid.ny, grid.nx)))
 
 
 def gaussian_filter_wrap(values: np.ndarray, sigma: float) -> np.ndarray:
@@ -58,15 +52,12 @@ def gaussian_filter_wrap(values: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def make_shadowing(
-    layout: NetworkLayout,
-    grid: GridSpec,
-    sigma_db: float = 8.0,
-    correlation_m: float = 40.0,
-    seed: int = 0,
+    layout: NetworkLayout, grid: GridSpec, sigma_db: float, correlation_m: float, seed: int
 ) -> ShadowingField:
+    """One field per layout cell; all zero when sigma_db is 0."""
     n_cells = len(layout.cells)
     if sigma_db == 0.0:
-        return ShadowingField.zeros(grid, n_cells, seed=seed)
+        return ShadowingField(grid=grid, fields=np.zeros((n_cells, grid.ny, grid.nx)))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sigma_px = max(correlation_m / grid.resolution_m, 1e-6)
     fields = np.empty((n_cells, grid.ny, grid.nx))
@@ -76,4 +67,4 @@ def make_shadowing(
         smooth -= smooth.mean()
         std = smooth.std()
         fields[c] = smooth * (sigma_db / std)
-    return ShadowingField(grid=grid, sigma_db=sigma_db, seed=seed, fields=fields)
+    return ShadowingField(grid=grid, fields=fields)

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError
-
 # Macro path loss, distance floored to keep the near field finite.
 PATHLOSS_MIN_DISTANCE_M = 35.0
 
@@ -38,7 +36,7 @@ class Cell:
     site_x: float
     site_y: float
     azimuth_deg: float | None  # None = omnidirectional (used in tests)
-    tx_power_dbm: float = 46.0
+    tx_power_dbm: float
 
 
 @dataclass(frozen=True)
@@ -47,13 +45,9 @@ class GridSpec:
 
     origin_x: float
     origin_y: float
-    resolution_m: float
+    resolution_m: float  # > 0, as RunConfig's map_resolution_m is
     nx: int
     ny: int
-
-    def __post_init__(self):
-        if self.resolution_m <= 0:
-            raise ConfigError("grid resolution must be positive")
 
     def pixel_centers(self):
         xs = self.origin_x + (np.arange(self.nx) + 0.5) * self.resolution_m
@@ -78,19 +72,9 @@ class GridSpec:
 
 @dataclass
 class NetworkLayout:
-    cells: list[Cell]
+    cells: list[Cell]  # at least one, with contiguous ids in ascending order, as `macro21_layout` builds them
     inter_site_distance: float
-    wrap_around: bool = True
-
-    def __post_init__(self):
-        if not self.cells:
-            raise ConfigError("layout must contain at least one cell")
-        ids = [c.cell_id for c in self.cells]
-        if len(set(ids)) != len(ids):
-            raise ConfigError("cell ids must be unique")
-        if sorted(ids) != list(range(min(ids), min(ids) + len(ids))):
-            raise ConfigError("cell ids must be contiguous")
-        self.cells = sorted(self.cells, key=lambda c: c.cell_id)
+    wrap_around: bool
 
     @property
     def cell_ids(self) -> list[int]:
@@ -113,9 +97,7 @@ class NetworkLayout:
             offsets.append(np.array([c * base[0] - s * base[1], s * base[0] + c * base[1]]))
         return np.stack(offsets)
 
-    def default_grid(self, resolution_m: float = 5.0, half_extent_m: float | None = None) -> GridSpec:
-        if half_extent_m is None:
-            half_extent_m = 1.5 * self.inter_site_distance
+    def default_grid(self, resolution_m: float, half_extent_m: float) -> GridSpec:
         n = int(round(2.0 * half_extent_m / resolution_m))
         return GridSpec(
             origin_x=-half_extent_m,
@@ -127,10 +109,7 @@ class NetworkLayout:
 
 
 def macro21_layout(
-    inter_site_distance: float = 500.0,
-    tx_power_dbm: float = 46.0,
-    cell_id_base: int = 1,
-    wrap_around: bool = True,
+    inter_site_distance: float, tx_power_dbm: float, cell_id_base: int, wrap_around: bool
 ) -> NetworkLayout:
     """Seven 3-sector sites: one central, six on a ring at the ISD."""
     sites = [(0.0, 0.0)]

@@ -56,7 +56,6 @@ def derive_seeds(master_seed: int) -> dict:
 
 @dataclass
 class RoleData:
-    role: str
     records: EventLog      # the role's whole log, in emission order
     affected: np.ndarray   # bool fault-affected flag per record
     radio: RadioMap
@@ -99,9 +98,7 @@ def generate_dataset_suite(cfg: RunConfig) -> DatasetSuite:
         radio = radio_cache[shadow_seed]
         fault = cfg.faulty_cell if role == "problematic" else None
         log, affected = simulate(layout, cfg, radio, seeds["mobility"][role], fault)
-        roles[role] = RoleData(
-            role=role, records=log, affected=affected, radio=radio, chunks=split_chunks(log, cfg.n_chunks)
-        )
+        roles[role] = RoleData(records=log, affected=affected, radio=radio, chunks=split_chunks(log, cfg.n_chunks))
     return DatasetSuite(cfg=cfg, roles=roles, seeds=seeds, adjacency=adjacency)
 
 

@@ -54,10 +54,10 @@ line that differs is a ParseError naming the file and that line.
 fold.json must hold its fold's pair and the run's cell_ids as its writer
 writes them (`mdtlog.check_entries`: 1 is not true or 1.0), an integer
 selected_components and a float threshold; detect_manifest.json a valid
-config, an integer n_folds, and exactly the `_run_facts` of that config;
-a labels JSON a float threshold and, per problematic or reference
-pairing, an argmax cell of cell_ids and its abnormal cells in cell_ids
-order.
+config, an integer n_folds of at least 1, and exactly the `_run_facts`
+of that config; a labels JSON a float threshold and, per problematic or
+reference pairing, an argmax cell of cell_ids and its abnormal cells in
+cell_ids order.
 """
 
 from __future__ import annotations
@@ -163,8 +163,8 @@ def read_detect_manifest(out_dir) -> tuple[dict, RunConfig]:
     if not path.exists():
         raise DataError(f"no detect_manifest.json in {out_dir}; run detect first")
     manifest = read_json_object(path, ("config", "n_folds"))
-    if type(manifest["n_folds"]) is not int:
-        raise DataError(f"{path}: n_folds must be an integer")
+    if type(manifest["n_folds"]) is not int or manifest["n_folds"] < 1:
+        raise DataError(f"{path}: n_folds must be an integer >= 1")
     cfg = RunConfig.from_manifest(manifest, path)
     check_entries(path, manifest, _run_facts(cfg), "detect")
     return manifest, cfg

@@ -27,7 +27,6 @@ from sleepscan.evaluate import heuristic_distance
 from sleepscan.featurize import featurize_chunk, ngram_counts
 from sleepscan.localize import normalize
 from sleepscan.simgen.engine import simulate
-from sleepscan.simgen.layout import macro21_layout
 
 N_REPS = 20
 REP_SEEDS = [42] + [1000 + i for i in range(N_REPS - 1)]
@@ -257,12 +256,15 @@ def test_a7_invariant_suites(tmp_path):
 
     # determinism: identical seeds give byte-identical logs and manifests
     from sleepscan.mdtlog import write_records
-    from sleepscan.simgen.dominance import build_radio_map
+    from sleepscan.simgen.dominance import build_radio_map, path_gain
     from sleepscan.simgen.fields import make_shadowing
 
-    layout = macro21_layout()
-    grid = layout.default_grid(resolution_m=10.0)
-    radio = build_radio_map(layout, make_shadowing(layout, grid, seed=3))
+    cfg = RunConfig(map_resolution_m=10.0)
+    layout, grid = cfg.layout(), cfg.grid()
+    shadowing = make_shadowing(
+        layout, grid, sigma_db=cfg.shadowing_sigma_db, correlation_m=cfg.shadowing_correlation_m, seed=3
+    )
+    radio = build_radio_map(layout, shadowing, path_gain(layout, grid))
     sim = SimConfig(ues_per_cell=3, duration_steps=800)
     log_a, _ = simulate(layout, sim, radio, 5, faulty_cell=1)
     log_b, _ = simulate(layout, sim, radio, 5, faulty_cell=1)

@@ -658,6 +658,13 @@ def _set_n_folds(folds, n_folds):
     _edit_json(folds.parent / "detect_manifest.json", lambda d: d.update(n_folds=n_folds))
 
 
+def _set_n_folds_of_no_folds(path, n_folds):
+    """Set n_folds in the detect manifest at path, and empty its run's folds/."""
+    _edit_json(path, lambda d: d.update(n_folds=n_folds))
+    shutil.rmtree(path.parent / "folds")
+    (path.parent / "folds").mkdir()
+
+
 def _edit_pairing(path, **entries):
     """Set entries of the problematic pairing of a labels JSON."""
     _edit_json(path, lambda d: d["pairings"]["problematic"].update(entries))
@@ -732,6 +739,10 @@ def _prepend_byte(path, byte=b"\xff"):
         ("report", "aggregate/labels_gram.json", lambda p: _edit_pairing(p, argmax_cell=999)),
         ("report", "aggregate/labels_gram.json", lambda p: _edit_pairing(p, abnormal_cells={"a": 1})),
         ("report", "aggregate/labels_gram.json", lambda p: _edit_pairing(p, abnormal_cells=[2, 1])),
+        ("evaluate", "detect_manifest.json", lambda p: _set_n_folds_of_no_folds(p, 0)),
+        ("report", "detect_manifest.json", lambda p: _set_n_folds_of_no_folds(p, 0)),
+        ("evaluate", "detect_manifest.json", lambda p: _set_n_folds_of_no_folds(p, -1)),
+        ("report", "detect_manifest.json", lambda p: _set_n_folds_of_no_folds(p, -1)),
     ],
     ids=["manifest_not_json", "report_manifest_not_json", "manifest_without_faulty_cell",
          "fold_json_not_json", "scores_test_bad_row", "histograms_without_a_method",
@@ -748,7 +759,8 @@ def _prepend_byte(path, byte=b"\xff"):
          "manifest_methods_one_short", "manifest_faulty_cell_not_the_configs", "manifest_config_hash_zeroed",
          "fold_missing_and_n_folds_lowered", "n_folds_past_the_last_fold", "folds_with_a_non_fold_directory",
          "labels_threshold_true", "labels_pairing_unknown", "labels_argmax_not_a_cell", "labels_argmax_outside_cell_ids",
-         "labels_abnormal_not_a_list", "labels_abnormal_out_of_cell_order"],
+         "labels_abnormal_not_a_list", "labels_abnormal_out_of_cell_order", "evaluate_n_folds_zero",
+         "report_n_folds_zero", "evaluate_n_folds_negative", "report_n_folds_negative"],
 )
 def test_damaged_run_directory_is_data_error(tmp_path, detect_dir, capsys, command, name, damage):
     """Exit 3 naming the file, and for a CSV its first line that the writer does not write (the header is line 1)."""

@@ -1,12 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
+from sleepscan.cli import main
 from sleepscan.config import RunConfig
 from sleepscan.embed import EigenBasis, fit_basis, project_minor, sorte_select
 from sleepscan.errors import DataError
-from sleepscan.featurize import NGramVocabulary, build_feature_matrix, featurize_chunk
+from sleepscan.featurize import N_EVENTS, NGramVocabulary, build_feature_matrix, featurize_chunk
 from sleepscan.pipeline import run_detect
 from sleepscan.simgen.suite import generate_dataset_suite, load_suite, write_suite
+from sleepscan.storage import read_run
 from test_golden import SMOKE
 
 
@@ -82,8 +86,9 @@ def test_sorte_signal_noise_split():
 
 
 def test_sorte_flat_spectrum_falls_back():
-    assert sorte_select([2.0] * 8, fallback=6) == 6
-    assert sorte_select([2.0] * 8, fallback=4) == 4
+    assert sorte_select([2.0] * 8) == 6
+    assert sorte_select([2.0] * 5) == 5  # never more components than eigenvalues
+    assert sorte_select([2.0] * 4) == 4
 
 
 def test_sorte_needs_four_eigenvalues():
@@ -153,33 +158,51 @@ def test_test_data_never_refits_the_basis():
     assert np.array_equal(basis.eigenvalues, before)
 
 
-def test_projection_dimension_checks():
-    basis = fit_basis(np.random.default_rng(0).normal(size=(10, 3)))
-    with pytest.raises(DataError):
-        project_minor(basis, np.zeros((4, 5)), d=2)
-    with pytest.raises(DataError):
-        project_minor(basis, np.zeros((4, 3)), d=0)
-    with pytest.raises(DataError):
-        project_minor(basis, np.zeros((4, 3)), d=4)
+@pytest.fixture(scope="module")
+def smoke_suite(tmp_path_factory):
+    """The suite of SMOKE, whose detection settings each test below sets."""
+    out = tmp_path_factory.mktemp("suite")
+    write_suite(generate_dataset_suite(RunConfig.from_dict(SMOKE)), out)
+    return out
 
 
-def test_auto_minor_components_follow_each_folds_training_spectrum(tmp_path):
-    """`minor_components: "auto"` runs sorte_select on each fold's own training spectrum."""
-    cfg = RunConfig.from_dict({**SMOKE, "minor_components": "auto"})
-    write_suite(generate_dataset_suite(cfg), tmp_path)
-    manifest, _, roles = load_suite(tmp_path)
-    outputs = []
-    run_detect(manifest, roles, cfg, outputs.extend)
-    _, _, roles = load_suite(tmp_path)  # run_detect empties the loaders it is given
+def fold_inputs(roles, cfg, pair):
+    """The training features and the vocabulary of a fold, as `run_fold` builds them from `load_suite`'s roles."""
 
     def features(role, index):
         return featurize_chunk(roles[role][index](), m=cfg.window_m, n=cfg.window_n, ngram_n=cfg.ngram_n)
 
+    train = features("normal", pair.train_index)
+    return train, NGramVocabulary.from_subcalls(train, features(pair.test_role, pair.test_index))
+
+
+def test_auto_minor_components_follow_each_folds_training_spectrum(smoke_suite):
+    """`minor_components: "auto"` runs sorte_select on each fold's own training spectrum."""
+    cfg = RunConfig.from_dict({**SMOKE, "minor_components": "auto"})
+    manifest, _, roles = load_suite(smoke_suite)
+    outputs = []
+    run_detect(manifest, roles, cfg, outputs.extend)
+    _, _, roles = load_suite(smoke_suite)  # run_detect empties the loaders it is given
+
     chosen = []
     for out in outputs:
-        train = features("normal", out.pair.train_index)
-        vocab = NGramVocabulary.from_subcalls(train, features(out.pair.test_role, out.pair.test_index))
+        train, vocab = fold_inputs(roles, cfg, out.pair)
         basis = fit_basis(build_feature_matrix(train, vocab))
-        assert out.selected_components == min(sorte_select(basis.eigenvalues, fallback=min(6, basis.dim)), basis.dim)
+        assert out.selected_components == min(sorte_select(basis.eigenvalues), basis.dim)
         chosen.append(out.selected_components)
     assert len(chosen) == 72 and len(set(chosen)) > 1
+
+
+def test_fixed_minor_components_above_the_vocabulary_keep_every_column(tmp_path, smoke_suite):
+    """A fixed count above a fold's vocabulary size is cut to that size, the basis's dimension, before
+    the projection (`run_fold`): detect exits 0 and each fold keeps one component per vocabulary column."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**SMOKE, "minor_components": N_EVENTS**2 + 1}))  # above any 2-gram count
+    run = tmp_path / "run"
+    assert main(["detect", "--config", str(config), "--data", str(smoke_suite), "--out", str(run)]) == 0
+    _, cfg, outputs = read_run(run)
+    _, _, roles = load_suite(smoke_suite)
+    assert len(outputs) == 72
+    for out in outputs:
+        _, vocab = fold_inputs(roles, cfg, out.pair)
+        assert out.selected_components == len(vocab) < cfg.minor_components

@@ -3,7 +3,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sleepscan.errors import DataError
 from sleepscan.evaluate import (
     ConfusionCounts,
     confusion_metrics,
@@ -55,8 +54,6 @@ def test_counts_pool_across_runs():
     assert counts.total == 2 * N_CELLS
     assert counts.tp == 2 and counts.fp == 1
     assert counts.fn == 0 and counts.tn == 2 * N_CELLS - 3
-    with pytest.raises(DataError):
-        count_confusion(labels, cell_flags({1}))
 
 
 def test_roc_separable_is_perfect():
@@ -72,11 +69,6 @@ def test_roc_separable_is_perfect():
 def test_roc_identical_scores_half_auc():
     curve = roc(np.full(10, 3.0), np.array([True] * 4 + [False] * 6))
     assert curve.auc == pytest.approx(0.5)
-
-
-def test_roc_single_class_is_an_error():
-    with pytest.raises(DataError):
-        roc(np.arange(5.0), np.ones(5, dtype=bool))
 
 
 def _test_fold(test_role, scores, affected):
@@ -122,8 +114,6 @@ def test_heuristic_point_axes():
     assert peak == 80.0
     rest = np.delete(scores, 2)
     assert spread == pytest.approx(float(np.std(rest, ddof=1)))
-    with pytest.raises(DataError):
-        heuristic_distance(scores, "meh")
 
 
 def test_method_metrics_take_truth_from_the_pairing():

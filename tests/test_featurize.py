@@ -31,8 +31,8 @@ def make_chunk(calls, affected=None):
 
 
 def vocabulary_grams(vocab):
-    """The vocabulary's N-grams as event-code tuples, in column order."""
-    return tuple(decode_gram(c, vocab.n) for c in vocab.codes)
+    """A 2-gram vocabulary's 2-grams as event-code tuples, in column order."""
+    return tuple(decode_gram(c, 2) for c in vocab.codes)
 
 
 def window_oracle(length, m, n):

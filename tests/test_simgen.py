@@ -26,8 +26,8 @@ from sleepscan.simgen.dominance import (
     write_dominance_csv,
 )
 from sleepscan.simgen.engine import simulate
-from sleepscan.simgen.fields import ShadowingField, gaussian_filter_wrap, make_shadowing
-from sleepscan.simgen.layout import Cell, GridSpec, NetworkLayout, macro21_layout, pathloss_db, sector_gain_db
+from sleepscan.simgen.fields import gaussian_filter_wrap, make_shadowing
+from sleepscan.simgen.layout import Cell, GridSpec, NetworkLayout, pathloss_db, sector_gain_db
 from sleepscan.simgen.suite import (
     derive_seeds, generate_dataset_suite, load_suite, split_chunks, truth_rows, write_suite, write_truth,
 )
@@ -36,6 +36,7 @@ import engine_oracle
 
 FAST_SIM = SimConfig(ues_per_cell=3, duration_steps=1200)
 FAST_SEED = 9
+CFG = RunConfig()  # the settings a test does not vary
 
 Record = namedtuple("Record", "event ue t x y serving target")
 
@@ -47,13 +48,28 @@ def records(log):
 
 def omni_layout(positions, wrap=False):
     cells = [
-        Cell(cell_id=i + 1, site_x=x, site_y=y, azimuth_deg=None) for i, (x, y) in enumerate(positions)
+        Cell(cell_id=i + 1, site_x=x, site_y=y, azimuth_deg=None, tx_power_dbm=CFG.tx_power_dbm)
+        for i, (x, y) in enumerate(positions)
     ]
     return NetworkLayout(cells=cells, inter_site_distance=500.0, wrap_around=wrap)
 
 
 def small_grid(n=20, res=10.0, origin=-100.0):
     return GridSpec(origin_x=origin, origin_y=origin, resolution_m=res, nx=n, ny=n)
+
+
+def shadowing(layout, grid, seed, sigma_db=CFG.shadowing_sigma_db):
+    """The layout's shadowing fields on grid, with RunConfig's correlation length."""
+    return make_shadowing(layout, grid, sigma_db=sigma_db, correlation_m=CFG.shadowing_correlation_m, seed=seed)
+
+
+def no_shadowing(layout, grid):
+    return shadowing(layout, grid, seed=0, sigma_db=0.0)
+
+
+def radio_map(layout, fields):
+    """The radio map of a shadowing draw over the layout's path gain, as `generate_dataset_suite` builds it."""
+    return build_radio_map(layout, fields, path_gain(layout, fields.grid))
 
 
 def test_pathloss_formula_and_floor():
@@ -67,7 +83,7 @@ def test_pathloss_formula_and_floor():
 def test_single_cell_dominates_everywhere():
     layout = omni_layout([(0.0, 0.0)])
     grid = small_grid()
-    dmap = build_radio_map(layout, ShadowingField.zeros(grid, 1)).dominance
+    dmap = radio_map(layout, no_shadowing(layout, grid)).dominance
     assert np.all(dmap.grid == 1)
 
 
@@ -75,14 +91,14 @@ def test_tie_breaks_to_lower_cell_id():
     # co-located cells tie at every pixel
     layout = omni_layout([(0.0, 0.0), (0.0, 0.0)])
     grid = small_grid()
-    dmap = build_radio_map(layout, ShadowingField.zeros(grid, 2)).dominance
+    dmap = radio_map(layout, no_shadowing(layout, grid)).dominance
     assert np.all(dmap.grid == 1)
 
 
 def test_closer_cell_wins_by_pathloss():
     layout = omni_layout([(0.0, 0.0), (500.0, 0.0)])
     grid = GridSpec(origin_x=0.0, origin_y=-5.0, resolution_m=10.0, nx=50, ny=1)
-    radio = build_radio_map(layout, ShadowingField.zeros(grid, 2))
+    radio = radio_map(layout, no_shadowing(layout, grid))
     # pixel centered at x=105: 105 m from cell 1, 395 m from cell 2
     assert radio.dominance.cell_at(105.0, 0.0) == 1
     assert radio.dominance.cell_at(395.0, 0.0) == 2
@@ -93,20 +109,14 @@ def test_closer_cell_wins_by_pathloss():
     )
 
 
-def test_empty_layout_is_a_config_error():
-    with pytest.raises(ConfigError):
-        NetworkLayout(cells=[], inter_site_distance=500.0)
-
-
 def test_shadowing_statistics():
-    layout = macro21_layout()
-    grid = layout.default_grid()
-    field = make_shadowing(layout, grid, sigma_db=8.0, seed=4)
+    layout, grid = CFG.layout(), CFG.grid()
+    field = shadowing(layout, grid, seed=4, sigma_db=8.0)
     for plane in field.fields:
         assert abs(plane.mean()) < 0.5
         assert abs(plane.std() - 8.0) < 0.8
-    zero = ShadowingField.zeros(grid, 21)
-    assert zero.fields.std() == 0.0
+    zero = no_shadowing(layout, grid)
+    assert zero.fields.shape == field.fields.shape and not zero.fields.any()
 
 
 # Grids smaller than the kernel radius, sigma below one pixel, non-square
@@ -143,7 +153,7 @@ def _scipy_shadowing(layout, grid, sigma_db, correlation_m, seed):
     ids=["smaller_than_radius", "sigma_below_one_pixel", "non_square", "square"],
 )
 def test_make_shadowing_matches_scipy_bit_for_bit(nx, ny, correlation_m):
-    layout = macro21_layout()
+    layout = CFG.layout()
     grid = GridSpec(origin_x=-150.0, origin_y=-100.0, resolution_m=10.0, nx=nx, ny=ny)
     field = make_shadowing(layout, grid, sigma_db=8.0, correlation_m=correlation_m, seed=7)
     assert np.array_equal(field.fields, _scipy_shadowing(layout, grid, 8.0, correlation_m, 7))
@@ -168,31 +178,28 @@ def _per_cell_gain(layout, grid):
 
 @pytest.mark.parametrize("wrap", [True, False])
 def test_path_gain_shares_site_geometry_exactly(wrap):
-    layout = macro21_layout(wrap_around=wrap)
-    grid = layout.default_grid(resolution_m=25.0)
+    layout = RunConfig(wrap_around=wrap).layout()
+    grid = RunConfig(map_resolution_m=25.0).grid()
     gain = path_gain(layout, grid)
     assert np.array_equal(gain, _per_cell_gain(layout, grid))
     omni = omni_layout([(0.0, 0.0), (0.0, 0.0), (300.0, 40.0)])
     assert np.array_equal(path_gain(omni, small_grid()), _per_cell_gain(omni, small_grid()))
-    # the planned adjacency is the zero-shadow map's, with or without a shared gain
-    zero = ShadowingField.zeros(grid, len(layout.cells))
-    expected = derive_adjacency(build_radio_map(layout, zero).dominance)
-    assert layout_adjacency(layout, grid) == expected
+    # the planned adjacency is the zero-shadow map's
+    expected = derive_adjacency(build_radio_map(layout, no_shadowing(layout, grid), gain).dominance)
     assert layout_adjacency(layout, grid, gain) == expected
 
 
 def test_faulty_cell_dominance_share():
-    layout = macro21_layout()
-    grid = layout.default_grid()
+    layout, grid = CFG.layout(), CFG.grid()
     for seed in (0, 1, 2):
-        dmap = build_radio_map(layout, make_shadowing(layout, grid, seed=seed)).dominance
+        dmap = radio_map(layout, shadowing(layout, grid, seed)).dominance
         share = float(np.mean(dmap.grid == 1))  # cell 1's share of the map's pixels
         assert abs(share - 1.0 / 21.0) < 0.03
 
 
 def test_adjacency_properties():
-    layout = macro21_layout()
-    adjacency = layout_adjacency(layout, layout.default_grid())
+    layout, grid = CFG.layout(), CFG.grid()
+    adjacency = layout_adjacency(layout, grid, path_gain(layout, grid))
     assert set(adjacency) == set(layout.cell_ids)
     for cell, neighbors in adjacency.items():
         assert cell not in neighbors
@@ -203,9 +210,9 @@ def test_adjacency_properties():
 
 @pytest.fixture(scope="module")
 def small_world():
-    layout = macro21_layout()
-    grid = layout.default_grid(resolution_m=10.0)  # coarser map for speed
-    radio = build_radio_map(layout, make_shadowing(layout, grid, seed=2))
+    layout = CFG.layout()
+    grid = RunConfig(map_resolution_m=10.0).grid()  # coarser map for speed
+    radio = radio_map(layout, shadowing(layout, grid, seed=2))
     return layout, radio
 
 
@@ -303,7 +310,7 @@ def test_a2_rsrp_state_machine_with_weak_transmitter():
         wrap_around=False,
     )
     grid = GridSpec(origin_x=-1500.0, origin_y=-1500.0, resolution_m=20.0, nx=150, ny=150)
-    radio = build_radio_map(layout, ShadowingField.zeros(grid, 1))
+    radio = radio_map(layout, no_shadowing(layout, grid))
     assert radio.rsrp_dbm.min() < -113.0 < -107.0 < radio.rsrp_dbm.max()
     log, _ = simulate(layout, SimConfig(ues_per_cell=30, duration_steps=3000), radio, 1)
     enters = [r for r in records(log) if r.event == EventId.A2_RSRP_ENTER]
@@ -581,8 +588,8 @@ SIM_FIELDS = {f.name for f in fields(SimConfig)}
 def engine_inputs(case):
     """The (layout, sim, radio, seed, faulty_cell) of one engine case."""
     if case["layout"] == "macro":
-        layout = macro21_layout(tx_power_dbm=case["tx_power_dbm"], wrap_around=case["wrap_around"])
-        grid = layout.default_grid(resolution_m=50.0)
+        layout = RunConfig(tx_power_dbm=case["tx_power_dbm"], wrap_around=case["wrap_around"]).layout()
+        grid = RunConfig(map_resolution_m=50.0).grid()
     else:
         positions = [(0.0, 0.0), (300.0, 40.0)][: int(case["layout"][-1])]
         cells = [
@@ -591,7 +598,7 @@ def engine_inputs(case):
         ]
         layout = NetworkLayout(cells=cells, inter_site_distance=500.0, wrap_around=case["wrap_around"])
         grid = small_grid(n=40, res=20.0, origin=-400.0)
-    radio = build_radio_map(layout, make_shadowing(layout, grid, sigma_db=case["sigma_db"], seed=case["shadow_seed"]))
+    radio = radio_map(layout, shadowing(layout, grid, case["shadow_seed"], sigma_db=case["sigma_db"]))
     fault = None if case["fault"] is None else layout.cell_ids[case["fault"] % len(layout.cells)]
     sim = SimConfig(**{k: v for k, v in case.items() if k in SIM_FIELDS})
     return layout, sim, radio, case["seed"], fault
