@@ -8,7 +8,8 @@ every file of a run directory.  simulate's configuration is exactly its
 suite records; its `--config` may differ from that only in
 `config.DETECTION_SETTINGS`, and any other difference is a
 configuration error before `--out` is touched.  The other options are
-paths (`--data`, `--out`) and how detect runs (`--folds`, `--jobs`).
+paths (`--data`, `--out`) and how many workers detect runs (`--jobs`):
+a run is always every fold of its configuration.
 
 Exit codes: 0 ok, 2 configuration error, 3 data error, 141 standard
 output closed before the summary was printed (as a shell reports a
@@ -67,16 +68,14 @@ def _detect_config(cfg: RunConfig | None, suite: RunConfig) -> RunConfig:
 
 def cmd_detect(args) -> int:
     cfg = RunConfig.from_file(args.config) if args.config else None  # a bad file fails before the suite is read
-    if args.folds is not None and args.folds < 1:  # no fold could be aggregated: fail before the run is cleared
-        raise ConfigError(f"--folds must be >= 1, got {args.folds}")
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     manifest, suite_cfg, roles = load_suite(args.data)
     cfg = _detect_config(cfg, suite_cfg)
     cell_ids = cfg.layout().cell_ids
     write_folds = storage.start_run(args.out, cell_ids)
-    folds, aggregates = pipeline.run_detect(manifest, roles, cfg, write_folds, limit=args.folds, jobs=args.jobs)
-    storage.write_run(args.out, cfg, args.data, folds, aggregates)
+    folds, aggregates = pipeline.run_detect(manifest, roles, cfg, write_folds, jobs=args.jobs)
+    storage.write_run(args.out, cfg, args.data, aggregates)
     print(f"ran {len(folds)} folds (jobs={args.jobs})")
     for method, agg in aggregates.items():
         for pairing, labels in sorted(agg.labels.items()):
@@ -133,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--config", help="JSON config file that may differ from the suite's only in detection settings")
     p_det.add_argument("--data", required=True, help="dataset directory from simulate")
     p_det.add_argument("--out", required=True, help="detection output directory")
-    p_det.add_argument("--folds", type=int, help="limit to the first N folds")
     p_det.add_argument("--jobs", type=int, default=1, help="parallel fold workers")
     p_det.set_defaults(func=cmd_detect)
 

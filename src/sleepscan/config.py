@@ -28,7 +28,7 @@ except ImportError:
 
 from .errors import ConfigError, DataError
 from .mdtlog import EventId, is_json_int
-from .simgen.layout import macro21_layout
+from .simgen.layout import GridSpec, macro21_layout
 
 
 def _is_finite_number(value) -> bool:
@@ -274,7 +274,7 @@ class RunConfig(SimConfig):
             wrap_around=self.wrap_around,
         )
 
-    def grid(self):
-        return self.layout().default_grid(
-            resolution_m=self.map_resolution_m, half_extent_m=self.map_half_extent_m
-        )
+    def grid(self) -> GridSpec:
+        """The square map of map_resolution_m pixels that spans +-map_half_extent_m about the central site."""
+        half, n = self.map_half_extent_m, round(2.0 * self.map_half_extent_m / self.map_resolution_m)
+        return GridSpec(origin_x=-half, origin_y=-half, resolution_m=self.map_resolution_m, nx=n, ny=n)

@@ -28,15 +28,16 @@ __all__ = ["knn_scores", "distinct_rows", "fit_threshold", "classify"]
 _BLOCK_ROWS = 512  # query rows per distance block, to bound its memory
 
 
-def knn_scores(train_emb, query_emb, k: int, exclude_self: bool = False, train_distinct=None) -> np.ndarray:
+def knn_scores(train_emb, query_emb, k: int, train_distinct, exclude_self: bool = False) -> np.ndarray:
     """Sum of Euclidean distances to the k nearest training rows, per query row.
 
     Both are 2-D with the same columns, and 1 <= k <= the training rows
     (one fewer with exclude_self), as `run_fold` gives them.  With
     exclude_self=True, query is the training matrix itself (row-aligned);
-    the zero self-distance of row i is skipped.  train_distinct, if given,
-    is `distinct_rows` of the training matrix, so that a fold scoring its
-    training and testing rows finds the distinct training rows once.
+    the zero self-distance of row i is skipped.  train_distinct is
+    `distinct_rows(train_emb)`, through which alone the training rows are
+    read, so that a fold scoring its training and testing rows finds the
+    distinct training rows once.
 
     Train and query rows are deduplicated by their bytes.  The squared
     distance between a distinct query row and a distinct training row
@@ -48,13 +49,11 @@ def knn_scores(train_emb, query_emb, k: int, exclude_self: bool = False, train_d
     and a repeated distance is added as often as it occurs, never
     multiplied, so the scores equal a per-pair Python loop bit for bit.
     """
-    train = np.ascontiguousarray(train_emb, dtype=np.float64)
-    query = np.ascontiguousarray(query_emb, dtype=np.float64)
-    train_rows, train_of, train_counts = distinct_rows(train) if train_distinct is None else train_distinct
+    train_rows, train_of, train_counts = train_distinct
     if exclude_self:
         query_rows, query_of = train_rows, train_of
     else:
-        query_rows, query_of, _ = distinct_rows(query)
+        query_rows, query_of, _ = distinct_rows(query_emb)
     n_train, dim = train_rows.shape
     n_query = query_rows.shape[0]
     # Under exclude_self one candidate may be the query's own row with

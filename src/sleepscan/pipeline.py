@@ -159,32 +159,31 @@ class DetectPlan:
     cell_ids: list[int]
     adjacent: np.ndarray  # localize.adjacency_matrix of cell_ids
     pairs: list[FoldPair]  # every fold of the run, in make_fold_pairs order
-    train: dict[int, featurize.ChunkFeatures]  # normal chunk index -> its features
-    train_tables: dict[int, localize.ChunkTables]  # normal chunk index -> its localizer tables
+    train: list[featurize.ChunkFeatures]  # the features of each normal chunk, by its index
+    train_tables: list[localize.ChunkTables]  # the localizer tables of each normal chunk, by its index
     tasks: list[tuple[ChunkLoader | None, list[FoldPair]]]  # per test chunk: its loader, until run, and its folds
     write_folds: Callable[[list[FoldOutput]], None]  # takes the outputs of one task
 
 
 def fold_inputs_from_suite(
-    manifest, roles, cfg: RunConfig, write_folds: Callable[[list[FoldOutput]], None], limit: int | None = None
+    manifest, roles, cfg: RunConfig, write_folds: Callable[[list[FoldOutput]], None]
 ) -> DetectPlan:
-    """The plan of the first limit folds of normal x problematic and normal x reference, written by write_folds.
+    """The plan of every fold of normal x problematic and normal x reference, written by write_folds.
 
     roles maps a role name to its chunk loaders, as
-    `simgen.suite.load_suite` returns them.  Each normal chunk a fold
-    uses is parsed and featurized here, once; each test chunk a fold uses
-    becomes one task.
+    `simgen.suite.load_suite` returns them.  Each normal chunk is parsed
+    and featurized here, once; each test chunk becomes one task.
     """
     cell_ids = manifest["cell_ids"]
     adjacent = localize.adjacency_matrix({int(c): v for c, v in manifest["adjacency"].items()}, cell_ids)
-    pairs = make_fold_pairs(cfg.n_chunks)[:limit]
-    train, train_tables = {}, {}
-    for index in sorted({pair.train_index for pair in pairs}):  # the chunk's records go once these are built
-        chunk = roles["normal"][index]()
-        train[index] = _featurize(chunk, cfg)
-        train_tables[index] = localize.chunk_tables(
-            chunk, train[index].windows, train[index].ue_count, cell_ids, cfg.symmetry_mode, targets=False
-        )
+    pairs = make_fold_pairs(cfg.n_chunks)
+    train, train_tables = [], []
+    for load in roles["normal"]:  # a chunk's records go once its features and tables are built
+        chunk = load()
+        train.append(_featurize(chunk, cfg))
+        train_tables.append(localize.chunk_tables(
+            chunk, train[-1].windows, train[-1].ue_count, cell_ids, cfg.symmetry_mode, targets=False
+        ))
     tasks: dict[tuple[str, int], list[FoldPair]] = {}
     for pair in pairs:
         tasks.setdefault((pair.test_role, pair.test_index), []).append(pair)
@@ -263,7 +262,8 @@ def aggregate_method(method: str, runs_by_pairing: dict[str, list[np.ndarray]], 
 def aggregate_folds(folds, cfg: RunConfig) -> dict[str, MethodAggregate]:
     """Aggregate all folds per method, grouped by test pairing: FoldRecords or FoldOutputs, which hold the same.
 
-    There is at least one fold: detect's --folds and a detect manifest's n_folds are at least 1.
+    folds are every fold of cfg, in `make_fold_pairs` order, as `run_detect` returns them and
+    `storage.read_run` reads them back: at least one per pairing, since n_chunks is at least 1.
     """
     stage = "normalized" if cfg.amplify else "normalized_raw"
     by_pairing: dict[str, list[np.ndarray]] = {}
@@ -280,10 +280,9 @@ def _run_forked_task(index: int) -> list[FoldRecord]:
 
 
 def run_detect(
-    manifest, roles, cfg: RunConfig, write_folds: Callable[[list[FoldOutput]], None], limit: int | None = None,
-    jobs: int = 1,
+    manifest, roles, cfg: RunConfig, write_folds: Callable[[list[FoldOutput]], None], jobs: int = 1
 ) -> tuple[list[FoldRecord], dict[str, MethodAggregate]]:
-    """(fold records, aggregates per method) of the suite's first limit folds.
+    """(fold records, aggregates per method) of every fold of the suite.
 
     The tasks of `fold_inputs_from_suite` run in order in this process,
     or with jobs > 1 in up to jobs forked workers, which inherit the plan
@@ -298,7 +297,7 @@ def run_detect(
     the last chunk that needs them.
     """
     global _FORKED_PLAN
-    plan = fold_inputs_from_suite(manifest, roles, cfg, write_folds, limit=limit)
+    plan = fold_inputs_from_suite(manifest, roles, cfg, write_folds)
     roles.clear()
     workers = min(jobs, len(plan.tasks))
     if workers > 1:

@@ -16,6 +16,9 @@ import numpy as np
 
 # Macro path loss, distance floored to keep the near field finite.
 PATHLOSS_MIN_DISTANCE_M = 35.0
+# Sector antenna pattern: 3 dB beamwidth and the attenuation floor behind the sector.
+SECTOR_THETA_3DB_DEG = 65.0
+SECTOR_MAX_ATTENUATION_DB = 30.0
 
 
 def pathloss_db(distance_m):
@@ -24,10 +27,10 @@ def pathloss_db(distance_m):
     return 128.1 + 37.6 * np.log10(d_km)
 
 
-def sector_gain_db(angle_off_boresight_deg, theta_3db_deg: float = 65.0, max_attenuation_db: float = 30.0):
+def sector_gain_db(angle_off_boresight_deg):
     """Parabolic 3-sector antenna pattern, 0 dB at boresight."""
     theta = np.mod(np.asarray(angle_off_boresight_deg, dtype=np.float64) + 180.0, 360.0) - 180.0
-    return -np.minimum(12.0 * (theta / theta_3db_deg) ** 2, max_attenuation_db)
+    return -np.minimum(12.0 * (theta / SECTOR_THETA_3DB_DEG) ** 2, SECTOR_MAX_ATTENUATION_DB)
 
 
 @dataclass(frozen=True)
@@ -96,16 +99,6 @@ class NetworkLayout:
             c, s = math.cos(ang), math.sin(ang)
             offsets.append(np.array([c * base[0] - s * base[1], s * base[0] + c * base[1]]))
         return np.stack(offsets)
-
-    def default_grid(self, resolution_m: float, half_extent_m: float) -> GridSpec:
-        n = int(round(2.0 * half_extent_m / resolution_m))
-        return GridSpec(
-            origin_x=-half_extent_m,
-            origin_y=-half_extent_m,
-            resolution_m=resolution_m,
-            nx=n,
-            ny=n,
-        )
 
 
 def macro21_layout(

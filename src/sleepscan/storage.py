@@ -1,8 +1,8 @@
 """The run directory: every file detect and evaluate write, each with its one writer and reader here.
 
-detect_manifest.json  config, data_dir, n_folds, and what the config fixes
-                      (`_run_facts`): config_hash, faulty_cell, cell_ids and
-                      methods (`write_run`, `read_detect_manifest`)
+detect_manifest.json  config, data_dir, and what the config fixes
+                      (`_run_facts`): config_hash, faulty_cell, cell_ids,
+                      methods and n_folds (`write_run`, `read_detect_manifest`)
 folds/<pairing>_<i>x<j>/  one per fold, named by `fold_dir_name`
                       (`write_fold_output`, `read_fold_output`); detect
                       writes the folds of each test chunk where they are
@@ -36,11 +36,12 @@ A detect run starts with `start_run`, which removes detect's own entries
 (folds/, aggregate/, eval/ and detect_manifest.json, nothing else) from
 the directory, and ends with `write_run`, which writes the aggregates
 and, last, detect_manifest.json: a detect that fails leaves no manifest.
-`read_run` reads back exactly the folds detect wrote: the first n_folds
-of `make_fold_pairs`, in that order, each from the directory
-`fold_dir_name` names.  folds/ holding any other set of directories is
-a DataError naming folds/, and a fold.json that describes another fold
-or other cell_ids than the manifest's a DataError naming the file.
+A run is every fold of its config: `read_run` reads back exactly the
+folds detect wrote, all of `make_fold_pairs`, in that order, each from
+the directory `fold_dir_name` names.  folds/ holding any other set of
+entries is a DataError naming folds/, and a fold.json that describes
+another fold or other cell_ids than the manifest's a DataError naming
+the file.
 Each CSV is written, header and lines, in one `_write_lines` call.  All
 floats are written with repr() so reruns are byte-identical.
 
@@ -54,10 +55,10 @@ line that differs is a ParseError naming the file and that line.
 fold.json must hold its fold's pair and the run's cell_ids as its writer
 writes them (`mdtlog.check_entries`: 1 is not true or 1.0), an integer
 selected_components and a float threshold; detect_manifest.json a valid
-config, an integer n_folds of at least 1, and exactly the `_run_facts`
-of that config; a labels JSON a float threshold and, per problematic or
-reference pairing, an argmax cell of cell_ids and its abnormal cells in
-cell_ids order.
+config and exactly the `_run_facts` of that config; a labels JSON a
+float threshold and, for each of the problematic and reference
+pairings, an argmax cell of cell_ids and its abnormal cells in cell_ids
+order.
 """
 
 from __future__ import annotations
@@ -140,10 +141,11 @@ def _run_facts(cfg: RunConfig) -> dict:
         "faulty_cell": cfg.faulty_cell,
         "cell_ids": list(cfg.layout().cell_ids),
         "methods": list(ALL_METHODS),
+        "n_folds": len(make_fold_pairs(cfg.n_chunks)),
     }
 
 
-def write_run(out_dir, cfg: RunConfig, data_dir, folds, aggregates) -> None:
+def write_run(out_dir, cfg: RunConfig, data_dir, aggregates) -> None:
     """The end of a detect run whose folds are written: the aggregate of each method, then detect_manifest.json."""
     out_dir = Path(out_dir)
     facts = _run_facts(cfg)
@@ -151,7 +153,7 @@ def write_run(out_dir, cfg: RunConfig, data_dir, folds, aggregates) -> None:
     try:
         for method in ALL_METHODS:
             write_method_aggregate(aggregates[method], facts["cell_ids"], out_dir / "aggregate", layout)
-        manifest = {**facts, "data_dir": str(Path(data_dir)), "n_folds": len(folds)}
+        manifest = {**facts, "data_dir": str(Path(data_dir))}
         write_json(out_dir / "detect_manifest.json", manifest)
     except OSError as exc:
         raise _write_error(exc, out_dir) from None
@@ -162,9 +164,7 @@ def read_detect_manifest(out_dir) -> tuple[dict, RunConfig]:
     path = Path(out_dir) / "detect_manifest.json"
     if not path.exists():
         raise DataError(f"no detect_manifest.json in {out_dir}; run detect first")
-    manifest = read_json_object(path, ("config", "n_folds"))
-    if type(manifest["n_folds"]) is not int or manifest["n_folds"] < 1:
-        raise DataError(f"{path}: n_folds must be an integer >= 1")
+    manifest = read_json_object(path, ("config",))
     cfg = RunConfig.from_manifest(manifest, path)
     check_entries(path, manifest, _run_facts(cfg), "detect")
     return manifest, cfg
@@ -173,18 +173,17 @@ def read_detect_manifest(out_dir) -> tuple[dict, RunConfig]:
 def read_run(out_dir) -> tuple[dict, RunConfig, list[FoldOutput]]:
     """The detect manifest, its configuration and the fold outputs of a run directory.
 
-    The folds are the first n_folds of `make_fold_pairs`, the folds detect
+    The folds are every fold of `make_fold_pairs`, the folds detect
     wrote, read by `fold_dir_name` and returned in that order, the order
     of the records `pipeline.run_detect` returns.
     """
     manifest, cfg = read_detect_manifest(out_dir)
-    n_folds, folds_root = manifest["n_folds"], Path(out_dir) / "folds"
-    every = make_fold_pairs(cfg.n_chunks)
-    pairs = every[:n_folds]
-    found = sorted(p.name for p in folds_root.iterdir() if p.is_dir()) if folds_root.is_dir() else []
-    if len(pairs) != n_folds or sorted(map(fold_dir_name, pairs)) != found:
-        raise DataError(f"{folds_root} must hold the first n_folds ({n_folds}) of the {len(every)} folds "
-                        f"of its config, each in its own directory, and nothing else; run detect again")
+    folds_root = Path(out_dir) / "folds"
+    pairs = make_fold_pairs(cfg.n_chunks)
+    found = sorted(p.name for p in folds_root.iterdir()) if folds_root.is_dir() else []
+    if sorted(map(fold_dir_name, pairs)) != found:
+        raise DataError(f"{folds_root} must hold the {len(pairs)} folds of its config, each in its own directory, "
+                        f"and nothing else; run detect again")
     return manifest, cfg, [
         read_fold_output(folds_root / fold_dir_name(pair), pair, manifest["cell_ids"]) for pair in pairs
     ]
@@ -363,9 +362,9 @@ def read_labels(out_dir, method: str, cell_ids) -> dict:
             and is_json_int(e.get("argmax_cell")) and e["argmax_cell"] in cell_ids
         )
 
-    if not (type(doc["threshold"]) is float and isinstance(entries, dict) and entries
-            and entries.keys() <= {"problematic", "reference"} and all(map(is_entry, entries.values()))):
-        raise DataError(f"{path}: needs a float threshold and problematic or reference pairings, each with an "
+    if not (type(doc["threshold"]) is float and isinstance(entries, dict)
+            and entries.keys() == {"problematic", "reference"} and all(map(is_entry, entries.values()))):
+        raise DataError(f"{path}: needs a float threshold and the problematic and reference pairings, each with an "
                         f"argmax_cell of the run's cell_ids and abnormal_cells, a list of those ids in their order")
     return doc
 

@@ -20,7 +20,7 @@ import pytest
 from sleepscan import storage
 from sleepscan.cli import main
 from sleepscan.config import RunConfig, SimConfig
-from sleepscan.detect import fit_threshold, knn_scores
+from sleepscan.detect import distinct_rows, fit_threshold, knn_scores
 from sleepscan.embed import fit_basis, sorte_select
 from sleepscan.errors import DataError
 from sleepscan.evaluate import heuristic_distance
@@ -182,10 +182,11 @@ def test_a6_oracle_equivalence():
         return np.array(out)
 
     knn_ok = True
+    distinct = distinct_rows(train)
     for k in (1, 5, 35):
-        knn_ok &= np.array_equal(knn_scores(train, query, k=k), brute(query, k, False))
+        knn_ok &= np.array_equal(knn_scores(train, query, k=k, train_distinct=distinct), brute(query, k, False))
         knn_ok &= np.array_equal(
-            knn_scores(train, train, k=k, exclude_self=True), brute(train, k, True)
+            knn_scores(train, train, k=k, train_distinct=distinct, exclude_self=True), brute(train, k, True)
         )
 
     X = rng.normal(size=(80, 10)) @ rng.normal(size=(10, 10))

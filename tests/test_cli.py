@@ -33,6 +33,11 @@ TINY_CONFIG = {
 }
 
 
+# One chunk per role, so two folds, one per task; no problematic test sub-call is fault-affected.
+ONE_CHUNK_CONFIG = {"ues_per_cell": 1, "duration_steps": 120, "map_resolution_m": 10.0, "knn_k": 1, "n_chunks": 1,
+                    "master_seed": 6, "faulty_cell": 7}
+
+
 @pytest.fixture(scope="module")
 def tiny_config_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "tiny.json"
@@ -97,7 +102,7 @@ def test_commands_run_without_scipy(tmp_path):
         "    sys.exit(f'loaded {{loaded}}')\n"
     )
     simulate = [["simulate", "--config", "smoke.json", "--out", "suite"]]
-    detect = [["detect", "--config", "smoke.json", "--data", "suite", "--out", "run", "--folds", "2"]]
+    detect = [["detect", "--config", "smoke.json", "--data", "suite", "--out", "run"]]
     analyse = [*detect, ["evaluate", "--out", "run"], ["report", "--out", "run"]]
     not_analysis = ("_hashlib", "numpy.ma", "sleepscan.simgen.engine", "sleepscan.simgen.fields")
     env = {**os.environ, "PYTHONPATH": str(Path(sleepscan.__file__).parents[1])}
@@ -159,7 +164,7 @@ def test_each_command_takes_only_paths_and_execution_settings():
     }
     assert options == {
         "simulate": ["--config", "--out"],
-        "detect": ["--config", "--data", "--folds", "--jobs", "--out"],
+        "detect": ["--config", "--data", "--jobs", "--out"],
         "evaluate": ["--out"],
         "report": ["--out"],
     }
@@ -229,8 +234,7 @@ def test_a_float_setting_spelled_as_an_integer_detects_the_same_run(tmp_path, da
     for spelling, speed in (("int", 30), ("float", 30.0)):
         config, out = tmp_path / f"{spelling}.json", tmp_path / f"run_{spelling}"
         config.write_text(json.dumps({**TINY_CONFIG, "ue_speed_kmh": speed}))
-        assert main(["detect", "--config", str(config), "--data", str(dataset_dir), "--out", str(out),
-                     "--folds", "1"]) == 0
+        assert main(["detect", "--config", str(config), "--data", str(dataset_dir), "--out", str(out)]) == 0
         manifests.append((out / "detect_manifest.json").read_text())
     assert manifests[0] == manifests[1]
     suite_hash = json.loads((dataset_dir / "manifest.json").read_text())["config_hash"]
@@ -318,38 +322,29 @@ def detect_dir(tmp_path_factory, tiny_config_path, dataset_dir):
     return out
 
 
-def test_detect_limited_folds(tmp_path, tiny_config_path, dataset_dir):
-    out = tmp_path / "one"
-    assert main([
-        "detect", "--config", str(tiny_config_path),
-        "--data", str(dataset_dir), "--out", str(out), "--folds", "1",
-    ]) == 0
-    fold_dirs = list((out / "folds").iterdir())
-    assert len(fold_dirs) == 1
-    for name in ("fold.json", "scores_train.csv", "scores_test.csv", "histograms.csv"):
-        assert (fold_dirs[0] / name).exists()
+@pytest.fixture(scope="module")
+def one_chunk_run(tmp_path_factory):
+    """(suite, run directory) of ONE_CHUNK_CONFIG, simulated and detected serially."""
+    root = tmp_path_factory.mktemp("one_chunk")
+    config, suite, run = root / "one_chunk.json", root / "suite", root / "run"
+    config.write_text(json.dumps(ONE_CHUNK_CONFIG))
+    assert main(["simulate", "--config", str(config), "--out", str(suite)]) == 0
+    assert main(["detect", "--data", str(suite), "--out", str(run)]) == 0
+    return suite, run
 
 
-def test_detect_negative_folds_is_config_error(tmp_path, tiny_config_path, dataset_dir, capsys):
-    out = tmp_path / "neg"
-    assert main([
-        "detect", "--config", str(tiny_config_path),
-        "--data", str(dataset_dir), "--out", str(out), "--folds", "-1",
-    ]) == 2
-    assert "--folds" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_detect_zero_folds_is_config_error_and_keeps_the_run(tmp_path, tiny_config_path, dataset_dir, detect_dir,
-                                                              capsys):
-    """No fold could be aggregated, so detect stops before it clears the directory."""
+def test_detect_folds_is_a_usage_error_and_keeps_the_run(tmp_path, tiny_config_path, dataset_dir, detect_dir,
+                                                         capsys):
+    """A run is every fold of its config: --folds is no option, and detect stops before it clears the directory."""
     run = tmp_path / "run"
     shutil.copytree(detect_dir, run)
-    assert main([
-        "detect", "--config", str(tiny_config_path), "--data", str(dataset_dir), "--out", str(run), "--folds", "0",
-    ]) == 2
-    assert "--folds" in capsys.readouterr().err
-    assert storage.read_run(run)[0]["n_folds"] == 72
+    before = _detect_files(run)
+    with pytest.raises(SystemExit) as exc:
+        main(["detect", "--config", str(tiny_config_path), "--data", str(dataset_dir), "--out", str(run),
+              "--folds", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --folds 1" in capsys.readouterr().err
+    assert _detect_files(run) == before
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -417,21 +412,15 @@ def _detect_files(run) -> dict[str, bytes]:
 
 
 @pytest.mark.parametrize(
-    "jobs,folds",
-    [("2", None), ("3", None), ("2", "5"), ("3", "5"), ("4", "2")],
-    ids=["jobs2", "jobs3", "jobs2_folds5", "jobs3_folds5", "jobs_above_tasks"],
+    "jobs,suite", [("2", "tiny"), ("3", "tiny"), ("3", "one_chunk")], ids=["jobs2", "jobs3", "jobs_above_tasks"],
 )
-def test_detect_tasks_match_serial_byte_for_byte(tmp_path, tiny_config_path, dataset_dir, detect_dir, jobs, folds):
-    """However the folds are grouped into test-chunk tasks and spread over workers, the run is the serial one."""
-    detect = ["detect", "--config", str(tiny_config_path), "--data", str(dataset_dir)]
-    limit = [] if folds is None else ["--folds", folds]
-    serial = detect_dir
-    if folds is not None:
-        serial = tmp_path / "serial"
-        assert main([*detect, "--out", str(serial), *limit]) == 0
-    assert main([*detect, "--out", str(tmp_path / "par"), "--jobs", jobs, *limit]) == 0
+def test_detect_tasks_match_serial_byte_for_byte(tmp_path, dataset_dir, detect_dir, one_chunk_run, jobs, suite):
+    """However the test-chunk tasks are spread over workers, more workers than tasks included, the run is the
+    serial one: 12 tasks of 6 folds, or the one-chunk suite's 2 tasks of 1 fold under 3 jobs."""
+    data, serial = (dataset_dir, detect_dir) if suite == "tiny" else one_chunk_run
+    assert main(["detect", "--data", str(data), "--out", str(tmp_path / "par"), "--jobs", jobs]) == 0
     expected = _detect_files(serial)
-    assert len([name for name in expected if name.endswith("fold.json")]) == (72 if folds is None else int(folds))
+    assert len([name for name in expected if name.endswith("fold.json")]) == (72 if suite == "tiny" else 2)
     assert _detect_files(tmp_path / "par") == expected
 
 
@@ -451,22 +440,21 @@ def test_fold_data_error_is_the_same_under_jobs2(tmp_path, dataset_dir, capsys):
     assert errors[0] == errors[1]
 
 
-def test_detect_replaces_an_earlier_run(tmp_path, tiny_config_path, dataset_dir, detect_dir, capsys):
-    """detect, evaluate, then detect --folds 4 into the same directory: nothing of the first run is left."""
+def test_detect_replaces_an_earlier_run(tmp_path, detect_dir, one_chunk_run, capsys):
+    """detect of 72 folds, evaluate, then detect of the one-chunk suite into the same directory:
+    nothing of the first run is left."""
     run = tmp_path / "run"
     shutil.copytree(detect_dir, run)
     assert main(["evaluate", "--out", str(run)]) == 0
     (run / "notes.txt").write_text("not detect's")
-    assert main([
-        "detect", "--config", str(tiny_config_path), "--data", str(dataset_dir), "--out", str(run), "--folds", "4",
-    ]) == 0
-    assert len(list((run / "folds").iterdir())) == 4
+    assert main(["detect", "--data", str(one_chunk_run[0]), "--out", str(run)]) == 0
+    assert sorted(p.name for p in (run / "folds").iterdir()) == ["problematic_0x0", "reference_0x0"]
     assert not (run / "eval").exists()
     assert (run / "notes.txt").read_text() == "not detect's"
     capsys.readouterr()
     assert main(["report", "--out", str(run)]) == 0
     text = capsys.readouterr().out
-    assert "folds: 4" in text and "no eval/ directory yet" in text
+    assert "folds: 2" in text and "no eval/ directory yet" in text
     assert main(["evaluate", "--out", str(run)]) == 0
 
 
@@ -498,17 +486,11 @@ def test_evaluate_and_report(detect_dir, capsys):
     assert "combined" in text and "f_score" in text
 
 
-def test_evaluate_a_run_whose_problematic_sub_calls_hold_one_class(tmp_path, capsys):
+def test_evaluate_a_run_whose_problematic_sub_calls_hold_one_class(tmp_path, one_chunk_run, capsys):
     """No problematic test sub-call is fault-affected: evaluate writes no fold AUC and no pooled ROC, and exits 0."""
-    config, suite, run = tmp_path / "one_class.json", tmp_path / "suite", tmp_path / "run"
-    config.write_text(json.dumps({"ues_per_cell": 1, "duration_steps": 120, "map_resolution_m": 10.0, "knn_k": 1,
-                                  "n_chunks": 1, "master_seed": 6, "faulty_cell": 7}))
-    for argv in (
-        ["simulate", "--config", str(config), "--out", str(suite)],
-        ["detect", "--config", str(config), "--data", str(suite), "--out", str(run)],
-        ["evaluate", "--out", str(run)],
-        ["report", "--out", str(run)],
-    ):
+    run = tmp_path / "run"
+    shutil.copytree(one_chunk_run[1], run)
+    for argv in (["evaluate", "--out", str(run)], ["report", "--out", str(run)]):
         assert main(argv) == 0, argv
     _, _, outputs = storage.read_run(run)
     assert [out.pair.test_role for out in outputs] == ["problematic", "reference"]
@@ -549,15 +531,12 @@ def _full_disk(monkeypatch, name):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("name", ["scores_test.csv", "labels_combined.json", "detect_manifest.json"])
-def test_failed_detect_write_is_data_error(tmp_path, tiny_config_path, dataset_dir, capsys, monkeypatch, jobs, name):
+def test_failed_detect_write_is_data_error(tmp_path, one_chunk_run, capsys, monkeypatch, jobs, name):
     """A fold (written in a worker under --jobs 2), an aggregate or the manifest that cannot be
     written ends detect with exit 3 naming where, not with a traceback, and leaves no manifest."""
     run = tmp_path / "run"
     _full_disk(monkeypatch, name)
-    assert main([
-        "detect", "--config", str(tiny_config_path), "--data", str(dataset_dir), "--out", str(run),
-        "--folds", "7", "--jobs", jobs,
-    ]) == 3
+    assert main(["detect", "--data", str(one_chunk_run[0]), "--out", str(run), "--jobs", jobs]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"data error: cannot write {run}") and err.endswith(": No space left on device\n")
     assert not (run / "detect_manifest.json").exists()
@@ -653,16 +632,9 @@ def test_a_manifest_config_not_as_stored_names_the_setting_and_the_remedy(
     )
 
 
-def _set_n_folds(folds, n_folds):
-    """Set n_folds in the detect manifest of the run directory that holds folds."""
-    _edit_json(folds.parent / "detect_manifest.json", lambda d: d.update(n_folds=n_folds))
-
-
-def _set_n_folds_of_no_folds(path, n_folds):
-    """Set n_folds in the detect manifest at path, and empty its run's folds/."""
+def _set_n_folds(path, n_folds):
+    """Set n_folds in the detect manifest at path."""
     _edit_json(path, lambda d: d.update(n_folds=n_folds))
-    shutil.rmtree(path.parent / "folds")
-    (path.parent / "folds").mkdir()
 
 
 def _edit_pairing(path, **entries):
@@ -729,9 +701,11 @@ def _prepend_byte(path, byte=b"\xff"):
         ("evaluate", "detect_manifest.json", lambda p: _edit_json(p, lambda d: d["methods"].pop(1))),
         ("evaluate", "detect_manifest.json", lambda p: _edit_json(p, lambda d: d.update(faulty_cell=5))),
         ("report", "detect_manifest.json", lambda p: _edit_json(p, lambda d: d.update(config_hash="0" * 64))),
-        ("evaluate", "folds", lambda p: (shutil.rmtree(p / "problematic_0x0"), _set_n_folds(p, 71))),
-        ("evaluate", "folds", lambda p: _set_n_folds(p, 73)),
+        ("evaluate", "detect_manifest.json",
+         lambda p: (shutil.rmtree(p.parent / "folds" / "problematic_0x0"), _set_n_folds(p, 71))),
+        ("evaluate", "detect_manifest.json", lambda p: _set_n_folds(p, 73)),
         ("evaluate", "folds", lambda p: (p / "notes").mkdir()),
+        ("evaluate", "folds", lambda p: (p / "notes.txt").write_text("hi\n")),
         ("report", "aggregate/labels_gram.json", lambda p: _edit_json(p, lambda d: d.update(threshold=True))),
         ("report", "aggregate/labels_gram.json",
          lambda p: _edit_json(p, lambda d: d["pairings"].update(normal=d["pairings"].pop("reference")))),
@@ -739,10 +713,13 @@ def _prepend_byte(path, byte=b"\xff"):
         ("report", "aggregate/labels_gram.json", lambda p: _edit_pairing(p, argmax_cell=999)),
         ("report", "aggregate/labels_gram.json", lambda p: _edit_pairing(p, abnormal_cells={"a": 1})),
         ("report", "aggregate/labels_gram.json", lambda p: _edit_pairing(p, abnormal_cells=[2, 1])),
-        ("evaluate", "detect_manifest.json", lambda p: _set_n_folds_of_no_folds(p, 0)),
-        ("report", "detect_manifest.json", lambda p: _set_n_folds_of_no_folds(p, 0)),
-        ("evaluate", "detect_manifest.json", lambda p: _set_n_folds_of_no_folds(p, -1)),
-        ("report", "detect_manifest.json", lambda p: _set_n_folds_of_no_folds(p, -1)),
+        ("evaluate", "detect_manifest.json", lambda p: _set_n_folds(p, 0)),
+        ("report", "detect_manifest.json", lambda p: _set_n_folds(p, 0)),
+        ("evaluate", "detect_manifest.json", lambda p: _set_n_folds(p, -1)),
+        ("report", "detect_manifest.json", lambda p: _set_n_folds(p, -1)),
+        ("report", "aggregate/labels_gram.json", lambda p: _edit_json(p, lambda d: d["pairings"].pop("reference"))),
+        ("report", "aggregate/labels_gram.json", lambda p: _edit_json(p, lambda d: d["pairings"].pop("problematic"))),
+        ("evaluate", "detect_manifest.json", lambda p: _set_n_folds(p, 72.0)),
     ],
     ids=["manifest_not_json", "report_manifest_not_json", "manifest_without_faulty_cell",
          "fold_json_not_json", "scores_test_bad_row", "histograms_without_a_method",
@@ -758,9 +735,11 @@ def _prepend_byte(path, byte=b"\xff"):
          "scores_train_overflows", "histograms_value_overflows", "summary_overflows", "labels_missing",
          "manifest_methods_one_short", "manifest_faulty_cell_not_the_configs", "manifest_config_hash_zeroed",
          "fold_missing_and_n_folds_lowered", "n_folds_past_the_last_fold", "folds_with_a_non_fold_directory",
+         "folds_with_a_stray_file",
          "labels_threshold_true", "labels_pairing_unknown", "labels_argmax_not_a_cell", "labels_argmax_outside_cell_ids",
          "labels_abnormal_not_a_list", "labels_abnormal_out_of_cell_order", "evaluate_n_folds_zero",
-         "report_n_folds_zero", "evaluate_n_folds_negative", "report_n_folds_negative"],
+         "report_n_folds_zero", "evaluate_n_folds_negative", "report_n_folds_negative",
+         "labels_without_reference", "labels_without_problematic", "n_folds_a_float"],
 )
 def test_damaged_run_directory_is_data_error(tmp_path, detect_dir, capsys, command, name, damage):
     """Exit 3 naming the file, and for a CSV its first line that the writer does not write (the header is line 1)."""
@@ -891,14 +870,13 @@ def test_evaluate_reads_the_folds_detect_returned(tmp_path):
     config = tmp_path / "smoke11.json"
     config.write_text(json.dumps({**SMOKE, "n_chunks": 11}))
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "suite")]) == 0
-    assert main(["detect", "--config", str(config), "--data", str(tmp_path / "suite"), "--out", str(tmp_path / "run"),
-                 "--folds", "12"]) == 0
+    assert main(["detect", "--data", str(tmp_path / "suite"), "--out", str(tmp_path / "run")]) == 0
     _manifest, cfg, outputs = storage.read_run(tmp_path / "run")
     manifest, _, roles = suite_module.load_suite(tmp_path / "suite")
     written = []  # the writer gets each task's folds, grouped by test chunk
-    records, aggregates = pipeline.run_detect(manifest, roles, cfg, written.extend, limit=12)
+    records, aggregates = pipeline.run_detect(manifest, roles, cfg, written.extend)
     by_pair = {out.pair: out for out in written}
-    assert len(by_pair) == len(written) == 12
+    assert len(by_pair) == len(written) == 242
     assert [out.pair for out in outputs] == [record.pair for record in records]
     assert bits(outputs) == bits([by_pair[record.pair] for record in records])
     for method, back in pipeline.aggregate_folds(outputs, cfg).items():
@@ -1015,7 +993,7 @@ def test_amplify_false_config(tmp_path, dataset_dir):
     config, out = tmp_path / "noamp.json", tmp_path / "noamp"
     config.write_text(json.dumps({**TINY_CONFIG, "amplify": False}))
     assert main([
-        "detect", "--config", str(config), "--data", str(dataset_dir), "--out", str(out), "--folds", "4",
+        "detect", "--config", str(config), "--data", str(dataset_dir), "--out", str(out),
     ]) == 0
     manifest = json.loads((out / "detect_manifest.json").read_text())
     assert manifest["config"]["amplify"] is False

@@ -23,9 +23,14 @@ def brute_force_scores(train, query, k, exclude_self=False):
     return np.array(out)
 
 
+def knn(train, query, k, exclude_self=False):
+    """knn_scores as a fold calls it: with the distinct rows of train."""
+    return knn_scores(train, query, k=k, train_distinct=distinct_rows(train), exclude_self=exclude_self)
+
+
 def test_hand_example_with_self_exclusion():
     train = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
-    scores = knn_scores(train, train, k=2, exclude_self=True)
+    scores = knn(train, train, 2, exclude_self=True)
     assert scores[0] == pytest.approx(1.0 + 2.0)
     assert scores[1] == pytest.approx(1.0 + 1.0)
     assert scores[2] == pytest.approx(2.0 + 1.0)
@@ -33,7 +38,7 @@ def test_hand_example_with_self_exclusion():
 
 def test_duplicate_query_scores_zero():
     train = np.array([[1.0, 2.0], [3.0, 4.0]])
-    scores = knn_scores(train, np.array([[1.0, 2.0]]), k=1)
+    scores = knn(train, np.array([[1.0, 2.0]]), 1)
     assert scores[0] == 0.0
 
 
@@ -41,25 +46,25 @@ def test_matches_brute_force_oracle_exactly():
     rng = np.random.default_rng(0)
     train = rng.normal(size=(50, 3))
     query = rng.normal(size=(50, 3))
-    assert np.array_equal(knn_scores(train, query, k=5), brute_force_scores(train, query, 5))
+    assert np.array_equal(knn(train, query, 5), brute_force_scores(train, query, 5))
     assert np.array_equal(
-        knn_scores(train, train, k=5, exclude_self=True),
+        knn(train, train, 5, exclude_self=True),
         brute_force_scores(train, train, 5, exclude_self=True),
     )
     # more queries than one 512-row block, with the self-distance skipped in every block
     big = rng.normal(size=(520, 2))
     assert np.array_equal(
-        knn_scores(big, big, k=7, exclude_self=True),
+        knn(big, big, 7, exclude_self=True),
         brute_force_scores(big, big, 7, exclude_self=True),
     )
     # tied, duplicated training rows, with k ending inside and across tie groups
     tied = np.repeat(np.arange(5.0), 4)[:, None]
     points = np.array([[0.0], [2.0], [4.5]])
     for k in (1, 4, 7, 20):
-        assert np.array_equal(knn_scores(tied, points, k=k), brute_force_scores(tied, points, k))
+        assert np.array_equal(knn(tied, points, k), brute_force_scores(tied, points, k))
     for k in (3, 5, 19):
         assert np.array_equal(
-            knn_scores(tied, tied, k=k, exclude_self=True),
+            knn(tied, tied, k, exclude_self=True),
             brute_force_scores(tied, tied, k, exclude_self=True),
         )
 
@@ -81,10 +86,10 @@ def test_duplicate_heavy_rows_match_brute_force_exactly(data):
     train = matrix(data.draw(st.integers(2, 30)))
     query = matrix(data.draw(st.integers(0, 30)))
     k = data.draw(st.integers(1, len(train)))
-    assert np.array_equal(knn_scores(train, query, k=k), brute_force_scores(train, query, k))
+    assert np.array_equal(knn(train, query, k), brute_force_scores(train, query, k))
     k = data.draw(st.integers(1, len(train) - 1))
     assert np.array_equal(
-        knn_scores(train, train, k=k, exclude_self=True),
+        knn(train, train, k, exclude_self=True),
         brute_force_scores(train, train, k, exclude_self=True),
     )
 
@@ -103,38 +108,35 @@ def test_distinct_rows_key_rows_by_their_bits(data):
     assert len({row.tobytes() for row in distinct}) == len(distinct)
     assert counts.tolist() == np.bincount(inverse, minlength=len(distinct)).tolist()
     assert counts.sum() == len(rows) and (counts > 0).all()
-    if len(rows) > 1:  # the fold's path: both scores from one set of distinct training rows
+    if len(rows) > 1:  # the fold's path: both scores from one set of distinct training rows, left as it was
         k = data.draw(st.integers(1, len(rows) - 1))
-        train_distinct = distinct_rows(rows)
-        assert knn_scores(rows, rows, k=k, exclude_self=True, train_distinct=train_distinct).tobytes() == (
-            knn_scores(rows, rows, k=k, exclude_self=True).tobytes()
-        )
-        assert knn_scores(rows, rows[::-1], k=k, train_distinct=train_distinct).tobytes() == (
-            knn_scores(rows, rows[::-1], k=k).tobytes()
-        )
+        kept = distinct.tobytes(), inverse.tobytes(), counts.tobytes()
+        knn_scores(rows, rows, k=k, train_distinct=(distinct, inverse, counts), exclude_self=True)
+        knn_scores(rows, rows[::-1], k=k, train_distinct=(distinct, inverse, counts))
+        assert (distinct.tobytes(), inverse.tobytes(), counts.tobytes()) == kept
 
 
 def test_duplicate_row_edge_cases_match_brute_force_exactly():
     # all-identical training rows, every neighbour but the row itself
     same = np.ones((6, 2))
     assert np.array_equal(
-        knn_scores(same, same, k=5, exclude_self=True), brute_force_scores(same, same, 5, exclude_self=True)
+        knn(same, same, 5, exclude_self=True), brute_force_scores(same, same, 5, exclude_self=True)
     )
     # rows equal as numbers but not as bytes
     signed = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, -0.0], [2.0, 0.0]])
     for k in (1, 2, 3, 4):
         assert np.array_equal(
-            knn_scores(signed, signed, k=k, exclude_self=True),
+            knn(signed, signed, k, exclude_self=True),
             brute_force_scores(signed, signed, k, exclude_self=True),
         )
-        assert np.array_equal(knn_scores(signed, signed[::-1], k=k), brute_force_scores(signed, signed[::-1], k))
+        assert np.array_equal(knn(signed, signed[::-1], k), brute_force_scores(signed, signed[::-1], k))
     # more distinct query rows than one 512-row block, each repeated
     grid = np.array(np.meshgrid(*[np.arange(5.0)] * 4)).reshape(4, -1).T[:520]
     rows = np.vstack([grid, grid[:30]])
     assert np.array_equal(
-        knn_scores(rows, rows, k=3, exclude_self=True), brute_force_scores(rows, rows, 3, exclude_self=True)
+        knn(rows, rows, 3, exclude_self=True), brute_force_scores(rows, rows, 3, exclude_self=True)
     )
-    assert np.array_equal(knn_scores(grid[::7], rows, k=4), brute_force_scores(grid[::7], rows, 4))
+    assert np.array_equal(knn(grid[::7], rows, 4), brute_force_scores(grid[::7], rows, 4))
 
 
 def test_accepts_non_contiguous_and_casts():
@@ -142,7 +144,7 @@ def test_accepts_non_contiguous_and_casts():
     wide = rng.normal(size=(30, 12))
     train = wide[:, ::2]  # non-contiguous view
     query = wide[:10, ::2].astype(np.float32)
-    scores = knn_scores(train, query, k=3)
+    scores = knn(train, query, 3)
     assert scores.dtype == np.float64
     assert np.array_equal(scores, brute_force_scores(train, query.astype(np.float64), 3))
 
@@ -194,8 +196,8 @@ def test_orthonormal_invariance(n, k, seed):
     train = rng.normal(size=(n, 4))
     query = rng.normal(size=(8, 4))
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    base = knn_scores(train, query, k=k)
-    rotated = knn_scores(train @ q, query @ q, k=k)
+    base = knn(train, query, k)
+    rotated = knn(train @ q, query @ q, k)
     assert np.allclose(base, rotated, rtol=1e-10, atol=1e-10)
 
 
@@ -207,4 +209,4 @@ def test_adding_a_training_point_never_raises_scores(n, seed):
     extra = np.vstack([train, rng.normal(size=(1, 3))])
     query = rng.normal(size=(10, 3))
     k = min(3, n)
-    assert np.all(knn_scores(extra, query, k=k) <= knn_scores(train, query, k=k) + 1e-12)
+    assert np.all(knn(extra, query, k) <= knn(train, query, k) + 1e-12)

@@ -27,7 +27,9 @@ from sleepscan.simgen.dominance import (
 )
 from sleepscan.simgen.engine import simulate
 from sleepscan.simgen.fields import gaussian_filter_wrap, make_shadowing
-from sleepscan.simgen.layout import Cell, GridSpec, NetworkLayout, pathloss_db, sector_gain_db
+from sleepscan.simgen.layout import (
+    SECTOR_MAX_ATTENUATION_DB, SECTOR_THETA_3DB_DEG, Cell, GridSpec, NetworkLayout, pathloss_db, sector_gain_db,
+)
 from sleepscan.simgen.suite import (
     derive_seeds, generate_dataset_suite, load_suite, split_chunks, truth_rows, write_suite, write_truth,
 )
@@ -174,6 +176,26 @@ def _per_cell_gain(layout, grid):
             np.maximum(best, level, out=best)
         gain[idx] = best
     return gain
+
+
+def test_sector_gain_is_the_parabolic_pattern_with_its_floor():
+    assert sector_gain_db(0.0) == 0.0
+    # 12 (theta / theta_3db)^2: 3 dB down at half the beamwidth on either side
+    assert sector_gain_db(SECTOR_THETA_3DB_DEG / 2) == sector_gain_db(-SECTOR_THETA_3DB_DEG / 2) == -3.0
+    assert sector_gain_db(180.0) == -SECTOR_MAX_ATTENUATION_DB
+    angles = np.linspace(-540.0, 540.0, 97)
+    gain = sector_gain_db(angles)
+    assert np.array_equal(gain, sector_gain_db(angles + 360.0))
+    assert np.all((gain <= 0.0) & (gain >= -SECTOR_MAX_ATTENUATION_DB))
+
+
+@pytest.mark.parametrize("resolution,half_extent", [(5.0, 750.0), (25.0, 500.0)])
+def test_grid_is_the_square_of_the_map_settings_about_the_central_site(resolution, half_extent):
+    grid = RunConfig(map_resolution_m=resolution, map_half_extent_m=half_extent).grid()
+    assert (grid.origin_x, grid.origin_y, grid.resolution_m) == (-half_extent, -half_extent, resolution)
+    assert grid.nx == grid.ny == round(2.0 * half_extent / resolution)
+    xs, ys = grid.pixel_centers()
+    assert np.array_equal(xs, ys) and np.allclose(xs + xs[::-1], 0.0)
 
 
 @pytest.mark.parametrize("wrap", [True, False])
