@@ -19,15 +19,12 @@ naming its first line that differs; an integer out of range is a
 `DataError`.
 
 Every file whose lines follow one writer's pattern (logs, truth files,
-the CSVs of a run directory) is read by `line_columns`, which streams
-it in blocks of `BLOCK_CHARS` (64 Ki) characters and converts each
-block's lines to arrays before it reads the next.  It never holds a
-file's whole text or a list of all its lines, so reading takes the
-columns it returns plus about one block, whatever the file's size.
-The one exception is a suite's dominance map, whose short lines
-`simgen.dominance.load_dominance_csv` parses with `np.loadtxt` in blocks
-of its own: per-line captures would take several times its memory (see
-that function).
+dominance maps, the CSVs of a run directory) is read by `line_columns`,
+which streams it in blocks of `BLOCK_LINES` (512) whole lines and
+converts each block's lines to arrays before it reads the next.  It
+never holds a file's whole text or a list of all its lines, so reading
+takes the columns it returns plus about one block, whatever the file's
+size.
 
 A log is an `EventLog` (one numpy array per field) from the simulator
 to the detector; a dataset chunk is a `Chunk`, whose records are ordered
@@ -44,6 +41,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from enum import IntEnum
+from itertools import islice
 
 import numpy as np
 
@@ -225,10 +223,9 @@ _RECORD_LINE = re.compile(
     re.MULTILINE | re.ASCII,
 )
 
-# Characters `line_columns` reads at a time: it never holds more of a file than this and one partial line.
-# A block's captures (a tuple and a string per field of each line) are the reader's largest transient, so a
-# smaller block holds less; below 2**16 the fixed cost of each column's one concatenation at the end dominates.
-BLOCK_CHARS = 1 << 16
+# Lines `line_columns` reads at a time.  A block's captures (a string per field of each line) are the reader's
+# largest transient, so a smaller block holds less; much below this each block's fixed cost dominates.
+BLOCK_LINES = 512
 
 
 @contextmanager
@@ -296,59 +293,45 @@ def check_entries(path, doc: dict, expected: dict, writer: str) -> None:
         raise DataError(f"{path}: {key} is not the {key} {writer} writes there")
 
 
-def _line_blocks(fh):
-    """The text of fh in blocks of whole lines, BLOCK_CHARS read at a time, then what follows its last newline."""
-    rest = ""
-    while block := fh.read(BLOCK_CHARS):
-        cut = block.rfind("\n") + 1
-        if cut:
-            yield rest + block[:cut]
-            rest = block[cut:]
-        else:
-            rest += block
-    yield rest
-
-
 def line_columns(line: re.Pattern, path, convert, header: str | None = None) -> list[np.ndarray]:
     """The columns of the file at path, whose every line must match line, as arrays.
 
     line is a MULTILINE pattern anchored at `^` that ends in `\\n` and
     matches no `\\n` before that, so each match is exactly one line.  With
     a header, the file must start with exactly that line and its `\\n`, as
-    line 1, and line must match every line after it.  The file is read in
-    blocks of whole lines (`BLOCK_CHARS`), never whole:
-    convert(path, lineno, *columns) turns the captures of one block, whose
-    first line is line lineno of the file, into one array per column, and
-    each column is concatenated once, at the end.  The first line that
-    does not match, or a last line without its `\\n`, is a ParseError
-    naming it, raised after the lines before it are converted.  So where
-    each converter reports the earliest of its ParseErrors (`check_rows`),
-    a file's first faulty line is the one named, wherever the blocks fall.
-    An integer outside 64 bits is a DataError.
+    line 1, and line must match every line after it.  The file is read
+    `BLOCK_LINES` lines at a time, never whole: convert(path, lineno,
+    *columns) turns the captures of one block, whose first line is line
+    lineno of the file, into one array per column (the captures
+    themselves where line has one group), and each column is
+    concatenated once, at the end.  The first line that does not match,
+    or a last line without its `\\n`, is a ParseError naming it, raised
+    after the lines before it are converted.  So where each converter
+    reports the earliest of its ParseErrors (`check_rows`), a file's
+    first faulty line is the one named, wherever the blocks fall.  An
+    integer outside 64 bits is a DataError.
     """
     lineno, parts = 1, []
     with opened(path) as fh:
-        for text in _line_blocks(fh):
-            if lineno == 1 and header is not None:
-                if not text.startswith(header + "\n"):
-                    raise ParseError(path, 1, f"the header line is not {header!r}")
-                text, lineno = text[len(header) + 1:], 2
-            rows = line.findall(text)
-            if len(rows) == text.count("\n") and (not text or text.endswith("\n")):
+        if header is not None:
+            if fh.readline() != header + "\n":
+                raise ParseError(path, 1, f"the header line is not {header!r}")
+            lineno = 2
+        while lines := list(islice(fh, BLOCK_LINES)):
+            rows = line.findall("".join(lines))
+            if len(rows) == len(lines):  # each match is one whole line, so every line matches
                 parts.append(_converted(convert, path, lineno, rows, line.groups))
-                lineno += len(rows)
-                del text, rows  # before the next block is read, so that two blocks' captures are never held at once
+                lineno += len(lines)
+                del lines, rows  # before the next block is read, so that two blocks' captures are never held at once
                 continue
-            pos = good = 0  # matches run on line after line up to the first line that does not match
-            for match in line.finditer(text):
-                if match.start() != pos:
-                    break
-                good, pos = good + 1, match.end()
+            good = next(k for k, text in enumerate(lines) if not line.fullmatch(text))
             _converted(convert, path, lineno, rows[:good], line.groups)  # a fault on an earlier line comes first
-            bad = text[pos:].partition("\n")[0]
-            if line.match(bad + "\n"):
+            bad = lines[good].removesuffix("\n")
+            if line.fullmatch(bad + "\n"):  # so it lacks only its newline, which only a last line can
                 raise ParseError(path, lineno + good, "the last line does not end in a newline")
             raise ParseError(path, lineno + good, f"not in the written format: {bad[:60]!r}")
+        if not parts:  # an empty file still gives each column its dtype
+            parts.append(_converted(convert, path, lineno, [], line.groups))
     columns = list(zip(*parts))
     del parts  # so each column's blocks are freed as soon as they are joined
     for k, blocks in enumerate(columns):
@@ -359,7 +342,7 @@ def line_columns(line: re.Pattern, path, convert, header: str | None = None) -> 
 def _converted(convert, path, lineno, rows, groups) -> tuple[np.ndarray, ...]:
     """convert's arrays of one block's matches; an integer outside 64 bits is a DataError naming path."""
     try:
-        return convert(path, lineno, *(list(zip(*rows)) or [()] * groups))
+        return convert(path, lineno, *([rows] if groups == 1 else list(zip(*rows)) or [()] * groups))
     except OverflowError:
         raise DataError(f"{path}: integer field outside the 64-bit range") from None
 

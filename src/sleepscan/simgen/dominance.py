@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..errors import DataError, ParseError
-from ..mdtlog import JSON_INT, opened, sorted_unique
+from ..errors import DataError
+from ..mdtlog import JSON_INT, line_columns, sorted_unique
 from .layout import GridSpec, NetworkLayout, pathloss_db, sector_gain_db
 
 if TYPE_CHECKING:
@@ -130,68 +129,41 @@ def write_dominance_csv(dmap: DominanceMap, path) -> None:
 DOMINANCE_HEADER = "x_index,y_index,cell_id"
 
 
-# Rows `load_dominance_csv` parses at a time: it holds one block of lines and its parsed rows, never the whole map.
-DOMINANCE_BLOCK_ROWS = 1024
+# A line `write_dominance_csv` writes after its header, read with universal newlines, captured whole.
+_INDEX = JSON_INT.removeprefix("-?")  # a non-negative JSON integer
+_DOMINANCE_ROW = re.compile(rf"^({_INDEX},{_INDEX},{JSON_INT})\n", re.MULTILINE | re.ASCII)
 
 
 def load_dominance_csv(path, grid_spec: GridSpec) -> DominanceMap:
     """Read a dominance map as `write_dominance_csv` writes it: the exact header, then every pixel once, row-major.
 
-    The rows are read from the open file `DOMINANCE_BLOCK_ROWS` lines at
-    a time.  Each block is matched against the writer's `ix,iy,cell`
-    line, parsed by `np.loadtxt`, its index columns checked against the
-    pixels' row-major positions and its cell column copied into the
-    grid.  So neither the file's text nor its (pixels, 3) rows are ever
-    held whole.  A line that is not a row as the writer writes it (other
-    spacing, a sign, an empty line, no final newline) is a ParseError
-    naming it, counted from the top of the file.
-
-    It is the one reader of a writer's lines that does not go through
-    `mdtlog.line_columns`.  A map's lines are many and short (about 10
-    characters), and line_columns holds one Python string per captured
-    field of a block: on a 150x150 map its version of this reader had a
-    tracemalloc peak of 2.47 MB against 0.39 MB here, and took 16 ms
-    against 8 ms (2-core Xeon, numpy 2.4).  That peak is above the whole
-    traced peak of a detect run (about 1.6 MB).
+    The map is read through `mdtlog.line_columns`, a block of lines at a
+    time: each block's lines are parsed by `np.loadtxt`, their index
+    columns checked against the pixels' row-major positions and their
+    cell column copied into the grid.  So neither the file's text nor
+    its (pixels, 3) rows are ever held whole.
     """
     ny, nx = grid_spec.ny, grid_spec.nx
     misplaced = f"{path}: dominance map rows must list every pixel of the {nx}x{ny} grid once, row-major"
     cells = np.empty(ny * nx, dtype=np.int64)
-    filled, lineno = 0, 2  # pixels read so far; the file line of the block's first line
-    with opened(path) as fh:
-        header = fh.readline().removesuffix("\n")
-        if header != DOMINANCE_HEADER:
-            raise DataError(f"{path}: dominance map header must be {DOMINANCE_HEADER!r}, got {header!r}")
-        while lines := list(islice(fh, DOMINANCE_BLOCK_ROWS)):
-            rows = _dominance_rows(path, lineno, lines)
+    filled = 0  # pixels read so far: the header is line 1, so line lineno lists pixel lineno - 2
+
+    def fill(path, lineno, lines):
+        nonlocal filled
+        if lines:  # np.loadtxt warns on no lines
+            try:
+                rows = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+            except ValueError:  # the pattern admits only integers: one is outside 64 bits
+                raise DataError(f"{path}: integer field outside the 64-bit range") from None
             stop = filled + len(rows)
             pixel = np.arange(filled, stop)
             if stop > len(cells) or (rows[:, 0] != pixel % nx).any() or (rows[:, 1] != pixel // nx).any():
                 raise DataError(misplaced)
             cells[filled:stop] = rows[:, 2]
-            filled, lineno = stop, lineno + len(lines)
+            filled = stop
+        return ()
+
+    line_columns(_DOMINANCE_ROW, path, fill, DOMINANCE_HEADER)
     if filled < len(cells):
         raise DataError(misplaced)
     return DominanceMap(grid_spec=grid_spec, grid=cells.reshape(ny, nx))
-
-
-# A line `write_dominance_csv` writes after its header, read with universal newlines.
-_INDEX = JSON_INT.removeprefix("-?")  # a non-negative JSON integer
-_DOMINANCE_ROW = re.compile(rf"^{_INDEX},{_INDEX},{JSON_INT}\n", re.MULTILINE | re.ASCII)
-
-
-def _dominance_rows(path, lineno, lines) -> np.ndarray:
-    """The (rows, 3) int64 array of a block of a dominance map's lines, whose first is line lineno of path.
-
-    Every line must be a row as `write_dominance_csv` writes it: the
-    first that is not is a ParseError naming it.  An integer outside 64
-    bits is a DataError.
-    """
-    if len(_DOMINANCE_ROW.findall("".join(lines))) < len(lines):  # each match is one whole line
-        k = next(k for k, line in enumerate(lines) if not _DOMINANCE_ROW.fullmatch(line))
-        row = lines[k].removesuffix("\n")
-        raise ParseError(path, lineno + k, f"malformed dominance map row: {row[:60]!r}")
-    try:
-        return np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
-    except ValueError:  # the pattern admits only integers: one is outside 64 bits
-        raise DataError(f"{path}: integer field outside the 64-bit range") from None

@@ -418,7 +418,9 @@ def read_metrics_summary(out_dir) -> list[tuple[str, list[float]]] | None:
         return None
     methods, *columns = line_columns(_SUMMARY_LINE, path, _summary_arrays, _SUMMARY_HEADER)
     methods = methods.tolist()
-    check_rows(path, 2, _order_check(methods, [m for m in ALL_METHODS if m in methods]))
+    check_rows(path, 2, _order_check(methods, ALL_METHODS))
+    if len(methods) < len(ALL_METHODS):
+        raise ParseError(path, len(methods) + 2, f"the writer writes {ALL_METHODS[len(methods)]!r} here")
     return list(zip(methods, np.array(columns).T.tolist()))
 
 

@@ -1,4 +1,4 @@
-"""Helpers for tests of block reading: what a reader gives when a file is read BLOCK_CHARS at a time."""
+"""Helpers for tests of block reading: what a reader gives when a file is read BLOCK_LINES lines at a time."""
 
 from dataclasses import is_dataclass
 from unittest import mock
@@ -25,9 +25,13 @@ def bits(value):
     return value
 
 
-def outcome(read, path, block_chars=mdtlog.BLOCK_CHARS):
-    """What read(path) gives with path read block_chars characters at a time: its bits, or its error."""
-    with mock.patch.object(mdtlog, "BLOCK_CHARS", block_chars):
+# Block sizes, in lines, that every reader is tested at: a line at a time, a few, and the reader's own.
+BLOCK_SIZES = (1, 7, mdtlog.BLOCK_LINES)
+
+
+def outcome(read, path, block_lines=mdtlog.BLOCK_LINES):
+    """What read(path) gives with path read block_lines lines at a time: its bits, or its error."""
+    with mock.patch.object(mdtlog, "BLOCK_LINES", block_lines):
         try:
             return bits(read(path))
         except ParseError as err:

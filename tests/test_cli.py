@@ -10,6 +10,7 @@ import subprocess
 import sys
 import weakref
 from dataclasses import is_dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -648,6 +649,12 @@ def _evaluated_summary_line(path, index, edit):
     _edit_line(path, index, edit)
 
 
+def _evaluated_summary_cut(path, keep):
+    """Run evaluate on the run directory holding path, then keep the first keep lines of its metrics_summary.csv."""
+    assert main(["evaluate", "--out", str(path.parents[1])]) == 0
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:keep]))
+
+
 def _prepend_byte(path, byte=b"\xff"):
     path.write_bytes(byte + path.read_bytes())
 
@@ -720,6 +727,7 @@ def _prepend_byte(path, byte=b"\xff"):
         ("report", "aggregate/labels_gram.json", lambda p: _edit_json(p, lambda d: d["pairings"].pop("reference"))),
         ("report", "aggregate/labels_gram.json", lambda p: _edit_json(p, lambda d: d["pairings"].pop("problematic"))),
         ("evaluate", "detect_manifest.json", lambda p: _set_n_folds(p, 72.0)),
+        ("report", "eval/metrics_summary.csv", lambda p: _evaluated_summary_cut(p, 3)),
     ],
     ids=["manifest_not_json", "report_manifest_not_json", "manifest_without_faulty_cell",
          "fold_json_not_json", "scores_test_bad_row", "histograms_without_a_method",
@@ -739,7 +747,7 @@ def _prepend_byte(path, byte=b"\xff"):
          "labels_threshold_true", "labels_pairing_unknown", "labels_argmax_not_a_cell", "labels_argmax_outside_cell_ids",
          "labels_abnormal_not_a_list", "labels_abnormal_out_of_cell_order", "evaluate_n_folds_zero",
          "report_n_folds_zero", "evaluate_n_folds_negative", "report_n_folds_negative",
-         "labels_without_reference", "labels_without_problematic", "n_folds_a_float"],
+         "labels_without_reference", "labels_without_problematic", "n_folds_a_float", "summary_cut_short"],
 )
 def test_damaged_run_directory_is_data_error(tmp_path, detect_dir, capsys, command, name, damage):
     """Exit 3 naming the file, and for a CSV its first line that the writer does not write (the header is line 1)."""
@@ -918,6 +926,79 @@ def test_cell_id_base_shifts_every_label_and_no_metric(tmp_path):
     assert aucs[0] == aucs[1] and len(aucs[0]) > 1
 
 
+@pytest.fixture(scope="module")
+def smoke_run(tmp_path_factory):
+    """(config, suite, run directory) of SMOKE, simulated, detected and evaluated."""
+    base = tmp_path_factory.mktemp("smoke")
+    config, suite = base / "smoke.json", base / "suite"
+    config.write_text(json.dumps(SMOKE))
+    assert main(["simulate", "--config", str(config), "--out", str(suite)]) == 0
+    return config, suite, _detected(config, suite, base / "run")
+
+
+def _detected(config, suite, run):
+    """run, detected from suite and evaluated."""
+    assert main(["detect", "--config", str(config), "--data", str(suite), "--out", str(run)]) == 0
+    assert main(["evaluate", "--out", str(run)]) == 0
+    return run
+
+
+def _shifted(text, key, change):
+    """text with the integer value of each "key" entry of its JSON lines replaced by change(value)."""
+    return re.sub(rf'"{key}": (-?[0-9]+)', lambda m: f'"{key}": {change(int(m[1]))}', text)
+
+
+def test_time_shift_changes_no_run_byte(smoke_run, tmp_path):
+    """Every record's t moved by 1 000 003, which adds digits to each: folds/, aggregate/ and eval/ are the
+    unshifted run's byte for byte, and the manifest differs only in data_dir."""
+    config, suite, run = smoke_run
+    shifted = tmp_path / "suite"
+    shutil.copytree(suite, shifted)
+    for path in shifted.glob("*_chunk*.jsonl"):
+        path.write_text(_shifted(path.read_text(), "t", lambda t: t + 1_000_003))
+    out = _detected(config, shifted, tmp_path / "run")
+    parts = ("folds", "aggregate", "eval")
+    assert tree_digest(out, parts) == tree_digest(run, parts)
+    manifests = [json.loads((r / "detect_manifest.json").read_text()) for r in (run, out)]
+    assert manifests[0].pop("data_dir") != manifests[1].pop("data_dir") and manifests[0] == manifests[1]
+
+
+def test_chunk_rotation_changes_no_label_or_metric(smoke_run, tmp_path):
+    """Each UE u renamed u + 1, so that chunk j of each role becomes chunk (j + 1) mod K: every label and
+    metric is the same, and each fold's AUC is that of its rotated fold.  Sums over folds, whose order
+    rotates, may move in their last bits."""
+    config, suite, run = smoke_run
+    k = json.loads((suite / "manifest.json").read_text())["n_chunks"]
+    rotated = tmp_path / "suite"
+    shutil.copytree(suite, rotated)
+    for role in suite_module.ROLES:
+        for j in range(k):
+            text = (suite / f"{role}_chunk{j}.jsonl").read_text()
+            (rotated / f"{role}_chunk{(j + 1) % k}.jsonl").write_text(_shifted(text, "ue", lambda ue: ue + 1))
+        truth = rotated / f"truth_{role}.jsonl"
+        truth.write_text(_shifted(truth.read_text(), "ue", lambda ue: ue + 1))
+    out = _detected(config, rotated, tmp_path / "run")
+    close = partial(pytest.approx, rel=1e-12, abs=0)
+    for method in pipeline.ALL_METHODS:
+        one, other = (json.loads((r / "aggregate" / f"labels_{method}.json").read_text()) for r in (run, out))
+        for pairing, labels in one["pairings"].items():
+            for key in ("abnormal_cells", "argmax_cell", "runs"):
+                assert other["pairings"][pairing][key] == labels[key], (method, pairing, key)
+        for key in ("threshold", "pooled_mean", "pooled_sigma"):
+            assert other[key] == close(one[key]), (method, key)
+    assert (out / "eval" / "metrics_summary.csv").read_bytes() == (run / "eval" / "metrics_summary.csv").read_bytes()
+    aucs = [dict(line.split(",") for line in (r / "eval" / "roc_auc.csv").read_text().splitlines()[1:])
+            for r in (run, out)]
+    assert float(aucs[1].pop("mean")) == close(float(aucs[0].pop("mean")))
+    rotate = partial(re.sub, r"([0-9]+)x([0-9]+)", lambda m: f"{(int(m[1]) + 1) % k}x{(int(m[2]) + 1) % k}")
+    assert {rotate(fold): auc for fold, auc in aucs[0].items()} == aucs[1] and len(aucs[1]) > 1
+    distances = [[line.split(",") for line in (r / "eval" / "heuristic_distances.csv").read_text().splitlines()[1:]]
+                 for r in (run, out)]
+    assert len(distances[0]) == len(distances[1]) > 0
+    for (*key, total, runs), (*other_key, other_total, other_runs) in zip(*distances):
+        assert (other_key, other_runs) == (key, runs) and float(other_total) == close(float(total)), key
+
+
 def test_detect_frees_each_roles_truth_after_its_last_chunk(dataset_dir, tiny_config_path):
     """Once a role's last chunk is parsed, nothing holds its truth arrays: not roles, not the plan."""
     manifest, _, roles = suite_module.load_suite(dataset_dir)
@@ -1010,10 +1091,10 @@ def test_amplify_false_config(tmp_path, dataset_dir):
     "edit,message",
     [
         (lambda lines: lines[:5] + lines[6:], "every pixel"),                # a pixel missing
-        (lambda lines: lines[:5] + ["4,0,1.5"] + lines[6:], "malformed"),    # a non-integer row
+        (lambda lines: lines[:5] + ["4,0,1.5"] + lines[6:], ":6: not in the written format"),  # a non-integer row
         (lambda lines: lines[:1] + lines[2:3] + lines[1:2] + lines[3:], "row-major"),
-        (lambda lines: lines + ["# comment"], "malformed"),
-        (lambda lines: [" " + lines[0]] + lines[1:], "header must be"),
+        (lambda lines: lines + ["# comment"], "not in the written format: '# comment'"),
+        (lambda lines: [" " + lines[0]] + lines[1:], ":1: the header line is not"),
     ],
     ids=["missing_pixel", "non_integer_row", "rows_swapped", "trailing_comment", "header_leading_space"],
 )

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blocks import damaged, outcome
+from blocks import BLOCK_SIZES, damaged, outcome
 from sleepscan import mdtlog
 from sleepscan.errors import DataError, ParseError
 from sleepscan.mdtlog import (
@@ -379,9 +379,9 @@ def test_float_past_the_float_range_is_a_parse_error(tmp_path, field, spelling):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.integers(-3, 5) | st.integers(-2**40, 2**40), st.booleans()), max_size=40),
-       st.integers(1, 200))
-@example([], mdtlog.BLOCK_CHARS)
-def test_load_truth_returns_the_row_counts_and_flags_of_written_truth(tmp_path_factory, ue_flags, block_chars):
+       st.integers(1, 50))
+@example([], mdtlog.BLOCK_LINES)
+def test_load_truth_returns_the_row_counts_and_flags_of_written_truth(tmp_path_factory, ue_flags, block_lines):
     """The per-record loop: a counter per UE numbers its records, and the affected ones' keys set their flags."""
     log = EventLog.from_rows([_rec(ue=ue, t=i) for i, (ue, _) in enumerate(ue_flags)])
     path = tmp_path_factory.mktemp("truth") / "truth.jsonl"
@@ -391,7 +391,7 @@ def test_load_truth_returns_the_row_counts_and_flags_of_written_truth(tmp_path_f
         if flag:
             keys.append((ue, counts.get(ue, 0)))
         counts[ue] = counts.get(ue, 0) + 1
-    with mock.patch.object(mdtlog, "BLOCK_CHARS", block_chars):
+    with mock.patch.object(mdtlog, "BLOCK_LINES", block_lines):
         truth = load_truth(path)
     _assert_same_columns(truth, _truth(keys, counts))
 
@@ -404,20 +404,20 @@ def _truth_text(entries):
     )
 
 
-@pytest.mark.parametrize("block_chars", [1, 100, mdtlog.BLOCK_CHARS])
+@pytest.mark.parametrize("block_lines", BLOCK_SIZES)
 @pytest.mark.parametrize(
     "index,expected", [(1, 2), (3, 2), (0, 2), (-1, 2)], ids=["repeated", "skipped", "restarted", "negative"]
 )
-def test_event_index_other_than_the_writers_names_its_line(tmp_path, block_chars, index, expected):
+def test_event_index_other_than_the_writers_names_its_line(tmp_path, block_lines, index, expected):
     """Line 9 must give ue 3 its third row, event_index 2: anything else is named, even with ue 3's earlier
-    rows blocks back (a 100-character block holds two lines)."""
+    rows blocks back."""
     entries = [(3, 0, True), (3, 1, False), *[(4, i, False) for i in range(6)], (3, index, True), (4, 6, True)]
     path = tmp_path / "truth.jsonl"
     path.write_text(_truth_text(entries), encoding="utf-8")
-    assert outcome(load_truth, path, block_chars) == ("ParseError", 9, f"the writer writes event_index {expected} here")
+    assert outcome(load_truth, path, block_lines) == ("ParseError", 9, f"the writer writes event_index {expected} here")
     entries[8] = (3, 2, True)
     path.write_text(_truth_text(entries), encoding="utf-8")
-    with mock.patch.object(mdtlog, "BLOCK_CHARS", block_chars):
+    with mock.patch.object(mdtlog, "BLOCK_LINES", block_lines):
         truth = load_truth(path)
     _assert_same_columns(truth, _truth([(3, 0), (3, 2), (4, 6)], {3: 3, 4: 7}))
 
@@ -436,7 +436,7 @@ def test_truth_without_an_affected_row_holds_one_block_not_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     _assert_same_columns(truth, _truth([], {ue: len(range(ue, n, ues)) for ue in range(ues)}))
-    assert peak <= 10 * mdtlog.BLOCK_CHARS, peak
+    assert peak <= 10 * 65_536, peak
 
 
 @pytest.mark.parametrize(
@@ -512,9 +512,9 @@ edits_st = st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 6)), max_size
 
 
 @settings(max_examples=100, deadline=None)
-@given(written_records_st, edits_st, st.booleans(), st.booleans(), st.integers(1, 300))
-@example([_rec(event=EventId.HO_COMMAND, ue=i, t=i, target=4) for i in range(40)], [(30, 4), (5, 3)], False, False, 50)
-def test_log_read_in_small_blocks_is_read_as_in_one(tmp_path_factory, records, edits, cut, crlf, block_chars):
+@given(written_records_st, edits_st, st.booleans(), st.booleans(), st.integers(1, 40))
+@example([_rec(event=EventId.HO_COMMAND, ue=i, t=i, target=4) for i in range(40)], [(30, 4), (5, 3)], False, False, 7)
+def test_log_read_in_small_blocks_is_read_as_in_one(tmp_path_factory, records, edits, cut, crlf, block_lines):
     """The same columns bit for bit, or the same ParseError line and reason, however the file is cut into blocks;
     CRLF reads as LF."""
     path = tmp_path_factory.mktemp("blocks") / "log.jsonl"
@@ -522,24 +522,24 @@ def test_log_read_in_small_blocks_is_read_as_in_one(tmp_path_factory, records, e
     text = damaged(path.read_text(encoding="utf-8"), edits, LOG_EDITS, cut)
     path.write_bytes(text.encode())
     expected = outcome(read_records, path)
-    assert outcome(read_records, path, block_chars) == expected
+    assert outcome(read_records, path, block_lines) == expected
     path.write_bytes(text.replace("\n", "\r\n").encode())
-    assert outcome(read_records, path, block_chars) == expected
+    assert outcome(read_records, path, block_lines) == expected
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.integers(-2**40, 2**40), st.booleans()), max_size=40),
-       st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 3)), max_size=3), st.booleans(), st.integers(1, 100))
-def test_truth_read_in_small_blocks_is_read_as_in_one(tmp_path_factory, ue_flags, edits, cut, block_chars):
+       st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 3)), max_size=3), st.booleans(), st.integers(1, 50))
+def test_truth_read_in_small_blocks_is_read_as_in_one(tmp_path_factory, ue_flags, edits, cut, block_lines):
     log = EventLog.from_rows([_rec(ue=ue, t=i) for i, (ue, _) in enumerate(ue_flags)])
     path = tmp_path_factory.mktemp("blocks") / "truth.jsonl"
     write_truth(log, [flag for _, flag in ue_flags], path)
     text = damaged(path.read_text(encoding="utf-8"), edits, TRUTH_EDITS, cut)
     path.write_bytes(text.encode())
     expected = outcome(load_truth, path)
-    assert outcome(load_truth, path, block_chars) == expected
+    assert outcome(load_truth, path, block_lines) == expected
     path.write_bytes(text.replace("\n", "\r\n").encode())
-    assert outcome(load_truth, path, block_chars) == expected
+    assert outcome(load_truth, path, block_lines) == expected
 
 
 def _long_log(path, n=60):
@@ -551,11 +551,9 @@ def _long_log(path, n=60):
 def test_bad_line_in_the_third_block_names_its_line(tmp_path):
     path = tmp_path / "log.jsonl"
     lines = _long_log(path)
-    block = 4 * len(lines[0])
-    assert len({len(line) for line in lines}) == 1 and sum(map(len, lines[:10])) > 2 * block
     lines[9] = lines[9].replace('"ue": ', '"ue":')
     path.write_text("".join(lines), encoding="utf-8")
-    with mock.patch.object(mdtlog, "BLOCK_CHARS", block), pytest.raises(ParseError) as err:
+    with mock.patch.object(mdtlog, "BLOCK_LINES", 4), pytest.raises(ParseError) as err:
         read_records(path)
     assert err.value.lineno == 10 and err.value.reason.startswith("not in the written format")
 
@@ -564,7 +562,7 @@ def test_missing_final_newline_after_several_blocks_names_the_last_line(tmp_path
     path = tmp_path / "log.jsonl"
     lines = _long_log(path)
     path.write_text("".join(lines)[:-1], encoding="utf-8")
-    with mock.patch.object(mdtlog, "BLOCK_CHARS", 3 * len(lines[0])), pytest.raises(ParseError) as err:
+    with mock.patch.object(mdtlog, "BLOCK_LINES", 3), pytest.raises(ParseError) as err:
         read_records(path)
     assert (err.value.lineno, err.value.reason) == (60, "the last line does not end in a newline")
 
@@ -575,8 +573,8 @@ def test_non_utf8_byte_after_the_first_block_is_a_data_error(tmp_path):
     data = "".join(lines).encode()
     cut = 30 * len(lines[0]) + 10
     path.write_bytes(data[:cut] + b"\xff" + data[cut:])
-    for block_chars in (len(lines[0]), mdtlog.BLOCK_CHARS):
-        with mock.patch.object(mdtlog, "BLOCK_CHARS", block_chars), pytest.raises(DataError) as err:
+    for block_lines in BLOCK_SIZES:
+        with mock.patch.object(mdtlog, "BLOCK_LINES", block_lines), pytest.raises(DataError) as err:
             read_records(path)
         assert str(err.value) == f"{path}: not UTF-8 text"
 
@@ -592,15 +590,15 @@ def test_crlf_split_across_two_reads_reads_as_lf(tmp_path):
     lf.write_bytes(data.replace(b"\r\n", b"\n"))
     expected = outcome(load_truth, lf)
     assert expected[0] == ("<i8", (n + 40,), mock.ANY)
-    for block_chars in (1, 50, 51, 52, 100, 4096, mdtlog.BLOCK_CHARS):  # about one LF line: 51 characters
-        assert outcome(load_truth, crlf, block_chars) == expected
+    for block_lines in (*BLOCK_SIZES, n - 1, n, n + 1):  # line n ends in the CR and LF
+        assert outcome(load_truth, crlf, block_lines) == expected
 
 
-@pytest.mark.parametrize("block_chars", [1, mdtlog.BLOCK_CHARS])
-def test_empty_files_read_as_empty_columns(tmp_path, block_chars):
+@pytest.mark.parametrize("block_lines", BLOCK_SIZES)
+def test_empty_files_read_as_empty_columns(tmp_path, block_lines):
     path = tmp_path / "empty.jsonl"
     path.write_bytes(b"")
-    with mock.patch.object(mdtlog, "BLOCK_CHARS", block_chars):
+    with mock.patch.object(mdtlog, "BLOCK_LINES", block_lines):
         log, truth = read_records(path), load_truth(path)
     assert [(column.dtype, len(column)) for column in _log_columns(log)] == \
         [(np.dtype(np.int64), 0)] * 3 + [(np.dtype(np.float64), 0)] * 2 + [(np.dtype(np.int64), 0)] * 2
@@ -624,4 +622,4 @@ def test_reading_a_large_log_holds_one_block_not_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     result = sum(column.nbytes for column in _log_columns(log))
-    assert peak <= result + 10 * mdtlog.BLOCK_CHARS, (peak, result)
+    assert peak <= result + 10 * 65_536, (peak, result)

@@ -4,17 +4,18 @@ import json
 import tracemalloc
 from collections import namedtuple
 from dataclasses import fields
-from unittest import mock
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blocks import BLOCK_SIZES, damaged, outcome
+from sleepscan import mdtlog
 from sleepscan.config import RunConfig, SimConfig
 from sleepscan.errors import ConfigError, DataError, ParseError
 from sleepscan.mdtlog import NO_TARGET, Chunk, EventId, EventLog, write_records
-from sleepscan.simgen import dominance
 from sleepscan.simgen.dominance import (
     DOMINANCE_HEADER,
     DominanceMap,
@@ -515,10 +516,10 @@ def _map_lines(path, spec):
     return path.read_text(encoding="utf-8").splitlines()
 
 
-@pytest.mark.parametrize("block_rows", [1, 7, dominance.DOMINANCE_BLOCK_ROWS])
-@pytest.mark.parametrize("lineno", [2 + dominance.DOMINANCE_BLOCK_ROWS, 3 * dominance.DOMINANCE_BLOCK_ROWS + 7, 30001])
+@pytest.mark.parametrize("block_lines", BLOCK_SIZES)
+@pytest.mark.parametrize("lineno", [2 + mdtlog.BLOCK_LINES, 3 * mdtlog.BLOCK_LINES + 7, 30001])
 @pytest.mark.parametrize("row", ["4,0,1.5", "4,0", "4,0,1,1", "# comment", "4;0;1", " +4 , 0 ,1", ""])
-def test_malformed_dominance_row_names_its_line_from_the_top_of_the_file(tmp_path, row, lineno, block_rows):
+def test_malformed_dominance_row_names_its_line_from_the_top_of_the_file(tmp_path, row, lineno, block_lines):
     """However the rows fall into blocks, the first row that is not three integers is named by its file line."""
     spec = GridSpec(origin_x=0.0, origin_y=0.0, resolution_m=5.0, nx=200, ny=150)
     path = tmp_path / "dominance.csv"
@@ -528,11 +529,33 @@ def test_malformed_dominance_row_names_its_line_from_the_top_of_the_file(tmp_pat
         lines[-1] = "0,0,x"  # a later fault is not the one named
     lines[lineno - 1] = row
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with mock.patch.object(dominance, "DOMINANCE_BLOCK_ROWS", block_rows), pytest.raises(ParseError) as err:
-        load_dominance_csv(path, spec)
-    assert (err.value.path, err.value.lineno, err.value.reason) == (
-        str(path), lineno, f"malformed dominance map row: {row!r}"
+    assert outcome(partial(load_dominance_csv, grid_spec=spec), path, block_lines) == (
+        "ParseError", lineno, f"not in the written format: {row!r}"
     )
+
+
+# Line edits (each returns the lines that replace its line) that make a map line one the reader rejects.
+DOMINANCE_EDITS = [
+    lambda line: [line.replace(",", ";", 1)],
+    lambda line: [line + ".5"],
+    lambda line: [],
+    lambda line: [line, line],
+    lambda line: [line, ""],
+    lambda line: [line.rpartition(",")[0] + f",{2**63}"],
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1000), st.integers(0, len(DOMINANCE_EDITS) - 1)), max_size=3),
+       st.booleans(), st.booleans(), st.integers(1, 30))
+def test_dominance_map_read_in_small_blocks_is_read_as_in_one(tmp_path_factory, edits, cut, crlf, block_lines):
+    """The same grid bit for bit, or the same error, however the map is cut into blocks, as for every other file."""
+    spec = GridSpec(origin_x=0.0, origin_y=0.0, resolution_m=5.0, nx=5, ny=4)
+    path = tmp_path_factory.mktemp("map") / "dominance.csv"
+    text = "\n".join(_map_lines(path, spec)) + "\n"
+    path.write_bytes(damaged(text, edits, DOMINANCE_EDITS, cut, crlf).encode())
+    read = partial(load_dominance_csv, grid_spec=spec)
+    assert outcome(read, path, block_lines) == outcome(read, path)
 
 
 @pytest.mark.parametrize(
